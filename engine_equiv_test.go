@@ -6,12 +6,15 @@ package dpa
 // design rests on (see DESIGN.md).
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"dpa/internal/em3d"
+	"dpa/internal/graph"
 	"dpa/internal/pdg"
+	"dpa/internal/sim"
 	"dpa/internal/tpart"
 )
 
@@ -182,4 +185,272 @@ func TestRunPhaseRejectsInvalidSpec(t *testing.T) {
 	}()
 	space := NewSpace(1)
 	RunPhase(DefaultT3D(1), space, DPASpec(4, WithAggLimit(-1)), func(rt Runtime, ep *Endpoint, nd *Node) {})
+}
+
+// Recycled-storage equivalence. A multi-phase runner hands one PriorStore to
+// every phase, and the store recycles each node's runtime storage from phase
+// to phase (core.Arena). Storage is not state: a run on recycled arenas must
+// be indistinguishable — run tables, application results, mid-run snapshot
+// bytes — from the same run with every phase's runtimes built from scratch.
+
+// phasedApp is a multi-phase workload whose phase loop the test drives
+// itself, so it can choose the store each phase runs with: kinds[k] is phase
+// k's prior kind, body(k) its SPMD body, commit(k) the owners' update after
+// it, and result a fingerprint of the application state.
+type phasedApp struct {
+	space  *Space
+	kinds  []string
+	body   func(k int) func(rt Runtime, ep *Endpoint, nd *Node)
+	commit func(k int)
+	result func() string
+}
+
+// ownedBlock returns the contiguous index block of ptrs that node owns.
+func ownedBlock(ptrs []Ptr, node int) (lo, hi int) {
+	for lo < len(ptrs) && int(ptrs[lo].Node) != node {
+		lo++
+	}
+	for hi = lo; hi < len(ptrs) && int(ptrs[hi].Node) == node; hi++ {
+	}
+	return lo, hi
+}
+
+// phasedEM3D is em3d.RunIters' phase loop, two iterations of E and H halves.
+// The graph is the size checkpoint_equiv_test's em3d-prior cell uses, so
+// every phase is long enough to cross ckFaults' crash time.
+func phasedEM3D(nodes int) phasedApp {
+	prm := em3d.DefaultParams(320)
+	g := em3d.Build(prm, nodes)
+	half := func(k int) ([]*em3d.GraphNode, []Ptr) {
+		if k%2 == 0 {
+			return g.E, g.EPtr
+		}
+		return g.H, g.HPtr
+	}
+	acc := make([]float64, prm.NodesPerKind)
+	return phasedApp{
+		space: g.Space,
+		kinds: []string{"E", "H", "E", "H"},
+		body: func(k int) func(rt Runtime, ep *Endpoint, nd *Node) {
+			ns, ptrs := half(k)
+			return func(rt Runtime, ep *Endpoint, nd *Node) {
+				lo, hi := ownedBlock(ptrs, nd.ID())
+				rt.ForAll(hi-lo, func(j int) {
+					n := ns[lo+j]
+					i := int(n.Idx)
+					for d := range n.Deps {
+						coeff := n.Coeff[d]
+						rt.Spawn(n.Deps[d], func(o Object) {
+							nd.Charge(sim.Compute, prm.UpdateCost)
+							acc[i] += coeff * o.(*em3d.GraphNode).Value
+						})
+					}
+				})
+			}
+		},
+		commit: func(k int) {
+			ns, _ := half(k)
+			for i := range ns {
+				ns[i].Value -= acc[i]
+			}
+			clear(acc)
+		},
+		result: func() string {
+			e, h := g.Values()
+			return fmt.Sprintf("%x %x", e, h)
+		},
+	}
+}
+
+// phasedPageRank is graph.RunPageRank's phase loop, three iterations.
+func phasedPageRank(nodes int) phasedApp {
+	prm := graph.DefaultParams(1024)
+	g := graph.Build(prm, nodes)
+	n := prm.Vertices
+	for _, v := range g.Verts {
+		v.Rank = 1 / float64(n)
+	}
+	acc := make([]float64, n)
+	return phasedApp{
+		space: g.Space,
+		kinds: []string{"pagerank", "pagerank", "pagerank"},
+		body: func(int) func(rt Runtime, ep *Endpoint, nd *Node) {
+			return func(rt Runtime, ep *Endpoint, nd *Node) {
+				lo, hi := ownedBlock(g.Ptrs, nd.ID())
+				rt.ForAll(hi-lo, func(j int) {
+					v := lo + j
+					for _, u := range g.Adj[v] {
+						rt.Spawn(g.Ptrs[u], func(o Object) {
+							nd.Charge(sim.Compute, prm.UpdateCost)
+							nb := o.(*graph.Vertex)
+							acc[v] += nb.Rank / float64(nb.Deg)
+						})
+					}
+				})
+			}
+		},
+		commit: func(int) {
+			for v := range g.Verts {
+				g.Verts[v].Rank = (1-graph.Damping)/float64(n) + graph.Damping*acc[v]
+			}
+			clear(acc)
+		},
+		result: func() string {
+			ranks := make([]float64, n)
+			for v := range g.Verts {
+				ranks[v] = g.Verts[v].Rank
+			}
+			return fmt.Sprintf("%x", ranks)
+		},
+	}
+}
+
+// phasedRun is one pass over an app's phases.
+type phasedRun struct {
+	phases []RunStats
+	total  RunStats
+	result string
+	snap   []byte // the snapshot captured at cumulative time at, if at > 0
+}
+
+// runPhased runs every phase of a freshly built app. With scratch false one
+// store spans the run, as the real runners do, so from the second phase on
+// every runtime sits on a recycled arena. With scratch true each phase gets
+// a Clone of the running store — the same priors and, by Clone's contract, no
+// arenas — so every runtime of every phase is built from scratch.
+func runPhased(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec Spec,
+	scratch bool, at Time, extra ...RunOption) phasedRun {
+	t.Helper()
+	app := build(mcfg.Nodes)
+	var out phasedRun
+	var ck *CheckpointSpec
+	if at > 0 {
+		ck = &CheckpointSpec{At: at, Deliver: func(s *Snapshot, err error) {
+			if err != nil {
+				t.Fatalf("capture delivered error: %v", err)
+			}
+			out.snap = s.Encode()
+		}}
+	}
+	store := NewPriorStore()
+	for k, kind := range app.kinds {
+		if scratch {
+			store = store.Clone()
+		}
+		opts := append([]RunOption{WithPriors(store, kind)}, extra...)
+		if ck != nil {
+			opts = append(opts, WithCheckpoint(ck))
+		}
+		run := RunPhase(mcfg, app.space, spec, app.body(k), opts...)
+		app.commit(k)
+		out.phases = append(out.phases, run)
+		out.total.Merge(run)
+	}
+	if at > 0 && out.snap == nil {
+		t.Fatalf("checkpoint at t=%d never fired (makespan %d)", at, out.total.Makespan)
+	}
+	out.result = app.result()
+	return out
+}
+
+func TestRecycledStorageEquivalence(t *testing.T) {
+	const nodes = 4
+	apps := []struct {
+		name  string
+		build func(int) phasedApp
+	}{{"em3d", phasedEM3D}, {"pagerank", phasedPageRank}}
+	specs := []struct {
+		name   string
+		spec   Spec
+		priors bool
+	}{{"static", DPASpec(8), false}, {"planned", DPASpec(8, WithShape()), true}}
+	plans := []struct {
+		name   string
+		faults FaultConfig
+	}{{"clean", FaultConfig{}}, {"loss3", DefaultFaults(7, 0.03)}, {"crash", ckFaults()}}
+
+	for _, app := range apps {
+		for _, sp := range specs {
+			for _, plan := range plans {
+				app, sp, plan := app, sp, plan
+				t.Run(app.name+"/"+sp.name+"/"+plan.name, func(t *testing.T) {
+					mcfg := DefaultT3D(nodes)
+					mcfg.Faults = plan.faults
+					// The boundary sits five eighths into the run: in a late
+					// phase, on arenas that have been recycled at least once.
+					probe := runPhased(t, app.build, mcfg, sp.spec, false, 0)
+					at := probe.total.Makespan * 5 / 8
+					if at <= probe.phases[0].Makespan {
+						t.Fatalf("boundary t=%d falls in the first phase (makespan %d): no recycled arena under test",
+							at, probe.phases[0].Makespan)
+					}
+					if plan.name == "crash" && probe.total.Err == nil {
+						t.Fatal("crash plan crashed nobody: the row does not exercise dropped arenas")
+					}
+					recycled := runPhased(t, app.build, mcfg, sp.spec, false, at)
+					scratch := runPhased(t, app.build, mcfg, sp.spec, true, at)
+					for k := range recycled.phases {
+						if diff := recycled.phases[k].Diff(scratch.phases[k]); diff != "" {
+							t.Fatalf("phase %d: recycled vs from-scratch runtimes diverge: %s", k, diff)
+						}
+					}
+					if diff := recycled.total.Diff(scratch.total); diff != "" {
+						t.Fatalf("run totals diverge: %s", diff)
+					}
+					if recycled.result != scratch.result {
+						t.Fatal("application results diverge between recycled and from-scratch runtimes")
+					}
+					if !bytes.Equal(recycled.snap, scratch.snap) {
+						a, _ := RestoreSnapshot(recycled.snap)
+						b, _ := RestoreSnapshot(scratch.snap)
+						t.Fatalf("mid-run snapshots differ (%d vs %d bytes): %s",
+							len(recycled.snap), len(scratch.snap), a.Diff(b))
+					}
+					if plan.name == "clean" && sp.priors && recycled.total.RT.PlanPriorHits == 0 {
+						t.Fatal("planned row never warm-started: the priors half of the row is vacuous")
+					}
+					if sp.priors {
+						// The check run of a validated phase gets a Clone of
+						// the store — priors, no arenas — under the other
+						// engine, so validating every phase compares recycled
+						// against from-scratch across engines; RunPhase
+						// panics on any difference. (The body runs twice, so
+						// the application's values are not comparable here.)
+						runPhased(t, app.build, mcfg, sp.spec, false, 0, WithValidation())
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestStoreReusedAcrossShapesRebuilds: a store's arenas belong to the node
+// count and spec they were built for. Handing the same store to a phase on a
+// machine of another size, or under another spec, must run that phase exactly
+// as a new store would — not index a too-short arena slice, not carry storage
+// shaped by the other policy.
+func TestStoreReusedAcrossShapesRebuilds(t *testing.T) {
+	phase := func(nodes int, spec Spec, store *PriorStore) RunStats {
+		app := phasedPageRank(nodes)
+		return RunPhase(DefaultT3D(nodes), app.space, spec, app.body(0), WithPriors(store, "pagerank"))
+	}
+	store := NewPriorStore()
+	steps := []struct {
+		nodes int
+		spec  Spec
+	}{
+		{4, DPASpec(8)},
+		{6, DPASpec(8)},                // more nodes than arenas held
+		{3, DPASpec(8)},                // fewer
+		{3, DPASpec(8, WithPlanner())}, // same count, other spec
+		{3, DPASpec(8)},                // and back
+		{3, DPASpec(8)},                // same shape twice: this one recycles
+	}
+	for i, s := range steps {
+		got := phase(s.nodes, s.spec, store)
+		want := phase(s.nodes, s.spec, NewPriorStore())
+		if diff := got.Diff(want); diff != "" {
+			t.Fatalf("step %d (%d nodes, %v): reused store diverges from a new one: %s", i, s.nodes, s.spec, diff)
+		}
+	}
 }

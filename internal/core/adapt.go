@@ -229,8 +229,9 @@ func (rt *RT) forAllAdaptive(n int, spawnIter func(i int)) {
 	c.loop++
 }
 
-// AdaptTrace returns this node's strip-adaptation trace (nil in static
-// mode). The driver records node 0's trace on the run.
+// AdaptTrace returns this node's strip-adaptation trace (empty in static
+// mode). The slice lives in the runtime's arena: copy it to keep it past the
+// phase. The driver records node 0's trace on the run.
 func (rt *RT) AdaptTrace() []stats.AdaptPoint { return rt.trace }
 
 // destLimit is the per-destination aggregation limit. In adaptive mode it is
@@ -240,7 +241,7 @@ func (rt *RT) AdaptTrace() []stats.AdaptPoint { return rt.trace }
 // overhead) or bunching into one late burst (exposed latency). The result is
 // bounded to [AggLimit/2, 8*AggLimit] so a cold or noisy estimate cannot
 // stray far from the configured limit.
-func (rt *RT) destLimit(dst int) int {
+func (rt *RT) destLimit(d *destState) int {
 	base := rt.Cfg.aggLimit()
 	if !rt.adaptive || rt.Cfg.AggLimit <= 0 {
 		return base // static mode, or unlimited stays unlimited
@@ -248,9 +249,9 @@ func (rt *RT) destLimit(dst int) int {
 	if rt.planner {
 		// Planner mode predicts the limit from the previous strip's owner
 		// histogram instead of reacting to RTT/production-rate EWMAs.
-		return rt.plannedDestLimit(dst, rt.Cfg.AggLimit)
+		return rt.plannedDestLimit(d, rt.Cfg.AggLimit)
 	}
-	rtt, gap := rt.rttEwma[dst], rt.gapEwma
+	rtt, gap := d.rttEwma, rt.gapEwma
 	if rtt == 0 || gap == 0 {
 		return base
 	}
@@ -281,18 +282,19 @@ func (rt *RT) observeGap(now sim.Time) {
 	rt.lastEnq = now
 }
 
-// observeRTT feeds the per-destination round-trip EWMA. A sample is armed on
-// the first in-flight request to dst (flushDest) and closed by its first
-// reply, so queueing behind earlier requests never inflates it.
-func (rt *RT) observeRTT(dst int, now sim.Time) {
-	if !rt.rttMark[dst] {
+// observeRTT feeds d's round-trip EWMA. A sample is armed on the first
+// in-flight request to the destination (flushDest, adaptive mode only) and
+// closed by its first reply, so queueing behind earlier requests never
+// inflates it.
+func observeRTT(d *destState, now sim.Time) {
+	if !d.rttMark {
 		return
 	}
-	rt.rttMark[dst] = false
-	s := now - rt.rttSentAt[dst]
-	if rt.rttEwma[dst] == 0 {
-		rt.rttEwma[dst] = s
+	d.rttMark = false
+	s := now - d.rttSentAt
+	if d.rttEwma == 0 {
+		d.rttEwma = s
 	} else {
-		rt.rttEwma[dst] = (ewmaOld*rt.rttEwma[dst] + s) / ewmaDiv
+		d.rttEwma = (ewmaOld*d.rttEwma + s) / ewmaDiv
 	}
 }

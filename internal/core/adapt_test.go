@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dpa/internal/gptr"
-	"dpa/internal/sim"
 )
 
 // adaptiveCfg returns a small-strip adaptive configuration.
@@ -181,22 +180,22 @@ func TestDestLimitClamps(t *testing.T) {
 	rt := &RT{adaptive: true}
 	rt.Cfg = Default()
 	rt.Cfg.AggLimit = 16
-	rt.rttEwma = make([]sim.Time, 2)
+	d := rt.dests.touch(1)
 
 	// Cold estimates fall back to the configured base.
-	if got := rt.destLimit(1); got != 16 {
+	if got := rt.destLimit(d); got != 16 {
 		t.Fatalf("cold destLimit = %d, want base 16", got)
 	}
 	// A huge RTT against a tiny gap clamps at 8x base.
-	rt.rttEwma[1] = 1 << 20
+	d.rttEwma = 1 << 20
 	rt.gapEwma = 1
-	if got := rt.destLimit(1); got != 128 {
+	if got := rt.destLimit(d); got != 128 {
 		t.Fatalf("high-RTT destLimit = %d, want 128", got)
 	}
 	// A tiny RTT against a huge gap clamps at base/2.
-	rt.rttEwma[1] = 1
+	d.rttEwma = 1
 	rt.gapEwma = 1 << 20
-	if got := rt.destLimit(1); got != 8 {
+	if got := rt.destLimit(d); got != 8 {
 		t.Fatalf("low-RTT destLimit = %d, want 8", got)
 	}
 }

@@ -1,0 +1,168 @@
+package core
+
+import (
+	"bytes"
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"dpa/internal/fm"
+	"dpa/internal/gptr"
+	"dpa/internal/machine"
+	"dpa/internal/sim"
+)
+
+// staticCfg and shapedCfg are the core halves of driver.DPASpec(50) and
+// driver.DPASpec(50, WithShape()) — the benchmark's "static" and "planned".
+func staticCfg() Config {
+	c := Default()
+	c.Strip = 50
+	return c
+}
+
+func shapedCfg() Config {
+	c := staticCfg()
+	c.Planner, c.Prior, c.Shape = true, true, true
+	return c
+}
+
+// newFootprint returns the bytes node 0 allocates for core.New plus an empty
+// ForAll and Drain on a p-node machine. Every other node's program is empty
+// and has finished before the measurement starts (node 0 advances its clock
+// first, which hands the sequential engine to everyone else at time 0), so
+// the MemStats delta is node 0's alone.
+func newFootprint(t *testing.T, p int, cfg Config) uint64 {
+	t.Helper()
+	net := fm.NewNet()
+	proto := RegisterProto(net)
+	space := gptr.NewSpace(p)
+	var done atomic.Int32
+	var allocated uint64
+	_, err := machine.New(machine.DefaultT3D(p)).Run(func(nd *machine.Node) {
+		if nd.ID() != 0 {
+			done.Add(1)
+			return
+		}
+		ep := fm.NewEP(net, nd)
+		nd.Charge(sim.Compute, 1)
+		nd.Poll()
+		if int(done.Load()) != p-1 {
+			t.Errorf("only %d of %d other nodes had finished before the measurement", done.Load(), p-1)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rt := New(proto, ep, space, cfg, nil)
+		rt.ForAll(0, func(int) {})
+		rt.Drain()
+		runtime.ReadMemStats(&after)
+		allocated = after.TotalAlloc - before.TotalAlloc
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return allocated
+}
+
+// TestNewFootprintIndependentOfMachineSize is the per-node-per-phase
+// footprint budget: what a node allocates to build its runtime and run an
+// empty phase must not depend on how many nodes the machine has. Anything
+// sized by P on this path — a dense per-owner array, a P-bucket scratch —
+// makes the 4096-node figure exceed the 64-node one and fails the test.
+func TestNewFootprintIndependentOfMachineSize(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"static", staticCfg()}, {"shaped", shapedCfg()}} {
+		// The runtime itself may allocate behind the measurement's back (a
+		// GC worker starting, say); the smallest of a few tries is the
+		// program's own figure.
+		small, large := ^uint64(0), ^uint64(0)
+		for try := 0; try < 5; try++ {
+			small = min(small, newFootprint(t, 64, c.cfg))
+			large = min(large, newFootprint(t, 4096, c.cfg))
+		}
+		t.Logf("%s: %d bytes at P=64, %d bytes at P=4096", c.name, small, large)
+		if small != large {
+			t.Errorf("%s: New + empty phase allocates %d bytes at P=64 but %d at P=4096: something on the path is sized by the machine",
+				c.name, small, large)
+		}
+	}
+}
+
+// dirtyPhase runs one shaped-planner phase on a fresh 4-node machine with
+// every node's runtime built on its arena: node 0 fetches objects from all
+// three other nodes (so the destination table, the M/D table, the seen set,
+// the free lists, the run lists and the controller trace all fill up, and
+// copies are still retained when the phase ends), attaches a prior and folds
+// it. inspect, if set, runs on node 0 right after New, before any of that.
+func dirtyPhase(t *testing.T, net *fm.Net, proto *Proto, space *gptr.Space, ptrs []gptr.Ptr,
+	arenas []Arena, pt *PriorTable, inspect func(rt *RT, ep *fm.EP)) {
+	t.Helper()
+	_, err := machine.New(machine.DefaultT3D(len(arenas))).Run(func(nd *machine.Node) {
+		ep := fm.NewEP(net, nd)
+		rt := New(proto, ep, space, shapedCfg(), &arenas[nd.ID()])
+		if nd.ID() == 0 {
+			if inspect != nil {
+				inspect(rt, ep)
+			}
+			rt.AttachPrior(pt)
+			fn := func(gptr.Object) { nd.Charge(sim.Compute, 10) }
+			rt.ForAll(len(ptrs), func(i int) { rt.Spawn(ptrs[i], fn) })
+			rt.FoldPrior()
+		}
+		ep.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecycledArenaEncodesLikeFresh is the reset-completeness check: after a
+// phase has dirtied every container and counter, a runtime built on the
+// recycled arena must be indistinguishable from one built on a fresh arena —
+// their snapshot encodings, which cover the complete runtime state, are
+// byte-equal before the phase body runs.
+func TestRecycledArenaEncodesLikeFresh(t *testing.T) {
+	const nodes = 4
+	net := fm.NewNet()
+	proto := RegisterProto(net)
+	space := gptr.NewSpace(nodes)
+	var ptrs []gptr.Ptr
+	for i := 0; i < 120; i++ {
+		ptrs = append(ptrs, space.Alloc(1+i%3, obj{id: i}))
+	}
+	arenas := make([]Arena, nodes)
+	pt := &PriorTable{}
+	dirtyPhase(t, net, proto, space, ptrs, arenas, pt, nil)
+	dirtyPhase(t, net, proto, space, ptrs, arenas, pt, nil) // warm: shaped, retained copies
+
+	old := &arenas[0].rt
+	if len(old.table) == 0 || len(old.seen) == 0 || len(old.dests.slots) < 3 ||
+		len(old.trace) == 0 || old.st.Fetches == 0 || old.plan.stripIdx == 0 {
+		t.Fatalf("the dirtying phases left the arena too clean to test a reset: table=%d seen=%d dests=%d trace=%d fetches=%d strips=%d",
+			len(old.table), len(old.seen), len(old.dests.slots), len(old.trace), old.st.Fetches, old.plan.stripIdx)
+	}
+
+	var recycled, fresh []byte
+	dirtyPhase(t, net, proto, space, ptrs, arenas, pt, func(rt *RT, ep *fm.EP) {
+		var w sim.SnapWriter
+		rt.EncodeSnapshot(&w)
+		recycled = append([]byte(nil), w.Bytes()...)
+		if cap(rt.dests.slots) < 3 || len(rt.pool.entries) == 0 {
+			t.Errorf("recycled arena kept no storage: cap(slots)=%d pooled entries=%d",
+				cap(rt.dests.slots), len(rt.pool.entries))
+		}
+		var wf sim.SnapWriter
+		New(proto, ep, space, shapedCfg(), nil).EncodeSnapshot(&wf)
+		fresh = wf.Bytes()
+		ep.Ctx = rt // New rebinds the endpoint; hand it back
+	})
+	if !bytes.Equal(recycled, fresh) {
+		i := 0
+		for i < len(recycled) && i < len(fresh) && recycled[i] == fresh[i] {
+			i++
+		}
+		t.Fatalf("recycled arena's snapshot (%d bytes) differs from a fresh runtime's (%d bytes) at byte %d",
+			len(recycled), len(fresh), i)
+	}
+}

@@ -276,12 +276,14 @@ func onFetchReq(ep *fm.EP, m sim.Message) {
 func onFetchReply(ep *fm.EP, m sim.Message) {
 	rt := ep.Ctx.(*RT)
 	rep := m.Payload.(*fetchReply)
-	if rt.pendingByDest[m.From] > 0 {
-		rt.pendingByDest[m.From]--
-		rt.pendingReplies--
+	if d := rt.dests.find(m.From); d != nil {
+		if d.pending > 0 {
+			d.pending--
+			rt.pendingReplies--
+		}
+		observeRTT(d, ep.Node.Now())
 	}
 	if rt.adaptive {
-		rt.observeRTT(m.From, ep.Node.Now())
 		rt.scatterReply(m.From, rep)
 		rt.trackPeak()
 		rt.pool.putPtrs(rep.ptrs)
@@ -366,7 +368,8 @@ func (rt *RT) storeReply(from int, rep *fetchReply) {
 // storeScatter is the CPMA reply path in adaptive mode: the owner-major
 // batch wake of scatterReply, with arrivals merged into the packed store.
 func (rt *RT) storeScatter(owner int, rep *fetchReply) {
-	l := &rt.oq.lists[owner]
+	si := rt.dests.slot(owner)
+	d := &rt.dests.slots[si]
 	now := rt.EP.Node.Now()
 	woken := 0
 	keys, objs := rt.storeKeys[:0], rt.storeObjs[:0]
@@ -384,7 +387,7 @@ func (rt *RT) storeScatter(owner int, rep *fetchReply) {
 		key := p.Key()
 		woken += len(e.waiters)
 		for j, fn := range e.waiters {
-			l.items = append(l.items, readyEntry{key: key, obj: o, fn: fn, iter: -1})
+			d.run = append(d.run, readyEntry{key: key, obj: o, fn: fn, iter: -1})
 			e.waiters[j] = nil
 		}
 		e.waiters = e.waiters[:0]
@@ -397,11 +400,7 @@ func (rt *RT) storeScatter(owner int, rep *fetchReply) {
 		return
 	}
 	rt.waiting -= woken
-	rt.oq.count += woken
-	if !l.queued {
-		l.queued = true
-		rt.oq.order = append(rt.oq.order, owner)
-	}
+	rt.oq.woke(d, si, woken)
 }
 
 // storeInsert merges one reply's arrivals into the packed store and points
@@ -432,7 +431,8 @@ func (rt *RT) scatterReply(owner int, rep *fetchReply) {
 		rt.storeScatter(owner, rep)
 		return
 	}
-	l := &rt.oq.lists[owner]
+	si := rt.dests.slot(owner)
+	d := &rt.dests.slots[si]
 	woken := 0
 	for i, p := range rep.ptrs {
 		e := rt.table[p]
@@ -459,7 +459,7 @@ func (rt *RT) scatterReply(owner int, rep *fetchReply) {
 			// Resumed waiters run with no iteration attribution: their
 			// iteration's affinity was already recorded first-wins when the
 			// fetch was issued.
-			l.items = append(l.items, readyEntry{key: key, obj: o, fn: fn, iter: -1})
+			d.run = append(d.run, readyEntry{key: key, obj: o, fn: fn, iter: -1})
 			e.waiters[j] = nil
 		}
 		woken += len(e.waiters)
@@ -469,11 +469,7 @@ func (rt *RT) scatterReply(owner int, rep *fetchReply) {
 		return
 	}
 	rt.waiting -= woken
-	rt.oq.count += woken
-	if !l.queued {
-		l.queued = true
-		rt.oq.order = append(rt.oq.order, owner)
-	}
+	rt.oq.woke(d, si, woken)
 }
 
 // dEntry is one fused M/D table entry for a remote pointer: while the fetch
@@ -500,12 +496,15 @@ type RT struct {
 	table   map[gptr.Ptr]*dEntry // fused M/D: fetch state + suspended threads
 	waiting int
 
-	agg      [][]gptr.Ptr // per-destination request buffers
-	aggDests []int        // destinations with non-empty buffers, FIFO
-	aggCount int          // total queued pointers
+	// dests holds all per-destination state (aggregation buffers,
+	// outstanding-request counts, RTT samples, run lists, planner
+	// histograms), one slot per owner this node has touched; see dests.go.
+	dests    destTable
+	nodes    int     // machine size: the length of every dense per-owner view
+	aggDests []int32 // slots with non-empty request buffers, FIFO
+	aggCount int     // total queued pointers
 
 	pendingReplies int
-	pendingByDest  []int // outstanding request messages per owner node
 
 	err error // first degradation error (unreachable owners), if any
 
@@ -533,54 +532,89 @@ type RT struct {
 	// queue, batched scatter, RTT/gap observation); planner additionally
 	// routes ForAll and the aggregation limits through the predictive
 	// planner instead of the reactive controller.
-	adaptive  bool
-	planner   bool
-	plan      planState
-	oq        ownerQueue // owner-major ready queue (replaces ready)
-	ctl       stripCtl
-	trace     []stats.AdaptPoint
-	rttEwma   []sim.Time // per-destination round-trip EWMA
-	rttSentAt []sim.Time
-	rttMark   []bool
-	gapEwma   sim.Time // enqueue-interval EWMA (request production rate)
-	lastEnq   sim.Time
+	adaptive bool
+	planner  bool
+	plan     planState
+	oq       ownerQueue // owner-major ready queue (replaces ready)
+	ctl      stripCtl
+	trace    []stats.AdaptPoint
+	gapEwma  sim.Time // enqueue-interval EWMA (request production rate)
+	lastEnq  sim.Time
 }
 
+// Arena is one node's runtime storage — the RT struct itself, the M/D and
+// seen maps' buckets, the free lists, the destination table with its request
+// buffers and run lists, the ready queues — kept by the driver across the
+// phases of one run so that only the first phase pays for building it. What
+// an arena carries is storage, never state: New empties every container and
+// re-initialises every counter, EWMA, controller and planner field, so a
+// runtime on a recycled arena is indistinguishable from one on a fresh arena
+// (the snapshot encodings of the two are byte-equal). The zero value is an
+// arena that has never been used. A runtime, and every slice it handed out
+// (AdaptTrace), is valid only until its arena is passed to New again.
+type Arena struct{ rt RT }
+
 // New creates the runtime for one node and binds it to the endpoint (the
-// fetch handlers find it through ep.Ctx).
-func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config) *RT {
-	rt := &RT{
-		EP:            ep,
-		Space:         space,
-		Cfg:           cfg,
-		proto:         proto,
-		table:         make(map[gptr.Ptr]*dEntry),
-		agg:           make([][]gptr.Ptr, ep.Node.N()),
-		pendingByDest: make([]int, ep.Node.N()),
-		seen:          make(map[gptr.Ptr]struct{}),
-		adaptive:      cfg.Adaptive || cfg.Planner,
-		planner:       cfg.Planner,
-		trc:           ep.Node.Obs(),
+// fetch handlers find it through ep.Ctx). It builds the runtime on arena a,
+// recycling whatever storage an earlier phase left there; a nil a means a
+// fresh arena of the runtime's own.
+func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, a *Arena) *RT {
+	if a == nil {
+		a = new(Arena)
 	}
+	rt := &a.rt
+	rt.recycle()
+	rt.EP, rt.Space, rt.Cfg, rt.proto = ep, space, cfg, proto
+	rt.nodes = ep.Node.N()
+	rt.trc = ep.Node.Obs()
+	rt.adaptive = cfg.Adaptive || cfg.Planner
+	rt.planner = cfg.Planner
 	if rt.adaptive {
-		n := ep.Node.N()
-		rt.oq.init(n)
-		rt.rttEwma = make([]sim.Time, n)
-		rt.rttSentAt = make([]sim.Time, n)
-		rt.rttMark = make([]bool, n)
 		rt.lastEnq = -1
 		rt.initCtl()
 	}
 	if rt.planner {
 		rt.plan.priorOn = cfg.Prior
 		rt.plan.shapeOn = cfg.Shape
-		rt.plan.init(ep.Node.N(), ep.Node.Cfg())
+		rt.plan.init(ep.Node.Cfg())
 	}
 	if cfg.Backend == BackendCPMA {
 		rt.store = cpma.New()
 	}
 	ep.Ctx = rt
 	return rt
+}
+
+// recycle reduces the runtime to its storage: every container is emptied in
+// place (renamed copies retained to the end of the previous phase go back to
+// the entry free list) and carried over; every other field — counters, EWMAs,
+// controller and planner state, configuration, bindings — is zeroed by
+// omission from the literal, so nothing a new field adds can leak across
+// phases. On a zero RT it only creates the two maps.
+func (rt *RT) recycle() {
+	for _, e := range rt.table {
+		rt.pool.putEntry(e)
+	}
+	clear(rt.table)
+	clear(rt.seen)
+	rt.dests.reset()
+	*rt = RT{
+		table:     rt.table,
+		seen:      rt.seen,
+		pool:      rt.pool,
+		dests:     rt.dests,
+		ready:     readyQueue{items: rt.ready.items[:0]},
+		oq:        ownerQueue{order: rt.oq.order[:0]},
+		aggDests:  rt.aggDests[:0],
+		trace:     rt.trace[:0],
+		storeKeys: rt.storeKeys[:0],
+		storeObjs: rt.storeObjs[:0],
+		plan:      planState{perm: rt.plan.perm},
+	}
+	if rt.table == nil {
+		rt.table = make(map[gptr.Ptr]*dEntry)
+		rt.seen = make(map[gptr.Ptr]struct{})
+	}
 }
 
 // Stats returns the node's runtime counters.
@@ -669,7 +703,7 @@ func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
 // groups the ready queue by it.
 func (rt *RT) pushReady(owner int, e readyEntry) {
 	if rt.adaptive {
-		rt.oq.push(owner, e)
+		rt.oq.push(&rt.dests, owner, e)
 	} else {
 		rt.ready.push(e)
 	}
@@ -687,43 +721,46 @@ func (rt *RT) readyLen() int {
 // pipelining policy, flushes the buffer when it reaches the aggregation
 // limit.
 func (rt *RT) enqueueReq(p gptr.Ptr) {
-	dst := int(p.Node)
-	if len(rt.agg[dst]) == 0 {
-		rt.aggDests = append(rt.aggDests, dst)
+	si := rt.dests.slot(int(p.Node))
+	d := &rt.dests.slots[si]
+	if len(d.agg) == 0 {
+		rt.aggDests = append(rt.aggDests, si)
 	}
-	rt.agg[dst] = append(rt.agg[dst], p)
+	d.agg = append(d.agg, p)
 	rt.aggCount++
 	if rt.adaptive {
 		rt.observeGap(rt.EP.Node.Now())
 	}
 	if rt.planner {
-		if rt.plan.curHist[dst] == 0 {
+		if d.curHist == 0 {
 			rt.plan.owners++
 		}
-		rt.plan.curHist[dst]++
+		d.curHist++
 		if rt.plan.priorOn {
-			rt.plan.phaseHist[dst]++
+			d.phaseHist++
 		}
 	}
-	if rt.Cfg.Pipeline && len(rt.agg[dst]) >= rt.destLimit(dst) {
-		rt.flushDest(dst)
+	if rt.Cfg.Pipeline && len(d.agg) >= rt.destLimit(d) {
+		rt.flushDest(d)
 	}
 }
 
 // flushDest sends the pending requests for one destination, in chunks of at
-// most the destination's aggregation limit per message.
-func (rt *RT) flushDest(dst int) {
-	ptrs := rt.agg[dst]
+// most the destination's aggregation limit per message. Sending never runs
+// a handler, so d stays valid throughout.
+func (rt *RT) flushDest(d *destState) {
+	ptrs := d.agg
 	if len(ptrs) == 0 {
 		return
 	}
-	if rt.adaptive && !rt.rttMark[dst] && rt.pendingByDest[dst] == 0 {
+	dst := int(d.owner)
+	if rt.adaptive && !d.rttMark && d.pending == 0 {
 		// Arm a round-trip sample: nothing is in flight to dst, so the
 		// first reply back answers this send.
-		rt.rttMark[dst] = true
-		rt.rttSentAt[dst] = rt.EP.Node.Now()
+		d.rttMark = true
+		d.rttSentAt = rt.EP.Node.Now()
 	}
-	limit := rt.destLimit(dst)
+	limit := rt.destLimit(d)
 	for lo := 0; lo < len(ptrs); lo += limit {
 		hi := lo + limit
 		if hi > len(ptrs) {
@@ -740,11 +777,11 @@ func (rt *RT) flushDest(dst int) {
 		rt.EP.Send(dst, rt.proto.hReq, req,
 			msgHeaderBytes+gptr.PtrBytes*len(req.ptrs))
 		rt.pendingReplies++
-		rt.pendingByDest[dst]++
+		d.pending++
 		rt.st.ReqMsgs++
 	}
 	rt.aggCount -= len(ptrs)
-	rt.agg[dst] = rt.agg[dst][:0]
+	d.agg = d.agg[:0]
 }
 
 // FlushAll sends every pending request buffer: in destination-arrival order
@@ -754,15 +791,15 @@ func (rt *RT) flushDest(dst int) {
 func (rt *RT) FlushAll() {
 	if rt.adaptive {
 		if rt.aggCount > 0 {
-			for dst := range rt.agg {
-				rt.flushDest(dst)
+			for _, si := range rt.dests.byOwner {
+				rt.flushDest(&rt.dests.slots[si])
 			}
 		}
 		rt.aggDests = rt.aggDests[:0]
 		return
 	}
-	for _, dst := range rt.aggDests {
-		rt.flushDest(dst)
+	for _, si := range rt.aggDests {
+		rt.flushDest(&rt.dests.slots[si])
 	}
 	rt.aggDests = rt.aggDests[:0]
 }
@@ -802,9 +839,9 @@ func (rt *RT) Drain() {
 			// An owner that crashed after acking our requests will never
 			// reply; keep detection traffic flowing so the wait below stays
 			// deadline-bounded (no-op outside crash fault mode).
-			for dst, n := range rt.pendingByDest {
-				if n > 0 {
-					rt.EP.ProbeOwner(dst)
+			for _, si := range rt.dests.byOwner {
+				if d := &rt.dests.slots[si]; d.pending > 0 {
+					rt.EP.ProbeOwner(int(d.owner))
 				}
 			}
 			rt.EP.WaitAndDispatch()
@@ -833,10 +870,10 @@ func (rt *RT) abandonUnreachable() bool {
 		rt.pool.putEntry(e)
 		progress = true
 	}
-	for dst := range rt.pendingByDest {
-		if rt.pendingByDest[dst] > 0 && rt.EP.Unreachable(dst) {
-			rt.pendingReplies -= rt.pendingByDest[dst]
-			rt.pendingByDest[dst] = 0
+	for i := range rt.dests.slots {
+		if d := &rt.dests.slots[i]; d.pending > 0 && rt.EP.Unreachable(int(d.owner)) {
+			rt.pendingReplies -= int(d.pending)
+			d.pending = 0
 			progress = true
 		}
 	}
@@ -853,7 +890,7 @@ func (rt *RT) runOne() {
 	var e readyEntry
 	switch {
 	case rt.adaptive:
-		e = rt.oq.pop()
+		e = rt.oq.pop(&rt.dests)
 	case rt.Cfg.LIFO:
 		e = rt.ready.popBack()
 	default:

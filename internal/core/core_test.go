@@ -43,7 +43,7 @@ func (w *world) run(cfg Config, main func(rt *RT)) (stats.RTStats, *machine.Mach
 	var st stats.RTStats
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(w.net, nd)
-		rt := New(w.proto, ep, w.space, cfg)
+		rt := New(w.proto, ep, w.space, cfg, nil)
 		if nd.ID() == 0 {
 			main(rt)
 			st = rt.Stats()
@@ -368,7 +368,7 @@ func TestPipeliningReducesIdle(t *testing.T) {
 		m := machine.New(mcfg)
 		m.Run(func(nd *machine.Node) {
 			ep := fm.NewEP(net, nd)
-			rt := New(proto, ep, space, cfg)
+			rt := New(proto, ep, space, cfg, nil)
 			if nd.ID() == 0 {
 				for i := range remote {
 					rt.Spawn(remote[i], func(o gptr.Object) {})
@@ -405,7 +405,7 @@ func TestCrossRequests(t *testing.T) {
 	m := machine.New(machine.DefaultT3D(n))
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
-		rt := New(proto, ep, space, Default())
+		rt := New(proto, ep, space, Default(), nil)
 		me := nd.ID()
 		other := 1 - me
 		for _, p := range ptrs[other] {

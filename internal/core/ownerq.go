@@ -7,27 +7,15 @@ package core
 // and their nested spawns accumulate in the aggregation buffers together, so
 // follow-on requests batch naturally.
 //
-// All storage is reused across strips: the per-owner lists and the owner
-// order ring reset in place when they drain, so steady-state scheduling
-// allocates nothing on the host.
+// The run lists live in the destination table (destState.run), one per
+// touched owner; the queue itself is the FIFO of slots with queued entries.
+// All storage is reused across strips: the run lists and the slot FIFO reset
+// in place when they drain, so steady-state scheduling allocates nothing on
+// the host.
 type ownerQueue struct {
-	lists []ownerList // indexed by owner node id
-	order []int       // FIFO of owners with queued entries
+	order []int32 // FIFO of destination-table slots with queued entries
 	oHead int
 	count int
-}
-
-// ownerList is one owner's run list (a FIFO with in-place reset).
-type ownerList struct {
-	items  []readyEntry
-	head   int
-	queued bool // present in the owner FIFO
-}
-
-func (q *ownerQueue) init(nodes int) {
-	if len(q.lists) != nodes {
-		q.lists = make([]ownerList, nodes)
-	}
 }
 
 func (q *ownerQueue) len() int { return q.count }
@@ -35,28 +23,34 @@ func (q *ownerQueue) len() int { return q.count }
 // push appends a ready thread to its owner's run list, enqueueing the owner
 // on first entry. Entries arriving for the owner currently being served
 // extend its run (same-owner contiguity is preserved, not re-queued).
-func (q *ownerQueue) push(owner int, e readyEntry) {
-	l := &q.lists[owner]
-	l.items = append(l.items, e)
-	if !l.queued {
-		l.queued = true
-		q.order = append(q.order, owner)
+func (q *ownerQueue) push(t *destTable, owner int, e readyEntry) {
+	si := t.slot(owner)
+	d := &t.slots[si]
+	d.run = append(d.run, e)
+	q.woke(d, si, 1)
+}
+
+// woke accounts n threads appended to slot si's run list, enqueueing the
+// owner if it is not already in the FIFO.
+func (q *ownerQueue) woke(d *destState, si int32, n int) {
+	if !d.queued {
+		d.queued = true
+		q.order = append(q.order, si)
 	}
-	q.count++
+	q.count += n
 }
 
 // pop removes the next thread: the head of the frontmost owner's run list.
-func (q *ownerQueue) pop() readyEntry {
-	o := q.order[q.oHead]
-	l := &q.lists[o]
-	e := l.items[l.head]
-	l.items[l.head] = readyEntry{} // release references
-	l.head++
+func (q *ownerQueue) pop(t *destTable) readyEntry {
+	d := &t.slots[q.order[q.oHead]]
+	e := d.run[d.runHead]
+	d.run[d.runHead] = readyEntry{} // release references
+	d.runHead++
 	q.count--
-	if l.head == len(l.items) {
-		l.items = l.items[:0]
-		l.head = 0
-		l.queued = false
+	if int(d.runHead) == len(d.run) {
+		d.run = d.run[:0]
+		d.runHead = 0
+		d.queued = false
 		q.oHead++
 		if q.oHead == len(q.order) {
 			q.order = q.order[:0]

@@ -19,8 +19,7 @@ type wakeFixture struct {
 
 func newWakeFixture(nodes, ptrs, waiters int) *wakeFixture {
 	space := gptr.NewSpace(nodes)
-	rt := &RT{table: make(map[gptr.Ptr]*dEntry), adaptive: true}
-	rt.oq.init(nodes)
+	rt := &RT{table: make(map[gptr.Ptr]*dEntry), adaptive: true, nodes: nodes}
 	f := &wakeFixture{rt: rt, rep: &fetchReply{}, waiters: waiters}
 	fn := func(gptr.Object) {}
 	for i := 0; i < ptrs; i++ {
@@ -59,7 +58,7 @@ func (f *wakeFixture) arm() {
 func (f *wakeFixture) round() {
 	f.rt.scatterReply(1, f.rep)
 	for f.rt.oq.len() > 0 {
-		e := f.rt.oq.pop()
+		e := f.rt.oq.pop(&f.rt.dests)
 		e.fn(e.obj)
 	}
 }
@@ -73,6 +72,42 @@ func TestScatterReplySteadyStateAllocsNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("batched reply scatter allocated %.1f times per round, want 0", allocs)
+	}
+}
+
+// recycle is the phase seam as the runtime sees it: New's reset of a recycled
+// arena, then the same fetch state rebuilt — table entries drawn from the
+// free list the reset returned them to, re-keyed into the emptied map.
+func (f *wakeFixture) recycle() {
+	nodes := f.rt.nodes
+	f.rt.recycle()
+	f.rt.adaptive, f.rt.nodes = true, nodes
+	for i, p := range f.rep.ptrs {
+		e := f.rt.pool.getEntry()
+		f.rt.table[p] = e
+		f.entries[i] = e
+	}
+	f.arm()
+}
+
+// TestScatterReplyOnRecycledArenaAllocsNothing extends the steady-state pin
+// across the phase seam: on a recycled arena the very first fetch → reply →
+// scatter → run round of a phase — no warm-up inside the phase — allocates
+// nothing, because the map buckets, pooled entries with their waiter lists,
+// destination slots, run lists and the owner FIFO all survived the reset.
+func TestScatterReplyOnRecycledArenaAllocsNothing(t *testing.T) {
+	f := newWakeFixture(4, 64, 4)
+	f.round() // the first phase builds the storage
+	allocs := testing.AllocsPerRun(100, func() {
+		f.recycle()
+		f.round()
+	})
+	if allocs != 0 {
+		t.Fatalf("first round of a phase on a recycled arena allocated %.1f times, want 0", allocs)
+	}
+	if f.rt.oq.len() != 0 || f.rt.waiting != 0 || len(f.rt.table) != 64 {
+		t.Fatalf("recycled rounds did not run the full batch: queued=%d waiting=%d table=%d",
+			f.rt.oq.len(), f.rt.waiting, len(f.rt.table))
 	}
 }
 

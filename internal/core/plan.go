@@ -26,9 +26,11 @@ import (
 // starts counting afresh.
 func (rt *RT) beginPlanStrip() {
 	ps := &rt.plan
-	ps.prevHist, ps.curHist = ps.curHist, ps.prevHist
+	for i := range rt.dests.slots {
+		d := &rt.dests.slots[i]
+		d.prevHist, d.curHist = d.curHist, 0
+	}
 	ps.prevIters = ps.lastIters
-	clear(ps.curHist)
 	ps.owners = 0
 }
 

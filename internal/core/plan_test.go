@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dpa/internal/gptr"
-	"dpa/internal/sim"
 )
 
 // plannerCfg returns a planner configuration starting from the given strip.
@@ -157,33 +156,32 @@ func TestPlannedDestLimit(t *testing.T) {
 	rt := &RT{adaptive: true, planner: true}
 	rt.Cfg = Default()
 	rt.Cfg.AggLimit = 16
-	rt.plan.curHist = make([]int32, 4)
-	rt.plan.prevHist = make([]int32, 4)
+	d := rt.dests.touch(1)
 	rt.ctl.strip = 100
 
 	// No prediction: batch maximally (the cap), never the fragmenting base.
-	if got := rt.destLimit(1); got != 128 {
+	if got := rt.destLimit(d); got != 128 {
 		t.Fatalf("cold plannedDestLimit = %d, want cap 128", got)
 	}
 
 	// A predicted volume inside the cap rides one batch.
 	rt.plan.prevIters = 100
-	rt.plan.prevHist[1] = 40
-	if got := rt.destLimit(1); got != 128 {
+	d.prevHist = 40
+	if got := rt.destLimit(d); got != 128 {
 		t.Fatalf("in-cap plannedDestLimit = %d, want cap 128", got)
 	}
 
 	// A heavy owner splits evenly under the cap: 300 predicted pointers over
 	// ceil(300/128)=3 batches of ceil(300/3)=100.
-	rt.plan.prevHist[1] = 300
-	if got := rt.destLimit(1); got != 100 {
+	d.prevHist = 300
+	if got := rt.destLimit(d); got != 100 {
 		t.Fatalf("heavy plannedDestLimit = %d, want 100", got)
 	}
 
 	// The histogram scales with the strip-size ratio: the same histogram at
 	// double the strip predicts double the volume (600 → 5 batches of 120).
 	rt.ctl.strip = 200
-	if got := rt.destLimit(1); got != 120 {
+	if got := rt.destLimit(d); got != 120 {
 		t.Fatalf("scaled plannedDestLimit = %d, want 120", got)
 	}
 
@@ -191,7 +189,7 @@ func TestPlannedDestLimit(t *testing.T) {
 	// past the cold 8×base cap: the same 600 predicted pointers ride one
 	// batch instead of splitting into five.
 	rt.plan.warm = true
-	if got := rt.destLimit(1); got != 600 {
+	if got := rt.destLimit(d); got != 600 {
 		t.Fatalf("warm plannedDestLimit = %d, want uncapped 600", got)
 	}
 	rt.plan.warm = false
@@ -236,7 +234,6 @@ func TestPlanProposeBounds(t *testing.T) {
 	rt.Cfg = Default()
 	rt.Cfg.AggLimit = 16
 	rt.initCtl()
-	rt.rttEwma = make([]sim.Time, 2)
 	rt.plan.rttPrior = 1000
 
 	// An all-reuse strip (no fetches) proposes the widest strip: boundaries

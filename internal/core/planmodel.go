@@ -41,13 +41,12 @@ type planState struct {
 	// exceeded the memory budget (endStripPlanned had to drop wholesale) —
 	// a memory-model misprediction even when no single strip overflowed.
 	overBudget bool
-	// curHist counts fetches per owner during the running strip; prevHist
-	// is the finished previous strip's histogram, read by the per-
-	// destination aggregation planner together with prevIters (that strip's
-	// iteration count, for scaling predictions to the current strip size).
-	// owners counts non-zero curHist entries, maintained incrementally.
-	curHist   []int32
-	prevHist  []int32
+	// The per-owner fetch histograms live in the destination table:
+	// destState.curHist counts fetches during the running strip, prevHist is
+	// the finished previous strip's count, read by the per-destination
+	// aggregation planner together with prevIters (that strip's iteration
+	// count, for scaling predictions to the current strip size). owners
+	// counts non-zero curHist entries, maintained incrementally.
 	prevIters int // iteration count of the strip behind prevHist
 	lastIters int // iteration count of the most recently finished strip
 	owners    int
@@ -76,40 +75,33 @@ type planState struct {
 	// recAff is the affinity array it attributes into, first-wins.
 	curIter int32
 	recAff  []int32
-	// Whole-phase accumulators for the fold: per-owner fetch totals and the
-	// per-strip signal sums (planStrip adds each finished strip's signals).
-	phaseHist  []int64
+	// Whole-phase accumulators for the fold: the per-strip signal sums
+	// (planStrip adds each finished strip's signals); the per-owner fetch
+	// totals are destState.phaseHist.
 	phaseIters int64
 	phaseBytes int64
 	phaseBusy  sim.Time
 	phaseStall sim.Time
-	// Scratch for affinity-shaped loops, reused across loops.
-	perm     []int32
-	shapeCnt []int32
+	// Permutation scratch for affinity-shaped loops, reused across loops.
+	perm []int32
 }
 
-// init sizes the histograms and derives the RTT prior from the machine
-// configuration (send + transit each way, plus the receiver's extraction and
-// handler dispatch).
-func (ps *planState) init(n int, cfg *machine.Config) {
-	ps.curHist = make([]int32, n)
-	ps.prevHist = make([]int32, n)
+// init derives the RTT prior from the machine configuration (send + transit
+// each way, plus the receiver's extraction and handler dispatch).
+func (ps *planState) init(cfg *machine.Config) {
 	ps.rttPrior = 2*(cfg.SendOverhead+cfg.LatencyBase) + cfg.RecvOverhead + cfg.HandlerCost
 	ps.curIter = -1
-	if ps.priorOn {
-		ps.phaseHist = make([]int64, n)
-	}
 }
 
 // planRTT is the round-trip estimate the latency bound amortizes against:
 // the mean of the observed per-destination EWMAs, or the machine-model prior
-// while no round trip has completed. Deterministic: index-order fold over a
-// slice of simulated-time samples.
+// while no round trip has completed. Deterministic: an integer sum over
+// simulated-time samples, which no visiting order can change.
 func (rt *RT) planRTT() sim.Time {
 	var sum sim.Time
 	var n int
-	for _, v := range rt.rttEwma {
-		if v > 0 {
+	for i := range rt.dests.slots {
+		if v := rt.dests.slots[i].rttEwma; v > 0 {
 			sum += v
 			n++
 		}
@@ -194,10 +186,10 @@ const aggFills = 4
 // there is enough traffic to hide it. The reactive EWMA limit makes the
 // opposite cold choice (base) because it must stay safe at any strip size;
 // the planner can lean on its strip model.
-func (rt *RT) plannedDestLimit(dst, base int) int {
+func (rt *RT) plannedDestLimit(d *destState, base int) int {
 	hi := base * 8
 	ps := &rt.plan
-	h := int(ps.prevHist[dst])
+	h := int(d.prevHist)
 	if h <= 0 || ps.prevIters <= 0 {
 		return hi // no prediction for this owner: batch maximally
 	}

@@ -6,13 +6,30 @@ import "dpa/internal/gptr"
 // not pin memory for the rest of the run.
 const poolCap = 64
 
+// put pushes v on a free list. A full list gives up its oldest element, not
+// v, so the element a later get pops never depends on how much the list held
+// before — and therefore not on whether the list started the phase empty or
+// was carried over in a recycled Arena. That matters for requests and
+// replies, the only pooled values other nodes can still see: an unacked
+// reliable frame keeps pointing at a payload its receiver has already
+// consumed and recycled, and a snapshot fingerprints it through that pointer.
+func put[T any](list []T, v T) []T {
+	if len(list) < poolCap {
+		return append(list, v)
+	}
+	copy(list, list[1:])
+	list[poolCap-1] = v
+	return list
+}
+
 // pools are the per-node free lists behind the fetch protocol and the fused
 // M/D table. Every buffer is only ever touched by the node currently holding
 // it — requests and replies move between nodes by message passing, and a
 // handler recycles a buffer only after it has fully consumed it — so the
 // lists need no locking even under the parallel engine. Recycling affects
 // host allocations only, never simulated time, so it cannot perturb the
-// bit-identical determinism contract.
+// bit-identical determinism contract. The lists survive from phase to phase
+// inside the node's Arena.
 type pools struct {
 	reqs    []*fetchReq
 	replies []*fetchReply
@@ -30,11 +47,7 @@ func (pl *pools) getReq() *fetchReq {
 	return &fetchReq{}
 }
 
-func (pl *pools) putReq(r *fetchReq) {
-	if len(pl.reqs) < poolCap {
-		pl.reqs = append(pl.reqs, r)
-	}
-}
+func (pl *pools) putReq(r *fetchReq) { pl.reqs = put(pl.reqs, r) }
 
 func (pl *pools) getReply() *fetchReply {
 	if n := len(pl.replies); n > 0 {
@@ -47,9 +60,7 @@ func (pl *pools) getReply() *fetchReply {
 
 func (pl *pools) putReply(r *fetchReply) {
 	r.ptrs, r.objs = nil, nil
-	if len(pl.replies) < poolCap {
-		pl.replies = append(pl.replies, r)
-	}
+	pl.replies = put(pl.replies, r)
 }
 
 // getPtrs returns an empty pointer batch, reusing a recycled one's capacity.
@@ -63,8 +74,8 @@ func (pl *pools) getPtrs() []gptr.Ptr {
 }
 
 func (pl *pools) putPtrs(s []gptr.Ptr) {
-	if s != nil && len(pl.ptrs) < poolCap {
-		pl.ptrs = append(pl.ptrs, s)
+	if s != nil {
+		pl.ptrs = put(pl.ptrs, s)
 	}
 }
 
@@ -81,11 +92,11 @@ func (pl *pools) getObjs(n int) []gptr.Object {
 }
 
 func (pl *pools) putObjs(s []gptr.Object) {
-	if s == nil || len(pl.objs) >= poolCap {
+	if s == nil {
 		return
 	}
 	clear(s) // drop object references so renamed copies can be collected
-	pl.objs = append(pl.objs, s[:0])
+	pl.objs = put(pl.objs, s[:0])
 }
 
 func (pl *pools) getEntry() *dEntry {
@@ -98,13 +109,10 @@ func (pl *pools) getEntry() *dEntry {
 }
 
 func (pl *pools) putEntry(e *dEntry) {
-	if len(pl.entries) >= poolCap {
-		return
-	}
 	e.obj = nil
 	e.arrived = false
 	e.lastUse = 0
 	clear(e.waiters)
 	e.waiters = e.waiters[:0]
-	pl.entries = append(pl.entries, e)
+	pl.entries = put(pl.entries, e)
 }

@@ -225,8 +225,8 @@ func (rt *RT) AttachPrior(pt *PriorTable) {
 	if !pt.Empty() {
 		ps.retainGap = pt.ReuseGap
 		for i, o := range pt.Owners {
-			if i < len(rt.rttEwma) && o.RTT > 0 {
-				rt.rttEwma[i] = o.RTT
+			if i < rt.nodes && o.RTT > 0 {
+				rt.dests.touch(i).rttEwma = o.RTT
 			}
 		}
 	}
@@ -253,11 +253,16 @@ func (rt *RT) FoldPrior() {
 	pt.Busy = ps.phaseBusy
 	pt.Stall = ps.phaseStall
 	pt.ReuseGap = ps.maxGap
-	if len(pt.Owners) != len(ps.phaseHist) {
-		pt.Owners = make([]PriorOwner, len(ps.phaseHist))
+	// The table's owner records are modelled state, charged per machine
+	// node: they stay dense, zero for owners this phase never touched.
+	if len(pt.Owners) != rt.nodes {
+		pt.Owners = make([]PriorOwner, rt.nodes)
+	} else {
+		clear(pt.Owners)
 	}
-	for i := range pt.Owners {
-		pt.Owners[i] = PriorOwner{Fetches: ps.phaseHist[i], RTT: rt.rttEwma[i]}
+	for i := range rt.dests.slots {
+		d := &rt.dests.slots[i]
+		pt.Owners[d.owner] = PriorOwner{Fetches: d.phaseHist, RTT: d.rttEwma}
 	}
 	// The arrays recorded this phase become the prior; the displaced prior
 	// arrays become next phase's recording scratch.
@@ -285,19 +290,27 @@ func (rt *RT) planWarmStart(n int) bool {
 	if pt.Empty() || pt.Fetches == 0 || pt.Iters <= 0 {
 		return false
 	}
+	// The staged histogram replaces whatever the running one held for the
+	// owners the table covers.
+	for i := range rt.dests.slots {
+		if d := &rt.dests.slots[i]; int(d.owner) < len(pt.Owners) {
+			d.curHist = 0
+		}
+	}
 	owners := 0
 	for i, o := range pt.Owners {
-		if i >= len(ps.curHist) {
+		if i >= rt.nodes {
 			break
 		}
 		f := o.Fetches
+		if f <= 0 {
+			continue
+		}
 		if f > math.MaxInt32 {
 			f = math.MaxInt32
 		}
-		ps.curHist[i] = int32(f)
-		if f > 0 {
-			owners++
-		}
+		rt.dests.touch(i).curHist = int32(f)
+		owners++
 	}
 	ps.owners = owners
 	ps.lastIters = int(pt.Iters)
@@ -360,23 +373,32 @@ func (rt *RT) planShape(n int) []int32 {
 		return nil
 	}
 	aff := pt.Affinity[l]
-	nb := len(ps.curHist) + 1 // bucket 0: unattributed (-1)
-	if cap(ps.shapeCnt) < nb {
-		ps.shapeCnt = make([]int32, nb)
+	// The destination table's shape cursors are the per-owner buckets;
+	// unattributed iterations (-1) sort first, into bucket none.
+	t := &rt.dests
+	for i := range t.slots {
+		t.slots[i].shape = 0
 	}
-	cnt := ps.shapeCnt[:nb]
-	clear(cnt)
+	none := int32(0)
 	for _, o := range aff {
-		cnt[o+1]++
+		if o < 0 {
+			none++
+		} else {
+			t.touch(int(o)).shape++
+		}
 	}
+	// Counts become start offsets, owners ascending.
 	runs := int64(0)
-	sum := int32(0)
-	for b, c := range cnt {
-		if c > 0 {
+	sum := none
+	if none > 0 {
+		runs++
+	}
+	for _, si := range t.byOwner {
+		d := &t.slots[si]
+		if d.shape > 0 {
 			runs++
 		}
-		cnt[b] = sum
-		sum += c
+		d.shape, sum = sum, sum+d.shape
 	}
 	if runs >= int64(n) {
 		// Every iteration its own run: nothing to group, spare the indirection.
@@ -386,9 +408,16 @@ func (rt *RT) planShape(n int) []int32 {
 		ps.perm = make([]int32, n)
 	}
 	perm := ps.perm[:n]
+	none = 0
 	for i, o := range aff {
-		perm[cnt[o+1]] = int32(i)
-		cnt[o+1]++
+		if o < 0 {
+			perm[none] = int32(i)
+			none++
+		} else {
+			d := t.find(int(o))
+			perm[d.shape] = int32(i)
+			d.shape++
+		}
 	}
 	rt.st.ShapedRuns += runs
 	rt.st.PlanPriorHits++

@@ -3,25 +3,19 @@ package core
 import (
 	"math"
 	"testing"
-
-	"dpa/internal/sim"
 )
 
 // priorCycleRT builds a bare planner runtime wired for cross-phase priors,
 // the same construction style as TestPlannedDestLimit / TestPlanProposeBounds.
 func priorCycleRT(nodes int) *RT {
-	rt := &RT{adaptive: true, planner: true}
+	rt := &RT{adaptive: true, planner: true, nodes: nodes}
 	rt.Cfg = Default()
 	rt.Cfg.AggLimit = 16
 	rt.Cfg.Prior = true
 	rt.Cfg.Shape = true
 	rt.initCtl()
-	rt.rttEwma = make([]sim.Time, nodes)
 	ps := &rt.plan
 	ps.priorOn, ps.shapeOn = true, true
-	ps.curHist = make([]int32, nodes)
-	ps.prevHist = make([]int32, nodes)
-	ps.phaseHist = make([]int64, nodes)
 	ps.rttPrior = 1000
 	ps.curIter = -1
 	return rt
@@ -53,7 +47,7 @@ func TestPriorSteadyStateAllocatesNothing(t *testing.T) {
 		rt.plan.phaseBytes = 1 << 12
 		rt.plan.phaseBusy = 1000
 		rt.plan.phaseStall = 100
-		rt.plan.phaseHist[1] = int64(n)
+		rt.dests.touch(1).phaseHist = int64(n)
 		rt.st.Fetches = int64(n)
 		rt.FoldPrior()
 	}

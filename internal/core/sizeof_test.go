@@ -8,7 +8,8 @@ import (
 // Layout budgets for the runtime's hot structs (64-bit platforms). dEntry is
 // the fused M/D table entry — one per renamed copy, pooled and recycled, and
 // the planner's reuse-region stamp had to fit in its padding rather than grow
-// it. fetchReq/fetchReply are the free-list nodes the fetch protocol recycles
+// it. destState is the per-touched-owner slot that replaced nine dense
+// per-node arrays. fetchReq/fetchReply are the free-list nodes the fetch protocol recycles
 // on every aggregation batch. A failing test here means a field was added
 // without repacking: either restore the layout or raise the budget in the
 // same change with a justification.
@@ -25,6 +26,11 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		// (int32) + arrived (bool) packed into the final word: the reuse-
 		// region stamp rides the padding that was already there.
 		{"core.dEntry", unsafe.Sizeof(dEntry{}), 48},
+		// One slot of the destination table, per touched owner: two slice
+		// headers (request buffer, run list), three 8-byte words (RTT EWMA,
+		// sample start, phase fetch total), six int32 and two bools packed
+		// into the last four words.
+		{"core.destState", unsafe.Sizeof(destState{}), 104},
 		// One pointer batch: a single slice header.
 		{"core.fetchReq", unsafe.Sizeof(fetchReq{}), 24},
 		// Pointer batch + object batch: two slice headers.

@@ -67,23 +67,32 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 		}
 	}
 
-	// Aggregation buffers (append order is program order).
-	w.Int(len(rt.agg))
-	for _, buf := range rt.agg {
-		w.Int(len(buf))
-		h := uint64(len(buf))
-		for _, p := range buf {
+	// Aggregation buffers (append order is program order). Every
+	// per-destination record below is written through the table's dense
+	// view — one entry per machine node, zeros for untouched owners — which
+	// is the layout the encoding had when this state was P-length arrays,
+	// each of length P where its mode was on and empty where it was off.
+	dests := &rt.dests
+	dim := func(on bool) int {
+		if on {
+			return rt.nodes
+		}
+		return 0
+	}
+	w.Int(rt.nodes)
+	dests.dense(rt.nodes, func(d *destState) {
+		w.Int(len(d.agg))
+		h := uint64(len(d.agg))
+		for _, p := range d.agg {
 			h = sim.MixFP(h, p.Key())
 		}
 		w.U64(h)
-	}
+	})
 	w.Int(len(rt.aggDests))
-	for _, d := range rt.aggDests {
-		w.Int(d)
+	for _, si := range rt.aggDests {
+		w.Int(int(dests.slots[si].owner))
 	}
-	for _, n := range rt.pendingByDest {
-		w.Int(n)
-	}
+	dests.dense(rt.nodes, func(d *destState) { w.Int(int(d.pending)) })
 
 	// Seen set, canonical order folded to a digest (it can be large).
 	seen := make([]uint64, 0, len(rt.seen))
@@ -109,11 +118,10 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Int(rt.oq.len())
 	h = uint64(rt.oq.len())
 	for i := rt.oq.oHead; i < len(rt.oq.order); i++ {
-		owner := rt.oq.order[i]
-		l := &rt.oq.lists[owner]
-		h = sim.MixFP(h, uint64(owner))
-		for j := l.head; j < len(l.items); j++ {
-			h = sim.MixFP(h, l.items[j].key)
+		d := &dests.slots[rt.oq.order[i]]
+		h = sim.MixFP(h, uint64(d.owner))
+		for j := int(d.runHead); j < len(d.run); j++ {
+			h = sim.MixFP(h, d.run[j].key)
 		}
 	}
 	w.U64(h)
@@ -138,11 +146,11 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.U32(uint32(ps.stripIdx))
 	w.Bool(ps.planned)
 	w.Bool(ps.overBudget)
-	w.Int(len(ps.curHist))
-	for i := range ps.curHist {
-		w.U32(uint32(ps.curHist[i]))
-		w.U32(uint32(ps.prevHist[i]))
-	}
+	w.Int(dim(rt.planner))
+	dests.dense(dim(rt.planner), func(d *destState) {
+		w.U32(uint32(d.curHist))
+		w.U32(uint32(d.prevHist))
+	})
 	w.Int(ps.prevIters)
 	w.Int(ps.lastIters)
 	w.Int(ps.owners)
@@ -161,11 +169,9 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.I64(ps.phaseBytes)
 	w.Time(ps.phaseBusy)
 	w.Time(ps.phaseStall)
-	w.Int(len(ps.phaseHist))
-	h2 := uint64(len(ps.phaseHist))
-	for _, v := range ps.phaseHist {
-		h2 = sim.MixFP(h2, uint64(v))
-	}
+	w.Int(dim(ps.priorOn))
+	h2 := uint64(dim(ps.priorOn))
+	dests.dense(dim(ps.priorOn), func(d *destState) { h2 = sim.MixFP(h2, uint64(d.phaseHist)) })
 	w.U64(h2)
 	w.Int(len(ps.recAff))
 	h2 = uint64(len(ps.recAff))
@@ -175,12 +181,12 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.U64(h2)
 	w.Bool(ps.prior != nil)
 	w.U64(ps.prior.fingerprint())
-	w.Int(len(rt.rttEwma))
-	for i := range rt.rttEwma {
-		w.Time(rt.rttEwma[i])
-		w.Time(rt.rttSentAt[i])
-		w.Bool(rt.rttMark[i])
-	}
+	w.Int(dim(rt.adaptive))
+	dests.dense(dim(rt.adaptive), func(d *destState) {
+		w.Time(d.rttEwma)
+		w.Time(d.rttSentAt)
+		w.Bool(d.rttMark)
+	})
 	w.Time(rt.gapEwma)
 	w.Time(rt.lastEnq)
 	w.Int(len(rt.trace))

@@ -238,12 +238,18 @@ func NewProtos() *Protos {
 // validates the spec's configuration and returns a descriptive error when it
 // is rejected.
 func (p *Protos) NewRuntime(spec Spec, ep *fm.EP, space *gptr.Space) (Runtime, error) {
+	return p.newRuntime(spec, ep, space, nil)
+}
+
+// newRuntime is NewRuntime building a DPA runtime on a recycled arena (nil:
+// a fresh one); the other runtimes have no arena.
+func (p *Protos) newRuntime(spec Spec, ep *fm.EP, space *gptr.Space, arena *core.Arena) (Runtime, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	switch spec.Kind {
 	case DPA:
-		return coreAdapter{core.New(p.core, ep, space, spec.Core)}, nil
+		return coreAdapter{core.New(p.core, ep, space, spec.Core, arena)}, nil
 	case Caching:
 		return cachingAdapter{caching.New(p.caching, ep, space, spec.Caching)}, nil
 	case Blocking:
@@ -501,6 +507,12 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 	if prior != nil && spec.Kind == DPA && spec.Core.Prior {
 		ptabs = prior.tables(priorKind, mcfg.Nodes)
 	}
+	// Likewise the recycled runtime arenas: one per node, each node's body
+	// touching only its own.
+	var arenas []core.Arena
+	if prior != nil && spec.Kind == DPA {
+		arenas = prior.runtimeArenas(spec, mcfg.Nodes)
+	}
 	var ckErr error
 	if at, ok := ck.Target(); ok {
 		m.CheckpointAt(at, func() {
@@ -518,7 +530,11 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 	}
 	makespan, engErr := m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(protos.Net, nd)
-		rt, err := protos.NewRuntime(spec, ep, space)
+		var arena *core.Arena
+		if arenas != nil {
+			arena = &arenas[nd.ID()]
+		}
+		rt, err := protos.newRuntime(spec, ep, space, arena)
 		if err != nil {
 			panic(err) // spec was validated before the machine started
 		}
@@ -575,9 +591,10 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 	}
 	// Node 0's strip-adaptation trace is the run's representative (every
 	// node adapts independently; recording all of them would swamp tables).
+	// Copied: the runtime's own slice is arena storage the next phase reuses.
 	if len(rts) > 0 {
 		if tr, ok := rts[0].(interface{ AdaptTrace() []stats.AdaptPoint }); ok {
-			run.Adapt = tr.AdaptTrace()
+			run.Adapt = append([]stats.AdaptPoint(nil), tr.AdaptTrace()...)
 		}
 	}
 	for _, ep := range eps {
@@ -586,6 +603,12 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 		}
 		run.MergeFaults(ep.FaultStats())
 		run.AddErr(ep.Err())
+	}
+	if arenas != nil && run.Err != nil {
+		// A degraded phase (abandoned fetches, a crashed node, a deadlocked
+		// machine) can leave buffers referenced from wherever it stopped;
+		// the next phase builds fresh runtimes.
+		prior.dropArenas()
 	}
 	return run
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"dpa/internal/core"
 	"dpa/internal/fm"
 	"dpa/internal/gptr"
 	"dpa/internal/machine"
@@ -216,5 +217,69 @@ func TestRunPhaseCrossTraffic(t *testing.T) {
 				t.Errorf("%s: node %d ran %d threads, want %d", spec, i, c, nodes)
 			}
 		}
+	}
+}
+
+// TestPriorStoreArenaLifetime pins when a store's runtime arenas are recycled
+// and when they are rebuilt or dropped: kept across phases of one shape;
+// rebuilt for another node count or another spec; never created for the
+// other runtimes; absent from a Clone; dropped after a degraded phase.
+func TestPriorStoreArenaLifetime(t *testing.T) {
+	space := gptr.NewSpace(4)
+	ptrs := make([]gptr.Ptr, 4)
+	for i := range ptrs {
+		ptrs[i] = space.Alloc(i, thing{id: i})
+	}
+	store := NewPriorStore()
+	phase := func(nodes int, spec Spec, opts ...RunOption) stats.Run {
+		return RunPhase(machine.DefaultT3D(nodes), space, spec,
+			func(rt Runtime, ep *fm.EP, nd *machine.Node) {
+				for _, p := range ptrs[:nodes] {
+					rt.Spawn(p, func(gptr.Object) {})
+				}
+				rt.Drain()
+			}, append(opts, WithPriors(store, "k"))...)
+	}
+	held := func() *core.Arena {
+		if len(store.arenas) == 0 {
+			return nil
+		}
+		return &store.arenas[0]
+	}
+
+	phase(4, CachingSpec())
+	if held() != nil {
+		t.Fatal("a caching phase built DPA arenas")
+	}
+	phase(4, DPASpec(10))
+	first := held()
+	if first == nil || len(store.arenas) != 4 {
+		t.Fatalf("DPA phase on 4 nodes holds %d arenas", len(store.arenas))
+	}
+	phase(4, DPASpec(10))
+	if held() != first {
+		t.Fatal("second phase of the same shape rebuilt the arenas instead of recycling them")
+	}
+	if c := store.Clone(); c.arenas != nil {
+		t.Fatal("Clone copied arenas")
+	}
+	phase(3, DPASpec(10))
+	if held() == first || len(store.arenas) != 3 {
+		t.Fatalf("a 3-node phase kept the 4-node arenas (%d held)", len(store.arenas))
+	}
+	resized := held()
+	phase(3, DPASpec(10, WithPlanner()))
+	if held() == resized {
+		t.Fatal("a phase under another spec recycled arenas built for the first")
+	}
+
+	// A degraded phase: every message is lost, the retry budget runs out,
+	// owners become unreachable and the run carries an error.
+	fc := machine.DefaultFaults(1, 1.0)
+	if run := phase(3, DPASpec(10, WithPlanner()), WithFaults(fc)); run.Err == nil {
+		t.Fatal("total message loss produced a clean run")
+	}
+	if store.arenas != nil {
+		t.Fatal("arenas survived a degraded phase")
 	}
 }

@@ -15,9 +15,16 @@ import (
 // reusable values, and a mutable store inside one would let a second run of
 // the same spec warm-start from the first, breaking the bit-identical
 // repeat contract the equivalence suites assert.
+//
+// The store also carries what is recycled between the phases of the run that
+// is not state at all: one core.Arena of runtime storage per node (see
+// runtimeArenas). Arenas are never encoded, cloned or compared.
 type PriorStore struct {
 	kinds map[string][]*core.PriorTable
 	order []string // insertion order, for deterministic encoding
+
+	arenas    []core.Arena
+	arenaSpec Spec // the spec arenas was built for
 }
 
 // NewPriorStore returns an empty store. One store should span exactly one
@@ -42,9 +49,27 @@ func (ps *PriorStore) tables(kind string, nodes int) []*core.PriorTable {
 	return ts
 }
 
-// Clone deep-copies the store. RunPhase uses it to give the WithValidation
-// check run the same pre-phase priors as the primary run without the two
-// runs double-folding into one table.
+// runtimeArenas returns the per-node runtime arenas for a DPA phase under
+// spec, building empty ones on first use and whenever the node count or the
+// spec differs from what the held arenas were built for. Like tables it runs
+// on the host before the machine starts, and node i's body touches only
+// arenas[i], so the parallel engine's workers never share one.
+func (ps *PriorStore) runtimeArenas(spec Spec, nodes int) []core.Arena {
+	if len(ps.arenas) != nodes || ps.arenaSpec != spec {
+		ps.arenas = make([]core.Arena, nodes)
+		ps.arenaSpec = spec
+	}
+	return ps.arenas
+}
+
+// dropArenas discards the held arenas; the next phase builds fresh ones.
+func (ps *PriorStore) dropArenas() { ps.arenas = nil }
+
+// Clone deep-copies the store's priors; the copy holds no arenas. RunPhase
+// uses it to give the WithValidation check run the same pre-phase priors as
+// the primary run without the two runs double-folding into one table — and,
+// since the check run therefore builds fresh runtimes, every validated phase
+// also compares a recycled runtime against a fresh one.
 func (ps *PriorStore) Clone() *PriorStore {
 	if ps == nil {
 		return nil

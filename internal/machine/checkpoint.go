@@ -115,8 +115,8 @@ func (n *Node) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Time(n.CrashedAt)
 	w.Int(len(n.cache.m))
 	h := uint64(len(n.cache.m))
-	for e := n.cache.head; e != nil; e = e.next {
-		h = sim.MixFP(h, e.key)
+	for i := n.cache.head; i >= 0; i = n.cache.entries[i].next {
+		h = sim.MixFP(h, n.cache.entries[i].key)
 	}
 	w.U64(h)
 }

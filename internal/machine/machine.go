@@ -571,72 +571,80 @@ func (n *Node) Touch(key uint64) {
 }
 
 // touchSet is a fixed-capacity LRU set of object keys approximating the node
-// data cache.
+// data cache. It is sized by use, not by capacity: the map and the entry
+// array grow with the distinct keys a node actually touches (often far fewer
+// than the capacity), and once the set is full a miss takes over the evicted
+// entry. Entries link by index, so neither they nor the map hold pointers.
 type touchSet struct {
-	cap  int
-	m    map[uint64]*tsEntry
-	head *tsEntry // most recent
-	tail *tsEntry // least recent
+	cap        int
+	m          map[uint64]int32 // key -> index into entries
+	entries    []tsEntry
+	head, tail int32 // most and least recent; -1 when empty
 }
 
 type tsEntry struct {
 	key        uint64
-	prev, next *tsEntry
+	prev, next int32 // -1 at the ends
 }
 
 func newTouchSet(capacity int) *touchSet {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &touchSet{cap: capacity, m: make(map[uint64]*tsEntry, capacity)}
+	return &touchSet{cap: capacity, m: make(map[uint64]int32), head: -1, tail: -1}
 }
 
 // touch records an access and reports whether the key was resident.
 func (s *touchSet) touch(key uint64) bool {
-	if e, ok := s.m[key]; ok {
-		s.moveToFront(e)
+	if i, ok := s.m[key]; ok {
+		s.moveToFront(i)
 		return true
 	}
-	e := &tsEntry{key: key}
-	s.m[key] = e
-	s.pushFront(e)
-	if len(s.m) > s.cap {
-		old := s.tail
-		s.remove(old)
-		delete(s.m, old.key)
+	var i int32
+	if len(s.entries) >= s.cap {
+		i = s.tail // evict the least recent, reusing its entry
+		s.remove(i)
+		delete(s.m, s.entries[i].key)
+		s.entries[i].key = key
+	} else {
+		i = int32(len(s.entries))
+		s.entries = append(s.entries, tsEntry{key: key})
 	}
+	s.m[key] = i
+	s.pushFront(i)
 	return false
 }
 
-func (s *touchSet) pushFront(e *tsEntry) {
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
+func (s *touchSet) pushFront(i int32) {
+	e := &s.entries[i]
+	e.prev, e.next = -1, s.head
+	if s.head >= 0 {
+		s.entries[s.head].prev = i
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	s.head = i
+	if s.tail < 0 {
+		s.tail = i
 	}
 }
 
-func (s *touchSet) remove(e *tsEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (s *touchSet) remove(i int32) {
+	e := &s.entries[i]
+	if e.prev >= 0 {
+		s.entries[e.prev].next = e.next
 	} else {
 		s.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next >= 0 {
+		s.entries[e.next].prev = e.prev
 	} else {
 		s.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
 }
 
-func (s *touchSet) moveToFront(e *tsEntry) {
-	if s.head == e {
+func (s *touchSet) moveToFront(i int32) {
+	if s.head == i {
 		return
 	}
-	s.remove(e)
-	s.pushFront(e)
+	s.remove(i)
+	s.pushFront(i)
 }

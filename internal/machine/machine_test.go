@@ -320,6 +320,52 @@ func TestTouchSetBounded(t *testing.T) {
 	}
 }
 
+// TestTouchSetMatchesReferenceLRU checks the hit/miss sequence and the full
+// recency order against a move-to-front list, through fill, eviction and
+// reuse of evicted entries, and that storage stops growing at capacity.
+func TestTouchSetMatchesReferenceLRU(t *testing.T) {
+	const capacity = 8
+	f := func(keys []uint8) bool {
+		s := newTouchSet(capacity)
+		var ref []uint64 // most recent first
+		for _, k8 := range keys {
+			k := uint64(k8 % 24)
+			at := -1
+			for i, r := range ref {
+				if r == k {
+					at = i
+				}
+			}
+			if s.touch(k) != (at >= 0) {
+				return false
+			}
+			if at >= 0 {
+				ref = append(ref[:at], ref[at+1:]...)
+			} else if len(ref) == capacity {
+				ref = ref[:capacity-1]
+			}
+			ref = append([]uint64{k}, ref...)
+
+			var got []uint64
+			for i := s.head; i >= 0; i = s.entries[i].next {
+				got = append(got, s.entries[i].key)
+			}
+			if len(got) != len(ref) || len(s.m) != len(ref) || len(s.entries) > capacity {
+				return false
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTouchChargesHitVsMiss(t *testing.T) {
 	cfg := DefaultT3D(1)
 	m := New(cfg)

@@ -4,7 +4,8 @@
 // # Event tracing
 //
 // A Tracer holds one NodeTrace per simulated node. Each NodeTrace keeps two
-// fixed-capacity ring buffers:
+// bounded ring buffers (grown on demand up to their capacity, so a quiet node
+// on a large machine costs almost nothing):
 //
 //   - charge spans: (category, start, end) intervals mirroring every clock
 //     advance, coalesced so that adjacent same-category intervals merge into
@@ -142,23 +143,34 @@ type Span struct {
 	Cat        sim.Category
 }
 
-// ring is a fixed-capacity FIFO that overwrites its oldest entry when full,
-// counting the overwrites.
+// ring is a bounded FIFO that overwrites its oldest entry when full, counting
+// the overwrites. Storage grows geometrically with the entries pushed until it
+// reaches max; until then nothing has been overwritten, so head is 0 and the
+// entries are buf[:n] in push order.
 type ring[T any] struct {
 	buf     []T
+	max     int // capacity
 	head    int // index of the oldest entry
 	n       int
 	dropped int64
 }
 
+// ringMin is a ring's first allocation, in entries.
+const ringMin = 64
+
 func (r *ring[T]) push(v T) {
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = v
+	if r.n < r.max {
+		if r.n == cap(r.buf) {
+			// Double, never past max: a full ring holds exactly max entries.
+			c := min(max(2*r.n, ringMin), r.max)
+			r.buf = append(make([]T, 0, c), r.buf...)
+		}
+		r.buf = append(r.buf, v)
 		r.n++
 		return
 	}
 	r.buf[r.head] = v
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) % r.max
 	r.dropped++
 }
 
@@ -255,8 +267,8 @@ func NewTracer(n, eventCap int) *Tracer {
 	for i := range t.nodes {
 		t.nodes[i] = NodeTrace{
 			node:   i,
-			events: ring[Event]{buf: make([]Event, eventCap)},
-			spans:  ring[Span]{buf: make([]Span, 4*eventCap)},
+			events: ring[Event]{max: eventCap},
+			spans:  ring[Span]{max: 4 * eventCap},
 		}
 	}
 	return t

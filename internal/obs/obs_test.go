@@ -57,6 +57,39 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 	}
 }
 
+// TestRingGrowsToCapThenWraps: a ring starts empty, grows geometrically
+// without ever holding more than its capacity, keeps push order across every
+// growth step, and only then starts overwriting.
+func TestRingGrowsToCapThenWraps(t *testing.T) {
+	const max = 3*ringMin + 5 // not a power-of-two multiple: the last step is clamped
+	r := ring[int]{max: max}
+	if cap(r.buf) != 0 {
+		t.Fatalf("a fresh ring holds %d entries of storage, want none", cap(r.buf))
+	}
+	for i := 0; i < max; i++ {
+		r.push(i)
+		if cap(r.buf) > max {
+			t.Fatalf("after %d pushes the ring holds storage for %d entries, cap is %d", i+1, cap(r.buf), max)
+		}
+		if *r.last() != i {
+			t.Fatalf("last() = %d after pushing %d", *r.last(), i)
+		}
+	}
+	if cap(r.buf) != max || r.dropped != 0 {
+		t.Fatalf("full ring: storage %d (want %d), dropped %d (want 0)", cap(r.buf), max, r.dropped)
+	}
+	for i := 0; i < max; i++ {
+		if r.at(i) != i {
+			t.Fatalf("at(%d) = %d: growth reordered the entries", i, r.at(i))
+		}
+	}
+	r.push(max)
+	r.push(max + 1)
+	if r.len() != max || r.dropped != 2 || r.at(0) != 2 || *r.last() != max+1 {
+		t.Fatalf("wrap: len %d dropped %d oldest %d newest %d", r.len(), r.dropped, r.at(0), *r.last())
+	}
+}
+
 func TestPhaseOffset(t *testing.T) {
 	tr := NewTracer(2, 8)
 	nt := tr.Attach(0)
