@@ -18,19 +18,21 @@ import (
 //
 // The P simulated processes are partitioned into W worker shards (block
 // partition, so neighboring node ids share a shard). Each shard owns a local
-// indexed (wake, id) min-heap of its parked processes. At a window open the
-// opener pops every process whose wake time lies inside the window from its
-// shard's heap into that shard's run queue, and seeds one chain of control
-// per non-empty shard. A chain runs its shard's admitted processes one at a
-// time: a process that yields picks its shard's next runnable process and
-// hands control to it directly, so at most W process goroutines are runnable
-// at any instant — the Go scheduler maps them onto W cores without the
-// goroutine thrash of waking every admitted process at once.
+// indexed (wake, id) min-heap of its parked processes and one persistent
+// worker goroutine, started by Run and gone when Run returns. At a window
+// open the opener pops every process whose wake time lies inside the window
+// from its shard's heap into that shard's run queue and wakes the workers of
+// the shards that admitted something. A worker resumes its shard's admitted
+// processes one at a time as coroutines, so at most W processes execute at
+// any instant and a host thread is woken at most once per shard per window,
+// never per simulated hand-off.
 //
-// When a chain exhausts its own run queue and stealing is enabled, it steals
-// the tail of the heaviest remaining run queue and keeps running; a chain
-// dies only when every shard's run queue is empty. The last chain to die
-// opens the next window itself.
+// When a worker exhausts its own run queue and stealing is enabled, it steals
+// the tail of the heaviest remaining run queue and keeps going, so a process
+// may be resumed by different workers in different windows (never by two at
+// once: take removes it from its one run queue under the shard mutex). A
+// worker goes back to sleep only when every run queue is empty; the last one
+// to do so opens the next window itself.
 //
 // # Decentralized horizon min-reduction
 //
@@ -44,9 +46,9 @@ import (
 // cannot be repaired by per-element sifts). Opening a window therefore costs
 // O(W + parked·log(shard) + noted-shard sizes) instead of O(P).
 //
-// All shard state the opener reads is synchronized by the chain counter:
-// every chain's writes happen before its final atomic decrement, and the
-// opener is the chain that observed the counter reach zero.
+// All shard state the opener reads is synchronized by the active-worker
+// counter: every worker's writes happen before its final atomic decrement,
+// and the opener is the worker that observed the counter reach zero.
 //
 // # Determinism
 //
@@ -68,14 +70,19 @@ type ParEngine struct {
 	workers   int // resolved at Run
 	stealing  bool
 	shards    []*parShard
-	// active counts chains still running in the current window. The final
-	// decrement's atomicity orders every chain's shard writes before the
+	// active counts workers still serving the current window. The final
+	// decrement's atomicity orders every worker's shard writes before the
 	// opener's reads.
 	active  atomic.Int32
-	window  uint64  // window generation, stamped on admitted procs
-	windows int64   // total windows opened (host counter)
-	seeds   []*Proc // window-open scratch: one chain seed per non-empty shard
-	done    chan runOutcome
+	window  uint64      // window generation, stamped on admitted procs
+	windows int64       // total windows opened (host counter)
+	wakes   []*parShard // window-open scratch: the shards whose workers to wake
+	// deadlocked is set by the opener that ends the run and read by Run
+	// after the workers exited.
+	deadlocked bool
+	// failure holds the first panic value a process body raised. The run
+	// ends at the next window open and Run re-panics with the value.
+	failure atomic.Pointer[any]
 	// ckAt/ckFn are the armed one-shot checkpoint hook (see
 	// Engine.CheckpointAt); ckFn is nilled once fired. Only the
 	// single-threaded window opener reads or fires them.
@@ -90,6 +97,10 @@ type ParEngine struct {
 type parShard struct {
 	id   int
 	heap schedHeap
+	// wake rouses the shard's worker for a window its shard admitted
+	// processes to (at most one send per window, hence the buffer of one);
+	// closing it ends the worker.
+	wake chan struct{}
 
 	mu   sync.Mutex
 	runq []*Proc // admitted, not yet resumed (sorted by (wake,id); head serves the owner, tail serves thieves)
@@ -100,16 +111,17 @@ type parShard struct {
 	parked  []*Proc // procs that yielded during this window, folded into heap at open
 	lowered []*Proc // blocked procs whose wake a poster lowered (stale heap keys)
 
-	// Host counters (guarded by mu where chains race, opener-only otherwise).
-	resumes int64 // procs served from this shard's run queue to its own chain
+	// Host counters: resumes and stolen are guarded by mu, steals is
+	// written by the shard's own worker only.
+	resumes int64 // procs served from this shard's run queue to its own worker
 	stolen  int64 // procs thieves took from this shard's run queue
-	steals  int64 // procs this shard's chain took from other shards
+	steals  int64 // procs this shard's worker took from other shards
 
 	_ [64]byte // keep shards off each other's cache lines
 }
 
 // take removes one admitted process from the shard's run queue: the head for
-// the shard's own chain, the tail for thieves (classic deque discipline —
+// the shard's own worker, the tail for thieves (classic deque discipline —
 // thieves take the latest-waking work, preserving the owner's locality).
 // Returns nil when the queue is empty.
 func (sh *parShard) take(steal bool) *Proc {
@@ -180,12 +192,12 @@ type WorkerStats struct {
 	Worker int
 	// Procs is the number of simulated processes the shard owns.
 	Procs int
-	// Resumes counts processes the shard's own chain served from its run
+	// Resumes counts processes the shard's own worker served from its run
 	// queue.
 	Resumes int64
 	// Stolen counts processes thieves took from this shard's run queue.
 	Stolen int64
-	// Steals counts processes this shard's chain took from other shards.
+	// Steals counts processes this shard's worker took from other shards.
 	Steals int64
 }
 
@@ -218,22 +230,15 @@ func (e *ParEngine) Spawn(fn func(p *Proc)) *Proc {
 	return p
 }
 
-// park is called on the yielding process's goroutine after it has recorded
-// its state and wake under its mutex: record the park for the opener's fold,
-// then continue this chain of control with the shard's (or a victim's) next
-// admitted process.
+// park is called on the yielding process's coroutine after it has recorded
+// its state and wake under its mutex: record the park for the opener's fold.
+// The process then pauses and its worker picks what runs next.
 func (e *ParEngine) park(p *Proc) bool {
 	sh := e.shards[p.shard]
 	sh.mu.Lock()
 	sh.parked = append(sh.parked, p)
 	sh.mu.Unlock()
-	return e.continueChain(sh, p)
-}
-
-// exit continues the chain after a process body returned; the done process
-// is simply never folded back into a heap.
-func (e *ParEngine) exit(p *Proc) {
-	e.continueChain(e.shards[p.shard], nil)
+	return false
 }
 
 // lowered records a decrease-key note: a post lowered blocked process q's
@@ -250,24 +255,38 @@ func (e *ParEngine) lowered(q *Proc) {
 	sh.mu.Unlock()
 }
 
-// continueChain hands this chain of control to the next admitted process:
-// the home shard's run-queue head, else (stealing) the heaviest victim's
-// tail. When every run queue is empty the chain dies; the last chain opens
-// the next window. The return value follows scheduler.park: true means the
-// calling process should keep running.
-func (e *ParEngine) continueChain(home *parShard, self *Proc) bool {
-	q := home.take(false)
-	if q == nil && e.stealing {
-		q = e.steal(home)
+// work is the body of home's worker goroutine. Each wake-up serves one
+// window: the home run queue's head first, then (stealing) the heaviest
+// victim's tail. The worker that runs dry last opens the next window and
+// keeps serving when its own shard is part of it; the opener that ends the
+// run closes every wake channel, its own included.
+func (e *ParEngine) work(home *parShard) {
+	for range home.wake {
+		for {
+			q := home.take(false)
+			if q == nil && e.stealing {
+				q = e.steal(home)
+			}
+			if q != nil {
+				e.resume(q)
+			} else if e.active.Add(-1) > 0 || !e.openWindow(home) {
+				break
+			}
+		}
 	}
-	if q != nil {
-		q.resume <- struct{}{}
-		return false
-	}
-	if e.active.Add(-1) > 0 {
-		return false
-	}
-	return e.openWindow(self)
+}
+
+// resume runs q until it yields or returns. A done process is simply never
+// folded back into a heap; a panicking one counts as done, and its panic
+// value is kept for Run.
+func (e *ParEngine) resume(q *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			v := r // only a panic pays for the escaping copy
+			e.failure.CompareAndSwap(nil, &v)
+		}
+	}()
+	q.run()
 }
 
 // steal takes the tail of the heaviest other shard's run queue. Run queues
@@ -288,9 +307,7 @@ func (e *ParEngine) steal(home *parShard) *Proc {
 			return nil
 		}
 		if q := victim.take(true); q != nil {
-			home.mu.Lock()
 			home.steals++
-			home.mu.Unlock()
 			return q
 		}
 	}
@@ -299,14 +316,14 @@ func (e *ParEngine) steal(home *parShard) *Proc {
 // openWindow runs the window turnover: fold parked processes and
 // decrease-key notes into the shard heaps, min-reduce the shard heap roots
 // into the GVT, admit every process inside [GVT, GVT+lookahead) to its
-// shard's run queue, and seed one chain per non-empty shard. It runs either
-// on Run's goroutine (seeding, self == nil) or on the goroutine of the last
-// chain of the previous window; the return value reports whether that
-// process itself was picked as a seed and should keep running instead of
-// parking. Termination and deadlock are signalled to Run through the outcome
-// channel.
-func (e *ParEngine) openWindow(self *Proc) bool {
-	// All chains are dead: their counter decrements synchronize their
+// shard's run queue, and wake the worker of every shard that admitted
+// something. It runs either on Run's goroutine (the first window, home ==
+// nil) or on the last worker of the previous window, which keeps serving
+// instead of being woken when the result is true: home itself admitted
+// something. When the run is over — all done, deadlocked, or a process body
+// panicked — it ends every worker instead.
+func (e *ParEngine) openWindow(home *parShard) bool {
+	// All workers have run dry: their counter decrements synchronize their
 	// state, wake, mailbox, and note-list writes with this turnover, so no
 	// locks are needed.
 	gvt, second := Forever, Forever
@@ -347,14 +364,14 @@ func (e *ParEngine) openWindow(self *Proc) bool {
 			second = w2
 		}
 	}
-	if !live {
-		e.done <- runAllDone
-		return false
-	}
-	if gvt == Forever {
-		// Every live process is blocked with no pending messages; Run
-		// reports the DeadlockError while the chains stay parked.
-		e.done <- runDeadlock
+	// gvt == Forever with live processes: every one of them is blocked with
+	// no pending messages. Run reports the DeadlockError; the blocked
+	// coroutines stay parked.
+	e.deadlocked = live && gvt == Forever
+	if !live || e.deadlocked || e.failure.Load() != nil {
+		for _, sh := range e.shards {
+			close(sh.wake)
+		}
 		return false
 	}
 	// An armed checkpoint fires at the first turnover whose GVT has reached
@@ -377,12 +394,14 @@ func (e *ParEngine) openWindow(self *Proc) bool {
 
 	// Admission: pop each shard's processes inside the window into its run
 	// queue. Prep (idle catch-up, horizon, state, window stamp) completes
-	// for every admitted process before any chain is seeded, so a running
+	// for every admitted process before any worker is woken, so a running
 	// process never races the turnover.
 	e.window++
 	e.windows++
 	admitted := 0
 	var lone *Proc
+	serving, self := int32(0), false // shards with work; is home one of them
+	e.wakes = e.wakes[:0]
 	for _, sh := range e.shards {
 		sh.runq = sh.runq[:0]
 		sh.head = 0
@@ -398,6 +417,15 @@ func (e *ParEngine) openWindow(self *Proc) bool {
 			lone = p
 		}
 		sh.pending.Store(int32(len(sh.runq)))
+		if len(sh.runq) == 0 {
+			continue
+		}
+		serving++
+		if sh == home {
+			self = true
+		} else {
+			e.wakes = append(e.wakes, sh)
+		}
 	}
 	if admitted == 1 && second > frontier {
 		// Singleton-window extension: with every other live process parked
@@ -419,36 +447,27 @@ func (e *ParEngine) openWindow(self *Proc) bool {
 		}
 	}
 
-	// Seed one chain per non-empty shard. Seeds are all taken and counted
-	// before the first resume: once any chain runs it may steal from (or
-	// exhaust) another shard's run queue, so deciding seeds from live
-	// pending counts would race, and a seeded process that immediately
-	// parks again must not see the chain count reach zero early.
-	e.seeds = e.seeds[:0]
-	for _, sh := range e.shards {
-		if q := sh.take(false); q != nil {
-			e.seeds = append(e.seeds, q)
-		}
+	// One worker serves the window per non-empty shard, chosen and counted
+	// before the first wake: once any worker runs it may steal another
+	// shard's run queue empty, so deciding from live pending counts would
+	// race, and a worker that runs dry at once must not see the counter reach
+	// zero early. A worker woken to an already-stolen queue simply finds
+	// nothing to serve. The window cannot end before the last send, so the
+	// next opener never rewrites e.wakes under this loop.
+	e.active.Store(serving)
+	for _, sh := range e.wakes {
+		sh.wake <- struct{}{}
 	}
-	e.active.Store(int32(len(e.seeds)))
-	selfSeeded := false
-	for _, q := range e.seeds {
-		if q == self {
-			// The opener itself is its shard's seed: keep running on its
-			// goroutine instead of bouncing through a channel hand-off.
-			selfSeeded = true
-			continue
-		}
-		q.resume <- struct{}{}
-	}
-	return selfSeeded
+	return self
 }
 
 // Run executes all processes until every one has returned. It returns the
 // makespan: the largest final clock across processes. On deadlock (all
 // processes blocked with empty mailboxes) it returns a *DeadlockError; the
-// blocked process goroutines stay parked. Tuning problems (worker count out
-// of [1, procs]) surface as a *TuningError.
+// blocked process coroutines stay parked. Tuning problems (worker count out
+// of [1, procs]) surface as a *TuningError. The worker goroutines have all
+// exited when Run returns; if a process body panicked, Run panics with the
+// body's panic value.
 func (e *ParEngine) Run() (Time, error) {
 	if len(e.procs) == 0 {
 		return 0, nil
@@ -474,47 +493,70 @@ func (e *ParEngine) Run() (Time, error) {
 		e.shards[p.shard].heap.push(p)
 	}
 	e.arenaShards()
-	e.done = make(chan runOutcome, 1)
+	var workers sync.WaitGroup
+	workers.Add(e.workers)
+	for _, sh := range e.shards {
+		go func() {
+			defer workers.Done()
+			e.work(sh)
+		}()
+	}
 	e.openWindow(nil)
-	if <-e.done == runDeadlock {
+	workers.Wait()
+	if r := e.failure.Load(); r != nil {
+		panic(*r)
+	}
+	if e.deadlocked {
 		return makespan(e.procs), &DeadlockError{Detail: describe(e.procs)}
 	}
 	return makespan(e.procs), nil
 }
 
-// ringSeed is the per-process mailbox ring capacity carved from each shard's
-// message slab at Run: room for one aggregation batch's worth of in-order
-// traffic before a ring falls back to growing on its own.
-const ringSeed = 16
+// bufSeed is the capacity of each per-process message buffer carved from a
+// slab at Run: room for one aggregation batch's worth of traffic before a
+// buffer falls back to growing on its own.
+const bufSeed = 16
+
+// seedBuffers carves every process's mailbox ring, overflow heap and drain
+// buffer out of one message slab — one allocation per call instead of three
+// append chains per process, with neighboring processes' buffers on adjacent
+// cache lines. The buffers are reused for the whole run (a drained ring
+// resets into the same backing array); one that outgrows its slab segment
+// migrates to its own array via the ordinary append path, since the
+// three-index carve caps capacity at the segment. A mailbox that already
+// holds pre-posted messages (setup traffic from before Run) keeps its grown
+// ring and heap.
+func seedBuffers(procs []*Proc) {
+	slab := make([]Message, len(procs)*3*bufSeed)
+	carve := func() []Message {
+		seg := slab[0:0:bufSeed]
+		slab = slab[bufSeed:]
+		return seg
+	}
+	for _, p := range procs {
+		if p.mailbox.size() == 0 {
+			p.mailbox = mailbox{ring: carve(), ovf: msgHeap(carve())}
+		}
+		p.drainBuf = carve()
+	}
+}
 
 // arenaShards sizes every per-shard buffer the window turnover touches so the
 // steady state allocates nothing: the parked/lowered/run queues get capacity
 // for every process the shard owns (they are reset to length zero each
-// window, never beyond that bound), the seed scratch gets one slot per shard,
-// and each shard's processes have their mailbox rings carved out of one
-// per-shard message slab — one allocation per shard instead of one append
-// chain per process, with same-shard rings landing on adjacent cache lines
-// for the worker that polls them. The rings are reused across windows (a
-// drained ring resets into the same backing array); a ring that outgrows its
-// slab segment migrates to its own array via the ordinary append path, since
-// the three-index carve caps capacity at the segment. Processes with
-// pre-posted messages (setup traffic from before Run) keep their grown rings.
+// window, never beyond that bound), the wake scratch gets one slot per shard,
+// and each shard's processes get their message buffers from one per-shard
+// slab (see seedBuffers), adjacent for the worker that polls them.
 func (e *ParEngine) arenaShards() {
 	for _, sh := range e.shards {
 		n := len(sh.heap)
+		sh.wake = make(chan struct{}, 1)
 		sh.runq = make([]*Proc, 0, n)
 		sh.parked = make([]*Proc, 0, n)
 		sh.lowered = make([]*Proc, 0, n)
-		slab := make([]Message, n*ringSeed)
-		for i, p := range sh.heap {
-			if p.mailbox.size() == 0 {
-				off := i * ringSeed
-				p.mailbox.ring = slab[off:off : off+ringSeed]
-				p.mailbox.head = 0
-			}
-		}
+		seedBuffers(sh.heap)
 	}
-	e.seeds = make([]*Proc, 0, e.workers)
+	e.wakes = make([]*parShard, 0, e.workers)
 }
 
 // Procs returns the engine's processes (for stats collection after Run).

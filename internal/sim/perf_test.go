@@ -152,6 +152,41 @@ func BenchmarkSchedulerPick(b *testing.B) {
 	}
 }
 
+// BenchmarkHandoff measures one process switch: 1024 processes at equal
+// clocks each charge one cycle and yield in turn, so every Poll hands control
+// to another process (one resume and one yield). The parallel engine runs the
+// same program with a one-cycle lookahead, every process admitted to every
+// window, on one worker and on two.
+func BenchmarkHandoff(b *testing.B) {
+	const procs = 1024
+	engines := []struct {
+		name string
+		mk   func() Engine
+	}{
+		{"sequential", func() Engine { return NewEngine() }},
+		{"parallel-w1", func() Engine { return NewParallelTuned(1, Tuning{Workers: 1}) }},
+		{"parallel-w2", func() Engine { return NewParallelTuned(1, Tuning{Workers: 2}) }},
+	}
+	for _, eng := range engines {
+		b.Run(eng.name, func(b *testing.B) {
+			rounds := b.N/procs + 1
+			e := eng.mk()
+			for i := 0; i < procs; i++ {
+				e.Spawn(func(p *Proc) {
+					for r := 0; r < rounds; r++ {
+						p.Charge(Compute, 1)
+						p.Poll()
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(procs*rounds), "ns/switch")
+		})
+	}
+}
+
 // BenchmarkEpochBarrier measures the parallel engine's epoch turnaround:
 // every process charges exactly one window's worth of work and polls, so
 // each b.N iteration crosses the frontier and costs one full barrier

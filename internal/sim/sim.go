@@ -2,28 +2,35 @@
 // multicomputer models.
 //
 // A simulation consists of a set of processes (one per simulated processor),
-// each backed by a goroutine that runs ordinary Go code. Every process owns a
-// local virtual clock, advanced explicitly by Charge. Processes communicate
-// only by posting timestamped messages into each other's mailboxes.
+// each a coroutine that runs ordinary Go code. Every process owns a local
+// virtual clock, advanced explicitly by Charge. Processes communicate only by
+// posting timestamped messages into each other's mailboxes.
+//
+// Both engines switch processes the same way: the engine resumes a process's
+// coroutine and gets control back when the process yields or its body
+// returns. A resume/yield pair is a direct switch between two goroutines
+// that never enters the Go scheduler, so no host thread is woken or parked
+// per simulated hand-off. A panic in a process body surfaces in the
+// goroutine that resumed it and from there reaches Run's caller.
 //
 // Two engines drive the processes, both conservative and both producing
 // bit-identical results:
 //
 //   - The sequential engine (NewEngine) executes exactly one process at a
 //     time, always resuming the process with the smallest wake-up time. The
-//     schedule lives in an indexed min-heap keyed by (wake, id), and control
-//     passes directly from the yielding process to the next one — the
-//     scheduling decision is O(log P) and costs a single goroutine hand-off
-//     (or none at all, when the yielding process is still the earliest).
+//     schedule lives in an indexed min-heap keyed by (wake, id) and Run is
+//     the scheduler loop — the scheduling decision is O(log P) and costs one
+//     coroutine switch each way (or none at all, when the yielding process
+//     is still the earliest).
 //   - The parallel engine (NewParallel) is a sharded work-stealing
 //     scheduler: processes are partitioned across W worker shards, each
-//     owning its own (wake, id) min-heap, and every process whose next event
-//     falls inside the conservative lookahead window runs truly in parallel
-//     with the rest of its window. Idle workers steal runnable processes
-//     from the heaviest shard, and the window turnover is decentralized —
-//     the last running chain of control recomputes the horizon itself with
-//     a min-reduction over the W shard heaps, never a stop-the-world scan
-//     over all P processes.
+//     owning its own (wake, id) min-heap and served by one persistent worker
+//     goroutine, and every process whose next event falls inside the
+//     conservative lookahead window runs truly in parallel with the rest of
+//     its window. Idle workers steal runnable processes from the heaviest
+//     shard, and the window turnover is decentralized — the last worker to
+//     run dry recomputes the horizon itself with a min-reduction over the W
+//     shard heaps, never a stop-the-world scan over all P processes.
 //
 // Determinism across engines rests on one rule: mailbox delivery is ordered
 // by (arrival time, sender id, per-sender sequence number), which is a total
@@ -34,7 +41,7 @@
 // ever observe a message from its own future under either engine.
 //
 // Processes yield control to the engine only at Poll and WaitMessage. To keep
-// goroutine hand-offs rare, the engine gives each resumed process a horizon:
+// switches rare, the engine gives each resumed process a horizon:
 // under the sequential engine the smallest wake-up time of any other process,
 // under the parallel engine the current epoch frontier. Until the process's
 // clock crosses the horizon, polling and waiting are serviced locally without
@@ -45,10 +52,12 @@
 // The message path is allocation-free in steady state: Poll and WaitMessage
 // return a per-process buffer that is reused by the next Poll/WaitMessage on
 // the same process. Callers that retain messages across polls must copy them
-// first (the fm layer dispatches synchronously and never retains). The
-// sequential engine runs exactly one goroutine at a time by construction and
-// therefore skips the mailbox mutex entirely; only the parallel engine
-// (strict mode) pays for locking.
+// first (the fm layer dispatches synchronously and never retains). Both
+// engines seed every process's mailbox ring, overflow heap and drain buffer
+// from one message slab at Run (see seedBuffers), so the first messages of a
+// run allocate nothing either. The sequential engine runs exactly one
+// goroutine at a time by construction and therefore skips the mailbox mutex
+// entirely; only the parallel engine (strict mode) pays for locking.
 package sim
 
 import (
@@ -165,8 +174,9 @@ type Engine interface {
 	// Run executes all processes until every one has returned, and returns
 	// the makespan: the largest final clock across processes. On deadlock
 	// (all processes blocked with empty mailboxes) it returns the makespan
-	// so far and a *DeadlockError; the deadlocked process goroutines stay
-	// parked and their final statistics remain readable.
+	// so far and a *DeadlockError; the deadlocked process coroutines stay
+	// parked and their final statistics remain readable. A panic in a
+	// process body panics out of Run with the original value.
 	Run() (Time, error)
 	// Procs returns the engine's processes (for stats collection after Run).
 	Procs() []*Proc
@@ -211,13 +221,10 @@ type scheduler interface {
 	// peer resolves a destination process id for Post.
 	peer(id int) *Proc
 	// park is called by a yielding process after it has recorded its new
-	// state and wake time. The engine picks what runs next; a true return
-	// means the caller itself should keep running (no hand-off), false
-	// means the caller must block on its resume channel.
+	// state and wake time. A true return means the caller itself should
+	// keep running (no switch), false means it must pause its coroutine
+	// and let its resumer pick what runs next.
 	park(p *Proc) bool
-	// exit is called by a process goroutine after its body returned and its
-	// state is Done.
-	exit(p *Proc)
 	// lowered notifies the engine that a post lowered q's wake time while q
 	// was blocked (sequential engine: immediate decrease-key; parallel
 	// engine: a note on q's shard, applied at the next window open).
@@ -245,10 +252,10 @@ const (
 )
 
 // Proc is a simulated process. All methods must be called from the process's
-// own goroutine (the function passed to Engine.Spawn), never from outside.
+// own body (the function passed to Engine.Spawn), never from outside.
 //
 // The field layout is deliberate: the first group is written only by the
-// process's own goroutine while it runs (the Charge/Poll hot path), the
+// process's own coroutine while it runs (the Charge/Poll hot path), the
 // second group is also written by message senders and by the parallel
 // coordinator. A cache-line pad separates the groups so cross-process posts
 // do not invalidate the owner's hot lines in parallel epochs.
@@ -300,10 +307,10 @@ type Proc struct {
 	state    procState // guarded by mu while other procs may run
 	wake     Time      // guarded by mu while other procs may run
 	epochGen uint64    // last parallel epoch this proc was admitted to
-	resume   chan struct{}
+	co       *coro     // the body; resumed by the engine, paused by yield
 }
 
-// newProc registers a process on s and starts its goroutine, parked until
+// newProc registers a process on s and creates its coroutine, parked until
 // the engine's first resume.
 func newProc(s scheduler, id int, fn func(p *Proc), strict bool) *Proc {
 	p := &Proc{
@@ -314,21 +321,22 @@ func newProc(s scheduler, id int, fn func(p *Proc), strict bool) *Proc {
 		strict:  strict,
 		idleCat: Idle,
 		ckBound: Forever,
-		resume:  make(chan struct{}, 1),
 	}
-	go func() {
-		<-p.resume
-		fn(p)
-		if p.strict {
-			p.mu.Lock()
-			p.state = stateDone
-			p.mu.Unlock()
-		} else {
-			p.state = stateDone
-		}
-		p.sched.exit(p)
-	}()
+	p.co = newCoro(p, fn)
 	return p
+}
+
+// run resumes the process until it next yields and reports whether it is
+// still live; a process whose body returned is marked done. Engines call it
+// on a prepped process; a panic in the body propagates to the caller.
+func (p *Proc) run() bool {
+	if p.co.resume() {
+		return true
+	}
+	p.lockStrict()
+	p.state = stateDone
+	p.unlockStrict()
+	return false
 }
 
 // lockStrict takes the mailbox mutex under the parallel engine only. The
@@ -577,9 +585,8 @@ func (p *Proc) drain() []Message {
 
 // yield transfers control to the engine. For stateReady, wake is the time at
 // which the process wants to continue; for stateBlocked the engine computes
-// the wake time from the mailbox. Under the sequential engine the yielding
-// process itself performs the scheduling decision and hands control straight
-// to the next process — or keeps running, when it is still the earliest.
+// the wake time from the mailbox. Under the sequential engine a process that
+// is still the earliest keeps running without a switch.
 func (p *Proc) yield(s procState, wake Time) {
 	p.lockStrict()
 	p.state = s
@@ -593,20 +600,7 @@ func (p *Proc) yield(s procState, wake Time) {
 	if p.sched.park(p) {
 		return
 	}
-	<-p.resume
-}
-
-// effectiveWake returns the process's next event time, folding in mail that
-// arrived since it yielded. Engines call it only between hand-offs, when the
-// process is parked.
-func (p *Proc) effectiveWake() Time {
-	w := p.wake
-	if p.state == stateBlocked {
-		if a, ok := p.mailbox.peekArrival(); ok && a < w {
-			w = a
-		}
-	}
-	return w
+	p.co.pause()
 }
 
 // catchUp advances a parked process's clock to its wake time, charging the
@@ -631,29 +625,18 @@ func (p *Proc) advanceIdle(to Time) {
 	p.clock = to
 }
 
-// runOutcome is an engine's termination signal, sent to Run by whichever
-// goroutine detects completion or deadlock.
-type runOutcome uint8
-
-const (
-	runAllDone runOutcome = iota
-	runDeadlock
-)
-
 // SeqEngine is the sequential engine: exactly one process executes at a
 // time, and the engine always resumes the process with the smallest wake-up
 // time (ties broken by process id), so simulations are exactly reproducible.
 //
-// Scheduling is decentralized: the process that yields fixes its own key in
-// the wake heap, reads the minimum, and resumes that process directly. Run
-// only seeds the first dispatch and then waits for completion, so the
-// steady-state cost of a scheduling event is one O(log P) heap fix plus a
-// single goroutine hand-off — and zero hand-offs when the yielding process
-// is still the earliest.
+// Run is the scheduler loop, on its caller's goroutine: read the wake heap's
+// minimum, resume that process's coroutine, and look again once it yields or
+// returns. A scheduling event costs one O(log P) heap fix plus one coroutine
+// switch each way — and no switch at all when the yielding process is still
+// the earliest (see park).
 type SeqEngine struct {
 	procs []*Proc
 	heap  schedHeap
-	done  chan runOutcome
 	// ckAt/ckFn are the armed one-shot checkpoint hook (see
 	// Engine.CheckpointAt); ckFn is nilled once fired.
 	ckAt Time
@@ -676,16 +659,21 @@ func (e *SeqEngine) Spawn(fn func(p *Proc)) *Proc {
 // Run executes all processes until every one has returned. It returns the
 // makespan: the largest final clock across processes. On deadlock (all
 // processes blocked with empty mailboxes) it returns a *DeadlockError; the
-// blocked process goroutines stay parked.
+// blocked process coroutines stay parked.
 func (e *SeqEngine) Run() (Time, error) {
-	if len(e.procs) == 0 {
-		return 0, nil
-	}
-	e.done = make(chan runOutcome, 1)
 	e.heap.init(e.procs)
-	e.dispatch(e.heap.min())
-	if <-e.done == runDeadlock {
-		return makespan(e.procs), &DeadlockError{Detail: describe(e.procs)}
+	seedBuffers(e.procs)
+	for len(e.heap) > 0 {
+		q := e.heap.min()
+		if q.wake == Forever {
+			// Every live process is blocked with no pending messages.
+			return makespan(e.procs), &DeadlockError{Detail: describe(e.procs)}
+		}
+		e.maybeCheckpoint(q.wake)
+		e.prep(q)
+		if !q.run() {
+			e.heap.remove(q)
+		}
 	}
 	return makespan(e.procs), nil
 }
@@ -701,7 +689,7 @@ func (e *SeqEngine) CheckpointAt(at Time, fn func()) {
 // maybeCheckpoint fires the armed checkpoint hook once the schedule's next
 // event time has reached the boundary. Called at every scheduling decision
 // (all processes parked), with next == the heap minimum's wake, which is
-// never Forever (deadlock is signalled before this point, so fn cannot fire
+// never Forever (deadlock is detected before this point, so fn cannot fire
 // on a deadlocked run). Firing restores the processes' unclamped local-
 // advance bounds before fn observes them.
 func (e *SeqEngine) maybeCheckpoint(next Time) {
@@ -732,49 +720,19 @@ func (e *SeqEngine) prep(q *Proc) {
 	q.state = stateRunning
 }
 
-// dispatch preps the heap minimum q and wakes it.
-func (e *SeqEngine) dispatch(q *Proc) {
-	e.prep(q)
-	q.resume <- struct{}{}
-}
-
-// park implements the scheduler hand-off for the sequential engine. It runs
-// on the yielding process's goroutine; since exactly one process runs at a
+// park re-keys the yielding process and implements the one scheduling
+// decision taken off Run's loop: a process that is still the earliest keeps
+// running with a refreshed horizon instead of bouncing through Run. It runs
+// on the yielding process's coroutine; since exactly one process runs at a
 // time, it touches the heap without locks.
 func (e *SeqEngine) park(p *Proc) bool {
 	e.heap.fix(p.heapIdx)
-	q := e.heap.min()
-	if q.wake == Forever {
-		// Every live process is blocked with no pending messages.
-		e.done <- runDeadlock
-		return false // park forever; Run reports the DeadlockError
+	if e.heap.min() != p || p.wake == Forever {
+		return false
 	}
-	e.maybeCheckpoint(q.wake)
-	if q == p {
-		// Still the earliest: keep running with a refreshed horizon
-		// instead of bouncing through a goroutine hand-off.
-		e.prep(p)
-		return true
-	}
-	e.dispatch(q)
-	return false
-}
-
-// exit removes a completed process from the schedule and dispatches the next
-// one (or signals Run when none remain).
-func (e *SeqEngine) exit(p *Proc) {
-	e.heap.remove(p)
-	if len(e.heap) == 0 {
-		e.done <- runAllDone
-		return
-	}
-	q := e.heap.min()
-	if q.wake == Forever {
-		e.done <- runDeadlock
-		return
-	}
-	e.maybeCheckpoint(q.wake)
-	e.dispatch(q)
+	e.maybeCheckpoint(p.wake)
+	e.prep(p)
+	return true
 }
 
 // lowered is the decrease-key path: a post woke blocked process q earlier

@@ -32,7 +32,9 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		// less the tail the compiler currently leaves free; the checkpoint
 		// bound (ckBound, one word in the owner-written group) pays its way —
 		// it gates the sequential at-horizon relaxation while a snapshot is
-		// armed, read only on the wait paths' slow branches.
+		// armed, read only on the wait paths' slow branches. The process body
+		// costs one word: a pointer to its coroutine (the resume and yield
+		// funcs live behind it, not beside it).
 		{"sim.Proc", unsafe.Sizeof(Proc{}), 376},
 	}
 	for _, c := range cases {

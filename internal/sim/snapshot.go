@@ -389,7 +389,7 @@ func EncodeProcs(w *SnapWriter, procs []*Proc) {
 		w.U8(uint8(p.state))
 		w.Time(p.clock)
 		// A completed process never wakes again: its wake field is whatever
-		// the engine last wrote before the goroutine exited (the engines
+		// the engine last wrote before the body returned (the engines
 		// update it at different points on the exit path, e.g. when a crash
 		// unwinds), so encode the canonical "never" instead of the residue.
 		if p.state == stateDone {
