@@ -562,10 +562,13 @@ func emitHostBench(mcfg machine.Config, runOnce func(machine.Config) stats.Run, 
 			fmt.Fprintf(os.Stderr, "dpabench: %s: %v\n", c.name, err)
 			os.Exit(1)
 		}
+		var resumes int64
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				runOnce(cfg)
+				if h := runOnce(cfg).Host; h != nil {
+					resumes = h.Resumes()
+				}
 			}
 		})
 		report.Benchmarks = append(report.Benchmarks, stats.HostBench{
@@ -574,6 +577,7 @@ func emitHostBench(mcfg machine.Config, runOnce func(machine.Config) stats.Run, 
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
+			Resumes:     resumes,
 		})
 	}
 	enc := json.NewEncoder(os.Stdout)

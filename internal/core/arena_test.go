@@ -28,9 +28,10 @@ func shapedCfg() Config {
 
 // newFootprint returns the bytes node 0 allocates for core.New plus an empty
 // ForAll and Drain on a p-node machine. Every other node's program is empty
-// and has finished before the measurement starts (node 0 advances its clock
-// first, which hands the sequential engine to everyone else at time 0), so
-// the MemStats delta is node 0's alone.
+// and has finished before the measurement starts (node 0 first charges past
+// the machine's lookahead — its horizon while everyone else waits at time 0 —
+// so its poll hands the sequential engine to all of them), so the MemStats
+// delta is node 0's alone.
 func newFootprint(t *testing.T, p int, cfg Config) uint64 {
 	t.Helper()
 	net := fm.NewNet()
@@ -38,13 +39,14 @@ func newFootprint(t *testing.T, p int, cfg Config) uint64 {
 	space := gptr.NewSpace(p)
 	var done atomic.Int32
 	var allocated uint64
-	_, err := machine.New(machine.DefaultT3D(p)).Run(func(nd *machine.Node) {
+	mcfg := machine.DefaultT3D(p)
+	_, err := machine.New(mcfg).Run(func(nd *machine.Node) {
 		if nd.ID() != 0 {
 			done.Add(1)
 			return
 		}
 		ep := fm.NewEP(net, nd)
-		nd.Charge(sim.Compute, 1)
+		nd.Charge(sim.Compute, mcfg.Lookahead()+1)
 		nd.Poll()
 		if int(done.Load()) != p-1 {
 			t.Errorf("only %d of %d other nodes had finished before the measurement", done.Load(), p-1)

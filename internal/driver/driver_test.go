@@ -169,8 +169,8 @@ func TestRunPhaseEngineValue(t *testing.T) {
 	if par.Host == nil || par.Host.Workers != 2 {
 		t.Fatalf("parallel run host counters = %+v, want 2 workers", par.Host)
 	}
-	if base.Host != nil {
-		t.Fatal("sequential run carries host counters")
+	if h := base.Host; h == nil || h.Workers != 1 || h.Windows != 0 || len(h.PerWorker) != 1 || h.Resumes() < nodes {
+		t.Fatalf("sequential run host counters = %+v, want one worker, no windows, every node resumed", h)
 	}
 }
 

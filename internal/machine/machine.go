@@ -248,7 +248,7 @@ func New(cfg Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	eng, err := sim.NewEngineWith(cfg.Engine, cfg.Lookahead(), cfg.EngineTuning)
+	eng, err := newEngine(cfg.Engine, cfg.Lookahead(), cfg.EngineTuning)
 	if err != nil {
 		// Unreachable after Validate, which checks the same tuning bounds.
 		panic(err)
@@ -263,6 +263,11 @@ func New(cfg Config) *Machine {
 	}
 	return m
 }
+
+// newEngine builds every machine's engine. It is a variable so that this
+// package's tests can run a model under an engine its Config cannot ask for
+// (the sequential engine without the model's lookahead).
+var newEngine = sim.NewEngineWith
 
 // Run executes main on every node (SPMD) and returns the makespan in cycles.
 // It may be called once per Machine; a second call returns ErrRunTwice.
@@ -326,13 +331,17 @@ func (m *Machine) Run(main func(n *Node)) (sim.Time, error) {
 // Nodes returns the machine's nodes after Run (for stats collection).
 func (m *Machine) Nodes() []*Node { return m.nodes }
 
-// WorkerStats returns the parallel engine's per-worker host scheduling
-// counters after Run, nil under the sequential engine. These counters
-// reflect host timing (steal races), not virtual time, so they are excluded
-// from all deterministic result comparisons.
+// WorkerStats returns the engine's per-worker host scheduling counters after
+// Run: one row per shard under the parallel engine, a single row (all nodes,
+// every resume) under the sequential one. The parallel rows reflect host
+// timing (steal races), not virtual time, so the counters are excluded from
+// all deterministic result comparisons.
 func (m *Machine) WorkerStats() []sim.WorkerStats {
-	if pe, ok := m.eng.(*sim.ParEngine); ok {
-		return pe.WorkerStats()
+	switch e := m.eng.(type) {
+	case *sim.ParEngine:
+		return e.WorkerStats()
+	case *sim.SeqEngine:
+		return []sim.WorkerStats{{Procs: len(e.Procs()), Resumes: e.Resumes()}}
 	}
 	return nil
 }

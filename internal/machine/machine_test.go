@@ -166,9 +166,10 @@ func TestMachineRunWithTuning(t *testing.T) {
 	}
 
 	seqCfg := DefaultT3D(4)
-	seqClocks, seqWS, _ := run(seqCfg)
-	if seqWS != nil {
-		t.Fatal("sequential engine reported worker stats")
+	seqClocks, seqWS, seqWindows := run(seqCfg)
+	if len(seqWS) != 1 || seqWS[0].Procs != 4 || seqWS[0].Resumes < 4 || seqWindows != 0 {
+		t.Fatalf("sequential engine worker stats = %+v, windows %d; want one row of 4 procs with every proc resumed, no windows",
+			seqWS, seqWindows)
 	}
 
 	parCfg := DefaultT3D(4)

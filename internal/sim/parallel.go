@@ -570,12 +570,13 @@ func (e *ParEngine) CheckpointAt(at Time, fn func()) {
 	e.ckAt, e.ckFn = at, fn
 }
 
-// NewEngineOf returns an engine of the given kind with default tuning. The
-// lookahead is only used by the parallel engine. See NewEngineWith for the
-// tuned, error-returning variant.
+// NewEngineOf returns an engine of the given kind with default tuning and
+// the given lookahead; under the parallel kind a non-positive lookahead
+// panics. See NewEngineWith for the tuned, error-returning variant.
 func NewEngineOf(kind EngineKind, lookahead Time) Engine {
 	if kind == Parallel {
 		return NewParallel(lookahead)
 	}
-	return NewEngine()
+	e, _ := NewEngineWith(Sequential, lookahead, Tuning{}) // never fails for Sequential
+	return e
 }

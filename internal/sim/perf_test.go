@@ -187,6 +187,51 @@ func BenchmarkHandoff(b *testing.B) {
 	}
 }
 
+// BenchmarkSeqLookahead measures what the lookahead buys the sequential
+// engine on the benchmark's shape: 1024 processes in a ring, each charging
+// 100 cycles between polls and posting to its successor (one lookahead
+// ahead) every sixth poll. With lookahead 0 nearly every poll crosses the
+// horizon and switches process; with 550 a process runs about six polls per
+// resume.
+func BenchmarkSeqLookahead(b *testing.B) {
+	const (
+		procs     = 1024
+		charge    = 100
+		pollsPer  = 6
+		lookahead = 550
+	)
+	for _, la := range []Time{0, lookahead} {
+		b.Run(fmt.Sprintf("la=%d", la), func(b *testing.B) {
+			msgs := b.N/procs + 1
+			eng, err := NewEngineWith(Sequential, la, Tuning{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := eng.(*SeqEngine)
+			for i := 0; i < procs; i++ {
+				e.Spawn(func(p *Proc) {
+					next := (p.ID() + 1) % procs
+					for m := 0; m < msgs; m++ {
+						for k := 0; k < pollsPer; k++ {
+							p.Charge(Compute, charge)
+							p.Poll()
+						}
+						p.Post(next, Message{Arrival: p.Now() + lookahead})
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+			total := float64(procs * msgs)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/msg")
+			b.ReportMetric(float64(e.Resumes())/total, "resumes/msg")
+		})
+	}
+}
+
 // BenchmarkEpochBarrier measures the parallel engine's epoch turnaround:
 // every process charges exactly one window's worth of work and polls, so
 // each b.N iteration crosses the frontier and costs one full barrier

@@ -16,8 +16,9 @@
 // Two engines drive the processes, both conservative and both producing
 // bit-identical results:
 //
-//   - The sequential engine (NewEngine) executes exactly one process at a
-//     time, always resuming the process with the smallest wake-up time. The
+//   - The sequential engine (NewEngine, or NewEngineWith for one that knows
+//     the machine's lookahead) executes exactly one process at a time,
+//     always resuming the process with the smallest wake-up time. The
 //     schedule lives in an indexed min-heap keyed by (wake, id) and Run is
 //     the scheduler loop — the scheduling decision is O(log P) and costs one
 //     coroutine switch each way (or none at all, when the yielding process
@@ -41,11 +42,12 @@
 // ever observe a message from its own future under either engine.
 //
 // Processes yield control to the engine only at Poll and WaitMessage. To keep
-// switches rare, the engine gives each resumed process a horizon:
-// under the sequential engine the smallest wake-up time of any other process,
-// under the parallel engine the current epoch frontier. Until the process's
-// clock crosses the horizon, polling and waiting are serviced locally without
-// a context switch.
+// switches rare, the engine gives each resumed process a horizon: under the
+// sequential engine the smallest wake-up time of any other process plus the
+// engine's lookahead (NewEngine is lookahead 0), under the parallel engine
+// the current epoch frontier. Until the process's clock crosses the horizon,
+// polling and waiting are serviced locally without a context switch; nothing
+// that is not already in its mailbox can arrive below it.
 //
 // # Host-performance contract
 //
@@ -167,6 +169,11 @@ func (k EngineKind) String() string {
 
 // Engine drives a set of processes to completion in virtual time. Spawn must
 // not be called after Run; Run may be called once.
+//
+// An engine built with a lookahead (NewEngineWith, NewParallel) holds its
+// caller to it under either kind: no cross-process Post may arrive less than
+// the lookahead after the sender's clock. Both engines schedule on that
+// promise and both check it (see Proc.Post).
 type Engine interface {
 	// Spawn registers a new process whose body is fn. Processes start at
 	// time 0.
@@ -264,30 +271,26 @@ type Proc struct {
 	sched   scheduler
 	clock   Time
 	horizon Time // local-service bound, set at resume
-	// frontier is the parallel engine's epoch frontier at admission, the
-	// bound enforced on cross-process posts. It usually equals horizon,
-	// but a process running alone in its window gets an extended horizon
-	// while the contract check keeps using the frontier.
+	// frontier is the bound enforced on cross-process posts (the lookahead
+	// contract): the parallel engine's epoch frontier at admission, the
+	// sequential engine's clock-at-resume plus lookahead. The horizon may
+	// lie beyond it (second-best wake plus lookahead; a lone runner's
+	// extended window) or below it (an armed checkpoint's clamp).
 	frontier Time
-	// strict marks the parallel engine's horizon semantics: the horizon is
-	// an epoch frontier that local idle-advance must stay strictly below,
-	// and every cross-process post must arrive at or beyond it (the
-	// lookahead contract). Strict mode is also the locking mode: only the
-	// parallel engine has concurrent posters, so only it takes the mailbox
-	// mutex.
+	// strict is the locking mode: only the parallel engine has concurrent
+	// posters, so only it takes the mailbox mutex.
 	strict  bool
 	sendSeq uint64
-	// ckBound bounds the sequential engine's at-horizon idle-advance while a
-	// checkpoint is armed: local advances must stay strictly below it so no
-	// event at or beyond the checkpoint boundary executes before capture
-	// (the parallel engine's strict frontier already guarantees this).
-	// Forever when no checkpoint is armed.
-	ckBound  Time
-	heapIdx  int       // position in a wake heap (-1 when popped), or the sequential engine's
-	shard    int32     // owning worker shard under the parallel engine (fixed before Run)
-	drainBuf []Message // reusable Poll/WaitMessage result buffer
-	charges  [NumCategories]Time
-	idleCat  Category // category charged for idle waits (default Idle)
+	// lookahead is the sequential engine's lookahead: how far past a
+	// cross-process post's arrival the sender may still run before anything
+	// the receiver sends back can land. 0 under the parallel engine, whose
+	// windows already end at the frontier.
+	lookahead Time
+	heapIdx   int       // position in a wake heap (-1 when popped)
+	shard     int32     // owning worker shard under the parallel engine (fixed before Run)
+	drainBuf  []Message // reusable Poll/WaitMessage result buffer
+	charges   [NumCategories]Time
+	idleCat   Category // category charged for idle waits (default Idle)
 
 	// onCharge, when set, observes every clock advance as
 	// (category, start, end) — the hook behind activity timelines.
@@ -320,7 +323,6 @@ func newProc(s scheduler, id int, fn func(p *Proc), strict bool) *Proc {
 		wake:    0,
 		strict:  strict,
 		idleCat: Idle,
-		ckBound: Forever,
 	}
 	p.co = newCoro(p, fn)
 	return p
@@ -392,9 +394,10 @@ func (p *Proc) Charge(cat Category, d Time) {
 func (p *Proc) Charges() [NumCategories]Time { return p.charges }
 
 // Post inserts a message into the mailbox of process dst with the given
-// arrival time. Arrival must be >= the sender's current clock; under the
-// parallel engine, cross-process arrivals must additionally respect the
-// engine's lookahead (arrival >= the current epoch frontier), which holds by
+// arrival time. Arrival must be >= the sender's current clock; cross-process
+// arrivals must additionally respect the engine's lookahead (arrival >= the
+// sender's frontier: the epoch frontier under the parallel engine, the clock
+// at its last resume plus lookahead under the sequential one), which holds by
 // construction for any machine model whose per-message delay is at least the
 // lookahead. Post never yields; the engine notices the new message the next
 // time it schedules.
@@ -402,7 +405,7 @@ func (p *Proc) Post(dst int, m Message) {
 	if m.Arrival < p.clock {
 		panic(fmt.Sprintf("sim: message arrival %d before sender clock %d", m.Arrival, p.clock))
 	}
-	if p.strict && dst != p.id && m.Arrival < p.frontier {
+	if dst != p.id && m.Arrival < p.frontier {
 		panic(fmt.Sprintf("sim: lookahead violation — message from %d to %d arrives at %d, before epoch frontier %d",
 			p.id, dst, m.Arrival, p.frontier))
 	}
@@ -433,11 +436,12 @@ func (p *Proc) Post(dst int, m Message) {
 			p.sched.lowered(q)
 		}
 	}
-	// The receiver may now need to run before our previous horizon (only
-	// possible under the sequential engine; the parallel lookahead contract
-	// keeps arrivals at or beyond the frontier).
-	if dst != p.id && m.Arrival < p.horizon {
-		p.horizon = m.Arrival
+	// The receiver wakes at the arrival, and nothing it or anyone it wakes
+	// sends can land before arrival + lookahead: our horizon must not reach
+	// past that. (A parallel window's arrivals are at or beyond its frontier
+	// already; this only ever binds on an extended horizon.)
+	if dst != p.id && m.Arrival+p.lookahead < p.horizon {
+		p.horizon = m.Arrival + p.lookahead
 	}
 }
 
@@ -495,12 +499,10 @@ func (p *Proc) WaitMessage() []Message {
 				}
 				return p.drain()
 			}
-			// The earliest pending message is in our future. If no other
-			// process needs to run before it arrives (sequential), or it is
-			// strictly inside the epoch frontier (parallel), just advance.
-			// The at-horizon relaxation additionally stays below ckBound so
-			// an armed checkpoint captures before any boundary event runs.
-			if at < p.horizon || (!p.strict && at == p.horizon && at < p.ckBound) {
+			// The earliest pending message is in our future. If it is
+			// strictly inside the horizon, nothing can arrive before it:
+			// just advance.
+			if at < p.horizon {
 				p.advanceIdle(at)
 				return p.drain()
 			}
@@ -539,13 +541,9 @@ func (p *Proc) WaitMessageUntil(deadline Time) []Message {
 			target = at
 		}
 		// Local idle-advance mirrors WaitMessage: allowed strictly inside
-		// the horizon, and at an == horizon arrival under the sequential
-		// engine (the message is already in the mailbox, so advancing
-		// cannot reorder anything). A timeout target equal to the horizon
-		// must yield instead — another process may still run at that time.
-		// Like WaitMessage, the relaxation respects an armed checkpoint's
-		// ckBound.
-		if target < p.horizon || (!p.strict && ok && at == p.horizon && at <= target && at < p.ckBound) {
+		// the horizon. A target equal to the horizon must yield instead —
+		// another process may still run, or post to us, at that time.
+		if target < p.horizon {
 			p.advanceIdle(target)
 			if target == at {
 				return p.drain()
@@ -637,14 +635,24 @@ func (p *Proc) advanceIdle(to Time) {
 type SeqEngine struct {
 	procs []*Proc
 	heap  schedHeap
+	// lookahead widens every horizon (see prep); 0 for NewEngine.
+	lookahead Time
+	// resumes counts coroutine switches into a process: a pure function of
+	// the programs and the lookahead (host telemetry, never a result).
+	resumes int64
 	// ckAt/ckFn are the armed one-shot checkpoint hook (see
 	// Engine.CheckpointAt); ckFn is nilled once fired.
 	ckAt Time
 	ckFn func()
 }
 
-// NewEngine returns an empty sequential engine.
+// NewEngine returns an empty sequential engine with lookahead 0: a resumed
+// process's horizon is the bare second-best wake time, and Post accepts any
+// arrival at or after the sender's clock.
 func NewEngine() *SeqEngine { return &SeqEngine{} }
+
+// Resumes returns how many times Run has switched into a process so far.
+func (e *SeqEngine) Resumes() int64 { return e.resumes }
 
 func (e *SeqEngine) peer(id int) *Proc { return e.procs[id] }
 
@@ -652,6 +660,7 @@ func (e *SeqEngine) peer(id int) *Proc { return e.procs[id] }
 // Spawn must be called before Run.
 func (e *SeqEngine) Spawn(fn func(p *Proc)) *Proc {
 	p := newProc(e, len(e.procs), fn, false)
+	p.lookahead = e.lookahead
 	e.procs = append(e.procs, p)
 	return p
 }
@@ -671,6 +680,7 @@ func (e *SeqEngine) Run() (Time, error) {
 		}
 		e.maybeCheckpoint(q.wake)
 		e.prep(q)
+		e.resumes++
 		if !q.run() {
 			e.heap.remove(q)
 		}
@@ -690,31 +700,30 @@ func (e *SeqEngine) CheckpointAt(at Time, fn func()) {
 // event time has reached the boundary. Called at every scheduling decision
 // (all processes parked), with next == the heap minimum's wake, which is
 // never Forever (deadlock is detected before this point, so fn cannot fire
-// on a deadlocked run). Firing restores the processes' unclamped local-
-// advance bounds before fn observes them.
+// on a deadlocked run).
 func (e *SeqEngine) maybeCheckpoint(next Time) {
 	if e.ckFn == nil || next < e.ckAt {
 		return
 	}
 	fn := e.ckFn
 	e.ckFn = nil
-	for _, p := range e.procs {
-		p.ckBound = Forever
-	}
 	fn()
 }
 
-// prep prepares the heap minimum q to run: idle catch-up, horizon (the
-// second-best heap key, clamped to the checkpoint boundary while one is
-// armed), state. Called with q == e.heap.min().
+// prep prepares the heap minimum q to run: idle catch-up, contract frontier,
+// horizon, state. Every dispatch is a singleton window: all other processes
+// resume at or after the second-best heap key, so nothing they send lands
+// before that key plus the lookahead, and q may run that far (not past an
+// armed checkpoint's boundary). Called with q == e.heap.min().
 func (e *SeqEngine) prep(q *Proc) {
 	q.catchUp()
+	q.frontier = q.clock + e.lookahead
 	h := e.heap.secondWake()
-	if e.ckFn != nil {
-		if h > e.ckAt {
-			h = e.ckAt
-		}
-		q.ckBound = e.ckAt
+	if h != Forever {
+		h += e.lookahead
+	}
+	if e.ckFn != nil && h > e.ckAt {
+		h = e.ckAt
 	}
 	q.horizon = h
 	q.state = stateRunning

@@ -29,12 +29,12 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		// Ring slice + head + overflow heap slice; one mailbox per process.
 		{"sim.mailbox", unsafe.Sizeof(mailbox{}), 56},
 		// The per-process record, pads included. Budgeted at six cache lines
-		// less the tail the compiler currently leaves free; the checkpoint
-		// bound (ckBound, one word in the owner-written group) pays its way —
-		// it gates the sequential at-horizon relaxation while a snapshot is
-		// armed, read only on the wait paths' slow branches. The process body
-		// costs one word: a pointer to its coroutine (the resume and yield
-		// funcs live behind it, not beside it).
+		// less the tail the compiler currently leaves free; the sequential
+		// engine's lookahead (one word in the owner-written group, read by
+		// every cross-process Post) took the place of the checkpoint bound
+		// that fenced the old at-horizon relaxation. The process body costs
+		// one word: a pointer to its coroutine (the resume and yield funcs
+		// live behind it, not beside it).
 		{"sim.Proc", unsafe.Sizeof(Proc{}), 376},
 	}
 	for _, c := range cases {

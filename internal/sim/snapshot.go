@@ -386,17 +386,27 @@ func EncodeProcs(w *SnapWriter, procs []*Proc) {
 	w.Int(len(procs))
 	for _, p := range procs {
 		w.Int(p.id)
-		w.U8(uint8(p.state))
-		w.Time(p.clock)
-		// A completed process never wakes again: its wake field is whatever
-		// the engine last wrote before the body returned (the engines
-		// update it at different points on the exit path, e.g. when a crash
-		// unwinds), so encode the canonical "never" instead of the residue.
-		if p.state == stateDone {
-			w.Time(Forever)
-		} else {
-			w.Time(p.wake)
+		state, wake := p.state, p.wake
+		switch {
+		case state == stateDone:
+			// A completed process never wakes again: its wake field is
+			// whatever the engine last wrote before the body returned (the
+			// engines update it at different points on the exit path, e.g.
+			// when a crash unwinds), so encode the canonical "never" instead
+			// of the residue.
+			wake = Forever
+		case state == stateBlocked && wake <= p.clock:
+			// A process that charged past a message's arrival and then
+			// waited parks blocked if the message was posted after it
+			// entered the wait, ready at its clock if before — an accident
+			// of which process the engine ran first (under the parallel
+			// engine, of host timing). Either way it next runs at its
+			// clock: encode the ready process it is.
+			state, wake = stateReady, p.clock
 		}
+		w.U8(uint8(state))
+		w.Time(p.clock)
+		w.Time(wake)
 		w.U64(p.sendSeq)
 		w.U8(uint8(p.idleCat))
 		for c := Category(0); c < NumCategories; c++ {

@@ -61,14 +61,28 @@ func TestBodyPanicReachesRunCaller(t *testing.T) {
 
 // TestLookaheadViolationReachesRunCaller is the engine's own contract-check
 // panic taking the same road (TestParallelLookaheadViolationPanics recovers
-// it inside the body).
+// it inside the body). The lookahead is a promise about the caller's posts
+// under either kind of engine; only an engine built without one (NewEngine)
+// takes any arrival at or after the sender's clock.
 func TestLookaheadViolationReachesRunCaller(t *testing.T) {
-	e := NewParallel(100)
-	e.Spawn(func(p *Proc) { p.Post(1, Message{Arrival: p.Now() + 1}) })
-	e.Spawn(func(p *Proc) { p.Charge(Compute, 5) })
-	r := runPanics(e)
-	if r == nil || !strings.Contains(fmt.Sprint(r), "lookahead violation") {
-		t.Fatalf("Run panicked with %v, want the lookahead violation", r)
+	short := func(e Engine) {
+		e.Spawn(func(p *Proc) { p.Post(1, Message{Arrival: p.Now() + 1}) })
+		e.Spawn(func(p *Proc) { p.Charge(Compute, 5) })
+	}
+	for _, kind := range engineKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			e := mustEngine(t, kind, 100, Tuning{})
+			short(e)
+			r := runPanics(e)
+			if r == nil || !strings.Contains(fmt.Sprint(r), "lookahead violation") {
+				t.Fatalf("Run panicked with %v, want the lookahead violation", r)
+			}
+		})
+	}
+	e := NewEngine()
+	short(e)
+	if r := runPanics(e); r != nil {
+		t.Fatalf("lookahead-0 engine panicked with %v on a 1-cycle post", r)
 	}
 }
 

@@ -113,12 +113,16 @@ func (t Tuning) resolveWorkers(procs int) int {
 
 // NewEngineWith returns an engine of the given kind with the given tuning.
 // The lookahead is the context-provided conservative window (the machine's
-// minimum cross-process message delay); a positive Tuning.Lookahead override
-// narrower than it takes precedence. Tuning problems are reported as a
-// *TuningError rather than a panic.
+// minimum cross-process message delay) and, under either kind, a promise
+// about the caller's Posts: every cross-process arrival lies at least that
+// far past the sender's clock. The sequential engine widens its horizons by
+// it (a non-positive value means 0, i.e. NewEngine); under the parallel
+// engine a positive Tuning.Lookahead override narrower than it takes
+// precedence. Tuning problems are reported as a *TuningError rather than a
+// panic.
 func NewEngineWith(kind EngineKind, lookahead Time, t Tuning) (Engine, error) {
 	if kind == Sequential {
-		return NewEngine(), nil
+		return &SeqEngine{lookahead: max(lookahead, 0)}, nil
 	}
 	if err := t.Validate(0); err != nil {
 		return nil, err

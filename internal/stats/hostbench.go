@@ -19,6 +19,10 @@ type HostBench struct {
 	BytesPerOp int64 `json:"bytes_per_op"`
 	// AllocsPerOp is heap allocations per run.
 	AllocsPerOp int64 `json:"allocs_per_op"`
+	// Resumes is the engine's coroutine switches into a simulated process
+	// in the last run (HostSched.Resumes): a count, not a timing — under
+	// the sequential engine it repeats exactly from run to run.
+	Resumes int64 `json:"resumes,omitempty"`
 }
 
 // MsPerOp returns the measurement in milliseconds per run, the natural unit

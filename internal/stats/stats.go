@@ -247,26 +247,42 @@ type Run struct {
 	// concatenated: each phase's bins are shifted by the makespan of the
 	// phases before it, so the merged timeline covers the whole run.
 	Timeline *machine.Timeline
-	// Host carries the parallel engine's host-side scheduling counters
-	// (worker shards, resumes, steals). Unlike every field above it is NOT
-	// deterministic — steal counts depend on real-time races — so it is
-	// excluded from Diff/Equal and from the deterministic Table output; nil
-	// under the sequential engine.
+	// Host carries the engine's host-side scheduling counters (worker
+	// shards, resumes, steals). Unlike every field above it describes the
+	// engine, not the simulation — it differs between engines, and steal
+	// counts depend on real-time races — so it is excluded from Diff/Equal
+	// and from the deterministic Table output.
 	Host *HostSched
 }
 
-// HostSched is the parallel engine's host-side scheduling record for a run:
-// how the simulated processes were partitioned and how host work actually
-// moved between workers. Purely diagnostic; never part of result identity.
+// HostSched is the engine's host-side scheduling record for a run: how the
+// simulated processes were partitioned and how host work actually moved
+// between workers. Purely diagnostic; never part of result identity.
 type HostSched struct {
-	// Workers is the resolved worker-shard count.
+	// Workers is the resolved worker-shard count (1 under the sequential
+	// engine).
 	Workers int
 	// Windows counts conservative lookahead windows opened. This one IS a
 	// pure function of virtual time (identical across worker counts), but it
-	// lives here because it only exists under the parallel engine.
+	// lives here because it only exists under the parallel engine (0 under
+	// the sequential one).
 	Windows int64
 	// PerWorker is the per-shard counter block.
 	PerWorker []sim.WorkerStats
+}
+
+// Resumes returns the total coroutine switches into a process (a stolen
+// process is resumed by its thief). Under the sequential engine it is a pure
+// function of program and lookahead; under the parallel engine it can differ
+// by a few from run to run (a process racing a post into a wait parks
+// blocked or ready, see sim.EncodeProcs, and a blocked one is admitted once
+// more).
+func (h *HostSched) Resumes() int64 {
+	var n int64
+	for _, w := range h.PerWorker {
+		n += w.Resumes + w.Stolen
+	}
+	return n
 }
 
 // Steals returns total cross-shard steals across workers.
@@ -280,7 +296,7 @@ func (h *HostSched) Steals() int64 {
 
 // String renders a compact one-line summary, e.g. for stderr diagnostics.
 func (h *HostSched) String() string {
-	return fmt.Sprintf("workers=%d windows=%d steals=%d", h.Workers, h.Windows, h.Steals())
+	return fmt.Sprintf("workers=%d windows=%d resumes=%d steals=%d", h.Workers, h.Windows, h.Resumes(), h.Steals())
 }
 
 // Collect gathers per-node breakdowns from a machine after Run.
