@@ -7,17 +7,13 @@
 //	dpabench -app bh|fmm|em3d|bfs|pagerank|cc -nodes 16 -runtime dpa|caching|blocking \
 //	         -engine sequential|parallel [-workers 8] [-nosteal] [-la-override 0] \
 //	         -bodies 16384 -strip 50 -agg 16 [-nopipe] [-steps 4] [-terms 29] \
-//	         [-adaptive] [-planner] [-prior] [-shape] [-backend mdtable|cpma] \
+//	         [-adaptive] [-planner] [-prior] [-shape] \
 //	         [-vertices 16384] [-degree 8] [-graph rmat|uniform]
 //
 // The graph-analytics apps (bfs, pagerank, cc) run over a partitioned graph
 // generated deterministically from -seed: -vertices and -degree size it,
 // -graph picks the edge distribution (rmat or uniform), and -iters sets the
-// PageRank iteration count (BFS and CC run to completion). -backend selects
-// the DPA renamed-copy store for any app: mdtable (the paper's fused M/D
-// map) or cpma (the batch-merged compressed packed-memory array), letting
-// the same simulated traffic race the pointer-based layout against the
-// pointer-free one.
+// PageRank iteration count (BFS and CC run to completion).
 //
 // The parallel engine is tuned with -workers (host workers, 0 = one per
 // core capped at the node count), -nosteal (pin each shard to its owner),
@@ -51,10 +47,9 @@
 //
 // With -json, dpabench instead measures the host performance of the
 // simulator itself: it benchmarks the configured run under both engines
-// (testing.Benchmark) and emits the measurements as JSON — the format of
-// the tracked baselines BENCH_*.json at the repository root. Adding
-// -workers-sweep 1,2,4,8 benchmarks the parallel engine once per listed
-// worker count (rows named Engine/parallel-w<N>) alongside sequential.
+// (testing.Benchmark) and emits the measurements as host-performance JSON.
+// Adding -workers-sweep 1,2,4,8 benchmarks the parallel engine once per
+// listed worker count (rows named Engine/parallel-w<N>) alongside sequential.
 package main
 
 import (
@@ -70,7 +65,6 @@ import (
 	"testing"
 
 	"dpa/internal/bh"
-	"dpa/internal/core"
 	"dpa/internal/driver"
 	"dpa/internal/em3d"
 	"dpa/internal/fmm"
@@ -99,7 +93,6 @@ func main() {
 	planner := flag.Bool("planner", false, "enable DPA's predictive communication planner (cost-model strip sizing, reuse-region pinning, histogram-derived aggregation limits)")
 	prior := flag.Bool("prior", false, "enable the planner's cross-phase reuse prior (implies -planner; multi-phase apps warm-start repeated phases from measured history)")
 	shape := flag.Bool("shape", false, "enable affinity-shaped tiles (implies -prior; planned strips reorder iterations into owner-major runs)")
-	backend := flag.String("backend", "", "DPA renamed-copy store: mdtable (default) or cpma (compressed packed-memory array)")
 	vertices := flag.Int("vertices", 16384, "graph apps: vertex count")
 	degree := flag.Int("degree", 8, "graph apps: average degree")
 	graphKind := flag.String("graph", "rmat", "graph apps: edge distribution, rmat or uniform")
@@ -131,6 +124,11 @@ func main() {
 	jsonOut := flag.Bool("json", false, "benchmark the host performance of both engines and emit JSON")
 	flag.Parse()
 
+	if err := checkSizes(*app, sizes{bodies: *bodies, vertices: *vertices, degree: *degree,
+		terms: *terms, steps: *steps, iters: *iters}); err != nil {
+		fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
+		os.Exit(1)
+	}
 	if *traceBins <= 0 {
 		fmt.Fprintf(os.Stderr, "dpabench: -tracebins must be positive, got %d\n", *traceBins)
 		os.Exit(1)
@@ -167,9 +165,6 @@ func main() {
 		}
 		if *shape {
 			opts = append(opts, driver.WithShape())
-		}
-		if *backend != "" {
-			opts = append(opts, driver.WithBackend(*backend))
 		}
 		spec = driver.DPASpec(*strip, opts...)
 	case "caching":
@@ -318,8 +313,8 @@ func main() {
 				return run
 			}
 		}
-		// The workload-identity "bodies" slot carries the vertex count for
-		// the graph family (bench snapshots group on it).
+		// The -json report's "bodies" field carries the vertex count for the
+		// graph family.
 		*bodies = *vertices
 	default:
 		fmt.Fprintf(os.Stderr, "dpabench: unknown app %q\n", *app)
@@ -389,6 +384,38 @@ func main() {
 		}
 		writeOut(*metricsOut, write)
 	}
+}
+
+// sizes holds the workload-size flags.
+type sizes struct{ bodies, vertices, degree, terms, steps, iters int }
+
+// checkSizes rejects a non-positive value of any size flag the chosen app
+// reads; the generators allocate and index by these without checking. An
+// unknown app reads none and is reported where the app is selected.
+func checkSizes(app string, sz sizes) error {
+	type sizeFlag struct {
+		name string
+		v    int
+	}
+	var read []sizeFlag
+	switch app {
+	case "bh":
+		read = []sizeFlag{{"bodies", sz.bodies}, {"steps", sz.steps}}
+	case "fmm":
+		read = []sizeFlag{{"bodies", sz.bodies}, {"terms", sz.terms}}
+	case "em3d":
+		read = []sizeFlag{{"bodies", sz.bodies}, {"iters", sz.iters}}
+	case "bfs", "cc":
+		read = []sizeFlag{{"vertices", sz.vertices}, {"degree", sz.degree}}
+	case "pagerank":
+		read = []sizeFlag{{"vertices", sz.vertices}, {"degree", sz.degree}, {"iters", sz.iters}}
+	}
+	for _, f := range read {
+		if f.v <= 0 {
+			return fmt.Errorf("-%s must be positive, got %d", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // writeOut creates path and fills it with write, exiting on any error.
@@ -474,50 +501,15 @@ func stripSweep(mcfg machine.Config, runWith func(machine.Config, driver.Spec) s
 	}
 }
 
-// hostBenchReport is the JSON document emitted by -json and stored as the
-// tracked baseline BENCH_1.json.
+// hostBenchReport is the JSON document emitted by -json.
 type hostBenchReport struct {
 	App        string            `json:"app"`
 	Nodes      int               `json:"nodes"`
 	Bodies     int               `json:"bodies"`
 	Steps      int               `json:"steps"`
 	Runtime    string            `json:"runtime"`
-	Flags      string            `json:"flags,omitempty"`
 	GoVersion  string            `json:"go_version"`
 	Benchmarks []stats.HostBench `json:"benchmarks"`
-}
-
-// specFlags renders the runtime feature-flag set a benchmark ran under, so
-// bench records identify their configuration and benchtrend never compares
-// (say) a planner run against a prior+shape run just because both said "dpa".
-func specFlags(spec driver.Spec) string {
-	if spec.Kind != driver.DPA {
-		return ""
-	}
-	c := spec.Core
-	var fs []string
-	if c.Adaptive {
-		fs = append(fs, "adaptive")
-	}
-	if c.Planner {
-		fs = append(fs, "planner")
-	}
-	if c.Prior {
-		fs = append(fs, "prior")
-	}
-	if c.Shape {
-		fs = append(fs, "shape")
-	}
-	if !c.Pipeline {
-		fs = append(fs, "nopipe")
-	}
-	if c.LIFO {
-		fs = append(fs, "lifo")
-	}
-	if c.Backend == core.BackendCPMA {
-		fs = append(fs, "cpma")
-	}
-	return strings.Join(fs, ",")
 }
 
 // emitHostBench benchmarks the configured run under both engines with
@@ -531,7 +523,6 @@ func emitHostBench(mcfg machine.Config, runOnce func(machine.Config) stats.Run, 
 		Bodies:    bodies,
 		Steps:     steps,
 		Runtime:   fmt.Sprint(spec),
-		Flags:     specFlags(spec),
 		GoVersion: runtime.Version(),
 	}
 	type benchCase struct {

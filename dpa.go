@@ -54,10 +54,6 @@ type (
 	Endpoint = fm.EP
 	// Time is a duration or instant in simulated cycles.
 	Time = sim.Time
-	// EngineKind is the legacy enum naming a simulation engine
-	// (SequentialKind or ParallelKind). New code should use the first-class
-	// Engine values built by Sequential() and Parallel(...) instead.
-	EngineKind = sim.EngineKind
 	// Engine is a first-class engine selection: which simulation engine
 	// drives a phase plus its host-performance tuning. Build one with
 	// Sequential or Parallel and pass it to RunPhase via WithEngineValue.
@@ -66,15 +62,6 @@ type (
 	// EngineOption tunes an Engine built by Parallel (Workers, Lookahead,
 	// Stealing).
 	EngineOption = driver.EngineOption
-)
-
-// The legacy engine-kind constants.
-//
-// Deprecated: use the Sequential() and Parallel(...) constructors, which
-// return first-class Engine values carrying per-engine tuning.
-const (
-	SequentialKind = sim.Sequential
-	ParallelKind   = sim.Parallel
 )
 
 // Sequential returns the sequential engine: one simulated node at a time, in
@@ -266,19 +253,6 @@ func WithPrior() SpecOption { return driver.WithPrior() }
 // batch fills in contiguous runs.
 func WithShape() SpecOption { return driver.WithShape() }
 
-// Backend names accepted by WithBackend.
-const (
-	BackendMDTable = core.BackendMDTable
-	BackendCPMA    = core.BackendCPMA
-)
-
-// WithBackend selects the DPA runtime's renamed-copy store: BackendMDTable
-// (the paper's fused M/D map, the default) or BackendCPMA (a batch-merged
-// compressed packed-memory array with no per-copy pointers). The fetch
-// protocol and the determinism contract are identical under both backends;
-// only the copy store and its modeled memory footprint differ.
-func WithBackend(name string) SpecOption { return driver.WithBackend(name) }
-
 // PriorStore carries the planner's cross-phase reuse priors across the phase
 // boundaries of one multi-phase run; see NewPriorStore and WithPriors.
 type PriorStore = driver.PriorStore
@@ -323,16 +297,8 @@ func BlockingSpec(opts ...SpecOption) Spec { return driver.BlockingSpec(opts...)
 type RunOption = driver.RunOption
 
 // WithEngineValue selects the engine driving the phase as a first-class
-// value: dpa.Sequential() or dpa.Parallel(opts...). This is the primary
-// engine-selection option.
+// value: dpa.Sequential() or dpa.Parallel(opts...).
 func WithEngineValue(e Engine) RunOption { return driver.WithEngineValue(e) }
-
-// WithEngine selects the simulation engine by legacy kind (SequentialKind or
-// ParallelKind) with default tuning.
-//
-// Deprecated: use WithEngineValue with Sequential() or Parallel(...), which
-// carries per-engine tuning (worker count, lookahead, stealing).
-func WithEngine(kind EngineKind) RunOption { return driver.WithEngine(kind) }
 
 // WithTrace enables activity-timeline recording with the given bin width in
 // cycles.

@@ -2,19 +2,15 @@ package dpa
 
 // Graph-workload equivalence tests: the graph-analytics family (BFS,
 // PageRank, connected components — DESIGN.md §14) must obey the same
-// determinism contract as the paper's applications, on both renamed-copy
-// backends:
+// determinism contract as the paper's applications:
 //
 //  1. Bit-identical statistics and results across the sequential and
 //     parallel engines, across repeats, fault-free and under seeded
 //     loss and loss+crash schedules.
-//  2. The mdtable and cpma backends share one simulated schedule: same
-//     makespan, same fetch traffic, same program results.
-//  3. A mid-run checkpoint captures, round-trips, and restore-verifies on
-//     both engines, with byte-identical snapshots — cpma store state
-//     included.
-//  4. With the cross-phase prior on (mdtable), refetches are exactly zero
-//     on every graph app.
+//  2. A mid-run checkpoint captures, round-trips, and restore-verifies on
+//     both engines, with byte-identical snapshots.
+//  3. With the cross-phase prior on, refetches are exactly zero on every
+//     graph app.
 
 import (
 	"bytes"
@@ -32,7 +28,7 @@ import (
 const geNodes = 4
 
 // geParams is the shared test instance: small enough that the full
-// app × backend × fault × engine matrix stays fast, connected enough that
+// app × fault × engine matrix stays fast, connected enough that
 // every app does real multi-phase work.
 func geParams() graph.Params {
 	prm := graph.DefaultParams(224)
@@ -71,11 +67,6 @@ func geApps() []geApp {
 	}
 }
 
-// geBackends returns the same static spec on both renamed-copy stores.
-func geBackends() []Spec {
-	return []Spec{DPASpec(8), DPASpec(8, WithBackend(BackendCPMA))}
-}
-
 // geFaults names the fault regimes of the matrix. Graph phases are short
 // (one level/iteration each), so the crash lottery fires early in a phase.
 func geFaults() []struct {
@@ -104,73 +95,51 @@ func geConfig(eng Engine, fc machine.FaultConfig) machine.Config {
 	return mcfg
 }
 
-// TestGraphEngineEquivalence sweeps app × backend × fault regime, and inside
-// each cell runs every engine configuration plus a sequential repeat: run
-// tables and program results must be bit-identical throughout. In the
-// fault-free cells it additionally pins the backend contract: mdtable and
-// cpma agree on makespan, fetch counts, and results.
+// TestGraphEngineEquivalence sweeps app × fault regime, and inside each cell
+// runs every engine configuration plus a sequential repeat: run tables and
+// program results must be bit-identical throughout.
 func TestGraphEngineEquivalence(t *testing.T) {
+	spec := DPASpec(8)
 	for _, app := range geApps() {
 		app := app
 		for _, fr := range geFaults() {
 			fr := fr
 			t.Run(app.name+"/"+fr.name, func(t *testing.T) {
-				var base []stats.Run // per backend, sequential baseline
-				for _, spec := range geBackends() {
-					spec := spec
-					t.Run(spec.String(), func(t *testing.T) {
-						engines := append(equivEngines(geNodes), Sequential()) // repeat the baseline
-						runs := make([]stats.Run, len(engines))
-						results := make([]string, len(engines))
-						for i, eng := range engines {
-							runs[i], results[i] = app.run(geConfig(eng, fr.cfg), spec)
-						}
-						for i := 1; i < len(engines); i++ {
-							if results[i] != results[0] {
-								t.Fatalf("results diverge between sequential and %v", engines[i])
-							}
-							if diff := runs[0].Diff(runs[i]); diff != "" {
-								t.Fatalf("sequential vs %v stats diverge: %s", engines[i], diff)
-							}
-						}
-						if fr.name == "crashy" {
-							if runs[0].Faults.Crashes == 0 {
-								t.Fatalf("crash schedule inactive: %+v", runs[0].Faults)
-							}
-							if !errors.Is(runs[0].Err, ErrCrashed) {
-								t.Fatalf("crashy run error %v does not wrap ErrCrashed", runs[0].Err)
-							}
-						} else if fr.name == "fault-free" && runs[0].Err != nil {
-							t.Fatalf("fault-free run degraded: %v", runs[0].Err)
-						}
-						if spec.Core.Backend == BackendCPMA && runs[0].RT.StoreBatches == 0 {
-							t.Fatalf("cpma run never exercised the store: %+v", runs[0].RT)
-						}
-						base = append(base, runs[0])
-					})
-				}
-				// Backend neutrality: the store changes where copies live,
-				// never the schedule. Under faults the regimes still share the
-				// seed, so the comparison holds there too.
-				if len(base) == 2 {
-					md, cp := base[0], base[1]
-					if md.Makespan != cp.Makespan || md.RT.Fetches != cp.RT.Fetches ||
-						md.RT.Reuses != cp.RT.Reuses || md.RT.Refetches != cp.RT.Refetches {
-						t.Fatalf("backends disagree on the schedule: mdtable {t=%d f=%d r=%d rf=%d} vs cpma {t=%d f=%d r=%d rf=%d}",
-							md.Makespan, md.RT.Fetches, md.RT.Reuses, md.RT.Refetches,
-							cp.Makespan, cp.RT.Fetches, cp.RT.Reuses, cp.RT.Refetches)
+				t.Run(spec.String(), func(t *testing.T) {
+					engines := append(equivEngines(geNodes), Sequential()) // repeat the baseline
+					runs := make([]stats.Run, len(engines))
+					results := make([]string, len(engines))
+					for i, eng := range engines {
+						runs[i], results[i] = app.run(geConfig(eng, fr.cfg), spec)
 					}
-				}
+					for i := 1; i < len(engines); i++ {
+						if results[i] != results[0] {
+							t.Fatalf("results diverge between sequential and %v", engines[i])
+						}
+						if diff := runs[0].Diff(runs[i]); diff != "" {
+							t.Fatalf("sequential vs %v stats diverge: %s", engines[i], diff)
+						}
+					}
+					if fr.name == "crashy" {
+						if runs[0].Faults.Crashes == 0 {
+							t.Fatalf("crash schedule inactive: %+v", runs[0].Faults)
+						}
+						if !errors.Is(runs[0].Err, ErrCrashed) {
+							t.Fatalf("crashy run error %v does not wrap ErrCrashed", runs[0].Err)
+						}
+					} else if fr.name == "fault-free" && runs[0].Err != nil {
+						t.Fatalf("fault-free run degraded: %v", runs[0].Err)
+					}
+				})
 			})
 		}
 	}
 }
 
 // TestGraphCheckpointEquivalence arms a mid-run checkpoint in each graph
-// app — cpma backend included, so the snapshot's store section (length,
-// segments, bytes, content fingerprint) rides through the whole contract:
-// non-perturbation, encode/decode round trip, restore-by-replay
-// verification, and byte-identical snapshots across engines.
+// app and takes it through the whole contract: non-perturbation,
+// encode/decode round trip, restore-by-replay verification, and
+// byte-identical snapshots across engines.
 func TestGraphCheckpointEquivalence(t *testing.T) {
 	prm := geParams()
 	apps := []ckApp{
@@ -178,12 +147,12 @@ func TestGraphCheckpointEquivalence(t *testing.T) {
 			run, _ := graph.RunBFS(mcfg, driver.DPASpec(8), prm, 0)
 			return run
 		}},
-		{"pagerank-cpma", func(mcfg machine.Config) stats.Run {
-			run, _ := graph.RunPageRank(mcfg, driver.DPASpec(8, driver.WithBackend(BackendCPMA)), prm, 2)
+		{"pagerank-mdtable", func(mcfg machine.Config) stats.Run {
+			run, _ := graph.RunPageRank(mcfg, driver.DPASpec(8), prm, 2)
 			return run
 		}},
-		{"cc-cpma", func(mcfg machine.Config) stats.Run {
-			run, _ := graph.RunCC(mcfg, driver.DPASpec(8, driver.WithBackend(BackendCPMA)), prm)
+		{"cc-mdtable", func(mcfg machine.Config) stats.Run {
+			run, _ := graph.RunCC(mcfg, driver.DPASpec(8), prm)
 			return run
 		}},
 	}
@@ -233,10 +202,8 @@ func TestGraphCheckpointEquivalence(t *testing.T) {
 }
 
 // TestGraphPriorZeroRefetches pins the planner acceptance bar on the graph
-// family: with the cross-phase prior on (default backend — reuse-region
-// pinning needs the per-entry state the cpma store discards), every graph
-// app must report exactly zero refetches, and the repeated phases must
-// actually consult the prior.
+// family: with the cross-phase prior on, every graph app must report exactly
+// zero refetches, and the repeated phases must actually consult the prior.
 func TestGraphPriorZeroRefetches(t *testing.T) {
 	for _, app := range geApps() {
 		app := app

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 
-	"dpa/internal/cpma"
 	"dpa/internal/fm"
 	"dpa/internal/gptr"
 	"dpa/internal/obs"
@@ -113,16 +112,6 @@ type Config struct {
 	// choice — LIFO finishes traversal subtrees before starting new ones
 	// (less outstanding state), FIFO preserves reply-grouping order.
 	LIFO bool
-	// Backend selects the requester-side store for arrived renamed copies.
-	// "" or BackendMDTable keeps them on the fused M/D map (the paper's
-	// scheme); BackendCPMA moves them into a batch-merged compressed
-	// packed-memory array (internal/cpma) with no per-copy pointers, so the
-	// renamed-copy memory accounting sees the delta-compressed size. The
-	// fetch/reply protocol, strip discipline, and determinism contract are
-	// identical under both; only the copy store (and hence the modeled
-	// resident bytes) differs. BackendCPMA excludes Planner: reuse-region
-	// pinning needs the per-entry last-use tracking only the table has.
-	Backend string
 
 	// SpawnCost is runtime overhead charged per thread-creation site.
 	SpawnCost sim.Time
@@ -133,12 +122,6 @@ type Config struct {
 	// advantage over software caching, which probes on every access).
 	MapCost sim.Time
 }
-
-// Backend names accepted by Config.Backend.
-const (
-	BackendMDTable = "mdtable"
-	BackendCPMA    = "cpma"
-)
 
 // Default returns the paper's headline configuration: strip size 50,
 // aggregation and pipelining enabled.
@@ -181,15 +164,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Shape && !c.Prior {
 		return fmt.Errorf("core: Shape requires Prior (affinity-shaped tiles read the prior's affinity arrays)")
-	}
-	switch c.Backend {
-	case "", BackendMDTable, BackendCPMA:
-	default:
-		return fmt.Errorf("core: unknown Backend %q (want %q or %q)",
-			c.Backend, BackendMDTable, BackendCPMA)
-	}
-	if c.Backend == BackendCPMA && c.Planner {
-		return fmt.Errorf("core: Backend %q and Planner are mutually exclusive (reuse-region pinning needs the M/D table's per-entry last-use tracking)", BackendCPMA)
 	}
 	if c.AggLimit < 0 {
 		return fmt.Errorf("core: AggLimit must be >= 0 (0 = unlimited), got %d", c.AggLimit)
@@ -291,14 +265,6 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 		rt.pool.putReply(rep)
 		return
 	}
-	if rt.store != nil {
-		rt.storeReply(m.From, rep)
-		rt.trackPeak()
-		rt.pool.putPtrs(rep.ptrs)
-		rt.pool.putObjs(rep.objs)
-		rt.pool.putReply(rep)
-		return
-	}
 	for i, p := range rep.ptrs {
 		o := rep.objs[i]
 		e := rt.table[p]
@@ -331,106 +297,11 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 	rt.pool.putReply(rep)
 }
 
-// storeReply is the CPMA reply path (non-adaptive): waiters wake exactly as
-// on the table path, but the arrived copies leave the M/D table for the
-// packed store — one batched sorted merge per reply, the CPMA's insert
-// granularity — and the in-flight entries are recycled immediately. A late
-// reply for a key with no table entry (abandoned owner, or a duplicate
-// delivered by fault injection) is dropped: the store is never written
-// outside a live fetch.
-func (rt *RT) storeReply(from int, rep *fetchReply) {
-	now := rt.EP.Node.Now()
-	keys, objs := rt.storeKeys[:0], rt.storeObjs[:0]
-	for i, p := range rep.ptrs {
-		e := rt.table[p]
-		if e == nil {
-			continue
-		}
-		o := rep.objs[i]
-		if rt.trc != nil {
-			rt.trc.Event(obs.KFetchReply, now, int64(p.Key()), int64(from))
-		}
-		keys = append(keys, p.Key())
-		objs = append(objs, o)
-		rt.waiting -= len(e.waiters)
-		for j, fn := range e.waiters {
-			rt.ready.push(readyEntry{key: p.Key(), obj: o, fn: fn, iter: -1})
-			e.waiters[j] = nil
-		}
-		e.waiters = e.waiters[:0]
-		delete(rt.table, p)
-		rt.pool.putEntry(e)
-	}
-	rt.storeKeys, rt.storeObjs = keys, objs
-	rt.storeInsert(keys, objs)
-}
-
-// storeScatter is the CPMA reply path in adaptive mode: the owner-major
-// batch wake of scatterReply, with arrivals merged into the packed store.
-func (rt *RT) storeScatter(owner int, rep *fetchReply) {
-	si := rt.dests.slot(owner)
-	d := &rt.dests.slots[si]
-	now := rt.EP.Node.Now()
-	woken := 0
-	keys, objs := rt.storeKeys[:0], rt.storeObjs[:0]
-	for i, p := range rep.ptrs {
-		e := rt.table[p]
-		if e == nil {
-			continue
-		}
-		o := rep.objs[i]
-		if rt.trc != nil {
-			rt.trc.Event(obs.KFetchReply, now, int64(p.Key()), int64(owner))
-		}
-		keys = append(keys, p.Key())
-		objs = append(objs, o)
-		key := p.Key()
-		woken += len(e.waiters)
-		for j, fn := range e.waiters {
-			d.run = append(d.run, readyEntry{key: key, obj: o, fn: fn, iter: -1})
-			e.waiters[j] = nil
-		}
-		e.waiters = e.waiters[:0]
-		delete(rt.table, p)
-		rt.pool.putEntry(e)
-	}
-	rt.storeKeys, rt.storeObjs = keys, objs
-	rt.storeInsert(keys, objs)
-	if woken == 0 {
-		return
-	}
-	rt.waiting -= woken
-	rt.oq.woke(d, si, woken)
-}
-
-// storeInsert merges one reply's arrivals into the packed store and points
-// the renamed-copy memory accounting at its compressed size.
-func (rt *RT) storeInsert(keys []uint64, objs []gptr.Object) {
-	if len(keys) == 0 {
-		return
-	}
-	ins, reb := rt.store.InsertBatch(keys, objs)
-	rt.st.StoreBatches++
-	rt.st.StoreInserts += int64(ins)
-	rt.st.StoreRebalances += int64(reb)
-	rt.arrivedBytes = rt.store.CompressedBytes()
-	if rt.arrivedBytes > rt.st.PeakArrivedBytes {
-		rt.st.PeakArrivedBytes = rt.arrivedBytes
-	}
-	if rt.adaptive && rt.arrivedBytes > rt.ctl.stripPeak {
-		rt.ctl.stripPeak = rt.arrivedBytes
-	}
-}
-
 // scatterReply is the adaptive reply path: one wake pass appends every
 // dependent thread of the batch — all waiters of all pointers the reply
 // carries — to the owner's run list, enqueueing the owner once, instead of
 // per-pointer wakeups into a global queue.
 func (rt *RT) scatterReply(owner int, rep *fetchReply) {
-	if rt.store != nil {
-		rt.storeScatter(owner, rep)
-		return
-	}
 	si := rt.dests.slot(owner)
 	d := &rt.dests.slots[si]
 	woken := 0
@@ -513,16 +384,6 @@ type RT struct {
 	st           stats.RTStats
 	pool         pools
 
-	// store is the CPMA copy store (Cfg.Backend == BackendCPMA, else nil).
-	// When set, arrived copies move out of the M/D table into the packed
-	// array: table entries exist only while a fetch is in flight, and
-	// arrivedBytes tracks the store's delta-compressed size instead of the
-	// raw payload sum. storeKeys/storeObjs are the per-reply batch columns,
-	// reused across replies.
-	store     *cpma.Store
-	storeKeys []uint64
-	storeObjs []gptr.Object
-
 	// trc is the node's observability handle (nil when tracing is off),
 	// cached at construction so hot-path emission sites pay one nil check.
 	trc *obs.NodeTrace
@@ -578,9 +439,6 @@ func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, a *Arena) *RT {
 		rt.plan.shapeOn = cfg.Shape
 		rt.plan.init(ep.Node.Cfg())
 	}
-	if cfg.Backend == BackendCPMA {
-		rt.store = cpma.New()
-	}
 	ep.Ctx = rt
 	return rt
 }
@@ -599,17 +457,15 @@ func (rt *RT) recycle() {
 	clear(rt.seen)
 	rt.dests.reset()
 	*rt = RT{
-		table:     rt.table,
-		seen:      rt.seen,
-		pool:      rt.pool,
-		dests:     rt.dests,
-		ready:     readyQueue{items: rt.ready.items[:0]},
-		oq:        ownerQueue{order: rt.oq.order[:0]},
-		aggDests:  rt.aggDests[:0],
-		trace:     rt.trace[:0],
-		storeKeys: rt.storeKeys[:0],
-		storeObjs: rt.storeObjs[:0],
-		plan:      planState{perm: rt.plan.perm},
+		table:    rt.table,
+		seen:     rt.seen,
+		pool:     rt.pool,
+		dests:    rt.dests,
+		ready:    readyQueue{items: rt.ready.items[:0]},
+		oq:       ownerQueue{order: rt.oq.order[:0]},
+		aggDests: rt.aggDests[:0],
+		trace:    rt.trace[:0],
+		plan:     planState{perm: rt.plan.perm},
 	}
 	if rt.table == nil {
 		rt.table = make(map[gptr.Ptr]*dEntry)
@@ -670,16 +526,6 @@ func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
 		}
 		rt.trackPeak()
 		return
-	}
-	if rt.store != nil {
-		// CPMA backend: arrived copies live in the packed store, not the
-		// table — the probe above only covers in-flight fetches.
-		if o, ok := rt.store.Get(p.Key()); ok {
-			rt.st.Reuses++
-			rt.pushReady(int(p.Node), readyEntry{key: p.Key(), obj: o, fn: fn, iter: rt.plan.curIter})
-			rt.trackPeak()
-			return
-		}
 	}
 	e := rt.pool.getEntry()
 	e.waiters = append(e.waiters, fn)
@@ -983,9 +829,6 @@ func (rt *RT) dropCopies() {
 		rt.pool.putEntry(e)
 	}
 	clear(rt.table)
-	if rt.store != nil {
-		rt.store.Clear()
-	}
 	rt.arrivedBytes = 0
 }
 

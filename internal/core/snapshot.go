@@ -216,18 +216,4 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.I64(st.PlanPriorHits)
 	w.I64(st.PriorBytes)
 	w.I64(st.ShapedRuns)
-	w.I64(st.StoreBatches)
-	w.I64(st.StoreInserts)
-	w.I64(st.StoreRebalances)
-
-	// CPMA copy store (nil on the M/D-table backend): the packed contents
-	// are already canonical (sorted keys), so layout and digest witness the
-	// full store state.
-	w.Bool(rt.store != nil)
-	if rt.store != nil {
-		w.Int(rt.store.Len())
-		w.Int(rt.store.Segments())
-		w.I64(rt.store.CompressedBytes())
-		w.U64(rt.store.Fingerprint())
-	}
 }

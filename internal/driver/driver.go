@@ -126,13 +126,6 @@ func WithPollEvery(n int) SpecOption {
 // WithCacheCapacity bounds the software cache to n objects (0 = unbounded).
 func WithCacheCapacity(n int) SpecOption { return func(s *Spec) { s.Caching.Capacity = n } }
 
-// WithBackend selects the DPA runtime's renamed-copy store:
-// core.BackendMDTable (the default fused M/D map) or core.BackendCPMA (the
-// batch-merged compressed packed-memory array of internal/cpma). The fetch
-// protocol and determinism contract are identical under both; only the
-// copy store and its modeled memory footprint differ.
-func WithBackend(name string) SpecOption { return func(s *Spec) { s.Core.Backend = name } }
-
 // DPASpec returns a Spec for DPA with the given strip size and the default
 // communication optimizations enabled, then applies opts.
 func DPASpec(strip int, opts ...SpecOption) Spec {
@@ -175,23 +168,19 @@ func (s Spec) Validate() error {
 func (s Spec) String() string {
 	switch s.Kind {
 	case DPA:
-		suffix := ""
-		if s.Core.Backend == core.BackendCPMA {
-			suffix = "+cpma"
-		}
 		if s.Core.Shape {
-			return fmt.Sprintf("DPA-PS(%d)%s", s.Core.Strip, suffix)
+			return fmt.Sprintf("DPA-PS(%d)", s.Core.Strip)
 		}
 		if s.Core.Prior {
-			return fmt.Sprintf("DPA-PR(%d)%s", s.Core.Strip, suffix)
+			return fmt.Sprintf("DPA-PR(%d)", s.Core.Strip)
 		}
 		if s.Core.Planner {
-			return fmt.Sprintf("DPA-P(%d)%s", s.Core.Strip, suffix)
+			return fmt.Sprintf("DPA-P(%d)", s.Core.Strip)
 		}
 		if s.Core.Adaptive {
-			return fmt.Sprintf("DPA-A(%d)%s", s.Core.Strip, suffix)
+			return fmt.Sprintf("DPA-A(%d)", s.Core.Strip)
 		}
-		return fmt.Sprintf("DPA(%d)%s", s.Core.Strip, suffix)
+		return fmt.Sprintf("DPA(%d)", s.Core.Strip)
 	case Caching:
 		return "Caching"
 	case Blocking:
@@ -359,23 +348,13 @@ type runConfig struct {
 }
 
 // WithEngineValue selects the engine driving the phase as a first-class
-// value built by Sequential or Parallel. This is the primary engine-selection
-// option; WithEngine is the deprecated enum form.
+// value built by Sequential or Parallel.
 func WithEngineValue(e Engine) RunOption {
 	return func(rc *runConfig) {
 		rc.engine = e.kind
 		rc.tuning = e.tuning
 		rc.engineSet = true
 	}
-}
-
-// WithEngine selects the simulation engine by kind: sim.Sequential (the
-// default) or sim.Parallel with default tuning.
-//
-// Deprecated: use WithEngineValue with Sequential() or Parallel(...), which
-// carries per-engine tuning (worker count, lookahead, stealing).
-func WithEngine(kind sim.EngineKind) RunOption {
-	return func(rc *runConfig) { rc.engine = kind; rc.tuning = sim.Tuning{}; rc.engineSet = true }
 }
 
 // WithTrace enables activity-timeline recording with the given bin width in

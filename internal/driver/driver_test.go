@@ -136,8 +136,8 @@ func TestEngineValues(t *testing.T) {
 	}
 }
 
-// TestRunPhaseEngineValue runs the same phase under WithEngineValue
-// configurations and the deprecated WithEngine path; all must agree.
+// TestRunPhaseEngineValue runs the same phase under several WithEngineValue
+// configurations; all must agree.
 func TestRunPhaseEngineValue(t *testing.T) {
 	const nodes = 4
 	space := gptr.NewSpace(nodes)
@@ -159,7 +159,6 @@ func TestRunPhaseEngineValue(t *testing.T) {
 		WithEngineValue(Parallel()),
 		WithEngineValue(Parallel(Workers(2))),
 		WithEngineValue(Parallel(Workers(nodes), Stealing(false))),
-		WithEngine(sim.Parallel), // deprecated enum path must keep working
 	} {
 		if diff := base.Diff(phase(opt)); diff != "" {
 			t.Fatalf("engine value run diverges from sequential: %s", diff)

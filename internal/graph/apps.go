@@ -126,8 +126,7 @@ func RunPageRank(mcfg machine.Config, spec driver.Spec, prm Params, iters int) (
 // under spec: labels start as vertex ids, every phase each owned vertex
 // pulls its neighbors' labels and keeps the minimum, and the loop runs to
 // fixpoint. Min is order-independent, so the result is exact on every
-// engine and backend. It returns the merged statistics and the component
-// labels.
+// engine. It returns the merged statistics and the component labels.
 func RunCC(mcfg machine.Config, spec driver.Spec, prm Params) (stats.Run, []int32) {
 	g := Build(prm, mcfg.Nodes)
 	n := prm.Vertices

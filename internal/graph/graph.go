@@ -14,9 +14,8 @@
 // never go stale across the value updates), owners apply updates between
 // phases, and a PriorStore threads the planner's cross-phase reuse prior
 // through the repeated phases. Everything is compatible with WithAdaptive,
-// WithPlanner, WithPrior/WithShape, WithBackend, fault injection, and
-// checkpoints, and runs stay bit-identical across engines, repeats, and
-// seeded faults.
+// WithPlanner, WithPrior/WithShape, fault injection, and checkpoints, and
+// runs stay bit-identical across engines, repeats, and seeded faults.
 package graph
 
 import (

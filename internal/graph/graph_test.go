@@ -125,19 +125,14 @@ func TestMillionVertexBuild(t *testing.T) {
 }
 
 // TestBFSMatchesSeq: simulated BFS levels must equal the host reference
-// exactly, on both backends.
+// exactly.
 func TestBFSMatchesSeq(t *testing.T) {
 	prm := testParams(192, KindRMAT)
 	mcfg := machine.DefaultT3D(4)
 	want := SeqBFS(prm, 4, 0)
-	for _, spec := range []driver.Spec{
-		driver.DPASpec(16),
-		driver.DPASpec(16, driver.WithBackend("cpma")),
-	} {
-		_, got := RunBFS(mcfg, spec, prm, 0)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: BFS levels diverge from host reference", spec)
-		}
+	_, got := RunBFS(mcfg, driver.DPASpec(16), prm, 0)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("BFS levels diverge from host reference")
 	}
 }
 
@@ -147,14 +142,9 @@ func TestCCMatchesSeq(t *testing.T) {
 	prm.Degree = 2 // sparse: several components
 	mcfg := machine.DefaultT3D(4)
 	want := SeqCC(prm, 4)
-	for _, spec := range []driver.Spec{
-		driver.DPASpec(16),
-		driver.DPASpec(16, driver.WithBackend("cpma")),
-	} {
-		_, got := RunCC(mcfg, spec, prm)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: CC labels diverge from host reference", spec)
-		}
+	_, got := RunCC(mcfg, driver.DPASpec(16), prm)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("CC labels diverge from host reference")
 	}
 }
 
@@ -165,40 +155,23 @@ func TestPageRankMatchesSeq(t *testing.T) {
 	prm := testParams(192, KindRMAT)
 	mcfg := machine.DefaultT3D(4)
 	want := SeqPageRank(prm, 4, 3)
-	for _, spec := range []driver.Spec{
-		driver.DPASpec(16),
-		driver.DPASpec(16, driver.WithBackend("cpma")),
-	} {
-		_, got := RunPageRank(mcfg, spec, prm, 3)
-		if len(got) != len(want) {
-			t.Fatalf("%v: rank length %d", spec, len(got))
-		}
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
-				t.Fatalf("%v: rank[%d] = %g, want %g", spec, i, got[i], want[i])
-			}
+	_, got := RunPageRank(mcfg, driver.DPASpec(16), prm, 3)
+	if len(got) != len(want) {
+		t.Fatalf("rank length %d", len(got))
+	}
+	for i := range got {
+		if math.Abs(got[i]-want[i]) > 1e-12 {
+			t.Fatalf("rank[%d] = %g, want %g", i, got[i], want[i])
 		}
 	}
 }
 
-// TestGraphAppsCollectStats: the runners must report the fetch traffic the
-// backends race over, and the CPMA backend must actually run its store.
+// TestGraphAppsCollectStats: the runners must report their fetch traffic.
 func TestGraphAppsCollectStats(t *testing.T) {
 	prm := testParams(192, KindRMAT)
 	mcfg := machine.DefaultT3D(4)
 	run, _ := RunPageRank(mcfg, driver.DPASpec(16), prm, 2)
 	if run.RT.Fetches == 0 || run.RT.ReqMsgs == 0 || run.RT.ThreadsRun == 0 {
-		t.Fatalf("mdtable run recorded no traffic: %+v", run.RT)
-	}
-	if run.RT.StoreBatches != 0 {
-		t.Fatalf("mdtable run touched the CPMA store: %+v", run.RT)
-	}
-	crun, _ := RunPageRank(mcfg, driver.DPASpec(16, driver.WithBackend("cpma")), prm, 2)
-	if crun.RT.StoreBatches == 0 || crun.RT.StoreInserts == 0 {
-		t.Fatalf("cpma run never exercised the store: %+v", crun.RT)
-	}
-	if crun.RT.Fetches != run.RT.Fetches {
-		t.Fatalf("fetch traffic differs across backends under identical static schedule: %d vs %d",
-			crun.RT.Fetches, run.RT.Fetches)
+		t.Fatalf("run recorded no traffic: %+v", run.RT)
 	}
 }

@@ -89,7 +89,7 @@ func TestExperimentsProduceOutput(t *testing.T) {
 		"X5":  {"loss", "retrans", "overhead", "EM3D", "BH"},
 		"X6":  {"adaptive", "final strip", "vs best static", "EM3D"},
 		"X9":  {"priorhits", "shapedruns", "prior+shape vs planner"},
-		"X10": {"BFS", "PageRank", "cpma store", "peak copies"},
+		"X10": {"BFS", "PageRank", "peak copies", "refetches"},
 	}
 	for _, e := range All() {
 		var sb strings.Builder

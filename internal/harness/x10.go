@@ -1,45 +1,32 @@
 package harness
 
 import (
-	"dpa/internal/core"
 	"dpa/internal/driver"
 	"dpa/internal/graph"
 	"dpa/internal/machine"
 	"dpa/internal/stats"
 )
 
-// X10: the graph-analytics workload family, and a pointer-free CPMA-style
-// copy store raced against the fused M/D table. BFS, PageRank, and connected
+// X10: the graph-analytics workload family. BFS, PageRank, and connected
 // components are the irregular pointer-chasing computations DPA targets in
 // their purest form: every neighbor access crosses a global pointer, there is
 // almost no arithmetic to hide communication behind, and the footprint is
-// data-dependent. The race: the default backend keeps renamed copies as
-// individual M/D-table entries (one pointer-keyed map entry per object),
-// while the cpma backend (DESIGN.md §14, after Wheatman & Buluç's CPMA)
-// packs arrived copies into a compressed packed-memory array — sorted
-// segments, one batched merge per fetch reply, delta-compressed keys — so
-// the same reuse traffic is served from a pointer-free structure whose key
-// storage is delta bytes instead of map entries. The questions: does packing
-// change the simulated schedule (it must not — the backends are bit-identical
-// in fetch traffic and makespan), what do delta-compressed keys cost on top
-// of the raw payload bytes, and does the planner+prior stack still hold
-// refetches at exactly zero on graphs?
+// data-dependent. The question: does the planner+prior stack still hold
+// refetches at exactly zero on graphs, and what does retaining the copies
+// cost in peak renamed-copy memory?
 
 func init() {
-	register(Experiment{ID: "X10", Title: "Graph analytics: M/D table vs CPMA copy store (extension)", Run: runX10})
+	register(Experiment{ID: "X10", Title: "Graph analytics: DPA(50) vs planner+prior (extension)", Run: runX10})
 }
 
 func runX10(s *Session) {
 	const nodes = 16
 	prm := graph.DefaultParams(s.W.GraphVertices)
 	s.printf("BFS, PageRank, and connected components on an RMAT graph of %d\n", prm.Vertices)
-	s.printf("vertices (avg degree %d) over %d nodes. Each app runs the same\n", prm.Degree, nodes)
-	s.printf("simulated schedule under both copy-store backends: mdtable keeps one\n")
-	s.printf("M/D entry per renamed copy, cpma batch-merges arrived copies into a\n")
-	s.printf("compressed packed-memory array. Fetch traffic must be identical;\n")
-	s.printf("'peak copies' is where the backends differ. The planner+prior row\n")
-	s.printf("(mdtable only: region pinning needs per-entry reuse state) must\n")
-	s.printf("report exactly 0 refetches.\n\n")
+	s.printf("vertices (avg degree %d) over %d nodes. Static DPA(50) drops its\n", prm.Degree, nodes)
+	s.printf("renamed copies at every strip boundary and refetches them; the\n")
+	s.printf("planner+prior row pins each copy for its reuse region ('peak copies'\n")
+	s.printf("is what that costs) and must report exactly 0 refetches.\n\n")
 
 	apps := []struct {
 		name string
@@ -61,26 +48,19 @@ func runX10(s *Session) {
 
 	for _, app := range apps {
 		s.printf("%s, %d vertices\n", app.name, prm.Vertices)
-		s.printf("%-14s %12s %10s %10s %12s %10s %11s\n",
-			"runtime", "time", "fetches", "reuses", "peak copies", "refetches", "rebalances")
+		s.printf("%-14s %12s %10s %10s %12s %10s\n",
+			"runtime", "time", "fetches", "reuses", "peak copies", "refetches")
 		row := func(spec driver.Spec) stats.Run {
 			r := app.run(spec)
-			s.printf("%-14s %10.2fms %10d %10d %10.1fKB %10d %11d\n",
+			s.printf("%-14s %10.2fms %10d %10d %10.1fKB %10d\n",
 				spec, s.Sec(r)*1e3, r.RT.Fetches, r.RT.Reuses,
-				float64(r.RT.PeakArrivedBytes)/1024, r.RT.Refetches, r.RT.StoreRebalances)
+				float64(r.RT.PeakArrivedBytes)/1024, r.RT.Refetches)
 			return r
 		}
-		md := row(driver.DPASpec(50))
-		cp := row(driver.DPASpec(50, driver.WithBackend(core.BackendCPMA)))
-		pr := row(driver.DPASpec(50, driver.WithPrior()))
-		if md.RT.Fetches != cp.RT.Fetches || md.Makespan != cp.Makespan {
-			s.printf("BACKEND DIVERGENCE: mdtable and cpma disagree on the schedule\n")
-		}
-		if pr.RT.Refetches != 0 {
+		row(driver.DPASpec(50))
+		if pr := row(driver.DPASpec(50, driver.WithPrior())); pr.RT.Refetches != 0 {
 			s.printf("REFETCH REGRESSION: planner+prior refetched %d times\n", pr.RT.Refetches)
 		}
-		s.printf("cpma store: %d batch merges, %d packed; peak copies %+.1f%% vs mdtable\n\n",
-			cp.RT.StoreBatches, cp.RT.StoreInserts,
-			(float64(cp.RT.PeakArrivedBytes)/float64(md.RT.PeakArrivedBytes)-1)*100)
+		s.printf("\n")
 	}
 }

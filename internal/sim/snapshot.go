@@ -29,8 +29,13 @@ import (
 // snapshotMagic opens every encoded snapshot.
 const snapshotMagic = "DPASNAP1"
 
-// SnapshotVersion is the current snapshot format version.
-const SnapshotVersion uint32 = 1
+// SnapshotVersion is the current snapshot format version. Any change to the
+// bytes of an encoded section — a field added, removed, reordered or
+// canonicalised differently, in any layer — bumps it; files of another
+// version are rejected by Restore, never reinterpreted. Version 2: the "rt"
+// section lost its copy-store counters and trailer, and "procs" writes a
+// process parked in its own past as ready at its clock (EncodeProcs).
+const SnapshotVersion uint32 = 2
 
 // ErrBadSnapshot is the sentinel matched by errors.Is for snapshot
 // encodings that fail to decode: truncated, corrupted (checksum mismatch),

@@ -3,7 +3,9 @@ package sim
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc64"
+	"strings"
 	"testing"
 )
 
@@ -32,6 +34,13 @@ func fuzzSeedSnapshot() []byte {
 	return s.Encode()
 }
 
+// withVersion returns a resealed copy of data claiming format version ver.
+func withVersion(data []byte, ver uint32) []byte {
+	mut := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(mut[8:], ver)
+	return reseal(mut)
+}
+
 // reseal recomputes the trailing checksum so structural mutations are
 // exercised past the CRC gate.
 func reseal(data []byte) []byte {
@@ -49,10 +58,11 @@ func FuzzRestore(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("DPASNAP1"))
 	f.Add(valid[:len(valid)/2])
-	// Version bump with a recomputed CRC: reaches the version check.
-	wrongVer := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(wrongVer[8:], SnapshotVersion+1)
-	f.Add(reseal(wrongVer))
+	// A future and a past version with a recomputed CRC: reach the version
+	// check.
+	for _, ver := range []uint32{SnapshotVersion + 1, 1} {
+		f.Add(withVersion(valid, ver))
+	}
 	// Section-length corruption with a recomputed CRC: reaches the framing
 	// checks.
 	badLen := append([]byte(nil), valid...)
@@ -123,10 +133,18 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("wrong-version-valid-crc", func(t *testing.T) {
-		mut := append([]byte(nil), valid...)
-		binary.LittleEndian.PutUint32(mut[8:], SnapshotVersion+7)
-		if _, err := Restore(reseal(mut)); !errors.Is(err, ErrBadSnapshot) {
-			t.Fatalf("future version accepted (err=%v)", err)
+		// A future version, and a version-1 file as older builds wrote them:
+		// rejected by the version rule, never reinterpreted.
+		for _, ver := range []uint32{SnapshotVersion + 7, 1} {
+			s, err := Restore(withVersion(valid, ver))
+			var bad *BadSnapshotError
+			if s != nil || !errors.As(err, &bad) || !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("version %d: Restore = (%v, %v), want nil and a *BadSnapshotError", ver, s, err)
+			}
+			want := fmt.Sprintf("unsupported version %d (this build reads version %d)", ver, SnapshotVersion)
+			if !strings.Contains(bad.Reason, want) {
+				t.Fatalf("version %d: reason %q does not contain %q", ver, bad.Reason, want)
+			}
 		}
 	})
 	t.Run("oversized-section-valid-crc", func(t *testing.T) {

@@ -76,12 +76,6 @@ func (r *Run) MetricsInto(reg *obs.Registry, phase string) {
 		Add(r.RT.ShapedRuns, lbl()...)
 	reg.Gauge("dpa_prior_bytes", "Cross-phase prior table footprint on one node.").
 		Set(r.RT.PriorBytes, lbl()...)
-	reg.Counter("dpa_store_batches_total", "CPMA copy-store batched merge operations.").
-		Add(r.RT.StoreBatches, lbl()...)
-	reg.Counter("dpa_store_inserts_total", "Elements packed into the CPMA copy store.").
-		Add(r.RT.StoreInserts, lbl()...)
-	reg.Counter("dpa_store_rebalances_total", "CPMA segment redistributions (density violations).").
-		Add(r.RT.StoreRebalances, lbl()...)
 
 	flt := reg.Counter("dpa_faults_injected_total", "Faults injected, by fault kind.")
 	flt.Add(r.Faults.Dropped, lbl(obs.L("kind", "drop"))...)

@@ -132,13 +132,6 @@ type RTStats struct {
 	// ShapedRuns counts the owner-major runs emitted by affinity-shaped
 	// loops (one run per distinct predicted owner per shaped loop).
 	ShapedRuns int64
-	// StoreBatches/StoreInserts/StoreRebalances instrument the CPMA copy
-	// store (core.Config.Backend == "cpma"): batched sorted merges (one per
-	// fetch reply), elements newly packed, and density-driven segment
-	// redistributions. All zero on the M/D-table backend.
-	StoreBatches    int64
-	StoreInserts    int64
-	StoreRebalances int64
 }
 
 // merge combines counters from another node or phase.
@@ -158,9 +151,6 @@ func (r *RTStats) merge(o RTStats) {
 	r.RegionReleases += o.RegionReleases
 	r.PlanPriorHits += o.PlanPriorHits
 	r.ShapedRuns += o.ShapedRuns
-	r.StoreBatches += o.StoreBatches
-	r.StoreInserts += o.StoreInserts
-	r.StoreRebalances += o.StoreRebalances
 	if o.PriorBytes > r.PriorBytes {
 		r.PriorBytes = o.PriorBytes
 	}
@@ -538,10 +528,6 @@ func (r *Run) Table(clockHz float64) string {
 	if rt.PlanPriorHits > 0 {
 		fmt.Fprintf(&b, "priors    %d prior hits, %d shaped runs, %.1f KB prior tables\n",
 			rt.PlanPriorHits, rt.ShapedRuns, float64(rt.PriorBytes)/1024)
-	}
-	if rt.StoreBatches > 0 {
-		fmt.Fprintf(&b, "cpma      %d batch merges, %d packed, %d rebalances\n",
-			rt.StoreBatches, rt.StoreInserts, rt.StoreRebalances)
 	}
 	if f := r.Faults; f.Any() {
 		fmt.Fprintf(&b, "faults    %d dropped, %d duplicated, %d jittered, %d stalls, %d crashed\n",
