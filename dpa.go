@@ -14,9 +14,15 @@
 //	p := space.Alloc(owner, obj)             // place objects on owners
 //	run := dpa.RunPhase(dpa.DefaultT3D(nodes), space, dpa.DPASpec(50),
 //	    func(rt dpa.Runtime, ep *dpa.Endpoint, nd *dpa.Node) {
-//	        rt.Spawn(p, func(o dpa.Object) { ... }) // pointer-labeled thread
+//	        visit := rt.Template(func(o dpa.Object, a0, a1 uint64) { ... })
+//	        rt.SpawnT(p, visit, a0, a1) // pointer-labeled thread, two-word frame
 //	        rt.Drain()
 //	    })
+//
+// A thread body is a template registered once per node per phase; a spawned
+// thread is the template's id and two frame words, which under DPA costs no
+// host allocation. rt.Spawn(p, func(o dpa.Object) { ... }) is the closure
+// convenience for a frame that does not fit two words.
 //
 // See examples/ for complete programs and DESIGN.md for the architecture.
 package dpa

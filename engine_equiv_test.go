@@ -8,6 +8,7 @@ package dpa
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -215,10 +216,12 @@ func ownedBlock(ptrs []Ptr, node int) (lo, hi int) {
 	return lo, hi
 }
 
-// phasedEM3D is em3d.RunIters' phase loop, two iterations of E and H halves.
-// The graph is the size checkpoint_equiv_test's em3d-prior cell uses, so
-// every phase is long enough to cross ckFaults' crash time.
-func phasedEM3D(nodes int) phasedApp {
+// phasedEM3D is em3d.RunIters' phase loop, two iterations of E and H halves,
+// written with closures (Spawn) or, with templates set, as RunIters itself
+// writes it (Template + SpawnT). The graph is the size checkpoint_equiv_test's
+// em3d-prior cell uses, so every phase is long enough to cross ckFaults'
+// crash time.
+func phasedEM3D(nodes int, templates bool) phasedApp {
 	prm := em3d.DefaultParams(320)
 	g := em3d.Build(prm, nodes)
 	half := func(k int) ([]*em3d.GraphNode, []Ptr) {
@@ -234,16 +237,21 @@ func phasedEM3D(nodes int) phasedApp {
 		body: func(k int) func(rt Runtime, ep *Endpoint, nd *Node) {
 			ns, ptrs := half(k)
 			return func(rt Runtime, ep *Endpoint, nd *Node) {
+				update := func(o Object, i, coeff uint64) {
+					nd.Charge(sim.Compute, prm.UpdateCost)
+					acc[i] += math.Float64frombits(coeff) * o.(*em3d.GraphNode).Value
+				}
+				id := rt.Template(update)
 				lo, hi := ownedBlock(ptrs, nd.ID())
 				rt.ForAll(hi-lo, func(j int) {
 					n := ns[lo+j]
-					i := int(n.Idx)
 					for d := range n.Deps {
-						coeff := n.Coeff[d]
-						rt.Spawn(n.Deps[d], func(o Object) {
-							nd.Charge(sim.Compute, prm.UpdateCost)
-							acc[i] += coeff * o.(*em3d.GraphNode).Value
-						})
+						i, coeff := uint64(n.Idx), math.Float64bits(n.Coeff[d])
+						if templates {
+							rt.SpawnT(n.Deps[d], id, i, coeff)
+						} else {
+							rt.Spawn(n.Deps[d], func(o Object) { update(o, i, coeff) })
+						}
 					}
 				})
 			}
@@ -262,8 +270,9 @@ func phasedEM3D(nodes int) phasedApp {
 	}
 }
 
-// phasedPageRank is graph.RunPageRank's phase loop, three iterations.
-func phasedPageRank(nodes int) phasedApp {
+// phasedPageRank is graph.RunPageRank's phase loop, three iterations, in
+// either form.
+func phasedPageRank(nodes int, templates bool) phasedApp {
 	prm := graph.DefaultParams(1024)
 	g := graph.Build(prm, nodes)
 	n := prm.Vertices
@@ -276,15 +285,21 @@ func phasedPageRank(nodes int) phasedApp {
 		kinds: []string{"pagerank", "pagerank", "pagerank"},
 		body: func(int) func(rt Runtime, ep *Endpoint, nd *Node) {
 			return func(rt Runtime, ep *Endpoint, nd *Node) {
+				pull := func(o Object, v, _ uint64) {
+					nd.Charge(sim.Compute, prm.UpdateCost)
+					nb := o.(*graph.Vertex)
+					acc[v] += nb.Rank / float64(nb.Deg)
+				}
+				id := rt.Template(pull)
 				lo, hi := ownedBlock(g.Ptrs, nd.ID())
 				rt.ForAll(hi-lo, func(j int) {
-					v := lo + j
+					v := uint64(lo + j)
 					for _, u := range g.Adj[v] {
-						rt.Spawn(g.Ptrs[u], func(o Object) {
-							nd.Charge(sim.Compute, prm.UpdateCost)
-							nb := o.(*graph.Vertex)
-							acc[v] += nb.Rank / float64(nb.Deg)
-						})
+						if templates {
+							rt.SpawnT(g.Ptrs[u], id, v, 0)
+						} else {
+							rt.Spawn(g.Ptrs[u], func(o Object) { pull(o, v, 0) })
+						}
 					}
 				})
 			}
@@ -353,12 +368,38 @@ func runPhased(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec
 	return out
 }
 
+// inForm fixes the thread form of a phased app's builder.
+func inForm(build func(int, bool) phasedApp, templates bool) func(int) phasedApp {
+	return func(nodes int) phasedApp { return build(nodes, templates) }
+}
+
+// runTraced is runPhased with a tracer attached; it also returns the exported
+// trace. The ring keeps each node's last 2048 events and 8192 spans, a long
+// enough tail to show any reordering at a fraction of the full export's cost.
+func runTraced(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec Spec,
+	at Time, eng Engine) (phasedRun, []byte) {
+	t.Helper()
+	tracer := NewTracer(mcfg.Nodes, 2048)
+	run := runPhased(t, build, mcfg, spec, false, at, WithEngineValue(eng), WithTracer(tracer))
+	var buf bytes.Buffer
+	if err := tracer.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return run, buf.Bytes()
+}
+
 func TestRecycledStorageEquivalence(t *testing.T) {
 	const nodes = 4
+	// Every app is written twice: build spawns closures, twin spawns
+	// templates. The rows compare recycled with from-scratch storage on the
+	// closure form, and then the two forms with each other.
 	apps := []struct {
-		name  string
-		build func(int) phasedApp
-	}{{"em3d", phasedEM3D}, {"pagerank", phasedPageRank}}
+		name        string
+		build, twin func(int) phasedApp
+	}{
+		{"em3d", inForm(phasedEM3D, false), inForm(phasedEM3D, true)},
+		{"pagerank", inForm(phasedPageRank, false), inForm(phasedPageRank, true)},
+	}
 	specs := []struct {
 		name   string
 		spec   Spec
@@ -409,6 +450,32 @@ func TestRecycledStorageEquivalence(t *testing.T) {
 					if plan.name == "clean" && sp.priors && recycled.total.RT.PlanPriorHits == 0 {
 						t.Fatal("planned row never warm-started: the priors half of the row is vacuous")
 					}
+					// Closures and templates are one path — a closure thread is
+					// template 0 on a side-table slot — so the app's two
+					// spellings are the same run under either engine: run
+					// tables, results, mid-run snapshot bytes, trace bytes.
+					for _, eng := range []Engine{Sequential(), Parallel()} {
+						closures, ctrace := runTraced(t, app.build, mcfg, sp.spec, at, eng)
+						templates, ttrace := runTraced(t, app.twin, mcfg, sp.spec, at, eng)
+						for k := range closures.phases {
+							if !closures.phases[k].Equal(templates.phases[k]) {
+								t.Fatalf("%v, phase %d: closure vs template form diverge: %s",
+									eng, k, closures.phases[k].Diff(templates.phases[k]))
+							}
+						}
+						if closures.result != templates.result {
+							t.Fatalf("%v: application results diverge between the closure and the template form", eng)
+						}
+						if !bytes.Equal(closures.snap, templates.snap) {
+							t.Fatalf("%v: mid-run snapshots differ between the closure and the template form", eng)
+						}
+						if !bytes.Equal(closures.snap, recycled.snap) {
+							t.Fatalf("%v: traced snapshot differs from the untraced sequential one", eng)
+						}
+						if !bytes.Equal(ctrace, ttrace) {
+							t.Fatalf("%v: exported traces differ between the closure and the template form", eng)
+						}
+					}
 					if sp.priors {
 						// The check run of a validated phase gets a Clone of
 						// the store — priors, no arenas — under the other
@@ -431,7 +498,7 @@ func TestRecycledStorageEquivalence(t *testing.T) {
 // shaped by the other policy.
 func TestStoreReusedAcrossShapesRebuilds(t *testing.T) {
 	phase := func(nodes int, spec Spec, store *PriorStore) RunStats {
-		app := phasedPageRank(nodes)
+		app := phasedPageRank(nodes, true)
 		return RunPhase(DefaultT3D(nodes), app.space, spec, app.body(0), WithPriors(store, "pagerank"))
 	}
 	store := NewPriorStore()

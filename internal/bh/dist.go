@@ -152,54 +152,55 @@ func ForcePhase(rt driver.Runtime, nd *machine.Node, d *Dist, p Params, acc [][3
 	local := d.LocalBody[nd.ID()]
 	rootPtr := d.Ptrs[d.T.Root]
 	cm := p.Costs
-	rt.ForAll(len(local), func(k int) {
-		bi := local[k]
+	// One template for the whole traversal: the frame is the body index.
+	var walk int
+	walk = rt.Template(func(o gptr.Object, b, _ uint64) {
+		bi := int32(b)
 		pos := d.T.Bodies[bi].Pos
-		var walk func(o gptr.Object)
-		walk = func(o gptr.Object) {
-			c := o.(*CellObj)
-			nd.Charge(sim.Compute, cm.OpenTest)
-			if open(2*c.Half, c.COM, pos, p.Theta) {
-				if c.Leaf {
-					for j := range c.BIdx {
-						if c.BIdx[j] == bi {
-							continue
-						}
-						nd.Charge(sim.Compute, cm.BodyBody)
-						a := Accel(pos, c.BPos[j], c.BMass[j], p.Eps)
-						for dd := 0; dd < 3; dd++ {
-							acc[bi][dd] += a[dd]
-						}
-						if work != nil {
-							work[bi]++
-						}
+		c := o.(*CellObj)
+		nd.Charge(sim.Compute, cm.OpenTest)
+		if open(2*c.Half, c.COM, pos, p.Theta) {
+			if c.Leaf {
+				for j := range c.BIdx {
+					if c.BIdx[j] == bi {
+						continue
 					}
-					return
-				}
-				for _, ch := range c.Child {
-					if !ch.IsNil() {
-						rt.Spawn(ch, walk)
+					nd.Charge(sim.Compute, cm.BodyBody)
+					a := Accel(pos, c.BPos[j], c.BMass[j], p.Eps)
+					for dd := 0; dd < 3; dd++ {
+						acc[bi][dd] += a[dd]
+					}
+					if work != nil {
+						work[bi]++
 					}
 				}
 				return
 			}
-			nd.Charge(sim.Compute, cm.BodyCell)
-			a := Accel(pos, c.COM, c.Mass, p.Eps)
-			for dd := 0; dd < 3; dd++ {
-				acc[bi][dd] += a[dd]
-			}
-			if p.Quad {
-				nd.Charge(sim.Compute, cm.QuadExtra)
-				aq := AccelQuad(pos, c.COM, c.Quad, p.Eps)
-				for dd := 0; dd < 3; dd++ {
-					acc[bi][dd] += aq[dd]
+			for _, ch := range c.Child {
+				if !ch.IsNil() {
+					rt.SpawnT(ch, walk, b, 0)
 				}
 			}
-			if work != nil {
-				work[bi]++
+			return
+		}
+		nd.Charge(sim.Compute, cm.BodyCell)
+		a := Accel(pos, c.COM, c.Mass, p.Eps)
+		for dd := 0; dd < 3; dd++ {
+			acc[bi][dd] += a[dd]
+		}
+		if p.Quad {
+			nd.Charge(sim.Compute, cm.QuadExtra)
+			aq := AccelQuad(pos, c.COM, c.Quad, p.Eps)
+			for dd := 0; dd < 3; dd++ {
+				acc[bi][dd] += aq[dd]
 			}
 		}
-		rt.Spawn(rootPtr, walk)
+		if work != nil {
+			work[bi]++
+		}
+	})
+	rt.ForAll(len(local), func(k int) {
+		rt.SpawnT(rootPtr, walk, uint64(local[k]), 0)
 	})
 }
 

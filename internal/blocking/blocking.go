@@ -18,7 +18,7 @@ import (
 )
 
 // Thread is a thread body, as in the core package.
-type Thread func(obj gptr.Object)
+type Thread = func(obj gptr.Object)
 
 // Config selects the blocking runtime's costs.
 type Config struct {
@@ -129,6 +129,9 @@ func (rt *RT) Err() error { return rt.err }
 func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
 	if p.IsNil() {
 		panic("blocking: Spawn with nil pointer")
+	}
+	if fn == nil {
+		panic("blocking: Spawn with nil thread")
 	}
 	n := rt.EP.Node
 	n.Charge(sim.SchedOv, rt.Cfg.SpawnCost)

@@ -26,7 +26,7 @@ import (
 )
 
 // Thread is a non-blocking thread body, as in the core package.
-type Thread func(obj gptr.Object)
+type Thread = func(obj gptr.Object)
 
 // Config selects the caching runtime's costs and scheduling.
 type Config struct {
@@ -205,6 +205,9 @@ func (rt *RT) Err() error { return rt.err }
 func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
 	if p.IsNil() {
 		panic("caching: Spawn with nil pointer")
+	}
+	if fn == nil {
+		panic("caching: Spawn with nil thread")
 	}
 	n := rt.EP.Node
 	n.Charge(sim.SchedOv, rt.Cfg.SpawnCost)

@@ -150,9 +150,9 @@ func TestRecycledArenaEncodesLikeFresh(t *testing.T) {
 		var w sim.SnapWriter
 		rt.EncodeSnapshot(&w)
 		recycled = append([]byte(nil), w.Bytes()...)
-		if cap(rt.dests.slots) < 3 || len(rt.pool.entries) == 0 {
-			t.Errorf("recycled arena kept no storage: cap(slots)=%d pooled entries=%d",
-				cap(rt.dests.slots), len(rt.pool.entries))
+		if cap(rt.dests.slots) < 3 || cap(rt.entries) == 0 || cap(rt.waiters) == 0 {
+			t.Errorf("recycled arena kept no storage: cap(slots)=%d cap(entries)=%d cap(waiters)=%d",
+				cap(rt.dests.slots), cap(rt.entries), cap(rt.waiters))
 		}
 		var wf sim.SnapWriter
 		New(proto, ep, space, shapedCfg(), nil).EncodeSnapshot(&wf)

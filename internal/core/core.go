@@ -10,9 +10,11 @@
 //
 // The programming model matches the paper's compiler output: a computation
 // is decomposed into threads, each of which dereferences exactly one global
-// pointer, hoisted to thread entry. A thread-creation site is labeled with
-// that pointer and registered via Spawn. The runtime maintains the two
-// tables from the paper:
+// pointer, hoisted to thread entry. A thread body is a template registered
+// once per phase (Template); a thread-creation site is labeled with the
+// pointer and spawns the template with a two-word frame (SpawnT). Spawn is
+// the closure convenience over the same record. The runtime maintains the
+// two tables from the paper:
 //
 //	M : pointer -> dependent (suspended) threads, updated at Spawn
 //	D : pointer -> fetch state (in flight, or an arrived renamed copy)
@@ -35,10 +37,15 @@ import (
 	"dpa/internal/stats"
 )
 
-// Thread is a non-blocking thread body. It receives the (local or renamed)
-// object for the pointer its creation site was labeled with, and must not
-// block; it may create further threads via Spawn.
-type Thread func(obj gptr.Object)
+// Template is a non-blocking thread body. It receives the (local or renamed)
+// object for the pointer its creation site was labeled with and the two
+// frame words the site passed to SpawnT, and must not block; it may create
+// further threads.
+type Template = func(obj gptr.Object, a0, a1 uint64)
+
+// Thread is the closure form of a thread body, Spawn's parameter: its frame
+// is whatever the closure captured.
+type Thread = func(obj gptr.Object)
 
 // Config selects the DPA scheduling and communication policy.
 type Config struct {
@@ -259,42 +266,50 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 	}
 	if rt.adaptive {
 		rt.scatterReply(m.From, rep)
-		rt.trackPeak()
-		rt.pool.putPtrs(rep.ptrs)
-		rt.pool.putObjs(rep.objs)
-		rt.pool.putReply(rep)
-		return
-	}
-	for i, p := range rep.ptrs {
-		o := rep.objs[i]
-		e := rt.table[p]
-		if e == nil || e.arrived {
-			// Only possible under degradation: the entry was abandoned
-			// (owner declared unreachable) before this late reply landed.
-			continue
+	} else {
+		for i, p := range rep.ptrs {
+			e := rt.arrive(p, rep.objs[i], m.From)
+			if e == nil {
+				continue
+			}
+			rt.waiting -= int(e.n)
+			// All threads dependent on p become ready together: they will run
+			// back to back, reusing the renamed copy while it is hot.
+			for wi, k := e.head, e.n; k > 0; wi, k = rt.waiters[wi].next, k-1 {
+				rt.ready.push(rt.waiters[wi].ready(p.Key(), e.obj))
+			}
+			rt.freeWaiters(e)
 		}
-		e.obj = o
-		e.arrived = true
-		if rt.trc != nil {
-			rt.trc.Event(obs.KFetchReply, ep.Node.Now(), int64(p.Key()), int64(m.From))
-		}
-		rt.arrivedBytes += int64(o.ByteSize())
-		if rt.arrivedBytes > rt.st.PeakArrivedBytes {
-			rt.st.PeakArrivedBytes = rt.arrivedBytes
-		}
-		rt.waiting -= len(e.waiters)
-		// All threads dependent on p become ready together: they will run
-		// back to back, reusing the renamed copy while it is hot.
-		for j, fn := range e.waiters {
-			rt.ready.push(readyEntry{key: p.Key(), obj: o, fn: fn, iter: -1})
-			e.waiters[j] = nil
-		}
-		e.waiters = e.waiters[:0]
 	}
 	rt.trackPeak()
 	rt.pool.putPtrs(rep.ptrs)
 	rt.pool.putObjs(rep.objs)
 	rt.pool.putReply(rep)
+}
+
+// arrive records the renamed copy of p that owner's reply carried and returns
+// p's entry, or nil when there is nothing to wake — only possible under
+// degradation: the entry was abandoned (owner declared unreachable) before
+// this late reply landed.
+func (rt *RT) arrive(p gptr.Ptr, o gptr.Object, owner int) *dEntry {
+	ei, ok := rt.table[p]
+	if !ok || rt.entries[ei].arrived {
+		return nil
+	}
+	e := &rt.entries[ei]
+	e.obj = o
+	e.arrived = true
+	if rt.trc != nil {
+		rt.trc.Event(obs.KFetchReply, rt.EP.Node.Now(), int64(p.Key()), int64(owner))
+	}
+	rt.arrivedBytes += int64(o.ByteSize())
+	if rt.arrivedBytes > rt.st.PeakArrivedBytes {
+		rt.st.PeakArrivedBytes = rt.arrivedBytes
+	}
+	if rt.adaptive && rt.arrivedBytes > rt.ctl.stripPeak {
+		rt.ctl.stripPeak = rt.arrivedBytes
+	}
+	return e
 }
 
 // scatterReply is the adaptive reply path: one wake pass appends every
@@ -306,35 +321,15 @@ func (rt *RT) scatterReply(owner int, rep *fetchReply) {
 	d := &rt.dests.slots[si]
 	woken := 0
 	for i, p := range rep.ptrs {
-		e := rt.table[p]
-		if e == nil || e.arrived {
-			// Only possible under degradation: the entry was abandoned
-			// before this late reply landed.
+		e := rt.arrive(p, rep.objs[i], owner)
+		if e == nil {
 			continue
 		}
-		o := rep.objs[i]
-		e.obj = o
-		e.arrived = true
-		if rt.trc != nil {
-			rt.trc.Event(obs.KFetchReply, rt.EP.Node.Now(), int64(p.Key()), int64(owner))
+		for wi, k := e.head, e.n; k > 0; wi, k = rt.waiters[wi].next, k-1 {
+			d.run = append(d.run, rt.waiters[wi].ready(p.Key(), e.obj))
 		}
-		rt.arrivedBytes += int64(o.ByteSize())
-		if rt.arrivedBytes > rt.st.PeakArrivedBytes {
-			rt.st.PeakArrivedBytes = rt.arrivedBytes
-		}
-		if rt.arrivedBytes > rt.ctl.stripPeak {
-			rt.ctl.stripPeak = rt.arrivedBytes
-		}
-		key := p.Key()
-		for j, fn := range e.waiters {
-			// Resumed waiters run with no iteration attribution: their
-			// iteration's affinity was already recorded first-wins when the
-			// fetch was issued.
-			d.run = append(d.run, readyEntry{key: key, obj: o, fn: fn, iter: -1})
-			e.waiters[j] = nil
-		}
-		woken += len(e.waiters)
-		e.waiters = e.waiters[:0]
+		woken += int(e.n)
+		rt.freeWaiters(e)
 	}
 	if woken == 0 {
 		return
@@ -344,16 +339,99 @@ func (rt *RT) scatterReply(owner int, rep *fetchReply) {
 }
 
 // dEntry is one fused M/D table entry for a remote pointer: while the fetch
-// is in flight it holds the suspended threads (the paper's M table); once
-// the reply lands it holds the renamed copy (the D table). Fusing the two
-// maps means a remote spawn costs one hash probe instead of up to three.
-// lastUse packs into the padding after the bool, keeping the entry at the
-// 48-byte layout the sizeof regression test budgets.
+// is in flight it holds the suspended threads (the paper's M table) as a FIFO
+// chain of n nodes through the waiter slab; once the reply lands it holds the
+// renamed copy (the D table). Fusing the two maps means a remote spawn costs
+// one hash probe instead of up to three. Entries live in RT.entries and the
+// table maps a pointer to an index, so the map holds no Go pointers; a free
+// entry links to the next through head. head and tail mean nothing while n
+// is zero. The sizeof regression test pins the 40-byte layout.
 type dEntry struct {
-	obj     gptr.Object
-	waiters []Thread
-	lastUse int32 // strip index of the last reference (planner reuse regions)
-	arrived bool
+	obj        gptr.Object
+	head, tail int32 // first and last waiter of the chain
+	n          int32 // suspended threads
+	lastUse    int32 // strip index of the last reference (planner reuse regions)
+	arrived    bool
+}
+
+// waiter is one suspended thread, a node of its entry's chain: the thread
+// record — template and the two frame words — and the index of the next
+// node. It holds no Go pointers, so the collector never scans the slab. A
+// resumed waiter runs with no iteration attribution: its iteration's affinity
+// was already recorded first-wins when the fetch was issued.
+type waiter struct {
+	a0, a1 uint64
+	tmpl   int32
+	next   int32
+}
+
+func (w *waiter) ready(key uint64, o gptr.Object) readyEntry {
+	return readyEntry{key: key, obj: o, a0: w.a0, a1: w.a1, tmpl: w.tmpl, iter: -1}
+}
+
+// slabMin is the capacity a slab starts with: one allocation where append's
+// doubling from one element would make seven before a strip of 50 fits — on
+// every phase's first strip when the arena is fresh.
+const slabMin = 64
+
+// push is append for a slab.
+func push[T any](slab []T, v T) []T {
+	if cap(slab) == 0 {
+		slab = make([]T, 0, slabMin)
+	}
+	return append(slab, v)
+}
+
+// suspend appends a thread to e's waiter chain, taking the node from the
+// slab's free list.
+func (rt *RT) suspend(e *dEntry, tmpl int32, a0, a1 uint64) {
+	wi := rt.waiterFree
+	if wi >= 0 {
+		rt.waiterFree = rt.waiters[wi].next
+	} else {
+		wi = int32(len(rt.waiters))
+		rt.waiters = push(rt.waiters, waiter{})
+	}
+	rt.waiters[wi] = waiter{a0: a0, a1: a1, tmpl: tmpl}
+	if e.n == 0 {
+		e.head = wi
+	} else {
+		rt.waiters[e.tail].next = wi
+	}
+	e.tail = wi
+	e.n++
+	rt.waiting++
+}
+
+// freeWaiters returns e's whole chain to the free list, the moment a reply
+// (or an abandon) has dealt with its threads.
+func (rt *RT) freeWaiters(e *dEntry) {
+	if e.n == 0 {
+		return
+	}
+	rt.waiters[e.tail].next = rt.waiterFree
+	rt.waiterFree = e.head
+	e.n = 0
+}
+
+// newEntry takes a zeroed entry from the slab's free list. Growing the slab
+// moves it: no *dEntry is held across a call that can reach here.
+func (rt *RT) newEntry() int32 {
+	ei := rt.entryFree
+	if ei >= 0 {
+		rt.entryFree = rt.entries[ei].head
+		rt.entries[ei].head = 0
+		return ei
+	}
+	rt.entries = push(rt.entries, dEntry{})
+	return int32(len(rt.entries) - 1)
+}
+
+// freeEntry zeroes entry ei, dropping its renamed copy, and puts it on the
+// free list. The caller removes it from the table.
+func (rt *RT) freeEntry(ei int32) {
+	rt.entries[ei] = dEntry{head: rt.entryFree}
+	rt.entryFree = ei
 }
 
 // RT is the per-node DPA runtime instance.
@@ -364,8 +442,20 @@ type RT struct {
 	proto *Proto
 
 	ready   readyQueue
-	table   map[gptr.Ptr]*dEntry // fused M/D: fetch state + suspended threads
+	table   map[gptr.Ptr]int32 // fused M/D: pointer -> index into entries
 	waiting int
+
+	// Thread records (see DESIGN.md §6, "Thread records"). A thread is a
+	// template and two frame words; everything that holds threads is a slab
+	// linked by index, whose free lists end at -1.
+	entries     []dEntry   // M/D entry slab
+	entryFree   int32      // free entries, linked through head
+	waiters     []waiter   // suspended-thread slab
+	waiterFree  int32      // free waiter nodes, linked through next
+	tmpls       []Template // this phase's templates; a record's tmpl-1 indexes it
+	tmplBase    int        // ids issued on this arena before this phase
+	closures    []Thread   // Spawn's side-table: template 0's a0 is a slot here
+	closureFree []int32    // free closure slots
 
 	// dests holds all per-destination state (aggregation buffers,
 	// outstanding-request counts, RTT samples, run lists, planner
@@ -404,9 +494,10 @@ type RT struct {
 }
 
 // Arena is one node's runtime storage — the RT struct itself, the M/D and
-// seen maps' buckets, the free lists, the destination table with its request
-// buffers and run lists, the ready queues — kept by the driver across the
-// phases of one run so that only the first phase pays for building it. What
+// seen maps' buckets, the entry, waiter and closure slabs, the free lists,
+// the destination table with its request buffers and run lists, the ready
+// queues — kept by the driver across the phases of one run so that only the
+// first phase pays for building it. What
 // an arena carries is storage, never state: New empties every container and
 // re-initialises every counter, EWMA, controller and planner field, so a
 // runtime on a recycled arena is indistinguishable from one on a fresh arena
@@ -444,31 +535,42 @@ func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, a *Arena) *RT {
 }
 
 // recycle reduces the runtime to its storage: every container is emptied in
-// place (renamed copies retained to the end of the previous phase go back to
-// the entry free list) and carried over; every other field — counters, EWMAs,
-// controller and planner state, configuration, bindings — is zeroed by
-// omission from the literal, so nothing a new field adds can leak across
-// phases. On a zero RT it only creates the two maps.
+// place (dropping the renamed copies retained to the end of the previous
+// phase, its templates and any closure still parked) and carried over; every
+// other field — counters, EWMAs, controller and planner state, configuration,
+// bindings — is zeroed by omission from the literal, so nothing a new field
+// adds can leak across phases. Template ids die here: tmplBase moves past
+// every id the previous phases issued, so a stale one is unknown to SpawnT
+// rather than an alias of a new template. On a zero RT it only creates the
+// two maps.
 func (rt *RT) recycle() {
-	for _, e := range rt.table {
-		rt.pool.putEntry(e)
-	}
 	clear(rt.table)
 	clear(rt.seen)
+	clear(rt.entries)
+	clear(rt.tmpls)
+	clear(rt.closures)
 	rt.dests.reset()
 	*rt = RT{
-		table:    rt.table,
-		seen:     rt.seen,
-		pool:     rt.pool,
-		dests:    rt.dests,
-		ready:    readyQueue{items: rt.ready.items[:0]},
-		oq:       ownerQueue{order: rt.oq.order[:0]},
-		aggDests: rt.aggDests[:0],
-		trace:    rt.trace[:0],
-		plan:     planState{perm: rt.plan.perm},
+		table:       rt.table,
+		seen:        rt.seen,
+		pool:        rt.pool,
+		dests:       rt.dests,
+		entries:     rt.entries[:0],
+		entryFree:   -1,
+		waiters:     rt.waiters[:0],
+		waiterFree:  -1,
+		tmpls:       rt.tmpls[:0],
+		tmplBase:    rt.tmplBase + len(rt.tmpls),
+		closures:    rt.closures[:0],
+		closureFree: rt.closureFree[:0],
+		ready:       readyQueue{buf: rt.ready.buf},
+		oq:          ownerQueue{order: rt.oq.order[:0]},
+		aggDests:    rt.aggDests[:0],
+		trace:       rt.trace[:0],
+		plan:        planState{perm: rt.plan.perm},
 	}
 	if rt.table == nil {
-		rt.table = make(map[gptr.Ptr]*dEntry)
+		rt.table = make(map[gptr.Ptr]int32)
 		rt.seen = make(map[gptr.Ptr]struct{})
 	}
 }
@@ -479,25 +581,77 @@ func (rt *RT) Stats() stats.RTStats { return rt.st }
 // Err returns the runtime's degradation error, nil for a clean run.
 func (rt *RT) Err() error { return rt.err }
 
-// Spawn registers a thread labeled with pointer p — the paper's
-// thread-creation site. If p is local or replicated the thread is
-// immediately ready with a direct object reference (no table operation).
-// Otherwise M and D route it: an already-arrived renamed copy makes it
-// ready, an in-flight fetch queues it on M, and a fresh pointer enqueues a
-// request in the owner's aggregation buffer.
+// Template registers a thread body for the rest of the phase and returns the
+// id SpawnT takes. Apps register each creation site's body once per node per
+// phase; the id dies with the phase.
+func (rt *RT) Template(fn Template) int {
+	if fn == nil {
+		panic("core: Template with nil body")
+	}
+	rt.tmpls = append(rt.tmpls, fn)
+	return rt.tmplBase + len(rt.tmpls)
+}
+
+// SpawnT registers a thread labeled with pointer p — the paper's
+// thread-creation site: template id will run on p's object with the frame
+// words a0 and a1. If p is local or replicated the thread is immediately
+// ready with a direct object reference (no table operation). Otherwise M and
+// D route it: an already-arrived renamed copy makes it ready, an in-flight
+// fetch queues it on M, and a fresh pointer enqueues a request in the owner's
+// aggregation buffer.
+func (rt *RT) SpawnT(p gptr.Ptr, id int, a0, a1 uint64) {
+	tmpl := id - rt.tmplBase
+	if tmpl < 1 || tmpl > len(rt.tmpls) {
+		panic(fmt.Sprintf("core: SpawnT with unknown template id %d (%d registered this phase, ids %d..%d)",
+			id, len(rt.tmpls), rt.tmplBase+1, rt.tmplBase+len(rt.tmpls)))
+	}
+	rt.spawn(p, int32(tmpl), a0, a1)
+}
+
+// Spawn is SpawnT for a closure: the convenience form, for threads whose
+// frame does not fit two words. It parks fn in the closure side-table and
+// spawns the reserved template 0 on its slot, so a closure thread is the same
+// record on the same path as a template thread.
 func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
+	if fn == nil {
+		panic("core: Spawn with nil thread")
+	}
+	var slot int32
+	if n := len(rt.closureFree); n > 0 {
+		slot = rt.closureFree[n-1]
+		rt.closureFree = rt.closureFree[:n-1]
+		rt.closures[slot] = fn
+	} else {
+		slot = int32(len(rt.closures))
+		rt.closures = push(rt.closures, fn)
+	}
+	rt.spawn(p, 0, uint64(slot), 0)
+}
+
+// takeClosure empties a closure slot for its thread's dispatch (or abandon).
+func (rt *RT) takeClosure(slot uint64) Thread {
+	fn := rt.closures[slot]
+	rt.closures[slot] = nil
+	rt.closureFree = push(rt.closureFree, int32(slot))
+	return fn
+}
+
+func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 	if p.IsNil() {
 		panic("core: Spawn with nil pointer")
 	}
 	n := rt.EP.Node
 	n.Charge(sim.SchedOv, rt.Cfg.SpawnCost)
 	rt.st.Spawns++
+	// The thread as it will be once its object is at hand. iter rides along
+	// so a local spawn's thread tree (e.g. a traversal rooted at a replicated
+	// pointer) keeps attributing its remote references to the originating
+	// top-level iteration.
+	t := readyEntry{key: p.Key(), a0: a0, a1: a1, tmpl: tmpl, iter: rt.plan.curIter}
 	if rt.Space.LocalOrRepl(p, n.ID()) {
 		rt.st.LocalHits++
-		// iter rides along so a local spawn's thread tree (e.g. a traversal
-		// rooted at a replicated pointer) keeps attributing its remote
-		// references to the originating top-level iteration.
-		rt.pushReady(n.ID(), readyEntry{key: p.Key(), obj: rt.Space.Get(p), fn: fn, iter: rt.plan.curIter})
+		t.obj = rt.Space.Get(p)
+		rt.pushReady(n.ID(), t)
 		rt.trackPeak()
 		return
 	}
@@ -508,7 +662,8 @@ func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
 		// phase's owner-major shaping.
 		rt.plan.recAff[rt.plan.curIter] = int32(p.Node)
 	}
-	if e, ok := rt.table[p]; ok {
+	if ei, ok := rt.table[p]; ok {
+		e := &rt.entries[ei]
 		rt.st.Reuses++
 		if rt.plan.priorOn {
 			// The idle span this re-reference closes feeds the reuse-gap
@@ -519,19 +674,19 @@ func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
 		}
 		e.lastUse = rt.plan.stripIdx // reuse region stays open
 		if e.arrived {
-			rt.pushReady(int(p.Node), readyEntry{key: p.Key(), obj: e.obj, fn: fn, iter: rt.plan.curIter})
+			t.obj = e.obj
+			rt.pushReady(int(p.Node), t)
 		} else {
-			e.waiters = append(e.waiters, fn)
-			rt.waiting++
+			rt.suspend(e, tmpl, a0, a1)
 		}
 		rt.trackPeak()
 		return
 	}
-	e := rt.pool.getEntry()
-	e.waiters = append(e.waiters, fn)
+	ei := rt.newEntry()
+	e := &rt.entries[ei]
+	rt.suspend(e, tmpl, a0, a1)
 	e.lastUse = rt.plan.stripIdx
-	rt.table[p] = e
-	rt.waiting++
+	rt.table[p] = ei
 	rt.st.Fetches++
 	if _, dup := rt.seen[p]; dup {
 		// Fetched before and dropped since (a strip boundary): the refetch
@@ -706,14 +861,21 @@ func (rt *RT) abandonUnreachable() bool {
 		return false
 	}
 	progress := false
-	for p, e := range rt.table {
+	for p, ei := range rt.table {
+		e := &rt.entries[ei]
 		if e.arrived || !rt.EP.Unreachable(int(p.Node)) {
 			continue
 		}
-		rt.st.Abandoned += int64(len(e.waiters))
-		rt.waiting -= len(e.waiters)
+		rt.st.Abandoned += int64(e.n)
+		rt.waiting -= int(e.n)
+		for wi, k := e.head, e.n; k > 0; wi, k = rt.waiters[wi].next, k-1 {
+			if w := &rt.waiters[wi]; w.tmpl == 0 {
+				rt.takeClosure(w.a0)
+			}
+		}
+		rt.freeWaiters(e)
 		delete(rt.table, p)
-		rt.pool.putEntry(e)
+		rt.freeEntry(ei)
 		progress = true
 	}
 	for i := range rt.dests.slots {
@@ -755,7 +917,11 @@ func (rt *RT) runOne() {
 	n.Charge(sim.SchedOv, rt.Cfg.ExecCost)
 	n.Touch(e.key)
 	rt.st.ThreadsRun++
-	e.fn(e.obj)
+	if e.tmpl == 0 {
+		rt.takeClosure(e.a0)(e.obj)
+	} else {
+		rt.tmpls[e.tmpl-1](e.obj, e.a0, e.a1)
+	}
 	if rt.trc != nil {
 		rt.trc.EventDur(obs.KThread, t0, n.Now()-t0, int64(e.key), 0)
 	}
@@ -824,11 +990,13 @@ func (rt *RT) checkStripInvariant() {
 	}
 }
 
+// dropCopies empties the M/D table. Every fetch has landed (or was
+// abandoned) by the time a strip ends, so the whole entry slab is free.
 func (rt *RT) dropCopies() {
-	for _, e := range rt.table {
-		rt.pool.putEntry(e)
-	}
 	clear(rt.table)
+	clear(rt.entries)
+	rt.entries = rt.entries[:0]
+	rt.entryFree = -1
 	rt.arrivedBytes = 0
 }
 
@@ -841,49 +1009,60 @@ func (rt *RT) trackPeak() {
 	}
 }
 
-// readyEntry is a thread whose object is available. iter is the top-level
-// iteration the thread's tree originated from (-1 when unattributed), used
-// by the planner's affinity recording; it rides in the struct's padding.
+// readyEntry is a thread whose object is available: the thread record
+// (template and two frame words) plus the object it runs on. iter is the
+// top-level iteration the thread's tree originated from (-1 when
+// unattributed), used by the planner's affinity recording; it shares a word
+// with tmpl. The sizeof regression test pins the 48-byte layout.
 type readyEntry struct {
-	key  uint64
-	obj  gptr.Object
-	fn   Thread
-	iter int32
+	key    uint64
+	obj    gptr.Object
+	a0, a1 uint64
+	tmpl   int32 // 0: the closure in slot a0 of the side-table
+	iter   int32
 }
 
-// readyQueue is a FIFO of ready threads. FIFO order preserves the
-// contiguity of same-object groups released by one reply.
+// readyQueue is the queue of ready threads, a power-of-two ring: its
+// footprint is the peak ready count, not every thread pushed during a busy
+// period. FIFO order preserves the contiguity of same-object groups released
+// by one reply.
 type readyQueue struct {
-	items []readyEntry
-	head  int
+	buf  []readyEntry // len is zero or a power of two
+	head int          // index of the oldest entry
+	n    int          // queued entries
 }
 
-func (q *readyQueue) len() int { return len(q.items) - q.head }
+func (q *readyQueue) len() int { return q.n }
+
+// at returns the i-th oldest queued entry.
+func (q *readyQueue) at(i int) *readyEntry { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
 
 func (q *readyQueue) push(e readyEntry) {
-	q.items = append(q.items, e)
+	if q.n == len(q.buf) {
+		grown := make([]readyEntry, max(2*len(q.buf), 16))
+		for i := 0; i < q.n; i++ {
+			grown[i] = *q.at(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.n++
+	*q.at(q.n - 1) = e
 }
 
 func (q *readyQueue) pop() readyEntry {
-	e := q.items[q.head]
-	q.items[q.head] = readyEntry{} // release references
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
+	slot := q.at(0)
+	e := *slot
+	*slot = readyEntry{} // release references
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
 	return e
 }
 
 // popBack removes the most recently pushed entry (LIFO discipline).
 func (q *readyQueue) popBack() readyEntry {
-	last := len(q.items) - 1
-	e := q.items[last]
-	q.items[last] = readyEntry{}
-	q.items = q.items[:last]
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
+	slot := q.at(q.n - 1)
+	e := *slot
+	*slot = readyEntry{}
+	q.n--
 	return e
 }

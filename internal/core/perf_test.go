@@ -1,149 +1,197 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
+	"dpa/internal/fm"
 	"dpa/internal/gptr"
+	"dpa/internal/machine"
 )
 
-// wakeFixture fabricates the state onFetchReply hands to scatterReply: a
-// table of in-flight entries with suspended waiters and a reply batch
-// covering all of them. scatterReply touches only host-side runtime state
-// (table, owner queue, counters), so no machine or endpoint is needed.
-type wakeFixture struct {
-	rt      *RT
-	rep     *fetchReply
-	entries []*dEntry
-	waiters int
+// threadWorld is the real stack under the thread-record pins: a 2-node
+// machine, fm endpoints, and one runtime per node built by New on that node's
+// arena, phase after phase. Both nodes run the same program, each spawning on
+// its own objects or on the other's, so request and reply buffers flow both
+// ways and the free lists balance as they do under an application. Nothing of
+// the runtime is fabricated, so a pin here holds for the path the apps run.
+type threadWorld struct {
+	net    *fm.Net
+	proto  *Proto
+	space  *gptr.Space
+	ptrs   [2][]gptr.Ptr // each node's objects
+	arenas [2]Arena
+	priors [2]PriorTable
 }
 
-func newWakeFixture(nodes, ptrs, waiters int) *wakeFixture {
-	space := gptr.NewSpace(nodes)
-	rt := &RT{table: make(map[gptr.Ptr]*dEntry), adaptive: true, nodes: nodes}
-	f := &wakeFixture{rt: rt, rep: &fetchReply{}, waiters: waiters}
-	fn := func(gptr.Object) {}
-	for i := 0; i < ptrs; i++ {
-		p := space.Alloc(1, obj{id: i})
-		e := &dEntry{}
-		for w := 0; w < waiters; w++ {
-			e.waiters = append(e.waiters, fn)
-		}
-		rt.table[p] = e
-		f.rep.ptrs = append(f.rep.ptrs, p)
-		f.rep.objs = append(f.rep.objs, obj{id: i})
-		f.entries = append(f.entries, e)
-	}
-	f.arm()
-	return f
-}
-
-// arm (re)suspends every waiter so one more scatter/drain round can run. It
-// reuses the slices grown by earlier rounds, so steady-state rounds are
-// allocation-free — which is exactly what the zero-alloc test asserts.
-func (f *wakeFixture) arm() {
-	fn := func(gptr.Object) {}
-	for _, e := range f.entries {
-		e.arrived = false
-		e.obj = nil
-		e.waiters = e.waiters[:0]
-		for w := 0; w < f.waiters; w++ {
-			e.waiters = append(e.waiters, fn)
+func newThreadWorld(objs int) *threadWorld {
+	net := fm.NewNet()
+	w := &threadWorld{net: net, proto: RegisterProto(net), space: gptr.NewSpace(2)}
+	for node := range w.ptrs {
+		for i := 0; i < objs; i++ {
+			w.ptrs[node] = append(w.ptrs[node], w.space.Alloc(node, obj{id: i}))
 		}
 	}
-	f.rt.waiting = len(f.entries) * f.waiters
-	f.rt.arrivedBytes = 0
+	return w
 }
 
-// round delivers the batch and runs every woken thread to exhaustion.
-func (f *wakeFixture) round() {
-	f.rt.scatterReply(1, f.rep)
-	for f.rt.oq.len() > 0 {
-		e := f.rt.oq.pop(&f.rt.dests)
-		e.fn(e.obj)
+// threadKinds are the three ways a spawn can go: the object is the node's
+// own, it is one remote object every thread shares (one fetch, then waiters
+// and reuses), or every thread has a remote object of its own.
+var threadKinds = []string{"local", "reuse", "fetch"}
+
+func (w *threadWorld) target(me int, kind string, i int) gptr.Ptr {
+	switch kind {
+	case "local":
+		return w.ptrs[me][i]
+	case "reuse":
+		return w.ptrs[1-me][0]
 	}
+	return w.ptrs[1-me][i%len(w.ptrs[1-me])]
 }
 
-func TestScatterReplySteadyStateAllocsNothing(t *testing.T) {
-	f := newWakeFixture(4, 64, 4)
-	f.round() // warm-up sizes the run lists and owner order
-	allocs := testing.AllocsPerRun(100, func() {
-		f.arm()
-		f.round()
+// phase runs one phase in which each node spawns n threads of the given kind
+// — templates, or with closure set the closure form sharing one fn — and
+// returns the heap objects the host allocated for it, machine included, and
+// how many threads ran. after, if set, runs on each node once its loop has
+// drained.
+func (w *threadWorld) phase(t testing.TB, cfg Config, kind string, n int, closure bool, after func(rt *RT)) (mallocs uint64, ran int) {
+	t.Helper()
+	mcfg := machine.DefaultT3D(2)
+	// The data-cache model (a map) grows with the distinct objects a node
+	// touches until it is full; one line is full from the first touch.
+	mcfg.CacheLines = 1
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	var count [2]int
+	_, err := machine.New(mcfg).Run(func(nd *machine.Node) {
+		me := nd.ID()
+		ep := fm.NewEP(w.net, nd)
+		rt := New(w.proto, ep, w.space, cfg, &w.arenas[me])
+		if cfg.Prior {
+			rt.AttachPrior(&w.priors[me])
+		}
+		fn := func(gptr.Object) { count[me]++ }
+		id := rt.Template(func(gptr.Object, uint64, uint64) { count[me]++ })
+		rt.ForAll(n, func(i int) {
+			if closure {
+				rt.Spawn(w.target(me, kind, i), fn)
+			} else {
+				rt.SpawnT(w.target(me, kind, i), id, uint64(i), 0)
+			}
+		})
+		if after != nil {
+			after(rt)
+		}
+		if cfg.Prior {
+			rt.FoldPrior()
+		}
+		ep.Barrier()
 	})
-	if allocs != 0 {
-		t.Fatalf("batched reply scatter allocated %.1f times per round, want 0", allocs)
+	runtime.ReadMemStats(&ms1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms1.Mallocs - ms0.Mallocs, count[0] + count[1]
+}
+
+// warmMallocs is what a phase of n threads per node allocates once an earlier
+// phase of the same shape has warmed the arenas. The Go runtime may allocate
+// behind the measurement's back (a GC worker starting, say); the smallest of
+// a few tries is the program's own figure.
+func warmMallocs(t *testing.T, cfg Config, kind string, n int, closure bool) uint64 {
+	t.Helper()
+	w := newThreadWorld(n)
+	w.phase(t, cfg, kind, n, closure, nil)
+	least := ^uint64(0)
+	for try := 0; try < 5; try++ {
+		m, ran := w.phase(t, cfg, kind, n, closure, nil)
+		if ran != 2*n {
+			t.Fatalf("%s: %d of %d threads ran", kind, ran, 2*n)
+		}
+		least = min(least, m)
+	}
+	return least
+}
+
+// TestThreadsAllocateNothing pins the thread record: a spawned thread — ready
+// at once, suspended on an in-flight fetch, or the first waiter of a fresh
+// entry — is a value in a recycled slab, so on a warm arena a phase of 4096
+// threads allocates exactly what a phase of 64 does. The difference cancels
+// everything a phase and its messages cost by themselves and leaves the
+// per-thread term, which must be zero for templates and for the closure form
+// alike (the closure is the caller's; its slot in the side-table is recycled).
+func TestThreadsAllocateNothing(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"static", staticCfg()}, {"planned", shapedCfg()}} {
+		for _, kind := range threadKinds {
+			for _, closure := range []bool{false, true} {
+				form := map[bool]string{false: "template", true: "closure"}[closure]
+				t.Run(c.name+"/"+kind+"/"+form, func(t *testing.T) {
+					small := warmMallocs(t, c.cfg, kind, 64, closure)
+					large := warmMallocs(t, c.cfg, kind, 4096, closure)
+					t.Logf("%d mallocs at 64 threads, %d at 4096", small, large)
+					if small != large {
+						t.Errorf("a phase of 4096 threads allocates %d objects, one of 64 allocates %d: %.3f per thread, want 0",
+							large, small, (float64(large)-float64(small))/(4096-64))
+					}
+				})
+			}
+		}
 	}
 }
 
-// recycle is the phase seam as the runtime sees it: New's reset of a recycled
-// arena, then the same fetch state rebuilt — table entries drawn from the
-// free list the reset returned them to, re-keyed into the emptied map.
-func (f *wakeFixture) recycle() {
-	nodes := f.rt.nodes
-	f.rt.recycle()
-	f.rt.adaptive, f.rt.nodes = true, nodes
-	for i, p := range f.rep.ptrs {
-		e := f.rt.pool.getEntry()
-		f.rt.table[p] = e
-		f.entries[i] = e
-	}
-	f.arm()
+// wakePhase runs one owner-major phase on w — a world of ptrs objects per
+// node — in which each node suspends waiters threads on every object of the
+// other before any reply can land (one strip, so the whole batch is in flight
+// together), and returns how many threads ran.
+func wakePhase(t testing.TB, w *threadWorld, waiters int, after func(rt *RT)) int {
+	cfg := staticCfg()
+	cfg.Strip, cfg.Planner = 0, true
+	_, ran := w.phase(t, cfg, "fetch", waiters*len(w.ptrs[0]), false, after)
+	return ran
 }
 
-// TestScatterReplyOnRecycledArenaAllocsNothing extends the steady-state pin
-// across the phase seam: on a recycled arena the very first fetch → reply →
-// scatter → run round of a phase — no warm-up inside the phase — allocates
-// nothing, because the map buckets, pooled entries with their waiter lists,
-// destination slots, run lists and the owner FIFO all survived the reset.
-func TestScatterReplyOnRecycledArenaAllocsNothing(t *testing.T) {
-	f := newWakeFixture(4, 64, 4)
-	f.round() // the first phase builds the storage
-	allocs := testing.AllocsPerRun(100, func() {
-		f.recycle()
-		f.round()
-	})
-	if allocs != 0 {
-		t.Fatalf("first round of a phase on a recycled arena allocated %.1f times, want 0", allocs)
-	}
-	if f.rt.oq.len() != 0 || f.rt.waiting != 0 || len(f.rt.table) != 64 {
-		t.Fatalf("recycled rounds did not run the full batch: queued=%d waiting=%d table=%d",
-			f.rt.oq.len(), f.rt.waiting, len(f.rt.table))
-	}
-}
-
+// TestScatterReplyWakesAllWaitersOnce: the batched reply path wakes every
+// suspended thread of every pointer a reply carries exactly once, and a
+// second delivery of the same — by then arrived — batch wakes nothing.
 func TestScatterReplyWakesAllWaitersOnce(t *testing.T) {
-	f := newWakeFixture(4, 16, 3)
-	f.rt.scatterReply(1, f.rep)
-	if got, want := f.rt.oq.len(), 16*3; got != want {
-		t.Fatalf("owner queue holds %d entries, want %d", got, want)
-	}
-	if f.rt.waiting != 0 {
-		t.Fatalf("waiting = %d after scatter, want 0", f.rt.waiting)
-	}
-	// A second delivery of the same (now arrived) batch must wake nothing.
-	f.rt.scatterReply(1, f.rep)
-	if got := f.rt.oq.len(); got != 16*3 {
-		t.Fatalf("duplicate delivery changed queue length to %d", got)
+	const ptrs, waiters = 16, 3
+	ran := wakePhase(t, newThreadWorld(ptrs), waiters, func(rt *RT) {
+		if rt.waiting != 0 || rt.oq.len() != 0 {
+			t.Fatalf("after the drain: waiting=%d queued=%d, want 0 and 0", rt.waiting, rt.oq.len())
+		}
+		if st := rt.Stats(); st.Fetches != ptrs || st.Reuses != ptrs*(waiters-1) {
+			t.Fatalf("%d fetches and %d reuses, want %d and %d: the threads did not share in-flight entries",
+				st.Fetches, st.Reuses, ptrs, ptrs*(waiters-1))
+		}
+		rep := &fetchReply{}
+		for p := range rt.table {
+			rep.ptrs = append(rep.ptrs, p)
+			rep.objs = append(rep.objs, rt.Space.Get(p))
+		}
+		rt.scatterReply(int(rep.ptrs[0].Node), rep)
+		if rt.oq.len() != 0 || rt.waiting != 0 {
+			t.Fatalf("duplicate delivery woke threads: queued=%d waiting=%d", rt.oq.len(), rt.waiting)
+		}
+	})
+	if ran != 2*ptrs*waiters {
+		t.Fatalf("%d threads ran, want %d", ran, 2*ptrs*waiters)
 	}
 }
 
 func BenchmarkOwnerMajorWake(b *testing.B) {
-	for _, cfg := range []struct {
-		name          string
-		ptrs, waiters int
-	}{
-		{"16ptrs x 1waiter", 16, 1},
-		{"16ptrs x 4waiters", 16, 4},
-		{"128ptrs x 4waiters", 128, 4},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			f := newWakeFixture(16, cfg.ptrs, cfg.waiters)
-			f.round()
+	for _, c := range []struct{ ptrs, waiters int }{{16, 1}, {16, 4}, {128, 4}} {
+		b.Run(fmt.Sprintf("%dptrs x %dwaiters", c.ptrs, c.waiters), func(b *testing.B) {
+			w := newThreadWorld(c.ptrs)
+			wakePhase(b, w, c.waiters, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.arm()
-				f.round()
+				wakePhase(b, w, c.waiters, nil)
 			}
 		})
 	}

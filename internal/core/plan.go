@@ -1,6 +1,7 @@
 package core
 
 import (
+	"dpa/internal/gptr"
 	"dpa/internal/obs"
 )
 
@@ -132,30 +133,32 @@ func (rt *RT) endStripPlanned() {
 		// exactly-once contract with a refetch. Release the provably stale
 		// tail first (idle longer than the observed ceiling); only when that
 		// is not enough fall back to the closed-region rule below.
-		for p, e := range rt.table {
-			if cur-e.lastUse > w {
-				rt.arrivedBytes -= int64(e.obj.ByteSize())
-				delete(rt.table, p)
-				rt.pool.putEntry(e)
-				rt.st.RegionReleases++
+		for p, ei := range rt.table {
+			if cur-rt.entries[ei].lastUse > w {
+				rt.release(p, ei)
 			}
 		}
 		if rt.arrivedBytes <= rt.ctl.memBudget {
 			return
 		}
 	}
-	for p, e := range rt.table {
-		if e.lastUse < cur {
-			rt.arrivedBytes -= int64(e.obj.ByteSize())
-			delete(rt.table, p)
-			rt.pool.putEntry(e)
-			rt.st.RegionReleases++
+	for p, ei := range rt.table {
+		if rt.entries[ei].lastUse < cur {
+			rt.release(p, ei)
 		}
 	}
 	if rt.arrivedBytes > rt.ctl.memBudget {
 		rt.plan.overBudget = true
 		rt.dropCopies()
 	}
+}
+
+// release drops p's arrived copy, whose reuse region has closed.
+func (rt *RT) release(p gptr.Ptr, ei int32) {
+	rt.arrivedBytes -= int64(rt.entries[ei].obj.ByteSize())
+	delete(rt.table, p)
+	rt.freeEntry(ei)
+	rt.st.RegionReleases++
 }
 
 // planMispredicted checks the model's promise against the strip's outcome:

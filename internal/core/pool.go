@@ -22,11 +22,11 @@ func put[T any](list []T, v T) []T {
 	return list
 }
 
-// pools are the per-node free lists behind the fetch protocol and the fused
-// M/D table. Every buffer is only ever touched by the node currently holding
-// it — requests and replies move between nodes by message passing, and a
-// handler recycles a buffer only after it has fully consumed it — so the
-// lists need no locking even under the parallel engine. Recycling affects
+// pools are the per-node free lists behind the fetch protocol. Every buffer
+// is only ever touched by the node currently holding it — requests and
+// replies move between nodes by message passing, and a handler recycles a
+// buffer only after it has fully consumed it — so the lists need no locking
+// even under the parallel engine. Recycling affects
 // host allocations only, never simulated time, so it cannot perturb the
 // bit-identical determinism contract. The lists survive from phase to phase
 // inside the node's Arena.
@@ -35,7 +35,6 @@ type pools struct {
 	replies []*fetchReply
 	ptrs    [][]gptr.Ptr
 	objs    [][]gptr.Object
-	entries []*dEntry
 }
 
 func (pl *pools) getReq() *fetchReq {
@@ -97,22 +96,4 @@ func (pl *pools) putObjs(s []gptr.Object) {
 	}
 	clear(s) // drop object references so renamed copies can be collected
 	pl.objs = put(pl.objs, s[:0])
-}
-
-func (pl *pools) getEntry() *dEntry {
-	if n := len(pl.entries); n > 0 {
-		e := pl.entries[n-1]
-		pl.entries = pl.entries[:n-1]
-		return e
-	}
-	return &dEntry{}
-}
-
-func (pl *pools) putEntry(e *dEntry) {
-	e.obj = nil
-	e.arrived = false
-	e.lastUse = 0
-	clear(e.waiters)
-	e.waiters = e.waiters[:0]
-	pl.entries = put(pl.entries, e)
 }

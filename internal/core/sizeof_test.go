@@ -1,15 +1,18 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
+
+	"dpa/internal/gptr"
 )
 
 // Layout budgets for the runtime's hot structs (64-bit platforms). dEntry is
-// the fused M/D table entry — one per renamed copy, pooled and recycled, and
-// the planner's reuse-region stamp had to fit in its padding rather than grow
-// it. destState is the per-touched-owner slot that replaced nine dense
-// per-node arrays. fetchReq/fetchReply are the free-list nodes the fetch protocol recycles
+// the fused M/D table entry — one slab element per renamed copy. waiter and
+// readyEntry are the thread record suspended and ready: outstanding-thread
+// memory is PeakOutstanding times one of the two. destState is the
+// per-touched-owner slot that replaced nine dense per-node arrays. fetchReq/fetchReply are the free-list nodes the fetch protocol recycles
 // on every aggregation batch. A failing test here means a field was added
 // without repacking: either restore the layout or raise the budget in the
 // same change with a justification.
@@ -22,10 +25,16 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		size   uintptr
 		budget uintptr
 	}{
-		// Object interface (2 words) + waiters slice (3 words) + lastUse
-		// (int32) + arrived (bool) packed into the final word: the reuse-
-		// region stamp rides the padding that was already there.
-		{"core.dEntry", unsafe.Sizeof(dEntry{}), 48},
+		// Object interface (2 words) + the waiter chain's head, tail and
+		// count and the reuse-region stamp (four int32, 2 words) + arrived
+		// (bool) in a word of its own.
+		{"core.dEntry", unsafe.Sizeof(dEntry{}), 40},
+		// A suspended thread: two frame words + template and next-node
+		// index (int32 each) sharing the third.
+		{"core.waiter", unsafe.Sizeof(waiter{}), 24},
+		// A ready thread: object key, Object interface (2 words), two frame
+		// words, template and iteration stamp (int32 each) sharing the last.
+		{"core.readyEntry", unsafe.Sizeof(readyEntry{}), 48},
 		// One slot of the destination table, per touched owner: two slice
 		// headers (request buffer, run list), three 8-byte words (RTT EWMA,
 		// sample start, phase fetch total), six int32 and two bools packed
@@ -46,6 +55,53 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		if c.size > c.budget {
 			t.Errorf("%s grew to %d bytes, over its %d-byte budget; repack or re-justify",
 				c.name, c.size, c.budget)
+		}
+	}
+}
+
+// TestThreadSlabsHoldNoPointers pins the property that takes the waiter slab
+// and the M/D map out of the collector's scanning: neither the waiter node
+// nor the map's key and value types contain anything the collector follows.
+// The slab layout alone does not give that — a func or interface field added
+// to the thread record later would lose it silently.
+func TestThreadSlabsHoldNoPointers(t *testing.T) {
+	var pointerFree func(ty reflect.Type) bool
+	pointerFree = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return true
+		case reflect.Array:
+			return pointerFree(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !pointerFree(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false // pointer, func, interface, slice, map, chan, string, unsafe pointer
+	}
+	table := reflect.TypeOf(RT{}.table)
+	for _, c := range []struct {
+		name string
+		ty   reflect.Type
+	}{
+		{"waiter", reflect.TypeOf(waiter{})},
+		{"M/D map key", table.Key()},
+		{"M/D map value", table.Elem()},
+	} {
+		if !pointerFree(c.ty) {
+			t.Errorf("%s (%v) holds a pointer: the collector scans every element again", c.name, c.ty)
+		}
+	}
+	// The walk itself must know a pointer when it sees one.
+	for _, ty := range []reflect.Type{reflect.TypeOf(readyEntry{}), reflect.TypeOf(dEntry{}),
+		reflect.TypeOf(Thread(nil)), reflect.TypeOf([1]*int{}), reflect.TypeOf(struct{ o gptr.Object }{})} {
+		if pointerFree(ty) {
+			t.Errorf("the walk calls %v pointer-free", ty)
 		}
 	}
 }

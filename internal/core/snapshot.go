@@ -31,9 +31,10 @@ func (rp *fetchReply) SnapshotFingerprint() uint64 {
 // fused M/D table (sorted by pointer key — map iteration order must not leak
 // into the encoding), aggregation buffers in FIFO order, ready queues,
 // controller and planner state, and the per-phase statistics counters.
-// Thread closures are not serializable; a suspended thread is represented by
-// its count on the table entry (restore is by deterministic re-execution, so
-// the encoding only has to witness equality, not rebuild closures).
+// A suspended thread is represented by its count on the table entry: template
+// ids, closure slots and slab indices are host-side names that never reach an
+// encoding (restore is by deterministic re-execution, so the encoding only
+// has to witness equality, not rebuild threads).
 func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Int(rt.EP.Node.ID())
 	w.Int(rt.waiting)
@@ -55,11 +56,11 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	sort.Slice(ptrs, func(a, b int) bool { return ptrs[a].Key() < ptrs[b].Key() })
 	w.Int(len(ptrs))
 	for _, p := range ptrs {
-		e := rt.table[p]
+		e := &rt.entries[rt.table[p]]
 		w.U64(p.Key())
 		w.Bool(e.arrived)
 		w.U32(uint32(e.lastUse))
-		w.Int(len(e.waiters))
+		w.Int(int(e.n))
 		if e.obj != nil {
 			w.Int(e.obj.ByteSize())
 		} else {
@@ -111,8 +112,8 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	// replay); order matters, so fold in queue order.
 	w.Int(rt.ready.len())
 	h = uint64(rt.ready.len())
-	for i := rt.ready.head; i < len(rt.ready.items); i++ {
-		h = sim.MixFP(h, rt.ready.items[i].key)
+	for i := 0; i < rt.ready.len(); i++ {
+		h = sim.MixFP(h, rt.ready.at(i).key)
 	}
 	w.U64(h)
 	w.Int(rt.oq.len())

@@ -1,0 +1,205 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+
+	"dpa/internal/fm"
+	"dpa/internal/gptr"
+	"dpa/internal/machine"
+	"dpa/internal/sim"
+)
+
+// FuzzReadyQueue drives the ring through a random push/pop/popBack sequence
+// against a plain slice — the queue it replaced — and compares every popped
+// entry and, after every step, the queue's contents in order. Each input byte
+// is one step: mostly pushes while its top bit is set, mostly pops otherwise,
+// so sequences wrap around the ring, grow it while wrapped, and drain it.
+func FuzzReadyQueue(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x80, 0x80, 0x00, 0x01, 0x00})
+	// Fill the first ring exactly, pop a few from the front, wrap around,
+	// then grow while wrapped.
+	wrap := bytes.Repeat([]byte{0x80}, 16)
+	wrap = append(wrap, 0, 0, 0, 0, 0)
+	wrap = append(wrap, bytes.Repeat([]byte{0x81}, 40)...)
+	wrap = append(wrap, bytes.Repeat([]byte{0x00, 0x01}, 30)...)
+	f.Add(wrap)
+	// LIFO only, and FIFO and LIFO interleaved across two growths.
+	f.Add(append(bytes.Repeat([]byte{0x82}, 20), bytes.Repeat([]byte{0x01}, 20)...))
+	f.Add(bytes.Repeat([]byte{0x80, 0x81, 0x82, 0x00, 0x83, 0x01, 0x84}, 12))
+
+	f.Fuzz(func(t *testing.T, steps []byte) {
+		var q readyQueue
+		var model []readyEntry
+		next := uint64(1)
+		for i, b := range steps {
+			push := b&7 < 6
+			if b&0x80 == 0 {
+				push = b&7 >= 6
+			}
+			switch {
+			case push:
+				e := readyEntry{key: next, a0: next * 3, a1: ^next, tmpl: int32(next % 5), iter: int32(i)}
+				next++
+				q.push(e)
+				model = append(model, e)
+			case len(model) == 0:
+				// nothing to pop
+			case b&1 == 0:
+				if got, want := q.pop(), model[0]; got != want {
+					t.Fatalf("step %d: pop = %+v, want %+v", i, got, want)
+				}
+				model = model[1:]
+			default:
+				last := len(model) - 1
+				if got, want := q.popBack(), model[last]; got != want {
+					t.Fatalf("step %d: popBack = %+v, want %+v", i, got, want)
+				}
+				model = model[:last]
+			}
+			if q.len() != len(model) {
+				t.Fatalf("step %d: len = %d, want %d", i, q.len(), len(model))
+			}
+			for j := range model {
+				if *q.at(j) != model[j] {
+					t.Fatalf("step %d: entry %d = %+v, want %+v", i, j, *q.at(j), model[j])
+				}
+			}
+			if n := len(q.buf); n&(n-1) != 0 || n < q.len() {
+				t.Fatalf("step %d: ring of %d slots holds %d entries", i, n, q.len())
+			}
+		}
+	})
+}
+
+// crashSeed returns a fault seed under which exactly node doomed, of nodes,
+// is scheduled to crash.
+func crashSeed(t *testing.T, nodes, doomed int, fp sim.FaultParams) uint64 {
+	t.Helper()
+	for fp.Seed = 1; fp.Seed < 1<<16; fp.Seed++ {
+		plan := sim.NewFaultPlan(fp)
+		ok := true
+		for n := 0; n < nodes && ok; n++ {
+			_, d := plan.CrashTime(n)
+			ok = d == (n == doomed)
+		}
+		if ok {
+			return fp.Seed
+		}
+	}
+	t.Fatal("no seed dooms exactly the requested node")
+	return 0
+}
+
+// TestWaitersRunInSpawnOrder: threads suspended on one in-flight pointer run
+// in the order they were spawned, back to back, however their chain's nodes
+// are scattered over the waiter slab. Node 0 spawns k threads on each of two
+// objects of node 1, alternating between the two — and between the template
+// and the closure form — so the two chains interleave in the slab; a second
+// round on two more objects then builds its chains from the free list the
+// first round's wake left, which is in neither spawn nor index order. In the
+// abandoned rows node 0 first does the same on two objects of node 2, which
+// has crashed: those chains go back to the free list, closures and all,
+// through abandonUnreachable instead of a wake.
+func TestWaitersRunInSpawnOrder(t *testing.T) {
+	const nodes, k = 3, 7
+	planned := staticCfg()
+	planned.Planner = true
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		abandon bool
+	}{
+		{"static", staticCfg(), false},
+		{"planned", planned, false},
+		{"static/abandoned", staticCfg(), true},
+		{"planned/abandoned", planned, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mcfg := machine.DefaultT3D(nodes)
+			if c.abandon {
+				fp := sim.FaultParams{CrashRate: 0.5, CrashAt: 1000}
+				fp.Seed = crashSeed(t, nodes, 2, fp)
+				mcfg.Faults = machine.FaultConfig{FaultParams: fp, Reliable: true, RelRTO: 2048, RelMaxRetries: 3}
+			}
+			net := fm.NewNet()
+			proto := RegisterProto(net)
+			space := gptr.NewSpace(nodes)
+			var first, second, dead [2]gptr.Ptr
+			for i := range first {
+				first[i] = space.Alloc(1, obj{id: i})
+				second[i] = space.Alloc(1, obj{id: 10 + i})
+				dead[i] = space.Alloc(2, obj{id: 20 + i})
+			}
+
+			var log []string
+			// round spawns the 2k interleaved threads on the pair and drains.
+			round := func(rt *RT, id int, pair [2]gptr.Ptr, tag string) {
+				rt.ForAll(1, func(int) {
+					for i := 0; i < 2*k; i++ {
+						which, seq := i%2, i/2
+						if seq%2 == 0 {
+							rt.SpawnT(pair[which], id, uint64(which), uint64(seq))
+						} else {
+							rt.Spawn(pair[which], func(gptr.Object) {
+								log = append(log, fmt.Sprintf("%s%d.%d", tag, which, seq))
+							})
+						}
+					}
+				})
+			}
+			_, err := machine.New(mcfg).Run(func(nd *machine.Node) {
+				ep := fm.NewEP(net, nd)
+				rt := New(proto, ep, space, c.cfg, nil)
+				switch nd.ID() {
+				case 0:
+					tag := "a"
+					id := rt.Template(func(_ gptr.Object, which, seq uint64) {
+						log = append(log, fmt.Sprintf("%s%d.%d", tag, which, seq))
+					})
+					if c.abandon {
+						for nd.Now() < 50_000 { // node 2 goes down; keep acking node 1
+							nd.Charge(sim.Compute, 500)
+							ep.Poll()
+						}
+						round(rt, id, dead, "x")
+						if got := rt.Stats().Abandoned; got != 2*k {
+							t.Errorf("%d threads abandoned, want %d", got, 2*k)
+						}
+						if rt.waiting != 0 || len(rt.closureFree) != len(rt.closures) {
+							t.Errorf("abandon left waiting=%d and %d of %d closure slots taken",
+								rt.waiting, len(rt.closures)-len(rt.closureFree), len(rt.closures))
+						}
+					}
+					round(rt, id, first, tag)
+					tag = "b"
+					round(rt, id, second, tag)
+				case 2:
+					if c.abandon {
+						for { // serve until the scheduled crash unwinds the node
+							ep.WaitAndDispatch()
+						}
+					}
+				}
+				ep.Barrier()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, tag := range []string{"a", "b"} {
+				for which := 0; which < 2; which++ {
+					for seq := 0; seq < k; seq++ {
+						want = append(want, fmt.Sprintf("%s%d.%d", tag, which, seq))
+					}
+				}
+			}
+			if !slices.Equal(log, want) {
+				t.Errorf("threads ran in order\n  %v\nwant\n  %v", log, want)
+			}
+		})
+	}
+}

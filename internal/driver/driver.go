@@ -20,7 +20,17 @@ import (
 // Runtime is the common surface of the three runtimes. Applications are
 // written against it once and run under any scheme.
 type Runtime interface {
-	// Spawn registers a pointer-labeled non-blocking thread.
+	// Template registers a thread body — one per creation site, once per
+	// node per phase — and returns the id SpawnT takes. The id is valid on
+	// this runtime until the phase ends.
+	Template(fn func(obj gptr.Object, a0, a1 uint64)) int
+	// SpawnT registers a pointer-labeled non-blocking thread: template id
+	// will run on p's object with the frame words a0 and a1. Under DPA a
+	// thread spawned this way is a pointer-free value and costs no host
+	// allocation.
+	SpawnT(p gptr.Ptr, id int, a0, a1 uint64)
+	// Spawn is the closure convenience over SpawnT, for a thread whose frame
+	// does not fit two words.
 	Spawn(p gptr.Ptr, fn func(obj gptr.Object))
 	// Drain completes all spawned (and transitively spawned) work.
 	Drain()
@@ -33,11 +43,12 @@ type Runtime interface {
 	Err() error
 }
 
-// Interface conformance (compile-time checks via adapters below).
+// Interface conformance (the baselines through templated, below).
 var (
-	_ Runtime = (*coreAdapter)(nil)
-	_ Runtime = (*cachingAdapter)(nil)
-	_ Runtime = (*blockingAdapter)(nil)
+	_ Runtime        = (*core.RT)(nil)
+	_ Runtime        = (*templated)(nil)
+	_ closureRuntime = (*caching.RT)(nil)
+	_ closureRuntime = (*blocking.RT)(nil)
 )
 
 // Kind names a runtime scheme.
@@ -189,20 +200,37 @@ func (s Spec) String() string {
 	return string(s.Kind)
 }
 
-// Adapters: each runtime's Spawn takes its own Thread type; the adapters
-// unify them under the interface.
+// core.RT is a Runtime as it stands. The two baselines have no thread records:
+// closureRuntime is what they implement, and templated adds the template form
+// by keeping the templates here and spawning a closure over the frame.
+type closureRuntime interface {
+	Spawn(p gptr.Ptr, fn func(obj gptr.Object))
+	Drain()
+	ForAll(n int, spawnIter func(i int))
+	Stats() stats.RTStats
+	Err() error
+}
 
-type coreAdapter struct{ *core.RT }
+type templated struct {
+	closureRuntime
+	tmpls []core.Template // ids count from 1
+}
 
-func (a coreAdapter) Spawn(p gptr.Ptr, fn func(gptr.Object)) { a.RT.Spawn(p, fn) }
+func (a *templated) Template(fn core.Template) int {
+	if fn == nil {
+		panic("driver: Template with nil body")
+	}
+	a.tmpls = append(a.tmpls, fn)
+	return len(a.tmpls)
+}
 
-type cachingAdapter struct{ *caching.RT }
-
-func (a cachingAdapter) Spawn(p gptr.Ptr, fn func(gptr.Object)) { a.RT.Spawn(p, fn) }
-
-type blockingAdapter struct{ *blocking.RT }
-
-func (a blockingAdapter) Spawn(p gptr.Ptr, fn func(gptr.Object)) { a.RT.Spawn(p, fn) }
+func (a *templated) SpawnT(p gptr.Ptr, id int, a0, a1 uint64) {
+	if id < 1 || id > len(a.tmpls) {
+		panic(fmt.Sprintf("driver: SpawnT with unknown template id %d (%d registered this phase)", id, len(a.tmpls)))
+	}
+	fn := a.tmpls[id-1]
+	a.Spawn(p, func(o gptr.Object) { fn(o, a0, a1) })
+}
 
 // Protos bundles the three runtimes' registered protocols on one net.
 type Protos struct {
@@ -238,11 +266,11 @@ func (p *Protos) newRuntime(spec Spec, ep *fm.EP, space *gptr.Space, arena *core
 	}
 	switch spec.Kind {
 	case DPA:
-		return coreAdapter{core.New(p.core, ep, space, spec.Core, arena)}, nil
+		return core.New(p.core, ep, space, spec.Core, arena), nil
 	case Caching:
-		return cachingAdapter{caching.New(p.caching, ep, space, spec.Caching)}, nil
+		return &templated{closureRuntime: caching.New(p.caching, ep, space, spec.Caching)}, nil
 	case Blocking:
-		return blockingAdapter{blocking.New(p.blocking, ep, space, spec.Blocking)}, nil
+		return &templated{closureRuntime: blocking.New(p.blocking, ep, space, spec.Blocking)}, nil
 	}
 	panic("driver: unreachable kind " + string(spec.Kind)) // Validate rejected it
 }

@@ -2,6 +2,8 @@ package driver
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"dpa/internal/core"
@@ -280,5 +282,69 @@ func TestPriorStoreArenaLifetime(t *testing.T) {
 	}
 	if store.arenas != nil {
 		t.Fatal("arenas survived a degraded phase")
+	}
+}
+
+// TestBadThreadRejectedAtCreationSite: a nil thread, a nil template body and
+// a template id the runtime does not know panic at the call that passed them,
+// with a message naming the culprit — not one round trip later inside the
+// scheduler with a bare nil dereference. Under every runtime and both engines
+// the panic reaches RunPhase's caller.
+func TestBadThreadRejectedAtCreationSite(t *testing.T) {
+	space := gptr.NewSpace(2)
+	remote := space.Alloc(1, thing{id: 1})
+	// stale is a template id of an earlier phase on the same store: the DPA
+	// arenas are recycled, and the id must have died with its phase.
+	stale := func(spec Spec) (*PriorStore, int) {
+		store, id := NewPriorStore(), 0
+		RunPhase(machine.DefaultT3D(2), space, spec, func(rt Runtime, ep *fm.EP, nd *machine.Node) {
+			if nd.ID() == 0 {
+				id = rt.Template(func(gptr.Object, uint64, uint64) {})
+			}
+		}, WithPriors(store, "k"))
+		return store, id
+	}
+	cases := []struct {
+		name string
+		bad  func(rt Runtime, staleID int)
+		want map[Kind]string
+	}{
+		{"Spawn(p, nil)", func(rt Runtime, _ int) { rt.Spawn(remote, nil) }, map[Kind]string{
+			DPA: "core: Spawn with nil thread", Caching: "caching: Spawn with nil thread", Blocking: "blocking: Spawn with nil thread"}},
+		{"Template(nil)", func(rt Runtime, _ int) { rt.Template(nil) }, map[Kind]string{
+			DPA: "core: Template with nil body", Caching: "driver: Template with nil body", Blocking: "driver: Template with nil body"}},
+		{"SpawnT(never registered)", func(rt Runtime, _ int) { rt.SpawnT(remote, 7, 0, 0) }, map[Kind]string{
+			DPA:     "core: SpawnT with unknown template id 7 (0 registered this phase",
+			Caching: "driver: SpawnT with unknown template id 7 (0 registered this phase", Blocking: "driver: SpawnT with unknown template id 7 (0 registered this phase"}},
+		{"SpawnT(stale)", func(rt Runtime, staleID int) {
+			rt.Template(func(gptr.Object, uint64, uint64) {}) // this phase has a template of its own
+			rt.SpawnT(remote, staleID, 0, 0)
+		}, map[Kind]string{DPA: "core: SpawnT with unknown template id 1 (1 registered this phase, ids 2..2)"}},
+	}
+	for _, spec := range []Spec{DPASpec(10), DPASpec(10, WithShape()), CachingSpec(), BlockingSpec()} {
+		for _, eng := range []Engine{Sequential(), Parallel(Workers(2))} {
+			for _, c := range cases {
+				want, ok := c.want[spec.Kind]
+				if !ok {
+					continue
+				}
+				t.Run(spec.String()+"/"+eng.String()+"/"+c.name, func(t *testing.T) {
+					store, staleID := stale(spec)
+					defer func() {
+						got := fmt.Sprint(recover())
+						if !strings.HasPrefix(got, want) {
+							t.Fatalf("panic %q, want one starting %q", got, want)
+						}
+					}()
+					RunPhase(machine.DefaultT3D(2), space, spec, func(rt Runtime, ep *fm.EP, nd *machine.Node) {
+						if nd.ID() == 0 {
+							c.bad(rt, staleID)
+							rt.Drain()
+						}
+					}, WithEngineValue(eng), WithPriors(store, "k"))
+					t.Fatal("the phase ran to completion")
+				})
+			}
+		}
 	}
 }

@@ -15,6 +15,7 @@
 package em3d
 
 import (
+	"math"
 	"math/rand"
 
 	"dpa/internal/driver"
@@ -222,16 +223,17 @@ func RunIters(mcfg machine.Config, spec driver.Spec, prm Params, iters int) (sta
 			half := half
 			run := driver.RunPhase(mcfg, g.Space, spec,
 				func(rt driver.Runtime, ep *fm.EP, nd *machine.Node) {
+					// One template per node: the frame is the accumulating
+					// node's index and the edge coefficient's bits.
+					update := rt.Template(func(o gptr.Object, i, coeff uint64) {
+						nd.Charge(sim.Compute, prm.UpdateCost)
+						acc[i] += math.Float64frombits(coeff) * o.(*GraphNode).Value
+					})
 					lo, hi := g.ownedRange(nd.ID())
 					rt.ForAll(hi-lo, func(k int) {
 						n := half.ns[lo+k]
-						i := int(n.Idx)
 						for d := range n.Deps {
-							coeff := n.Coeff[d]
-							rt.Spawn(n.Deps[d], func(o gptr.Object) {
-								nd.Charge(sim.Compute, prm.UpdateCost)
-								acc[i] += coeff * o.(*GraphNode).Value
-							})
+							rt.SpawnT(n.Deps[d], update, uint64(n.Idx), math.Float64bits(n.Coeff[d]))
 						}
 					})
 				}, driver.WithPriors(ps, half.kind))

@@ -131,6 +131,50 @@ func APhase(rt driver.Runtime, ep *fm.EP, nd *machine.Node, d *ADist,
 	p := sim.Time(t.Terms)
 	pSq := p * p
 
+	// One template per thread-creation site; the frame is the target cell.
+	m2m := rt.Template(func(o gptr.Object, ci, _ uint64) {
+		nd.Charge(sim.Compute, cm.TransTerm*pSq)
+		t.Cells[ci].Mp.Shift(o.(*MpObj).M)
+	})
+	m2l := rt.Template(func(o gptr.Object, ci, _ uint64) { // V list
+		nd.Charge(sim.Compute, cm.TransTerm*pSq)
+		t.Cells[ci].Loc.AddMultipole(o.(*MpObj).M)
+	})
+	p2l := rt.Template(func(o gptr.Object, ci, _ uint64) { // X list
+		src := o.(*LeafObj)
+		for j := range src.Idx {
+			nd.Charge(sim.Compute, cm.P2MTerm*p)
+			t.Cells[ci].Loc.AddSourcePoint(src.Z[j], src.Q[j])
+		}
+	})
+	p2p := rt.Template(func(o gptr.Object, ci, _ uint64) { // U list
+		src := o.(*LeafObj)
+		for _, bi := range t.Cells[ci].Body {
+			z := Z(&t.Bodies[bi])
+			for j := range src.Idx {
+				if src.Idx[j] == bi {
+					continue
+				}
+				nd.Charge(sim.Compute, cm.P2PPair)
+				field[bi] += complex(src.Q[j], 0) / (z - src.Z[j])
+				pot[bi] += src.Q[j] * math.Log(cmplx.Abs(z-src.Z[j]))
+			}
+		}
+	})
+	m2p := rt.Template(func(o gptr.Object, ci, _ uint64) { // W list
+		mp := o.(*MpObj).M
+		for _, bi := range t.Cells[ci].Body {
+			z := Z(&t.Bodies[bi])
+			nd.Charge(sim.Compute, cm.L2PTerm*p)
+			field[bi] += mp.EvalDeriv(z)
+			pot[bi] += real(mp.Eval(z))
+		}
+	})
+	l2l := rt.Template(func(o gptr.Object, ci, _ uint64) {
+		nd.Charge(sim.Compute, cm.TransTerm*pSq)
+		t.Cells[ci].Loc.ShiftFrom(o.(*LocObj).L)
+	})
+
 	// 1. P2M on owned leaves.
 	for _, ci := range d.OwnedLeaves[me] {
 		c := &t.Cells[ci]
@@ -155,10 +199,7 @@ func APhase(rt driver.Runtime, ep *fm.EP, nd *machine.Node, d *ADist,
 				if ch < 0 {
 					continue
 				}
-				rt.Spawn(d.MpPtr[ch], func(o gptr.Object) {
-					nd.Charge(sim.Compute, cm.TransTerm*pSq)
-					c.Mp.Shift(o.(*MpObj).M)
-				})
+				rt.SpawnT(d.MpPtr[ch], m2m, uint64(ci), 0)
 			}
 		})
 		ep.Barrier()
@@ -171,50 +212,19 @@ func APhase(rt driver.Runtime, ep *fm.EP, nd *machine.Node, d *ADist,
 		ci := cells[k]
 		c := &t.Cells[ci]
 		for _, v := range c.V {
-			rt.Spawn(d.MpPtr[v], func(o gptr.Object) {
-				nd.Charge(sim.Compute, cm.TransTerm*pSq)
-				c.Loc.AddMultipole(o.(*MpObj).M)
-			})
+			rt.SpawnT(d.MpPtr[v], m2l, uint64(ci), 0)
 		}
 		for _, x := range c.X {
-			rt.Spawn(d.LeafPtr[x], func(o gptr.Object) {
-				src := o.(*LeafObj)
-				for j := range src.Idx {
-					nd.Charge(sim.Compute, cm.P2MTerm*p)
-					c.Loc.AddSourcePoint(src.Z[j], src.Q[j])
-				}
-			})
+			rt.SpawnT(d.LeafPtr[x], p2l, uint64(ci), 0)
 		}
 		if !c.Leaf {
 			return
 		}
-		targets := c.Body
 		for _, u := range c.U {
-			rt.Spawn(d.LeafPtr[u], func(o gptr.Object) {
-				src := o.(*LeafObj)
-				for _, bi := range targets {
-					z := Z(&t.Bodies[bi])
-					for j := range src.Idx {
-						if src.Idx[j] == bi {
-							continue
-						}
-						nd.Charge(sim.Compute, cm.P2PPair)
-						field[bi] += complex(src.Q[j], 0) / (z - src.Z[j])
-						pot[bi] += src.Q[j] * math.Log(cmplx.Abs(z-src.Z[j]))
-					}
-				}
-			})
+			rt.SpawnT(d.LeafPtr[u], p2p, uint64(ci), 0)
 		}
 		for _, w := range c.W {
-			rt.Spawn(d.MpPtr[w], func(o gptr.Object) {
-				mp := o.(*MpObj).M
-				for _, bi := range targets {
-					z := Z(&t.Bodies[bi])
-					nd.Charge(sim.Compute, cm.L2PTerm*p)
-					field[bi] += mp.EvalDeriv(z)
-					pot[bi] += real(mp.Eval(z))
-				}
-			})
+			rt.SpawnT(d.MpPtr[w], m2p, uint64(ci), 0)
 		}
 	})
 	ep.Barrier()
@@ -226,10 +236,7 @@ func APhase(rt driver.Runtime, ep *fm.EP, nd *machine.Node, d *ADist,
 		rt.ForAll(len(cells), func(k int) {
 			ci := cells[k]
 			c := &t.Cells[ci]
-			rt.Spawn(d.LocPtr[c.Parent], func(o gptr.Object) {
-				nd.Charge(sim.Compute, cm.TransTerm*pSq)
-				c.Loc.ShiftFrom(o.(*LocObj).L)
-			})
+			rt.SpawnT(d.LocPtr[c.Parent], l2l, uint64(ci), 0)
 		})
 		ep.Barrier()
 	}

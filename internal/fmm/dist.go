@@ -181,6 +181,11 @@ func Distribute(bodies []nbody.Body, prm Params, nodes int) *Dist {
 	return d
 }
 
+// packCell and unpackCell carry a (level, cell) pair in one frame word.
+func packCell(l, c int) uint64 { return uint64(l)<<32 | uint64(uint32(c)) }
+
+func unpackCell(w uint64) (l, c int) { return int(w >> 32), int(uint32(w)) }
+
 // Phase runs the full FMM step on one node under the given runtime:
 // P2M, upward M2M (level-by-level barriers), the interaction phase
 // (M2L + near-field P2P — the paper's "force communication phase",
@@ -195,6 +200,37 @@ func Phase(rt driver.Runtime, ep *fm.EP, nd *machine.Node, d *Dist,
 	p := d.Prm.Terms
 	pTime := sim.Time(p)
 	pSq := pTime * pTime
+
+	// One template per thread-creation site; the frame is the target cell.
+	m2m := rt.Template(func(o gptr.Object, tgt, _ uint64) {
+		l, c := unpackCell(tgt)
+		nd.Charge(sim.Compute, cm.TransTerm*pSq)
+		d.mp[l][c].Shift(o.(*MpObj).M)
+	})
+	m2l := rt.Template(func(o gptr.Object, tgt, _ uint64) {
+		l, c := unpackCell(tgt)
+		nd.Charge(sim.Compute, cm.TransTerm*pSq)
+		d.loc[l][c].AddMultipole(o.(*MpObj).M)
+	})
+	p2p := rt.Template(func(o gptr.Object, leaf, _ uint64) {
+		src := o.(*LeafObj)
+		for _, bi := range d.LeafBody[leaf] {
+			z := Z(&d.Bodies[bi])
+			for j := range src.Idx {
+				if src.Idx[j] == bi {
+					continue
+				}
+				nd.Charge(sim.Compute, cm.P2PPair)
+				field[bi] += complex(src.Q[j], 0) / (z - src.Z[j])
+				pot[bi] += src.Q[j] * math.Log(cmplx.Abs(z-src.Z[j]))
+			}
+		}
+	})
+	l2l := rt.Template(func(o gptr.Object, tgt, _ uint64) {
+		l, c := unpackCell(tgt)
+		nd.Charge(sim.Compute, cm.TransTerm*pSq)
+		d.loc[l][c].ShiftFrom(o.(*LocObj).L)
+	})
 
 	// 1. P2M on owned leaves (pure local work).
 	for _, c := range d.OwnedLeaves[me] {
@@ -211,17 +247,13 @@ func Phase(rt driver.Runtime, ep *fm.EP, nd *machine.Node, d *Dist,
 	for l := g.L - 1; l >= 2; l-- {
 		cells := d.OwnedCells[me][l]
 		rt.ForAll(len(cells), func(k int) {
-			c := cells[k]
-			tgt := d.mp[l][c]
+			c := int(cells[k])
 			for j := 0; j < 4; j++ {
-				child := ChildBase(int(c)) + j
+				child := ChildBase(c) + j
 				if d.Below[l+1][child] == 0 {
 					continue
 				}
-				rt.Spawn(d.MpPtr[l+1][child], func(o gptr.Object) {
-					nd.Charge(sim.Compute, cm.TransTerm*pSq)
-					tgt.Shift(o.(*MpObj).M)
-				})
+				rt.SpawnT(d.MpPtr[l+1][child], m2m, packCell(l, c), 0)
 			}
 		})
 		ep.Barrier()
@@ -234,42 +266,24 @@ func Phase(rt driver.Runtime, ep *fm.EP, nd *machine.Node, d *Dist,
 	rt.ForAll(len(work), func(k int) {
 		ref := work[k]
 		l, c := int(ref.L), int(ref.C)
-		tgt := d.loc[l][c]
 		ibuf = g.InteractionList(l, c, ibuf[:0])
 		for _, q := range ibuf {
 			if d.Below[l][q] == 0 {
 				continue
 			}
-			rt.Spawn(d.MpPtr[l][q], func(o gptr.Object) {
-				nd.Charge(sim.Compute, cm.TransTerm*pSq)
-				tgt.AddMultipole(o.(*MpObj).M)
-			})
+			rt.SpawnT(d.MpPtr[l][q], m2l, packCell(l, c), 0)
 		}
 		if l != g.L {
 			return
 		}
 		// Near field at leaves: direct interactions with neighbor bodies.
-		targets := d.LeafBody[c]
 		nbuf = g.Neighbors(g.L, c, nbuf[:0])
 		nbuf = append(nbuf, c)
 		for _, q := range nbuf {
 			if len(d.LeafBody[q]) == 0 {
 				continue
 			}
-			rt.Spawn(d.LeafPtr[q], func(o gptr.Object) {
-				src := o.(*LeafObj)
-				for _, bi := range targets {
-					z := Z(&d.Bodies[bi])
-					for j := range src.Idx {
-						if src.Idx[j] == bi {
-							continue
-						}
-						nd.Charge(sim.Compute, cm.P2PPair)
-						field[bi] += complex(src.Q[j], 0) / (z - src.Z[j])
-						pot[bi] += src.Q[j] * math.Log(cmplx.Abs(z-src.Z[j]))
-					}
-				}
-			})
+			rt.SpawnT(d.LeafPtr[q], p2p, uint64(c), 0)
 		}
 	})
 	ep.Barrier()
@@ -283,11 +297,7 @@ func Phase(rt driver.Runtime, ep *fm.EP, nd *machine.Node, d *Dist,
 			if d.Below[l-1][parent] == 0 {
 				return
 			}
-			tgt := d.loc[l][c]
-			rt.Spawn(d.LocPtr[l-1][parent], func(o gptr.Object) {
-				nd.Charge(sim.Compute, cm.TransTerm*pSq)
-				tgt.ShiftFrom(o.(*LocObj).L)
-			})
+			rt.SpawnT(d.LocPtr[l-1][parent], l2l, packCell(l, c), 0)
 		})
 		ep.Barrier()
 	}

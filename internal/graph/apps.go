@@ -16,17 +16,29 @@ const Damping = 0.85
 // converge in at most Vertices rounds on any graph.
 func (g *Graph) maxRounds() int { return g.Prm.Vertices }
 
-// phase runs one SPMD phase over the owned vertex blocks: body(v) spawns
-// vertex v's neighbor threads. Every phase iterates the full owned block
-// (constant trip count), so the prior's affinity arrays stay valid across
-// the repeated phases of one kind.
+// phase runs one pull-direction SPMD phase over the owned vertex blocks:
+// every owned vertex v that active admits (nil: all) spawns one thread per
+// neighbor, which charges UpdateCost and hands the neighbor to pull. The
+// thread is one template per node, its frame the vertex. Every phase
+// iterates the full owned block (constant trip count), so the prior's
+// affinity arrays stay valid across the repeated phases of one kind.
 func (g *Graph) phase(mcfg machine.Config, spec driver.Spec, ps *driver.PriorStore,
-	kind string, body func(rt driver.Runtime, nd *machine.Node, v int)) stats.Run {
+	kind string, active func(v int) bool, pull func(v int, nb *Vertex)) stats.Run {
 	return driver.RunPhase(mcfg, g.Space, spec,
 		func(rt driver.Runtime, ep *fm.EP, nd *machine.Node) {
+			visit := rt.Template(func(o gptr.Object, v, _ uint64) {
+				nd.Charge(sim.Compute, g.Prm.UpdateCost)
+				pull(int(v), o.(*Vertex))
+			})
 			lo, hi := g.ownedRange(nd.ID())
 			rt.ForAll(hi-lo, func(k int) {
-				body(rt, nd, lo+k)
+				v := lo + k
+				if active != nil && !active(v) {
+					return
+				}
+				for _, u := range g.Adj[v] {
+					rt.SpawnT(g.Ptrs[u], visit, uint64(v), 0)
+				}
 			})
 		}, driver.WithPriors(ps, kind))
 }
@@ -53,17 +65,10 @@ func RunBFS(mcfg machine.Config, spec driver.Spec, prm Params, source int) (stat
 		clear(next)
 		level := level
 		run := g.phase(mcfg, spec, ps, "bfs",
-			func(rt driver.Runtime, nd *machine.Node, v int) {
-				if dist[v] >= 0 {
-					return
-				}
-				for _, u := range g.Adj[v] {
-					rt.Spawn(g.Ptrs[u], func(o gptr.Object) {
-						nd.Charge(sim.Compute, prm.UpdateCost)
-						if o.(*Vertex).Label == level {
-							next[v] = true
-						}
-					})
+			func(v int) bool { return dist[v] < 0 },
+			func(v int, nb *Vertex) {
+				if nb.Label == level {
+					next[v] = true
 				}
 			})
 		total.Merge(run)
@@ -98,17 +103,11 @@ func RunPageRank(mcfg machine.Config, spec driver.Spec, prm Params, iters int) (
 	acc := make([]float64, n)
 	for it := 0; it < iters; it++ {
 		clear(acc)
-		run := g.phase(mcfg, spec, ps, "pagerank",
-			func(rt driver.Runtime, nd *machine.Node, v int) {
-				for _, u := range g.Adj[v] {
-					rt.Spawn(g.Ptrs[u], func(o gptr.Object) {
-						nd.Charge(sim.Compute, prm.UpdateCost)
-						nb := o.(*Vertex)
-						// A neighbor has at least the edge back to v, so
-						// Deg >= 1 and the division is safe.
-						acc[v] += nb.Rank / float64(nb.Deg)
-					})
-				}
+		run := g.phase(mcfg, spec, ps, "pagerank", nil,
+			func(v int, nb *Vertex) {
+				// A neighbor has at least the edge back to v, so Deg >= 1
+				// and the division is safe.
+				acc[v] += nb.Rank / float64(nb.Deg)
 			})
 		total.Merge(run)
 		for v := range g.Verts {
@@ -141,15 +140,10 @@ func RunCC(mcfg machine.Config, spec driver.Spec, prm Params) (stats.Run, []int3
 	acc := make([]int32, n)
 	for round := 0; round < g.maxRounds(); round++ {
 		copy(acc, labels)
-		run := g.phase(mcfg, spec, ps, "cc",
-			func(rt driver.Runtime, nd *machine.Node, v int) {
-				for _, u := range g.Adj[v] {
-					rt.Spawn(g.Ptrs[u], func(o gptr.Object) {
-						nd.Charge(sim.Compute, prm.UpdateCost)
-						if l := o.(*Vertex).Label; l < acc[v] {
-							acc[v] = l
-						}
-					})
+		run := g.phase(mcfg, spec, ps, "cc", nil,
+			func(v int, nb *Vertex) {
+				if nb.Label < acc[v] {
+					acc[v] = nb.Label
 				}
 			})
 		total.Merge(run)
