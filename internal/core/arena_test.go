@@ -91,18 +91,29 @@ func TestNewFootprintIndependentOfMachineSize(t *testing.T) {
 	}
 }
 
-// dirtyPhase runs one shaped-planner phase on a fresh 4-node machine with
-// every node's runtime built on its arena: node 0 fetches objects from all
-// three other nodes (so the destination table, the M/D table, the seen set,
-// the free lists, the run lists and the controller trace all fill up, and
-// copies are still retained when the phase ends), attaches a prior and folds
-// it. inspect, if set, runs on node 0 right after New, before any of that.
+// dirtyCfg is shapedCfg under memory pressure: strips stay at 50 iterations
+// and the budget holds one strip's copies but not two, so strip boundaries
+// release closed reuse regions (which is what fills the seen set) while the
+// last strip's copies stay.
+func dirtyCfg() Config {
+	c := shapedCfg()
+	c.StripMax = 50
+	c.MemBudget = 2000
+	return c
+}
+
+// dirtyPhase runs one dirtyCfg phase on a fresh 4-node machine with every
+// node's runtime built on its arena: node 0 fetches objects from all three
+// other nodes (so the destination table, the M/D table, the seen set, the
+// free lists, the run lists and the controller trace all fill up, and copies
+// are still retained when the phase ends), attaches a prior and folds it.
+// inspect, if set, runs on node 0 right after New, before any of that.
 func dirtyPhase(t *testing.T, net *fm.Net, proto *Proto, space *gptr.Space, ptrs []gptr.Ptr,
 	arenas []Arena, pt *PriorTable, inspect func(rt *RT, ep *fm.EP)) {
 	t.Helper()
 	_, err := machine.New(machine.DefaultT3D(len(arenas))).Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
-		rt := New(proto, ep, space, shapedCfg(), &arenas[nd.ID()])
+		rt := New(proto, ep, space, dirtyCfg(), &arenas[nd.ID()])
 		if nd.ID() == 0 {
 			if inspect != nil {
 				inspect(rt, ep)
@@ -155,7 +166,7 @@ func TestRecycledArenaEncodesLikeFresh(t *testing.T) {
 				cap(rt.dests.slots), cap(rt.entries), cap(rt.waiters))
 		}
 		var wf sim.SnapWriter
-		New(proto, ep, space, shapedCfg(), nil).EncodeSnapshot(&wf)
+		New(proto, ep, space, dirtyCfg(), nil).EncodeSnapshot(&wf)
 		fresh = wf.Bytes()
 		ep.Ctx = rt // New rebinds the endpoint; hand it back
 	})

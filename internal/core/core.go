@@ -470,9 +470,13 @@ type RT struct {
 	err error // first degradation error (unreachable owners), if any
 
 	arrivedBytes int64
-	seen         map[gptr.Ptr]struct{} // pointers fetched earlier in the phase
-	st           stats.RTStats
-	pool         pools
+	// seen holds the pointers whose table entry was dropped earlier in the
+	// phase (forget). Only such a pointer can be refetched, so the fetch path
+	// consults the set only once something is in it, and a phase that never
+	// drops never touches it.
+	seen map[gptr.Ptr]struct{}
+	st   stats.RTStats
+	pool pools
 
 	// trc is the node's observability handle (nil when tracing is off),
 	// cached at construction so hot-path emission sites pay one nil check.
@@ -688,12 +692,12 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 	e.lastUse = rt.plan.stripIdx
 	rt.table[p] = ei
 	rt.st.Fetches++
-	if _, dup := rt.seen[p]; dup {
-		// Fetched before and dropped since (a strip boundary): the refetch
-		// traffic the strip size trades against memory.
-		rt.st.Refetches++
-	} else {
-		rt.seen[p] = struct{}{}
+	if len(rt.seen) > 0 {
+		if _, dup := rt.seen[p]; dup {
+			// Fetched before and dropped since (a strip boundary): the
+			// refetch traffic the strip size trades against memory.
+			rt.st.Refetches++
+		}
 	}
 	rt.enqueueReq(p)
 	rt.trackPeak()
@@ -874,8 +878,7 @@ func (rt *RT) abandonUnreachable() bool {
 			}
 		}
 		rt.freeWaiters(e)
-		delete(rt.table, p)
-		rt.freeEntry(ei)
+		rt.forget(p, ei)
 		progress = true
 	}
 	for i := range rt.dests.slots {
@@ -990,9 +993,21 @@ func (rt *RT) checkStripInvariant() {
 	}
 }
 
+// forget removes p's entry from the M/D table, remembering that p was
+// fetched: every removal goes through here or dropCopies, which is what lets
+// seen stand for "fetched and since dropped".
+func (rt *RT) forget(p gptr.Ptr, ei int32) {
+	rt.seen[p] = struct{}{}
+	delete(rt.table, p)
+	rt.freeEntry(ei)
+}
+
 // dropCopies empties the M/D table. Every fetch has landed (or was
 // abandoned) by the time a strip ends, so the whole entry slab is free.
 func (rt *RT) dropCopies() {
+	for p := range rt.table {
+		rt.seen[p] = struct{}{}
+	}
 	clear(rt.table)
 	clear(rt.entries)
 	rt.entries = rt.entries[:0]

@@ -110,6 +110,33 @@ func TestPlannerReleasesClosedRegionsUnderPressure(t *testing.T) {
 	}
 }
 
+func TestRefetchAfterRegionRelease(t *testing.T) {
+	// The first working set comes back after the second pushed it out: each
+	// of its copies was released with its region closed, so fetching it again
+	// is a refetch, counted once per object.
+	w := newWorld(2)
+	const n = 8
+	var ptrs []gptr.Ptr
+	for i := 0; i < 2*n; i++ {
+		ptrs = append(ptrs, w.space.Alloc(1, obj{id: i, size: 1024}))
+	}
+	cfg := plannerCfg(n)
+	cfg.StripMin = 1
+	cfg.StripMax = n
+	cfg.MemBudget = n * 1024
+	st, _ := w.run(cfg, func(rt *RT) {
+		rt.ForAll(3*n, func(i int) {
+			rt.Spawn(ptrs[i%(2*n)], func(o gptr.Object) {})
+		})
+	})
+	if st.RegionReleases == 0 {
+		t.Fatalf("no reuse regions released under memory pressure: %+v", st)
+	}
+	if st.Fetches != 3*n || st.Refetches != n {
+		t.Fatalf("fetches=%d refetches=%d, want %d and %d", st.Fetches, st.Refetches, 3*n, n)
+	}
+}
+
 func TestPlannerMispredictionFallsBackToController(t *testing.T) {
 	// A budget far smaller than any strip's fetch volume: the model's memory
 	// bound cannot hold, every planned strip overflows, and the bounded

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"dpa/internal/gptr"
@@ -95,12 +96,18 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	}
 	dests.dense(rt.nodes, func(d *destState) { w.Int(int(d.pending)) })
 
-	// Seen set, canonical order folded to a digest (it can be large).
-	seen := make([]uint64, 0, len(rt.seen))
+	// Every pointer fetched so far this phase — those still in the table and
+	// those dropped since (rt.seen); a refetched one is in both — in canonical
+	// order, folded to a digest (the set can be large).
+	seen := make([]uint64, 0, len(ptrs)+len(rt.seen))
+	for _, p := range ptrs {
+		seen = append(seen, p.Key())
+	}
 	for p := range rt.seen {
 		seen = append(seen, p.Key())
 	}
-	sort.Slice(seen, func(a, b int) bool { return seen[a] < seen[b] })
+	slices.Sort(seen)
+	seen = slices.Compact(seen)
 	h := uint64(len(seen))
 	for _, k := range seen {
 		h = sim.MixFP(h, k)

@@ -103,7 +103,8 @@ func crashSeed(t *testing.T, nodes, doomed int, fp sim.FaultParams) uint64 {
 // first round's wake left, which is in neither spawn nor index order. In the
 // abandoned rows node 0 first does the same on two objects of node 2, which
 // has crashed: those chains go back to the free list, closures and all,
-// through abandonUnreachable instead of a wake.
+// through abandonUnreachable instead of a wake — and do so again at the end,
+// when the same two objects are asked for a second time.
 func TestWaitersRunInSpawnOrder(t *testing.T) {
 	const nodes, k = 3, 7
 	planned := staticCfg()
@@ -177,6 +178,15 @@ func TestWaitersRunInSpawnOrder(t *testing.T) {
 					round(rt, id, first, tag)
 					tag = "b"
 					round(rt, id, second, tag)
+					if c.abandon {
+						// An abandoned fetch left the table like a dropped
+						// copy: asking again is a refetch.
+						round(rt, id, dead, "x")
+						if st := rt.Stats(); st.Refetches != 2 || st.Abandoned != 4*k {
+							t.Errorf("second round on the dead owner: %d refetches and %d abandoned, want 2 and %d",
+								st.Refetches, st.Abandoned, 4*k)
+						}
+					}
 				case 2:
 					if c.abandon {
 						for { // serve until the scheduled crash unwinds the node

@@ -16,11 +16,11 @@ const Damping = 0.85
 // converge in at most Vertices rounds on any graph.
 func (g *Graph) maxRounds() int { return g.Prm.Vertices }
 
-// phase runs one pull-direction SPMD phase over the owned vertex blocks:
+// phase runs one pull-direction SPMD phase over the owned vertex ranges:
 // every owned vertex v that active admits (nil: all) spawns one thread per
 // neighbor, which charges UpdateCost and hands the neighbor to pull. The
 // thread is one template per node, its frame the vertex. Every phase
-// iterates the full owned block (constant trip count), so the prior's
+// iterates the full owned range (constant trip count), so the prior's
 // affinity arrays stay valid across the repeated phases of one kind.
 func (g *Graph) phase(mcfg machine.Config, spec driver.Spec, ps *driver.PriorStore,
 	kind string, active func(v int) bool, pull func(v int, nb *Vertex)) stats.Run {

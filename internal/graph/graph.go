@@ -8,8 +8,9 @@
 // apps.
 //
 // Graphs are generated deterministically from a seed (uniform or RMAT,
-// million-vertex capable), block-partitioned over the machine nodes, and
-// traversed as DPA phase loops through internal/driver: each
+// million-vertex capable), partitioned over the machine nodes into contiguous
+// vertex ranges of equal work (see partition), and traversed as DPA phase
+// loops through internal/driver: each
 // level/iteration is one SPMD phase with fresh runtimes (cached copies
 // never go stale across the value updates), owners apply updates between
 // phases, and a PriorStore threads the planner's cross-phase reuse prior
@@ -20,6 +21,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dpa/internal/gptr"
@@ -88,9 +90,9 @@ func DefaultParams(n int) Params {
 	}
 }
 
-// Graph is a built instance distributed over machine nodes: vertex i lives
-// on machine node i/per (block partition, the same ownership scheme as the
-// paper's apps).
+// Graph is a built instance distributed over machine nodes: node m owns the
+// contiguous vertex range [cut[m], cut[m+1]), cut by work rather than by
+// vertex count (see partition).
 type Graph struct {
 	Prm   Params
 	Nodes int
@@ -100,9 +102,11 @@ type Graph struct {
 	Ptrs  []gptr.Ptr
 	Verts []*Vertex
 	// Adj[i] holds vertex i's neighbors, ascending and deduplicated; the
-	// graph is undirected (j in Adj[i] iff i in Adj[j]).
+	// graph is undirected (j in Adj[i] iff i in Adj[j]). The lists are
+	// windows into one backing array.
 	Adj [][]int32
-	per int
+	// cut holds the Nodes+1 range boundaries, ascending from 0 to Vertices.
+	cut []int
 }
 
 // Build constructs the deterministic partitioned graph.
@@ -116,55 +120,105 @@ func Build(prm Params, nodes int) *Graph {
 		Space: gptr.NewSpace(nodes),
 		Ptrs:  make([]gptr.Ptr, prm.Vertices),
 		Verts: make([]*Vertex, prm.Vertices),
-		per:   (prm.Vertices + nodes - 1) / nodes,
+		Adj:   buildAdjacency(prm),
 	}
-	for i := 0; i < prm.Vertices; i++ {
-		g.Verts[i] = &Vertex{Idx: int32(i), Label: -1}
-		g.Ptrs[i] = g.Space.Alloc(i/g.per, g.Verts[i])
-	}
-	g.Adj = buildAdjacency(prm)
-	for i := range g.Verts {
-		g.Verts[i].Deg = int32(len(g.Adj[i]))
+	g.cut = partition(g.Adj, nodes)
+	slab := make([]Vertex, prm.Vertices)
+	for m := 0; m < nodes; m++ {
+		for i := g.cut[m]; i < g.cut[m+1]; i++ {
+			slab[i] = Vertex{Idx: int32(i), Label: -1, Deg: int32(len(g.Adj[i]))}
+			g.Verts[i] = &slab[i]
+			g.Ptrs[i] = g.Space.Alloc(m, g.Verts[i])
+		}
 	}
 	return g
 }
 
+// vertexWork is the work a pull phase does for one owned vertex: one thread
+// per adjacency entry, plus one unit for the top-level iteration itself so
+// that isolated vertices spread over the nodes too instead of piling up
+// wherever the edges leave room.
+func vertexWork(l []int32) int { return len(l) + 1 }
+
+// partition cuts [0, V) into nodes contiguous ranges of equal work: boundary
+// m is the first vertex at which the running vertexWork total reaches m/nodes
+// of the whole. A range therefore carries less than total/nodes plus its last
+// vertex's own work — no node is more than the heaviest single vertex above
+// the mean. That is also the limit: a hub heavier than total/nodes bounds the
+// makespan by itself, and splitting one vertex's adjacency over several nodes
+// is out of scope. Ranges may be empty (more nodes than vertices, or a hub
+// that spans several nodes' shares).
+func partition(adj [][]int32, nodes int) []int {
+	total := 0
+	for _, l := range adj {
+		total += vertexWork(l)
+	}
+	cut := make([]int, nodes+1)
+	v, before := 0, 0 // before: work of the vertices below v
+	for m := 1; m < nodes; m++ {
+		for v < len(adj) && before*nodes < m*total {
+			before += vertexWork(adj[v])
+			v++
+		}
+		cut[m] = v
+	}
+	cut[nodes] = len(adj)
+	return cut
+}
+
 // buildAdjacency samples Vertices*Degree/2 undirected edges from the
 // configured distribution and returns sorted, deduplicated, symmetric
-// adjacency lists with self-loops removed.
+// adjacency lists with self-loops removed. The draws are stored as an edge
+// list and laid out CSR-style in two passes — count, then fill — so the lists
+// share one backing array.
 func buildAdjacency(prm Params) [][]int32 {
 	rng := rand.New(rand.NewSource(prm.Seed))
 	v := prm.Vertices
-	edges := v * prm.Degree / 2
-	adj := make([][]int32, v)
-	add := func(a, b int) {
-		if a == b {
-			return
-		}
-		adj[a] = append(adj[a], int32(b))
-		adj[b] = append(adj[b], int32(a))
-	}
-	for e := 0; e < edges; e++ {
+	draws := v * prm.Degree / 2
+	edges := make([]int32, 0, 2*draws) // endpoint pairs
+	end := make([]int, v+1)            // end[i+1] counts, then bounds, vertex i's entries
+	for e := 0; e < draws; e++ {
 		var a, b int
 		if prm.Kind == KindRMAT {
 			a, b = rmatEdge(rng, v)
 		} else {
 			a, b = rng.Intn(v), rng.Intn(v)
 		}
-		add(a, b)
+		if a == b {
+			continue
+		}
+		edges = append(edges, int32(a), int32(b))
+		end[a+1]++
+		end[b+1]++
 	}
+	for i := 0; i < v; i++ {
+		end[i+1] += end[i]
+	}
+	next := slices.Clone(end[:v]) // fill cursors
+	entries := make([]int32, len(edges))
+	for e := 0; e < len(edges); e += 2 {
+		a, b := edges[e], edges[e+1]
+		entries[next[a]] = b
+		next[a]++
+		entries[next[b]] = a
+		next[b]++
+	}
+	// Sort and deduplicate each list, closing the gaps duplicates leave: the
+	// write cursor never passes the read cursor.
+	adj := make([][]int32, v)
+	w := 0
 	for i := range adj {
-		l := adj[i]
-		sort.Slice(l, func(a, b int) bool { return l[a] < l[b] })
-		w := 0
-		for j := 0; j < len(l); j++ {
-			if w > 0 && l[w-1] == l[j] {
+		l := entries[end[i]:end[i+1]]
+		slices.Sort(l)
+		lo := w
+		for j, u := range l {
+			if j > 0 && entries[w-1] == u {
 				continue
 			}
-			l[w] = l[j]
+			entries[w] = u
 			w++
 		}
-		adj[i] = l[:w:w]
+		adj[i] = entries[lo:w:w]
 	}
 	return adj
 }
@@ -199,21 +253,13 @@ func rmatEdge(rng *rand.Rand, v int) (int, int) {
 	}
 }
 
-// ownedRange returns the vertex block owned by machine node m.
-func (g *Graph) ownedRange(m int) (lo, hi int) {
-	lo = m * g.per
-	hi = lo + g.per
-	if hi > g.Prm.Vertices {
-		hi = g.Prm.Vertices
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
+// ownedRange returns the vertex range owned by machine node m.
+func (g *Graph) ownedRange(m int) (lo, hi int) { return g.cut[m], g.cut[m+1] }
 
 // Owner returns the machine node that owns vertex v.
-func (g *Graph) Owner(v int) int { return v / g.per }
+func (g *Graph) Owner(v int) int {
+	return sort.Search(g.Nodes, func(m int) bool { return g.cut[m+1] > v })
+}
 
 // Edges returns the undirected edge count.
 func (g *Graph) Edges() int {

@@ -34,37 +34,103 @@ func TestBuildDeterministicFromSeed(t *testing.T) {
 	}
 }
 
-// TestPartitionBalance: the block partition must cover every vertex exactly
-// once with at most ceil(V/N) vertices per node and at most one short node
-// block (the remainder).
+// TestPartitionBalance is the partition's contract, over skewed and flat
+// graphs, one node, few, many, and more nodes than vertices: the ranges are
+// contiguous, disjoint and cover [0, V) in node order; Owner and the vertex
+// pointers agree with them; and no node carries more than the mean work plus
+// the heaviest single vertex (the prefix-cut guarantee).
 func TestPartitionBalance(t *testing.T) {
-	for _, v := range []int{64, 100, 513} {
-		const nodes = 8
-		g := Build(testParams(v, KindRMAT), nodes)
-		per := (v + nodes - 1) / nodes
-		covered := 0
-		short := 0
-		for m := 0; m < nodes; m++ {
-			lo, hi := g.ownedRange(m)
-			if hi-lo > per {
-				t.Fatalf("v=%d: node %d owns %d > ceil(V/N)=%d", v, m, hi-lo, per)
-			}
-			if hi-lo < per && hi-lo > 0 {
-				short++
-			}
-			for x := lo; x < hi; x++ {
-				if g.Owner(x) != m {
-					t.Fatalf("v=%d: Owner(%d)=%d, block says %d", v, x, g.Owner(x), m)
+	for _, kind := range []string{KindRMAT, KindUniform} {
+		for _, v := range []int{5, 100, 513, 4096} {
+			for _, nodes := range []int{1, 8, 64, 2*v + 1} {
+				g := Build(testParams(v, kind), nodes)
+				total, heaviest := 0, 0
+				for _, l := range g.Adj {
+					total += vertexWork(l)
+					heaviest = max(heaviest, vertexWork(l))
+				}
+				next := 0
+				for m := 0; m < nodes; m++ {
+					lo, hi := g.ownedRange(m)
+					if lo != next || hi < lo {
+						t.Fatalf("%s v=%d n=%d: node %d owns [%d,%d), want it to start at %d", kind, v, nodes, m, lo, hi, next)
+					}
+					next = hi
+					work := 0
+					for x := lo; x < hi; x++ {
+						if g.Owner(x) != m || int(g.Ptrs[x].Node) != m {
+							t.Fatalf("%s v=%d n=%d: vertex %d in node %d's range has Owner %d and lives on node %d",
+								kind, v, nodes, x, m, g.Owner(x), g.Ptrs[x].Node)
+						}
+						work += vertexWork(g.Adj[x])
+					}
+					if work*nodes > total+heaviest*nodes {
+						t.Fatalf("%s v=%d n=%d: node %d carries %d of %d work units, above the mean plus the heaviest vertex (%d)",
+							kind, v, nodes, m, work, total, heaviest)
+					}
+				}
+				if next != v {
+					t.Fatalf("%s v=%d n=%d: ranges end at %d", kind, v, nodes, next)
 				}
 			}
-			covered += hi - lo
 		}
-		if covered != v {
-			t.Fatalf("v=%d: partition covers %d vertices", v, covered)
+	}
+}
+
+// TestEmptyRangesRunToReference: nodes that own nothing — more nodes than
+// vertices, a hub heavier than several nodes' shares, a graph of isolated
+// vertices — must still run all three apps to the host reference, under the
+// planned configuration whose shaping and priors index by owned iteration.
+func TestEmptyRangesRunToReference(t *testing.T) {
+	spec := driver.DPASpec(50, driver.WithShape())
+	for _, c := range []struct {
+		name           string
+		v, deg, nodes  int
+		kind           string
+		wantEmptyRange bool
+	}{
+		{"more nodes than vertices", 6, 8, 8, KindUniform, true},
+		{"hub spans several shares", 48, 8, 32, KindRMAT, true},
+		{"isolated vertices", 40, 0, 8, KindUniform, false},
+	} {
+		prm := testParams(c.v, c.kind)
+		prm.Degree = c.deg
+		g := Build(prm, c.nodes)
+		empty := false
+		for m := 0; m < c.nodes; m++ {
+			lo, hi := g.ownedRange(m)
+			empty = empty || lo == hi
 		}
-		if short > 1 {
-			t.Fatalf("v=%d: %d short blocks, want at most 1", v, short)
+		if empty != c.wantEmptyRange {
+			t.Fatalf("%s: empty range present = %v, want %v (cuts %v)", c.name, empty, c.wantEmptyRange, g.cut)
 		}
+		mcfg := machine.DefaultT3D(c.nodes)
+		if _, got := RunBFS(mcfg, spec, prm, 0); !reflect.DeepEqual(got, SeqBFS(prm, c.nodes, 0)) {
+			t.Errorf("%s: BFS levels diverge from host reference", c.name)
+		}
+		if _, got := RunCC(mcfg, spec, prm); !reflect.DeepEqual(got, SeqCC(prm, c.nodes)) {
+			t.Errorf("%s: CC labels diverge from host reference", c.name)
+		}
+		_, got := RunPageRank(mcfg, spec, prm, 3)
+		for i, want := range SeqPageRank(prm, c.nodes, 3) {
+			if math.Abs(got[i]-want) > 1e-12 {
+				t.Errorf("%s: rank[%d] = %g, want %g", c.name, i, got[i], want)
+				break
+			}
+		}
+	}
+}
+
+// TestPlannedPageRankIsBalanced is the end-to-end guard on the benchmark's
+// own instance: on the skewed RMAT graph at 64 nodes no node may be busy for
+// more than 1.5× the mean (a vertex-count partition reads 9.4 here — node 0
+// holds the hubs and the other 63 wait for it at every barrier).
+func TestPlannedPageRankIsBalanced(t *testing.T) {
+	prm := testParams(16384, KindRMAT)
+	prm.Seed = 42
+	run, _ := RunPageRank(machine.DefaultT3D(64), driver.DPASpec(50, driver.WithShape()), prm, 2)
+	if im, node := run.Imbalance(); im >= 1.5 {
+		t.Fatalf("node %d is busy for %.2f× the mean, want < 1.5", node, im)
 	}
 }
 
@@ -115,9 +181,12 @@ func TestMillionVertexBuild(t *testing.T) {
 	if g.Prm.Vertices != 1<<20 || len(g.Verts) != 1<<20 {
 		t.Fatalf("built %d vertices", len(g.Verts))
 	}
-	lo, hi := g.ownedRange(63)
-	if hi != 1<<20 || hi-lo <= 0 {
-		t.Fatalf("last block [%d,%d)", lo, hi)
+	if _, hi := g.ownedRange(63); hi != 1<<20 {
+		t.Fatalf("last range ends at %d", hi)
+	}
+	const last = 1<<20 - 1
+	if lo, hi := g.ownedRange(g.Owner(last)); last < lo || last >= hi {
+		t.Fatalf("Owner(%d) = %d, which owns [%d,%d)", last, g.Owner(last), lo, hi)
 	}
 	if g.Edges() == 0 {
 		t.Fatal("no edges")

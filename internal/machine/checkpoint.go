@@ -113,8 +113,8 @@ func (n *Node) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Time(n.crashAt)
 	w.Bool(n.Crashed)
 	w.Time(n.CrashedAt)
-	w.Int(len(n.cache.m))
-	h := uint64(len(n.cache.m))
+	w.Int(len(n.cache.entries))
+	h := uint64(len(n.cache.entries))
 	for i := n.cache.head; i >= 0; i = n.cache.entries[i].next {
 		h = sim.MixFP(h, n.cache.entries[i].key)
 	}

@@ -11,6 +11,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dpa/internal/obs"
 	"dpa/internal/sim"
@@ -580,13 +581,16 @@ func (n *Node) Touch(key uint64) {
 }
 
 // touchSet is a fixed-capacity LRU set of object keys approximating the node
-// data cache. It is sized by use, not by capacity: the map and the entry
+// data cache. It is sized by use, not by capacity: the index and the entry
 // array grow with the distinct keys a node actually touches (often far fewer
 // than the capacity), and once the set is full a miss takes over the evicted
-// entry. Entries link by index, so neither they nor the map hold pointers.
+// entry. Entries link by index, and the key→entry index is open-addressed
+// over the entry array (linear probing, load ≤ 1/2, backward-shift deletion,
+// so there are no tombstones to outlive an eviction): nothing here holds a
+// pointer or hashes through the Go map runtime.
 type touchSet struct {
 	cap        int
-	m          map[uint64]int32 // key -> index into entries
+	index      []int32 // entry index + 1 at the key's probe position; 0 = empty cell
 	entries    []tsEntry
 	head, tail int32 // most and least recent; -1 when empty
 }
@@ -596,30 +600,85 @@ type tsEntry struct {
 	prev, next int32 // -1 at the ends
 }
 
+// tsMinCells is the size the index starts at: room for 8 keys.
+const tsMinCells = 16
+
 func newTouchSet(capacity int) *touchSet {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &touchSet{cap: capacity, m: make(map[uint64]int32), head: -1, tail: -1}
+	return &touchSet{cap: capacity, head: -1, tail: -1}
+}
+
+// home is key's first probe position (Fibonacci hashing on the top bits).
+// The index must be non-empty.
+func (s *touchSet) home(key uint64) int {
+	return int(key * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(len(s.index)-1)))
+}
+
+// probe returns the cell holding key's entry, or the empty cell where it
+// would be inserted. The index must be non-empty.
+func (s *touchSet) probe(key uint64) int {
+	mask := len(s.index) - 1
+	i := s.home(key)
+	for c := s.index[i]; c != 0 && s.entries[c-1].key != key; c = s.index[i] {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// grow doubles the index (or creates it, with an entry array for as many keys
+// as it has room for) and rehashes every entry. Entries never outnumber cap,
+// so the index stops at the power of two holding 2×cap.
+func (s *touchSet) grow() {
+	if s.index == nil {
+		s.entries = make([]tsEntry, 0, min(s.cap, tsMinCells/2))
+	}
+	s.index = make([]int32, max(2*len(s.index), tsMinCells))
+	for i := range s.entries {
+		s.index[s.probe(s.entries[i].key)] = int32(i) + 1
+	}
+}
+
+// unindex empties cell i and shifts the rest of its probe run back over the
+// hole, so every remaining key stays reachable from its home position.
+func (s *touchSet) unindex(i int) {
+	mask := len(s.index) - 1
+	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
+		// The entry in cell j may move into the hole unless its home lies
+		// cyclically in (i, j]: then the hole is before its probe run starts.
+		h := s.home(s.entries[s.index[j]-1].key)
+		if (j-h)&mask < (j-i)&mask {
+			continue
+		}
+		s.index[i] = s.index[j]
+		i = j
+	}
+	s.index[i] = 0
 }
 
 // touch records an access and reports whether the key was resident.
 func (s *touchSet) touch(key uint64) bool {
-	if i, ok := s.m[key]; ok {
-		s.moveToFront(i)
-		return true
+	if len(s.index) > 0 {
+		if c := s.index[s.probe(key)]; c != 0 {
+			s.moveToFront(c - 1)
+			return true
+		}
 	}
 	var i int32
 	if len(s.entries) >= s.cap {
 		i = s.tail // evict the least recent, reusing its entry
 		s.remove(i)
-		delete(s.m, s.entries[i].key)
+		s.unindex(s.probe(s.entries[i].key))
 		s.entries[i].key = key
 	} else {
+		if 2*(len(s.entries)+1) > len(s.index) {
+			s.grow()
+		}
 		i = int32(len(s.entries))
 		s.entries = append(s.entries, tsEntry{key: key})
 	}
-	s.m[key] = i
+	s.index[s.probe(key)] = i + 1
 	s.pushFront(i)
 	return false
 }

@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -314,57 +316,101 @@ func TestTouchSetBounded(t *testing.T) {
 		for _, k := range keys {
 			s.touch(uint64(k))
 		}
-		return len(s.m) <= 8
+		return len(s.entries) <= 8
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestTouchSetMatchesReferenceLRU checks the hit/miss sequence and the full
-// recency order against a move-to-front list, through fill, eviction and
-// reuse of evicted entries, and that storage stops growing at capacity.
-func TestTouchSetMatchesReferenceLRU(t *testing.T) {
-	const capacity = 8
-	f := func(keys []uint8) bool {
-		s := newTouchSet(capacity)
-		var ref []uint64 // most recent first
-		for _, k8 := range keys {
-			k := uint64(k8 % 24)
-			at := -1
-			for i, r := range ref {
-				if r == k {
-					at = i
-				}
-			}
-			if s.touch(k) != (at >= 0) {
-				return false
-			}
-			if at >= 0 {
-				ref = append(ref[:at], ref[at+1:]...)
-			} else if len(ref) == capacity {
-				ref = ref[:capacity-1]
-			}
-			ref = append([]uint64{k}, ref...)
+// checkTouchSetAgainstLRU replays keys through a touchSet of the given
+// capacity and through a move-to-front list, comparing every hit/miss answer
+// and, after every access, the full recency order, the entry count (storage
+// stops growing at capacity) and the shape of the index.
+func checkTouchSetAgainstLRU(t *testing.T, capacity int, keys []uint64) {
+	t.Helper()
+	s := newTouchSet(capacity)
+	var ref []uint64 // most recent first
+	for step, k := range keys {
+		at := slices.Index(ref, k)
+		if got := s.touch(k); got != (at >= 0) {
+			t.Fatalf("step %d: touch(%d) = %v, reference says %v", step, k, got, at >= 0)
+		}
+		if at >= 0 {
+			ref = slices.Delete(ref, at, at+1)
+		} else if len(ref) == capacity {
+			ref = ref[:capacity-1]
+		}
+		ref = slices.Insert(ref, 0, k)
 
-			var got []uint64
-			for i := s.head; i >= 0; i = s.entries[i].next {
-				got = append(got, s.entries[i].key)
-			}
-			if len(got) != len(ref) || len(s.m) != len(ref) || len(s.entries) > capacity {
-				return false
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					return false
-				}
+		var got []uint64
+		for i := s.head; i >= 0; i = s.entries[i].next {
+			got = append(got, s.entries[i].key)
+		}
+		if !slices.Equal(got, ref) {
+			t.Fatalf("step %d: recency order %v, want %v", step, got, ref)
+		}
+		if len(s.entries) != len(ref) {
+			t.Fatalf("step %d: %d entries for %d resident keys", step, len(s.entries), len(ref))
+		}
+		cells := 0
+		for _, c := range s.index {
+			if c != 0 {
+				cells++
 			}
 		}
-		return true
+		if n := len(s.index); cells != len(ref) || n&(n-1) != 0 || n < 2*len(ref) || n > max(tsMinCells, 4*capacity) {
+			t.Fatalf("step %d: index of %d cells holds %d keys, set holds %d (capacity %d)", step, n, cells, len(ref), capacity)
+		}
+	}
+}
+
+// TestTouchSetMatchesReferenceLRU checks the touchSet against the reference
+// through fill, eviction and reuse of evicted entries.
+func TestTouchSetMatchesReferenceLRU(t *testing.T) {
+	f := func(keys []uint8) bool {
+		wide := make([]uint64, len(keys))
+		for i, k := range keys {
+			wide[i] = uint64(k % 24)
+		}
+		checkTouchSetAgainstLRU(t, 8, wide)
+		return !t.Failed()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzTouchSet is the same differential check over fuzzed access sequences.
+// The first byte picks a capacity of 1 to 8 and every other byte is one
+// access to one of 32 keys, so the set is full almost at once and nearly
+// every miss evicts — each eviction a backward-shift deletion in an index of
+// at most 16 cells, where probe runs collide and wrap around.
+func FuzzTouchSet(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 1, 2, 3, 1}) // capacity 1: every change of key evicts
+	// Fill to capacity 8, then sweep a working set three times the capacity
+	// so every access misses and evicts.
+	sweep := []byte{7}
+	for i := 0; i < 96; i++ {
+		sweep = append(sweep, byte(i%24))
+	}
+	f.Add(sweep)
+	// Hits that reorder between the evictions.
+	f.Add(append([]byte{3}, bytes.Repeat([]byte{0, 1, 2, 0, 9, 1, 17, 25, 2, 0}, 8)...))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		keys := make([]uint64, len(in)-1)
+		for i, b := range in[1:] {
+			// Spread the 32 keys like global pointers: a node in the high
+			// word, an address in the low.
+			keys[i] = uint64(b%4)<<32 | uint64(b/4%8)
+		}
+		checkTouchSetAgainstLRU(t, int(in[0]%8)+1, keys)
+	})
 }
 
 func TestTouchChargesHitVsMiss(t *testing.T) {

@@ -33,6 +33,11 @@ func (r *Run) MetricsInto(reg *obs.Registry, phase string) {
 	for c, v := range total.Cycles {
 		cyc.Add(int64(v), lbl(obs.L("category", sim.Category(c).String()))...)
 	}
+	_, most, sum := r.busiest()
+	reg.Gauge("dpa_busy_max_cycles", "Non-idle cycles of the busiest node.").
+		Set(int64(most), lbl()...)
+	reg.Gauge("dpa_busy_mean_cycles", "Non-idle cycles per node, mean over nodes.").
+		Set(int64(sum)/int64(max(1, len(r.Nodes))), lbl()...)
 	reg.Counter("dpa_msgs_sent_total", "Messages injected, summed over nodes.").
 		Add(total.MsgsSent, lbl()...)
 	reg.Counter("dpa_bytes_sent_total", "Payload bytes injected, summed over nodes.").

@@ -414,6 +414,33 @@ func (r *Run) AvgPerNode() (local, comm, idle sim.Time) {
 		(t.Cycles[sim.Idle] + t.Cycles[sim.Stall] + t.Cycles[sim.FetchStall]) / n
 }
 
+// busiest returns the node with the most Busy cycles (the lowest id on a
+// tie), that count, and the sum over all nodes: the node a run whose phases
+// end in barriers waited for.
+func (r *Run) busiest() (node int, most, sum sim.Time) {
+	for i := range r.Nodes {
+		b := r.Nodes[i].Busy()
+		sum += b
+		if b > most {
+			node, most = i, b
+		}
+	}
+	return node, most, sum
+}
+
+// Imbalance returns the busiest node's Busy cycles over the mean node's, and
+// which node that is: 1 is perfect balance, and a phase cannot finish sooner
+// than its busiest node, so anything above 1 is time the other nodes spend
+// waiting however well communication is hidden. The ratio is 0 for a run
+// that did no work.
+func (r *Run) Imbalance() (ratio float64, node int) {
+	node, most, sum := r.busiest()
+	if sum == 0 {
+		return 0, 0
+	}
+	return float64(most) * float64(len(r.Nodes)) / float64(sum), node
+}
+
 // MsgsSent returns total messages sent across nodes.
 func (r *Run) MsgsSent() int64 { return r.Total().MsgsSent }
 
@@ -505,7 +532,18 @@ func (r *Run) Table(clockHz float64) string {
 	fmt.Fprintf(&b, "time      %10.3f s (simulated, %.0f MHz clock)\n", sec(r.Makespan), clockHz/1e6)
 	fmt.Fprintf(&b, "local     %10.3f s/node\n", sec(local))
 	fmt.Fprintf(&b, "comm ovhd %10.3f s/node\n", sec(comm))
-	fmt.Fprintf(&b, "idle      %10.3f s/node\n", sec(idle))
+	// Idle is waiting with nothing to do (in the apps, at a phase's closing
+	// barrier), fetch is waiting inside Drain for replies.
+	total, n := r.Total(), sim.Time(max(1, len(r.Nodes)))
+	fmt.Fprintf(&b, "idle      %10.3f s/node (barrier %.3f, fetch %.3f",
+		sec(idle), sec(total.Cycles[sim.Idle]/n), sec(total.Cycles[sim.FetchStall]/n))
+	if st := total.Cycles[sim.Stall]; st > 0 {
+		fmt.Fprintf(&b, ", stall %.3f", sec(st/n))
+	}
+	b.WriteString(")\n")
+	if im, node := r.Imbalance(); im > 0 {
+		fmt.Fprintf(&b, "balance   max/mean busy %.2f (node %d)\n", im, node)
+	}
 	fmt.Fprintf(&b, "breakdown |%s|\n", r.BarChart(50))
 	fmt.Fprintf(&b, "messages  %d (%.2f MB)\n", r.MsgsSent(), float64(r.BytesSent())/1e6)
 	rt := r.RT

@@ -77,6 +77,8 @@ func TestMetricsSnapshot(t *testing.T) {
 	for _, w := range []string{
 		"dpa_makespan_cycles 1234",
 		`dpa_cycles_total{category="compute"} 150`,
+		"dpa_busy_max_cycles 100",
+		"dpa_busy_mean_cycles 75",
 		"dpa_msgs_sent_total 3",
 		"dpa_threads_run_total 42",
 		`dpa_faults_injected_total{kind="drop"} 2`,
@@ -200,6 +202,38 @@ func TestAvgPerNode(t *testing.T) {
 	local, comm, idle := r.AvgPerNode()
 	if local != 200 || comm != 10 || idle != 20 {
 		t.Errorf("avg = %d/%d/%d", local, comm, idle)
+	}
+}
+
+// TestImbalanceAndIdleSplit: the table must name the node the run waited for
+// and say how much of the idle time was barrier wait and how much fetch wait.
+func TestImbalanceAndIdleSplit(t *testing.T) {
+	r := Run{Makespan: 400, Nodes: make([]Breakdown, 4)}
+	for i, busy := range []sim.Time{100, 100, 400, 200} {
+		r.Nodes[i].Cycles[sim.Compute] = busy
+		r.Nodes[i].Cycles[sim.Idle] = 400 - busy
+	}
+	r.Nodes[1].Cycles[sim.Idle] -= 100
+	r.Nodes[1].Cycles[sim.FetchStall] = 100
+	if got, node := r.Imbalance(); got != 2 || node != 2 {
+		t.Errorf("Imbalance = %v at node %d, want 2 at node 2 (busiest 400 over mean 200)", got, node)
+	}
+	table := r.Table(100) // 100 Hz: one cycle is 0.01 s
+	for _, w := range []string{
+		"idle           2.000 s/node (barrier 1.750, fetch 0.250)\n",
+		"balance   max/mean busy 2.00 (node 2)\n",
+	} {
+		if !strings.Contains(table, w) {
+			t.Errorf("table missing %q:\n%s", w, table)
+		}
+	}
+
+	var idle Run
+	if got, _ := idle.Imbalance(); got != 0 {
+		t.Errorf("Imbalance of an empty run = %v, want 0", got)
+	}
+	if strings.Contains(idle.Table(100), "balance") {
+		t.Error("an empty run has no busiest node to print")
 	}
 }
 
