@@ -6,6 +6,7 @@ import (
 
 	"dpa/internal/driver"
 	"dpa/internal/machine"
+	"dpa/internal/sim"
 )
 
 func TestBuildDeterministic(t *testing.T) {
@@ -120,5 +121,22 @@ func TestDPAAggregatesEm3d(t *testing.T) {
 	if dpaRun.Makespan >= cacheRun.Makespan {
 		t.Errorf("DPA (%d) not faster than caching (%d) on remote-heavy EM3D",
 			dpaRun.Makespan, cacheRun.Makespan)
+	}
+}
+
+// TestWeakScaledEM3DIsBalanced is the guard on the workload that exposed the
+// flat collectives: 8 graph nodes per machine node does so little work per
+// phase that the phase-closing barrier is most of what is left, so a
+// collective that funnels through one node shows up as that node's busy
+// time (4.65× the mean at 256 nodes when every arrive went to node 0) and
+// as everyone else's barrier wait.
+func TestWeakScaledEM3DIsBalanced(t *testing.T) {
+	const nodes = 256
+	run, _ := RunIters(machine.DefaultT3D(nodes), driver.DPASpec(50), DefaultParams(8*nodes), 2)
+	if im, node := run.Imbalance(); im >= 2 {
+		t.Errorf("node %d is busy for %.2f× the mean, want < 2", node, im)
+	}
+	if wait := run.Total().Cycles[sim.Idle] / nodes; wait >= run.Makespan/2 {
+		t.Errorf("mean barrier wait %d cycles of a %d-cycle makespan, want under half", wait, run.Makespan)
 	}
 }

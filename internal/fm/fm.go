@@ -78,9 +78,18 @@ func (ep *EP) onBarrierArrive(m sim.Message) {
 }
 func (ep *EP) onBarrierRelease(m sim.Message) { ep.barrierEpoch++ }
 
+// onReduceArrive files a partial sum. On the tree it goes into the sending
+// child's own slot, so the parent can add the partials in child-index order
+// whatever order they arrived in; the hub (live-set) path accumulates as the
+// arrivals come and tallies them per peer.
 func (ep *EP) onReduceArrive(m sim.Message) {
-	ep.reduceAcc += m.Payload.(float64)
+	v := m.Payload.(float64)
 	ep.reduceCount++
+	if !ep.liveSet {
+		ep.reduceSlot[m.From-firstChild(ep.Node.ID())] = v
+		return
+	}
+	ep.reduceAcc += v
 	if ep.reduceSeen != nil {
 		ep.reduceSeen[m.From]++
 	}
@@ -119,22 +128,28 @@ type EP struct {
 	// cached at endpoint construction so emission sites pay one nil check.
 	trc *obs.NodeTrace
 
-	barrierCount int // arrivals seen (node 0 only)
+	// Collective state. The Count fields hold arrivals not yet consumed by
+	// a completed collective: from this node's tree children, or, on the
+	// live-set hub, from every peer (node 0 only).
+	barrierCount int
 	barrierEpoch int // releases seen
-	barrierAt    int // barriers this node has completed
+	barrierAt    int // barriers this node has entered
 
-	reduceAcc    float64
 	reduceCount  int
+	reduceSlot   [fanIn]float64 // children's partial sums, by child index
 	reduceResult float64
 	reduceDone   bool
 
 	// Live-set collective state, enabled only when the fault config
 	// schedules permanent crashes (FaultConfig.CrashActive): collectives
-	// then track arrivals per peer and shrink to the surviving set instead
-	// of failing wholesale at the first dead destination. barrierSeen and
-	// reduceSeen count per-peer arrivals on node 0; reduceAt counts this
-	// node's completed reductions (the reduce-side analogue of barrierAt).
+	// then run the hub protocol (everyone arrives at node 0), track arrivals
+	// per peer and shrink to the surviving set instead of failing wholesale
+	// at the first dead destination. barrierSeen and reduceSeen count
+	// per-peer arrivals on node 0, reduceAcc is its running sum in arrival
+	// order; reduceAt counts this node's completed reductions (the
+	// reduce-side analogue of barrierAt).
 	liveSet     bool
+	reduceAcc   float64
 	barrierSeen []int
 	reduceSeen  []int
 	reduceAt    int
@@ -272,14 +287,69 @@ func (ep *EP) Unreachable(dst int) bool {
 // Degraded reports whether any destination is unreachable from this node.
 func (ep *EP) Degraded() bool { return ep.rel != nil && ep.rel.deadCount > 0 }
 
-// Barrier blocks until every node has entered the same barrier. While
-// waiting, the node keeps dispatching handlers, so it continues to serve
-// remote requests — this is how nodes that finish their local work early
-// stay responsive (the paper's runtimes behave the same way under polling).
+// fanIn is the arity of the combining tree the collectives walk: node i's
+// parent is (i-1)/fanIn and its children are fanIn·i+1 … fanIn·i+fanIn, so
+// the shape is computed from the node id and costs no per-endpoint storage.
+// A level costs its parent about fanIn receives on the way up and fanIn sends
+// on the way down, and there are log_fanIn N levels. Swept on em3d1024_static
+// (1024 nodes, one barrier per phase): fan-in 2 / 3 / 4 / 8 / 16 gave
+// 2.36 / 2.24 / 2.20 / 2.24 / 2.39 ms — too flat around the minimum for a
+// knob to buy anything, so it is a constant.
+const fanIn = 4
+
+func treeParent(id int) int { return (id - 1) / fanIn }
+func firstChild(id int) int { return fanIn*id + 1 }
+
+// treeChildren returns how many children this node has in the tree.
+func (ep *EP) treeChildren() int {
+	return min(max(ep.Node.N()-firstChild(ep.Node.ID()), 0), fanIn)
+}
+
+// awaitChildren is the upward half of a collective at one node: dispatch
+// until every child's arrive has been counted, then consume them. It returns
+// how many children it gave up on because this endpoint is Degraded.
+func (ep *EP) awaitChildren(count *int) (missing int) {
+	kids := ep.treeChildren()
+	for *count < kids && !ep.Degraded() {
+		ep.WaitAndDispatch()
+	}
+	missing = max(kids-*count, 0)
+	*count = max(*count-kids, 0)
+	return missing
+}
+
+// sendChildren is the downward half: forward the release (or the reduced
+// total) to every child.
+func (ep *EP) sendChildren(handler int, payload any, bytes int) {
+	first := firstChild(ep.Node.ID())
+	for c := first; c < first+ep.treeChildren(); c++ {
+		ep.Send(c, handler, payload, bytes)
+	}
+}
+
+// degraded records a collective that completed without hearing from
+// everyone it waits on (missing children, plus the parent's release).
+func (ep *EP) degraded(op string, missing int) {
+	if missing > 0 {
+		ep.fail(&CollectiveError{Op: op, Node: ep.Node.ID(), Missing: missing})
+	}
+}
+
+// Barrier blocks until every node has entered the same barrier. Nodes form a
+// fanIn-ary combining tree: a node sends one arrive to its parent once every
+// child has arrived, the root turns the last arrive into a release, and each
+// node forwards the release to its children — 2(N−1) messages and
+// O(fanIn·log N) cycles at any one node. While waiting, the node keeps
+// dispatching handlers, so it continues to serve remote requests — this is
+// how nodes that finish their local work early stay responsive (the paper's
+// runtimes behave the same way under polling).
 //
 // Under fault injection the barrier degrades instead of hanging: a node
-// whose sends have exhausted their retries stops waiting (recording the
-// failure), and node 0 releases whoever it can still reach.
+// whose sends have exhausted their retries stops waiting and records a
+// *CollectiveError naming itself, but still sends its arrive and forwards
+// the release, so its subtree is released rather than hung. When the fault
+// plan schedules crashes the barrier is barrierLiveSet's hub protocol
+// instead.
 func (ep *EP) Barrier() {
 	ep.barrierAt++
 	n := ep.Node.N()
@@ -292,32 +362,21 @@ func (ep *EP) Barrier() {
 		ep.barrierLiveSet(n)
 		return
 	}
-	if ep.Node.ID() == 0 {
-		for ep.barrierCount < n-1 && !ep.Degraded() {
+	missing := ep.awaitChildren(&ep.barrierCount)
+	if id := ep.Node.ID(); id == 0 {
+		ep.barrierEpoch++
+	} else {
+		ep.Send(treeParent(id), hBarrierArrive, nil, 4)
+		for ep.barrierEpoch < ep.barrierAt && !ep.Degraded() {
 			ep.WaitAndDispatch()
 		}
-		if ep.barrierCount < n-1 {
-			ep.fail(&CollectiveError{Op: "barrier", Node: 0,
-				Missing: n - 1 - ep.barrierCount})
-			ep.barrierCount = 0
-		} else {
-			ep.barrierCount -= n - 1
+		if ep.barrierEpoch < ep.barrierAt {
+			missing++
+			ep.barrierEpoch = ep.barrierAt
 		}
-		for j := 1; j < n; j++ {
-			ep.Send(j, hBarrierRelease, nil, 4)
-		}
-		ep.barrierEpoch++
-		ep.traceBarrier()
-		return
 	}
-	ep.Send(0, hBarrierArrive, nil, 4)
-	for ep.barrierEpoch < ep.barrierAt && !ep.Degraded() {
-		ep.WaitAndDispatch()
-	}
-	if ep.barrierEpoch < ep.barrierAt {
-		ep.fail(&CollectiveError{Op: "barrier", Node: ep.Node.ID(), Missing: 1})
-		ep.barrierEpoch = ep.barrierAt
-	}
+	ep.sendChildren(hBarrierRelease, nil, 4)
+	ep.degraded("barrier", missing)
 	ep.traceBarrier()
 }
 
@@ -416,9 +475,15 @@ func (ep *EP) traceBarrier() {
 	}
 }
 
-// AllReduceSum computes the global sum of v across all nodes. Like Barrier,
-// it keeps dispatching while waiting, and degrades (returning a partial
-// sum and recording the failure) when peers become unreachable.
+// AllReduceSum computes the global sum of v across all nodes. It is the
+// barrier's tree walk with an 8-byte payload: partial sums ride the arrives
+// and the total rides the releases. Each node adds its own value first and
+// then its children's partials in child-index order, so the result is a pure
+// function of the inputs and the tree shape — the same bits on every node,
+// under either engine, whatever order the arrives landed in. Like Barrier it
+// keeps dispatching while waiting, and a Degraded endpoint stops waiting,
+// records the failure and passes on the partial sum it has. Crash runs use
+// allReduceLiveSet's hub protocol instead.
 func (ep *EP) AllReduceSum(v float64) float64 {
 	n := ep.Node.N()
 	if n == 1 {
@@ -427,35 +492,26 @@ func (ep *EP) AllReduceSum(v float64) float64 {
 	if ep.liveSet {
 		return ep.allReduceLiveSet(n, v)
 	}
-	if ep.Node.ID() == 0 {
-		for ep.reduceCount < n-1 && !ep.Degraded() {
+	missing := ep.awaitChildren(&ep.reduceCount)
+	for i := range ep.reduceSlot[:ep.treeChildren()] {
+		v += ep.reduceSlot[i]
+		ep.reduceSlot[i] = 0 // a child given up on contributes nothing next time
+	}
+	if id := ep.Node.ID(); id != 0 {
+		ep.Send(treeParent(id), hReduceArrive, v, 8)
+		for !ep.reduceDone && !ep.Degraded() {
 			ep.WaitAndDispatch()
 		}
-		if ep.reduceCount < n-1 {
-			ep.fail(&CollectiveError{Op: "allreduce", Node: 0,
-				Missing: n - 1 - ep.reduceCount})
-			ep.reduceCount = 0
+		if ep.reduceDone {
+			v = ep.reduceResult
+			ep.reduceDone = false
 		} else {
-			ep.reduceCount -= n - 1
+			missing++
 		}
-		total := ep.reduceAcc + v
-		ep.reduceAcc = 0
-		for j := 1; j < n; j++ {
-			ep.Send(j, hReduceResult, total, 8)
-		}
-		return total
 	}
-	ep.Send(0, hReduceArrive, v, 8)
-	for !ep.reduceDone && !ep.Degraded() {
-		ep.WaitAndDispatch()
-	}
-	if !ep.reduceDone {
-		ep.fail(&CollectiveError{Op: "allreduce", Node: ep.Node.ID(), Missing: 1})
-		return v
-	}
-	ep.reduceDone = false
-	r := ep.reduceResult
-	return r
+	ep.sendChildren(hReduceResult, v, 8)
+	ep.degraded("allreduce", missing)
+	return v
 }
 
 // allReduceLiveSet is the crash-tolerant reduction (see EP.liveSet): the

@@ -31,13 +31,13 @@ func encodeFaultStats(w *sim.SnapWriter, fs *FaultStats) {
 }
 
 // EncodeSnapshot writes the endpoint's complete messaging state: collective
-// counters (including the live-set arrival tallies), fault counters,
-// recorded degradation errors (as string fingerprints — errors are values,
-// their text is their identity), and the full reliability-protocol state —
-// per-destination send windows with every in-flight frame's retry schedule,
-// backlogs, and per-source duplicate-suppression sets. Map-backed state
-// (out-of-order seen sets) is emitted in sorted key order so the encoding is
-// canonical.
+// counters (including the tree's per-child reduce slots and the live-set
+// arrival tallies), fault counters, recorded degradation errors (as string
+// fingerprints — errors are values, their text is their identity), and the
+// full reliability-protocol state — per-destination send windows with every
+// in-flight frame's retry schedule, backlogs, and per-source
+// duplicate-suppression sets. Map-backed state (out-of-order seen sets) is
+// emitted in sorted key order so the encoding is canonical.
 func (ep *EP) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Int(ep.Node.ID())
 	w.Int(ep.barrierCount)
@@ -45,6 +45,9 @@ func (ep *EP) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Int(ep.barrierAt)
 	w.F64(ep.reduceAcc)
 	w.Int(ep.reduceCount)
+	for _, v := range ep.reduceSlot {
+		w.F64(v)
+	}
 	w.F64(ep.reduceResult)
 	w.Bool(ep.reduceDone)
 	w.Bool(ep.liveSet)

@@ -44,7 +44,8 @@ func runX8(s *Session) {
 	s.printf("collectives to the live set. DEGRADED marks runs that finish with a\n")
 	s.printf("typed crash/unreachable error instead of deadlocking. Each iteration\n")
 	s.printf("rebuilds the machine and redraws the lottery, so 'killed' counts\n")
-	s.printf("crash events across phases, not distinct nodes.\n\n")
+	s.printf("crash events across phases, not distinct nodes.\n")
+	s.printf("The 0%% row runs the tree collectives, crash rows the live-set hub.\n\n")
 
 	// Fault-free baseline fixes the virtual-time geometry: crashes land at a
 	// quarter of its makespan, the checkpoint boundary at half — safely past

@@ -35,7 +35,9 @@ const snapshotMagic = "DPASNAP1"
 // version are rejected by Restore, never reinterpreted. Version 2: the "rt"
 // section lost its copy-store counters and trailer, and "procs" writes a
 // process parked in its own past as ready at its clock (EncodeProcs).
-const SnapshotVersion uint32 = 2
+// Version 3: the "fm" section gained the combining tree's per-child reduce
+// slots, and its barrier counters now hold tree-child arrivals.
+const SnapshotVersion uint32 = 3
 
 // ErrBadSnapshot is the sentinel matched by errors.Is for snapshot
 // encodings that fail to decode: truncated, corrupted (checksum mismatch),
