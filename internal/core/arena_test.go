@@ -27,7 +27,9 @@ func shapedCfg() Config {
 }
 
 // newFootprint returns the bytes node 0 allocates for core.New plus an empty
-// ForAll and Drain on a p-node machine. Every other node's program is empty
+// ForAll and Drain on a p-node machine, followed by a prior fold in which the
+// same three owners were touched whatever p is (a no-op unless cfg keeps
+// priors). Every other node's program is empty
 // and has finished before the measurement starts (node 0 first charges past
 // the machine's lookahead — its horizon while everyone else waits at time 0 —
 // so its poll hands the sequential engine to all of them), so the MemStats
@@ -54,8 +56,13 @@ func newFootprint(t *testing.T, p int, cfg Config) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		rt := New(proto, ep, space, cfg, nil)
+		rt.AttachPrior(&PriorTable{})
 		rt.ForAll(0, func(int) {})
 		rt.Drain()
+		for _, o := range []int{1, 17, 63} {
+			rt.dests.touch(o).phaseHist = int64(o)
+		}
+		rt.FoldPrior()
 		runtime.ReadMemStats(&after)
 		allocated = after.TotalAlloc - before.TotalAlloc
 	})
@@ -66,10 +73,11 @@ func newFootprint(t *testing.T, p int, cfg Config) uint64 {
 }
 
 // TestNewFootprintIndependentOfMachineSize is the per-node-per-phase
-// footprint budget: what a node allocates to build its runtime and run an
-// empty phase must not depend on how many nodes the machine has. Anything
-// sized by P on this path — a dense per-owner array, a P-bucket scratch —
-// makes the 4096-node figure exceed the 64-node one and fails the test.
+// footprint budget: what a node allocates to build its runtime, run an empty
+// phase and fold its prior must not depend on how many nodes the machine has.
+// Anything sized by P on this path — a dense per-owner array, a P-bucket
+// scratch, a prior table storing a record per node — makes the 4096-node
+// figure exceed the 64-node one and fails the test.
 func TestNewFootprintIndependentOfMachineSize(t *testing.T) {
 	for _, c := range []struct {
 		name string

@@ -326,7 +326,7 @@ func (rt *RT) scatterReply(owner int, rep *fetchReply) {
 			continue
 		}
 		for wi, k := e.head, e.n; k > 0; wi, k = rt.waiters[wi].next, k-1 {
-			d.run = append(d.run, rt.waiters[wi].ready(p.Key(), e.obj))
+			rt.oq.link(d, rt.waiters[wi].ready(p.Key(), e.obj))
 		}
 		woken += int(e.n)
 		rt.freeWaiters(e)
@@ -458,7 +458,7 @@ type RT struct {
 	closureFree []int32    // free closure slots
 
 	// dests holds all per-destination state (aggregation buffers,
-	// outstanding-request counts, RTT samples, run lists, planner
+	// outstanding-request counts, RTT samples, run-list chains, planner
 	// histograms), one slot per owner this node has touched; see dests.go.
 	dests    destTable
 	nodes    int     // machine size: the length of every dense per-owner view
@@ -499,9 +499,9 @@ type RT struct {
 
 // Arena is one node's runtime storage — the RT struct itself, the M/D and
 // seen maps' buckets, the entry, waiter and closure slabs, the free lists,
-// the destination table with its request buffers and run lists, the ready
-// queues — kept by the driver across the phases of one run so that only the
-// first phase pays for building it. What
+// the destination table with its request buffers, the ready queues and the
+// run-list slab — kept by the driver across the phases of one run so that
+// only the first phase pays for building it. What
 // an arena carries is storage, never state: New empties every container and
 // re-initialises every counter, EWMA, controller and planner field, so a
 // runtime on a recycled arena is indistinguishable from one on a fresh arena
@@ -553,6 +553,7 @@ func (rt *RT) recycle() {
 	clear(rt.entries)
 	clear(rt.tmpls)
 	clear(rt.closures)
+	clear(rt.oq.nodes)
 	rt.dests.reset()
 	*rt = RT{
 		table:       rt.table,
@@ -568,7 +569,7 @@ func (rt *RT) recycle() {
 		closures:    rt.closures[:0],
 		closureFree: rt.closureFree[:0],
 		ready:       readyQueue{buf: rt.ready.buf},
-		oq:          ownerQueue{order: rt.oq.order[:0]},
+		oq:          ownerQueue{order: rt.oq.order[:0], nodes: rt.oq.nodes[:0], free: -1},
 		aggDests:    rt.aggDests[:0],
 		trace:       rt.trace[:0],
 		plan:        planState{perm: rt.plan.perm},

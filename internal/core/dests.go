@@ -9,15 +9,14 @@ import (
 
 // destState is everything the runtime keeps about one owner node: its
 // aggregation buffer and outstanding-request count, the round-trip sample and
-// EWMA, its run list in the owner-major ready queue, and the planner's
-// per-owner fetch histograms. A slot exists only for an owner the node has
-// touched this phase — the paper sizes M and D by the strip, and this table
-// follows suit — so the per-node footprint is independent of the machine
-// size. Field order packs the scalars behind the two slice headers; the
+// EWMA, its run list's chain in the owner-major ready queue, and the
+// planner's per-owner fetch histograms. A slot exists only for an owner the
+// node has touched this phase — the paper sizes M and D by the strip, and this
+// table follows suit — so the per-node footprint is independent of the
+// machine size. Field order packs the scalars behind the slice header; the
 // sizeof regression test pins the layout.
 type destState struct {
-	agg []gptr.Ptr   // request buffer (append order is program order)
-	run []readyEntry // owner-major run list, a FIFO reset in place when drained
+	agg []gptr.Ptr // request buffer (append order is program order)
 
 	rttEwma   sim.Time // round-trip EWMA
 	rttSentAt sim.Time
@@ -28,9 +27,11 @@ type destState struct {
 	curHist  int32 // fetches during the running strip
 	prevHist int32 // fetches during the previous strip (prediction source)
 	shape    int32 // planShape's counting-sort cursor
-	runHead  int32
-	queued   bool // present in the owner FIFO
-	rttMark  bool // a round-trip sample is armed
+	// The run list: first and last node in ownerQueue's slab and the chain's
+	// length. runHead and runTail mean nothing while runN is zero.
+	runHead, runTail, runN int32
+	queued                 bool // present in the owner FIFO
+	rttMark                bool // a round-trip sample is armed
 }
 
 // destRef is one cell of the owner→slot index; slot is biased by one so the
@@ -90,8 +91,8 @@ func (t *destTable) find(owner int) *destState {
 func (t *destTable) touch(owner int) *destState { return &t.slots[t.slot(owner)] }
 
 // slot returns the index of owner's slot, creating it on first touch. A new
-// slot reuses the aggregation buffer and run list left behind by the slot
-// that held the position before the last reset.
+// slot reuses the aggregation buffer left behind by the slot that held the
+// position before the last reset.
 func (t *destTable) slot(owner int) int32 {
 	if len(t.index) > 0 {
 		if r := t.index[t.probe(owner)]; r.slot != 0 {
@@ -106,7 +107,7 @@ func (t *destTable) slot(owner int) int32 {
 	if n < cap(t.slots) {
 		t.slots = t.slots[:n+1]
 		d := &t.slots[n]
-		*d = destState{owner: int32(owner), agg: d.agg[:0], run: d.run[:0]}
+		*d = destState{owner: int32(owner), agg: d.agg[:0]}
 	} else {
 		t.slots = append(t.slots, destState{owner: int32(owner)})
 	}

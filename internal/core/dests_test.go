@@ -106,15 +106,16 @@ func TestDestTableIndexGrowsAndRehashes(t *testing.T) {
 
 // TestDestTableResetLeavesNoStaleSlot: after reset nothing of the previous
 // phase is reachable — not by lookup, not by the ordered walk, not through a
-// recycled slot's fields — while the slot's buffers are kept for reuse.
+// recycled slot's fields, run-list chain included — while the slot's request
+// buffer is kept for reuse.
 func TestDestTableResetLeavesNoStaleSlot(t *testing.T) {
 	var tb destTable
 	for _, o := range []int{5, 2, 9} {
 		d := tb.touch(o)
 		d.agg = append(d.agg, gptr.Ptr{Node: int32(o)})
-		d.run = append(d.run, readyEntry{key: uint64(o)})
 		d.pending, d.curHist, d.prevHist, d.phaseHist = 1, 2, 3, 4
-		d.rttEwma, d.rttSentAt, d.rttMark, d.queued, d.runHead, d.shape = 5, 6, true, true, 1, 7
+		d.rttEwma, d.rttSentAt, d.rttMark, d.queued, d.shape = 5, 6, true, true, 7
+		d.runHead, d.runTail, d.runN = 8, 9, 10
 	}
 	tb.reset()
 	if len(tb.slots) != 0 || len(tb.byOwner) != 0 {
@@ -126,12 +127,15 @@ func TestDestTableResetLeavesNoStaleSlot(t *testing.T) {
 		}
 	}
 	d := tb.touch(7) // takes over the storage owner 5 held
-	if cap(d.agg) == 0 || cap(d.run) == 0 {
-		t.Fatalf("recycled slot lost its buffers: cap(agg)=%d cap(run)=%d", cap(d.agg), cap(d.run))
+	if cap(d.agg) == 0 {
+		t.Fatal("recycled slot lost its request buffer")
+	}
+	if d.runHead != 0 || d.runTail != 0 || d.runN != 0 {
+		t.Fatalf("recycled slot keeps a run-list chain: head=%d tail=%d n=%d", d.runHead, d.runTail, d.runN)
 	}
 	fresh := *d
-	fresh.agg, fresh.run = nil, nil
-	if len(d.agg) != 0 || len(d.run) != 0 || !reflect.DeepEqual(fresh, destState{owner: 7}) {
+	fresh.agg = nil
+	if len(d.agg) != 0 || !reflect.DeepEqual(fresh, destState{owner: 7}) {
 		t.Fatalf("recycled slot carries stale state: %+v", *d)
 	}
 	if got := ascending(&tb); len(got) != 1 || got[0] != 7 {

@@ -1,5 +1,7 @@
 package core
 
+import "dpa/internal/sim"
+
 // ownerQueue is the owner-major ready queue used in adaptive mode: one run
 // list per owner node, served to exhaustion in first-arrival owner order.
 // Threads whose objects came from the same owner run consecutively — the
@@ -7,15 +9,24 @@ package core
 // and their nested spawns accumulate in the aggregation buffers together, so
 // follow-on requests batch naturally.
 //
-// The run lists live in the destination table (destState.run), one per
-// touched owner; the queue itself is the FIFO of slots with queued entries.
-// All storage is reused across strips: the run lists and the slot FIFO reset
-// in place when they drain, so steady-state scheduling allocates nothing on
-// the host.
+// A run list is a FIFO chain of nodes through one slab, with its head, tail
+// and length in the owner's destination-table slot; the queue itself is the
+// FIFO of slots with queued entries. The slab's footprint is the peak ready
+// count, not one buffer per touched owner, and a drained node goes back to
+// the free list, so steady-state scheduling allocates nothing on the host.
 type ownerQueue struct {
 	order []int32 // FIFO of destination-table slots with queued entries
 	oHead int
 	count int
+	nodes []runNode // run-list slab
+	free  int32     // free nodes, linked through next; -1 ends
+}
+
+// runNode is one ready thread of a run list and the index of the next node
+// of its chain (or of the free list).
+type runNode struct {
+	readyEntry
+	next int32
 }
 
 func (q *ownerQueue) len() int { return q.count }
@@ -26,12 +37,32 @@ func (q *ownerQueue) len() int { return q.count }
 func (q *ownerQueue) push(t *destTable, owner int, e readyEntry) {
 	si := t.slot(owner)
 	d := &t.slots[si]
-	d.run = append(d.run, e)
+	q.link(d, e)
 	q.woke(d, si, 1)
 }
 
-// woke accounts n threads appended to slot si's run list, enqueueing the
-// owner if it is not already in the FIFO.
+// link appends e to d's run list, taking the node from the free list; woke
+// accounts for it.
+func (q *ownerQueue) link(d *destState, e readyEntry) {
+	ni := q.free
+	if ni >= 0 {
+		q.free = q.nodes[ni].next
+		q.nodes[ni] = runNode{readyEntry: e}
+	} else {
+		ni = int32(len(q.nodes))
+		q.nodes = push(q.nodes, runNode{readyEntry: e})
+	}
+	if d.runN == 0 {
+		d.runHead = ni
+	} else {
+		q.nodes[d.runTail].next = ni
+	}
+	d.runTail = ni
+	d.runN++
+}
+
+// woke accounts n threads linked to slot si's run list, enqueueing the owner
+// if it is not already in the FIFO.
 func (q *ownerQueue) woke(d *destState, si int32, n int) {
 	if !d.queued {
 		d.queued = true
@@ -43,13 +74,14 @@ func (q *ownerQueue) woke(d *destState, si int32, n int) {
 // pop removes the next thread: the head of the frontmost owner's run list.
 func (q *ownerQueue) pop(t *destTable) readyEntry {
 	d := &t.slots[q.order[q.oHead]]
-	e := d.run[d.runHead]
-	d.run[d.runHead] = readyEntry{} // release references
-	d.runHead++
+	ni := d.runHead
+	e := q.nodes[ni].readyEntry
+	d.runHead = q.nodes[ni].next
+	q.nodes[ni] = runNode{next: q.free} // release references
+	q.free = ni
+	d.runN--
 	q.count--
-	if int(d.runHead) == len(d.run) {
-		d.run = d.run[:0]
-		d.runHead = 0
+	if d.runN == 0 {
 		d.queued = false
 		q.oHead++
 		if q.oHead == len(q.order) {
@@ -58,4 +90,18 @@ func (q *ownerQueue) pop(t *destTable) readyEntry {
 		}
 	}
 	return e
+}
+
+// digest folds the queued entries, owners in service order and each run in
+// FIFO order, for the snapshot encoding.
+func (q *ownerQueue) digest(t *destTable) uint64 {
+	h := uint64(q.count)
+	for _, si := range q.order[q.oHead:] {
+		d := &t.slots[si]
+		h = sim.MixFP(h, uint64(d.owner))
+		for ni, k := d.runHead, d.runN; k > 0; ni, k = q.nodes[ni].next, k-1 {
+			h = sim.MixFP(h, q.nodes[ni].key)
+		}
+	}
+	return h
 }

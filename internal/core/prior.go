@@ -37,10 +37,16 @@ import (
 
 // PriorOwner is one owner's record in a prior table: the fetch volume the
 // phase directed at that owner and the round-trip EWMA observed against it.
-// Kept to two words — the table holds one per node.
+// Kept to two words — the modelled table holds one per node.
 type PriorOwner struct {
 	Fetches int64
 	RTT     sim.Time
+}
+
+// priorRec is a PriorOwner stored for an owner the phase touched.
+type priorRec struct {
+	owner int32
+	PriorOwner
 }
 
 // PriorTable is one node's cross-phase planner prior for one phase kind.
@@ -64,9 +70,12 @@ type PriorTable struct {
 	// uint32, and a wrapped negative gap would silently corrupt both and
 	// turn the retention window off.
 	ReuseGap int32
-
-	// Owners is the per-owner fetch/RTT record, indexed by node.
-	Owners []PriorOwner
+	// nodes is the machine size of the last fold. The modelled per-owner
+	// record is dense — one PriorOwner per node, zero for an owner the phase
+	// never touched — and charged so; owners stores only the touched owners'
+	// records, in ascending owner order: stored sparse, charged dense.
+	nodes  int32
+	owners []priorRec
 	// Affinity[l][i] is the predicted owner of iteration i of top-level
 	// loop l (-1: no remote reference was attributed). scratch is the
 	// recording side for the running phase; FoldPrior swaps the two, so
@@ -75,9 +84,9 @@ type PriorTable struct {
 	scratch  [][]int32
 }
 
-// priorOwnerBytes and priorTableBytes are the host sizes the PriorBytes
-// accounting charges per record; the sizeof regression test pins them to the
-// actual struct layouts.
+// priorOwnerBytes and priorTableBytes are the sizes the PriorBytes accounting
+// charges per modelled owner record and per table; the sizeof regression test
+// pins them to the actual struct layouts.
 const (
 	priorOwnerBytes = 16
 	priorTableBytes = 128
@@ -104,14 +113,15 @@ func satGap(cur, last int32) int32 {
 	return int32(g)
 }
 
-// ByteSize is the host memory the table pins across phases. It is charged
-// against the planner's renamed-copy memory budget (the table competes with
-// renamed copies for the same footprint) and reported as PriorBytes.
+// ByteSize is the memory the modelled table pins across phases, owner
+// records dense. It is charged against the planner's renamed-copy memory
+// budget (the table competes with renamed copies for the same footprint) and
+// reported as PriorBytes.
 func (pt *PriorTable) ByteSize() int64 {
 	if pt == nil {
 		return 0
 	}
-	b := int64(priorTableBytes) + int64(len(pt.Owners))*priorOwnerBytes
+	b := int64(priorTableBytes) + int64(pt.nodes)*priorOwnerBytes
 	for _, a := range pt.Affinity {
 		b += int64(len(a)) * 4
 	}
@@ -126,7 +136,7 @@ func (pt *PriorTable) ByteSize() int64 {
 // the two runs never record into shared arrays.
 func (pt *PriorTable) Clone() *PriorTable {
 	c := *pt
-	c.Owners = append([]PriorOwner(nil), pt.Owners...)
+	c.owners = append([]priorRec(nil), pt.owners...)
 	c.Affinity = cloneAff(pt.Affinity)
 	c.scratch = cloneAff(pt.scratch)
 	return &c
@@ -164,8 +174,8 @@ func (pt *PriorTable) record(l, n int) []int32 {
 }
 
 // fingerprint folds the table into a digest for snapshot encodings. Slice
-// order is structural (owners by node, affinity by loop and iteration), so
-// the digest is deterministic.
+// order is structural (owners by node in the dense view, affinity by loop and
+// iteration), so the digest is deterministic.
 func (pt *PriorTable) fingerprint() uint64 {
 	if pt == nil {
 		return 0
@@ -178,9 +188,14 @@ func (pt *PriorTable) fingerprint() uint64 {
 	h = sim.MixFP(h, uint64(pt.Busy))
 	h = sim.MixFP(h, uint64(pt.Stall))
 	h = sim.MixFP(h, uint64(uint32(pt.ReuseGap)))
-	for _, o := range pt.Owners {
-		h = sim.MixFP(h, uint64(o.Fetches))
-		h = sim.MixFP(h, uint64(o.RTT))
+	recs := pt.owners
+	for o := int32(0); o < pt.nodes; o++ {
+		var r PriorOwner
+		if len(recs) > 0 && recs[0].owner == o {
+			r, recs = recs[0].PriorOwner, recs[1:]
+		}
+		h = sim.MixFP(h, uint64(r.Fetches))
+		h = sim.MixFP(h, uint64(r.RTT))
 	}
 	for _, side := range [2][][]int32{pt.Affinity, pt.scratch} {
 		h = sim.MixFP(h, uint64(len(side)))
@@ -205,7 +220,7 @@ func (pt *PriorTable) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Time(pt.Busy)
 	w.Time(pt.Stall)
 	w.U32(uint32(pt.ReuseGap))
-	w.Int(len(pt.Owners))
+	w.Int(int(pt.nodes))
 	w.U64(pt.fingerprint())
 }
 
@@ -224,9 +239,11 @@ func (rt *RT) AttachPrior(pt *PriorTable) {
 	ps.prior = pt
 	if !pt.Empty() {
 		ps.retainGap = pt.ReuseGap
-		for i, o := range pt.Owners {
-			if i < rt.nodes && o.RTT > 0 {
-				rt.dests.touch(i).rttEwma = o.RTT
+		// Ascending owner order, as the dense walk had: first touch fixes
+		// slot order.
+		for _, r := range pt.owners {
+			if int(r.owner) < rt.nodes && r.RTT > 0 {
+				rt.dests.touch(int(r.owner)).rttEwma = r.RTT
 			}
 		}
 	}
@@ -238,7 +255,7 @@ func (rt *RT) AttachPrior(pt *PriorTable) {
 // table. The driver calls it at the phase seam, after the phase has fully
 // drained, in node-index order; every input is a simulated-time counter, so
 // the fold is a pure function of simulated history. Steady state allocates
-// nothing: the owner slice is sized on first fold and the affinity arrays
+// nothing: the owner records reuse their slice and the affinity arrays
 // recycle through the Affinity/scratch swap.
 func (rt *RT) FoldPrior() {
 	ps := &rt.plan
@@ -253,16 +270,11 @@ func (rt *RT) FoldPrior() {
 	pt.Busy = ps.phaseBusy
 	pt.Stall = ps.phaseStall
 	pt.ReuseGap = ps.maxGap
-	// The table's owner records are modelled state, charged per machine
-	// node: they stay dense, zero for owners this phase never touched.
-	if len(pt.Owners) != rt.nodes {
-		pt.Owners = make([]PriorOwner, rt.nodes)
-	} else {
-		clear(pt.Owners)
-	}
-	for i := range rt.dests.slots {
-		d := &rt.dests.slots[i]
-		pt.Owners[d.owner] = PriorOwner{Fetches: d.phaseHist, RTT: d.rttEwma}
+	pt.nodes = int32(rt.nodes)
+	pt.owners = pt.owners[:0]
+	for _, si := range rt.dests.byOwner {
+		d := &rt.dests.slots[si]
+		pt.owners = append(pt.owners, priorRec{d.owner, PriorOwner{Fetches: d.phaseHist, RTT: d.rttEwma}})
 	}
 	// The arrays recorded this phase become the prior; the displaced prior
 	// arrays become next phase's recording scratch.
@@ -293,23 +305,23 @@ func (rt *RT) planWarmStart(n int) bool {
 	// The staged histogram replaces whatever the running one held for the
 	// owners the table covers.
 	for i := range rt.dests.slots {
-		if d := &rt.dests.slots[i]; int(d.owner) < len(pt.Owners) {
+		if d := &rt.dests.slots[i]; d.owner < pt.nodes {
 			d.curHist = 0
 		}
 	}
 	owners := 0
-	for i, o := range pt.Owners {
-		if i >= rt.nodes {
+	for _, r := range pt.owners {
+		if int(r.owner) >= rt.nodes {
 			break
 		}
-		f := o.Fetches
+		f := r.Fetches
 		if f <= 0 {
 			continue
 		}
 		if f > math.MaxInt32 {
 			f = math.MaxInt32
 		}
-		rt.dests.touch(i).curHist = int32(f)
+		rt.dests.touch(int(r.owner)).curHist = int32(f)
 		owners++
 	}
 	ps.owners = owners

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"dpa/internal/sim"
 )
 
 // priorCycleRT builds a bare planner runtime wired for cross-phase priors,
@@ -85,9 +87,9 @@ func TestPriorWarmStartNeverNarrowsFirstStrip(t *testing.T) {
 	rt.plan.prior = &PriorTable{
 		Phases: 1, Iters: 100, Fetches: 100, Bytes: 1 << 40,
 		Busy: 1000, Stall: 100,
-		Owners: make([]PriorOwner, nodes),
+		nodes:  nodes,
+		owners: []priorRec{{owner: 1, PriorOwner: PriorOwner{Fetches: 100, RTT: 500}}},
 	}
-	rt.plan.prior.Owners[1] = PriorOwner{Fetches: 100, RTT: 500}
 	const n = 512
 	if !rt.planWarmStart(n) {
 		t.Fatal("non-empty prior rejected")
@@ -105,6 +107,44 @@ func TestPriorWarmStartNeverNarrowsFirstStrip(t *testing.T) {
 	}
 	if rt.st.PlanPriorHits != 1 {
 		t.Fatalf("PlanPriorHits = %d, want 1", rt.st.PlanPriorHits)
+	}
+}
+
+// TestPriorFingerprintIsTheDenseView: a table storing records only for the
+// owners it touched digests exactly as the dense table it models — one
+// record per node, zeros for the absent owners, leading, inner and trailing
+// alike — so snapshot bytes do not depend on how the records are stored.
+func TestPriorFingerprintIsTheDenseView(t *testing.T) {
+	const nodes = 6
+	dense := make([]PriorOwner, nodes)
+	dense[1] = PriorOwner{Fetches: 7, RTT: 300}
+	dense[4] = PriorOwner{Fetches: 2, RTT: 0}
+	pt := &PriorTable{
+		Phases: 2, Iters: 64, Fetches: 9, Bytes: 1 << 10, Busy: 5000, Stall: 40, ReuseGap: 3,
+		nodes:    nodes,
+		owners:   []priorRec{{1, dense[1]}, {4, dense[4]}},
+		Affinity: [][]int32{{-1, 1, 4}},
+		scratch:  [][]int32{{0, 0}},
+	}
+	h := uint64(0x70726972)
+	for _, v := range []int64{pt.Phases, pt.Iters, pt.Fetches, pt.Bytes, int64(pt.Busy), int64(pt.Stall), int64(pt.ReuseGap)} {
+		h = sim.MixFP(h, uint64(v))
+	}
+	for _, o := range dense {
+		h = sim.MixFP(h, uint64(o.Fetches))
+		h = sim.MixFP(h, uint64(o.RTT))
+	}
+	for _, side := range [2][][]int32{pt.Affinity, pt.scratch} {
+		h = sim.MixFP(h, uint64(len(side)))
+		for _, a := range side {
+			h = sim.MixFP(h, uint64(len(a)))
+			for _, v := range a {
+				h = sim.MixFP(h, uint64(uint32(v)))
+			}
+		}
+	}
+	if got := pt.fingerprint(); got != h {
+		t.Fatalf("sparse table digests to %#x, its dense view to %#x", got, h)
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // Layout budgets for the runtime's hot structs (64-bit platforms). dEntry is
 // the fused M/D table entry — one slab element per renamed copy. waiter and
 // readyEntry are the thread record suspended and ready: outstanding-thread
-// memory is PeakOutstanding times one of the two. destState is the
-// per-touched-owner slot that replaced nine dense per-node arrays. fetchReq/fetchReply are the free-list nodes the fetch protocol recycles
-// on every aggregation batch. A failing test here means a field was added
+// memory is PeakOutstanding times one of the two (runNode in owner-major
+// mode). destState is the per-touched-owner slot that replaced nine dense
+// per-node arrays. fetchReq/fetchReply are the free-list nodes the fetch
+// protocol recycles on every aggregation batch. A failing test here means a field was added
 // without repacking: either restore the layout or raise the budget in the
 // same change with a justification.
 func TestHotStructSizeBudgets(t *testing.T) {
@@ -35,19 +36,24 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		// A ready thread: object key, Object interface (2 words), two frame
 		// words, template and iteration stamp (int32 each) sharing the last.
 		{"core.readyEntry", unsafe.Sizeof(readyEntry{}), 48},
-		// One slot of the destination table, per touched owner: two slice
-		// headers (request buffer, run list), three 8-byte words (RTT EWMA,
-		// sample start, phase fetch total), six int32 and two bools packed
-		// into the last four words.
-		{"core.destState", unsafe.Sizeof(destState{}), 104},
+		// One slot of the destination table, per touched owner: the request
+		// buffer's slice header, three 8-byte words (RTT EWMA, sample start,
+		// phase fetch total), eight int32 (the run list's head, tail and
+		// length among them) and two bools packed into the last five words.
+		{"core.destState", unsafe.Sizeof(destState{}), 88},
+		// A run-list node: a ready thread and the next-node index.
+		{"core.runNode", unsafe.Sizeof(runNode{}), 56},
 		// One pointer batch: a single slice header.
 		{"core.fetchReq", unsafe.Sizeof(fetchReq{}), 24},
 		// Pointer batch + object batch: two slice headers.
 		{"core.fetchReply", unsafe.Sizeof(fetchReply{}), 48},
-		// Cross-phase prior records: one PriorOwner per node per phase kind
-		// (two words), and the fixed table header — six aggregate counters,
-		// the reuse-gap window, and three slice headers.
+		// Cross-phase prior records: the modelled PriorOwner charged per node
+		// per phase kind (two words), the stored record per touched owner
+		// (owner id in a word of its own, then the PriorOwner), and the fixed
+		// table header — six aggregate counters, the reuse-gap window and the
+		// node count sharing a word, and three slice headers.
 		{"core.PriorOwner", unsafe.Sizeof(PriorOwner{}), priorOwnerBytes},
+		{"core.priorRec", unsafe.Sizeof(priorRec{}), 24},
 		{"core.PriorTable", unsafe.Sizeof(PriorTable{}), priorTableBytes},
 	}
 	for _, c := range cases {
@@ -107,8 +113,9 @@ func TestThreadSlabsHoldNoPointers(t *testing.T) {
 }
 
 // TestPriorAccountingMatchesLayout pins the prior-table byte accounting to
-// the real struct layouts. ByteSize charges priorTableBytes plus
-// priorOwnerBytes per owner record against the same 4 MiB renamed-copy
+// the real struct layouts and to the modelled table. ByteSize charges
+// priorTableBytes plus priorOwnerBytes per machine node — the dense table,
+// whatever number of records is stored — against the same 4 MiB renamed-copy
 // budget the planner's memory bound spends from (planPropose subtracts
 // priorBytes from the headroom), so a drifted constant silently mis-sizes
 // strips — the constants must equal the layouts exactly, not merely bound
@@ -123,8 +130,12 @@ func TestPriorAccountingMatchesLayout(t *testing.T) {
 	if got := unsafe.Sizeof(PriorTable{}); got != priorTableBytes {
 		t.Errorf("PriorTable header is %d bytes, accounting charges %d", got, priorTableBytes)
 	}
-	pt := &PriorTable{Owners: make([]PriorOwner, 4), Affinity: [][]int32{make([]int32, 8)}}
-	want := int64(priorTableBytes) + 4*priorOwnerBytes + 8*4
+	pt := &PriorTable{
+		nodes:    4096,
+		owners:   []priorRec{{owner: 3, PriorOwner: PriorOwner{Fetches: 1}}, {owner: 900, PriorOwner: PriorOwner{RTT: 2}}},
+		Affinity: [][]int32{make([]int32, 8)},
+	}
+	want := int64(priorTableBytes) + 4096*priorOwnerBytes + 8*4
 	if got := pt.ByteSize(); got != want {
 		t.Errorf("ByteSize = %d, want %d", got, want)
 	}

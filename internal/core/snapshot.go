@@ -124,15 +124,7 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	}
 	w.U64(h)
 	w.Int(rt.oq.len())
-	h = uint64(rt.oq.len())
-	for i := rt.oq.oHead; i < len(rt.oq.order); i++ {
-		d := &dests.slots[rt.oq.order[i]]
-		h = sim.MixFP(h, uint64(d.owner))
-		for j := int(d.runHead); j < len(d.run); j++ {
-			h = sim.MixFP(h, d.run[j].key)
-		}
-	}
-	w.U64(h)
+	w.U64(rt.oq.digest(dests))
 
 	// Adaptive controller / planner state.
 	w.Bool(rt.adaptive)

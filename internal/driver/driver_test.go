@@ -224,7 +224,8 @@ func TestRunPhaseCrossTraffic(t *testing.T) {
 // TestPriorStoreArenaLifetime pins when a store's runtime arenas are recycled
 // and when they are rebuilt or dropped: kept across phases of one shape;
 // rebuilt for another node count or another spec; never created for the
-// other runtimes; absent from a Clone; dropped after a degraded phase.
+// other runtimes; absent from a Clone; dropped after a degraded phase. A
+// kind's prior tables are rebuilt cold for another node count, either way.
 func TestPriorStoreArenaLifetime(t *testing.T) {
 	space := gptr.NewSpace(4)
 	ptrs := make([]gptr.Ptr, 4)
@@ -282,6 +283,32 @@ func TestPriorStoreArenaLifetime(t *testing.T) {
 	}
 	if store.arenas != nil {
 		t.Fatal("arenas survived a degraded phase")
+	}
+
+	// A kind's prior tables follow the node count as the arenas do: a phase
+	// on more nodes than they were built for must not index past them, and
+	// one on fewer must start cold, not warm from another machine's history.
+	big := gptr.NewSpace(8)
+	objs := make([]gptr.Ptr, 8)
+	for i := range objs {
+		objs[i] = big.Alloc(i, thing{id: i})
+	}
+	priors := NewPriorStore()
+	loop := func(nodes int) stats.Run {
+		return RunPhase(machine.DefaultT3D(nodes), big, DPASpec(10, WithPrior()),
+			func(rt Runtime, ep *fm.EP, nd *machine.Node) {
+				rt.ForAll(nodes, func(i int) {
+					rt.Spawn(objs[(nd.ID()+i)%nodes], func(gptr.Object) {})
+				})
+			}, WithPriors(priors, "k"))
+	}
+	for _, c := range []struct {
+		nodes int
+		warm  bool
+	}{{4, false}, {4, true}, {8, false}, {8, true}, {4, false}} {
+		if hits := loop(c.nodes).RT.PlanPriorHits; (hits > 0) != c.warm {
+			t.Fatalf("phase on %d nodes: %d prior hits, want warm=%v", c.nodes, hits, c.warm)
+		}
 	}
 }
 

@@ -34,17 +34,21 @@ func NewPriorStore() *PriorStore {
 }
 
 // tables returns the per-node table slice for a phase kind, creating cold
-// tables on first use. Creation happens on the host before the machine runs,
-// so concurrent node bodies only ever read the returned slice.
+// tables on first use and whenever the node count differs from the one the
+// kind's tables were built for (as runtimeArenas does). Creation happens on
+// the host before the machine runs, so concurrent node bodies only ever read
+// the returned slice.
 func (ps *PriorStore) tables(kind string, nodes int) []*core.PriorTable {
-	ts := ps.kinds[kind]
-	if ts == nil {
+	ts, ok := ps.kinds[kind]
+	if len(ts) != nodes {
 		ts = make([]*core.PriorTable, nodes)
 		for i := range ts {
 			ts[i] = &core.PriorTable{}
 		}
 		ps.kinds[kind] = ts
-		ps.order = append(ps.order, kind)
+		if !ok {
+			ps.order = append(ps.order, kind)
+		}
 	}
 	return ts
 }
