@@ -13,7 +13,9 @@ import (
 	"testing"
 
 	"dpa/internal/em3d"
+	"dpa/internal/fmm"
 	"dpa/internal/graph"
+	"dpa/internal/nbody"
 	"dpa/internal/pdg"
 	"dpa/internal/sim"
 	"dpa/internal/tpart"
@@ -189,17 +191,20 @@ func TestRunPhaseRejectsInvalidSpec(t *testing.T) {
 }
 
 // Recycled-storage equivalence. A multi-phase runner hands one PriorStore to
-// every phase, and the store recycles each node's runtime storage from phase
-// to phase (core.Arena). Storage is not state: a run on recycled arenas must
-// be indistinguishable — run tables, application results, mid-run snapshot
-// bytes — from the same run with every phase's runtimes built from scratch.
+// every phase, and the store recycles the simulated machine (nodes, data
+// caches, mailboxes, engine storage, endpoints) and each node's runtime
+// storage (core.Arena) from phase to phase. Storage is not state: a run on
+// recycled storage must be indistinguishable — run tables, application
+// results, mid-run snapshot bytes, exported traces — from the same run with
+// every phase's machine and runtimes built from scratch.
 
 // phasedApp is a multi-phase workload whose phase loop the test drives
 // itself, so it can choose the store each phase runs with: kinds[k] is phase
-// k's prior kind, body(k) its SPMD body, commit(k) the owners' update after
-// it, and result a fingerprint of the application state.
+// k's prior kind, space(k) the object space it runs on, body(k) its SPMD
+// body, commit(k) the owners' update after it, and result a fingerprint of
+// the application state.
 type phasedApp struct {
-	space  *Space
+	space  func(k int) *Space
 	kinds  []string
 	body   func(k int) func(rt Runtime, ep *Endpoint, nd *Node)
 	commit func(k int)
@@ -232,7 +237,7 @@ func phasedEM3D(nodes int, templates bool) phasedApp {
 	}
 	acc := make([]float64, prm.NodesPerKind)
 	return phasedApp{
-		space: g.Space,
+		space: func(int) *Space { return g.Space },
 		kinds: []string{"E", "H", "E", "H"},
 		body: func(k int) func(rt Runtime, ep *Endpoint, nd *Node) {
 			ns, ptrs := half(k)
@@ -281,7 +286,7 @@ func phasedPageRank(nodes int, templates bool) phasedApp {
 	}
 	acc := make([]float64, n)
 	return phasedApp{
-		space: g.Space,
+		space: func(int) *Space { return g.Space },
 		kinds: []string{"pagerank", "pagerank", "pagerank"},
 		body: func(int) func(rt Runtime, ep *Endpoint, nd *Node) {
 			return func(rt Runtime, ep *Endpoint, nd *Node) {
@@ -320,6 +325,34 @@ func phasedPageRank(nodes int, templates bool) phasedApp {
 	}
 }
 
+// phasedFMM is fmm.RunSteps' phase loop, three steps over the same bodies,
+// each redistributed from scratch as RunSteps does (so every phase has an
+// object space of its own). FMM has one spelling, templates.
+func phasedFMM(nodes int) phasedApp {
+	bodies := nbody.Plummer(128, 7)
+	prm := fmm.DefaultParams(len(bodies))
+	const steps = 3
+	ds := make([]*fmm.Dist, steps)
+	fields := make([][]complex128, steps)
+	pots := make([][]float64, steps)
+	for k := range ds {
+		ds[k] = fmm.Distribute(bodies, prm, nodes)
+		fields[k] = make([]complex128, len(bodies))
+		pots[k] = make([]float64, len(bodies))
+	}
+	return phasedApp{
+		space: func(k int) *Space { return ds[k].Space },
+		kinds: []string{"fmm", "fmm", "fmm"},
+		body: func(k int) func(rt Runtime, ep *Endpoint, nd *Node) {
+			return func(rt Runtime, ep *Endpoint, nd *Node) {
+				fmm.Phase(rt, ep, nd, ds[k], fields[k], pots[k])
+			}
+		},
+		commit: func(int) {},
+		result: func() string { return fmt.Sprintf("%x %x", fields, pots) },
+	}
+}
+
 // phasedRun is one pass over an app's phases.
 type phasedRun struct {
 	phases []RunStats
@@ -330,9 +363,10 @@ type phasedRun struct {
 
 // runPhased runs every phase of a freshly built app. With scratch false one
 // store spans the run, as the real runners do, so from the second phase on
-// every runtime sits on a recycled arena. With scratch true each phase gets
-// a Clone of the running store — the same priors and, by Clone's contract, no
-// arenas — so every runtime of every phase is built from scratch.
+// the machine is the previous phase's and every runtime sits on a recycled
+// arena. With scratch true each phase gets a Clone of the running store — the
+// same priors and, by Clone's contract, no machine and no arenas — so every
+// phase's machine and runtimes are built from scratch.
 func runPhased(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec Spec,
 	scratch bool, at Time, extra ...RunOption) phasedRun {
 	t.Helper()
@@ -356,7 +390,7 @@ func runPhased(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec
 		if ck != nil {
 			opts = append(opts, WithCheckpoint(ck))
 		}
-		run := RunPhase(mcfg, app.space, spec, app.body(k), opts...)
+		run := RunPhase(mcfg, app.space(k), spec, app.body(k), opts...)
 		app.commit(k)
 		out.phases = append(out.phases, run)
 		out.total.Merge(run)
@@ -373,14 +407,15 @@ func inForm(build func(int, bool) phasedApp, templates bool) func(int) phasedApp
 	return func(nodes int) phasedApp { return build(nodes, templates) }
 }
 
-// runTraced is runPhased with a tracer attached; it also returns the exported
-// trace. The ring keeps each node's last 2048 events and 8192 spans, a long
-// enough tail to show any reordering at a fraction of the full export's cost.
+// runTraced is runPhased under eng with a tracer attached; it also returns
+// the exported trace. The ring keeps each node's last 2048 events and 8192
+// spans, a long enough tail to show any reordering at a fraction of the full
+// export's cost.
 func runTraced(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec Spec,
-	at Time, eng Engine) (phasedRun, []byte) {
+	scratch bool, at Time, eng Engine) (phasedRun, []byte) {
 	t.Helper()
 	tracer := NewTracer(mcfg.Nodes, 2048)
-	run := runPhased(t, build, mcfg, spec, false, at, WithEngineValue(eng), WithTracer(tracer))
+	run := runPhased(t, build, mcfg, spec, scratch, at, WithEngineValue(eng), WithTracer(tracer))
 	var buf bytes.Buffer
 	if err := tracer.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -390,15 +425,16 @@ func runTraced(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec
 
 func TestRecycledStorageEquivalence(t *testing.T) {
 	const nodes = 4
-	// Every app is written twice: build spawns closures, twin spawns
-	// templates. The rows compare recycled with from-scratch storage on the
-	// closure form, and then the two forms with each other.
+	// EM3D and PageRank are written twice: build spawns closures, twin
+	// spawns templates. The rows compare recycled with from-scratch storage
+	// on the closure form, and then the two forms with each other.
 	apps := []struct {
 		name        string
 		build, twin func(int) phasedApp
 	}{
 		{"em3d", inForm(phasedEM3D, false), inForm(phasedEM3D, true)},
 		{"pagerank", inForm(phasedPageRank, false), inForm(phasedPageRank, true)},
+		{"fmm", phasedFMM, nil},
 	}
 	specs := []struct {
 		name   string
@@ -418,71 +454,62 @@ func TestRecycledStorageEquivalence(t *testing.T) {
 					mcfg := DefaultT3D(nodes)
 					mcfg.Faults = plan.faults
 					// The boundary sits five eighths into the run: in a late
-					// phase, on arenas that have been recycled at least once.
+					// phase, on storage that has been recycled at least once.
 					probe := runPhased(t, app.build, mcfg, sp.spec, false, 0)
 					at := probe.total.Makespan * 5 / 8
 					if at <= probe.phases[0].Makespan {
-						t.Fatalf("boundary t=%d falls in the first phase (makespan %d): no recycled arena under test",
+						t.Fatalf("boundary t=%d falls in the first phase (makespan %d): no recycled storage under test",
 							at, probe.phases[0].Makespan)
 					}
 					if plan.name == "crash" && probe.total.Err == nil {
-						t.Fatal("crash plan crashed nobody: the row does not exercise dropped arenas")
+						t.Fatal("crash plan crashed nobody: the row does not exercise dropped storage")
 					}
-					recycled := runPhased(t, app.build, mcfg, sp.spec, false, at)
-					scratch := runPhased(t, app.build, mcfg, sp.spec, true, at)
-					for k := range recycled.phases {
-						if diff := recycled.phases[k].Diff(scratch.phases[k]); diff != "" {
-							t.Fatalf("phase %d: recycled vs from-scratch runtimes diverge: %s", k, diff)
-						}
-					}
-					if diff := recycled.total.Diff(scratch.total); diff != "" {
-						t.Fatalf("run totals diverge: %s", diff)
-					}
-					if recycled.result != scratch.result {
-						t.Fatal("application results diverge between recycled and from-scratch runtimes")
-					}
-					if !bytes.Equal(recycled.snap, scratch.snap) {
-						a, _ := RestoreSnapshot(recycled.snap)
-						b, _ := RestoreSnapshot(scratch.snap)
-						t.Fatalf("mid-run snapshots differ (%d vs %d bytes): %s",
-							len(recycled.snap), len(scratch.snap), a.Diff(b))
-					}
-					if plan.name == "clean" && sp.priors && recycled.total.RT.PlanPriorHits == 0 {
+					if plan.name == "clean" && sp.priors && probe.total.RT.PlanPriorHits == 0 {
 						t.Fatal("planned row never warm-started: the priors half of the row is vacuous")
 					}
-					// Closures and templates are one path — a closure thread is
-					// template 0 on a side-table slot — so the app's two
-					// spellings are the same run under either engine: run
+					// Under either engine, recycled storage (one store for the
+					// run) and from-scratch storage (a Clone per phase: same
+					// priors, no machine, no arenas) are the same run: run
 					// tables, results, mid-run snapshot bytes, trace bytes.
+					// The app's closure and template spellings are one path
+					// too — a closure thread is template 0 on a side-table
+					// slot — so they match the same way.
+					var snap0 []byte
 					for _, eng := range []Engine{Sequential(), Parallel()} {
-						closures, ctrace := runTraced(t, app.build, mcfg, sp.spec, at, eng)
-						templates, ttrace := runTraced(t, app.twin, mcfg, sp.spec, at, eng)
-						for k := range closures.phases {
-							if !closures.phases[k].Equal(templates.phases[k]) {
-								t.Fatalf("%v, phase %d: closure vs template form diverge: %s",
-									eng, k, closures.phases[k].Diff(templates.phases[k]))
-							}
+						recycled, rtrace := runTraced(t, app.build, mcfg, sp.spec, false, at, eng)
+						scratch, strace := runTraced(t, app.build, mcfg, sp.spec, true, at, eng)
+						samePhased(t, fmt.Sprintf("%v: recycled vs from-scratch storage", eng),
+							recycled, scratch, rtrace, strace, mcfg.ClockHz)
+						if app.twin != nil {
+							templates, ttrace := runTraced(t, app.twin, mcfg, sp.spec, false, at, eng)
+							samePhased(t, fmt.Sprintf("%v: closure vs template form", eng),
+								recycled, templates, rtrace, ttrace, mcfg.ClockHz)
 						}
-						if closures.result != templates.result {
-							t.Fatalf("%v: application results diverge between the closure and the template form", eng)
+						if snap0 == nil {
+							snap0 = recycled.snap
+						} else if !bytes.Equal(recycled.snap, snap0) {
+							t.Fatalf("%v: mid-run snapshot differs from the first engine's", eng)
 						}
-						if !bytes.Equal(closures.snap, templates.snap) {
-							t.Fatalf("%v: mid-run snapshots differ between the closure and the template form", eng)
-						}
-						if !bytes.Equal(closures.snap, recycled.snap) {
-							t.Fatalf("%v: traced snapshot differs from the untraced sequential one", eng)
-						}
-						if !bytes.Equal(ctrace, ttrace) {
-							t.Fatalf("%v: exported traces differ between the closure and the template form", eng)
-						}
+					}
+					// Without a tracer — no observer, no charge hook, no
+					// timeline: the path the benchmarks take — recycled and
+					// from-scratch storage are the same run too, and the
+					// snapshot is the traced runs' byte for byte.
+					plain := runPhased(t, app.build, mcfg, sp.spec, false, at)
+					plainScratch := runPhased(t, app.build, mcfg, sp.spec, true, at)
+					samePhased(t, "untraced: recycled vs from-scratch storage",
+						plain, plainScratch, nil, nil, mcfg.ClockHz)
+					if !bytes.Equal(plain.snap, snap0) {
+						t.Fatal("untraced snapshot differs from the traced ones")
 					}
 					if sp.priors {
 						// The check run of a validated phase gets a Clone of
-						// the store — priors, no arenas — under the other
-						// engine, so validating every phase compares recycled
-						// against from-scratch across engines; RunPhase
-						// panics on any difference. (The body runs twice, so
-						// the application's values are not comparable here.)
+						// the store — priors, no machine, no arenas — under
+						// the other engine, so validating every phase compares
+						// recycled against from-scratch across engines;
+						// RunPhase panics on any difference. (The body runs
+						// twice, so the application's values are not
+						// comparable here.)
 						runPhased(t, app.build, mcfg, sp.spec, false, 0, WithValidation())
 					}
 				})
@@ -491,33 +518,84 @@ func TestRecycledStorageEquivalence(t *testing.T) {
 	}
 }
 
-// TestStoreReusedAcrossShapesRebuilds: a store's arenas belong to the node
-// count and spec they were built for. Handing the same store to a phase on a
-// machine of another size, or under another spec, must run that phase exactly
-// as a new store would — not index a too-short arena slice, not carry storage
-// shaped by the other policy.
-func TestStoreReusedAcrossShapesRebuilds(t *testing.T) {
-	phase := func(nodes int, spec Spec, store *PriorStore) RunStats {
-		app := phasedPageRank(nodes, true)
-		return RunPhase(DefaultT3D(nodes), app.space, spec, app.body(0), WithPriors(store, "pagerank"))
-	}
-	store := NewPriorStore()
-	steps := []struct {
-		nodes int
-		spec  Spec
-	}{
-		{4, DPASpec(8)},
-		{6, DPASpec(8)},                // more nodes than arenas held
-		{3, DPASpec(8)},                // fewer
-		{3, DPASpec(8, WithPlanner())}, // same count, other spec
-		{3, DPASpec(8)},                // and back
-		{3, DPASpec(8)},                // same shape twice: this one recycles
-	}
-	for i, s := range steps {
-		got := phase(s.nodes, s.spec, store)
-		want := phase(s.nodes, s.spec, NewPriorStore())
-		if diff := got.Diff(want); diff != "" {
-			t.Fatalf("step %d (%d nodes, %v): reused store diverges from a new one: %s", i, s.nodes, s.spec, diff)
+// samePhased fails the test unless two passes over an app are the same run:
+// per-phase statistics and run tables, totals, application results, mid-run
+// snapshot bytes and exported trace bytes.
+func samePhased(t *testing.T, what string, a, b phasedRun, atrace, btrace []byte, clockHz float64) {
+	t.Helper()
+	for k := range a.phases {
+		if diff := a.phases[k].Diff(b.phases[k]); diff != "" {
+			t.Fatalf("%s, phase %d: %s", what, k, diff)
+		}
+		if a.phases[k].Table(clockHz) != b.phases[k].Table(clockHz) {
+			t.Fatalf("%s, phase %d: run tables differ", what, k)
 		}
 	}
+	if diff := a.total.Diff(b.total); diff != "" {
+		t.Fatalf("%s: run totals diverge: %s", what, diff)
+	}
+	if a.result != b.result {
+		t.Fatalf("%s: application results diverge", what)
+	}
+	if !bytes.Equal(a.snap, b.snap) {
+		x, _ := RestoreSnapshot(a.snap)
+		y, _ := RestoreSnapshot(b.snap)
+		t.Fatalf("%s: mid-run snapshots differ (%d vs %d bytes): %s", what, len(a.snap), len(b.snap), x.Diff(y))
+	}
+	if !bytes.Equal(atrace, btrace) {
+		t.Fatalf("%s: exported traces differ", what)
+	}
+}
+
+// TestStoreReusedAcrossShapesRebuilds: a store's machine belongs to the
+// complete machine config it was built for, and its arenas to the node count
+// and spec. Handing the same store to a phase on a machine of another size,
+// under another engine or fault plan, or under another spec, must run that
+// phase exactly as a new store would — not index a too-short slice, not
+// carry storage shaped by the other policy or machine.
+func TestStoreReusedAcrossShapesRebuilds(t *testing.T) {
+	phase := func(s storeStep, store *PriorStore) RunStats {
+		app := phasedPageRank(s.nodes, true)
+		mcfg := DefaultT3D(s.nodes)
+		mcfg.Faults = s.faults
+		return RunPhase(mcfg, app.space(0), s.spec, app.body(0), WithEngineValue(s.eng), WithPriors(store, "pagerank"))
+	}
+	lossy := DefaultFaults(5, 0.05)
+	steps := []storeStep{
+		{4, DPASpec(8), Sequential(), FaultConfig{}},
+		{6, DPASpec(8), Sequential(), FaultConfig{}},                // more nodes than arenas held
+		{3, DPASpec(8), Sequential(), FaultConfig{}},                // fewer
+		{3, DPASpec(8, WithPlanner()), Sequential(), FaultConfig{}}, // same count, other spec
+		{3, DPASpec(8), Sequential(), FaultConfig{}},                // and back
+		{3, DPASpec(8), Sequential(), FaultConfig{}},                // same shape twice: this one recycles
+		{8, DPASpec(8), Sequential(), FaultConfig{}},
+		{16, DPASpec(8), Sequential(), FaultConfig{}},
+		{8, DPASpec(8), Sequential(), FaultConfig{}},
+		{8, DPASpec(8), Parallel(Workers(2)), FaultConfig{}}, // other engine
+		{8, DPASpec(8), Parallel(Workers(2)), lossy},         // other fault plan
+		{8, DPASpec(8), Parallel(Workers(2)), lossy},         // recycles
+		{8, DPASpec(8), Sequential(), lossy},
+	}
+	store := NewPriorStore()
+	for i, s := range steps {
+		got := phase(s, store)
+		want := phase(s, NewPriorStore())
+		if got.Err != nil {
+			t.Fatalf("step %d: %v", i, got.Err)
+		}
+		if diff := got.Diff(want); diff != "" {
+			t.Fatalf("step %d (%+v): reused store diverges from a new one: %s", i, s, diff)
+		}
+		if g, w := got.Table(1), want.Table(1); g != w {
+			t.Fatalf("step %d (%+v): run tables differ\n%s\nwant\n%s", i, s, g, w)
+		}
+	}
+}
+
+// storeStep is one phase of TestStoreReusedAcrossShapesRebuilds.
+type storeStep struct {
+	nodes  int
+	spec   Spec
+	eng    Engine
+	faults FaultConfig
 }

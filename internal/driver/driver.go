@@ -493,7 +493,9 @@ func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 	return run
 }
 
-// runOnce executes the phase on a fresh machine and collects statistics.
+// runOnce executes the phase and collects statistics. The machine and its
+// endpoints come from the run's store (a fresh machine without one), and
+// the store keeps them for the next phase only if this one ends cleanly.
 // Under fault injection the endpoints quiesce the reliability protocol once
 // before the closing barrier — while every peer still polls and acks — and
 // once after, for the barrier traffic itself; both are no-ops when the
@@ -502,9 +504,17 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 	body func(rt Runtime, ep *fm.EP, nd *machine.Node),
 	prior *PriorStore, priorKind string) stats.Run {
 
+	clean := false
+	if prior != nil {
+		defer func() {
+			if !clean {
+				prior.dropRunStorage()
+			}
+		}()
+	}
 	ck := mcfg.Checkpoint
-	protos := NewProtos()
-	m := machine.New(mcfg)
+	pm := prior.machine(mcfg)
+	m := pm.m
 	rts := make([]Runtime, mcfg.Nodes)
 	eps := make([]*fm.EP, mcfg.Nodes)
 	// Resolve the phase's prior tables on the host before the machine runs:
@@ -536,12 +546,12 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 		})
 	}
 	makespan, engErr := m.Run(func(nd *machine.Node) {
-		ep := fm.NewEP(protos.Net, nd)
+		ep := pm.endpoint(nd)
 		var arena *core.Arena
 		if arenas != nil {
 			arena = &arenas[nd.ID()]
 		}
-		rt, err := protos.newRuntime(spec, ep, space, arena)
+		rt, err := pm.protos.newRuntime(spec, ep, space, arena)
 		if err != nil {
 			panic(err) // spec was validated before the machine started
 		}
@@ -611,12 +621,9 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 		run.MergeFaults(ep.FaultStats())
 		run.AddErr(ep.Err())
 	}
-	if arenas != nil && run.Err != nil {
-		// A degraded phase (abandoned fetches, a crashed node, a deadlocked
-		// machine) can leave buffers referenced from wherever it stopped;
-		// the next phase builds fresh runtimes.
-		prior.dropArenas()
-	}
+	// A degraded phase (abandoned fetches, a crashed node, a deadlocked
+	// machine) hands nothing on: the deferred drop runs unless this is set.
+	clean = run.Err == nil
 	return run
 }
 

@@ -221,11 +221,14 @@ func TestRunPhaseCrossTraffic(t *testing.T) {
 	}
 }
 
-// TestPriorStoreArenaLifetime pins when a store's runtime arenas are recycled
-// and when they are rebuilt or dropped: kept across phases of one shape;
-// rebuilt for another node count or another spec; never created for the
-// other runtimes; absent from a Clone; dropped after a degraded phase. A
-// kind's prior tables are rebuilt cold for another node count, either way.
+// TestPriorStoreArenaLifetime pins when a store's runtime arenas and machine
+// are recycled and when they are rebuilt or dropped. Arenas: kept across
+// phases of one shape; rebuilt for another node count or another spec; never
+// created for the other runtimes; absent from a Clone; dropped after a
+// degraded phase. The machine: kept while the machine config repeats, under
+// any runtime; rebuilt when it changes; absent from a Clone; dropped after a
+// degraded phase. A kind's prior tables are rebuilt cold for another node
+// count, either way.
 func TestPriorStoreArenaLifetime(t *testing.T) {
 	space := gptr.NewSpace(4)
 	ptrs := make([]gptr.Ptr, 4)
@@ -253,7 +256,14 @@ func TestPriorStoreArenaLifetime(t *testing.T) {
 	if held() != nil {
 		t.Fatal("a caching phase built DPA arenas")
 	}
+	mach := store.mach
+	if mach == nil {
+		t.Fatal("a caching phase left no machine for the next")
+	}
 	phase(4, DPASpec(10))
+	if store.mach != mach {
+		t.Fatal("a phase on the same machine config under another runtime rebuilt the machine")
+	}
 	first := held()
 	if first == nil || len(store.arenas) != 4 {
 		t.Fatalf("DPA phase on 4 nodes holds %d arenas", len(store.arenas))
@@ -262,12 +272,15 @@ func TestPriorStoreArenaLifetime(t *testing.T) {
 	if held() != first {
 		t.Fatal("second phase of the same shape rebuilt the arenas instead of recycling them")
 	}
-	if c := store.Clone(); c.arenas != nil {
-		t.Fatal("Clone copied arenas")
+	if c := store.Clone(); c.arenas != nil || c.mach != nil {
+		t.Fatal("Clone copied run storage")
 	}
 	phase(3, DPASpec(10))
 	if held() == first || len(store.arenas) != 3 {
 		t.Fatalf("a 3-node phase kept the 4-node arenas (%d held)", len(store.arenas))
+	}
+	if store.mach == mach {
+		t.Fatal("a 3-node phase ran on the 4-node machine")
 	}
 	resized := held()
 	phase(3, DPASpec(10, WithPlanner()))
@@ -281,8 +294,8 @@ func TestPriorStoreArenaLifetime(t *testing.T) {
 	if run := phase(3, DPASpec(10, WithPlanner()), WithFaults(fc)); run.Err == nil {
 		t.Fatal("total message loss produced a clean run")
 	}
-	if store.arenas != nil {
-		t.Fatal("arenas survived a degraded phase")
+	if store.arenas != nil || store.mach != nil {
+		t.Fatal("run storage survived a degraded phase")
 	}
 
 	// A kind's prior tables follow the node count as the arenas do: a phase

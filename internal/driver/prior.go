@@ -2,6 +2,8 @@ package driver
 
 import (
 	"dpa/internal/core"
+	"dpa/internal/fm"
+	"dpa/internal/machine"
 	"dpa/internal/sim"
 )
 
@@ -17,14 +19,61 @@ import (
 // repeat contract the equivalence suites assert.
 //
 // The store also carries what is recycled between the phases of the run that
-// is not state at all: one core.Arena of runtime storage per node (see
-// runtimeArenas). Arenas are never encoded, cloned or compared.
+// is not state at all: the simulated machine with its endpoints (see
+// phaseMachine) and one core.Arena of runtime storage per node (see
+// runtimeArenas). This run-scoped storage is never encoded, cloned or
+// compared, and a phase that does not end cleanly drops all of it
+// (dropRunStorage).
 type PriorStore struct {
 	kinds map[string][]*core.PriorTable
 	order []string // insertion order, for deterministic encoding
 
+	mach      *phaseMachine
 	arenas    []core.Arena
 	arenaSpec Spec // the spec arenas was built for
+}
+
+// phaseMachine is the simulated machine the phases of one run share: one
+// machine.Machine, run once per phase, with the protocol table its
+// endpoints dispatch through and each node's endpoint, reset at the start
+// of every phase after the first.
+type phaseMachine struct {
+	cfg    machine.Config // as the phase asked for it, before Validate fills it in
+	m      *machine.Machine
+	protos *Protos
+	eps    []*fm.EP
+}
+
+func newPhaseMachine(cfg machine.Config) *phaseMachine {
+	return &phaseMachine{cfg: cfg, m: machine.New(cfg), protos: NewProtos(), eps: make([]*fm.EP, cfg.Nodes)}
+}
+
+// endpoint returns node nd's endpoint for the phase: the previous phase's,
+// reset, or a new one on the node's first phase. Called from nd's own
+// program, so the parallel engine's workers touch distinct slots.
+func (pm *phaseMachine) endpoint(nd *machine.Node) *fm.EP {
+	if ep := pm.eps[nd.ID()]; ep != nil {
+		ep.Reset()
+		return ep
+	}
+	ep := fm.NewEP(pm.protos.Net, nd)
+	pm.eps[nd.ID()] = ep
+	return ep
+}
+
+// machine returns the machine for a phase under cfg: the store's, when the
+// previous phase ran on exactly the same config, a new one otherwise —
+// another node count, engine, tuning, fault plan, tracer or checkpoint
+// builds its own. A nil store (a phase outside any multi-phase run) always
+// gets a new machine.
+func (ps *PriorStore) machine(cfg machine.Config) *phaseMachine {
+	if ps == nil {
+		return newPhaseMachine(cfg)
+	}
+	if ps.mach == nil || ps.mach.cfg != cfg {
+		ps.mach = newPhaseMachine(cfg)
+	}
+	return ps.mach
 }
 
 // NewPriorStore returns an empty store. One store should span exactly one
@@ -66,14 +115,19 @@ func (ps *PriorStore) runtimeArenas(spec Spec, nodes int) []core.Arena {
 	return ps.arenas
 }
 
-// dropArenas discards the held arenas; the next phase builds fresh ones.
-func (ps *PriorStore) dropArenas() { ps.arenas = nil }
+// dropRunStorage discards the machine and the arenas; the next phase builds
+// fresh ones. A phase that deadlocked leaves coroutines parked on its
+// machine's processes, and one that degraded or panicked can leave buffers
+// referenced from wherever it stopped, so neither may hand its storage on.
+// The priors stay: they are simulated history, folded only at a seam.
+func (ps *PriorStore) dropRunStorage() { ps.mach, ps.arenas = nil, nil }
 
-// Clone deep-copies the store's priors; the copy holds no arenas. RunPhase
-// uses it to give the WithValidation check run the same pre-phase priors as
-// the primary run without the two runs double-folding into one table — and,
-// since the check run therefore builds fresh runtimes, every validated phase
-// also compares a recycled runtime against a fresh one.
+// Clone deep-copies the store's priors; the copy holds no machine and no
+// arenas. RunPhase uses it to give the WithValidation check run the same
+// pre-phase priors as the primary run without the two runs double-folding
+// into one table — and, since the check run therefore builds a fresh
+// machine and fresh runtimes, every validated phase also compares recycled
+// storage against fresh storage.
 func (ps *PriorStore) Clone() *PriorStore {
 	if ps == nil {
 		return nil

@@ -140,3 +140,19 @@ func TestWeakScaledEM3DIsBalanced(t *testing.T) {
 		t.Errorf("mean barrier wait %d cycles of a %d-cycle makespan, want under half", wait, run.Makespan)
 	}
 }
+
+// BenchmarkRunIters is the em3d1024_static workload's run: 8192 graph nodes
+// per kind on 1024 machine nodes under DPA(50), two iterations (four
+// phases), sequential engine. RunIters builds its graph, so the figures are
+// what one multi-phase run costs the host, construction included.
+func BenchmarkRunIters(b *testing.B) {
+	prm := DefaultParams(8192)
+	mcfg := machine.DefaultT3D(1024)
+	spec := driver.DPASpec(50)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if r, _ := RunIters(mcfg, spec, prm, 2); r.Err != nil {
+			b.Fatal(r.Err)
+		}
+	}
+}

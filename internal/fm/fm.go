@@ -161,7 +161,18 @@ type EP struct {
 // endpoint enables it transparently.
 func NewEP(net *Net, n *machine.Node) *EP {
 	net.sealed.Store(true)
-	ep := &EP{Node: n, net: net, trc: n.Obs()}
+	ep := &EP{Node: n, net: net}
+	ep.Reset()
+	return ep
+}
+
+// Reset returns the endpoint to the state NewEP builds, for another phase on
+// the same node of a machine that is run again (machine.Machine.Run): Ctx,
+// counters, errors, reliability and collective state start over. Call it
+// inside the SPMD main function, after the machine has started the phase.
+func (ep *EP) Reset() {
+	n := ep.Node
+	*ep = EP{Node: n, net: ep.net, trc: n.Obs()}
 	fc := &n.Cfg().Faults
 	if fc.NeedsReliability() {
 		ep.rel = newRelState(fc, n.N())
@@ -173,7 +184,6 @@ func NewEP(net *Net, n *machine.Node) *EP {
 			ep.reduceSeen = make([]int, n.N())
 		}
 	}
-	return ep
 }
 
 // maxRecordedErrs caps the errors kept per endpoint; the rest are counted

@@ -6,11 +6,11 @@ import (
 )
 
 // Layout budget for the endpoint (64-bit platforms): one EP per node per
-// phase, so at 1024 nodes anything per-peer or per-level stored here is
-// multiplied out on every phase. The tree's shape is computed from the node
-// id; its only storage is one reduce slot per child. If the test fires,
-// either compute the new state instead of storing it or raise the budget in
-// the same change with a justification.
+// run, reset in place every phase, so at 1024 nodes anything per-peer or
+// per-level stored here is multiplied out by the node count. The tree's
+// shape is computed from the node id; its only storage is one reduce slot
+// per child. If the test fires, either compute the new state instead of
+// storing it or raise the budget in the same change with a justification.
 func TestHotStructSizeBudgets(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout budgets are calibrated for 64-bit platforms")

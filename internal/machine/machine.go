@@ -223,7 +223,10 @@ func (c *Config) TransitTime(from, to, bytes int) sim.Time {
 // Seconds converts virtual cycles to seconds under this config's clock.
 func (c Config) Seconds(t sim.Time) float64 { return float64(t) / c.ClockHz }
 
-// Machine is a configured multicomputer ready to run one SPMD program.
+// Machine is a configured multicomputer that runs one SPMD program per Run.
+// A multi-phase application runs its phases on one Machine: each Run starts
+// the machine afresh in virtual time and reuses the storage the previous Run
+// built (see Run).
 type Machine struct {
 	Cfg   Config
 	eng   sim.Engine
@@ -233,10 +236,6 @@ type Machine struct {
 	// injected (the hot-path test).
 	plan *sim.FaultPlan
 }
-
-// ErrRunTwice reports a second Run call on the same Machine. A Machine hosts
-// exactly one SPMD program execution; build a new one per run.
-var ErrRunTwice = fmt.Errorf("machine: Run called twice")
 
 // New creates a machine.
 //
@@ -271,24 +270,43 @@ func New(cfg Config) *Machine {
 var newEngine = sim.NewEngineWith
 
 // Run executes main on every node (SPMD) and returns the makespan in cycles.
-// It may be called once per Machine; a second call returns ErrRunTwice.
 //
-// A non-nil error otherwise is the engine's: a *sim.DeadlockError when every
-// node blocked with no pending messages. Under fault injection that is a
+// Run may be called once per phase. Every call starts a fresh machine in
+// virtual time: clocks and charges at 0, mailboxes empty, message, cache and
+// fault counters zeroed, fault-draw cursors rewound, crash times re-applied
+// from the fault plan, a new activity timeline when tracing is on, and an
+// empty data cache. What it keeps from the previous call is storage only —
+// the Node structs, each data cache's index and entries, each process's
+// mailbox ring, overflow heap and drain buffer, and the engine's heap or
+// shards — so a phase computes exactly what it would on a new Machine.
+// Results of an earlier Run (Nodes, Trace, WorkerStats) are overwritten by
+// the next; collect them first.
+//
+// A non-nil error is the engine's: a *sim.DeadlockError when every node
+// blocked with no pending messages. Under fault injection that is a
 // reachable outcome (e.g. loss beyond what the retry budget recovers), so it
 // is returned rather than panicking; the per-node statistics remain valid up
-// to the deadlock point.
+// to the deadlock point. A deadlocked run leaves its processes parked, so a
+// Machine that returned an error (or whose Run panicked) must not be run
+// again: the next Run panics in the engine's Reset.
 func (m *Machine) Run(main func(n *Node)) (sim.Time, error) {
-	if m.nodes != nil {
-		return 0, ErrRunTwice
+	if m.nodes == nil {
+		slab := make([]Node, m.Cfg.Nodes)
+		m.nodes = make([]*Node, m.Cfg.Nodes)
+		for i := range slab {
+			m.nodes[i] = &slab[i]
+		}
+	} else {
+		m.eng.Reset()
+		if m.trace != nil {
+			m.trace = newTimeline(m.trace.BinWidth, &m.Cfg)
+		}
 	}
-	m.nodes = make([]*Node, m.Cfg.Nodes)
-	for i := 0; i < m.Cfg.Nodes; i++ {
-		n := &Node{mach: m, id: i, cache: newTouchSet(m.Cfg.CacheLines)}
+	for i, n := range m.nodes {
+		n.reset(m, i)
 		if m.Cfg.Obs != nil {
 			n.trc = m.Cfg.Obs.Attach(i)
 		}
-		m.nodes[i] = n
 		if m.plan != nil {
 			if at, doomed := m.plan.CrashTime(i); doomed {
 				n.crashAt = at
@@ -364,7 +382,7 @@ type Node struct {
 	mach  *Machine
 	id    int
 	proc  *sim.Proc
-	cache *touchSet
+	cache touchSet
 	// trc is the node's observability handle; nil unless Config.Obs is set,
 	// so the disabled path costs one nil check per emission site.
 	trc *obs.NodeTrace
@@ -399,6 +417,14 @@ type Node struct {
 	crashAt   sim.Time
 	Crashed   bool
 	CrashedAt sim.Time
+}
+
+// reset gives the node the state Run starts every phase from, keeping the
+// data cache's storage.
+func (n *Node) reset(m *Machine, id int) {
+	cache := n.cache
+	cache.reset(m.Cfg.CacheLines)
+	*n = Node{mach: m, id: id, cache: cache}
 }
 
 // ID returns the node id (0-based).
@@ -604,10 +630,18 @@ type tsEntry struct {
 const tsMinCells = 16
 
 func newTouchSet(capacity int) *touchSet {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &touchSet{cap: capacity, head: -1, tail: -1}
+	s := &touchSet{}
+	s.reset(capacity)
+	return s
+}
+
+// reset empties the set and sets its capacity, keeping the index and entry
+// storage. The index only ever grows to twice the most keys the set has held
+// (at most the power of two holding 2×cap), so clearing it costs what the
+// set was used for, not what it could hold.
+func (s *touchSet) reset(capacity int) {
+	clear(s.index)
+	*s = touchSet{cap: max(capacity, 1), index: s.index, entries: s.entries[:0], head: -1, tail: -1}
 }
 
 // home is key's first probe position (Fibonacci hashing on the top bits).

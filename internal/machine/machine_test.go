@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -326,10 +327,19 @@ func TestTouchSetBounded(t *testing.T) {
 // checkTouchSetAgainstLRU replays keys through a touchSet of the given
 // capacity and through a move-to-front list, comparing every hit/miss answer
 // and, after every access, the full recency order, the entry count (storage
-// stops growing at capacity) and the shape of the index.
+// stops growing at capacity) and the shape of the index. It replays them a
+// second time after a reset, which must leave the set as good as new.
 func checkTouchSetAgainstLRU(t *testing.T, capacity int, keys []uint64) {
 	t.Helper()
 	s := newTouchSet(capacity)
+	for round := 0; round < 2; round++ {
+		s.reset(capacity)
+		replayTouchSet(t, s, capacity, keys)
+	}
+}
+
+func replayTouchSet(t *testing.T, s *touchSet, capacity int, keys []uint64) {
+	t.Helper()
 	var ref []uint64 // most recent first
 	for step, k := range keys {
 		at := slices.Index(ref, k)
@@ -437,13 +447,85 @@ func TestSeconds(t *testing.T) {
 	}
 }
 
-func TestRunTwiceTypedError(t *testing.T) {
-	m := New(DefaultT3D(1))
-	if _, err := m.Run(func(n *Node) {}); err != nil {
-		t.Fatalf("first Run: %v", err)
+// phaseProgram is phase k of a multi-phase test program: every node touches
+// its cache, computes, sends around a ring whose stride depends on k and
+// polls, then waits out a deadline. It never blocks on a peer, so it
+// completes under a crash plan, and messages that arrive after the deadline
+// stay in their mailboxes — state a recycled machine must not carry over.
+func phaseProgram(k int) func(n *Node) {
+	return func(n *Node) {
+		for r := 0; r < 3+k; r++ {
+			n.Touch(uint64(n.ID()*7 + r*k))
+			n.Charge(sim.Compute, sim.Time(100*(n.ID()+1+k)))
+			n.Send((n.ID()+1+k)%n.N(), 0, nil, 16*(r+1))
+			n.Poll()
+		}
+		deadline := sim.Time(3000 * (k + 1))
+		for n.Now() < deadline {
+			n.WaitMessageUntil(deadline)
+		}
 	}
-	if _, err := m.Run(func(n *Node) {}); !errors.Is(err, ErrRunTwice) {
-		t.Fatalf("second Run: err = %v, want ErrRunTwice", err)
+}
+
+// phaseRecord runs one phase on m and returns everything the phase left
+// behind: makespan, error, the engine's process records and every node's
+// machine-level state, plus the snapshot a checkpoint armed at ck (0: none)
+// captured mid-phase.
+func phaseRecord(t *testing.T, m *Machine, k int, ck sim.Time) string {
+	t.Helper()
+	var mid sim.SnapWriter
+	if ck > 0 {
+		m.CheckpointAt(ck, func() {
+			m.SnapshotProcs(&mid)
+			for _, nd := range m.Nodes() {
+				nd.EncodeSnapshot(&mid)
+			}
+		})
+	}
+	span, err := m.Run(phaseProgram(k))
+	if ck > 0 && ck < span && len(mid.Bytes()) == 0 {
+		t.Fatalf("phase %d: checkpoint at %d did not fire in a run of %d cycles", k, ck, span)
+	}
+	var w sim.SnapWriter
+	m.SnapshotProcs(&w)
+	for _, nd := range m.Nodes() {
+		nd.EncodeSnapshot(&w)
+	}
+	return fmt.Sprintf("makespan=%d err=%v state=%x mid=%x", span, err, w.Bytes(), mid.Bytes())
+}
+
+// TestRunRecyclesAcrossPhases runs one Machine for three phases under both
+// engines, with and without a crash plan, and requires each phase to equal
+// the same phase on a new Machine: Run starts afresh in virtual time while
+// reusing nodes, caches, mailboxes and engine storage. Phase 0 arms a
+// checkpoint past its end, which must not fire in phase 1; phase 1 captures
+// one mid-phase.
+func TestRunRecyclesAcrossPhases(t *testing.T) {
+	crash := sim.FaultParams{Seed: 5, CrashRate: 0.4, CrashAt: 1500}
+	for _, faults := range []sim.FaultParams{{}, crash} {
+		for _, kind := range []sim.EngineKind{sim.Sequential, sim.Parallel} {
+			cfg := DefaultT3D(6)
+			cfg.Engine = kind
+			cfg.EngineTuning.Workers = 2
+			cfg.Faults.FaultParams = faults
+			checkpoints := []sim.Time{1 << 40, 2000, 0}
+			recycled := New(cfg)
+			crashed := 0
+			for k, ck := range checkpoints {
+				got := phaseRecord(t, recycled, k, ck)
+				if want := phaseRecord(t, New(cfg), k, ck); got != want {
+					t.Fatalf("%v, faults %+v, phase %d: recycled machine\n%s\nfresh machine\n%s", kind, faults, k, got, want)
+				}
+				for _, nd := range recycled.Nodes() {
+					if nd.Crashed {
+						crashed++
+					}
+				}
+			}
+			if (faults.CrashRate > 0) != (crashed > 0) {
+				t.Fatalf("%v, faults %+v: %d node crashes over three phases", kind, faults, crashed)
+			}
+		}
 	}
 }
 

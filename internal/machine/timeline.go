@@ -16,7 +16,8 @@ type Timeline struct {
 }
 
 // EnableTrace turns on activity recording with the given bin width (in
-// cycles). Must be called before Run. When Config.TraceHorizon is set, each
+// cycles). Must be called before the first Run; every Run records into a
+// timeline of its own. When Config.TraceHorizon is set, each
 // node's bin slice is pre-sized (capacity, not length) to cover the horizon,
 // so recording never grows storage while the simulation runs.
 func (m *Machine) EnableTrace(binWidth sim.Time) {
@@ -26,17 +27,24 @@ func (m *Machine) EnableTrace(binWidth sim.Time) {
 	if m.nodes != nil {
 		panic("machine: EnableTrace after Run")
 	}
+	m.trace = newTimeline(binWidth, &m.Cfg)
+}
+
+// newTimeline returns an empty timeline for cfg's nodes, each node's bins
+// pre-sized to cfg.TraceHorizon.
+func newTimeline(binWidth sim.Time, cfg *Config) *Timeline {
 	horizonBins := 0
-	if m.Cfg.TraceHorizon > 0 {
-		horizonBins = int((m.Cfg.TraceHorizon + binWidth - 1) / binWidth)
+	if cfg.TraceHorizon > 0 {
+		horizonBins = int((cfg.TraceHorizon + binWidth - 1) / binWidth)
 	}
-	m.trace = &Timeline{
+	t := &Timeline{
 		BinWidth: binWidth,
-		Bins:     make([][][sim.NumCategories]sim.Time, m.Cfg.Nodes),
+		Bins:     make([][][sim.NumCategories]sim.Time, cfg.Nodes),
 	}
-	for n := range m.trace.Bins {
-		m.trace.Bins[n] = make([][sim.NumCategories]sim.Time, 0, horizonBins)
+	for n := range t.Bins {
+		t.Bins[n] = make([][sim.NumCategories]sim.Time, 0, horizonBins)
 	}
+	return t
 }
 
 // Trace returns the recorded timeline (nil if tracing was not enabled).

@@ -62,6 +62,14 @@ func (mb *mailbox) push(m Message) {
 	mb.ovf.push(m)
 }
 
+// reset empties the mailbox, keeping both lanes' storage. Popped slots were
+// zeroed as they were consumed, so only the pending ones are cleared.
+func (mb *mailbox) reset() {
+	clear(mb.ring[mb.head:])
+	clear(mb.ovf)
+	mb.ring, mb.head, mb.ovf = mb.ring[:0], 0, mb.ovf[:0]
+}
+
 // peekArrival returns the arrival time of the earliest pending message in
 // delivery order, and whether one exists.
 func (mb *mailbox) peekArrival() (Time, bool) {

@@ -225,9 +225,21 @@ func (e *ParEngine) peer(id int) *Proc { return e.procs[id] }
 // Spawn registers a new process whose body is fn. Processes start at time 0.
 // Spawn must be called before Run.
 func (e *ParEngine) Spawn(fn func(p *Proc)) *Proc {
-	p := newProc(e, len(e.procs), fn, true)
+	p := recycled(e.procs, fn)
+	if p == nil {
+		p = newProc(e, len(e.procs), fn, true)
+	}
 	e.procs = append(e.procs, p)
 	return p
+}
+
+// Reset readies the engine for another Spawn/Run round (see Engine.Reset).
+// The shards stay built; Run re-partitions the processes over them and
+// rebuilds them only if the worker count changed.
+func (e *ParEngine) Reset() {
+	requireDone(e.procs)
+	e.procs = e.procs[:0] // the backing array keeps the processes for Spawn
+	e.window, e.windows = 0, 0
 }
 
 // park is called on the yielding process's coroutine after it has recorded
@@ -477,21 +489,6 @@ func (e *ParEngine) Run() (Time, error) {
 	}
 	e.workers = e.tuning.resolveWorkers(len(e.procs))
 	e.stealing = e.tuning.Steal.enabled()
-	// One slab for all shard structs (the cache-line pad in parShard keeps
-	// neighbors apart within it), pointers into the slab everywhere else.
-	shardSlab := make([]parShard, e.workers)
-	e.shards = make([]*parShard, e.workers)
-	for i := range shardSlab {
-		shardSlab[i].id = i
-		e.shards[i] = &shardSlab[i]
-	}
-	// Block partition: shard i owns procs [i*P/W, (i+1)*P/W) — neighboring
-	// node ids (which talk the most under owner-major layouts) share a
-	// shard and therefore a worker's cache.
-	for i, p := range e.procs {
-		p.shard = int32(i * e.workers / len(e.procs))
-		e.shards[p.shard].heap.push(p)
-	}
 	e.arenaShards()
 	var workers sync.WaitGroup
 	workers.Add(e.workers)
@@ -503,6 +500,7 @@ func (e *ParEngine) Run() (Time, error) {
 	}
 	e.openWindow(nil)
 	workers.Wait()
+	e.ckFn = nil // the run ended before the boundary
 	if r := e.failure.Load(); r != nil {
 		panic(*r)
 	}
@@ -513,27 +511,39 @@ func (e *ParEngine) Run() (Time, error) {
 }
 
 // bufSeed is the capacity of each per-process message buffer carved from a
-// slab at Run: room for one aggregation batch's worth of traffic before a
-// buffer falls back to growing on its own.
+// slab at a process's first Run: room for one aggregation batch's worth of
+// traffic before a buffer falls back to growing on its own.
 const bufSeed = 16
 
-// seedBuffers carves every process's mailbox ring, overflow heap and drain
-// buffer out of one message slab — one allocation per call instead of three
-// append chains per process, with neighboring processes' buffers on adjacent
-// cache lines. The buffers are reused for the whole run (a drained ring
-// resets into the same backing array); one that outgrows its slab segment
-// migrates to its own array via the ordinary append path, since the
-// three-index carve caps capacity at the segment. A mailbox that already
-// holds pre-posted messages (setup traffic from before Run) keeps its grown
-// ring and heap.
+// seedBuffers carves the mailbox ring, overflow heap and drain buffer of
+// every process that has none yet out of one message slab — one allocation
+// per call instead of three append chains per process, with neighboring
+// processes' buffers on adjacent cache lines. The buffers are kept for the
+// process's life, across runs (Reset empties them in place); one that
+// outgrows its slab segment migrates to its own array via the ordinary append
+// path, since the three-index carve caps capacity at the segment. A mailbox
+// that already holds pre-posted messages (setup traffic from before Run)
+// keeps its grown ring and heap.
 func seedBuffers(procs []*Proc) {
-	slab := make([]Message, len(procs)*3*bufSeed)
+	fresh := 0
+	for _, p := range procs {
+		if cap(p.drainBuf) == 0 {
+			fresh++
+		}
+	}
+	if fresh == 0 {
+		return
+	}
+	slab := make([]Message, fresh*3*bufSeed)
 	carve := func() []Message {
 		seg := slab[0:0:bufSeed]
 		slab = slab[bufSeed:]
 		return seg
 	}
 	for _, p := range procs {
+		if cap(p.drainBuf) != 0 {
+			continue
+		}
 		if p.mailbox.size() == 0 {
 			p.mailbox = mailbox{ring: carve(), ovf: msgHeap(carve())}
 		}
@@ -541,22 +551,49 @@ func seedBuffers(procs []*Proc) {
 	}
 }
 
-// arenaShards sizes every per-shard buffer the window turnover touches so the
-// steady state allocates nothing: the parked/lowered/run queues get capacity
-// for every process the shard owns (they are reset to length zero each
-// window, never beyond that bound), the wake scratch gets one slot per shard,
-// and each shard's processes get their message buffers from one per-shard
-// slab (see seedBuffers), adjacent for the worker that polls them.
+// arenaShards partitions the processes over the worker shards and sizes every
+// per-shard buffer the window turnover touches so the steady state allocates
+// nothing: the parked/lowered/run queues get capacity for every process the
+// shard owns (they are reset to length zero each window, never beyond that
+// bound), the wake scratch gets one slot per shard, and each shard's new
+// processes get their message buffers from one per-shard slab (see
+// seedBuffers), adjacent for the worker that polls them. The shards and
+// their queues survive Reset; only the wake channels, which the run's end
+// closes, are new each Run.
 func (e *ParEngine) arenaShards() {
+	if len(e.shards) != e.workers {
+		// One slab for all shard structs (the cache-line pad in parShard
+		// keeps neighbors apart within it), pointers into the slab
+		// everywhere else.
+		shardSlab := make([]parShard, e.workers)
+		e.shards = make([]*parShard, e.workers)
+		for i := range shardSlab {
+			shardSlab[i].id = i
+			e.shards[i] = &shardSlab[i]
+		}
+		e.wakes = make([]*parShard, 0, e.workers)
+	}
+	// Block partition: shard i owns procs [i*P/W, (i+1)*P/W) — neighboring
+	// node ids (which talk the most under owner-major layouts) share a
+	// shard and therefore a worker's cache.
+	for i, p := range e.procs {
+		p.shard = int32(i * e.workers / len(e.procs))
+		e.shards[p.shard].heap.push(p)
+	}
 	for _, sh := range e.shards {
 		n := len(sh.heap)
 		sh.wake = make(chan struct{}, 1)
-		sh.runq = make([]*Proc, 0, n)
-		sh.parked = make([]*Proc, 0, n)
-		sh.lowered = make([]*Proc, 0, n)
+		if cap(sh.runq) < n {
+			sh.runq = make([]*Proc, 0, n)
+			sh.parked = make([]*Proc, 0, n)
+			sh.lowered = make([]*Proc, 0, n)
+		}
+		sh.runq, sh.head = sh.runq[:0], 0
+		sh.pending.Store(0)
+		sh.parked, sh.lowered = sh.parked[:0], sh.lowered[:0]
+		sh.resumes, sh.stolen, sh.steals = 0, 0, 0
 		seedBuffers(sh.heap)
 	}
-	e.wakes = make([]*parShard, 0, e.workers)
 }
 
 // Procs returns the engine's processes (for stats collection after Run).

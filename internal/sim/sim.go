@@ -56,8 +56,9 @@
 // the same process. Callers that retain messages across polls must copy them
 // first (the fm layer dispatches synchronously and never retains). Both
 // engines seed every process's mailbox ring, overflow heap and drain buffer
-// from one message slab at Run (see seedBuffers), so the first messages of a
-// run allocate nothing either. The sequential engine runs exactly one
+// from one message slab at their first Run (see seedBuffers), so the first
+// messages of a run allocate nothing either, and Reset keeps those buffers
+// for the next Run. The sequential engine runs exactly one
 // goroutine at a time by construction and therefore skips the mailbox mutex
 // entirely; only the parallel engine (strict mode) pays for locking.
 package sim
@@ -168,7 +169,7 @@ func (k EngineKind) String() string {
 }
 
 // Engine drives a set of processes to completion in virtual time. Spawn must
-// not be called after Run; Run may be called once.
+// not be called after Run; Run may be called once per Reset.
 //
 // An engine built with a lookahead (NewEngineWith, NewParallel) holds its
 // caller to it under either kind: no cross-process Post may arrive less than
@@ -195,9 +196,20 @@ type Engine interface {
 	// programs, so both engines fire with bit-identical process state; the
 	// engines clamp their scheduling horizons to at while armed, which
 	// changes when processes yield but never what they compute. at must be
-	// positive; if the run completes or deadlocks before at, fn never runs.
-	// Must be called before Run; fn must not call back into the engine.
+	// positive; if the run completes or deadlocks before at, fn never runs
+	// and the hook is disarmed. Must be called before Run; fn must not call
+	// back into the engine.
 	CheckpointAt(at Time, fn func())
+	// Reset returns the engine to the state a new engine of the same kind
+	// and lookahead starts in, for another round of Spawn and Run. It keeps
+	// the storage: the processes the next Spawns hand out are the previous
+	// run's, in id order, with their message buffers emptied but not freed,
+	// and the engine's own heaps and queues keep their capacity. Each
+	// process gets a new coroutine, since a body that has returned cannot be
+	// resumed. Every process must have completed: a deadlocked or panicked
+	// run leaves coroutines parked on its processes, and Reset panics rather
+	// than hand them out.
+	Reset()
 }
 
 // ErrDeadlock is the sentinel matched by errors.Is for engine deadlocks.
@@ -316,15 +328,52 @@ type Proc struct {
 // newProc registers a process on s and creates its coroutine, parked until
 // the engine's first resume.
 func newProc(s scheduler, id int, fn func(p *Proc), strict bool) *Proc {
-	p := &Proc{
-		id:      id,
-		sched:   s,
-		state:   stateReady,
-		wake:    0,
-		strict:  strict,
-		idleCat: Idle,
-	}
+	p := &Proc{id: id, sched: s, strict: strict}
+	p.respawn(fn)
+	return p
+}
+
+// respawn gives a new or completed process the state a run starts from, on
+// fn: every per-run field at its initial value, the mailbox and drain buffer
+// emptied in time proportional to what they still hold, and a new coroutine.
+// Engine.Reset hands completed processes back through it.
+func (p *Proc) respawn(fn func(p *Proc)) {
+	p.mailbox.reset()
+	clear(p.drainBuf)
+	p.drainBuf = p.drainBuf[:0]
+	p.clock, p.horizon, p.frontier = 0, 0, 0
+	p.sendSeq = 0
+	p.charges = [NumCategories]Time{}
+	p.idleCat = Idle
+	p.onCharge = nil
+	p.mailN.Store(0)
+	p.state, p.wake = stateReady, 0
+	p.epochGen = 0
 	p.co = newCoro(p, fn)
+}
+
+// requireDone is the guard of Reset: every process of the last run must have
+// completed.
+func requireDone(procs []*Proc) {
+	for _, p := range procs {
+		if p.state != stateDone {
+			panic(fmt.Sprintf("sim: Reset with process %d not completed (state %d): "+
+				"a deadlocked or failed run leaves its coroutines parked", p.id, p.state))
+		}
+	}
+}
+
+// recycled is the Spawn side of Reset: the previous run's process with the
+// next id, respawned on fn, if procs' backing array still holds one.
+func recycled(procs []*Proc, fn func(p *Proc)) *Proc {
+	id := len(procs)
+	if id >= cap(procs) {
+		return nil
+	}
+	p := procs[:id+1][id]
+	if p != nil {
+		p.respawn(fn)
+	}
 	return p
 }
 
@@ -659,10 +708,20 @@ func (e *SeqEngine) peer(id int) *Proc { return e.procs[id] }
 // Spawn registers a new process whose body is fn. Processes start at time 0.
 // Spawn must be called before Run.
 func (e *SeqEngine) Spawn(fn func(p *Proc)) *Proc {
-	p := newProc(e, len(e.procs), fn, false)
-	p.lookahead = e.lookahead
+	p := recycled(e.procs, fn)
+	if p == nil {
+		p = newProc(e, len(e.procs), fn, false)
+		p.lookahead = e.lookahead
+	}
 	e.procs = append(e.procs, p)
 	return p
+}
+
+// Reset readies the engine for another Spawn/Run round (see Engine.Reset).
+func (e *SeqEngine) Reset() {
+	requireDone(e.procs)
+	e.procs = e.procs[:0] // the backing array keeps the processes for Spawn
+	e.resumes = 0
 }
 
 // Run executes all processes until every one has returned. It returns the
@@ -670,6 +729,7 @@ func (e *SeqEngine) Spawn(fn func(p *Proc)) *Proc {
 // processes blocked with empty mailboxes) it returns a *DeadlockError; the
 // blocked process coroutines stay parked.
 func (e *SeqEngine) Run() (Time, error) {
+	defer func() { e.ckFn = nil }() // a hook still armed: the run ended before its boundary
 	e.heap.init(e.procs)
 	seedBuffers(e.procs)
 	for len(e.heap) > 0 {
