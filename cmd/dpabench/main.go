@@ -20,7 +20,7 @@
 // and -la-override (narrow the conservative window below the machine's
 // minimum message delay). None of these change results — simulated clocks,
 // counters, traces, and metrics stay bit-identical to sequential — so the
-// host scheduler summary (workers/windows/steals) goes to stderr, keeping
+// host scheduler summary (workers/windows/steals/parks) goes to stderr, keeping
 // stdout diffable across engines.
 //
 // Deterministic fault injection is enabled with -faults (or any nonzero
@@ -553,12 +553,12 @@ func emitHostBench(mcfg machine.Config, runOnce func(machine.Config) stats.Run, 
 			fmt.Fprintf(os.Stderr, "dpabench: %s: %v\n", c.name, err)
 			os.Exit(1)
 		}
-		var resumes int64
+		var resumes, parks int64
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if h := runOnce(cfg).Host; h != nil {
-					resumes = h.Resumes()
+					resumes, parks = h.Resumes(), h.Parks()
 				}
 			}
 		})
@@ -569,6 +569,7 @@ func emitHostBench(mcfg machine.Config, runOnce func(machine.Config) stats.Run, 
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
 			Resumes:     resumes,
+			Parks:       parks,
 		})
 	}
 	enc := json.NewEncoder(os.Stdout)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -19,36 +20,27 @@ import (
 // The P simulated processes are partitioned into W worker shards (block
 // partition, so neighboring node ids share a shard). Each shard owns a local
 // indexed (wake, id) min-heap of its parked processes and one persistent
-// worker goroutine, started by Run and gone when Run returns. At a window
-// open the opener pops every process whose wake time lies inside the window
-// from its shard's heap into that shard's run queue and wakes the workers of
-// the shards that admitted something. A worker resumes its shard's admitted
-// processes one at a time as coroutines, so at most W processes execute at
-// any instant and a host thread is woken at most once per shard per window,
-// never per simulated hand-off.
+// worker goroutine for the length of Run. A worker resumes its shard's
+// admitted processes one at a time as coroutines, so at most W processes
+// execute at any instant and no host thread is woken per simulated hand-off.
 //
 // When a worker exhausts its own run queue and stealing is enabled, it steals
 // the tail of the heaviest remaining run queue and keeps going, so a process
 // may be resumed by different workers in different windows (never by two at
-// once: take removes it from its one run queue under the shard mutex). A
-// worker goes back to sleep only when every run queue is empty; the last one
-// to do so opens the next window itself.
+// once: take removes it from its one run queue under the shard mutex).
 //
-// # Decentralized horizon min-reduction
+// # Window turnover
 //
-// The next window's GVT is not found by a stop-the-world scan over all P
-// processes. Each shard's heap root already carries the shard's earliest
-// wake, so the opener folds W heap roots (a min-reduction over shards)
-// plus two bounded lists per shard: the processes that parked during the
-// window, and the blocked processes whose wake a cross-process post lowered
-// (the poster records a decrease-key note instead of touching the foreign
-// heap; the opener rebuilds a noted shard's heap, since batched stale keys
-// cannot be repaired by per-element sifts). Opening a window therefore costs
-// O(W + parked·log(shard) + noted-shard sizes) instead of O(P).
-//
-// All shard state the opener reads is synchronized by the active-worker
-// counter: every worker's writes happen before its final atomic decrement,
-// and the opener is the worker that observed the counter reach zero.
+// Every worker takes part in every turnover. A window ends at a barrier each
+// worker reaches once its own run queue is empty and no other is left to
+// steal from. Each worker then folds its own shard (see fold). The last
+// worker to reach a second barrier does the only serial work, O(W): it
+// min-reduces the shards' wakes into the GVT and the frontier, fires an
+// armed checkpoint, and ends the run. Each worker then admits its own shard's
+// processes inside the window, and a third barrier lets them run: a post
+// must not lower a key in a heap that its owner is still popping. A barrier
+// wait spins, then parks (see arrive); the barrier's atomics order all shard
+// state a worker reads across it.
 //
 // # Determinism
 //
@@ -67,40 +59,53 @@ type ParEngine struct {
 	procs     []*Proc
 	lookahead Time
 	tuning    Tuning
-	workers   int // resolved at Run
-	stealing  bool
+	workers   int  // resolved at Run
+	stealing  bool // resolved at Run
+	spin      bool // barrier waits spin first: no more workers than usable CPUs
 	shards    []*parShard
-	// active counts workers still serving the current window. The final
-	// decrement's atomicity orders every worker's shard writes before the
-	// opener's reads.
-	active  atomic.Int32
-	window  uint64      // window generation, stamped on admitted procs
-	windows int64       // total windows opened (host counter)
-	wakes   []*parShard // window-open scratch: the shards whose workers to wake
-	// deadlocked is set by the opener that ends the run and read by Run
-	// after the workers exited.
-	deadlocked bool
+	window    uint64 // window generation, stamped on admitted procs
+	windows   int64  // total windows opened (host counter)
+	// frontier and horizon bound the next window's admitted processes; done
+	// ends the run instead. The last arriver at the turnover barrier writes
+	// them, every worker reads them after it.
+	frontier, horizon Time
+	done, deadlocked  bool
 	// failure holds the first panic value a process body raised. The run
-	// ends at the next window open and Run re-panics with the value.
+	// ends at the next turnover and Run re-panics with the value.
 	failure atomic.Pointer[any]
 	// ckAt/ckFn are the armed one-shot checkpoint hook (see
-	// Engine.CheckpointAt); ckFn is nilled once fired. Only the
-	// single-threaded window opener reads or fires them.
+	// Engine.CheckpointAt); ckFn is nilled once fired. Only the last arriver
+	// at the turnover barrier reads or fires them.
 	ckAt Time
 	ckFn func()
+
+	_       [64]byte // the barrier words are written by every worker
+	arrived atomic.Int32
+	gen     atomic.Uint32 // bumped by each barrier's release
 }
 
+// spinYields bounds a barrier wait's spin: the waiter looks at the
+// generation word this many times, yielding its thread between looks, before
+// it parks on its shard's channel. Swept on bh64_static at seed 42 (2-CPU
+// Xeon VM, W = 2, median host_s_par of 3 runs; the engine before the spin
+// gave 0.80 s): 0 (park at once) / 16 / 64 / 256 / 1024 / 4096 yields gave
+// 0.85 / 0.68 / 0.56 / 0.56 / 0.56 / 0.52 s — flat once a window's barrier
+// ends inside the spin, so it is a constant.
+const spinYields = 256
+
 // parShard is one worker's shard: a heap of parked processes plus the
-// window-scoped run queue and the two note lists the opener folds. The
+// window-scoped run queue and the two note lists the fold consumes. The
 // mutex guards runq/parked/lowered against owner-vs-thief access during a
-// window; the heap is touched only by the single-threaded opener.
+// window; the heap is touched only by the shard's worker between barriers.
 type parShard struct {
-	id   int
-	heap schedHeap
-	// wake rouses the shard's worker for a window its shard admitted
-	// processes to (at most one send per window, hence the buffer of one);
-	// closing it ends the worker.
-	wake chan struct{}
+	id      int
+	heap    schedHeap
+	lo, lo2 Time // the heap's two earliest wakes after the fold
+	// wake parks the shard's worker in a barrier (buffer of one: the send
+	// never blocks); asleep is 1 + the barrier generation it sleeps through,
+	// 0 when awake.
+	wake   chan struct{}
+	asleep atomic.Uint64
 
 	mu   sync.Mutex
 	runq []*Proc // admitted, not yet resumed (sorted by (wake,id); head serves the owner, tail serves thieves)
@@ -108,14 +113,15 @@ type parShard struct {
 	// pending mirrors len(runq)-head so steal scans read one atomic instead
 	// of taking the lock.
 	pending atomic.Int32
-	parked  []*Proc // procs that yielded during this window, folded into heap at open
+	parked  []*Proc // procs that yielded during this window, folded into heap at turnover
 	lowered []*Proc // blocked procs whose wake a poster lowered (stale heap keys)
 
-	// Host counters: resumes and stolen are guarded by mu, steals is
-	// written by the shard's own worker only.
+	// Host counters: resumes and stolen are guarded by mu, steals and parks
+	// are written by the shard's own worker only.
 	resumes int64 // procs served from this shard's run queue to its own worker
 	stolen  int64 // procs thieves took from this shard's run queue
 	steals  int64 // procs this shard's worker took from other shards
+	parks   int64 // barrier waits that ended on the wake channel
 
 	_ [64]byte // keep shards off each other's cache lines
 }
@@ -199,6 +205,9 @@ type WorkerStats struct {
 	Stolen int64
 	// Steals counts processes this shard's worker took from other shards.
 	Steals int64
+	// Parks counts the worker's barrier waits that ended asleep on its
+	// shard's channel rather than in the spin.
+	Parks int64
 }
 
 // WorkerStats returns the per-shard host counters (nil before Run). Safe to
@@ -215,7 +224,7 @@ func (e *ParEngine) WorkerStats() []WorkerStats {
 				n++
 			}
 		}
-		out[i] = WorkerStats{Worker: i, Procs: n, Resumes: sh.resumes, Stolen: sh.stolen, Steals: sh.steals}
+		out[i] = WorkerStats{Worker: i, Procs: n, Resumes: sh.resumes, Stolen: sh.stolen, Steals: sh.steals, Parks: sh.parks}
 	}
 	return out
 }
@@ -243,7 +252,7 @@ func (e *ParEngine) Reset() {
 }
 
 // park is called on the yielding process's coroutine after it has recorded
-// its state and wake under its mutex: record the park for the opener's fold.
+// its state and wake under its mutex: record the park for its shard's fold.
 // The process then pauses and its worker picks what runs next.
 func (e *ParEngine) park(p *Proc) bool {
 	sh := e.shards[p.shard]
@@ -254,9 +263,9 @@ func (e *ParEngine) park(p *Proc) bool {
 }
 
 // lowered records a decrease-key note: a post lowered blocked process q's
-// wake below its key in q's shard heap. The opener applies the note at the
-// next window open; posters never touch foreign heaps. Called without q's
-// mutex held (lock order: shard mutexes are leaves).
+// wake below its key in q's shard heap. q's worker applies the note at the
+// next fold; posters never touch foreign heaps. Called without q's mutex
+// held (lock order: shard mutexes are leaves).
 func (e *ParEngine) lowered(q *Proc) {
 	if e.shards == nil {
 		return // post before Run (spawn-time setup); heaps not built yet
@@ -267,25 +276,69 @@ func (e *ParEngine) lowered(q *Proc) {
 	sh.mu.Unlock()
 }
 
-// work is the body of home's worker goroutine. Each wake-up serves one
-// window: the home run queue's head first, then (stealing) the heaviest
-// victim's tail. The worker that runs dry last opens the next window and
-// keeps serving when its own shard is part of it; the opener that ends the
-// run closes every wake channel, its own included.
+// work is the body of home's worker: fold, turnover barrier, admit, start
+// barrier, serve (the home run queue's head first, then, stealing, the
+// heaviest victim's tail), end barrier — once per window, until the
+// turnover ends the run.
 func (e *ParEngine) work(home *parShard) {
-	for range home.wake {
+	for {
+		home.fold()
+		e.arrive(home, true)
+		if e.done {
+			return
+		}
+		home.admit(e)
+		e.arrive(home, false)
 		for {
 			q := home.take(false)
 			if q == nil && e.stealing {
 				q = e.steal(home)
 			}
-			if q != nil {
-				e.resume(q)
-			} else if e.active.Add(-1) > 0 || !e.openWindow(home) {
+			if q == nil {
 				break
 			}
+			e.resume(q)
 		}
+		e.arrive(home, false)
 	}
+}
+
+// arrive is the window barrier. The last of the workers to arrive runs the
+// turnover first if asked to, then releases the others: every worker's
+// writes before its arrival happen before the turnover, and the turnover's
+// writes before every worker's return. The others wait by spinning, then
+// parking; an asleep mark set before the last look at the generation word
+// and claimed by the releaser keeps a wake from being lost.
+func (e *ParEngine) arrive(home *parShard, turnover bool) {
+	g := e.gen.Load()
+	asleep := uint64(g) + 1
+	if int(e.arrived.Add(1)) == e.workers {
+		e.arrived.Store(0)
+		if turnover {
+			e.turnover()
+		}
+		e.gen.Add(1)
+		for _, sh := range e.shards {
+			// A released worker may already sleep in the next barrier: claim
+			// only this one's sleepers.
+			if sh.asleep.Load() == asleep && sh.asleep.CompareAndSwap(asleep, 0) {
+				sh.wake <- struct{}{}
+			}
+		}
+		return
+	}
+	for i := 0; e.spin && i < spinYields; i++ {
+		if e.gen.Load() != g {
+			return
+		}
+		runtime.Gosched()
+	}
+	home.asleep.Store(asleep)
+	if e.gen.Load() != g && home.asleep.CompareAndSwap(asleep, 0) {
+		return // released after all, and the releaser did not claim us
+	}
+	<-home.wake
+	home.parks++
 }
 
 // resume runs q until it yields or returns. A done process is simply never
@@ -325,66 +378,51 @@ func (e *ParEngine) steal(home *parShard) *Proc {
 	}
 }
 
-// openWindow runs the window turnover: fold parked processes and
-// decrease-key notes into the shard heaps, min-reduce the shard heap roots
-// into the GVT, admit every process inside [GVT, GVT+lookahead) to its
-// shard's run queue, and wake the worker of every shard that admitted
-// something. It runs either on Run's goroutine (the first window, home ==
-// nil) or on the last worker of the previous window, which keeps serving
-// instead of being woken when the result is true: home itself admitted
-// something. When the run is over — all done, deadlocked, or a process body
-// panicked — it ends every worker instead.
-func (e *ParEngine) openWindow(home *parShard) bool {
-	// All workers have run dry: their counter decrements synchronize their
-	// state, wake, mailbox, and note-list writes with this turnover, so no
-	// locks are needed.
+// fold returns the processes that parked during the window to the shard's
+// heap and records the shard's two earliest wakes for the turnover. Notes of
+// lowered keys rebuild the heap: per-note up() sifts are NOT sound, even for
+// one note, since a push can legitimately stop beneath a stale key whose
+// later sift drops its old parent onto the fresh element
+// (TestLoweredKeyRepair). Heapify is O(shard), no worse than admission.
+func (sh *parShard) fold() {
+	for _, p := range sh.parked {
+		if p.state != stateDone {
+			sh.heap.push(p)
+		}
+	}
+	sh.parked = sh.parked[:0]
+	if len(sh.lowered) > 0 {
+		sh.heap.heapify()
+		sh.lowered = sh.lowered[:0]
+	}
+	sh.lo, sh.lo2 = Forever, Forever
+	if len(sh.heap) > 0 {
+		sh.lo, sh.lo2 = sh.heap.min().wake, sh.heap.secondWake()
+	}
+}
+
+// turnover is the serial O(W) step between two windows, run by the last
+// worker to fold: min-reduce the shards' wakes into the GVT and the
+// next-earliest wake, end the run when it is over — all done, deadlocked, or
+// a process body panicked — and otherwise fire a due checkpoint and bound
+// the next window.
+func (e *ParEngine) turnover() {
 	gvt, second := Forever, Forever
 	live := false
 	for _, sh := range e.shards {
-		for _, p := range sh.parked {
-			if p.state != stateDone {
-				sh.heap.push(p)
-			}
+		live = live || len(sh.heap) > 0
+		if sh.lo < gvt {
+			gvt, second = sh.lo, gvt
+		} else if sh.lo < second {
+			second = sh.lo
 		}
-		sh.parked = sh.parked[:0]
-		// Decrease-key notes: one or more in-heap keys went stale (lowered)
-		// during the window, so rebuild the shard heap. Per-note up() sifts
-		// are NOT sound here, even for a single note: a parked-fold push
-		// compares against the noted process's current (lowered) wake and can
-		// legitimately stop beneath it, and the up() that then lifts the
-		// noted process away drops its old larger parent onto the fresh
-		// element — a violated edge with no note left to repair it. Two
-		// stale keys compose the same trap without any pushes. Heapify is
-		// O(shard) = O(P/W), no worse than the window's admission work.
-		// (A process lowered while in the parked list was pushed above with
-		// its already-lowered wake and needs no repair, but the rebuild is
-		// harmless.)
-		if len(sh.lowered) > 0 {
-			sh.heap.heapify()
-			sh.lowered = sh.lowered[:0]
-		}
-		if len(sh.heap) == 0 {
-			continue
-		}
-		live = true
-		if w := sh.heap.min().wake; w < gvt {
-			gvt, second = w, gvt
-		} else if w < second {
-			second = w
-		}
-		if w2 := sh.heap.secondWake(); w2 < second {
-			second = w2
-		}
+		second = min(second, sh.lo2)
 	}
 	// gvt == Forever with live processes: every one of them is blocked with
-	// no pending messages. Run reports the DeadlockError; the blocked
-	// coroutines stay parked.
+	// no pending messages (the coroutines stay parked).
 	e.deadlocked = live && gvt == Forever
-	if !live || e.deadlocked || e.failure.Load() != nil {
-		for _, sh := range e.shards {
-			close(sh.wake)
-		}
-		return false
+	if e.done = !live || e.deadlocked || e.failure.Load() != nil; e.done {
+		return
 	}
 	// An armed checkpoint fires at the first turnover whose GVT has reached
 	// the boundary: every event before it has executed, none at or beyond it
@@ -395,91 +433,51 @@ func (e *ParEngine) openWindow(home *parShard) bool {
 		e.ckFn = nil
 		fn()
 	}
-	frontier := gvt + e.lookahead
-	if e.ckFn != nil && frontier > e.ckAt {
-		// While armed, no window may reach past the boundary: strict-mode
-		// local advances stay strictly below the horizon, so clamping the
-		// frontier keeps every pre-capture event strictly before the
-		// boundary. GVT < ckAt here, so the window is never empty.
-		frontier = e.ckAt
+	// While armed, no window may reach past the boundary: strict-mode local
+	// advances stay strictly below the horizon, so clamping the frontier
+	// keeps every pre-capture event strictly before the boundary. GVT < ckAt
+	// here, so the window is never empty.
+	clamp := Forever
+	if e.ckFn != nil {
+		clamp = e.ckAt
 	}
-
-	// Admission: pop each shard's processes inside the window into its run
-	// queue. Prep (idle catch-up, horizon, state, window stamp) completes
-	// for every admitted process before any worker is woken, so a running
-	// process never races the turnover.
+	e.frontier = min(gvt+e.lookahead, clamp)
+	e.horizon = e.frontier
+	if second > e.frontier {
+		// Singleton-window extension: exactly one process is admitted, and
+		// nothing can arrive at it before second + lookahead, so it may run
+		// that far (its own posts shrink the bound, see Post). The frontier,
+		// and with it the lookahead check on posts, stays put. (A lone live
+		// process, second == Forever, runs unbounded.)
+		e.horizon = min(second+e.lookahead, Forever, clamp)
+	}
 	e.window++
 	e.windows++
-	admitted := 0
-	var lone *Proc
-	serving, self := int32(0), false // shards with work; is home one of them
-	e.wakes = e.wakes[:0]
-	for _, sh := range e.shards {
-		sh.runq = sh.runq[:0]
-		sh.head = 0
-		for len(sh.heap) > 0 && sh.heap.min().wake < frontier {
-			p := sh.heap.popMin()
-			p.catchUp()
-			p.horizon = frontier
-			p.frontier = frontier
-			p.state = stateRunning
-			p.epochGen = e.window
-			sh.runq = append(sh.runq, p)
-			admitted++
-			lone = p
-		}
-		sh.pending.Store(int32(len(sh.runq)))
-		if len(sh.runq) == 0 {
-			continue
-		}
-		serving++
-		if sh == home {
-			self = true
-		} else {
-			e.wakes = append(e.wakes, sh)
-		}
-	}
-	if admitted == 1 && second > frontier {
-		// Singleton-window extension: with every other live process parked
-		// at wake >= second, the earliest possible new arrival at the lone
-		// runner is second + lookahead, so it may run that far before the
-		// next turnover. Its own posts shrink the bound via the
-		// horizon-lowering rule in Post (the receiver may then reply). This
-		// collapses the window count of imbalanced phases without touching
-		// delivery order. The frontier stays at the admission window, so
-		// the lookahead contract check on posts is not weakened.
-		if second == Forever {
-			lone.horizon = Forever
-		} else {
-			lone.horizon = second + e.lookahead
-		}
-		if e.ckFn != nil && lone.horizon > e.ckAt {
-			// The extension must also respect an armed checkpoint boundary.
-			lone.horizon = e.ckAt
-		}
-	}
+}
 
-	// One worker serves the window per non-empty shard, chosen and counted
-	// before the first wake: once any worker runs it may steal another
-	// shard's run queue empty, so deciding from live pending counts would
-	// race, and a worker that runs dry at once must not see the counter reach
-	// zero early. A worker woken to an already-stolen queue simply finds
-	// nothing to serve. The window cannot end before the last send, so the
-	// next opener never rewrites e.wakes under this loop.
-	e.active.Store(serving)
-	for _, sh := range e.wakes {
-		sh.wake <- struct{}{}
+// admit moves the shard's processes inside the window from its heap to its
+// run queue, each prepped (idle catch-up, horizon, state, window stamp)
+// before the start barrier lets any worker take it.
+func (sh *parShard) admit(e *ParEngine) {
+	sh.runq, sh.head = sh.runq[:0], 0
+	for len(sh.heap) > 0 && sh.heap.min().wake < e.frontier {
+		p := sh.heap.popMin()
+		p.catchUp()
+		p.horizon, p.frontier = e.horizon, e.frontier
+		p.state = stateRunning
+		p.epochGen = e.window
+		sh.runq = append(sh.runq, p)
 	}
-	return self
+	sh.pending.Store(int32(len(sh.runq)))
 }
 
 // Run executes all processes until every one has returned. It returns the
 // makespan: the largest final clock across processes. On deadlock (all
 // processes blocked with empty mailboxes) it returns a *DeadlockError; the
 // blocked process coroutines stay parked. Tuning problems (worker count out
-// of [1, procs]) surface as a *TuningError. The worker goroutines have all
-// exited when Run returns; if a process body panicked, Run panics with the
-// body's panic value.
+// of [1, procs]) surface as a *TuningError. Run's own goroutine is shard
+// 0's worker, and the other workers have all exited when Run returns; if a
+// process body panicked, Run panics with the body's panic value.
 func (e *ParEngine) Run() (Time, error) {
 	if len(e.procs) == 0 {
 		return 0, nil
@@ -489,16 +487,20 @@ func (e *ParEngine) Run() (Time, error) {
 	}
 	e.workers = e.tuning.resolveWorkers(len(e.procs))
 	e.stealing = e.tuning.Steal.enabled()
+	// More spinning workers than usable CPUs would spin against the very
+	// workers they wait for.
+	e.spin = e.workers <= min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	e.done = false
 	e.arenaShards()
 	var workers sync.WaitGroup
-	workers.Add(e.workers)
-	for _, sh := range e.shards {
+	workers.Add(e.workers - 1)
+	for _, sh := range e.shards[1:] {
 		go func() {
 			defer workers.Done()
 			e.work(sh)
 		}()
 	}
-	e.openWindow(nil)
+	e.work(e.shards[0])
 	workers.Wait()
 	e.ckFn = nil // the run ended before the boundary
 	if r := e.failure.Load(); r != nil {
@@ -555,11 +557,9 @@ func seedBuffers(procs []*Proc) {
 // per-shard buffer the window turnover touches so the steady state allocates
 // nothing: the parked/lowered/run queues get capacity for every process the
 // shard owns (they are reset to length zero each window, never beyond that
-// bound), the wake scratch gets one slot per shard, and each shard's new
-// processes get their message buffers from one per-shard slab (see
-// seedBuffers), adjacent for the worker that polls them. The shards and
-// their queues survive Reset; only the wake channels, which the run's end
-// closes, are new each Run.
+// bound), and each shard's new processes get their message buffers from one
+// per-shard slab (see seedBuffers), adjacent for the worker that polls them.
+// The shards, their queues and their wake channels survive Reset.
 func (e *ParEngine) arenaShards() {
 	if len(e.shards) != e.workers {
 		// One slab for all shard structs (the cache-line pad in parShard
@@ -569,9 +569,9 @@ func (e *ParEngine) arenaShards() {
 		e.shards = make([]*parShard, e.workers)
 		for i := range shardSlab {
 			shardSlab[i].id = i
+			shardSlab[i].wake = make(chan struct{}, 1)
 			e.shards[i] = &shardSlab[i]
 		}
-		e.wakes = make([]*parShard, 0, e.workers)
 	}
 	// Block partition: shard i owns procs [i*P/W, (i+1)*P/W) — neighboring
 	// node ids (which talk the most under owner-major layouts) share a
@@ -582,7 +582,6 @@ func (e *ParEngine) arenaShards() {
 	}
 	for _, sh := range e.shards {
 		n := len(sh.heap)
-		sh.wake = make(chan struct{}, 1)
 		if cap(sh.runq) < n {
 			sh.runq = make([]*Proc, 0, n)
 			sh.parked = make([]*Proc, 0, n)
@@ -591,7 +590,7 @@ func (e *ParEngine) arenaShards() {
 		sh.runq, sh.head = sh.runq[:0], 0
 		sh.pending.Store(0)
 		sh.parked, sh.lowered = sh.parked[:0], sh.lowered[:0]
-		sh.resumes, sh.stolen, sh.steals = 0, 0, 0
+		sh.resumes, sh.stolen, sh.steals, sh.parks = 0, 0, 0, 0
 		seedBuffers(sh.heap)
 	}
 }

@@ -232,26 +232,41 @@ func BenchmarkSeqLookahead(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochBarrier measures the parallel engine's epoch turnaround:
-// every process charges exactly one window's worth of work and polls, so
-// each b.N iteration crosses the frontier and costs one full barrier
-// (scan, admission, wake-ups).
+// BenchmarkEpochBarrier measures the parallel engine's window turnover:
+// every process charges exactly one window's worth of virtual time and
+// polls, so each b.N iteration is one window and one full turnover (fold,
+// reduction, admission, barriers). The empty windows time the turnover alone.
+// In the busy ones each of 16 processes also does about 1 µs of host work,
+// so a window holds about 16 µs, as bh64_static's do. Each shape runs on one
+// worker and on two.
 func BenchmarkEpochBarrier(b *testing.B) {
-	for _, procs := range []int{4, 16} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			const window = 10
-			e := NewParallel(window)
-			for i := 0; i < procs; i++ {
-				e.Spawn(func(p *Proc) {
-					for n := 0; n < b.N; n++ {
-						p.Charge(Compute, window)
-						p.Poll()
-					}
-				})
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			e.Run()
-		})
+	shapes := []struct {
+		name        string
+		procs, work int // work: multiply-add rounds per process per window
+	}{{"empty/procs=4", 4, 0}, {"empty/procs=16", 16, 0}, {"busy/procs=16", 16, 700}}
+	for _, s := range shapes {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/w=%d", s.name, w), func(b *testing.B) {
+				const window = 10
+				e := NewParallelTuned(window, Tuning{Workers: w})
+				sink := make([]uint64, s.procs)
+				for i := 0; i < s.procs; i++ {
+					e.Spawn(func(p *Proc) {
+						x := uint64(p.ID())
+						for n := 0; n < b.N; n++ {
+							for k := 0; k < s.work; k++ {
+								x = x*6364136223846793005 + 1442695040888963407
+							}
+							p.Charge(Compute, window)
+							p.Poll()
+						}
+						sink[p.ID()] = x
+					})
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				e.Run()
+			})
+		}
 	}
 }

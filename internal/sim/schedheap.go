@@ -80,7 +80,7 @@ func (h schedHeap) fix(i int) {
 }
 
 // heapify restores the heap property over the whole array by sifting every
-// internal node down. The parallel engine's window opener uses it when more
+// internal node down. The parallel engine's shard fold uses it when more
 // than one key went stale in a window: batched decrease-keys cannot be fixed
 // by per-element up() sifts, because an up() can displace a still-stale
 // ancestor below an element whose own sift already ran, leaving a violated
@@ -91,7 +91,7 @@ func (h schedHeap) heapify() {
 	}
 }
 
-// push inserts p at its (wake, id) key. The parallel engine's window opener
+// push inserts p at its (wake, id) key. The parallel engine's shard fold
 // uses it to fold procs that parked during the window back into their
 // shard's heap.
 func (h *schedHeap) push(p *Proc) {

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -405,7 +409,7 @@ func TestStealPolicyString(t *testing.T) {
 }
 
 // staleKeyWorkload reproduces the decrease-key/push interleaving that broke
-// the per-note up() sift repair (see openWindow). Servers sit blocked at
+// the per-note up() sift repair (see parShard.fold). Servers sit blocked at
 // Forever deep in the shard heaps; posters lower their keys with arrivals
 // that often land beyond the next frontier, so the lowered keys linger in
 // the heap as stale entries; tickers park ready at staggered clocks in the
@@ -440,7 +444,7 @@ func staleKeyWorkload(rounds int, delay Time) func(e Engine) {
 					p.Poll()
 					// Arrivals overshoot the lookahead by a varying margin, so
 					// the lowered key often stays in the heap past the next
-					// window open — a lingering stale entry.
+					// turnover — a lingering stale entry.
 					at := p.Now() + delay + Time((i*7+r*11)%29)
 					p.Post((r+i)%servers, Message{Arrival: at, Handler: r})
 				}
@@ -482,6 +486,111 @@ func TestLoweredKeyRepair(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: proc %d diverges:\n  seq: %s\n  par: %s", w, i, want[i], got[i])
+			}
+		}
+	}
+}
+
+// tokenRing passes tokens around n processes in lockstep, each for hops
+// hops, starting at evenly spaced processes: a holder charges a little and
+// posts its token one lookahead ahead to its successor, and the processes
+// without a token are blocked, so each window holds one event per token and
+// each hop is a turnover. Each process logs what it receives into logs[id]
+// and returns once every token has passed it as often as it will.
+func tokenRing(n, tokens, hops int, look Time, logs [][]int64) func(e Engine) {
+	visits := make([]int, n)
+	for t := 0; t < tokens; t++ {
+		for h := 1; h <= hops; h++ {
+			visits[(t*n/tokens+h)%n]++
+		}
+	}
+	return func(e Engine) {
+		for i := 0; i < n; i++ {
+			e.Spawn(func(p *Proc) {
+				next := (p.ID() + 1) % n
+				for t := 0; t < tokens; t++ {
+					if t*n/tokens == p.ID() {
+						p.Post(next, Message{Arrival: p.Now() + look, Handler: 1})
+					}
+				}
+				for seen := 0; seen < visits[p.ID()]; {
+					for _, m := range p.WaitMessage() {
+						logs[p.ID()] = append(logs[p.ID()], int64(p.Now()), int64(m.From), int64(m.seq), int64(m.Arrival))
+						seen++
+						p.Charge(Compute, Time(1+m.Handler%3))
+						if m.Handler < hops {
+							p.Post(next, Message{Arrival: p.Now() + look, Handler: m.Handler + 1})
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestWindowBarrierStress drives thousands of one-event windows through the
+// window barriers at W = 2, 3 and 4, stealing on and off, on one thread and
+// on two: on one every barrier wait parks on its shard's channel, on two
+// (with at least two CPUs) W = 2 waits in the spin. Three tokens in lockstep
+// make the workers reach each barrier together, the race between a release
+// and the next barrier's sleepers. Every run must log what the sequential
+// engine logs, end in the same state, and capture the same mid-run snapshot.
+func TestWindowBarrierStress(t *testing.T) {
+	const n, hops, look = 8, 2000, 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type result struct {
+		logs  [][]int64
+		snap  []byte
+		final []string
+	}
+	run := func(e Engine, tokens int) result {
+		r := result{logs: make([][]int64, n)}
+		tokenRing(n, tokens, hops, look, r.logs)(e)
+		e.CheckpointAt(hops/2*look, func() {
+			var w SnapWriter
+			EncodeProcs(&w, e.Procs())
+			r.snap = w.Bytes()
+		})
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		r.final = snapshot(e)
+		return r
+	}
+	for _, tokens := range []int{1, 3} {
+		want := run(mustEngine(t, Sequential, look, Tuning{}), tokens)
+		if want.snap == nil {
+			t.Fatal("the checkpoint never fired")
+		}
+		for _, threads := range []int{1, 2} {
+			runtime.GOMAXPROCS(threads)
+			for _, w := range []int{2, 3, 4} {
+				for _, steal := range []StealPolicy{StealOn, StealOff} {
+					what := fmt.Sprintf("tokens=%d GOMAXPROCS=%d workers=%d steal=%v", tokens, threads, w, steal)
+					par := NewParallelTuned(look, Tuning{Workers: w, Steal: steal})
+					got := run(par, tokens)
+					for id := range want.logs {
+						if !slices.Equal(got.logs[id], want.logs[id]) {
+							t.Fatalf("%s: process %d logged\n%v\nsequential\n%v", what, id, got.logs[id], want.logs[id])
+						}
+					}
+					if !slices.Equal(got.final, want.final) {
+						t.Fatalf("%s: final state\n%v\nsequential\n%v", what, got.final, want.final)
+					}
+					if !bytes.Equal(got.snap, want.snap) {
+						t.Fatalf("%s: mid-run snapshot differs from the sequential engine's", what)
+					}
+					if par.Windows() < hops {
+						t.Fatalf("%s: %d windows, want at least %d", what, par.Windows(), hops)
+					}
+					var parks int64
+					for _, ws := range par.WorkerStats() {
+						parks += ws.Parks
+					}
+					if threads == 1 && parks == 0 {
+						t.Fatalf("%s: no barrier wait parked", what)
+					}
+				}
 			}
 		}
 	}

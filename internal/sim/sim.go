@@ -29,9 +29,9 @@
 //     goroutine, and every process whose next event falls inside the
 //     conservative lookahead window runs truly in parallel with the rest of
 //     its window. Idle workers steal runnable processes from the heaviest
-//     shard, and the window turnover is decentralized — the last worker to
-//     run dry recomputes the horizon itself with a min-reduction over the W
-//     shard heaps, never a stop-the-world scan over all P processes.
+//     shard, and every worker turns over its own shard between windows; the
+//     last to fold min-reduces the W shard minima into the next horizon,
+//     never a stop-the-world scan over all P processes.
 //
 // Determinism across engines rests on one rule: mailbox delivery is ordered
 // by (arrival time, sender id, per-sender sequence number), which is a total
@@ -246,7 +246,7 @@ type scheduler interface {
 	park(p *Proc) bool
 	// lowered notifies the engine that a post lowered q's wake time while q
 	// was blocked (sequential engine: immediate decrease-key; parallel
-	// engine: a note on q's shard, applied at the next window open).
+	// engine: a note on q's shard, applied at its next fold).
 	lowered(q *Proc)
 }
 
@@ -276,8 +276,8 @@ const (
 // The field layout is deliberate: the first group is written only by the
 // process's own coroutine while it runs (the Charge/Poll hot path), the
 // second group is also written by message senders and by the parallel
-// coordinator. A cache-line pad separates the groups so cross-process posts
-// do not invalidate the owner's hot lines in parallel epochs.
+// engine's workers. A cache-line pad separates the groups so cross-process
+// posts do not invalidate the owner's hot lines in parallel epochs.
 type Proc struct {
 	id      int
 	sched   scheduler
@@ -474,7 +474,7 @@ func (p *Proc) Post(dst int, m Message) {
 		q.mu.Unlock()
 		if low {
 			// Decrease-key note, recorded outside q's mutex (shard mutexes
-			// are leaves in the lock order). The window opener cannot run
+			// are leaves in the lock order). The fold cannot run
 			// concurrently — this poster has not parked yet.
 			p.sched.lowered(q)
 		}

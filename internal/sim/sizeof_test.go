@@ -36,6 +36,11 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		// one word: a pointer to its coroutine (the resume and yield funcs
 		// live behind it, not beside it).
 		{"sim.Proc", unsafe.Sizeof(Proc{}), 376},
+		// One parallel-engine shard, trailing pad included: four cache lines.
+		// The barrier's wake channel and asleep word and the fold's two
+		// earliest wakes live here, so the per-shard turnover touches only
+		// its own shard's lines.
+		{"sim.parShard", unsafe.Sizeof(parShard{}), 256},
 	}
 	for _, c := range cases {
 		t.Logf("%s = %d bytes (budget %d)", c.name, c.size, c.budget)

@@ -101,29 +101,79 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
-// TestRunLeavesNoGoroutines pins the engines' goroutine lifetime: when Run
-// returns, completed or deadlocked, no scheduler or worker goroutine
-// survives — only the coroutines of processes that never finished.
+// TestRunLeavesNoGoroutines pins the engines' goroutine lifetime: however Run
+// ends — all done, deadlocked, a body panic, the engine's own lookahead
+// check — no scheduler or worker goroutine survives it, at any worker count;
+// only the coroutines of processes that never finished stay parked.
 func TestRunLeavesNoGoroutines(t *testing.T) {
-	for _, kind := range engineKinds {
-		t.Run(kind.String(), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			e := mustEngine(t, kind, 50, Tuning{Workers: 3})
-			broadcastWorkload(8, 50)(e)
-			if _, err := e.Run(); err != nil {
-				t.Fatal(err)
+	ends := []struct {
+		name   string
+		build  func(e Engine)
+		parked int                                  // processes left unfinished
+		check  func(t *testing.T, err error, r any) // what Run returned, or panicked with
+	}{
+		{"done", broadcastWorkload(8, 50), 0, func(t *testing.T, err error, r any) {
+			if err != nil || r != nil {
+				t.Fatalf("Run: err %v, panic %v", err, r)
 			}
-			waitGoroutines(t, base)
-
-			e = mustEngine(t, kind, 50, Tuning{Workers: 3})
+		}},
+		{"deadlock", func(e Engine) {
 			for i := 0; i < 3; i++ {
 				e.Spawn(func(p *Proc) { p.WaitMessage() })
 			}
 			e.Spawn(func(p *Proc) { p.Charge(Compute, 7) })
-			if _, err := e.Run(); !errors.Is(err, ErrDeadlock) {
-				t.Fatalf("err = %v, want ErrDeadlock", err)
+		}, 3, func(t *testing.T, err error, r any) {
+			if !errors.Is(err, ErrDeadlock) || r != nil {
+				t.Fatalf("Run: err %v, panic %v; want ErrDeadlock", err, r)
 			}
-			waitGoroutines(t, base+3)
+		}},
+		{"panic", func(e Engine) {
+			for i := 0; i < 4; i++ {
+				e.Spawn(func(p *Proc) {
+					for r := 0; ; r++ {
+						p.Charge(Compute, 10)
+						p.Poll()
+						if p.ID() == 2 && r == 5 {
+							panic("boom")
+						}
+					}
+				})
+			}
+		}, 3, func(t *testing.T, err error, r any) {
+			if r != "boom" {
+				t.Fatalf("Run panicked with %v, want boom", r)
+			}
+		}},
+		{"lookahead", func(e Engine) { // the violator runs last under either engine
+			for i := 0; i < 3; i++ {
+				e.Spawn(func(p *Proc) { p.Charge(Compute, 5) })
+			}
+			e.Spawn(func(p *Proc) { p.Post(0, Message{Arrival: p.Now() + 1}) })
+		}, 0, func(t *testing.T, err error, r any) {
+			if !strings.Contains(fmt.Sprint(r), "lookahead violation") {
+				t.Fatalf("Run panicked with %v, want the lookahead violation", r)
+			}
+		}},
+	}
+	for _, kind := range engineKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			for _, w := range []int{2, 4} {
+				for _, end := range ends {
+					t.Run(fmt.Sprintf("w=%d/%s", w, end.name), func(t *testing.T) {
+						base := runtime.NumGoroutine()
+						e := mustEngine(t, kind, 50, Tuning{Workers: w})
+						end.build(e)
+						var err error
+						r := func() (r any) {
+							defer func() { r = recover() }()
+							_, err = e.Run()
+							return nil
+						}()
+						end.check(t, err, r)
+						waitGoroutines(t, base+end.parked)
+					})
+				}
+			}
 		})
 	}
 }

@@ -23,6 +23,10 @@ type HostBench struct {
 	// in the last run (HostSched.Resumes): a count, not a timing — under
 	// the sequential engine it repeats exactly from run to run.
 	Resumes int64 `json:"resumes,omitempty"`
+	// Parks is the parallel engine's barrier waits that ended asleep in the
+	// last run (HostSched.Parks): a host-timing count, 0 under the
+	// sequential engine.
+	Parks int64 `json:"parks,omitempty"`
 }
 
 // MsPerOp returns the measurement in milliseconds per run, the natural unit

@@ -238,7 +238,7 @@ type Run struct {
 	// phases before it, so the merged timeline covers the whole run.
 	Timeline *machine.Timeline
 	// Host carries the engine's host-side scheduling counters (worker
-	// shards, resumes, steals). Unlike every field above it describes the
+	// shards, resumes, steals, parks). Unlike every field above it describes the
 	// engine, not the simulation — it differs between engines, and steal
 	// counts depend on real-time races — so it is excluded from Diff/Equal
 	// and from the deterministic Table output.
@@ -284,9 +284,20 @@ func (h *HostSched) Steals() int64 {
 	return n
 }
 
+// Parks returns the barrier waits, across workers, that ended asleep rather
+// than in the spin.
+func (h *HostSched) Parks() int64 {
+	var n int64
+	for _, w := range h.PerWorker {
+		n += w.Parks
+	}
+	return n
+}
+
 // String renders a compact one-line summary, e.g. for stderr diagnostics.
 func (h *HostSched) String() string {
-	return fmt.Sprintf("workers=%d windows=%d resumes=%d steals=%d", h.Workers, h.Windows, h.Resumes(), h.Steals())
+	return fmt.Sprintf("workers=%d windows=%d resumes=%d steals=%d parks=%d",
+		h.Workers, h.Windows, h.Resumes(), h.Steals(), h.Parks())
 }
 
 // Collect gathers per-node breakdowns from a machine after Run.
@@ -357,6 +368,7 @@ func (r *Run) Merge(o Run) {
 					r.Host.PerWorker[i].Resumes += w.Resumes
 					r.Host.PerWorker[i].Stolen += w.Stolen
 					r.Host.PerWorker[i].Steals += w.Steals
+					r.Host.PerWorker[i].Parks += w.Parks
 				}
 			}
 		}
