@@ -16,8 +16,8 @@ package dpa
 //     byte-identical to each other.
 //
 // The matrix runs the three paper applications (Barnes-Hut, FMM, EM3D) so
-// every runtime subsystem the snapshot covers — fused M/D tables, adaptive
-// controller state, reliability windows, crash state — is exercised.
+// every runtime subsystem the snapshot covers — fused M/D tables, planner
+// state, reliability windows, crash state — is exercised.
 
 import (
 	"bytes"

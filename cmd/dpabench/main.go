@@ -7,8 +7,13 @@
 //	dpabench -app bh|fmm|em3d|bfs|pagerank|cc -nodes 16 -runtime dpa|caching|blocking \
 //	         -engine sequential|parallel [-workers 8] [-nosteal] [-la-override 0] \
 //	         -bodies 16384 -strip 50 -agg 16 [-nopipe] [-steps 4] [-terms 29] \
-//	         [-adaptive] [-planner] [-prior] [-shape] \
+//	         [-shape] [-strips 10,50,300] \
 //	         [-vertices 16384] [-degree 8] [-graph rmat|uniform]
+//
+// DPA runs the paper's static strip (-strip) by default; -shape selects
+// planned mode instead, where a cost model sizes every strip and multi-phase
+// apps plan repeated phases from the previous phase's measurements. -strips
+// runs a static sweep over the listed sizes plus one planned row.
 //
 // The graph-analytics apps (bfs, pagerank, cc) run over a partitioned graph
 // generated deterministically from -seed: -vertices and -degree size it,
@@ -89,15 +94,12 @@ func main() {
 	steps := flag.Int("steps", 1, "Barnes-Hut steps")
 	terms := flag.Int("terms", 29, "FMM expansion terms")
 	strip := flag.Int("strip", 50, "DPA strip size (0 = one strip)")
-	adaptive := flag.Bool("adaptive", false, "enable DPA's adaptive scheduling layer (strip control, owner-major scheduling, RTT-derived aggregation)")
-	planner := flag.Bool("planner", false, "enable DPA's predictive communication planner (cost-model strip sizing, reuse-region pinning, histogram-derived aggregation limits)")
-	prior := flag.Bool("prior", false, "enable the planner's cross-phase reuse prior (implies -planner; multi-phase apps warm-start repeated phases from measured history)")
-	shape := flag.Bool("shape", false, "enable affinity-shaped tiles (implies -prior; planned strips reorder iterations into owner-major runs)")
+	shape := flag.Bool("shape", false, "select DPA's planned mode (cost-model strip sizing, reuse-region pinning, cross-phase priors, affinity-shaped tiles)")
 	vertices := flag.Int("vertices", 16384, "graph apps: vertex count")
 	degree := flag.Int("degree", 8, "graph apps: average degree")
 	graphKind := flag.String("graph", "rmat", "graph apps: edge distribution, rmat or uniform")
 	source := flag.Int("source", 0, "bfs: source vertex")
-	strips := flag.String("strips", "", "comma-separated strip sizes: run a static sweep plus adaptive and planner rows and print a comparison table")
+	strips := flag.String("strips", "", "comma-separated strip sizes: run a static sweep plus a planned row and print a comparison table")
 	agg := flag.Int("agg", 16, "DPA aggregation limit (1 disables, 0 unlimited)")
 	noPipe := flag.Bool("nopipe", false, "disable DPA message pipelining")
 	seed := flag.Int64("seed", 42, "workload seed")
@@ -154,15 +156,6 @@ func main() {
 	switch *rtName {
 	case "dpa":
 		opts := []driver.SpecOption{driver.WithAggLimit(*agg), driver.WithPipeline(!*noPipe)}
-		if *adaptive {
-			opts = append(opts, driver.WithAdaptive())
-		}
-		if *planner {
-			opts = append(opts, driver.WithPlanner())
-		}
-		if *prior {
-			opts = append(opts, driver.WithPrior())
-		}
 		if *shape {
 			opts = append(opts, driver.WithShape())
 		}
@@ -445,9 +438,9 @@ func writeMemProfile(path string) {
 	writeOut(path, pprof.WriteHeapProfile)
 }
 
-// stripSweep runs the app once per static strip size plus once adaptively
-// and prints one comparison row each — the quick command-line version of the
-// harness's X6 experiment.
+// stripSweep runs the app once per static strip size plus once in planned
+// mode and prints one comparison row each — the quick command-line version of
+// the harness's X7 experiment.
 func stripSweep(mcfg machine.Config, runWith func(machine.Config, driver.Spec) stats.Run,
 	strips string, agg int, pipeline bool, app string, nodes int) {
 
@@ -474,30 +467,11 @@ func stripSweep(mcfg machine.Config, runWith func(machine.Config, driver.Spec) s
 			best = r.Makespan
 		}
 	}
-	ar := row(driver.DPASpec(50, append(opts, driver.WithAdaptive())...))
-	if len(ar.Adapt) > 0 {
-		fmt.Printf("adaptive  final strip %d (%d grows, %d shrinks)\n",
-			ar.RT.FinalStrip, ar.RT.StripGrows, ar.RT.StripShrinks)
-	}
-	pr := row(driver.DPASpec(50, append(opts, driver.WithPlanner())...))
-	if pr.RT.PlanStrips > 0 {
-		fmt.Printf("planner   %d strips planned, %d mispredicted, final strip %d\n",
-			pr.RT.PlanStrips, pr.RT.PlanMispredicts, pr.RT.FinalStrip)
-	}
-	ps := row(driver.DPASpec(50, append(opts, driver.WithShape())...))
-	if ps.RT.PlanPriorHits > 0 {
-		fmt.Printf("prior+shape %d prior hits, %d shaped runs, %.1f KB prior tables\n",
-			ps.RT.PlanPriorHits, ps.RT.ShapedRuns, float64(ps.RT.PriorBytes)/1024)
-	}
+	pr := row(driver.DPASpec(50, append(opts, driver.WithShape())...))
+	fmt.Printf("planned   %d strips planned, %d mispredicted, final strip %d, %d prior hits, %d shaped runs\n",
+		pr.RT.PlanStrips, pr.RT.PlanMispredicts, pr.RT.FinalStrip, pr.RT.PlanPriorHits, pr.RT.ShapedRuns)
 	if best > 0 {
-		fmt.Printf("adaptive vs best static: %+.2f%%\n",
-			(float64(ar.Makespan)/float64(best)-1)*100)
-		fmt.Printf("planner  vs best static: %+.2f%%\n",
-			(float64(pr.Makespan)/float64(best)-1)*100)
-		fmt.Printf("planner  vs adaptive:    %+.2f%%\n",
-			(float64(pr.Makespan)/float64(ar.Makespan)-1)*100)
-		fmt.Printf("prior+shape vs planner:  %+.2f%%\n",
-			(float64(ps.Makespan)/float64(pr.Makespan)-1)*100)
+		fmt.Printf("planned vs best static: %+.2f%%\n", (float64(pr.Makespan)/float64(best)-1)*100)
 	}
 }
 

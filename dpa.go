@@ -24,6 +24,11 @@
 // host allocation. rt.Spawn(p, func(o dpa.Object) { ... }) is the closure
 // convenience for a frame that does not fit two words.
 //
+// DPA runs under one of two policies: DPASpec(50) is the paper's static
+// strip of 50 top-level iterations, and DPASpec(50, WithShape()) is planned
+// mode, in which a cost model sizes every strip and repeated phases plan
+// from the previous phase's measurements.
+//
 // See examples/ for complete programs and DESIGN.md for the architecture.
 package dpa
 
@@ -231,32 +236,15 @@ func WithPollEvery(n int) SpecOption { return driver.WithPollEvery(n) }
 // WithCacheCapacity bounds the software cache to n objects (0 = unbounded).
 func WithCacheCapacity(n int) SpecOption { return driver.WithCacheCapacity(n) }
 
-// WithAdaptive enables DPA's adaptive scheduling layer: online strip-size
-// control, owner-major ready-queue scheduling, and RTT-derived per-destination
-// aggregation limits. The strip passed to DPASpec becomes the initial strip.
-func WithAdaptive() SpecOption { return driver.WithAdaptive() }
-
-// WithPlanner enables DPA's predictive communication planner: a closed-form
-// cost model chooses each strip's size and per-destination aggregation
-// limits at the boundary before the strip runs, and renamed copies are
-// pinned for exactly their reuse region (refetches become structurally
-// zero under the memory budget). Implies the adaptive layer's owner-major
-// machinery; the bounded reactive controller corrects only when the model
-// mispredicts. Mutually exclusive with WithLIFO.
-func WithPlanner() SpecOption { return driver.WithPlanner() }
-
-// WithPrior enables the planner's cross-phase reuse prior (implies
-// WithPlanner): repeated phases of a multi-phase run are planned from the
-// previous phase's measured signals — warm-started first strip, pre-sized
-// aggregation batches, reuse-gap retention — instead of the cold machine
-// model. The prior only takes effect when the runner supplies a PriorStore
-// via WithPriors.
-func WithPrior() SpecOption { return driver.WithPrior() }
-
-// WithShape enables affinity-shaped tiles (implies WithPrior): within each
-// planned strip, top-level iterations are reordered into owner-major runs
-// chosen from the prior's recorded affinity, so each owner's aggregation
-// batch fills in contiguous runs.
+// WithShape selects DPA's planned mode, the one alternative to the paper's
+// static strip: a closed-form cost model sizes each strip and the
+// per-destination aggregation limits before the strip runs, renamed copies
+// are pinned for exactly their reuse region (refetches are structurally zero
+// under the memory budget), and repeated phases of a multi-phase run are
+// planned from the previous phase's measured signals, with top-level
+// iterations reordered into owner-major runs (affinity-shaped tiles). The
+// cross-phase half takes effect when the runner supplies a PriorStore via
+// WithPriors. Mutually exclusive with WithLIFO.
 func WithShape() SpecOption { return driver.WithShape() }
 
 // PriorStore carries the planner's cross-phase reuse priors across the phase
@@ -268,15 +256,15 @@ type PriorStore = driver.PriorStore
 func NewPriorStore() *PriorStore { return driver.NewPriorStore() }
 
 // WithPriors hands the phase a cross-phase prior store keyed by the given
-// phase kind. A no-op unless the spec is DPA with the prior enabled, so
-// runners can pass their store unconditionally.
+// phase kind. The priors are a no-op unless the spec is DPA in planned mode,
+// so runners can pass their store unconditionally.
 func WithPriors(store *PriorStore, kind string) RunOption {
 	return driver.WithPriors(store, kind)
 }
 
-// WithStripBounds sets the adaptive strip controller's bounds: strip sizes
-// stay in [min, max] and a strip whose renamed copies exceed memBudget bytes
-// triggers a shrink. Zero values keep the defaults.
+// WithStripBounds sets planned mode's strip bounds: strip sizes stay in
+// [min, max], and renamed copies beyond memBudget bytes release closed reuse
+// regions. Zero values keep the defaults (8, 4096 and 4 MB).
 func WithStripBounds(min, max int, memBudget int64) SpecOption {
 	return driver.WithStripBounds(min, max, memBudget)
 }

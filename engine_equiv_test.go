@@ -22,12 +22,11 @@ import (
 )
 
 // equivSpecs are the runtime schemes the engines are compared under. The
-// prior+shape variant rides along everywhere: in RunPhase-only suites the
-// prior store is absent and the features must no-op identically; em3d.RunIters
-// carries a store, so the same spec exercises warm starts there.
+// planned variant rides along everywhere: in RunPhase-only suites the prior
+// store is absent and its cross-phase half must no-op identically;
+// em3d.RunIters carries a store, so the same spec exercises warm starts there.
 func equivSpecs() []Spec {
-	return []Spec{DPASpec(8), DPASpec(8, WithPlanner()), DPASpec(8, WithShape()),
-		CachingSpec(), BlockingSpec()}
+	return []Spec{DPASpec(8), DPASpec(8, WithShape()), CachingSpec(), BlockingSpec()}
 }
 
 // equivEngines returns the engine configurations every equivalence suite
@@ -563,11 +562,11 @@ func TestStoreReusedAcrossShapesRebuilds(t *testing.T) {
 	lossy := DefaultFaults(5, 0.05)
 	steps := []storeStep{
 		{4, DPASpec(8), Sequential(), FaultConfig{}},
-		{6, DPASpec(8), Sequential(), FaultConfig{}},                // more nodes than arenas held
-		{3, DPASpec(8), Sequential(), FaultConfig{}},                // fewer
-		{3, DPASpec(8, WithPlanner()), Sequential(), FaultConfig{}}, // same count, other spec
-		{3, DPASpec(8), Sequential(), FaultConfig{}},                // and back
-		{3, DPASpec(8), Sequential(), FaultConfig{}},                // same shape twice: this one recycles
+		{6, DPASpec(8), Sequential(), FaultConfig{}},              // more nodes than arenas held
+		{3, DPASpec(8), Sequential(), FaultConfig{}},              // fewer
+		{3, DPASpec(8, WithShape()), Sequential(), FaultConfig{}}, // same count, other spec
+		{3, DPASpec(8), Sequential(), FaultConfig{}},              // and back
+		{3, DPASpec(8), Sequential(), FaultConfig{}},              // same shape twice: this one recycles
 		{8, DPASpec(8), Sequential(), FaultConfig{}},
 		{16, DPASpec(8), Sequential(), FaultConfig{}},
 		{8, DPASpec(8), Sequential(), FaultConfig{}},

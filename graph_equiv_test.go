@@ -209,7 +209,7 @@ func TestGraphPriorZeroRefetches(t *testing.T) {
 		app := app
 		t.Run(app.name, func(t *testing.T) {
 			run, _ := app.run(geConfig(Sequential(), machine.FaultConfig{}),
-				DPASpec(16, WithPrior()))
+				DPASpec(16, WithShape()))
 			if run.Err != nil {
 				t.Fatalf("run degraded: %v", run.Err)
 			}

@@ -22,7 +22,7 @@ func staticCfg() Config {
 
 func shapedCfg() Config {
 	c := staticCfg()
-	c.Planner, c.Prior, c.Shape = true, true, true
+	c.Planned = true
 	return c
 }
 

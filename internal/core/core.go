@@ -52,54 +52,32 @@ type Config struct {
 	// Strip is the strip size for top-level concurrent loops (the paper's
 	// headline configuration is 50). 0 means "one strip": the whole loop
 	// is admitted at once, with no strip-mining. Negative values are
-	// invalid (rejected by Validate). In adaptive mode Strip is only the
-	// starting point; the controller retunes it per strip.
+	// invalid (rejected by Validate). In planned mode the planner sizes
+	// every strip, the first one included; Strip is only the baseline the
+	// strip grow/shrink counters start from.
 	Strip int
-	// Adaptive enables the feedback-driven scheduling layer: an online
-	// strip-size controller (multiplicative increase/decrease on the
-	// refetch ratio, fetch-stall fraction, and renamed-copy memory),
-	// owner-major ready scheduling, owner-sorted aggregation flushes with
-	// RTT-derived per-destination limits, and batched reply scatter. All
-	// decisions are pure functions of simulated-time counters, so adaptive
-	// runs stay bit-identical across engines and repeats; with Adaptive
-	// false none of these paths run and behaviour is unchanged.
-	Adaptive bool
-	// Planner enables the predictive communication planner: at every strip
-	// boundary a closed-form cost model — fed by the strip's reuse summary
-	// (per-owner fetch histogram, dependent-thread counts, stall fraction,
-	// renamed-copy bytes) — chooses the next strip size and per-destination
-	// aggregation limits before the strip runs, and the D-table pins each
-	// renamed copy for exactly its reuse region (released only once a full
-	// strip passes without a reference, and only under memory pressure).
-	// The reactive controller of Adaptive mode remains as a fallback: it
-	// only corrects when the model mispredicts. Planner implies the
-	// owner-major scheduling and batched reply scatter of Adaptive mode and
-	// supersedes its feedback loop when both are set. All decisions are
-	// pure functions of simulated-time state, so planned runs stay
-	// bit-identical across engines, repeats, and seeded faults; with
-	// Planner false none of these paths run and behaviour is unchanged.
-	Planner bool
-	// Prior enables the planner's cross-phase reuse prior (requires
-	// Planner): when the driver attaches a prior table for the phase kind,
-	// the first strip of a repeated phase is planned from the previous
-	// phase's measured signals (warm-started strip size, pre-sized
-	// aggregation batches, reuse-gap retention) and the phase's own summary
-	// is folded back at the seam. Without an attached table behaviour is
-	// identical to plain Planner mode.
-	Prior bool
-	// Shape enables affinity-shaped tiles (requires Prior): top-level
-	// iterations of a planned loop are reordered into owner-major runs
-	// using the prior's per-iteration owner affinity, so each owner's
-	// aggregation batch fills in contiguous runs. Loops whose iteration
-	// count changed since the prior phase run in identity order.
-	Shape bool
-	// StripMin/StripMax bound the adaptive controller and the planner
-	// (<= 0: defaults 8 and 4096). Ignored in static mode.
+	// Planned selects planned mode over the paper's static strip. At every
+	// strip boundary a closed-form cost model — fed by the strip's reuse
+	// summary (per-owner fetch histogram, stall fraction, renamed-copy
+	// bytes) — chooses the next strip size and per-destination aggregation
+	// limits before the strip runs, and the D-table pins each renamed copy
+	// for exactly its reuse region. When the driver attaches a cross-phase
+	// prior table, a repeated phase is planned from the previous phase's
+	// measured signals and its top-level iterations are reordered into
+	// owner-major runs (affinity-shaped tiles). Ready threads are scheduled
+	// owner-major and replies scatter in one batch. A bounded
+	// multiplicative controller corrects only when the model mispredicts.
+	// All decisions are pure functions of simulated-time state, so planned
+	// runs stay bit-identical across engines, repeats and seeded faults; with
+	// Planned false none of these paths run.
+	Planned bool
+	// StripMin/StripMax bound the planned strip size (<= 0: defaults 8 and
+	// 4096). Ignored in static mode.
 	StripMin int
 	StripMax int
-	// MemBudget is the renamed-copy byte budget per strip above which the
-	// adaptive controller shrinks the strip (<= 0: default 4 MB). Ignored
-	// in static mode.
+	// MemBudget is the renamed-copy byte budget above which planned mode
+	// releases closed reuse regions (<= 0: default 4 MB). Ignored in static
+	// mode.
 	MemBudget int64
 	// AggLimit is the maximum number of pointers per request message.
 	// 1 disables aggregation; 0 means unlimited; negative is invalid
@@ -154,23 +132,18 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: strip bounds must be >= 0 (0 = default), got min=%d max=%d",
 			c.StripMin, c.StripMax)
 	}
-	if c.StripMin > 0 && c.StripMax > 0 && c.StripMin > c.StripMax {
-		return fmt.Errorf("core: StripMin %d exceeds StripMax %d", c.StripMin, c.StripMax)
+	// Compared once defaults apply: a zero bound is the default, not "no
+	// bound", so StripMin 5000 alone inverts the range as surely as
+	// StripMax 4 alone does.
+	if lo, hi := c.stripBounds(); lo > hi {
+		return fmt.Errorf("core: effective strip bounds inverted: min %d > max %d (StripMin=%d, StripMax=%d; 0 = default %d/%d)",
+			lo, hi, c.StripMin, c.StripMax, defaultStripMin, defaultStripMax)
 	}
 	if c.MemBudget < 0 {
 		return fmt.Errorf("core: MemBudget must be >= 0 (0 = default), got %d", c.MemBudget)
 	}
-	if c.Adaptive && c.LIFO {
-		return fmt.Errorf("core: Adaptive and LIFO are mutually exclusive (owner-major scheduling replaces the queue discipline)")
-	}
-	if c.Planner && c.LIFO {
-		return fmt.Errorf("core: Planner and LIFO are mutually exclusive (owner-major scheduling replaces the queue discipline)")
-	}
-	if c.Prior && !c.Planner {
-		return fmt.Errorf("core: Prior requires Planner (the cross-phase prior seeds the planner's cost model)")
-	}
-	if c.Shape && !c.Prior {
-		return fmt.Errorf("core: Shape requires Prior (affinity-shaped tiles read the prior's affinity arrays)")
+	if c.Planned && c.LIFO {
+		return fmt.Errorf("core: Planned and LIFO are mutually exclusive (owner-major scheduling replaces the queue discipline)")
 	}
 	if c.AggLimit < 0 {
 		return fmt.Errorf("core: AggLimit must be >= 0 (0 = unlimited), got %d", c.AggLimit)
@@ -183,6 +156,18 @@ func (c *Config) Validate() error {
 			c.SpawnCost, c.ExecCost, c.MapCost)
 	}
 	return nil
+}
+
+// stripBounds resolves StripMin/StripMax with their defaults.
+func (c *Config) stripBounds() (lo, hi int) {
+	lo, hi = c.StripMin, c.StripMax
+	if lo <= 0 {
+		lo = defaultStripMin
+	}
+	if hi <= 0 {
+		hi = defaultStripMax
+	}
+	return lo, hi
 }
 
 func (c *Config) aggLimit() int {
@@ -264,7 +249,7 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 		}
 		observeRTT(d, ep.Node.Now())
 	}
-	if rt.adaptive {
+	if rt.planned {
 		rt.scatterReply(m.From, rep)
 	} else {
 		for i, p := range rep.ptrs {
@@ -306,13 +291,13 @@ func (rt *RT) arrive(p gptr.Ptr, o gptr.Object, owner int) *dEntry {
 	if rt.arrivedBytes > rt.st.PeakArrivedBytes {
 		rt.st.PeakArrivedBytes = rt.arrivedBytes
 	}
-	if rt.adaptive && rt.arrivedBytes > rt.ctl.stripPeak {
+	if rt.planned && rt.arrivedBytes > rt.ctl.stripPeak {
 		rt.ctl.stripPeak = rt.arrivedBytes
 	}
 	return e
 }
 
-// scatterReply is the adaptive reply path: one wake pass appends every
+// scatterReply is planned mode's reply path: one wake pass appends every
 // dependent thread of the batch — all waiters of all pointers the reply
 // carries — to the owner's run list, enqueueing the owner once, instead of
 // per-pointer wakeups into a global queue.
@@ -482,19 +467,13 @@ type RT struct {
 	// cached at construction so hot-path emission sites pay one nil check.
 	trc *obs.NodeTrace
 
-	// Owner-major mode (Cfg.Adaptive or Cfg.Planner); see adapt.go,
-	// ownerq.go, and plan.go. adaptive gates the shared machinery (owner
-	// queue, batched scatter, RTT/gap observation); planner additionally
-	// routes ForAll and the aggregation limits through the predictive
-	// planner instead of the reactive controller.
-	adaptive bool
-	planner  bool
-	plan     planState
-	oq       ownerQueue // owner-major ready queue (replaces ready)
-	ctl      stripCtl
-	trace    []stats.AdaptPoint
-	gapEwma  sim.Time // enqueue-interval EWMA (request production rate)
-	lastEnq  sim.Time
+	// Planned mode (Cfg.Planned); see plan.go, planmodel.go, prior.go and
+	// ownerq.go.
+	planned bool
+	plan    planState
+	oq      ownerQueue // owner-major ready queue (replaces ready)
+	ctl     stripCtl
+	trace   []stats.AdaptPoint
 }
 
 // Arena is one node's runtime storage — the RT struct itself, the M/D and
@@ -523,15 +502,9 @@ func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, a *Arena) *RT {
 	rt.EP, rt.Space, rt.Cfg, rt.proto = ep, space, cfg, proto
 	rt.nodes = ep.Node.N()
 	rt.trc = ep.Node.Obs()
-	rt.adaptive = cfg.Adaptive || cfg.Planner
-	rt.planner = cfg.Planner
-	if rt.adaptive {
-		rt.lastEnq = -1
+	rt.planned = cfg.Planned
+	if rt.planned {
 		rt.initCtl()
-	}
-	if rt.planner {
-		rt.plan.priorOn = cfg.Prior
-		rt.plan.shapeOn = cfg.Shape
 		rt.plan.init(ep.Node.Cfg())
 	}
 	ep.Ctx = rt
@@ -670,7 +643,7 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 	if ei, ok := rt.table[p]; ok {
 		e := &rt.entries[ei]
 		rt.st.Reuses++
-		if rt.plan.priorOn {
+		if rt.planned {
 			// The idle span this re-reference closes feeds the reuse-gap
 			// ceiling, the retention window of the next phase's prior.
 			if gap := satGap(rt.plan.stripIdx, e.lastUse); gap > rt.plan.maxGap {
@@ -705,10 +678,10 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 }
 
 // pushReady makes a thread ready. owner is the node that supplied its
-// object (the local node for local and replicated pointers); adaptive mode
+// object (the local node for local and replicated pointers); planned mode
 // groups the ready queue by it.
 func (rt *RT) pushReady(owner int, e readyEntry) {
-	if rt.adaptive {
+	if rt.planned {
 		rt.oq.push(&rt.dests, owner, e)
 	} else {
 		rt.ready.push(e)
@@ -717,7 +690,7 @@ func (rt *RT) pushReady(owner int, e readyEntry) {
 
 // readyLen is the ready-thread count under either queue.
 func (rt *RT) readyLen() int {
-	if rt.adaptive {
+	if rt.planned {
 		return rt.oq.len()
 	}
 	return rt.ready.len()
@@ -734,17 +707,12 @@ func (rt *RT) enqueueReq(p gptr.Ptr) {
 	}
 	d.agg = append(d.agg, p)
 	rt.aggCount++
-	if rt.adaptive {
-		rt.observeGap(rt.EP.Node.Now())
-	}
-	if rt.planner {
+	if rt.planned {
 		if d.curHist == 0 {
 			rt.plan.owners++
 		}
 		d.curHist++
-		if rt.plan.priorOn {
-			d.phaseHist++
-		}
+		d.phaseHist++
 	}
 	if rt.Cfg.Pipeline && len(d.agg) >= rt.destLimit(d) {
 		rt.flushDest(d)
@@ -760,7 +728,7 @@ func (rt *RT) flushDest(d *destState) {
 		return
 	}
 	dst := int(d.owner)
-	if rt.adaptive && !d.rttMark && d.pending == 0 {
+	if rt.planned && !d.rttMark && d.pending == 0 {
 		// Arm a round-trip sample: nothing is in flight to dst, so the
 		// first reply back answers this send.
 		d.rttMark = true
@@ -791,11 +759,11 @@ func (rt *RT) flushDest(d *destState) {
 }
 
 // FlushAll sends every pending request buffer: in destination-arrival order
-// normally, in ascending owner order in adaptive mode (owner-sorted batches,
+// normally, in ascending owner order in planned mode (owner-sorted batches,
 // matching the owner-major service order of the ready queue). Both orders
 // are deterministic.
 func (rt *RT) FlushAll() {
-	if rt.adaptive {
+	if rt.planned {
 		if rt.aggCount > 0 {
 			for _, si := range rt.dests.byOwner {
 				rt.flushDest(&rt.dests.slots[si])
@@ -901,7 +869,7 @@ func (rt *RT) abandonUnreachable() bool {
 func (rt *RT) runOne() {
 	var e readyEntry
 	switch {
-	case rt.adaptive:
+	case rt.planned:
 		e = rt.oq.pop(&rt.dests)
 	case rt.Cfg.LIFO:
 		e = rt.ready.popBack()
@@ -913,7 +881,7 @@ func (rt *RT) runOne() {
 	if rt.trc != nil {
 		t0 = n.Now()
 	}
-	if rt.planner {
+	if rt.planned {
 		// Restore the dispatched thread's top-level iteration so nested
 		// spawns attribute their affinity to it (prior.go).
 		rt.plan.curIter = e.iter
@@ -936,12 +904,8 @@ func (rt *RT) runOne() {
 // iterations per strip and draining all (transitively spawned) work between
 // strips. Renamed copies are discarded at strip boundaries, bounding memory.
 func (rt *RT) ForAll(n int, spawnIter func(i int)) {
-	if rt.planner {
+	if rt.planned {
 		rt.forAllPlanned(n, spawnIter)
-		return
-	}
-	if rt.adaptive {
-		rt.forAllAdaptive(n, spawnIter)
 		return
 	}
 	s := rt.Cfg.Strip
@@ -970,20 +934,6 @@ func (rt *RT) ForAll(n int, spawnIter func(i int)) {
 // endStrip discards the strip's renamed copies, recycling the table entries.
 func (rt *RT) endStrip() {
 	rt.checkStripInvariant()
-	rt.dropCopies()
-}
-
-// endStripAdaptive closes a strip in adaptive mode: renamed copies are
-// retained while they fit the controller's memory budget — the budget, not
-// the strip boundary, is what bounds memory — and dropped wholesale once it
-// is exceeded. Retention converts the static scheme's strip-boundary
-// refetches into reuses; the decision reads only simulated-state counters,
-// so it is deterministic.
-func (rt *RT) endStripAdaptive() {
-	rt.checkStripInvariant()
-	if rt.arrivedBytes <= rt.ctl.memBudget {
-		return
-	}
 	rt.dropCopies()
 }
 

@@ -2,7 +2,7 @@ package core
 
 import "dpa/internal/sim"
 
-// ownerQueue is the owner-major ready queue used in adaptive mode: one run
+// ownerQueue is the owner-major ready queue used in planned mode: one run
 // list per owner node, served to exhaustion in first-arrival owner order.
 // Threads whose objects came from the same owner run consecutively — the
 // paper's tiling, extended from "same renamed object" to "same reply batch" —

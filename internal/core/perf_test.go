@@ -69,7 +69,7 @@ func (w *threadWorld) phase(t testing.TB, cfg Config, kind string, n int, closur
 		me := nd.ID()
 		ep := fm.NewEP(w.net, nd)
 		rt := New(w.proto, ep, w.space, cfg, &w.arenas[me])
-		if cfg.Prior {
+		if cfg.Planned {
 			rt.AttachPrior(&w.priors[me])
 		}
 		fn := func(gptr.Object) { count[me]++ }
@@ -84,7 +84,7 @@ func (w *threadWorld) phase(t testing.TB, cfg Config, kind string, n int, closur
 		if after != nil {
 			after(rt)
 		}
-		if cfg.Prior {
+		if cfg.Planned {
 			rt.FoldPrior()
 		}
 		ep.Barrier()
@@ -150,7 +150,7 @@ func TestThreadsAllocateNothing(t *testing.T) {
 // together), and returns how many threads ran.
 func wakePhase(t testing.TB, w *threadWorld, waiters int, after func(rt *RT)) int {
 	cfg := staticCfg()
-	cfg.Strip, cfg.Planner = 0, true
+	cfg.Strip, cfg.Planned = 0, true
 	_, ran := w.phase(t, cfg, "fetch", waiters*len(w.ptrs[0]), false, after)
 	return ran
 }

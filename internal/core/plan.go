@@ -3,12 +3,19 @@ package core
 import (
 	"dpa/internal/gptr"
 	"dpa/internal/obs"
+	"dpa/internal/sim"
+	"dpa/internal/stats"
 )
 
 // This file wires the predictive planner (planmodel.go) into the strip-mined
-// loop: the planned ForAll variant, the reuse-region lifecycle of renamed
-// copies in the D-table, and the misprediction hand-off to the bounded
-// reactive controller (adapt.go). See DESIGN.md §11.
+// loop: the per-node strip state and its bounds, the planned ForAll, the
+// reuse-region lifecycle of renamed copies in the D-table, and the
+// misprediction hand-off to a bounded multiplicative controller. Every
+// decision is a pure function of simulated-time counters (cycle charges,
+// fetch/refetch counts, arrival times), never of host state, so planned runs
+// are bit-identical across both engines and across repeats — including under
+// fault injection, whose schedule is itself a pure function of the seed. See
+// DESIGN.md §11.
 //
 // # Reuse regions
 //
@@ -19,8 +26,196 @@ import (
 // the planner releases only closed regions, and only under memory pressure —
 // an open region is never released, so a pointer referenced in consecutive
 // (or any budget-respecting pattern of) strips is fetched exactly once per
-// region and refetch traffic is structurally zero, not asymptotically zero
-// like the reactive controller's retention heuristic.
+// region and refetch traffic is structurally zero.
+
+// Strip bounds and controller constants. The misprediction signals are
+// ratios, so the same constants work across workloads; the bounds keep a
+// misbehaving signal from running away.
+const (
+	defaultStripMin  = 8
+	defaultStripMax  = 4096
+	defaultMemBudget = 4 << 20 // renamed-copy bytes
+
+	// growNum/growDen is the strong-signal growth factor; a weak signal
+	// grows by half as much. Shrinking (memory pressure) always halves.
+	growNum = 2
+	growDen = 1
+
+	// maxTracePoints bounds the per-node strip-size trace.
+	maxTracePoints = 64
+
+	// ewmaOld/ewmaDiv: round-trip EWMA weight of a new sample 1/4 (integer
+	// arithmetic).
+	ewmaOld = 3
+	ewmaDiv = 4
+)
+
+// stripCtl is the per-node strip state.
+type stripCtl struct {
+	strip     int // strip size for the next strip
+	min, max  int
+	memBudget int64
+	loop      int32 // index of the current top-level loop on this node
+
+	// Snapshot at the start of the current strip.
+	baseFetches   int64
+	baseRefetches int64
+	baseReqMsgs   int64
+	baseArrived   int64
+	baseStall     sim.Time
+	baseNow       sim.Time
+	stripPeak     int64 // peak renamed-copy bytes during the strip
+}
+
+// initCtl resolves the strip bounds and memory budget from the config.
+func (rt *RT) initCtl() {
+	c := &rt.ctl
+	c.strip = rt.Cfg.Strip
+	c.min, c.max = rt.Cfg.stripBounds()
+	c.memBudget = rt.Cfg.MemBudget
+	if c.memBudget <= 0 {
+		c.memBudget = defaultMemBudget
+	}
+}
+
+// beginStrip snapshots the counters the end-of-strip decision diffs against.
+func (rt *RT) beginStrip() {
+	c := &rt.ctl
+	c.baseFetches = rt.st.Fetches
+	c.baseRefetches = rt.st.Refetches
+	c.baseReqMsgs = rt.st.ReqMsgs
+	c.baseArrived = rt.arrivedBytes
+	c.baseStall = rt.EP.Node.Charges()[sim.FetchStall]
+	c.baseNow = rt.EP.Node.Now()
+	c.stripPeak = rt.arrivedBytes
+}
+
+// stripSignals is one strip's observed communication behaviour, diffed from
+// the beginStrip snapshots: the input of the cost model, the misprediction
+// check and the corrective controller, all of which read only simulated-time
+// counters through it.
+type stripSignals struct {
+	iters        int // top-level iterations the strip admitted
+	fetches      int64
+	refetches    int64
+	msgs         int64
+	fetchedBytes int64 // renamed-copy bytes fetched during the strip
+	stall        sim.Time
+	elapsed      sim.Time
+	peakOver     bool // the strip's own copies overflowed the memory budget
+}
+
+// stripSignals collects the just-finished strip's signals. Must run before
+// any end-of-strip copy release (the byte delta reads arrivedBytes).
+func (rt *RT) stripSignals(iters int) stripSignals {
+	c := &rt.ctl
+	return stripSignals{
+		iters:        iters,
+		fetches:      rt.st.Fetches - c.baseFetches,
+		refetches:    rt.st.Refetches - c.baseRefetches,
+		msgs:         rt.st.ReqMsgs - c.baseReqMsgs,
+		fetchedBytes: rt.arrivedBytes - c.baseArrived,
+		stall:        rt.EP.Node.Charges()[sim.FetchStall] - c.baseStall,
+		elapsed:      rt.EP.Node.Now() - c.baseNow,
+		peakOver:     c.stripPeak-c.baseArrived > c.memBudget,
+	}
+}
+
+// controllerNext is the bounded multiplicative-increase/decrease step that
+// corrects the strip size when the model mispredicts:
+//
+//   - renamed-copy memory above budget shrinks (the paper's reason to
+//     strip-mine at all);
+//   - a high refetch ratio means the strip boundary is cutting reuse apart
+//     — copies dropped at the boundary are fetched again — so grow;
+//   - a high fetch-stall fraction means the strip admits too little work to
+//     cover its own communication, so grow;
+//   - under-filled request batches (objects/message well below the
+//     aggregation limit) mean the strip boundary truncates aggregation, so
+//     grow;
+//   - weak versions of the same signals grow by half the factor, and a
+//     quiet strip (little refetch or stall, full batches) holds.
+//
+// The result is unclamped; setStrip applies the [min, max] bounds.
+func controllerNext(cur int, sig stripSignals, aggBase int64) int {
+	switch {
+	case sig.peakOver:
+		// One strip's own copies overflow the budget: only a smaller strip
+		// can bound memory.
+		return cur / 2
+	case sig.fetches == 0:
+		// A purely local strip carries no communication signal.
+	case sig.refetches*4 >= sig.fetches ||
+		(sig.elapsed > 0 && sig.stall*2 >= sig.elapsed) ||
+		(aggBase > 0 && sig.fetches*4 <= sig.msgs*aggBase):
+		return cur * 2 * growNum / growDen
+	case sig.refetches*16 >= sig.fetches ||
+		(sig.elapsed > 0 && sig.stall*4 >= sig.elapsed) ||
+		(aggBase > 0 && sig.fetches < sig.msgs*aggBase):
+		return cur * growNum / growDen
+	}
+	return cur
+}
+
+// setStrip clamps and installs a new strip size, maintaining the grow/shrink
+// counters, the strip-size trace, and the KAdapt event stream. A no-op when
+// the clamped size equals the current one.
+func (rt *RT) setStrip(next int) {
+	c := &rt.ctl
+	if next < c.min {
+		next = c.min
+	}
+	if next > c.max {
+		next = c.max
+	}
+	if next == c.strip {
+		return
+	}
+	if next > c.strip {
+		rt.st.StripGrows++
+	} else {
+		rt.st.StripShrinks++
+	}
+	if len(rt.trace) < maxTracePoints {
+		rt.trace = append(rt.trace, stats.AdaptPoint{Loop: c.loop, Strip: int32(next)})
+	}
+	if rt.trc != nil {
+		rt.trc.Event(obs.KAdapt, rt.EP.Node.Now(), int64(next), int64(c.loop))
+	}
+	c.strip = next
+}
+
+// AdaptTrace returns this node's strip-size trace (empty in static mode). The
+// slice lives in the runtime's arena: copy it to keep it past the phase. The
+// driver records node 0's trace on the run.
+func (rt *RT) AdaptTrace() []stats.AdaptPoint { return rt.trace }
+
+// observeRTT feeds d's round-trip EWMA. A sample is armed on the first
+// in-flight request to the destination (flushDest, planned mode only) and
+// closed by its first reply, so queueing behind earlier requests never
+// inflates it.
+func observeRTT(d *destState, now sim.Time) {
+	if !d.rttMark {
+		return
+	}
+	d.rttMark = false
+	s := now - d.rttSentAt
+	if d.rttEwma == 0 {
+		d.rttEwma = s
+	} else {
+		d.rttEwma = (ewmaOld*d.rttEwma + s) / ewmaDiv
+	}
+}
+
+// destLimit is the per-destination aggregation limit: the configured one in
+// static mode (and whenever it is unlimited), the planner's prediction from
+// the previous strip's owner histogram otherwise.
+func (rt *RT) destLimit(d *destState) int {
+	if !rt.planned || rt.Cfg.AggLimit <= 0 {
+		return rt.Cfg.aggLimit()
+	}
+	return rt.plannedDestLimit(d, rt.Cfg.AggLimit)
+}
 
 // beginPlanStrip rolls the reuse summary: the finished strip's owner
 // histogram becomes the prediction source (prevHist) and the new strip
@@ -36,12 +231,13 @@ func (rt *RT) beginPlanStrip() {
 }
 
 // forAllPlanned is the planner's strip-mined loop: the same
-// admit/flush/drain structure as the static and adaptive ForAll variants
-// (including the runt tail-merge), with the cost model choosing each strip
-// size at the boundary before the strip runs.
+// admit/flush/drain structure as the static ForAll, with the cost model
+// choosing each strip size at the boundary before the strip runs and a
+// tail-merge absorbing a runt final strip into its predecessor (a
+// sub-quarter strip would pay a full drain for almost no work).
 func (rt *RT) forAllPlanned(n int, spawnIter func(i int)) {
 	c := &rt.ctl
-	if !rt.plan.planned {
+	if !rt.plan.modelled {
 		// First contact within this phase: try the cross-phase prior first
 		// (planWarmStart sizes the first strip from the previous phase's
 		// measured signals and stages its owner histogram as the prediction
@@ -58,11 +254,8 @@ func (rt *RT) forAllPlanned(n int, spawnIter func(i int)) {
 				s = c.max
 			}
 			rt.setStrip(s)
-			rt.plan.planned = true
+			rt.plan.modelled = true
 		}
-	}
-	if c.strip <= 0 {
-		c.strip = n // Strip 0: start with the whole loop as one strip
 	}
 	// Affinity shaping (prior.go): a usable prior reorders the iteration
 	// space into owner-major runs; recording refreshes the affinity arrays
@@ -167,7 +360,7 @@ func (rt *RT) release(p gptr.Ptr, ei int32) {
 // still live — the exactly-once contract broke), or the model claimed the
 // latency bound was covered yet the strip spent half its time stalled.
 func (rt *RT) planMispredicted(sig stripSignals, proposal, cur int) bool {
-	if !rt.plan.planned {
+	if !rt.plan.modelled {
 		return false // first strip: the model had no hand in its size
 	}
 	if sig.peakOver || rt.plan.overBudget {
@@ -184,19 +377,18 @@ func (rt *RT) planMispredicted(sig stripSignals, proposal, cur int) bool {
 
 // planStrip is the planner's boundary decision: evaluate the cost model on
 // the finished strip's signals and install its proposal — unless the model
-// mispredicted, in which case the bounded reactive controller takes one
-// corrective step instead (planner proposes, controller corrects). The
-// decision is recorded as a KPlan event and in the planner counters.
+// mispredicted, in which case the bounded controller takes one corrective
+// step instead (planner proposes, controller corrects). The decision is
+// recorded as a KPlan event and in the planner counters.
 func (rt *RT) planStrip(sig stripSignals) {
 	c := &rt.ctl
-	if ps := &rt.plan; ps.priorOn {
-		// Accumulate the phase totals the seam fold (FoldPrior) publishes as
-		// the next phase's warm-start signals.
-		ps.phaseIters += int64(sig.iters)
-		ps.phaseBytes += sig.fetchedBytes
-		ps.phaseBusy += sig.elapsed - sig.stall
-		ps.phaseStall += sig.stall
-	}
+	// Accumulate the phase totals the seam fold (FoldPrior) publishes as the
+	// next phase's warm-start signals.
+	ps := &rt.plan
+	ps.phaseIters += int64(sig.iters)
+	ps.phaseBytes += sig.fetchedBytes
+	ps.phaseBusy += sig.elapsed - sig.stall
+	ps.phaseStall += sig.stall
 	cur := c.strip
 	proposal := rt.planPropose(sig)
 	next := proposal
@@ -204,9 +396,9 @@ func (rt *RT) planStrip(sig stripSignals) {
 		rt.st.PlanMispredicts++
 		next = controllerNext(cur, sig, int64(rt.Cfg.AggLimit))
 	}
-	rt.plan.overBudget = false
+	ps.overBudget = false
 	rt.setStrip(next)
-	rt.plan.planned = true
+	ps.modelled = true
 	rt.st.PlanStrips++
 	if rt.trc != nil {
 		rt.trc.Event(obs.KPlan, rt.EP.Node.Now(), int64(c.strip), int64(c.loop))

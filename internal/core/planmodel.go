@@ -5,12 +5,12 @@ import (
 	"dpa/internal/sim"
 )
 
-// This file is the predictive half of planner mode: a closed-form cost model
+// This file is the predictive half of planned mode: a closed-form cost model
 // that chooses the next strip size and the per-destination aggregation
 // limits from one strip's reuse summary, *before* the next strip runs. Where
-// the reactive controller (adapt.go) nudges the strip multiplicatively on
-// trailing signals — paying several warm-up strips at the wrong size — the
-// planner computes the size the signals imply and jumps straight to it. All
+// a reactive controller would nudge the strip multiplicatively on trailing
+// signals — paying several warm-up strips at the wrong size — the planner
+// computes the size the signals imply and jumps straight to it. All
 // inputs are simulated-time counters and machine-model constants, so every
 // decision is a pure function of simulated-time state and planned runs stay
 // bit-identical across engines, repeats, and seeded faults (DESIGN.md §11).
@@ -36,7 +36,7 @@ import (
 // index that timestamps reuse regions in the D-table.
 type planState struct {
 	stripIdx int32 // monotone strip counter across loops within the phase
-	planned  bool  // the current strip size came from the model
+	modelled bool  // the current strip size came from the model
 	// overBudget records that the last strip's live reuse regions alone
 	// exceeded the memory budget (endStripPlanned had to drop wholesale) —
 	// a memory-model misprediction even when no single strip overflowed.
@@ -54,14 +54,11 @@ type planState struct {
 	// the machine model's cost of one request/reply exchange.
 	rttPrior sim.Time
 
-	// Cross-phase prior plumbing (prior.go). priorOn/shapeOn mirror
-	// Cfg.Prior/Cfg.Shape; prior is the table the driver attached for this
-	// phase kind (nil: cold phase). priorBytes is the table's footprint,
-	// charged against the memory budget headroom. retainGap is the reuse-gap
-	// retention window seeded from the prior; maxGap is the ceiling observed
-	// this phase, folded back at the seam.
-	priorOn    bool
-	shapeOn    bool
+	// Cross-phase prior plumbing (prior.go). prior is the table the driver
+	// attached for this phase kind (nil: cold phase). priorBytes is the
+	// table's footprint, charged against the memory budget headroom.
+	// retainGap is the reuse-gap retention window seeded from the prior;
+	// maxGap is the ceiling observed this phase, folded back at the seam.
 	prior      *PriorTable
 	priorBytes int64
 	retainGap  int32
@@ -172,7 +169,7 @@ func (rt *RT) planPropose(sig stripSignals) int {
 // fraction of the owner's request traffic.
 const aggFills = 4
 
-// plannedDestLimit is planner mode's per-destination aggregation limit: the
+// plannedDestLimit is planned mode's per-destination aggregation limit: the
 // previous strip's owner histogram, scaled to the current strip size,
 // predicts how many pointers this strip will send to dst; the limit batches
 // that volume into as few messages as the 8×base cap allows. Per-message
@@ -183,9 +180,7 @@ const aggFills = 4
 // batch, and with no prediction at all the limit IS the cap: never
 // fragment on a guess. Only a predicted-heavy owner (volume above the cap)
 // splits, evenly, which restores eager mid-strip streaming exactly where
-// there is enough traffic to hide it. The reactive EWMA limit makes the
-// opposite cold choice (base) because it must stay safe at any strip size;
-// the planner can lean on its strip model.
+// there is enough traffic to hide it.
 func (rt *RT) plannedDestLimit(d *destState, base int) int {
 	hi := base * 8
 	ps := &rt.plan

@@ -7,7 +7,7 @@ import (
 	"dpa/internal/sim"
 )
 
-// This file is the cross-phase half of planner mode (DESIGN.md §13): a
+// This file is the cross-phase half of planned mode (DESIGN.md §13): a
 // compact per-(phase-kind, node) prior table that survives phase boundaries
 // in the driver, so a repeated phase starts from measured history instead of
 // the cold machine-model prior. At each phase end the driver folds the
@@ -26,8 +26,8 @@ import (
 //	           is still within last phase's reuse pattern (pre-pinned
 //	           reuse regions under memory pressure);
 //	shape      per-loop affinity arrays reorder iterations into owner-major
-//	           runs at plan time (Cfg.Shape), so each owner's batch fills
-//	           in contiguous runs instead of interleaved dribbles.
+//	           runs at plan time, so each owner's batch fills in contiguous
+//	           runs instead of interleaved dribbles.
 //
 // Every field of the table is a pure function of simulated-time state (the
 // fold runs at the phase seam in node-index order, and reads only counters
@@ -225,14 +225,14 @@ func (pt *PriorTable) EncodeSnapshot(w *sim.SnapWriter) {
 }
 
 // AttachPrior hands the runtime its cross-phase prior table for the phase
-// about to run. Called by the driver before the phase body; a nil table, a
-// non-planner spec, or Cfg.Prior=false leaves planning exactly as cold as
-// before. Attaching seeds the per-destination RTT EWMAs from last phase's
-// observations (warming the latency bound) and installs the reuse-gap
-// retention window; the strip and histogram seeding happens lazily at the
-// first planned loop (planWarmStart), where the loop bounds are known.
+// about to run. Called by the driver before the phase body; a nil table or a
+// static spec leaves planning exactly as cold as before. Attaching seeds the
+// per-destination RTT EWMAs from last phase's observations (warming the
+// latency bound) and installs the reuse-gap retention window; the strip and
+// histogram seeding happens lazily at the first planned loop
+// (planWarmStart), where the loop bounds are known.
 func (rt *RT) AttachPrior(pt *PriorTable) {
-	if !rt.planner || !rt.plan.priorOn || pt == nil {
+	if !rt.planned || pt == nil {
 		return
 	}
 	ps := &rt.plan
@@ -260,7 +260,7 @@ func (rt *RT) AttachPrior(pt *PriorTable) {
 func (rt *RT) FoldPrior() {
 	ps := &rt.plan
 	pt := ps.prior
-	if pt == nil || !ps.priorOn {
+	if pt == nil {
 		return
 	}
 	pt.Phases++
@@ -341,7 +341,7 @@ func (rt *RT) planWarmStart(n int) bool {
 		s = p
 	}
 	rt.setStrip(s)
-	ps.planned = true
+	ps.modelled = true
 	ps.warm = true
 	rt.st.PlanPriorHits++
 	if rt.trc != nil {
@@ -357,7 +357,7 @@ func (rt *RT) planWarmStart(n int) bool {
 // phase even on phases where shaping declined.
 func (rt *RT) beginLoopAffinity(n int) {
 	ps := &rt.plan
-	if !ps.priorOn || ps.prior == nil {
+	if ps.prior == nil {
 		ps.recAff = nil
 		return
 	}
@@ -365,9 +365,9 @@ func (rt *RT) beginLoopAffinity(n int) {
 }
 
 // planShape returns the owner-major iteration permutation for the coming
-// loop, or nil when no usable affinity prior exists (shaping off, cold
-// table, or the loop's iteration count changed since last phase — a
-// repartitioned loop gets identity order rather than a stale shuffle). The
+// loop, or nil when no usable affinity prior exists (cold table, or the
+// loop's iteration count changed since last phase — a repartitioned loop
+// gets identity order rather than a stale shuffle). The
 // permutation is a counting sort of iteration indices by predicted owner —
 // unattributed iterations first, then owners ascending, stable within each
 // owner — so same-owner spawns run back to back and each owner's aggregation
@@ -377,7 +377,7 @@ func (rt *RT) beginLoopAffinity(n int) {
 func (rt *RT) planShape(n int) []int32 {
 	ps := &rt.plan
 	pt := ps.prior
-	if !ps.shapeOn || pt.Empty() {
+	if pt.Empty() {
 		return nil
 	}
 	l := int(rt.ctl.loop)

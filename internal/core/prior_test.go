@@ -10,14 +10,12 @@ import (
 // priorCycleRT builds a bare planner runtime wired for cross-phase priors,
 // the same construction style as TestPlannedDestLimit / TestPlanProposeBounds.
 func priorCycleRT(nodes int) *RT {
-	rt := &RT{adaptive: true, planner: true, nodes: nodes}
+	rt := &RT{planned: true, nodes: nodes}
 	rt.Cfg = Default()
 	rt.Cfg.AggLimit = 16
-	rt.Cfg.Prior = true
-	rt.Cfg.Shape = true
+	rt.Cfg.Planned = true
 	rt.initCtl()
 	ps := &rt.plan
-	ps.priorOn, ps.shapeOn = true, true
 	ps.rttPrior = 1000
 	ps.curIter = -1
 	return rt
@@ -102,7 +100,7 @@ func TestPriorWarmStartNeverNarrowsFirstStrip(t *testing.T) {
 		t.Fatalf("warm start narrowed the first strip to %d, cold plan is %d",
 			rt.ctl.strip, cold)
 	}
-	if !rt.plan.warm || !rt.plan.planned {
+	if !rt.plan.warm || !rt.plan.modelled {
 		t.Fatalf("warm start did not mark the plan warm: %+v", rt.plan)
 	}
 	if rt.st.PlanPriorHits != 1 {

@@ -72,14 +72,12 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	// Aggregation buffers (append order is program order). Every
 	// per-destination record below is written through the table's dense
 	// view — one entry per machine node, zeros for untouched owners — which
-	// is the layout the encoding had when this state was P-length arrays,
-	// each of length P where its mode was on and empty where it was off.
+	// is the layout the encoding had when this state was P-length arrays;
+	// the planner's records are empty in static mode (dim 0).
 	dests := &rt.dests
-	dim := func(on bool) int {
-		if on {
-			return rt.nodes
-		}
-		return 0
+	dim := 0
+	if rt.planned {
+		dim = rt.nodes
 	}
 	w.Int(rt.nodes)
 	dests.dense(rt.nodes, func(d *destState) {
@@ -126,9 +124,8 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Int(rt.oq.len())
 	w.U64(rt.oq.digest(dests))
 
-	// Adaptive controller / planner state.
-	w.Bool(rt.adaptive)
-	w.Bool(rt.planner)
+	// Strip and planner state.
+	w.Bool(rt.planned)
 	c := &rt.ctl
 	w.Int(c.strip)
 	w.Int(c.min)
@@ -144,10 +141,10 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.I64(c.stripPeak)
 	ps := &rt.plan
 	w.U32(uint32(ps.stripIdx))
-	w.Bool(ps.planned)
+	w.Bool(ps.modelled)
 	w.Bool(ps.overBudget)
-	w.Int(dim(rt.planner))
-	dests.dense(dim(rt.planner), func(d *destState) {
+	w.Int(dim)
+	dests.dense(dim, func(d *destState) {
 		w.U32(uint32(d.curHist))
 		w.U32(uint32(d.prevHist))
 	})
@@ -158,8 +155,6 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	// Cross-phase prior state (prior.go). The attached table itself is
 	// fingerprinted here so any divergence in prior contents surfaces in the
 	// "rt" section even when the driver does not encode a "priors" section.
-	w.Bool(ps.priorOn)
-	w.Bool(ps.shapeOn)
 	w.Bool(ps.warm)
 	w.I64(ps.priorBytes)
 	w.U32(uint32(ps.retainGap))
@@ -169,9 +164,9 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.I64(ps.phaseBytes)
 	w.Time(ps.phaseBusy)
 	w.Time(ps.phaseStall)
-	w.Int(dim(ps.priorOn))
-	h2 := uint64(dim(ps.priorOn))
-	dests.dense(dim(ps.priorOn), func(d *destState) { h2 = sim.MixFP(h2, uint64(d.phaseHist)) })
+	w.Int(dim)
+	h2 := uint64(dim)
+	dests.dense(dim, func(d *destState) { h2 = sim.MixFP(h2, uint64(d.phaseHist)) })
 	w.U64(h2)
 	w.Int(len(ps.recAff))
 	h2 = uint64(len(ps.recAff))
@@ -181,14 +176,12 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.U64(h2)
 	w.Bool(ps.prior != nil)
 	w.U64(ps.prior.fingerprint())
-	w.Int(dim(rt.adaptive))
-	dests.dense(dim(rt.adaptive), func(d *destState) {
+	w.Int(dim)
+	dests.dense(dim, func(d *destState) {
 		w.Time(d.rttEwma)
 		w.Time(d.rttSentAt)
 		w.Bool(d.rttMark)
 	})
-	w.Time(rt.gapEwma)
-	w.Time(rt.lastEnq)
 	w.Int(len(rt.trace))
 	for _, pt := range rt.trace {
 		w.U32(uint32(pt.Loop))

@@ -108,7 +108,7 @@ func crashSeed(t *testing.T, nodes, doomed int, fp sim.FaultParams) uint64 {
 func TestWaitersRunInSpawnOrder(t *testing.T) {
 	const nodes, k = 3, 7
 	planned := staticCfg()
-	planned.Planner = true
+	planned.Planned = true
 	for _, c := range []struct {
 		name    string
 		cfg     Config

@@ -81,43 +81,18 @@ func WithAggLimit(n int) SpecOption { return func(s *Spec) { s.Core.AggLimit = n
 // WithLIFO selects the depth-first (LIFO) ready-queue discipline for DPA.
 func WithLIFO() SpecOption { return func(s *Spec) { s.Core.LIFO = true } }
 
-// WithAdaptive enables DPA's feedback-driven scheduling layer: an online
-// strip-size controller, owner-major ready scheduling, owner-sorted
-// aggregation flushes with RTT-derived per-destination limits, and batched
-// reply scatter. The configured strip size becomes the starting point.
-func WithAdaptive() SpecOption { return func(s *Spec) { s.Core.Adaptive = true } }
+// WithShape selects DPA's planned mode, the alternative to the paper's static
+// strip: a closed-form cost model sizes every strip and the per-destination
+// aggregation limits from the previous strip's reuse summary, renamed copies
+// are pinned for exactly their reuse region, and — when a multi-phase runner
+// passes a PriorStore via WithPriors — repeated phases are planned from the
+// previous phase's measured signals, with top-level iterations reordered into
+// owner-major runs (affinity-shaped tiles, hence the name). Mutually
+// exclusive with WithLIFO.
+func WithShape() SpecOption { return func(s *Spec) { s.Core.Planned = true } }
 
-// WithPlanner enables DPA's predictive communication planner: at every strip
-// boundary a closed-form cost model — fed by the previous strip's reuse
-// summary (per-owner fetch histogram, round-trip estimates, byte volumes) —
-// chooses the next strip size and the per-destination aggregation limits
-// before the strip runs, and renamed copies are pinned for exactly their
-// reuse region instead of being dropped wholesale. The reactive controller's
-// machinery (owner-major scheduling, bounded strip limits) stays active
-// underneath: the planner proposes, and the bounded controller corrects only
-// when the model mispredicts. Implies the adaptive layer; mutually exclusive
-// with WithLIFO.
-func WithPlanner() SpecOption { return func(s *Spec) { s.Core.Planner = true } }
-
-// WithPrior enables the planner's cross-phase reuse prior (implies
-// WithPlanner): when a multi-phase runner passes a PriorStore via WithPriors,
-// each repeated phase is planned from the previous phase's measured signals
-// — warm-started first strip, pre-sized aggregation batches, reuse-gap
-// retention — instead of the cold machine-model prior.
-func WithPrior() SpecOption {
-	return func(s *Spec) { s.Core.Planner = true; s.Core.Prior = true }
-}
-
-// WithShape enables affinity-shaped tiles (implies WithPrior): top-level
-// iterations of planned loops are reordered into owner-major runs using the
-// prior's recorded owner affinity, so each owner's aggregation batch fills in
-// contiguous runs per strip.
-func WithShape() SpecOption {
-	return func(s *Spec) { s.Core.Planner = true; s.Core.Prior = true; s.Core.Shape = true }
-}
-
-// WithStripBounds sets the adaptive controller's strip-size bounds and
-// per-strip renamed-copy memory budget in bytes (zero keeps each default).
+// WithStripBounds sets planned mode's strip-size bounds and renamed-copy
+// memory budget in bytes (zero keeps each default).
 func WithStripBounds(min, max int, memBudget int64) SpecOption {
 	return func(s *Spec) {
 		s.Core.StripMin, s.Core.StripMax, s.Core.MemBudget = min, max, memBudget
@@ -179,17 +154,8 @@ func (s Spec) Validate() error {
 func (s Spec) String() string {
 	switch s.Kind {
 	case DPA:
-		if s.Core.Shape {
+		if s.Core.Planned {
 			return fmt.Sprintf("DPA-PS(%d)", s.Core.Strip)
-		}
-		if s.Core.Prior {
-			return fmt.Sprintf("DPA-PR(%d)", s.Core.Strip)
-		}
-		if s.Core.Planner {
-			return fmt.Sprintf("DPA-P(%d)", s.Core.Strip)
-		}
-		if s.Core.Adaptive {
-			return fmt.Sprintf("DPA-A(%d)", s.Core.Strip)
 		}
 		return fmt.Sprintf("DPA(%d)", s.Core.Strip)
 	case Caching:
@@ -521,7 +487,7 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 	// node bodies only read the slice, so the parallel engine's workers
 	// never race on the store's map.
 	var ptabs []*core.PriorTable
-	if prior != nil && spec.Kind == DPA && spec.Core.Prior {
+	if prior != nil && spec.Kind == DPA && spec.Core.Planned {
 		ptabs = prior.tables(priorKind, mcfg.Nodes)
 	}
 	// Likewise the recycled runtime arenas: one per node, each node's body

@@ -283,7 +283,7 @@ func TestPriorStoreArenaLifetime(t *testing.T) {
 		t.Fatal("a 3-node phase ran on the 4-node machine")
 	}
 	resized := held()
-	phase(3, DPASpec(10, WithPlanner()))
+	phase(3, DPASpec(10, WithShape()))
 	if held() == resized {
 		t.Fatal("a phase under another spec recycled arenas built for the first")
 	}
@@ -291,7 +291,7 @@ func TestPriorStoreArenaLifetime(t *testing.T) {
 	// A degraded phase: every message is lost, the retry budget runs out,
 	// owners become unreachable and the run carries an error.
 	fc := machine.DefaultFaults(1, 1.0)
-	if run := phase(3, DPASpec(10, WithPlanner()), WithFaults(fc)); run.Err == nil {
+	if run := phase(3, DPASpec(10, WithShape()), WithFaults(fc)); run.Err == nil {
 		t.Fatal("total message loss produced a clean run")
 	}
 	if store.arenas != nil || store.mach != nil {
@@ -308,7 +308,7 @@ func TestPriorStoreArenaLifetime(t *testing.T) {
 	}
 	priors := NewPriorStore()
 	loop := func(nodes int) stats.Run {
-		return RunPhase(machine.DefaultT3D(nodes), big, DPASpec(10, WithPrior()),
+		return RunPhase(machine.DefaultT3D(nodes), big, DPASpec(10, WithShape()),
 			func(rt Runtime, ep *fm.EP, nd *machine.Node) {
 				rt.ForAll(nodes, func(i int) {
 					rt.Spawn(objs[(nd.ID()+i)%nodes], func(gptr.Object) {})

@@ -163,8 +163,8 @@ func (ps *PriorStore) EncodeSnapshot(w *sim.SnapWriter) {
 // WithPriors hands the phase a cross-phase prior store and names the phase
 // kind the store should key this phase's tables under (repeated phases of
 // the same kind share tables; distinct kinds — e.g. the E and H halves of an
-// EM3D iteration — get their own). A no-op unless the spec is DPA with
-// Prior enabled, so runners can pass their store unconditionally.
+// EM3D iteration — get their own). The priors are a no-op unless the spec is
+// DPA in planned mode, so runners can pass their store unconditionally.
 func WithPriors(store *PriorStore, kind string) RunOption {
 	return func(rc *runConfig) { rc.prior = store; rc.priorKind = kind }
 }

@@ -14,9 +14,10 @@
 // level/iteration is one SPMD phase with fresh runtimes (cached copies
 // never go stale across the value updates), owners apply updates between
 // phases, and a PriorStore threads the planner's cross-phase reuse prior
-// through the repeated phases. Everything is compatible with WithAdaptive,
-// WithPlanner, WithPrior/WithShape, fault injection, and checkpoints, and
-// runs stay bit-identical across engines, repeats, and seeded faults.
+// through the repeated phases. Everything is compatible with both DPA
+// policies (the static strip and WithShape's planned mode), fault injection,
+// and checkpoints, and runs stay bit-identical across engines, repeats, and
+// seeded faults.
 package graph
 
 import (

@@ -127,9 +127,8 @@ func (s *Session) FMM(n int, spec driver.Spec) stats.Run {
 // specKnobs distinguishes ablation variants that share a Spec string.
 func specKnobs(spec driver.Spec) string {
 	c := spec.Core
-	return fmt.Sprintf("agg%d pipe%v poll%d lifo%v adapt%v plan%v prior%v shape%v cap%d",
-		c.AggLimit, c.Pipeline, c.PollEvery, c.LIFO, c.Adaptive, c.Planner, c.Prior, c.Shape,
-		spec.Caching.Capacity)
+	return fmt.Sprintf("agg%d pipe%v poll%d lifo%v planned%v cap%d",
+		c.AggLimit, c.Pipeline, c.PollEvery, c.LIFO, c.Planned, spec.Caching.Capacity)
 }
 
 // BHSeq returns the sequential Barnes-Hut baseline (memoized).

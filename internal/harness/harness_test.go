@@ -15,7 +15,7 @@ func tinyWorkload() Workload {
 }
 
 func TestAllExperimentsRegistered(t *testing.T) {
-	want := []string{"F1", "F2", "F3", "F4", "F5", "F6", "T1", "T2", "T3", "T4", "X1", "X10", "X2", "X3", "X4", "X5", "X6", "X7", "X8", "X9"}
+	want := []string{"F1", "F2", "F3", "F4", "F5", "F6", "T1", "T2", "T3", "T4", "X1", "X10", "X2", "X3", "X4", "X5", "X7", "X8", "X9"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(all), len(want))
@@ -87,8 +87,8 @@ func TestExperimentsProduceOutput(t *testing.T) {
 		"X3":  {"unbounded", "fetches"},
 		"X4":  {"hit rate", "LIFO"},
 		"X5":  {"loss", "retrans", "overhead", "EM3D", "BH"},
-		"X6":  {"adaptive", "final strip", "vs best static", "EM3D"},
-		"X9":  {"priorhits", "shapedruns", "prior+shape vs planner"},
+		"X7":  {"DPA-PS(50)", "final strip", "planner vs best static", "EM3D"},
+		"X9":  {"priorhits", "shapedruns", "planned vs static"},
 		"X10": {"BFS", "PageRank", "peak copies", "refetches"},
 	}
 	for _, e := range All() {

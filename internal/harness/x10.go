@@ -58,8 +58,8 @@ func runX10(s *Session) {
 			return r
 		}
 		row(driver.DPASpec(50))
-		if pr := row(driver.DPASpec(50, driver.WithPrior())); pr.RT.Refetches != 0 {
-			s.printf("REFETCH REGRESSION: planner+prior refetched %d times\n", pr.RT.Refetches)
+		if pr := row(driver.DPASpec(50, driver.WithShape())); pr.RT.Refetches != 0 {
+			s.printf("REFETCH REGRESSION: planned mode refetched %d times\n", pr.RT.Refetches)
 		}
 		s.printf("\n")
 	}

@@ -8,33 +8,31 @@ import (
 	"dpa/internal/stats"
 )
 
-// X7: the predictive communication planner vs the reactive controller and
-// the static sweep. X6 showed the feedback controller converging to within a
-// few percent of the best hand-tuned strip — after paying warm-up strips at
-// the wrong size in every phase. The planner replaces the feedback loop with
-// a closed-form cost model over each strip's reuse summary (DESIGN.md §11):
+// X7: planned mode vs the static sweep. The paper picks one strip size per
+// application by hand. Planned mode replaces the hand-picked strip with a
+// closed-form cost model over each strip's reuse summary (DESIGN.md §11):
 // strip size from the latency/batching/memory bounds, per-destination
 // aggregation limits from the owner histogram, and reuse-region pinning in
-// the D-table so every remote object is fetched exactly once per region.
-// The questions this experiment answers: does first contact cost anything
-// (it must not — the first strip is already model-chosen), are refetches
-// structurally zero, and does the planned full workload beat both the
-// adaptive steady state and the best static strip?
+// the D-table so every remote object is fetched exactly once per region;
+// repeated phases start from the previous phase of their kind (§13). The
+// questions this experiment answers: does first contact cost anything (it
+// must not — the first strip is already model-chosen), are refetches
+// structurally zero, and does the planned workload beat the best static
+// strip?
 
 func init() {
-	register(Experiment{ID: "X7", Title: "Predictive planner vs adaptive controller vs static sweep (extension)", Run: runX7})
+	register(Experiment{ID: "X7", Title: "Predictive planner vs static strip sweep (extension)", Run: runX7})
 }
 
-// x7Strips is the static sweep both online modes are judged against.
+// x7Strips is the static sweep planned mode is judged against.
 var x7Strips = []int{10, 25, 50, 100, 300}
 
 func runX7(s *Session) {
 	const nodes = 16
-	s.printf("Predictive planner vs the X6 sweep on %d nodes. Every phase is first\n", nodes)
-	s.printf("contact for the planner (phases build fresh runtimes), so there is no\n")
-	s.printf("steady state to hide behind: the planner's numbers ARE its cold-start\n")
-	s.printf("numbers. 'plans/mispredicts' counts model decisions and hand-offs to\n")
-	s.printf("the bounded controller; refetches must be exactly zero.\n\n")
+	s.printf("Static strip-size sweep vs planned mode on %d nodes. The planner\n", nodes)
+	s.printf("sizes every strip, the first one included, so its numbers carry its\n")
+	s.printf("cold start. 'plans/mispredicts' counts model decisions and hand-offs\n")
+	s.printf("to the bounded controller; refetches must be exactly zero.\n\n")
 
 	apps := []struct {
 		name string
@@ -65,12 +63,9 @@ func runX7(s *Session) {
 				best = r.Makespan
 			}
 		}
-		ar := row(driver.DPASpec(50, driver.WithAdaptive()))
-		pr := row(driver.DPASpec(50, driver.WithPlanner()))
+		pr := row(driver.DPASpec(50, driver.WithShape()))
 		s.printf("planner: %d plans, %d mispredicts, %d region releases, final strip %d\n",
 			pr.RT.PlanStrips, pr.RT.PlanMispredicts, pr.RT.RegionReleases, pr.RT.FinalStrip)
-		s.printf("planner vs best static %+.2f%%, vs adaptive %+.2f%%\n\n",
-			(float64(pr.Makespan)/float64(best)-1)*100,
-			(float64(pr.Makespan)/float64(ar.Makespan)-1)*100)
+		s.printf("planner vs best static %+.2f%%\n\n", (float64(pr.Makespan)/float64(best)-1)*100)
 	}
 }

@@ -9,20 +9,18 @@ import (
 	"dpa/internal/stats"
 )
 
-// X9: cross-phase reuse priors and affinity-shaped tiles on repeated phases.
-// X7 judged the planner on single phases, where every phase is first contact
-// and the cold machine-model prior is all the evidence there is. Real runs
+// X9: planned mode on repeated phases. X7 judged single workloads; real runs
 // repeat their phases — BH computes forces every timestep, FMM every step,
 // EM3D alternates E and H halves — and the phases of one kind resemble each
-// other far more than the cold prior resembles any of them. The cross-phase
-// prior (DESIGN.md §13) folds each phase's measured reuse summary (per-owner
-// fetch histograms, RTT EWMAs, reuse-gap ceiling, iteration affinity) into a
-// per-(phase-kind, node) table that survives in the runner, so the first
-// strip of a repeated phase is planned from history: warm-started strip size,
-// pre-sized aggregation batches, reuse-gap retention, and — with shaping —
-// owner-major iteration runs chosen at plan time. The questions: does the
-// warm start beat the planner's cold start on repeated phases, do refetches
-// stay exactly zero, and does shaping pay on top?
+// other far more than the cold machine-model prior resembles any of them.
+// Planned mode folds each phase's measured reuse summary (per-owner fetch
+// histograms, RTT EWMAs, reuse-gap ceiling, iteration affinity) into a
+// per-(phase-kind, node) table that survives in the runner (DESIGN.md §13),
+// so the first strip of a repeated phase is planned from history:
+// warm-started strip size, pre-sized aggregation batches, reuse-gap
+// retention, and owner-major iteration runs chosen at plan time. The
+// questions: how far does it move repeated phases from the paper's static
+// strip, and do refetches stay exactly zero?
 
 func init() {
 	register(Experiment{ID: "X9", Title: "Cross-phase priors and affinity-shaped tiles on repeated phases (extension)", Run: runX9})
@@ -30,14 +28,13 @@ func init() {
 
 func runX9(s *Session) {
 	const nodes = 16
-	s.printf("Repeated phases on %d nodes: the planner's cold start (X7) vs the\n", nodes)
-	s.printf("cross-phase prior (measured per-owner volumes lift the cold destLimit\n")
-	s.printf("cap, RTT-seeded latency bound, reuse-gap retention) vs prior+shape\n")
-	s.printf("(owner-major iteration runs chosen at plan time, so each owner's batch\n")
-	s.printf("fills in one contiguous run per strip). Phases repeat, so from the\n")
-	s.printf("second phase of each kind onward every boundary decision can come from\n")
-	s.printf("measured history; 'prior hits' counts decisions that did. Refetches\n")
-	s.printf("must stay exactly 0.\n\n")
+	s.printf("Repeated phases on %d nodes: the paper's static DPA(50) vs planned\n", nodes)
+	s.printf("mode, whose cross-phase prior lifts the cold destLimit cap with\n")
+	s.printf("measured per-owner volumes, seeds the latency bound with RTTs, retains\n")
+	s.printf("copies across reuse gaps and shapes owner-major iteration runs, so each\n")
+	s.printf("owner's batch fills in one contiguous run per strip. 'prior hits'\n")
+	s.printf("counts boundary decisions taken from measured history. Planned\n")
+	s.printf("refetches must stay exactly 0.\n\n")
 
 	apps := []struct {
 		name   string
@@ -76,14 +73,10 @@ func runX9(s *Session) {
 				r.RT.PlanPriorHits, r.RT.ShapedRuns)
 			return r
 		}
-		pl := row(driver.DPASpec(50, driver.WithPlanner()))
-		pr := row(driver.DPASpec(50, driver.WithPrior()))
+		st := row(driver.DPASpec(50))
 		ps := row(driver.DPASpec(50, driver.WithShape()))
-		s.printf("prior tables: %.1f KB/node peak; mispredicts %d -> %d -> %d\n",
-			float64(ps.RT.PriorBytes)/1024, pl.RT.PlanMispredicts,
-			pr.RT.PlanMispredicts, ps.RT.PlanMispredicts)
-		s.printf("prior vs planner %+.2f%%, prior+shape vs planner %+.2f%%\n\n",
-			(float64(pr.Makespan)/float64(pl.Makespan)-1)*100,
-			(float64(ps.Makespan)/float64(pl.Makespan)-1)*100)
+		s.printf("prior tables: %.1f KB/node peak; %d mispredicts\n",
+			float64(ps.RT.PriorBytes)/1024, ps.RT.PlanMispredicts)
+		s.printf("planned vs static %+.2f%%\n\n", (float64(ps.Makespan)/float64(st.Makespan)-1)*100)
 	}
 }

@@ -61,7 +61,7 @@ const (
 	// KStrip is a strip boundary in a strip-mined loop: Arg1 is the first
 	// admitted top-level index, Arg2 the strip size just completed.
 	KStrip
-	// KAdapt is an adaptive strip-size decision: Arg1 the new strip size,
+	// KAdapt is a planned-mode strip-size change: Arg1 the new strip size,
 	// Arg2 the top-level loop index.
 	KAdapt
 	// KFault is an injected fault: Arg1 a Fault* code, Arg2 the detail

@@ -36,8 +36,10 @@ const snapshotMagic = "DPASNAP1"
 // section lost its copy-store counters and trailer, and "procs" writes a
 // process parked in its own past as ready at its clock (EncodeProcs).
 // Version 3: the "fm" section gained the combining tree's per-child reduce
-// slots, and its barrier counters now hold tree-child arrivals.
-const SnapshotVersion uint32 = 3
+// slots, and its barrier counters now hold tree-child arrivals. Version 4:
+// the "rt" section lost the enqueue-gap EWMA words and writes one planned
+// mode bool where it wrote the adaptive, planner, prior and shape bools.
+const SnapshotVersion uint32 = 4
 
 // ErrBadSnapshot is the sentinel matched by errors.Is for snapshot
 // encodings that fail to decode: truncated, corrupted (checksum mismatch),

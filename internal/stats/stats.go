@@ -101,15 +101,15 @@ type RTStats struct {
 	// Refetches counts fetches of objects this node had already fetched
 	// earlier in the phase (and since dropped — at a strip boundary under
 	// DPA, by eviction under caching, on every re-access under blocking).
-	// Refetches/Fetches is the refetch ratio the adaptive controller
-	// steers on.
+	// Refetches/Fetches is the refetch ratio the planner's corrective
+	// controller steers on.
 	Refetches int64
-	// StripGrows/StripShrinks count strip-size changes made by the
-	// adaptive controller (zero for static runs).
+	// StripGrows/StripShrinks count strip-size changes made in planned
+	// mode (zero for static runs).
 	StripGrows   int64
 	StripShrinks int64
-	// FinalStrip is the strip size the adaptive controller converged to
-	// (max over nodes; zero for static runs).
+	// FinalStrip is the strip size planned mode ended on (max over nodes;
+	// zero for static runs).
 	FinalStrip int64
 	// PlanStrips counts strip-boundary decisions made by the predictive
 	// planner; PlanMispredicts counts the subset where the model's promise
@@ -203,7 +203,7 @@ func (f *FaultStats) Add(o FaultStats) {
 	f.Probes += o.Probes
 }
 
-// AdaptPoint is one strip-size decision by the adaptive controller: during
+// AdaptPoint is one strip-size decision in planned mode: during
 // top-level loop Loop of a phase, the strip size for the next strip became
 // Strip. Traces are recorded on node 0 (every node adapts independently;
 // node 0 is the representative shown in run tables).
