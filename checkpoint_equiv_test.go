@@ -314,7 +314,7 @@ func TestCheckpointObsExports(t *testing.T) {
 // TestCrashDeterminism is the crash-schedule analogue of the fault
 // determinism tests: a run with permanent crashes must be bit-identical
 // across engines and repeats, complete with typed partial-result errors and
-// live-set collective counters.
+// probe counters.
 func TestCrashDeterminism(t *testing.T) {
 	app := ckApps()[2]
 	runs := make([]stats.Run, 0, 3)

@@ -166,8 +166,8 @@ var ErrUnreachable = fm.ErrUnreachable
 
 // ErrCrashed is the sentinel error wrapped by every *CrashError; test with
 // errors.Is. A run whose Err wraps it completed with partial results: the
-// crashed nodes' contributions are missing and the surviving nodes' barriers
-// and reductions shrank to the live set.
+// crashed nodes' contributions are missing and the survivors' barriers
+// routed around them.
 var ErrCrashed = machine.ErrCrashed
 
 // CrashError reports one node's permanent crash (scheduled by the fault

@@ -13,10 +13,11 @@ import (
 // findCrashSeed searches for a fault seed under which exactly the nodes in
 // doomed are scheduled to crash at the given rate. The crash fate is a pure
 // function of (seed, node id) — never of run history — so the search is
-// deterministic, cheap, and valid for the run that follows.
+// deterministic, cheap, and valid for the run that follows. The cap covers
+// two named nodes out of 70, which about one seed in 9,000 dooms exactly.
 func findCrashSeed(t *testing.T, nodes int, rate float64, at sim.Time, doomed map[int]bool) uint64 {
 	t.Helper()
-	for seed := uint64(1); seed < 4096; seed++ {
+	for seed := uint64(1); seed < 1<<16; seed++ {
 		plan := sim.NewFaultPlan(sim.FaultParams{Seed: seed, CrashRate: rate, CrashAt: at})
 		ok := true
 		for n := 0; n < nodes; n++ {
@@ -129,18 +130,17 @@ func TestCrashedDestinationShutdown(t *testing.T) {
 	}
 }
 
-// TestCrashLiveSetCollectives: with a crash schedule active the collectives
-// run in live-set mode — a reduction and the following barriers shrink to
-// the surviving nodes instead of hanging on the dead one. Node 2 crashes
-// before contributing; nodes 0 and 1 must finish with the survivors-only
-// sum, node 0 must have probed the silent peer to establish its death, and
-// both engines must agree on sums, probe counts, and the degradation errors.
-func TestCrashLiveSetCollectives(t *testing.T) {
+// TestCrashBarrierRoutesAroundTheDead: with a crash schedule active the
+// barrier waits on each peer until it arrives or is declared unreachable.
+// Node 2 crashes before its first barrier; nodes 0 and 1 must finish two
+// barriers, node 0 must have probed its silent child to establish the death
+// and recorded one missing peer per barrier, and both engines must agree on
+// probe counts and the degradation errors.
+func TestCrashBarrierRoutesAroundTheDead(t *testing.T) {
 	const crashAt = sim.Time(10000)
 	seed := findCrashSeed(t, 3, 0.4, crashAt, map[int]bool{2: true})
 
 	type result struct {
-		sums   [2]float64
 		probes int64
 		errs   [2]string
 	}
@@ -164,19 +164,24 @@ func TestCrashLiveSetCollectives(t *testing.T) {
 				t.Error("doomed node survived its crash point")
 				return
 			}
-			sum := ep.AllReduceSum(float64(nd.ID() + 1))
-			res.sums[nd.ID()] = sum
-			ep.Quiesce()
+			ep.Barrier()
 			ep.Barrier()
 			ep.Quiesce()
 			res.errs[nd.ID()] = fmt.Sprint(ep.Err())
 			if nd.ID() == 0 {
 				res.probes = ep.FaultStats().Probes
-				var ce *CollectiveError
-				if !errors.As(ep.Err(), &ce) {
-					t.Errorf("node 0 error %v carries no *CollectiveError", ep.Err())
-				} else if ce.Missing != 1 {
-					t.Errorf("CollectiveError Missing = %d, want 1 (one dead peer)", ce.Missing)
+				n := 0
+				for _, err := range ep.errs {
+					var ce *CollectiveError
+					if errors.As(err, &ce) {
+						n++
+						if ce.Missing != 1 {
+							t.Errorf("CollectiveError Missing = %d, want 1 (one dead peer)", ce.Missing)
+						}
+					}
+				}
+				if n != 2 {
+					t.Errorf("node 0 recorded %d *CollectiveErrors, want one per barrier: %v", n, ep.Err())
 				}
 			}
 		}); err != nil {
@@ -191,21 +196,15 @@ func TestCrashLiveSetCollectives(t *testing.T) {
 	seq := run(t, sim.Sequential)
 	par := run(t, sim.Parallel)
 	if seq != par {
-		t.Errorf("engines disagree on the degraded collectives:\n  seq: %+v\n  par: %+v", seq, par)
-	}
-	// Survivors' sum: node 0 contributes 1, node 1 contributes 2; the dead
-	// node's 3 must be missing from both.
-	for id, sum := range seq.sums {
-		if sum != 3 {
-			t.Errorf("node %d reduced to %v, want the survivors-only sum 3", id, sum)
-		}
+		t.Errorf("engines disagree on the degraded barriers:\n  seq: %+v\n  par: %+v", seq, par)
 	}
 	if seq.probes == 0 {
-		t.Error("node 0 never probed the silent peer; live-set detection did not run")
+		t.Error("node 0 never probed the silent peer; crash detection did not run")
 	}
-	for _, op := range []string{"allreduce degraded", "barrier degraded"} {
-		if !strings.Contains(seq.errs[0], op) {
-			t.Errorf("node 0 errors %q missing %q", seq.errs[0], op)
-		}
+	if !strings.Contains(seq.errs[0], "barrier degraded") {
+		t.Errorf("node 0 errors %q missing a degraded barrier", seq.errs[0])
+	}
+	if seq.errs[1] != "<nil>" {
+		t.Errorf("node 1 lost no peer but recorded %s", seq.errs[1])
 	}
 }

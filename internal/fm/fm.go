@@ -1,8 +1,9 @@
 // Package fm is a hand-rolled active-message layer in the style of Illinois
 // Fast Messages (FM), the messaging substrate the paper used on the CRAY
 // T3D. A message names a handler; handlers run on the receiving node when it
-// polls the network. The package also provides the collective operations the
-// applications need (barrier, all-reduce) built from the same primitives.
+// polls the network. The package also provides the barrier the applications
+// need between phases, built from the same primitives, which routes around
+// nodes declared dead.
 //
 // When the machine config enables fault injection with message loss or
 // duplication, endpoints transparently run a reliability protocol (send
@@ -33,21 +34,17 @@ type Net struct {
 const (
 	hBarrierArrive = iota
 	hBarrierRelease
-	hReduceArrive
-	hReduceResult
 	hRelData
 	hRelAck
 	hProbe
 	numInternal
 )
 
-// NewNet returns a Net with the internal collective handlers installed.
+// NewNet returns a Net with the internal barrier handlers installed.
 func NewNet() *Net {
 	n := &Net{handlers: make([]Handler, numInternal)}
 	n.handlers[hBarrierArrive] = (*EP).onBarrierArrive
 	n.handlers[hBarrierRelease] = (*EP).onBarrierRelease
-	n.handlers[hReduceArrive] = (*EP).onReduceArrive
-	n.handlers[hReduceResult] = (*EP).onReduceResult
 	n.handlers[hRelData] = (*EP).onRelData
 	n.handlers[hRelAck] = (*EP).onRelAck
 	n.handlers[hProbe] = (*EP).onProbe
@@ -70,40 +67,47 @@ func (n *Net) Register(h Handler) int {
 	return len(n.handlers) - 1
 }
 
+// onBarrierArrive records that m.From has entered the barrier whose ordinal
+// the frame carries (and, transitively, every barrier before it). A tree
+// child's ordinal goes into its fixed slot; any other sender reaches this
+// node only by routing around dead nodes, so the map that holds those is made
+// on the first such arrive and a fault-free run never builds it. An arrive
+// for a barrier this node has already left comes from a node whose first
+// receiver forwarded it and then died: answer it with the release directly.
 func (ep *EP) onBarrierArrive(m sim.Message) {
-	ep.barrierCount++
-	if ep.barrierSeen != nil {
-		ep.barrierSeen[m.From]++
+	k := m.Payload.(int)
+	if i := m.From - firstChild(ep.Node.ID()); i >= 0 && i < fanIn {
+		ep.kidAt[i] = max(ep.kidAt[i], k)
+	} else {
+		if ep.adoptedAt == nil {
+			ep.adoptedAt = make(map[int]int)
+		}
+		ep.adoptedAt[m.From] = max(ep.adoptedAt[m.From], k)
 	}
-}
-func (ep *EP) onBarrierRelease(m sim.Message) { ep.barrierEpoch++ }
-
-// onReduceArrive files a partial sum. On the tree it goes into the sending
-// child's own slot, so the parent can add the partials in child-index order
-// whatever order they arrived in; the hub (live-set) path accumulates as the
-// arrivals come and tallies them per peer.
-func (ep *EP) onReduceArrive(m sim.Message) {
-	v := m.Payload.(float64)
-	ep.reduceCount++
-	if !ep.liveSet {
-		ep.reduceSlot[m.From-firstChild(ep.Node.ID())] = v
-		return
-	}
-	ep.reduceAcc += v
-	if ep.reduceSeen != nil {
-		ep.reduceSeen[m.From]++
+	if k <= ep.barrierAt {
+		ep.Send(m.From, hBarrierRelease, k, barrierBytes)
 	}
 }
 
-// onProbe is the liveness-probe handler: the frame's only job is to exist —
+// onBarrierRelease records the release of the barrier the frame names. A
+// node can be released twice for one barrier when it routed around a parent
+// that was slow rather than dead; the ordinal makes the second a no-op.
+func (ep *EP) onBarrierRelease(m sim.Message) {
+	ep.releasedAt = max(ep.releasedAt, m.Payload.(int))
+}
+
+// onProbe is the liveness-probe handler. The frame's main job is to exist:
 // a reliable frame to a dead peer goes unacked and exhausts its retries,
-// which is exactly the detection signal the live-set collectives need. The
-// reliability layer acks it like any data frame; there is nothing to do.
-func (ep *EP) onProbe(m sim.Message) {}
-
-func (ep *EP) onReduceResult(m sim.Message) {
-	ep.reduceResult = m.Payload.(float64)
-	ep.reduceDone = true
+// which is exactly the detection signal a waiting barrier needs, and the
+// reliability layer acks it like any data frame. A probe from a node waiting
+// for release(k) carries k; if this node has already left barrier k, answer
+// with the release on the control plane, like the ack. That covers a release
+// skipped because this node had declared the prober dead, and a duplicate
+// that finds the prober gone costs nothing.
+func (ep *EP) onProbe(m sim.Message) {
+	if k := m.Payload.(int); k > 0 && k <= ep.barrierAt {
+		ep.Node.SendControl(m.From, hBarrierRelease, k, barrierBytes)
+	}
 }
 
 // EP is a node's endpoint: its handle on the network. Ctx carries
@@ -128,31 +132,20 @@ type EP struct {
 	// cached at endpoint construction so emission sites pay one nil check.
 	trc *obs.NodeTrace
 
-	// Collective state. The Count fields hold arrivals not yet consumed by
-	// a completed collective: from this node's tree children, or, on the
-	// live-set hub, from every peer (node 0 only).
-	barrierCount int
-	barrierEpoch int // releases seen
-	barrierAt    int // barriers this node has entered
+	// Barrier state, as ordinals: barrierAt counts the barriers this node
+	// has left, releasedAt is the highest one it has been released from (or,
+	// as the acting root, released itself). kidAt holds the highest
+	// ordinal each tree child's arrive reported; adoptedAt the same for any
+	// other sender, nil until one arrives.
+	barrierAt  int
+	releasedAt int
+	kidAt      [fanIn]int
+	adoptedAt  map[int]int
 
-	reduceCount  int
-	reduceSlot   [fanIn]float64 // children's partial sums, by child index
-	reduceResult float64
-	reduceDone   bool
-
-	// Live-set collective state, enabled only when the fault config
-	// schedules permanent crashes (FaultConfig.CrashActive): collectives
-	// then run the hub protocol (everyone arrives at node 0), track arrivals
-	// per peer and shrink to the surviving set instead of failing wholesale
-	// at the first dead destination. barrierSeen and reduceSeen count
-	// per-peer arrivals on node 0, reduceAcc is its running sum in arrival
-	// order; reduceAt counts this node's completed reductions (the
-	// reduce-side analogue of barrierAt).
-	liveSet     bool
-	reduceAcc   float64
-	barrierSeen []int
-	reduceSeen  []int
-	reduceAt    int
+	// crashes is set when the fault config schedules permanent crashes
+	// (FaultConfig.CrashActive): waits on a silent peer then probe it, so a
+	// peer that died after acking everything is still detected.
+	crashes bool
 }
 
 // NewEP creates the endpoint for a node. Call once per node inside the SPMD
@@ -168,7 +161,7 @@ func NewEP(net *Net, n *machine.Node) *EP {
 
 // Reset returns the endpoint to the state NewEP builds, for another phase on
 // the same node of a machine that is run again (machine.Machine.Run): Ctx,
-// counters, errors, reliability and collective state start over. Call it
+// counters, errors, reliability and barrier state start over. Call it
 // inside the SPMD main function, after the machine has started the phase.
 func (ep *EP) Reset() {
 	n := ep.Node
@@ -177,13 +170,7 @@ func (ep *EP) Reset() {
 	if fc.NeedsReliability() {
 		ep.rel = newRelState(fc, n.N())
 	}
-	if fc.CrashActive() {
-		ep.liveSet = true
-		if n.ID() == 0 {
-			ep.barrierSeen = make([]int, n.N())
-			ep.reduceSeen = make([]int, n.N())
-		}
-	}
+	ep.crashes = fc.CrashActive()
 }
 
 // maxRecordedErrs caps the errors kept per endpoint; the rest are counted
@@ -297,7 +284,7 @@ func (ep *EP) Unreachable(dst int) bool {
 // Degraded reports whether any destination is unreachable from this node.
 func (ep *EP) Degraded() bool { return ep.rel != nil && ep.rel.deadCount > 0 }
 
-// fanIn is the arity of the combining tree the collectives walk: node i's
+// fanIn is the arity of the combining tree the barrier walks: node i's
 // parent is (i-1)/fanIn and its children are fanIn·i+1 … fanIn·i+fanIn, so
 // the shape is computed from the node id and costs no per-endpoint storage.
 // A level costs its parent about fanIn receives on the way up and fanIn sends
@@ -310,170 +297,151 @@ const fanIn = 4
 func treeParent(id int) int { return (id - 1) / fanIn }
 func firstChild(id int) int { return fanIn*id + 1 }
 
-// treeChildren returns how many children this node has in the tree.
-func (ep *EP) treeChildren() int {
-	return min(max(ep.Node.N()-firstChild(ep.Node.ID()), 0), fanIn)
-}
+// barrierBytes is the modeled size of an arrive or release frame, whose
+// payload is the barrier's ordinal.
+const barrierBytes = 4
 
-// awaitChildren is the upward half of a collective at one node: dispatch
-// until every child's arrive has been counted, then consume them. It returns
-// how many children it gave up on because this endpoint is Degraded.
-func (ep *EP) awaitChildren(count *int) (missing int) {
-	kids := ep.treeChildren()
-	for *count < kids && !ep.Degraded() {
-		ep.WaitAndDispatch()
-	}
-	missing = max(kids-*count, 0)
-	*count = max(*count-kids, 0)
-	return missing
-}
-
-// sendChildren is the downward half: forward the release (or the reduced
-// total) to every child.
-func (ep *EP) sendChildren(handler int, payload any, bytes int) {
-	first := firstChild(ep.Node.ID())
-	for c := first; c < first+ep.treeChildren(); c++ {
-		ep.Send(c, handler, payload, bytes)
-	}
-}
-
-// degraded records a collective that completed without hearing from
-// everyone it waits on (missing children, plus the parent's release).
-func (ep *EP) degraded(op string, missing int) {
-	if missing > 0 {
-		ep.fail(&CollectiveError{Op: op, Node: ep.Node.ID(), Missing: missing})
-	}
-}
-
-// Barrier blocks until every node has entered the same barrier. Nodes form a
-// fanIn-ary combining tree: a node sends one arrive to its parent once every
-// child has arrived, the root turns the last arrive into a release, and each
-// node forwards the release to its children — 2(N−1) messages and
+// Barrier blocks until every live node has entered the same barrier. Nodes
+// form a fanIn-ary combining tree: a node sends one arrive to its parent once
+// its children have arrived, the root turns the last arrive into a release,
+// and each node forwards the release to its children — 2(N−1) messages and
 // O(fanIn·log N) cycles at any one node. While waiting, the node keeps
 // dispatching handlers, so it continues to serve remote requests — this is
 // how nodes that finish their local work early stay responsive (the paper's
 // runtimes behave the same way under polling).
 //
-// Under fault injection the barrier degrades instead of hanging: a node
-// whose sends have exhausted their retries stops waiting and records a
-// *CollectiveError naming itself, but still sends its arrive and forwards
-// the release, so its subtree is released rather than hung. When the fault
-// plan schedules crashes the barrier is barrierLiveSet's hub protocol
-// instead.
+// The same walk runs under faults; it differs only where this node has
+// declared a peer Unreachable. Its wait set (see walk) replaces a dead child
+// by that child's children, and its arrive goes to the nearest live target
+// (see upward); with no target left it is the acting root. A node stops
+// waiting on a peer only when that peer is unreachable, and probes the peers
+// it waits on when crashes are armed, so the wait stays bounded by
+// retransmission deadlines. A barrier that routed around dead nodes records
+// one *CollectiveError counting them.
 func (ep *EP) Barrier() {
-	ep.barrierAt++
-	n := ep.Node.N()
-	if n == 1 {
-		ep.barrierEpoch++
-		ep.traceBarrier()
-		return
-	}
-	if ep.liveSet {
-		ep.barrierLiveSet(n)
-		return
-	}
-	missing := ep.awaitChildren(&ep.barrierCount)
-	if id := ep.Node.ID(); id == 0 {
-		ep.barrierEpoch++
-	} else {
-		ep.Send(treeParent(id), hBarrierArrive, nil, 4)
-		for ep.barrierEpoch < ep.barrierAt && !ep.Degraded() {
-			ep.WaitAndDispatch()
+	k, id := ep.barrierAt+1, ep.Node.ID()
+	sent := -1
+	up, skipped, root := 0, 0, 0
+	for {
+		up, skipped = ep.upward()
+		root = id
+		if up < 0 {
+			root = 0 // the acting root waits on node 0's wait set
 		}
-		if ep.barrierEpoch < ep.barrierAt {
-			missing++
-			ep.barrierEpoch = ep.barrierAt
+		if waiting, _ := ep.walk(root, k, false); waiting == 0 {
+			if up < 0 {
+				ep.releasedAt = k
+			} else if up != sent {
+				ep.Send(up, hBarrierArrive, k, barrierBytes)
+				sent = up
+			}
+			if ep.releasedAt >= k {
+				break
+			}
+			ep.probe(up, k)
 		}
+		ep.WaitAndDispatch()
 	}
-	ep.sendChildren(hBarrierRelease, nil, 4)
-	ep.degraded("barrier", missing)
+	if ep.crashes {
+		ep.withdrawProbes()
+	}
+	_, dead := ep.walk(root, k, true)
+	if missing := skipped + dead; missing > 0 {
+		ep.fail(&CollectiveError{Op: "barrier", Node: id, Missing: missing})
+	}
+	ep.barrierAt = k
 	ep.traceBarrier()
 }
 
-// barrierLiveSet is the crash-tolerant barrier (see EP.liveSet): node 0
-// waits for each peer individually until it has either arrived or been
-// declared unreachable, probing silent live peers so the wait stays bounded
-// by retransmission deadlines, then releases the survivors. A dead peer
-// shrinks the barrier instead of aborting it.
-func (ep *EP) barrierLiveSet(n int) {
-	if ep.Node.ID() == 0 {
-		for {
-			missing := false
-			for j := 1; j < n; j++ {
-				if ep.barrierSeen[j] < ep.barrierAt && !ep.Unreachable(j) {
-					missing = true
-					ep.probe(j)
-				}
+// walk visits the wait set of barrier k below root, in tree-child index
+// order: a child whose arrive(k) is in covers its whole subtree; a child this
+// node has declared Unreachable — or this node itself, when it is the acting
+// root walking node 0's set — is replaced by its own children, recursively;
+// any other child is waited on, and probed. It returns how many members are
+// still waited on and how many dead ones above this node's id it replaced
+// (upward counts those below). With release set it instead sends release(k)
+// to every member that arrived and is not unreachable.
+func (ep *EP) walk(root, k int, release bool) (waiting, dead int) {
+	self, n := ep.Node.ID(), ep.Node.N()
+	for c := firstChild(root); c < min(firstChild(root)+fanIn, n); c++ {
+		switch {
+		case ep.arrived(c, k):
+			if release && !ep.Unreachable(c) {
+				ep.Send(c, hBarrierRelease, k, barrierBytes)
 			}
-			if !missing {
-				break
-			}
-			ep.WaitAndDispatch()
-		}
-		dead, arrived := 0, 0
-		for j := 1; j < n; j++ {
-			if ep.barrierSeen[j] < ep.barrierAt {
+		case c == self || ep.Unreachable(c):
+			if c > self {
 				dead++
-			} else {
-				arrived++
 			}
+			w, d := ep.walk(c, k, release)
+			waiting, dead = waiting+w, dead+d
+		default:
+			waiting++
+			ep.probe(c, 0)
 		}
-		ep.barrierCount -= arrived
-		if dead > 0 {
-			ep.fail(&CollectiveError{Op: "barrier", Node: 0, Missing: dead})
+	}
+	return waiting, dead
+}
+
+// arrived reports whether c's arrive for barrier k (or a later one) is in.
+func (ep *EP) arrived(c, k int) bool {
+	if i := c - firstChild(ep.Node.ID()); i >= 0 && i < fanIn {
+		return ep.kidAt[i] >= k
+	}
+	return ep.adoptedAt[c] >= k
+}
+
+// upward returns where this node's arrive goes: the nearest ancestor it has
+// not declared unreachable, else the lowest id below its own it has not, else
+// -1 (it is the acting root). skipped counts the distinct dead nodes passed
+// over on the way.
+func (ep *EP) upward() (target, skipped int) {
+	id := ep.Node.ID()
+	for a := id; a > 0; skipped++ {
+		if a = treeParent(a); !ep.Unreachable(a) {
+			return a, skipped
 		}
-		for j := 1; j < n; j++ {
-			if !ep.Unreachable(j) {
-				ep.Send(j, hBarrierRelease, nil, 4)
-			}
+	}
+	for target = 0; target < id; target++ {
+		if !ep.Unreachable(target) {
+			break
 		}
-		ep.barrierEpoch++
-		ep.traceBarrier()
-		return
 	}
-	ep.Send(0, hBarrierArrive, nil, 4)
-	for ep.barrierEpoch < ep.barrierAt && !ep.Unreachable(0) {
-		ep.probe(0)
-		ep.WaitAndDispatch()
+	if target == id {
+		return -1, id // every lower id is dead
 	}
-	if ep.barrierEpoch < ep.barrierAt {
-		ep.fail(&CollectiveError{Op: "barrier", Node: ep.Node.ID(), Missing: 1})
-		ep.barrierEpoch = ep.barrierAt
+	// Dead: every id below target, and the ancestors above it.
+	skipped = target
+	for a := treeParent(id); a > target; a = treeParent(a) {
+		skipped++
 	}
-	ep.traceBarrier()
+	return target, skipped
 }
 
 // probeBytes is the modeled payload size of one liveness probe.
 const probeBytes = 4
 
-// probe keeps detection traffic flowing toward dst: when nothing is in
-// flight or backlogged to it, send one reliable no-op frame. Either the ack
-// comes back (dst is alive — the collective keeps waiting for its real
-// arrival) or the probe's retries exhaust and dst is declared unreachable.
-// Without it, a peer that crashes after acking everything would leave the
-// waiting node with no retransmission deadline and therefore no way to
-// notice the death.
-func (ep *EP) probe(dst int) {
-	if ep.rel == nil || ep.Unreachable(dst) || ep.rel.pendingTo(dst) > 0 {
+// probe keeps detection traffic flowing toward dst when crashes are armed:
+// when nothing is in flight or backlogged to it, send one reliable probe
+// frame, carrying the barrier whose release the sender awaits from dst (0:
+// none). Either the ack comes back (dst is alive — the waiter keeps waiting
+// for its real message) or the probe's retries exhaust and dst is declared
+// unreachable. Without it, a peer that crashes after acking everything would
+// leave the waiting node with no retransmission deadline and therefore no
+// way to notice the death. Without crashes a silent peer is just slow, and
+// probing would perturb fault-free and loss-only runs.
+func (ep *EP) probe(dst, k int) {
+	if !ep.crashes || ep.Unreachable(dst) || ep.rel.pendingTo(dst) > 0 {
 		return
 	}
 	ep.fs.Probes++
-	ep.relSend(dst, hProbe, nil, probeBytes)
+	ep.relSend(dst, hProbe, k, probeBytes)
 }
 
-// ProbeOwner keeps liveness-detection traffic flowing toward dst while the
-// caller waits on application replies from it (e.g. a runtime draining
-// outstanding fetches). A peer that crashes after acking every reliable
-// frame leaves the waiter with no retransmission deadline; the probe
-// restores one, so the retry cap can declare the death and the waiter can
-// abandon instead of blocking forever. A no-op unless the fault plan
-// schedules crashes — without them a silent peer is just slow, and probing
-// would perturb fault-free and loss-only runs.
-func (ep *EP) ProbeOwner(dst int) {
-	if ep.liveSet {
-		ep.probe(dst)
-	}
-}
+// ProbeOwner is probe for runtimes waiting on application replies from dst
+// (e.g. draining outstanding fetches), so they can abandon a dead owner
+// instead of blocking forever.
+func (ep *EP) ProbeOwner(dst int) { ep.probe(dst, 0) }
 
 // traceBarrier records a completed barrier on this node's trace: the stamp is
 // the node's local completion time, the argument the barrier ordinal. Emitted
@@ -483,96 +451,4 @@ func (ep *EP) traceBarrier() {
 	if ep.trc != nil {
 		ep.trc.Event(obs.KBarrier, ep.Node.Now(), int64(ep.barrierAt), 0)
 	}
-}
-
-// AllReduceSum computes the global sum of v across all nodes. It is the
-// barrier's tree walk with an 8-byte payload: partial sums ride the arrives
-// and the total rides the releases. Each node adds its own value first and
-// then its children's partials in child-index order, so the result is a pure
-// function of the inputs and the tree shape — the same bits on every node,
-// under either engine, whatever order the arrives landed in. Like Barrier it
-// keeps dispatching while waiting, and a Degraded endpoint stops waiting,
-// records the failure and passes on the partial sum it has. Crash runs use
-// allReduceLiveSet's hub protocol instead.
-func (ep *EP) AllReduceSum(v float64) float64 {
-	n := ep.Node.N()
-	if n == 1 {
-		return v
-	}
-	if ep.liveSet {
-		return ep.allReduceLiveSet(n, v)
-	}
-	missing := ep.awaitChildren(&ep.reduceCount)
-	for i := range ep.reduceSlot[:ep.treeChildren()] {
-		v += ep.reduceSlot[i]
-		ep.reduceSlot[i] = 0 // a child given up on contributes nothing next time
-	}
-	if id := ep.Node.ID(); id != 0 {
-		ep.Send(treeParent(id), hReduceArrive, v, 8)
-		for !ep.reduceDone && !ep.Degraded() {
-			ep.WaitAndDispatch()
-		}
-		if ep.reduceDone {
-			v = ep.reduceResult
-			ep.reduceDone = false
-		} else {
-			missing++
-		}
-	}
-	ep.sendChildren(hReduceResult, v, 8)
-	ep.degraded("allreduce", missing)
-	return v
-}
-
-// allReduceLiveSet is the crash-tolerant reduction (see EP.liveSet): the
-// sum shrinks to the contributions of nodes still alive, mirroring
-// barrierLiveSet's per-peer wait and probing.
-func (ep *EP) allReduceLiveSet(n int, v float64) float64 {
-	ep.reduceAt++
-	if ep.Node.ID() == 0 {
-		for {
-			missing := false
-			for j := 1; j < n; j++ {
-				if ep.reduceSeen[j] < ep.reduceAt && !ep.Unreachable(j) {
-					missing = true
-					ep.probe(j)
-				}
-			}
-			if !missing {
-				break
-			}
-			ep.WaitAndDispatch()
-		}
-		dead, arrived := 0, 0
-		for j := 1; j < n; j++ {
-			if ep.reduceSeen[j] < ep.reduceAt {
-				dead++
-			} else {
-				arrived++
-			}
-		}
-		ep.reduceCount -= arrived
-		if dead > 0 {
-			ep.fail(&CollectiveError{Op: "allreduce", Node: 0, Missing: dead})
-		}
-		total := ep.reduceAcc + v
-		ep.reduceAcc = 0
-		for j := 1; j < n; j++ {
-			if !ep.Unreachable(j) {
-				ep.Send(j, hReduceResult, total, 8)
-			}
-		}
-		return total
-	}
-	ep.Send(0, hReduceArrive, v, 8)
-	for !ep.reduceDone && !ep.Unreachable(0) {
-		ep.probe(0)
-		ep.WaitAndDispatch()
-	}
-	if !ep.reduceDone {
-		ep.fail(&CollectiveError{Op: "allreduce", Node: ep.Node.ID(), Missing: 1})
-		return v
-	}
-	ep.reduceDone = false
-	return ep.reduceResult
 }

@@ -2,8 +2,9 @@ package fm
 
 import (
 	"errors"
-	"math"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -99,39 +100,6 @@ func TestBarrierSingleNode(t *testing.T) {
 	})
 }
 
-func TestAllReduceSum(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 16} {
-		net := NewNet()
-		m := machine.New(machine.DefaultT3D(n))
-		results := make([]float64, n)
-		m.Run(func(nd *machine.Node) {
-			ep := NewEP(net, nd)
-			results[nd.ID()] = ep.AllReduceSum(float64(nd.ID() + 1))
-		})
-		want := float64(n*(n+1)) / 2
-		for i, r := range results {
-			if r != want {
-				t.Errorf("n=%d node %d: reduce = %v, want %v", n, i, r, want)
-			}
-		}
-	}
-}
-
-func TestAllReduceRepeated(t *testing.T) {
-	const n = 4
-	net := NewNet()
-	m := machine.New(machine.DefaultT3D(n))
-	m.Run(func(nd *machine.Node) {
-		ep := NewEP(net, nd)
-		for r := 1; r <= 3; r++ {
-			got := ep.AllReduceSum(float64(r))
-			if got != float64(r*n) {
-				t.Errorf("round %d: got %v want %v", r, got, float64(r*n))
-			}
-		}
-	})
-}
-
 func TestServiceDuringBarrier(t *testing.T) {
 	// Node 1 enters the barrier early but must keep serving request
 	// handlers from node 0 that arrive while it waits.
@@ -211,10 +179,10 @@ func TestUnknownHandlerTypedError(t *testing.T) {
 	})
 }
 
-// The tests below check the tree collectives against properties stated
-// without reference to the implementation — no second engine, no recorded
-// numbers: the barrier property itself, a host-side fold, and a closed-form
-// cost bound.
+// The tests below check the barrier against properties stated without
+// reference to the implementation — no recorded numbers: the barrier
+// property itself, with and without crashed nodes, and a closed-form cost
+// bound.
 
 // staggers returns a shuffled entry delay per (round, node): round r's
 // delays are a fresh permutation of 0, step, 2·step, …, so nodes arrive in
@@ -230,114 +198,130 @@ func staggers(rng *rand.Rand, rounds, n int, step sim.Time) [][]sim.Time {
 	return out
 }
 
+// barrierRounds is how many consecutive barriers the property runs enter.
+const barrierRounds = 3
+
+// barrierOutcome is what one property run records per node: the entry and
+// exit time of each barrier, how many it completed, and its errors' text.
+type barrierOutcome struct {
+	enter, exit [][barrierRounds]sim.Time
+	done        []int
+	errs        []string
+}
+
+// runBarriers runs barrierRounds barriers on n nodes, entered at shuffled
+// times, under the given engine. A nil doomed set runs fault-free. Otherwise
+// crashes are armed and the doomed nodes die before their first barrier: each
+// charges past the crash time and checks the network. Each survivor's errors
+// must be *CollectiveErrors or *UnreachableErrors naming a doomed node.
+func runBarriers(t *testing.T, n int, doomed map[int]bool, engine sim.EngineKind) barrierOutcome {
+	t.Helper()
+	const crashAt = sim.Time(1000)
+	cfg := machine.DefaultT3D(n)
+	cfg.Engine = engine
+	if doomed != nil {
+		rate := float64(len(doomed)) / float64(n)
+		cfg.Faults = machine.FaultConfig{
+			FaultParams:   sim.FaultParams{Seed: findCrashSeed(t, n, rate, crashAt, doomed), CrashRate: rate, CrashAt: crashAt},
+			RelRTO:        16384, // at 2048 the root's probe load read as false deaths
+			RelMaxRetries: 3,
+		}
+	}
+	delay := staggers(rand.New(rand.NewSource(int64(n))), barrierRounds, n, 137)
+	out := barrierOutcome{
+		enter: make([][barrierRounds]sim.Time, n),
+		exit:  make([][barrierRounds]sim.Time, n),
+		done:  make([]int, n),
+		errs:  make([]string, n),
+	}
+	net := NewNet()
+	if _, err := machine.New(cfg).Run(func(nd *machine.Node) {
+		ep := NewEP(net, nd)
+		id := nd.ID()
+		if doomed[id] {
+			nd.Charge(sim.Compute, crashAt)
+			ep.Poll()
+			t.Errorf("n=%d: doomed node %d survived its crash point", n, id)
+			return
+		}
+		for r := 0; r < barrierRounds; r++ {
+			nd.Charge(sim.Compute, delay[r][id])
+			out.enter[id][r] = nd.Now()
+			ep.Barrier()
+			out.exit[id][r] = nd.Now()
+			out.done[id]++
+		}
+		ep.Quiesce()
+		for _, err := range ep.errs {
+			var ce *CollectiveError
+			var ue *UnreachableError
+			if !errors.As(err, &ce) && !(errors.As(err, &ue) && doomed[ue.To]) {
+				t.Errorf("n=%d doomed %v node %d: %v", n, doomed, id, err)
+			}
+		}
+		out.errs[id] = fmt.Sprint(ep.Err())
+	}); err != nil {
+		t.Fatalf("n=%d doomed %v: %v", n, doomed, err)
+	}
+	for r := 0; r < barrierRounds; r++ {
+		lastIn, firstOut := sim.Time(0), sim.Forever
+		for id := 0; id < n; id++ {
+			if !doomed[id] {
+				lastIn = max(lastIn, out.enter[id][r])
+				firstOut = min(firstOut, out.exit[id][r])
+			}
+		}
+		if firstOut < lastIn {
+			t.Errorf("n=%d doomed %v barrier %d: a node left at %d, before the last entry at %d", n, doomed, r, firstOut, lastIn)
+		}
+	}
+	for id, d := range out.done {
+		if !doomed[id] && d != barrierRounds {
+			t.Errorf("n=%d doomed %v: node %d completed %d barriers, want %d", n, doomed, id, d, barrierRounds)
+		}
+	}
+	return out
+}
+
 // TestBarrierPropertyAllSizes: at every machine size through three tree
 // levels (plus two deep, ragged ones), over three consecutive barriers
 // entered at shuffled times, no node leaves a barrier before the last node
 // has entered it, every node completes all three, and nothing degrades.
+// Then the same with crash fates: the root alone; node 1, interior in a
+// depth-3 tree at 70 nodes (grandchildren 21–36); a node with its parent;
+// and nodes 0, 1 and 6 of 8 (dpabench -fault-seed 3 at -crash-rate 0.4). The
+// survivors must all complete all three barriers with the barrier property
+// among themselves, and both engines must agree on every time and error.
 func TestBarrierPropertyAllSizes(t *testing.T) {
-	const rounds = 3
 	sizes := []int{257, 1024}
 	for n := 1; n <= 70; n++ {
 		sizes = append(sizes, n)
 	}
 	for _, n := range sizes {
-		delay := staggers(rand.New(rand.NewSource(int64(n))), rounds, n, 137)
-		enter := make([][rounds]sim.Time, n)
-		exit := make([][rounds]sim.Time, n)
-		done := make([]int, n)
-		net := NewNet()
-		if _, err := machine.New(machine.DefaultT3D(n)).Run(func(nd *machine.Node) {
-			ep := NewEP(net, nd)
-			id := nd.ID()
-			for r := 0; r < rounds; r++ {
-				nd.Charge(sim.Compute, delay[r][id])
-				enter[id][r] = nd.Now()
-				ep.Barrier()
-				exit[id][r] = nd.Now()
-				done[id]++
-			}
-			if err := ep.Err(); err != nil {
-				t.Errorf("n=%d node %d: %v", n, id, err)
-			}
-		}); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		for r := 0; r < rounds; r++ {
-			lastIn, firstOut := sim.Time(0), sim.Forever
-			for id := 0; id < n; id++ {
-				lastIn = max(lastIn, enter[id][r])
-				firstOut = min(firstOut, exit[id][r])
-			}
-			if firstOut < lastIn {
-				t.Errorf("n=%d barrier %d: a node left at %d, before the last entry at %d", n, r, firstOut, lastIn)
-			}
-		}
-		for id, d := range done {
-			if d != rounds {
-				t.Errorf("n=%d node %d completed %d barriers, want %d", n, id, d, rounds)
+		out := runBarriers(t, n, nil, sim.Sequential)
+		for id, e := range out.errs {
+			if e != "<nil>" {
+				t.Errorf("n=%d node %d: %s", n, id, e)
 			}
 		}
 	}
-}
-
-// treeFold is the host-side reference for AllReduceSum: own value first,
-// then each child's subtree total in child-index order.
-func treeFold(vals []float64, id int) float64 {
-	v := vals[id]
-	for c := fanIn*id + 1; c <= fanIn*id+fanIn && c < len(vals); c++ {
-		v += treeFold(vals, c)
-	}
-	return v
-}
-
-// TestAllReduceSumOrderIsTheTrees: with inputs whose sum depends on the
-// order of additions, every node gets the same bits, those bits are the
-// tree-order fold's, and neither the arrival order nor the engine moves them.
-func TestAllReduceSumOrderIsTheTrees(t *testing.T) {
-	for _, n := range []int{2, 5, 6, 21, 22, 70, 257} {
-		// Mixed signs across forty binary orders of magnitude: most additions
-		// round, so most reorderings change the low bits. Past one level the
-		// tree's order is not id order; take the first seed that shows it.
-		vals := make([]float64, n)
-		var want uint64
-		for seed := int64(n); ; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			flat := 0.0
-			for i := range vals {
-				vals[i] = math.Ldexp(rng.Float64()-0.5, rng.Intn(40))
-				flat += vals[i]
-			}
-			want = math.Float64bits(treeFold(vals, 0))
-			if n <= fanIn+1 || want != math.Float64bits(flat) {
-				break
-			}
+	for _, f := range []struct {
+		n      int
+		doomed []int
+	}{
+		{5, []int{0}}, {5, []int{1}}, {5, []int{0, 2}},
+		{8, []int{0, 1, 6}},
+		{21, []int{0}}, {21, []int{1}}, {21, []int{1, 5}},
+		{70, []int{0}}, {70, []int{1}}, {70, []int{1, 5}},
+	} {
+		doomed := map[int]bool{}
+		for _, id := range f.doomed {
+			doomed[id] = true
 		}
-		for trial := 0; trial < 4; trial++ {
-			cfg := machine.DefaultT3D(n)
-			if trial == 3 {
-				cfg.Engine = sim.Parallel
-			}
-			delay := staggers(rand.New(rand.NewSource(int64(100*n+trial))), 2, n, 911)
-			got := make([][2]uint64, n)
-			net := NewNet()
-			if _, err := machine.New(cfg).Run(func(nd *machine.Node) {
-				ep := NewEP(net, nd)
-				id := nd.ID()
-				for r := 0; r < 2; r++ { // twice: the slots must come back clean
-					nd.Charge(sim.Compute, delay[r][id])
-					got[id][r] = math.Float64bits(ep.AllReduceSum(vals[id]))
-				}
-				if err := ep.Err(); err != nil {
-					t.Errorf("n=%d node %d: %v", n, id, err)
-				}
-			}); err != nil {
-				t.Fatalf("n=%d: %v", n, err)
-			}
-			for id, g := range got {
-				if g != [2]uint64{want, want} {
-					t.Fatalf("n=%d trial %d node %d: sums %x, want tree fold %x twice", n, trial, id, g, want)
-				}
-			}
+		seq := runBarriers(t, f.n, doomed, sim.Sequential)
+		par := runBarriers(t, f.n, doomed, sim.Parallel)
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("n=%d doomed %v: engines disagree:\n  seq: %+v\n  par: %+v", f.n, f.doomed, seq, par)
 		}
 	}
 }
@@ -385,9 +369,9 @@ func TestBarrierCostIsLogarithmic(t *testing.T) {
 	}
 }
 
-// TestBarrierUnderLossOnly: 5% message loss with no crashes is the tree's
-// path (the hub runs only when crashes are armed); the reliability layer
-// hides the loss and 64 nodes finish three barriers with nothing recorded.
+// TestBarrierUnderLossOnly: with 5% message loss and no crashes the
+// reliability layer hides the loss, and 64 nodes finish three barriers with
+// nothing recorded.
 func TestBarrierUnderLossOnly(t *testing.T) {
 	const n = 64
 	cfg := machine.DefaultT3D(n)
@@ -413,11 +397,11 @@ func TestBarrierUnderLossOnly(t *testing.T) {
 }
 
 // TestDegradedInteriorNodeReleasesItsSubtree: an interior node gives up on
-// a slow peer (retry budget exhausted while the peer computes without
-// polling) and enters the barrier Degraded. It must record a
-// *CollectiveError naming itself, and — because it still sends its arrive
-// and forwards the release — every other node must get out: the engine
-// reports no deadlock.
+// a slow peer outside its tree neighbourhood (retry budget exhausted while
+// the peer computes without polling) and enters the barrier Degraded. A
+// barrier waits per peer, so the unreachable non-tree peer costs node 1's
+// barrier nothing: it records only the *UnreachableError, no
+// *CollectiveError, and every node gets out — the engine reports no deadlock.
 func TestDegradedInteriorNodeReleasesItsSubtree(t *testing.T) {
 	const (
 		n        = 21 // full tree of depth 2: node 1 is interior, 20 a leaf under 4
@@ -450,12 +434,13 @@ func TestDegradedInteriorNodeReleasesItsSubtree(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("engine error (a hung subtree shows up as a deadlock): %v", err)
 	}
-	var ce *CollectiveError
-	if !errors.As(got, &ce) {
-		t.Fatalf("interior node recorded %v, want a *CollectiveError", got)
+	var ue *UnreachableError
+	if !errors.As(got, &ue) || ue.From != interior || ue.To != slow {
+		t.Fatalf("interior node recorded %v, want an *UnreachableError for node %d", got, slow)
 	}
-	if ce.Op != "barrier" || ce.Node != interior || ce.Missing == 0 {
-		t.Errorf("bad CollectiveError %+v", ce)
+	var ce *CollectiveError
+	if errors.As(got, &ce) {
+		t.Errorf("an unreachable non-tree peer degraded node %d's barrier: %+v", interior, ce)
 	}
 	for id, ok := range left {
 		if !ok {

@@ -3,6 +3,7 @@ package fm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"dpa/internal/machine"
 	"dpa/internal/obs"
@@ -50,8 +51,8 @@ func (e *HandlerError) Error() string {
 
 func (e *HandlerError) Unwrap() error { return ErrUnknownHandler }
 
-// CollectiveError reports a collective (barrier, all-reduce) that completed
-// degraded because peers became unreachable before checking in.
+// CollectiveError reports a barrier that completed degraded: it routed
+// around Missing peers declared unreachable.
 type CollectiveError struct {
 	Op      string
 	Node    int
@@ -213,6 +214,13 @@ func (ep *EP) onRelData(m sim.Message) {
 		ep.fs.DupsSuppressed++
 		return
 	}
+	if d := &r.dest[m.From]; d.dead && ep.crashes {
+		// A new frame proves the sender alive: a crash run withdraws the
+		// declaration, or a barrier that routed around a live peer would
+		// wait on it, or leave it waiting, for good.
+		d.dead = false
+		r.deadCount--
+	}
 	ep.invoke(sim.Message{
 		Arrival: m.Arrival,
 		From:    m.From,
@@ -222,29 +230,40 @@ func (ep *EP) onRelData(m sim.Message) {
 	})
 }
 
-// onRelAck retires the acked frame and refills the window from the backlog.
-func (ep *EP) onRelAck(m sim.Message) {
-	seq := m.Payload.(uint64)
+// onRelAck retires the acked frame.
+func (ep *EP) onRelAck(m sim.Message) { ep.retire(m.From, m.Payload.(uint64), false) }
+
+// withdrawProbes retires every unacked probe, as if acked. A barrier calls it
+// on leaving: the wait the probes served is over, and one left in flight to
+// a peer that has since finished the phase would exhaust its retries and
+// declare a live peer unreachable.
+func (ep *EP) withdrawProbes() {
+	for dst := range ep.rel.dest {
+		ep.retire(dst, 0, true)
+	}
+}
+
+// retire drops dst's in-flight frame with sequence number seq (with probes
+// set: every probe instead) and refills the window from the backlog.
+func (ep *EP) retire(dst int, seq uint64, probes bool) {
 	r := ep.rel
-	d := &r.dest[m.From]
+	d := &r.dest[dst]
 	if d.dead {
 		return
 	}
-	for i, pd := range d.inflight {
-		if pd.frame.Seq == seq {
-			copy(d.inflight[i:], d.inflight[i+1:])
-			d.inflight[len(d.inflight)-1] = nil
-			d.inflight = d.inflight[:len(d.inflight)-1]
+	d.inflight = slices.DeleteFunc(d.inflight, func(pd *relPending) bool {
+		if probes && pd.frame.Handler == hProbe || !probes && pd.frame.Seq == seq {
 			r.live--
-			break
+			return true
 		}
-	}
+		return false
+	})
 	for len(d.backlog) > 0 && len(d.inflight) < r.window {
 		pd := d.backlog[0]
 		copy(d.backlog, d.backlog[1:])
 		d.backlog[len(d.backlog)-1] = nil
 		d.backlog = d.backlog[:len(d.backlog)-1]
-		ep.relTransmit(m.From, pd)
+		ep.relTransmit(dst, pd)
 	}
 }
 
@@ -299,8 +318,8 @@ func (ep *EP) declareUnreachable(dst, attempts int) {
 }
 
 // pendingTo counts unfinished frames (in flight plus backlogged) toward one
-// destination; the live-set collectives use it to decide whether detection
-// traffic is already flowing to a silent peer.
+// destination; probe uses it to decide whether detection traffic is already
+// flowing to a silent peer.
 func (r *relState) pendingTo(dst int) int {
 	d := &r.dest[dst]
 	return len(d.inflight) + len(d.backlog)

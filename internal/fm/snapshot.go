@@ -30,35 +30,32 @@ func encodeFaultStats(w *sim.SnapWriter, fs *FaultStats) {
 	w.I64(fs.Probes)
 }
 
-// EncodeSnapshot writes the endpoint's complete messaging state: collective
-// counters (including the tree's per-child reduce slots and the live-set
-// arrival tallies), fault counters, recorded degradation errors (as string
+// EncodeSnapshot writes the endpoint's complete messaging state: barrier
+// ordinals (including each tree child's and, in key order, each adopted
+// sender's), fault counters, recorded degradation errors (as string
 // fingerprints — errors are values, their text is their identity), and the
 // full reliability-protocol state — per-destination send windows with every
 // in-flight frame's retry schedule, backlogs, and per-source
-// duplicate-suppression sets. Map-backed state (out-of-order seen sets) is
-// emitted in sorted key order so the encoding is canonical.
+// duplicate-suppression sets. Map-backed state is emitted in sorted key
+// order so the encoding is canonical.
 func (ep *EP) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Int(ep.Node.ID())
-	w.Int(ep.barrierCount)
-	w.Int(ep.barrierEpoch)
 	w.Int(ep.barrierAt)
-	w.F64(ep.reduceAcc)
-	w.Int(ep.reduceCount)
-	for _, v := range ep.reduceSlot {
-		w.F64(v)
-	}
-	w.F64(ep.reduceResult)
-	w.Bool(ep.reduceDone)
-	w.Bool(ep.liveSet)
-	w.Int(ep.reduceAt)
-	w.Int(len(ep.barrierSeen))
-	for _, v := range ep.barrierSeen {
+	w.Int(ep.releasedAt)
+	for _, v := range ep.kidAt {
 		w.Int(v)
 	}
-	for _, v := range ep.reduceSeen {
-		w.Int(v)
+	from := make([]int, 0, len(ep.adoptedAt))
+	for f := range ep.adoptedAt {
+		from = append(from, f)
 	}
+	sort.Ints(from)
+	w.Int(len(from))
+	for _, f := range from {
+		w.Int(f)
+		w.Int(ep.adoptedAt[f])
+	}
+	w.Bool(ep.crashes)
 	encodeFaultStats(w, &ep.fs)
 	w.Int(len(ep.errs))
 	for _, err := range ep.errs {

@@ -13,8 +13,9 @@ import (
 // seeded loss is recovered exactly by the retransmission protocol; this
 // extension kills nodes outright (DESIGN.md §12): the fault plan draws a
 // crash fate per node, the reliability layer converts the resulting retry
-// exhaustion into typed unreachable/degradation errors, and the live-set
-// collectives let survivors finish a smaller job instead of deadlocking.
+// exhaustion into typed unreachable/degradation errors, and the barrier
+// routes around the dead so survivors finish a smaller job instead of
+// deadlocking.
 // The recovery claim is then made checkable: a snapshot captured after the
 // crashes (boundary past the crash time) must restore bit-identical under
 // both engines, and the survivors' counters must match across engines
@@ -40,12 +41,12 @@ func runX8(s *Session) {
 	s.printf("Seeded chaos on %d nodes under DPA(50): %.0f%% message loss plus a\n", nodes, x8Drop*100)
 	s.printf("per-node crash lottery at one quarter of the fault-free makespan.\n")
 	s.printf("Crashed nodes stop answering forever; survivors exhaust the retry cap,\n")
-	s.printf("declare them unreachable, abandon fetches into them, and shrink the\n")
-	s.printf("collectives to the live set. DEGRADED marks runs that finish with a\n")
+	s.printf("declare them unreachable, abandon fetches into them, and route the\n")
+	s.printf("barrier around them. DEGRADED marks runs that finish with a\n")
 	s.printf("typed crash/unreachable error instead of deadlocking. Each iteration\n")
 	s.printf("rebuilds the machine and redraws the lottery, so 'killed' counts\n")
 	s.printf("crash events across phases, not distinct nodes.\n")
-	s.printf("The 0%% row runs the tree collectives, crash rows the live-set hub.\n\n")
+	s.printf("Every row runs the same tree barrier.\n\n")
 
 	// Fault-free baseline fixes the virtual-time geometry: crashes land at a
 	// quarter of its makespan, the checkpoint boundary at half — safely past

@@ -72,9 +72,8 @@ func (f *FaultConfig) NeedsReliability() bool {
 }
 
 // CrashActive reports whether the config schedules permanent node crashes.
-// Crash runs additionally switch the fm collectives to live-set tracking so
-// barriers and reductions shrink to the surviving nodes instead of failing
-// wholesale at the first dead peer.
+// Crash runs additionally make fm probe the silent peers a node waits on, so
+// a peer that died after acking everything is still declared unreachable.
 func (f *FaultConfig) CrashActive() bool {
 	return f.CrashRate > 0 && f.CrashAt > 0
 }

@@ -65,7 +65,7 @@ func (f *FaultParams) Validate() error {
 		{"JitterRate", f.JitterRate}, {"StallRate", f.StallRate},
 		{"CrashRate", f.CrashRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("sim: fault %s = %v, must be in [0, 1]", r.name, r.v)
 		}
 	}

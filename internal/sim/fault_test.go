@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +22,7 @@ func TestFaultPlanDisabled(t *testing.T) {
 }
 
 func TestFaultParamsValidate(t *testing.T) {
+	nan := math.NaN()
 	bad := []FaultParams{
 		{DropRate: -0.1},
 		{DropRate: 1.1},
@@ -28,11 +31,20 @@ func TestFaultParamsValidate(t *testing.T) {
 		{StallRate: 1.5},
 		{MaxJitter: -1},
 		{StallCycles: -5},
+		{DropRate: nan},
+		{DupRate: nan},
+		{JitterRate: nan},
+		{StallRate: nan},
+		{CrashRate: nan, CrashAt: 100},
 	}
 	for _, p := range bad {
 		if p.Validate() == nil {
 			t.Errorf("params %+v must be rejected", p)
 		}
+	}
+	// The error names the field.
+	if err := (&FaultParams{StallRate: nan}).Validate(); err == nil || !strings.Contains(err.Error(), "StallRate") {
+		t.Errorf("NaN StallRate: error %v does not name the field", err)
 	}
 	ok := FaultParams{DropRate: 0.5, DupRate: 0.1, JitterRate: 1,
 		MaxJitter: 10, StallRate: 0.2, StallCycles: 100}

@@ -826,13 +826,15 @@ func makespan(procs []*Proc) Time {
 // visited in id order (no sort needed); each one's mailbox is read under its
 // own mutex, since a parallel deadlock report races only against parked
 // workers but a consistent snapshot is still worth one uncontended lock per
-// process.
+// process. Only simulated state is named, so a run that deadlocks reports
+// the same text under either engine: a finished process's stale wake time
+// and the parallel engine's epoch are engine bookkeeping.
 func describe(procs []*Proc) string {
 	var b strings.Builder
 	for _, p := range procs {
 		p.mu.Lock()
-		fmt.Fprintf(&b, "[proc %d clock=%d state=%d wake=%d mail=%d epoch=%d]",
-			p.id, p.clock, p.state, p.wake, p.mailbox.size(), p.epochGen)
+		fmt.Fprintf(&b, "[proc %d clock=%d state=%d mail=%d]",
+			p.id, p.clock, p.state, p.mailbox.size())
 		p.mu.Unlock()
 	}
 	return b.String()

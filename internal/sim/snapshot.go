@@ -39,7 +39,10 @@ const snapshotMagic = "DPASNAP1"
 // slots, and its barrier counters now hold tree-child arrivals. Version 4:
 // the "rt" section lost the enqueue-gap EWMA words and writes one planned
 // mode bool where it wrote the adaptive, planner, prior and shape bools.
-const SnapshotVersion uint32 = 4
+// Version 5: the "fm" section lost the all-reduce and crash-hub state and
+// writes barrier ordinals: left, released, one per tree child, and the
+// adopted senders' in key order.
+const SnapshotVersion uint32 = 5
 
 // ErrBadSnapshot is the sentinel matched by errors.Is for snapshot
 // encodings that fail to decode: truncated, corrupted (checksum mismatch),

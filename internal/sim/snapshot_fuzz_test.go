@@ -133,9 +133,9 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("wrong-version-valid-crc", func(t *testing.T) {
-		// A future version, and version-1 and version-3 files as older builds
+		// A future version, and version-1, -3 and -4 files as older builds
 		// wrote them: rejected by the version rule, never reinterpreted.
-		for _, ver := range []uint32{SnapshotVersion + 7, 3, 1} {
+		for _, ver := range []uint32{SnapshotVersion + 7, 4, 3, 1} {
 			s, err := Restore(withVersion(valid, ver))
 			var bad *BadSnapshotError
 			if s != nil || !errors.As(err, &bad) || !errors.Is(err, ErrBadSnapshot) {

@@ -182,7 +182,7 @@ type FaultStats struct {
 	AcksSent       int64 // acks transmitted
 	DupsSuppressed int64 // received frames discarded as duplicates
 	UnknownHandler int64 // messages naming an unregistered handler
-	Probes         int64 // liveness probes sent by live-set collectives
+	Probes         int64 // liveness probes sent to silent peers (crash runs)
 }
 
 // Any reports whether any counter is non-zero.
