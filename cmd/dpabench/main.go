@@ -5,7 +5,7 @@
 // Usage:
 //
 //	dpabench -app bh|fmm|em3d|bfs|pagerank|cc -nodes 16 -runtime dpa|caching|blocking \
-//	         -engine sequential|parallel [-workers 8] [-nosteal] [-la-override 0] \
+//	         -engine sequential|parallel [-workers 8] \
 //	         -bodies 16384 -strip 50 -agg 16 [-nopipe] [-steps 4] [-terms 29] \
 //	         [-shape] [-strips 10,50,300] \
 //	         [-vertices 16384] [-degree 8] [-graph rmat|uniform]
@@ -20,13 +20,13 @@
 // -graph picks the edge distribution (rmat or uniform), and -iters sets the
 // PageRank iteration count (BFS and CC run to completion).
 //
-// The parallel engine is tuned with -workers (host workers, 0 = one per
-// core capped at the node count), -nosteal (pin each shard to its owner),
-// and -la-override (narrow the conservative window below the machine's
-// minimum message delay). None of these change results — simulated clocks,
-// counters, traces, and metrics stay bit-identical to sequential — so the
-// host scheduler summary (workers/windows/steals/parks) goes to stderr, keeping
-// stdout diffable across engines.
+// The parallel engine's one knob is -workers (host workers, 0 = one per core
+// capped at the node count); the sequential engine ignores it. Its windows
+// are the machine's minimum message delay wide and idle workers always
+// steal. None of this changes results — simulated clocks, counters, traces,
+// and metrics stay bit-identical to sequential — so the host scheduler
+// summary (workers/windows/steals/parks) goes to stderr, keeping stdout
+// diffable across engines.
 //
 // Deterministic fault injection is enabled with -faults (or any nonzero
 // fault rate): -drop-rate and -dup-rate lose and duplicate messages (the
@@ -87,8 +87,6 @@ func main() {
 	rtName := flag.String("runtime", "dpa", "runtime: dpa, caching, or blocking")
 	engine := flag.String("engine", "sequential", "simulation engine: sequential or parallel")
 	workers := flag.Int("workers", 0, "parallel engine: host worker count (0 = one per core, capped at nodes)")
-	noSteal := flag.Bool("nosteal", false, "parallel engine: disable cross-shard work stealing")
-	laOverride := flag.Int64("la-override", 0, "parallel engine: narrow the conservative lookahead window to this many cycles (0 = machine minimum delay)")
 	workersSweep := flag.String("workers-sweep", "", "with -json: comma-separated worker counts to benchmark the parallel engine at")
 	bodies := flag.Int("bodies", 16384, "body count")
 	steps := flag.Int("steps", 1, "Barnes-Hut steps")
@@ -183,10 +181,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dpabench: unknown engine %q\n", *engine)
 		os.Exit(1)
 	}
-	mcfg.EngineTuning = sim.Tuning{Workers: *workers, Lookahead: sim.Time(*laOverride)}
-	if *noSteal {
-		mcfg.EngineTuning.Steal = sim.StealOff
-	}
+	mcfg.EngineTuning = sim.Tuning{Workers: *workers}
 	if err := mcfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
 		os.Exit(1)

@@ -18,6 +18,16 @@ import (
 // fetch_serve of requester 1 at t=145, then idle.
 func synthTrace(t *testing.T) *trace {
 	t.Helper()
+	parsed, err := parseTrace(synthTraceBytes(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parsed
+}
+
+// synthTraceBytes is synthTrace's exported Chrome trace_event JSON.
+func synthTraceBytes(t testing.TB) []byte {
+	t.Helper()
 	tr := obs.NewTracer(2, 0)
 	n0, n1 := tr.Attach(0), tr.Attach(1)
 
@@ -37,11 +47,7 @@ func synthTrace(t *testing.T) *trace {
 	if err := tr.WriteChromeTrace(&b); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := parseTrace(b.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return parsed
+	return b.Bytes()
 }
 
 func TestParseTrace(t *testing.T) {
@@ -194,4 +200,23 @@ func TestCriticalPathNoEvents(t *testing.T) {
 	if cp.makespan != 100 || cp.busy != 60 || cp.hops != 0 {
 		t.Errorf("cp = %+v, want makespan 100, busy 60, hops 0", cp)
 	}
+}
+
+// FuzzParseTrace holds the analyzer to its input contract: for arbitrary
+// bytes, parseTrace either returns an error, or busyRows, fetchLatencies and
+// criticalPath all finish without a panic.
+func FuzzParseTrace(f *testing.F) {
+	good := synthTraceBytes(f)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := parseTrace(data)
+		if err != nil {
+			return
+		}
+		busyRows(tr)
+		fetchLatencies(tr)
+		criticalPath(tr)
+	})
 }

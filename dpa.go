@@ -70,8 +70,7 @@ type (
 	// Sequential or Parallel and pass it to RunPhase via WithEngineValue.
 	// Every Engine produces bit-identical simulation results.
 	Engine = driver.Engine
-	// EngineOption tunes an Engine built by Parallel (Workers, Lookahead,
-	// Stealing).
+	// EngineOption tunes an Engine built by Parallel (Workers).
 	EngineOption = driver.EngineOption
 )
 
@@ -82,28 +81,20 @@ func Sequential() Engine { return driver.Sequential() }
 
 // Parallel returns the sharded work-stealing parallel engine. Simulated
 // nodes are partitioned across worker shards and run truly in parallel
-// within conservative lookahead windows; results stay bit-identical to
-// Sequential. Tune it with Workers, Lookahead, and Stealing:
+// within conservative windows as wide as the machine's minimum message
+// delay; idle workers steal runnable nodes from the busiest shard. Results
+// stay bit-identical to Sequential. The worker count is its one knob:
 //
 //	dpa.RunPhase(cfg, space, spec, body,
-//	    dpa.WithEngineValue(dpa.Parallel(dpa.Workers(8), dpa.Stealing(true))))
+//	    dpa.WithEngineValue(dpa.Parallel(dpa.Workers(8))))
 func Parallel(opts ...EngineOption) Engine { return driver.Parallel(opts...) }
 
 // Workers sets the parallel engine's worker count: 0 (the default) means
 // min(GOMAXPROCS, nodes); explicit values must be in [1, nodes].
 func Workers(n int) EngineOption { return driver.Workers(n) }
 
-// Lookahead overrides the parallel engine's conservative window width in
-// cycles. It must be positive and no larger than the machine's minimum
-// cross-node message delay (the default and the widest safe window).
-func Lookahead(t Time) EngineOption { return driver.Lookahead(t) }
-
-// Stealing enables or disables cross-shard work stealing (default on).
-// Stealing only moves host work between workers; it never affects results.
-func Stealing(on bool) EngineOption { return driver.Stealing(on) }
-
 // ErrBadEngine is the sentinel matched by errors.Is for rejected engine
-// tuning (worker count out of [1, nodes], bad lookahead override).
+// tuning (a worker count out of [1, nodes]).
 var ErrBadEngine = sim.ErrBadTuning
 
 // Runtime selection types.

@@ -170,19 +170,18 @@ func TestFaultEquivalenceBarnesHut(t *testing.T) {
 
 // TestStealDeterminismUnderFaults is the steal-path determinism check: a
 // faulty Barnes-Hut force phase must produce bit-identical run tables under
-// the sequential engine and under the parallel engine at two workers with
-// stealing on, stealing off, and at one worker per node — steal decisions
-// (and worker count) move host work only, never virtual-time results, even
-// when the fault schedule is exercising retransmission paths.
+// the sequential engine and under the parallel engine at two workers and at
+// one worker per node — steal decisions (and worker count) move host work
+// only, never virtual-time results, even when the fault schedule is
+// exercising retransmission paths.
 func TestStealDeterminismUnderFaults(t *testing.T) {
 	const nodes = 4
 	bodies := nbody.Plummer(256, 42)
 	p := bh.DefaultParams()
 	engines := []Engine{
 		Sequential(),
-		Parallel(Workers(2), Stealing(true)),
-		Parallel(Workers(2), Stealing(false)),
-		Parallel(Workers(nodes), Stealing(true)),
+		Parallel(Workers(2)),
+		Parallel(Workers(nodes)),
 	}
 	runs := make([]RunStats, len(engines))
 	for i, eng := range engines {

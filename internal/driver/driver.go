@@ -242,13 +242,13 @@ func (p *Protos) newRuntime(spec Spec, ep *fm.EP, space *gptr.Space, arena *core
 }
 
 // Engine is a first-class engine selection: which simulation engine drives a
-// phase, plus the parallel engine's host-performance tuning. Build one with
-// Sequential or Parallel and pass it to RunPhase via WithEngineValue. The
-// zero value is the sequential engine.
+// phase, plus the parallel engine's worker count. Build one with Sequential
+// or Parallel and pass it to RunPhase via WithEngineValue. The zero value is
+// the sequential engine.
 //
-// Every Engine produces bit-identical simulation results; the knobs carried
-// here (worker count, lookahead override, steal policy) affect only host
-// execution speed.
+// Every Engine produces bit-identical simulation results; the worker count
+// affects only host execution speed. The worker count is checked against the
+// node count by machine.Config.Validate.
 type Engine struct {
 	kind   sim.EngineKind
 	tuning sim.Tuning
@@ -263,8 +263,8 @@ type EngineOption func(*Engine)
 func Sequential() Engine { return Engine{kind: sim.Sequential} }
 
 // Parallel returns the sharded work-stealing parallel engine with the given
-// tuning options. Defaults: worker count = min(GOMAXPROCS, nodes), lookahead
-// from the machine's minimum message delay, stealing on.
+// options. Its windows are the machine's minimum message delay wide and idle
+// workers always steal; the default worker count is min(GOMAXPROCS, nodes).
 func Parallel(opts ...EngineOption) Engine {
 	e := Engine{kind: sim.Parallel}
 	for _, o := range opts {
@@ -278,38 +278,11 @@ func Parallel(opts ...EngineOption) Engine {
 // range is rejected by config validation with a *sim.TuningError.
 func Workers(n int) EngineOption { return func(e *Engine) { e.tuning.Workers = n } }
 
-// Lookahead overrides the conservative window width in cycles. It must be
-// positive and no larger than the machine's minimum cross-node message delay
-// (the default); narrower windows are safe but synchronize more often.
-func Lookahead(t sim.Time) EngineOption { return func(e *Engine) { e.tuning.Lookahead = t } }
-
-// Stealing enables or disables cross-shard work stealing (default on).
-// Stealing moves host work between workers mid-window; it never affects
-// virtual-time results.
-func Stealing(on bool) EngineOption {
-	return func(e *Engine) {
-		if on {
-			e.tuning.Steal = sim.StealOn
-		} else {
-			e.tuning.Steal = sim.StealOff
-		}
-	}
-}
-
 // Kind returns the underlying engine kind.
 func (e Engine) Kind() sim.EngineKind { return e.kind }
 
 // Tuning returns the engine's host-performance tuning.
 func (e Engine) Tuning() sim.Tuning { return e.tuning }
-
-// Validate checks the engine selection against a node count (see
-// sim.Tuning.Validate); pass nodes <= 0 when the count is not yet known.
-func (e Engine) Validate(nodes int) error {
-	if e.kind == sim.Sequential {
-		return nil
-	}
-	return e.tuning.Validate(nodes)
-}
 
 // String names the engine for table rows, e.g. "parallel(workers=4)".
 func (e Engine) String() string {

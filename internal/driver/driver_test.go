@@ -111,30 +111,23 @@ func TestRunPhaseMergesAllNodes(t *testing.T) {
 }
 
 // TestEngineValues covers the first-class Engine API: constructors, option
-// folding, validation, and naming.
+// folding, and naming.
 func TestEngineValues(t *testing.T) {
 	if e := Sequential(); e.Kind() != sim.Sequential || e.String() != "sequential" {
 		t.Fatalf("Sequential() = %v (%s)", e.Kind(), e)
 	}
-	e := Parallel(Workers(4), Lookahead(100), Stealing(false))
+	e := Parallel(Workers(4))
 	if e.Kind() != sim.Parallel {
 		t.Fatal("Parallel() kind")
 	}
-	tn := e.Tuning()
-	if tn.Workers != 4 || tn.Lookahead != 100 || tn.Steal != sim.StealOff {
+	if tn := e.Tuning(); tn != (sim.Tuning{Workers: 4}) {
 		t.Fatalf("tuning not folded: %+v", tn)
 	}
 	if e.String() != "parallel(workers=4)" {
 		t.Fatalf("String() = %q", e.String())
 	}
-	if Parallel(Stealing(true)).Tuning().Steal != sim.StealOn {
-		t.Fatal("Stealing(true) not folded")
-	}
-	if err := Parallel(Workers(8)).Validate(4); !errors.Is(err, sim.ErrBadTuning) {
-		t.Fatalf("Validate(4) with 8 workers: err = %v, want ErrBadTuning", err)
-	}
-	if err := Sequential().Validate(0); err != nil {
-		t.Fatalf("sequential Validate: %v", err)
+	if Parallel().String() != "parallel" {
+		t.Fatalf("Parallel().String() = %q", Parallel())
 	}
 }
 
@@ -160,7 +153,7 @@ func TestRunPhaseEngineValue(t *testing.T) {
 	for _, opt := range []RunOption{
 		WithEngineValue(Parallel()),
 		WithEngineValue(Parallel(Workers(2))),
-		WithEngineValue(Parallel(Workers(nodes), Stealing(false))),
+		WithEngineValue(Parallel(Workers(nodes))),
 	} {
 		if diff := base.Diff(phase(opt)); diff != "" {
 			t.Fatalf("engine value run diverges from sequential: %s", diff)

@@ -13,16 +13,20 @@ import (
 	"dpa/internal/stats"
 )
 
-// FuzzFaultConfig holds machine.FaultConfig to its contract: a config that
-// Validate rejects is refused with an error, never a panic, and one it
-// accepts carries a 4-phase, 8-node EM3D run to the end under both engines,
-// with identical run tables and an error that is nil or typed — every leaf
-// wraps fm.ErrUnreachable, machine.ErrCrashed or sim.ErrDeadlock. The rates
-// are drawn as raw float64 (NaN and out-of-range values included) and the
-// cycle counts from 32 bits, negatives included, which covers every rule
-// Validate states. The reliability knobs are drawn from small ranges: they
-// scale how long a death takes to detect, and past these bounds a run only
-// spends longer probing live peers.
+// FuzzFaultConfig holds machine.FaultConfig and a capture-mode
+// machine.CheckpointSpec to their contract: a config that Validate rejects
+// is refused with an error, never a panic, and one it accepts carries a
+// 4-phase, 8-node EM3D run to the end under both engines, with identical run
+// tables and an error that is nil or typed — every leaf wraps
+// fm.ErrUnreachable, machine.ErrCrashed or sim.ErrDeadlock. A checkpoint
+// time that is not positive is rejected with machine.ErrBadCheckpoint; an
+// accepted one is delivered at most once per run, at RequestedAt == At,
+// and leaves the run table equal to the same run's without the checkpoint.
+// The rates are drawn as raw float64 (NaN and out-of-range values included)
+// and the cycle counts from 32 bits, negatives included, which covers every
+// rule Validate states. The reliability knobs are drawn from small ranges:
+// they scale how long a death takes to detect, and past these bounds a run
+// only spends longer probing live peers.
 func FuzzFaultConfig(f *testing.F) {
 	type knobs = struct {
 		seed                         uint64
@@ -32,23 +36,25 @@ func FuzzFaultConfig(f *testing.F) {
 		reliable                     bool
 		window, backoff, retries     uint8
 		rto, ackBytes                uint16
+		ckAt                         int32
 	}
 	add := func(k knobs) {
 		f.Add(k.seed, k.drop, k.dup, k.jitter, k.stall, k.crash, k.maxJitter, k.stallCyc, k.crashAt,
-			k.reliable, k.window, k.backoff, k.retries, k.rto, k.ackBytes)
+			k.reliable, k.window, k.backoff, k.retries, k.rto, k.ackBytes, k.ckAt)
 	}
-	add(knobs{})                                                 // fault-free
-	add(knobs{seed: 7, drop: math.NaN()})                        // rejected
-	add(knobs{seed: 7, drop: 0.05, jitter: 0.2, maxJitter: 300}) // CI's lossy flags
-	add(knobs{seed: 3, drop: 0.03, crash: 0.4, crashAt: 20000})  // nodes 0, 1 and 6 die
-	add(knobs{seed: 9, crash: 0.125, crashAt: 20000, rto: 4096}) // node 1 alone, interior
+	add(knobs{})                                                              // fault-free, checkpoint rejected
+	add(knobs{ckAt: 1})                                                       // fault-free, captured at the first event
+	add(knobs{seed: 7, drop: math.NaN(), ckAt: 30000})                        // rejected
+	add(knobs{seed: 7, drop: 0.05, jitter: 0.2, maxJitter: 300, ckAt: 30000}) // CI's lossy flags
+	add(knobs{seed: 3, drop: 0.03, crash: 0.4, crashAt: 20000, ckAt: 60000})  // nodes 0, 1 and 6 die
+	add(knobs{seed: 9, crash: 0.125, crashAt: 20000, rto: 4096, ckAt: -5})    // node 1 alone, interior; checkpoint rejected
 	add(knobs{seed: 5, drop: 0.5, stall: 0.1, stallCyc: 50000, crash: 0.3, crashAt: 5000,
-		reliable: true, window: 2, backoff: 3, retries: 2, rto: 512, ackBytes: 16})
-	add(knobs{seed: 1, dup: 0.2, crash: 1, crashAt: -1}) // rejected
+		reliable: true, window: 2, backoff: 3, retries: 2, rto: 512, ackBytes: 16, ckAt: math.MaxInt32})
+	add(knobs{seed: 1, dup: 0.2, crash: 1, crashAt: -1, ckAt: 30000}) // rejected
 
 	prm := em3d.DefaultParams(64)
 	f.Fuzz(func(t *testing.T, seed uint64, drop, dup, jitter, stall, crash float64,
-		maxJitter, stallCyc, crashAt int32, reliable bool, window, backoff, retries uint8, rto, ackBytes uint16) {
+		maxJitter, stallCyc, crashAt int32, reliable bool, window, backoff, retries uint8, rto, ackBytes uint16, ckAt int32) {
 		cfg := machine.DefaultT3D(8)
 		cfg.Faults = machine.FaultConfig{
 			FaultParams: sim.FaultParams{
@@ -65,6 +71,25 @@ func FuzzFaultConfig(f *testing.F) {
 		if cfg.Validate() != nil {
 			return
 		}
+		delivered := 0
+		ck := func() *machine.CheckpointSpec {
+			return &machine.CheckpointSpec{At: sim.Time(ckAt), Deliver: func(s *sim.Snapshot, err error) {
+				delivered++
+				if s.Meta.RequestedAt != sim.Time(ckAt) {
+					t.Errorf("checkpoint at %d delivered RequestedAt %d", ckAt, s.Meta.RequestedAt)
+				}
+			}}
+		}
+		withCk := cfg
+		withCk.Checkpoint = ck()
+		err := withCk.Validate()
+		if ckAt <= 0 {
+			if !errors.Is(err, machine.ErrBadCheckpoint) {
+				t.Fatalf("checkpoint at %d: Validate = %v, want ErrBadCheckpoint", ckAt, err)
+			}
+		} else if err != nil {
+			t.Fatalf("checkpoint at %d rejected: %v", ckAt, err)
+		}
 		var seq stats.Run
 		for _, eng := range []sim.EngineKind{sim.Sequential, sim.Parallel} {
 			c := cfg
@@ -77,6 +102,17 @@ func FuzzFaultConfig(f *testing.F) {
 				seq = run
 			} else if d := seq.Diff(run); d != "" {
 				t.Fatalf("%+v: engines disagree: %s", cfg.Faults, d)
+			}
+			if ckAt <= 0 {
+				continue
+			}
+			c.Checkpoint, delivered = ck(), 0
+			ckRun, _ := em3d.RunIters(c, driver.DPASpec(50), prm, 2)
+			if delivered > 1 {
+				t.Fatalf("checkpoint at %d under %v delivered %d times", ckAt, eng, delivered)
+			}
+			if d := seq.Diff(ckRun); d != "" {
+				t.Fatalf("%+v, checkpoint at %d under %v: run differs from the run without it: %s", cfg.Faults, ckAt, eng, d)
 			}
 		}
 	})

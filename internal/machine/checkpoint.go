@@ -1,8 +1,15 @@
 package machine
 
 import (
+	"errors"
+	"fmt"
+
 	"dpa/internal/sim"
 )
+
+// ErrBadCheckpoint is the sentinel matched by errors.Is for a CheckpointSpec
+// that Config.Validate rejects.
+var ErrBadCheckpoint = errors.New("machine: invalid checkpoint")
 
 // CheckpointSpec describes one virtual-time checkpoint across a (possibly
 // multi-phase) run. The driver arms it on each phase's machine until the
@@ -19,8 +26,9 @@ import (
 // induction on determinism).
 type CheckpointSpec struct {
 	// At is the cumulative virtual time of the checkpoint boundary,
-	// measured across phases run back to back (ignored in verify mode,
-	// where the boundary comes from Verify's metadata).
+	// measured across phases run back to back. It must be positive in
+	// capture mode; verify mode ignores it and takes the boundary from
+	// Verify's metadata.
 	At sim.Time
 	// Verify, when non-nil, switches the spec to restore-verification
 	// against this snapshot.
@@ -34,6 +42,15 @@ type CheckpointSpec struct {
 	offset sim.Time // cumulative virtual time of completed phases
 	phase  int32    // zero-based index of the coming phase
 	done   bool     // the boundary fired
+}
+
+// validate rejects a capture-mode spec without a positive capture time; a
+// nil spec is valid.
+func (cs *CheckpointSpec) validate() error {
+	if cs != nil && cs.Verify == nil && cs.At <= 0 {
+		return fmt.Errorf("%w: capture time At = %d, must be positive", ErrBadCheckpoint, cs.At)
+	}
+	return nil
 }
 
 // boundary is the cumulative virtual time the capture targets.

@@ -75,10 +75,10 @@ type Config struct {
 	// machine's minimum message delay.
 	Engine sim.EngineKind
 
-	// EngineTuning carries the parallel engine's host-performance knobs
-	// (worker count, lookahead override, steal policy). The zero value means
-	// all defaults; the sequential engine ignores it. None of the knobs
-	// affect simulation results — only host execution.
+	// EngineTuning carries the parallel engine's worker count. The zero
+	// value means the default; the sequential engine ignores it (and
+	// Validate does not check it then). It never affects simulation
+	// results — only host execution.
 	EngineTuning sim.Tuning
 
 	// Faults configures deterministic fault injection and the fm
@@ -152,20 +152,21 @@ func (c *Config) Validate() error {
 	if c.Obs != nil && c.Obs.Nodes() != c.Nodes {
 		return fmt.Errorf("machine: Obs tracer built for %d nodes, machine has %d", c.Obs.Nodes(), c.Nodes)
 	}
-	if c.Engine == sim.Parallel && c.Lookahead() <= 0 {
-		return fmt.Errorf("machine: parallel engine requires SendOverhead+LatencyBase > 0 (lookahead = %d)", c.Lookahead())
+	if c.Engine == sim.Parallel {
+		if c.Lookahead() <= 0 {
+			return fmt.Errorf("machine: parallel engine requires SendOverhead+LatencyBase > 0 (lookahead = %d)", c.Lookahead())
+		}
+		// The worker count is checked here with a typed error
+		// (*sim.TuningError, errors.Is-matchable via sim.ErrBadTuning), so
+		// a bad one is rejected at configuration time instead of panicking
+		// inside internal/sim. Nodes is the process count: one simulated
+		// process per node.
+		if err := c.EngineTuning.Validate(c.Nodes); err != nil {
+			return err
+		}
 	}
-	// Engine tuning is validated here with typed errors (*sim.TuningError,
-	// errors.Is-matchable via sim.ErrBadTuning) so bad worker counts or
-	// lookahead overrides are rejected at configuration time instead of
-	// panicking deep inside internal/sim. Nodes is the process count: one
-	// simulated process per node.
-	if err := c.EngineTuning.Validate(c.Nodes); err != nil {
+	if err := c.Checkpoint.validate(); err != nil {
 		return err
-	}
-	if c.Engine == sim.Parallel && c.EngineTuning.Lookahead > c.Lookahead() {
-		return &sim.TuningError{Field: "lookahead", Value: int64(c.EngineTuning.Lookahead),
-			Reason: fmt.Sprintf("exceeds the machine's minimum message delay %d", c.Lookahead())}
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err

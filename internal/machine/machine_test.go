@@ -112,35 +112,35 @@ func TestValidate(t *testing.T) {
 
 // TestValidateEngineTuning pins the typed rejection of bad engine tuning at
 // config-validation time: errors.Is-matchable, never a panic from deep in
-// internal/sim.
+// internal/sim. Tuning is checked only under the parallel engine, the one
+// that uses it.
 func TestValidateEngineTuning(t *testing.T) {
-	bad := []Config{
-		func() Config { c := DefaultT3D(4); c.EngineTuning.Workers = -1; return c }(),
-		func() Config { c := DefaultT3D(4); c.EngineTuning.Workers = 5; return c }(), // > nodes
-		func() Config { c := DefaultT3D(4); c.EngineTuning.Lookahead = -10; return c }(),
-		func() Config {
-			c := DefaultT3D(4)
-			c.Engine = sim.Parallel
-			c.EngineTuning.Lookahead = c.Lookahead() + 1 // wider than the machine window
-			return c
-		}(),
+	cfg := func(eng sim.EngineKind, workers int) Config {
+		c := DefaultT3D(4)
+		c.Engine, c.EngineTuning.Workers = eng, workers
+		return c
 	}
-	for i, cfg := range bad {
-		err := cfg.Validate()
-		if err == nil {
-			t.Errorf("case %d: expected tuning error", i)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		bad  bool
+	}{
+		{"negative workers", cfg(sim.Parallel, -1), true},
+		{"workers above nodes", cfg(sim.Parallel, 5), true},
+		{"workers in range", cfg(sim.Parallel, 2), false},
+		{"auto workers", cfg(sim.Parallel, 0), false},
+		{"sequential ignores workers", cfg(sim.Sequential, 100), false},
+	} {
+		err := tc.cfg.Validate()
+		if !tc.bad {
+			if err != nil {
+				t.Errorf("%s: valid config rejected: %v", tc.name, err)
+			}
 			continue
 		}
 		if !errors.Is(err, sim.ErrBadTuning) {
-			t.Errorf("case %d: %v does not wrap sim.ErrBadTuning", i, err)
+			t.Errorf("%s: err = %v, want one wrapping sim.ErrBadTuning", tc.name, err)
 		}
-	}
-
-	good := DefaultT3D(4)
-	good.Engine = sim.Parallel
-	good.EngineTuning = sim.Tuning{Workers: 2, Lookahead: good.Lookahead() - 1, Steal: sim.StealOff}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid tuning rejected: %v", err)
 	}
 }
 

@@ -313,7 +313,7 @@ func TestWaitMessageUntilEngineEquivalence(t *testing.T) {
 	seqE := NewEngine()
 	pSeq := build(seqE)
 	seqE.Run()
-	parE := NewParallel(50)
+	parE := NewParallel(50, 0)
 	pPar := build(parE)
 	parE.Run()
 	if pSeq.Now() != pPar.Now() {

@@ -24,10 +24,10 @@ import (
 // admitted processes one at a time as coroutines, so at most W processes
 // execute at any instant and no host thread is woken per simulated hand-off.
 //
-// When a worker exhausts its own run queue and stealing is enabled, it steals
-// the tail of the heaviest remaining run queue and keeps going, so a process
-// may be resumed by different workers in different windows (never by two at
-// once: take removes it from its one run queue under the shard mutex).
+// When a worker exhausts its own run queue, it steals the tail of the
+// heaviest remaining run queue and keeps going, so a process may be resumed
+// by different workers in different windows (never by two at once: take
+// removes it from its one run queue under the shard mutex).
 //
 // # Window turnover
 //
@@ -60,7 +60,6 @@ type ParEngine struct {
 	lookahead Time
 	tuning    Tuning
 	workers   int  // resolved at Run
-	stealing  bool // resolved at Run
 	spin      bool // barrier waits spin first: no more workers than usable CPUs
 	shards    []*parShard
 	window    uint64 // window generation, stamped on admitted procs
@@ -155,34 +154,23 @@ func (sh *parShard) take(steal bool) *Proc {
 }
 
 // NewParallel returns an empty parallel engine with the given lookahead (the
-// machine's minimum cross-process message delay, in cycles) and default
-// tuning: worker count from GOMAXPROCS, stealing on. The lookahead must be
-// positive: with zero lookahead no two processes can ever be safely
-// coscheduled and the sequential engine should be used instead.
+// machine's minimum cross-process message delay, in cycles, and the width of
+// every window) and worker count (0 means auto: min(GOMAXPROCS, process
+// count)). The lookahead must be positive: with zero lookahead no two
+// processes can ever be safely coscheduled and the sequential engine should
+// be used instead. The worker count is checked at Run, when the process count
+// is known.
 //
 // Panic contract (intentional, mirrored by machine.New): a non-positive
 // lookahead here is a programming bug in the caller, not an input error.
 // Input-level validation with typed errors lives in Tuning.Validate and
 // NewEngineWith.
-func NewParallel(lookahead Time) *ParEngine {
+func NewParallel(lookahead Time, workers int) *ParEngine {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: parallel engine requires positive lookahead, got %d", lookahead))
 	}
-	return &ParEngine{lookahead: lookahead}
+	return &ParEngine{lookahead: lookahead, tuning: Tuning{Workers: workers}}
 }
-
-// NewParallelTuned is NewParallel with explicit tuning (worker count, steal
-// policy; Tuning.Lookahead must already be resolved into lookahead — see
-// NewEngineWith). The tuning's workers-vs-procs bound is checked at Run,
-// when the process count is known.
-func NewParallelTuned(lookahead Time, t Tuning) *ParEngine {
-	e := NewParallel(lookahead)
-	e.tuning = t
-	return e
-}
-
-// Lookahead returns the engine's lookahead window width in cycles.
-func (e *ParEngine) Lookahead() Time { return e.lookahead }
 
 // Workers returns the resolved worker count (0 before Run).
 func (e *ParEngine) Workers() int { return e.workers }
@@ -277,9 +265,9 @@ func (e *ParEngine) lowered(q *Proc) {
 }
 
 // work is the body of home's worker: fold, turnover barrier, admit, start
-// barrier, serve (the home run queue's head first, then, stealing, the
-// heaviest victim's tail), end barrier — once per window, until the
-// turnover ends the run.
+// barrier, serve (the home run queue's head first, then the heaviest
+// victim's tail), end barrier — once per window, until the turnover ends the
+// run.
 func (e *ParEngine) work(home *parShard) {
 	for {
 		home.fold()
@@ -291,7 +279,7 @@ func (e *ParEngine) work(home *parShard) {
 		e.arrive(home, false)
 		for {
 			q := home.take(false)
-			if q == nil && e.stealing {
+			if q == nil {
 				q = e.steal(home)
 			}
 			if q == nil {
@@ -486,7 +474,6 @@ func (e *ParEngine) Run() (Time, error) {
 		return 0, err
 	}
 	e.workers = e.tuning.resolveWorkers(len(e.procs))
-	e.stealing = e.tuning.Steal.enabled()
 	// More spinning workers than usable CPUs would spin against the very
 	// workers they wait for.
 	e.spin = e.workers <= min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
@@ -604,15 +591,4 @@ func (e *ParEngine) CheckpointAt(at Time, fn func()) {
 		panic("sim: CheckpointAt requires a positive time")
 	}
 	e.ckAt, e.ckFn = at, fn
-}
-
-// NewEngineOf returns an engine of the given kind with default tuning and
-// the given lookahead; under the parallel kind a non-positive lookahead
-// panics. See NewEngineWith for the tuned, error-returning variant.
-func NewEngineOf(kind EngineKind, lookahead Time) Engine {
-	if kind == Parallel {
-		return NewParallel(lookahead)
-	}
-	e, _ := NewEngineWith(Sequential, lookahead, Tuning{}) // never fails for Sequential
-	return e
 }

@@ -53,7 +53,7 @@ func TestParallelMatchesSequentialBroadcast(t *testing.T) {
 	build(seq)
 	seqMake, _ := seq.Run()
 
-	par := NewParallel(delay)
+	par := NewParallel(delay, 0)
 	build(par)
 	parMake, _ := par.Run()
 
@@ -94,7 +94,7 @@ func TestParallelPingPongMakespan(t *testing.T) {
 			}
 		})
 	}
-	e := NewParallel(hop)
+	e := NewParallel(hop, 0)
 	build(e)
 	got, _ := e.Run()
 	if want := Time((rounds + 2) * hop); got != want {
@@ -104,7 +104,7 @@ func TestParallelPingPongMakespan(t *testing.T) {
 
 func TestParallelDeterminism(t *testing.T) {
 	run := func() []string {
-		e := NewParallel(50)
+		e := NewParallel(50, 0)
 		broadcastWorkload(8, 50)(e)
 		e.Run()
 		return snapshot(e)
@@ -118,7 +118,7 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 func TestParallelIdleAccounting(t *testing.T) {
-	e := NewParallel(10)
+	e := NewParallel(10, 0)
 	var idle Time
 	e.Spawn(func(p *Proc) {
 		p.Charge(Compute, 1000)
@@ -139,7 +139,7 @@ func TestParallelIdleAccounting(t *testing.T) {
 }
 
 func TestParallelDeadlockTypedError(t *testing.T) {
-	e := NewParallel(10)
+	e := NewParallel(10, 0)
 	e.Spawn(func(p *Proc) { p.WaitMessage() })
 	e.Spawn(func(p *Proc) { p.WaitMessage() })
 	_, err := e.Run()
@@ -149,7 +149,7 @@ func TestParallelDeadlockTypedError(t *testing.T) {
 }
 
 func TestParallelLookaheadViolationPanics(t *testing.T) {
-	e := NewParallel(100)
+	e := NewParallel(100, 0)
 	caught := make(chan any, 1)
 	e.Spawn(func(p *Proc) {
 		defer func() { caught <- recover() }()
@@ -175,7 +175,7 @@ func TestNewParallelRequiresLookahead(t *testing.T) {
 			t.Fatal("expected panic for zero lookahead")
 		}
 	}()
-	NewParallel(0)
+	NewParallel(0, 0)
 }
 
 func TestSimultaneousArrivalsOrderedBySender(t *testing.T) {
@@ -209,19 +209,7 @@ func TestSimultaneousArrivalsOrderedBySender(t *testing.T) {
 	seq := NewEngine()
 	build(seq)
 	seq.Run()
-	par := NewParallel(900)
+	par := NewParallel(900, 0)
 	build(par)
 	par.Run()
-}
-
-func TestNewEngineOf(t *testing.T) {
-	if _, ok := NewEngineOf(Sequential, 0).(*SeqEngine); !ok {
-		t.Fatal("Sequential kind did not produce a SeqEngine")
-	}
-	if _, ok := NewEngineOf(Parallel, 10).(*ParEngine); !ok {
-		t.Fatal("Parallel kind did not produce a ParEngine")
-	}
-	if Sequential.String() != "sequential" || Parallel.String() != "parallel" {
-		t.Fatal("EngineKind.String")
-	}
 }

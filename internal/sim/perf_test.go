@@ -14,7 +14,7 @@ func TestMessagePathZeroAllocs(t *testing.T) {
 	for _, kind := range []EngineKind{Sequential, Parallel} {
 		t.Run(kind.String(), func(t *testing.T) {
 			var allocs float64
-			e := NewEngineOf(kind, 10)
+			e := mustEngine(t, kind, 10, Tuning{})
 			e.Spawn(func(p *Proc) {
 				step := func() {
 					p.Charge(Compute, 1)
@@ -164,8 +164,8 @@ func BenchmarkHandoff(b *testing.B) {
 		mk   func() Engine
 	}{
 		{"sequential", func() Engine { return NewEngine() }},
-		{"parallel-w1", func() Engine { return NewParallelTuned(1, Tuning{Workers: 1}) }},
-		{"parallel-w2", func() Engine { return NewParallelTuned(1, Tuning{Workers: 2}) }},
+		{"parallel-w1", func() Engine { return NewParallel(1, 1) }},
+		{"parallel-w2", func() Engine { return NewParallel(1, 2) }},
 	}
 	for _, eng := range engines {
 		b.Run(eng.name, func(b *testing.B) {
@@ -248,7 +248,7 @@ func BenchmarkEpochBarrier(b *testing.B) {
 		for _, w := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/w=%d", s.name, w), func(b *testing.B) {
 				const window = 10
-				e := NewParallelTuned(window, Tuning{Workers: w})
+				e := NewParallel(window, w)
 				sink := make([]uint64, s.procs)
 				for i := 0; i < s.procs; i++ {
 					e.Spawn(func(p *Proc) {

@@ -10,9 +10,9 @@ import (
 )
 
 // TestWorkerCountsMatchSequential sweeps the sharded engine's worker count
-// (including stealing off) over the broadcast workload: every configuration
-// must reproduce the sequential run bit for bit — worker count and steal
-// policy move host work, never virtual-time results.
+// over the broadcast workload: every configuration must reproduce the
+// sequential run bit for bit — worker count and steal timing move host work,
+// never virtual-time results.
 func TestWorkerCountsMatchSequential(t *testing.T) {
 	const n = 8
 	const delay = 50
@@ -23,29 +23,22 @@ func TestWorkerCountsMatchSequential(t *testing.T) {
 	seq.Run()
 	want := snapshot(seq)
 
-	tunings := []Tuning{
-		{Workers: 1},
-		{Workers: 2},
-		{Workers: 3}, // uneven shards: 8 procs over 3 workers
-		{Workers: n},
-		{Workers: 2, Steal: StealOff},
-		{}, // auto
-	}
-	for _, tn := range tunings {
-		par := NewParallelTuned(delay, tn)
+	// 3 makes uneven shards (8 procs over 3 workers); 0 is auto.
+	for _, workers := range []int{1, 2, 3, n, 0} {
+		par := NewParallel(delay, workers)
 		build(par)
 		if _, err := par.Run(); err != nil {
-			t.Fatalf("workers=%d steal=%v: %v", tn.Workers, tn.Steal, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		got := snapshot(par)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d steal=%v: proc %d diverges:\n  seq: %s\n  par: %s",
-					tn.Workers, tn.Steal, i, want[i], got[i])
+				t.Fatalf("workers=%d: proc %d diverges:\n  seq: %s\n  par: %s",
+					workers, i, want[i], got[i])
 			}
 		}
-		if w := par.Workers(); tn.Workers > 0 && w != tn.Workers {
-			t.Fatalf("resolved workers = %d, want %d", w, tn.Workers)
+		if w := par.Workers(); workers > 0 && w != workers {
+			t.Fatalf("resolved workers = %d, want %d", w, workers)
 		}
 		if par.Windows() == 0 {
 			t.Fatal("no windows opened")
@@ -105,7 +98,7 @@ func TestShardedStealing(t *testing.T) {
 
 	var steals int64
 	for attempt := 0; attempt < 5; attempt++ {
-		par := NewParallelTuned(delay, Tuning{Workers: 2})
+		par := NewParallel(delay, 2)
 		build(par)
 		if _, err := par.Run(); err != nil {
 			t.Fatal(err)
@@ -140,21 +133,6 @@ func TestShardedStealing(t *testing.T) {
 	t.Errorf("no cross-shard steals in 5 imbalanced runs; steal path looks dead")
 }
 
-// TestShardedStealingOffNeverSteals pins the StealOff policy: shard chains
-// must only serve their own run queues.
-func TestShardedStealingOffNeverSteals(t *testing.T) {
-	par := NewParallelTuned(20, Tuning{Workers: 2, Steal: StealOff})
-	stealWorkload(50, 20)(par)
-	if _, err := par.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range par.WorkerStats() {
-		if w.Steals != 0 || w.Stolen != 0 {
-			t.Fatalf("steal counters non-zero with stealing off: %+v", w)
-		}
-	}
-}
-
 // TestCrossWorkerMessagePathZeroAllocs pins the cross-worker host contract:
 // once mailbox rings, drain buffers, and the per-shard parked/lowered/run
 // queues are warm, a full cross-shard round trip — post, decrease-key note,
@@ -164,7 +142,7 @@ func TestShardedStealingOffNeverSteals(t *testing.T) {
 func TestCrossWorkerMessagePathZeroAllocs(t *testing.T) {
 	const look = 10
 	const stop = -1
-	e := NewParallelTuned(look, Tuning{Workers: 2})
+	e := NewParallel(look, 2)
 	var allocs float64
 	e.Spawn(func(p *Proc) {
 		step := func() {
@@ -208,7 +186,7 @@ func TestShardArenaWindowTurnoverZeroAllocs(t *testing.T) {
 	const look = 10
 	const stop = -1
 	const pairs = 4 // 8 procs over 4 workers: 2 per shard
-	e := NewParallelTuned(look, Tuning{Workers: pairs})
+	e := NewParallel(look, pairs)
 	var allocs float64
 	for i := 0; i < pairs; i++ {
 		i := i
@@ -262,7 +240,7 @@ func TestShardArenaDeadMailboxZeroAllocs(t *testing.T) {
 	const look = 10
 	const stop = -1
 	const pairs = 4 // 8 procs over 4 workers: 2 per shard, as in the base test
-	e := NewParallelTuned(look, Tuning{Workers: pairs})
+	e := NewParallel(look, pairs)
 	var allocs float64
 	for i := 0; i < pairs; i++ {
 		i := i
@@ -325,12 +303,10 @@ func TestTuningValidate(t *testing.T) {
 		bad   bool
 	}{
 		{"zero is valid", Tuning{}, 8, false},
-		{"explicit in range", Tuning{Workers: 4, Lookahead: 5, Steal: StealOn}, 8, false},
+		{"explicit in range", Tuning{Workers: 4}, 8, false},
 		{"negative workers", Tuning{Workers: -1}, 8, true},
 		{"workers exceed procs", Tuning{Workers: 9}, 8, true},
 		{"workers unchecked without procs", Tuning{Workers: 9}, 0, false},
-		{"negative lookahead", Tuning{Lookahead: -5}, 8, true},
-		{"unknown steal policy", Tuning{Steal: StealPolicy(9)}, 8, true},
 	}
 	for _, c := range cases {
 		err := c.t.Validate(c.procs)
@@ -352,8 +328,9 @@ func TestTuningValidate(t *testing.T) {
 	}
 }
 
-// TestNewEngineWith covers the error-returning tuned constructor, including
-// the lookahead-override bound.
+// TestNewEngineWith covers the error-returning tuned constructor: the
+// parallel engine's windows are the machine lookahead, which must be
+// positive.
 func TestNewEngineWith(t *testing.T) {
 	if e, err := NewEngineWith(Sequential, 0, Tuning{}); err != nil {
 		t.Fatal(err)
@@ -361,7 +338,7 @@ func TestNewEngineWith(t *testing.T) {
 		t.Fatal("sequential kind did not produce a SeqEngine")
 	}
 
-	e, err := NewEngineWith(Parallel, 550, Tuning{Lookahead: 100, Workers: 2})
+	e, err := NewEngineWith(Parallel, 550, Tuning{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,13 +346,13 @@ func TestNewEngineWith(t *testing.T) {
 	if !ok {
 		t.Fatal("parallel kind did not produce a ParEngine")
 	}
-	if pe.Lookahead() != 100 {
-		t.Fatalf("lookahead override not applied: %d", pe.Lookahead())
+	if pe.lookahead != 550 || pe.tuning.Workers != 2 {
+		t.Fatalf("lookahead %d, workers %d: want 550 and 2", pe.lookahead, pe.tuning.Workers)
+	}
+	if Sequential.String() != "sequential" || Parallel.String() != "parallel" {
+		t.Fatal("EngineKind.String")
 	}
 
-	if _, err := NewEngineWith(Parallel, 550, Tuning{Lookahead: 600}); !errors.Is(err, ErrBadTuning) {
-		t.Fatalf("override wider than the machine window: err = %v, want ErrBadTuning", err)
-	}
 	if _, err := NewEngineWith(Parallel, 0, Tuning{}); !errors.Is(err, ErrBadTuning) {
 		t.Fatalf("non-positive lookahead: err = %v, want ErrBadTuning", err)
 	}
@@ -387,7 +364,7 @@ func TestNewEngineWith(t *testing.T) {
 // TestRunRejectsWorkersBeyondProcs pins the Run-time recheck of the
 // workers-vs-procs bound (the proc count is only known at Run).
 func TestRunRejectsWorkersBeyondProcs(t *testing.T) {
-	e := NewParallelTuned(10, Tuning{Workers: 5})
+	e := NewParallel(10, 5)
 	for i := 0; i < 2; i++ {
 		e.Spawn(func(p *Proc) {})
 	}
@@ -398,13 +375,6 @@ func TestRunRejectsWorkersBeyondProcs(t *testing.T) {
 	var te *TuningError
 	if !errors.As(err, &te) || te.Field != "workers" {
 		t.Fatalf("err = %v, want a workers *TuningError", err)
-	}
-}
-
-// TestStealPolicyString covers the policy names used by flags and tables.
-func TestStealPolicyString(t *testing.T) {
-	if StealAuto.String() != "auto" || StealOn.String() != "on" || StealOff.String() != "off" {
-		t.Fatal("StealPolicy.String")
 	}
 }
 
@@ -477,7 +447,7 @@ func TestLoweredKeyRepair(t *testing.T) {
 	want := snapshot(seq)
 
 	for _, w := range []int{1, 2, 3, 16} {
-		par := NewParallelTuned(delay, Tuning{Workers: w})
+		par := NewParallel(delay, w)
 		build(par)
 		if _, err := par.Run(); err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
@@ -529,8 +499,7 @@ func tokenRing(n, tokens, hops int, look Time, logs [][]int64) func(e Engine) {
 }
 
 // TestWindowBarrierStress drives thousands of one-event windows through the
-// window barriers at W = 2, 3 and 4, stealing on and off, on one thread and
-// on two: on one every barrier wait parks on its shard's channel, on two
+// window barriers at W = 2, 3 and 4 on one thread and on two: on one every barrier wait parks on its shard's channel, on two
 // (with at least two CPUs) W = 2 waits in the spin. Three tokens in lockstep
 // make the workers reach each barrier together, the race between a release
 // and the next barrier's sleepers. Every run must log what the sequential
@@ -565,31 +534,29 @@ func TestWindowBarrierStress(t *testing.T) {
 		for _, threads := range []int{1, 2} {
 			runtime.GOMAXPROCS(threads)
 			for _, w := range []int{2, 3, 4} {
-				for _, steal := range []StealPolicy{StealOn, StealOff} {
-					what := fmt.Sprintf("tokens=%d GOMAXPROCS=%d workers=%d steal=%v", tokens, threads, w, steal)
-					par := NewParallelTuned(look, Tuning{Workers: w, Steal: steal})
-					got := run(par, tokens)
-					for id := range want.logs {
-						if !slices.Equal(got.logs[id], want.logs[id]) {
-							t.Fatalf("%s: process %d logged\n%v\nsequential\n%v", what, id, got.logs[id], want.logs[id])
-						}
+				what := fmt.Sprintf("tokens=%d GOMAXPROCS=%d workers=%d", tokens, threads, w)
+				par := NewParallel(look, w)
+				got := run(par, tokens)
+				for id := range want.logs {
+					if !slices.Equal(got.logs[id], want.logs[id]) {
+						t.Fatalf("%s: process %d logged\n%v\nsequential\n%v", what, id, got.logs[id], want.logs[id])
 					}
-					if !slices.Equal(got.final, want.final) {
-						t.Fatalf("%s: final state\n%v\nsequential\n%v", what, got.final, want.final)
-					}
-					if !bytes.Equal(got.snap, want.snap) {
-						t.Fatalf("%s: mid-run snapshot differs from the sequential engine's", what)
-					}
-					if par.Windows() < hops {
-						t.Fatalf("%s: %d windows, want at least %d", what, par.Windows(), hops)
-					}
-					var parks int64
-					for _, ws := range par.WorkerStats() {
-						parks += ws.Parks
-					}
-					if threads == 1 && parks == 0 {
-						t.Fatalf("%s: no barrier wait parked", what)
-					}
+				}
+				if !slices.Equal(got.final, want.final) {
+					t.Fatalf("%s: final state\n%v\nsequential\n%v", what, got.final, want.final)
+				}
+				if !bytes.Equal(got.snap, want.snap) {
+					t.Fatalf("%s: mid-run snapshot differs from the sequential engine's", what)
+				}
+				if par.Windows() < hops {
+					t.Fatalf("%s: %d windows, want at least %d", what, par.Windows(), hops)
+				}
+				var parks int64
+				for _, ws := range par.WorkerStats() {
+					parks += ws.Parks
+				}
+				if threads == 1 && parks == 0 {
+					t.Fatalf("%s: no barrier wait parked", what)
 				}
 			}
 		}

@@ -233,7 +233,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestDeadlockReturnsTypedError(t *testing.T) {
 	for _, kind := range []EngineKind{Sequential, Parallel} {
-		e := NewEngineOf(kind, 10)
+		e := mustEngine(t, kind, 10, Tuning{})
 		e.Spawn(func(p *Proc) { p.WaitMessage() })
 		e.Spawn(func(p *Proc) { p.WaitMessage() })
 		_, err := e.Run()

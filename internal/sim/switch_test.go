@@ -205,7 +205,7 @@ func TestProcessMigratesAcrossWorkers(t *testing.T) {
 	want := snapshot(seq)
 
 	for attempt := 0; attempt < 5; attempt++ {
-		par := NewParallelTuned(delay, Tuning{Workers: n, Steal: StealOn})
+		par := NewParallel(delay, n)
 		build(par)
 		if _, err := par.Run(); err != nil {
 			t.Fatal(err)

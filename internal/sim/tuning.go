@@ -6,61 +6,25 @@ import (
 	"runtime"
 )
 
-// StealPolicy selects whether the parallel engine's idle workers steal
-// runnable processes from other workers' shards within a window.
-type StealPolicy uint8
-
-const (
-	// StealAuto is the default policy: stealing enabled.
-	StealAuto StealPolicy = iota
-	// StealOn forces stealing on.
-	StealOn
-	// StealOff disables stealing: each worker runs only its own shard and
-	// idles at the window barrier when its shard is exhausted.
-	StealOff
-)
-
-// String names the policy.
-func (s StealPolicy) String() string {
-	switch s {
-	case StealAuto:
-		return "auto"
-	case StealOn:
-		return "on"
-	case StealOff:
-		return "off"
-	}
-	return fmt.Sprintf("steal(%d)", uint8(s))
-}
-
-// enabled resolves the policy to a boolean (auto = on).
-func (s StealPolicy) enabled() bool { return s != StealOff }
-
-// Tuning carries the parallel engine's host-performance knobs. The zero
-// value means "all defaults": worker count from GOMAXPROCS, lookahead from
-// the machine model, stealing on. The sequential engine ignores it.
+// Tuning carries the parallel engine's one host-performance knob, its worker
+// count. The zero value means the default: worker count from GOMAXPROCS. The
+// sequential engine ignores it.
 type Tuning struct {
 	// Workers is the number of host worker shards the simulated processes
 	// are partitioned across. 0 means auto: min(GOMAXPROCS, process count).
 	// Explicit values must be in [1, process count].
 	Workers int
-	// Lookahead, when positive, overrides the context-provided conservative
-	// window width in cycles. It must not exceed the machine's minimum
-	// cross-process message delay (wider windows would break the lookahead
-	// contract); narrower windows are safe but cost more barriers.
-	Lookahead Time
-	// Steal selects the work-stealing policy (default: on).
-	Steal StealPolicy
 }
 
 // ErrBadTuning is the sentinel matched by errors.Is for invalid engine
-// tuning (worker counts, lookahead overrides, steal policies).
+// tuning: a worker count out of range, or a parallel engine without a
+// positive lookahead.
 var ErrBadTuning = errors.New("sim: invalid engine tuning")
 
 // TuningError reports one rejected engine-tuning parameter. It unwraps to
 // ErrBadTuning.
 type TuningError struct {
-	// Field names the offending knob ("workers", "lookahead", "steal").
+	// Field names the offending parameter ("workers", "lookahead").
 	Field string
 	// Value is the rejected value.
 	Value int64
@@ -86,12 +50,6 @@ func (t Tuning) Validate(procs int) error {
 		return &TuningError{Field: "workers", Value: int64(t.Workers),
 			Reason: fmt.Sprintf("exceeds the %d simulated processes", procs)}
 	}
-	if t.Lookahead < 0 {
-		return &TuningError{Field: "lookahead", Value: int64(t.Lookahead), Reason: "must be positive (or 0 for the machine default)"}
-	}
-	if t.Steal > StealOff {
-		return &TuningError{Field: "steal", Value: int64(t.Steal), Reason: "unknown policy"}
-	}
 	return nil
 }
 
@@ -116,10 +74,9 @@ func (t Tuning) resolveWorkers(procs int) int {
 // minimum cross-process message delay) and, under either kind, a promise
 // about the caller's Posts: every cross-process arrival lies at least that
 // far past the sender's clock. The sequential engine widens its horizons by
-// it (a non-positive value means 0, i.e. NewEngine); under the parallel
-// engine a positive Tuning.Lookahead override narrower than it takes
-// precedence. Tuning problems are reported as a *TuningError rather than a
-// panic.
+// it (a non-positive value means 0, i.e. NewEngine); the parallel engine
+// opens windows of exactly that width and needs it positive. Tuning problems
+// are reported as a *TuningError rather than a panic.
 func NewEngineWith(kind EngineKind, lookahead Time, t Tuning) (Engine, error) {
 	if kind == Sequential {
 		return &SeqEngine{lookahead: max(lookahead, 0)}, nil
@@ -127,16 +84,9 @@ func NewEngineWith(kind EngineKind, lookahead Time, t Tuning) (Engine, error) {
 	if err := t.Validate(0); err != nil {
 		return nil, err
 	}
-	if t.Lookahead > 0 {
-		if t.Lookahead > lookahead && lookahead > 0 {
-			return nil, &TuningError{Field: "lookahead", Value: int64(t.Lookahead),
-				Reason: fmt.Sprintf("exceeds the machine's minimum message delay %d", lookahead)}
-		}
-		lookahead = t.Lookahead
-	}
 	if lookahead <= 0 {
 		return nil, &TuningError{Field: "lookahead", Value: int64(lookahead),
 			Reason: "must be positive for the parallel engine"}
 	}
-	return NewParallelTuned(lookahead, t), nil
+	return NewParallel(lookahead, t.Workers), nil
 }
