@@ -82,9 +82,7 @@ func ckFaults() machine.FaultConfig {
 }
 
 func ckConfig(eng Engine, faults bool) machine.Config {
-	mcfg := DefaultT3D(ckNodes)
-	mcfg.Engine = eng.Kind()
-	mcfg.EngineTuning = eng.Tuning()
+	mcfg := withEngine(DefaultT3D(ckNodes), eng)
 	if faults {
 		mcfg.Faults = ckFaults()
 	}

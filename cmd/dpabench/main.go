@@ -49,16 +49,9 @@
 // counters as Prometheus text (or JSON when FILE ends in .json). Exported
 // traces and metrics are bit-identical across engines and repeats.
 // -cpuprofile/-memprofile write host pprof profiles of the simulator itself.
-//
-// With -json, dpabench instead measures the host performance of the
-// simulator itself: it benchmarks the configured run under both engines
-// (testing.Benchmark) and emits the measurements as host-performance JSON.
-// Adding -workers-sweep 1,2,4,8 benchmarks the parallel engine once per
-// listed worker count (rows named Engine/parallel-w<N>) alongside sequential.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -67,7 +60,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"testing"
 
 	"dpa/internal/bh"
 	"dpa/internal/driver"
@@ -87,7 +79,6 @@ func main() {
 	rtName := flag.String("runtime", "dpa", "runtime: dpa, caching, or blocking")
 	engine := flag.String("engine", "sequential", "simulation engine: sequential or parallel")
 	workers := flag.Int("workers", 0, "parallel engine: host worker count (0 = one per core, capped at nodes)")
-	workersSweep := flag.String("workers-sweep", "", "with -json: comma-separated worker counts to benchmark the parallel engine at")
 	bodies := flag.Int("bodies", 16384, "body count")
 	steps := flag.Int("steps", 1, "Barnes-Hut steps")
 	terms := flag.Int("terms", 29, "FMM expansion terms")
@@ -121,7 +112,6 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write run metrics to this file (.json = JSON, otherwise Prometheus text)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a host heap profile to this file on exit")
-	jsonOut := flag.Bool("json", false, "benchmark the host performance of both engines and emit JSON")
 	flag.Parse()
 
 	if err := checkSizes(*app, sizes{bodies: *bodies, vertices: *vertices, degree: *degree,
@@ -301,28 +291,19 @@ func main() {
 				return run
 			}
 		}
-		// The -json report's "bodies" field carries the vertex count for the
-		// graph family.
-		*bodies = *vertices
 	default:
 		fmt.Fprintf(os.Stderr, "dpabench: unknown app %q\n", *app)
 		os.Exit(1)
 	}
-	runOnce := func(cfg machine.Config) stats.Run { return runWith(cfg, spec) }
-
-	if ckSpec != nil && (*strips != "" || *jsonOut) {
-		fmt.Fprintf(os.Stderr, "dpabench: checkpoint/restore is a single-run mode (no -strips, no -json)\n")
+	if ckSpec != nil && *strips != "" {
+		fmt.Fprintf(os.Stderr, "dpabench: checkpoint/restore is a single-run mode (no -strips)\n")
 		os.Exit(1)
 	}
 	if *strips != "" {
 		stripSweep(mcfg, runWith, *strips, *agg, !*noPipe, *app, *nodes)
 		return
 	}
-	if *jsonOut {
-		emitHostBench(mcfg, runOnce, *app, *nodes, *bodies, *steps, spec, *workersSweep)
-		return
-	}
-	run := runOnce(mcfg)
+	run := runWith(mcfg, spec)
 
 	fmt.Printf("app=%s nodes=%d runtime=%s engine=%s\n", *app, *nodes, spec, mcfg.Engine)
 	fmt.Print(run.Table(mcfg.ClockHz))
@@ -467,84 +448,5 @@ func stripSweep(mcfg machine.Config, runWith func(machine.Config, driver.Spec) s
 		pr.RT.PlanStrips, pr.RT.PlanMispredicts, pr.RT.FinalStrip, pr.RT.PlanPriorHits, pr.RT.ShapedRuns)
 	if best > 0 {
 		fmt.Printf("planned vs best static: %+.2f%%\n", (float64(pr.Makespan)/float64(best)-1)*100)
-	}
-}
-
-// hostBenchReport is the JSON document emitted by -json.
-type hostBenchReport struct {
-	App        string            `json:"app"`
-	Nodes      int               `json:"nodes"`
-	Bodies     int               `json:"bodies"`
-	Steps      int               `json:"steps"`
-	Runtime    string            `json:"runtime"`
-	GoVersion  string            `json:"go_version"`
-	Benchmarks []stats.HostBench `json:"benchmarks"`
-}
-
-// emitHostBench benchmarks the configured run under both engines with
-// testing.Benchmark and writes the measurements as JSON to stdout. A
-// non-empty workersSweep benchmarks the parallel engine once per listed
-// worker count instead of once at the default.
-func emitHostBench(mcfg machine.Config, runOnce func(machine.Config) stats.Run, app string, nodes, bodies, steps int, spec driver.Spec, workersSweep string) {
-	report := hostBenchReport{
-		App:       app,
-		Nodes:     nodes,
-		Bodies:    bodies,
-		Steps:     steps,
-		Runtime:   fmt.Sprint(spec),
-		GoVersion: runtime.Version(),
-	}
-	type benchCase struct {
-		name   string
-		engine sim.EngineKind
-		tuning sim.Tuning
-	}
-	cases := []benchCase{{"Engine/sequential", sim.Sequential, sim.Tuning{}}}
-	if workersSweep == "" {
-		cases = append(cases, benchCase{"Engine/parallel", sim.Parallel, mcfg.EngineTuning})
-	} else {
-		for _, f := range strings.Split(workersSweep, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || w < 1 {
-				fmt.Fprintf(os.Stderr, "dpabench: bad worker count %q in -workers-sweep\n", f)
-				os.Exit(1)
-			}
-			tn := mcfg.EngineTuning
-			tn.Workers = w
-			cases = append(cases, benchCase{fmt.Sprintf("Engine/parallel-w%d", w), sim.Parallel, tn})
-		}
-	}
-	for _, c := range cases {
-		cfg := mcfg
-		cfg.Engine = c.engine
-		cfg.EngineTuning = c.tuning
-		if err := cfg.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "dpabench: %s: %v\n", c.name, err)
-			os.Exit(1)
-		}
-		var resumes, parks int64
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if h := runOnce(cfg).Host; h != nil {
-					resumes, parks = h.Resumes(), h.Parks()
-				}
-			}
-		})
-		report.Benchmarks = append(report.Benchmarks, stats.HostBench{
-			Name:        c.name,
-			Iters:       r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Resumes:     resumes,
-			Parks:       parks,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
-		os.Exit(1)
 	}
 }

@@ -29,6 +29,11 @@
 // mode, in which a cost model sizes every strip and repeated phases plan
 // from the previous phase's measurements.
 //
+// The Spec chooses the runtime policy; the MachineConfig describes the
+// machine and is the one place a run picks its simulation engine
+// (Engine, EngineTuning), activity timeline (TraceBins), tracer (Obs),
+// fault plan (Faults) and checkpoint (Checkpoint).
+//
 // See examples/ for complete programs and DESIGN.md for the architecture.
 package dpa
 
@@ -67,7 +72,8 @@ type (
 	Time = sim.Time
 	// Engine is a first-class engine selection: which simulation engine
 	// drives a phase plus its host-performance tuning. Build one with
-	// Sequential or Parallel and pass it to RunPhase via WithEngineValue.
+	// Sequential or Parallel and select it with
+	// cfg.Engine, cfg.EngineTuning = e.Kind(), e.Tuning().
 	// Every Engine produces bit-identical simulation results.
 	Engine = driver.Engine
 	// EngineOption tunes an Engine built by Parallel (Workers).
@@ -85,8 +91,8 @@ func Sequential() Engine { return driver.Sequential() }
 // delay; idle workers steal runnable nodes from the busiest shard. Results
 // stay bit-identical to Sequential. The worker count is its one knob:
 //
-//	dpa.RunPhase(cfg, space, spec, body,
-//	    dpa.WithEngineValue(dpa.Parallel(dpa.Workers(8))))
+//	e := dpa.Parallel(dpa.Workers(8))
+//	cfg.Engine, cfg.EngineTuning = e.Kind(), e.Tuning()
 func Parallel(opts ...EngineOption) Engine { return driver.Parallel(opts...) }
 
 // Workers sets the parallel engine's worker count: 0 (the default) means
@@ -96,6 +102,10 @@ func Workers(n int) EngineOption { return driver.Workers(n) }
 // ErrBadEngine is the sentinel matched by errors.Is for rejected engine
 // tuning (a worker count out of [1, nodes]).
 var ErrBadEngine = sim.ErrBadTuning
+
+// ErrBadFaults is the sentinel matched by errors.Is for rejected fault
+// parameters (a rate outside [0, 1], a negative cycle count).
+var ErrBadFaults = sim.ErrBadFaults
 
 // Runtime selection types.
 type (
@@ -143,13 +153,9 @@ type (
 )
 
 // NewTracer creates a tracer for the given node count; eventCap bounds the
-// per-node event ring (<= 0 selects the default). Pass it to RunPhase via
-// WithTracer; one tracer may span several consecutive phases.
+// per-node event ring (<= 0 selects the default). Attach it as the
+// MachineConfig's Obs; one tracer may span several consecutive phases.
 func NewTracer(nodes, eventCap int) *Tracer { return obs.NewTracer(nodes, eventCap) }
-
-// WithTracer attaches a structured observability tracer to the phase. The
-// tracer must have been built for the machine's node count.
-func WithTracer(t *Tracer) RunOption { return driver.WithTracer(t) }
 
 // ErrUnreachable is the sentinel error wrapped by a run's Err when a node
 // exhausted its retransmission budget to a peer; test with errors.Is.
@@ -173,8 +179,10 @@ type (
 	Snapshot = sim.Snapshot
 	// SnapshotMeta identifies when in a run a snapshot was captured.
 	SnapshotMeta = sim.SnapshotMeta
-	// CheckpointSpec arms a checkpoint (or restore verification) across the
-	// phases of a run; pass it to RunPhase via WithCheckpoint.
+	// CheckpointSpec arms a checkpoint (or, when Verify is set, a restore
+	// verification) across the phases of a run: set it as the
+	// MachineConfig's Checkpoint for every phase, and the capture fires in
+	// whichever phase the cumulative boundary time At falls.
 	CheckpointSpec = machine.CheckpointSpec
 )
 
@@ -191,12 +199,6 @@ var ErrSnapshotDiverged = sim.ErrSnapshotDiverged
 // an error wrapping ErrBadSnapshot; it never panics and never returns a
 // partially decoded snapshot.
 func RestoreSnapshot(data []byte) (*Snapshot, error) { return sim.Restore(data) }
-
-// WithCheckpoint arms a deterministic checkpoint (or, when spec.Verify is
-// set, a restore verification) on the phase; see driver.WithCheckpoint. The
-// same spec may ride every phase of a multi-phase run: the capture fires in
-// whichever phase the cumulative boundary time falls.
-func WithCheckpoint(spec *CheckpointSpec) RunOption { return driver.WithCheckpoint(spec) }
 
 // Nil is the null global pointer.
 var Nil = gptr.Nil
@@ -278,37 +280,27 @@ func CachingSpec(opts ...SpecOption) Spec { return driver.CachingSpec(opts...) }
 // BlockingSpec selects the blocking comparator runtime.
 func BlockingSpec(opts ...SpecOption) Spec { return driver.BlockingSpec(opts...) }
 
-// RunOption adjusts how RunPhase executes a phase.
+// RunOption adjusts how RunPhase executes a phase beyond what the
+// MachineConfig describes: WithValidation and WithPriors.
 type RunOption = driver.RunOption
-
-// WithEngineValue selects the engine driving the phase as a first-class
-// value: dpa.Sequential() or dpa.Parallel(opts...).
-func WithEngineValue(e Engine) RunOption { return driver.WithEngineValue(e) }
-
-// WithTrace enables activity-timeline recording with the given bin width in
-// cycles.
-func WithTrace(binWidth Time) RunOption { return driver.WithTrace(binWidth) }
 
 // WithValidation runs the phase under the other engine too and panics if the
 // two runs' statistics diverge. The body is executed twice.
 func WithValidation() RunOption { return driver.WithValidation() }
 
-// WithFaults injects deterministic, seeded message faults for the phase and
-// enables the reliability protocol when the config calls for it. The fault
-// schedule depends only on the seed and each node's program order, so it is
-// identical under both engines.
-func WithFaults(fc FaultConfig) RunOption { return driver.WithFaults(fc) }
-
 // DefaultFaults returns a FaultConfig injecting message loss at the given
-// rate under the given seed, with the reliability protocol enabled.
+// rate under the given seed, with the reliability protocol enabled. Set it
+// as the MachineConfig's Faults; the fault schedule depends only on the seed
+// and each node's program order, so it is identical under both engines.
 func DefaultFaults(seed uint64, dropRate float64) FaultConfig {
 	return machine.DefaultFaults(seed, dropRate)
 }
 
 // RunPhase executes one SPMD phase: body runs on every simulated node with
 // its runtime instance; a barrier closes the phase. It returns per-node
-// cost breakdowns and merged runtime counters. Options select the engine,
-// enable tracing, or cross-validate the two engines.
+// cost breakdowns and merged runtime counters. mcfg chooses the engine,
+// tracing, faults and checkpoint; options cross-validate the two engines or
+// carry cross-phase priors.
 func RunPhase(mcfg MachineConfig, space *Space, spec Spec,
 	body func(rt Runtime, ep *Endpoint, nd *Node), opts ...RunOption) RunStats {
 	return driver.RunPhase(mcfg, space, spec, body, opts...)

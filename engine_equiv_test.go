@@ -49,6 +49,12 @@ func equivEngines(nodes int) []Engine {
 	return engines
 }
 
+// withEngine returns mcfg running under eng.
+func withEngine(mcfg MachineConfig, eng Engine) MachineConfig {
+	mcfg.Engine, mcfg.EngineTuning = eng.Kind(), eng.Tuning()
+	return mcfg
+}
+
 // treesumProgram is the recursive tree-sum pointer program from
 // examples/treesum, small enough to run under every runtime in a test.
 func treesumProgram() *pdg.Program {
@@ -108,12 +114,12 @@ func TestEngineEquivalenceTreesum(t *testing.T) {
 			runs := make([]RunStats, len(engines))
 			for i, eng := range engines {
 				res := pdg.NewResult()
-				runs[i] = RunPhase(DefaultT3D(nodes), space, spec,
+				runs[i] = RunPhase(withEngine(DefaultT3D(nodes), eng), space, spec,
 					func(rt Runtime, ep *Endpoint, nd *Node) {
 						if nd.ID() == 0 {
 							tpart.Run(compiled, rt, nd, res, root)
 						}
-					}, WithEngineValue(eng))
+					})
 				if res.Acc["sum"] != want.Acc["sum"] {
 					t.Fatalf("%v: sum %v, want %v", eng, res.Acc["sum"], want.Acc["sum"])
 				}
@@ -371,11 +377,13 @@ func runPhased(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec
 	t.Helper()
 	app := build(mcfg.Nodes)
 	var out phasedRun
-	var ck *CheckpointSpec
 	if at > 0 {
-		ck = &CheckpointSpec{At: at, Deliver: func(s *Snapshot, err error) {
+		mcfg.Checkpoint = &CheckpointSpec{At: at, Deliver: func(s *Snapshot, err error) {
 			if err != nil {
 				t.Fatalf("capture delivered error: %v", err)
+			}
+			if out.snap != nil {
+				t.Fatalf("checkpoint at t=%d delivered twice", at)
 			}
 			out.snap = s.Encode()
 		}}
@@ -386,9 +394,6 @@ func runPhased(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec
 			store = store.Clone()
 		}
 		opts := append([]RunOption{WithPriors(store, kind)}, extra...)
-		if ck != nil {
-			opts = append(opts, WithCheckpoint(ck))
-		}
 		run := RunPhase(mcfg, app.space(k), spec, app.body(k), opts...)
 		app.commit(k)
 		out.phases = append(out.phases, run)
@@ -414,7 +419,9 @@ func runTraced(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec
 	scratch bool, at Time, eng Engine) (phasedRun, []byte) {
 	t.Helper()
 	tracer := NewTracer(mcfg.Nodes, 2048)
-	run := runPhased(t, build, mcfg, spec, scratch, at, WithEngineValue(eng), WithTracer(tracer))
+	mcfg = withEngine(mcfg, eng)
+	mcfg.Obs = tracer
+	run := runPhased(t, build, mcfg, spec, scratch, at)
 	var buf bytes.Buffer
 	if err := tracer.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -517,6 +524,43 @@ func TestRecycledStorageEquivalence(t *testing.T) {
 	}
 }
 
+// TestValidationLeavesTracerAndCheckpointAlone: the tracer and checkpoint
+// ride in the machine config, and a validated phase's check run executes
+// under a copy of it. That copy must record into no tracer and fire no
+// checkpoint, so a validated run exports the same trace, ends at the same
+// tracer offset, delivers its snapshot exactly once (runPhased fails a
+// second delivery) and produces the same run tables as the run without
+// validation.
+func TestValidationLeavesTracerAndCheckpointAlone(t *testing.T) {
+	const nodes = 4
+	// One EM3D iteration, E then H. Validation runs each body twice, so the
+	// application's values are not comparable and the fingerprint is blank.
+	twoPhases := func(n int) phasedApp {
+		app := phasedEM3D(n, true)
+		app.kinds = app.kinds[:2]
+		app.result = func() string { return "" }
+		return app
+	}
+	mcfg := DefaultT3D(nodes)
+	at := runPhased(t, twoPhases, mcfg, DPASpec(8), false, 0).total.Makespan * 3 / 4
+	run := func(opts ...RunOption) (phasedRun, []byte, Time) {
+		cfg := mcfg
+		cfg.Obs = NewTracer(nodes, 0)
+		r := runPhased(t, twoPhases, cfg, DPASpec(8), false, at, opts...)
+		var buf bytes.Buffer
+		if err := cfg.Obs.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return r, buf.Bytes(), cfg.Obs.Offset()
+	}
+	plain, ptrace, poff := run()
+	checked, ctrace, coff := run(WithValidation())
+	samePhased(t, "validated vs plain", plain, checked, ptrace, ctrace, mcfg.ClockHz)
+	if poff != coff || poff != plain.total.Makespan {
+		t.Fatalf("tracer offset %d validated, %d plain, want the makespan %d", coff, poff, plain.total.Makespan)
+	}
+}
+
 // samePhased fails the test unless two passes over an app are the same run:
 // per-phase statistics and run tables, totals, application results, mid-run
 // snapshot bytes and exported trace bytes.
@@ -555,9 +599,9 @@ func samePhased(t *testing.T, what string, a, b phasedRun, atrace, btrace []byte
 func TestStoreReusedAcrossShapesRebuilds(t *testing.T) {
 	phase := func(s storeStep, store *PriorStore) RunStats {
 		app := phasedPageRank(s.nodes, true)
-		mcfg := DefaultT3D(s.nodes)
+		mcfg := withEngine(DefaultT3D(s.nodes), s.eng)
 		mcfg.Faults = s.faults
-		return RunPhase(mcfg, app.space(0), s.spec, app.body(0), WithEngineValue(s.eng), WithPriors(store, "pagerank"))
+		return RunPhase(mcfg, app.space(0), s.spec, app.body(0), WithPriors(store, "pagerank"))
 	}
 	lossy := DefaultFaults(5, 0.05)
 	steps := []storeStep{

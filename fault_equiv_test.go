@@ -65,12 +65,14 @@ func TestFaultEquivalenceTreesum(t *testing.T) {
 			var sums [2]pdg.Value
 			for i, eng := range []Engine{Sequential(), Parallel()} {
 				res := pdg.NewResult()
-				runs[i] = RunPhase(DefaultT3D(nodes), space, spec,
+				mcfg := withEngine(DefaultT3D(nodes), eng)
+				mcfg.Faults = fc
+				runs[i] = RunPhase(mcfg, space, spec,
 					func(rt Runtime, ep *Endpoint, nd *Node) {
 						if nd.ID() == 0 {
 							tpart.Run(compiled, rt, nd, res, root)
 						}
-					}, WithEngineValue(eng), WithFaults(fc))
+					})
 				sums[i] = res.Acc["sum"]
 			}
 			for i := range runs {
@@ -253,13 +255,15 @@ func TestExhaustedRetriesTypedError(t *testing.T) {
 		t.Run(spec.String(), func(t *testing.T) {
 			var runs [2]RunStats
 			for i, eng := range []Engine{Sequential(), Parallel()} {
-				runs[i] = RunPhase(DefaultT3D(nodes), space, spec,
+				mcfg := withEngine(DefaultT3D(nodes), eng)
+				mcfg.Faults = fc
+				runs[i] = RunPhase(mcfg, space, spec,
 					func(rt Runtime, ep *Endpoint, nd *Node) {
 						for _, p := range ptrs {
 							rt.Spawn(p, func(o Object) {})
 						}
 						rt.Drain()
-					}, WithEngineValue(eng), WithFaults(fc))
+					})
 				if runs[i].Err == nil {
 					t.Fatalf("%v: expected degradation error at 100%% loss", eng)
 				}

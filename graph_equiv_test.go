@@ -88,9 +88,7 @@ func geFaults() []struct {
 }
 
 func geConfig(eng Engine, fc machine.FaultConfig) machine.Config {
-	mcfg := DefaultT3D(geNodes)
-	mcfg.Engine = eng.Kind()
-	mcfg.EngineTuning = eng.Tuning()
+	mcfg := withEngine(DefaultT3D(geNodes), eng)
 	mcfg.Faults = fc
 	return mcfg
 }

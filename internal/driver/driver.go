@@ -12,7 +12,6 @@ import (
 	"dpa/internal/fm"
 	"dpa/internal/gptr"
 	"dpa/internal/machine"
-	"dpa/internal/obs"
 	"dpa/internal/sim"
 	"dpa/internal/stats"
 )
@@ -217,15 +216,10 @@ func NewProtos() *Protos {
 	}
 }
 
-// NewRuntime instantiates the runtime selected by spec on one node. It
-// validates the spec's configuration and returns a descriptive error when it
-// is rejected.
-func (p *Protos) NewRuntime(spec Spec, ep *fm.EP, space *gptr.Space) (Runtime, error) {
-	return p.newRuntime(spec, ep, space, nil)
-}
-
-// newRuntime is NewRuntime building a DPA runtime on a recycled arena (nil:
-// a fresh one); the other runtimes have no arena.
+// newRuntime instantiates the runtime selected by spec on one node, a DPA
+// runtime on a recycled arena (nil: a fresh one); the other runtimes have no
+// arena. It validates the spec's configuration and returns a descriptive
+// error when it is rejected.
 func (p *Protos) newRuntime(spec Spec, ep *fm.EP, space *gptr.Space, arena *core.Arena) (Runtime, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -243,7 +237,8 @@ func (p *Protos) newRuntime(spec Spec, ep *fm.EP, space *gptr.Space, arena *core
 
 // Engine is a first-class engine selection: which simulation engine drives a
 // phase, plus the parallel engine's worker count. Build one with Sequential
-// or Parallel and pass it to RunPhase via WithEngineValue. The zero value is
+// or Parallel and select it with
+// mcfg.Engine, mcfg.EngineTuning = e.Kind(), e.Tuning(). The zero value is
 // the sequential engine.
 //
 // Every Engine produces bit-identical simulation results; the worker count
@@ -296,109 +291,38 @@ func (e Engine) String() string {
 	return s
 }
 
-// RunOption adjusts how RunPhase executes a phase (engine choice, tracing,
-// cross-engine validation) without widening its signature.
+// RunOption adjusts how RunPhase executes a phase beyond what
+// machine.Config describes: cross-engine validation and cross-phase priors.
+// The engine, tracing, faults and checkpoints are Config fields.
 type RunOption func(*runConfig)
 
 type runConfig struct {
-	engine     sim.EngineKind
-	tuning     sim.Tuning
-	engineSet  bool
-	traceBins  sim.Time
-	obs        *obs.Tracer
-	validate   bool
-	faults     machine.FaultConfig
-	faultsSet  bool
-	checkpoint *machine.CheckpointSpec
-	prior      *PriorStore
-	priorKind  string
-}
-
-// WithEngineValue selects the engine driving the phase as a first-class
-// value built by Sequential or Parallel.
-func WithEngineValue(e Engine) RunOption {
-	return func(rc *runConfig) {
-		rc.engine = e.kind
-		rc.tuning = e.tuning
-		rc.engineSet = true
-	}
-}
-
-// WithTrace enables activity-timeline recording with the given bin width in
-// cycles (see machine.Config.TraceBins).
-func WithTrace(binWidth sim.Time) RunOption {
-	return func(rc *runConfig) { rc.traceBins = binWidth }
-}
-
-// WithTracer attaches a structured observability tracer to the phase: per
-// node, coalesced charge spans plus discrete fetch/strip/fault/barrier
-// events, exportable as Chrome trace_event JSON (see the obs package). The
-// tracer must have been built for the machine's node count. One tracer may be
-// passed to several consecutive phases; each phase appends after the previous
-// one on a shared virtual timeline.
-func WithTracer(t *obs.Tracer) RunOption {
-	return func(rc *runConfig) { rc.obs = t }
+	validate  bool
+	prior     *PriorStore
+	priorKind string
 }
 
 // WithValidation runs the phase a second time under the other engine and
 // panics if the two runs' statistics diverge — a determinism check for the
 // engine pair. The body must be re-runnable: it is executed twice, so any
 // state it mutates outside the runtime (e.g. application arrays) is updated
-// twice.
+// twice. The check run records into no tracer (mcfg.Obs) and fires no
+// checkpoint (mcfg.Checkpoint), so each is seen exactly once.
 func WithValidation() RunOption {
 	return func(rc *runConfig) { rc.validate = true }
-}
-
-// WithFaults injects deterministic message faults (and, when the config
-// calls for it, enables the fm reliability protocol) for the phase. The
-// fault schedule is a pure function of the config's seed and each node's
-// program order, so it is identical under both engines.
-func WithFaults(fc machine.FaultConfig) RunOption {
-	return func(rc *runConfig) { rc.faults = fc; rc.faultsSet = true }
-}
-
-// WithCheckpoint arms a deterministic checkpoint (or, when spec.Verify is
-// set, a restore verification) on the phase. The spec is a cross-phase
-// cursor: pass the same spec to every phase of a multi-phase run and the
-// boundary fires in whichever phase spec.At (cumulative virtual time) falls.
-// At the boundary — the first scheduling decision at which every simulated
-// process's next event is at or beyond the target time — the driver captures
-// engine, machine, fm, and runtime state into a sim.Snapshot and hands it to
-// spec.Deliver. In verify mode the re-capture is diffed against spec.Verify
-// and a *sim.SnapshotDivergedError is both delivered and recorded on the
-// run's error chain. Not composable with WithValidation: the cross-engine
-// check run executes without the checkpoint so Deliver fires exactly once.
-func WithCheckpoint(spec *machine.CheckpointSpec) RunOption {
-	return func(rc *runConfig) { rc.checkpoint = spec }
 }
 
 // RunPhase executes one SPMD phase: body runs on every node with its
 // runtime; a barrier closes the phase (nodes keep serving until everyone is
 // done). The returned Run has per-node breakdowns and merged runtime
-// counters. Options select the engine, enable tracing, or cross-validate the
-// engines; with no options the phase runs exactly as configured by mcfg.
+// counters. mcfg chooses the engine, tracing, faults and checkpoint; with
+// no options the phase runs exactly as it configures.
 func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 	body func(rt Runtime, ep *fm.EP, nd *machine.Node), opts ...RunOption) stats.Run {
 
 	var rc runConfig
 	for _, o := range opts {
 		o(&rc)
-	}
-	if rc.engineSet {
-		mcfg.Engine = rc.engine
-		mcfg.EngineTuning = rc.tuning
-	}
-	if rc.traceBins > 0 {
-		mcfg.TraceBins = rc.traceBins
-	}
-	if rc.obs != nil {
-		mcfg.Obs = rc.obs
-	}
-	if rc.faultsSet {
-		mcfg.Faults = rc.faults
-	}
-	if rc.checkpoint != nil {
-		mcfg.Checkpoint = rc.checkpoint
 	}
 	if err := spec.Validate(); err != nil {
 		panic("driver: invalid spec: " + err.Error())

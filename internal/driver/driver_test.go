@@ -18,6 +18,13 @@ type thing struct{ id int }
 
 func (thing) ByteSize() int { return 8 }
 
+// t3d returns the default T3D config for the given node count, run by eng.
+func t3d(nodes int, eng Engine) machine.Config {
+	mcfg := machine.DefaultT3D(nodes)
+	mcfg.Engine, mcfg.EngineTuning = eng.Kind(), eng.Tuning()
+	return mcfg
+}
+
 func TestSpecStrings(t *testing.T) {
 	if DPASpec(300).String() != "DPA(300)" {
 		t.Error(DPASpec(300).String())
@@ -30,14 +37,14 @@ func TestSpecStrings(t *testing.T) {
 	}
 }
 
-func TestNewRuntimeKinds(t *testing.T) {
+func TestRuntimeKinds(t *testing.T) {
 	for _, spec := range []Spec{DPASpec(10), CachingSpec(), BlockingSpec()} {
 		protos := NewProtos()
 		space := gptr.NewSpace(1)
 		m := machine.New(machine.DefaultT3D(1))
 		m.Run(func(nd *machine.Node) {
 			ep := fm.NewEP(protos.Net, nd)
-			rt, err := protos.NewRuntime(spec, ep, space)
+			rt, err := protos.newRuntime(spec, ep, space, nil)
 			if err != nil {
 				t.Errorf("%s: %v", spec, err)
 			}
@@ -54,13 +61,13 @@ func TestUnknownKindRejected(t *testing.T) {
 	m := machine.New(machine.DefaultT3D(1))
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(protos.Net, nd)
-		if _, err := protos.NewRuntime(Spec{Kind: "bogus"}, ep, space); err == nil {
+		if _, err := protos.newRuntime(Spec{Kind: "bogus"}, ep, space, nil); err == nil {
 			t.Error("expected error for unknown kind")
 		}
 	})
 }
 
-func TestNewRuntimeRejectsInvalidConfig(t *testing.T) {
+func TestRuntimeRejectsInvalidConfig(t *testing.T) {
 	protos := NewProtos()
 	space := gptr.NewSpace(1)
 	m := machine.New(machine.DefaultT3D(1))
@@ -68,11 +75,11 @@ func TestNewRuntimeRejectsInvalidConfig(t *testing.T) {
 		ep := fm.NewEP(protos.Net, nd)
 		bad := DPASpec(10)
 		bad.Core.AggLimit = -3
-		if _, err := protos.NewRuntime(bad, ep, space); err == nil {
+		if _, err := protos.newRuntime(bad, ep, space, nil); err == nil {
 			t.Error("expected error for negative AggLimit")
 		}
 		badCache := CachingSpec(WithCacheCapacity(-1))
-		if _, err := protos.NewRuntime(badCache, ep, space); err == nil {
+		if _, err := protos.newRuntime(badCache, ep, space, nil); err == nil {
 			t.Error("expected error for negative cache capacity")
 		}
 	})
@@ -131,8 +138,8 @@ func TestEngineValues(t *testing.T) {
 	}
 }
 
-// TestRunPhaseEngineValue runs the same phase under several WithEngineValue
-// configurations; all must agree.
+// TestRunPhaseEngineValue runs the same phase under several Engine values,
+// selected through the machine config; all must agree.
 func TestRunPhaseEngineValue(t *testing.T) {
 	const nodes = 4
 	space := gptr.NewSpace(nodes)
@@ -140,26 +147,22 @@ func TestRunPhaseEngineValue(t *testing.T) {
 	for i := range ptrs {
 		ptrs[i] = space.Alloc(i, thing{id: i})
 	}
-	phase := func(opt RunOption) stats.Run {
-		return RunPhase(machine.DefaultT3D(nodes), space, DPASpec(10),
+	phase := func(eng Engine) stats.Run {
+		return RunPhase(t3d(nodes, eng), space, DPASpec(10),
 			func(rt Runtime, ep *fm.EP, nd *machine.Node) {
 				for _, p := range ptrs {
 					rt.Spawn(p, func(o gptr.Object) {})
 				}
 				rt.Drain()
-			}, opt)
+			})
 	}
-	base := phase(WithEngineValue(Sequential()))
-	for _, opt := range []RunOption{
-		WithEngineValue(Parallel()),
-		WithEngineValue(Parallel(Workers(2))),
-		WithEngineValue(Parallel(Workers(nodes))),
-	} {
-		if diff := base.Diff(phase(opt)); diff != "" {
-			t.Fatalf("engine value run diverges from sequential: %s", diff)
+	base := phase(Sequential())
+	for _, eng := range []Engine{Parallel(), Parallel(Workers(2)), Parallel(Workers(nodes))} {
+		if diff := base.Diff(phase(eng)); diff != "" {
+			t.Fatalf("%v run diverges from sequential: %s", eng, diff)
 		}
 	}
-	par := phase(WithEngineValue(Parallel(Workers(2))))
+	par := phase(Parallel(Workers(2)))
 	if par.Host == nil || par.Host.Workers != 2 {
 		t.Fatalf("parallel run host counters = %+v, want 2 workers", par.Host)
 	}
@@ -183,9 +186,8 @@ func TestRunPhaseRejectsBadTuning(t *testing.T) {
 		}
 	}()
 	space := gptr.NewSpace(2)
-	RunPhase(machine.DefaultT3D(2), space, DPASpec(10),
-		func(rt Runtime, ep *fm.EP, nd *machine.Node) {},
-		WithEngineValue(Parallel(Workers(3))))
+	RunPhase(t3d(2, Parallel(Workers(3))), space, DPASpec(10),
+		func(rt Runtime, ep *fm.EP, nd *machine.Node) {})
 }
 
 func TestRunPhaseCrossTraffic(t *testing.T) {
@@ -229,15 +231,16 @@ func TestPriorStoreArenaLifetime(t *testing.T) {
 		ptrs[i] = space.Alloc(i, thing{id: i})
 	}
 	store := NewPriorStore()
-	phase := func(nodes int, spec Spec, opts ...RunOption) stats.Run {
-		return RunPhase(machine.DefaultT3D(nodes), space, spec,
+	phaseOn := func(mcfg machine.Config, spec Spec) stats.Run {
+		return RunPhase(mcfg, space, spec,
 			func(rt Runtime, ep *fm.EP, nd *machine.Node) {
-				for _, p := range ptrs[:nodes] {
+				for _, p := range ptrs[:mcfg.Nodes] {
 					rt.Spawn(p, func(gptr.Object) {})
 				}
 				rt.Drain()
-			}, append(opts, WithPriors(store, "k"))...)
+			}, WithPriors(store, "k"))
 	}
+	phase := func(nodes int, spec Spec) stats.Run { return phaseOn(machine.DefaultT3D(nodes), spec) }
 	held := func() *core.Arena {
 		if len(store.arenas) == 0 {
 			return nil
@@ -283,8 +286,9 @@ func TestPriorStoreArenaLifetime(t *testing.T) {
 
 	// A degraded phase: every message is lost, the retry budget runs out,
 	// owners become unreachable and the run carries an error.
-	fc := machine.DefaultFaults(1, 1.0)
-	if run := phase(3, DPASpec(10, WithShape()), WithFaults(fc)); run.Err == nil {
+	lossy := machine.DefaultT3D(3)
+	lossy.Faults = machine.DefaultFaults(1, 1.0)
+	if run := phaseOn(lossy, DPASpec(10, WithShape())); run.Err == nil {
 		t.Fatal("total message loss produced a clean run")
 	}
 	if store.arenas != nil || store.mach != nil {
@@ -369,12 +373,12 @@ func TestBadThreadRejectedAtCreationSite(t *testing.T) {
 							t.Fatalf("panic %q, want one starting %q", got, want)
 						}
 					}()
-					RunPhase(machine.DefaultT3D(2), space, spec, func(rt Runtime, ep *fm.EP, nd *machine.Node) {
+					RunPhase(t3d(2, eng), space, spec, func(rt Runtime, ep *fm.EP, nd *machine.Node) {
 						if nd.ID() == 0 {
 							c.bad(rt, staleID)
 							rt.Drain()
 						}
-					}, WithEngineValue(eng), WithPriors(store, "k"))
+					}, WithPriors(store, "k"))
 					t.Fatal("the phase ran to completion")
 				})
 			}

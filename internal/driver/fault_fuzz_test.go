@@ -15,9 +15,10 @@ import (
 
 // FuzzFaultConfig holds machine.FaultConfig and a capture-mode
 // machine.CheckpointSpec to their contract: a config that Validate rejects
-// is refused with an error, never a panic, and one it accepts carries a
-// 4-phase, 8-node EM3D run to the end under both engines, with identical run
-// tables and an error that is nil or typed — every leaf wraps
+// is refused with an error wrapping sim.ErrBadFaults (or, for the
+// checkpoint, machine.ErrBadCheckpoint), never a panic, and one it accepts
+// carries a 4-phase, 8-node EM3D run to the end under both engines, with
+// identical run tables and an error that is nil or typed — every leaf wraps
 // fm.ErrUnreachable, machine.ErrCrashed or sim.ErrDeadlock. A checkpoint
 // time that is not positive is rejected with machine.ErrBadCheckpoint; an
 // accepted one is delivered at most once per run, at RequestedAt == At,
@@ -68,7 +69,10 @@ func FuzzFaultConfig(f *testing.F) {
 			RelMaxRetries: 1 + int(retries%6),
 			RelAckBytes:   int(ackBytes % 64),
 		}
-		if cfg.Validate() != nil {
+		if err := cfg.Validate(); err != nil {
+			if !errors.Is(err, sim.ErrBadFaults) {
+				t.Fatalf("%+v rejected with an untyped error: %v", cfg.Faults, err)
+			}
 			return
 		}
 		delivered := 0

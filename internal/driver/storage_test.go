@@ -58,9 +58,10 @@ func TestDegradedPhaseDropsRunStorage(t *testing.T) {
 	}{{"deadlock", lossy, sim.ErrDeadlock}, {"crash", crashy, machine.ErrCrashed}}
 	for _, c := range cases {
 		for _, eng := range []Engine{Sequential(), Parallel(Workers(2))} {
+			mcfg := t3d(nodes, eng)
+			mcfg.Faults = c.faults
 			phase := func(store *PriorStore, localOnly bool) stats.Run {
-				return RunPhase(machine.DefaultT3D(nodes), space, DPASpec(10), fetchAll(ptrs, localOnly),
-					WithEngineValue(eng), WithFaults(c.faults), WithPriors(store, "k"))
+				return RunPhase(mcfg, space, DPASpec(10), fetchAll(ptrs, localOnly), WithPriors(store, "k"))
 			}
 			store := NewPriorStore()
 			if run := phase(store, false); !errors.Is(run.Err, c.want) {

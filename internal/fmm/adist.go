@@ -41,32 +41,20 @@ func DistributeAdaptive(t *ATree, nodes int) *ADist {
 	d := &ADist{
 		T:       t,
 		Space:   gptr.NewSpace(nodes),
-		Owner:   make([]int32, len(t.Cells)),
 		MpPtr:   make([]gptr.Ptr, len(t.Cells)),
 		LocPtr:  make([]gptr.Ptr, len(t.Cells)),
 		LeafPtr: make([]gptr.Ptr, len(t.Cells)),
 	}
 	// Leaf ownership: weighted contiguous chunks of DFS order.
-	var total float64
+	var leaves []int
+	weight := make([]float64, len(t.Cells))
 	for ci := range t.Cells {
-		if t.Cells[ci].Leaf {
-			total += 1 + float64(len(t.Cells[ci].Body))
+		if c := &t.Cells[ci]; c.Leaf {
+			leaves = append(leaves, ci)
+			weight[ci] = 1 + float64(len(c.Body))
 		}
 	}
-	perNode := total / float64(nodes)
-	acc, node := 0.0, 0
-	for ci := range t.Cells {
-		c := &t.Cells[ci]
-		if !c.Leaf {
-			continue
-		}
-		w := 1 + float64(len(c.Body))
-		if acc+w > perNode*float64(node+1) && node < nodes-1 {
-			node++
-		}
-		d.Owner[ci] = int32(node)
-		acc += w
-	}
+	d.Owner = nbody.CostZones(leaves, weight, nodes)
 	// Internal cells: owner of the first descendant leaf. Children follow
 	// parents in the preorder cell array, so a reverse sweep sees children
 	// first.

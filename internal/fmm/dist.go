@@ -92,19 +92,13 @@ func Distribute(bodies []nbody.Body, prm Params, nodes int) *Dist {
 
 	// Leaf ownership: contiguous Morton zones with balanced body counts.
 	nLeaves := g.CellsAt(g.L)
-	leafOwner := make([]int32, nLeaves)
-	total := float64(len(bodies)) + float64(nLeaves)
-	perNode := total / float64(nodes)
-	acc := 0.0
-	node := 0
-	for c := 0; c < nLeaves; c++ {
-		w := 1.0 + float64(len(d.LeafBody[c]))
-		if acc+w > perNode*float64(node+1) && node < nodes-1 {
-			node++
-		}
-		leafOwner[c] = int32(node)
-		acc += w
+	order := make([]int, nLeaves)
+	weight := make([]float64, nLeaves)
+	for c := range order {
+		order[c] = c
+		weight[c] = 1 + float64(len(d.LeafBody[c]))
 	}
+	leafOwner := nbody.CostZones(order, weight, nodes)
 	// Internal cells: owner of the first descendant leaf.
 	d.Owner = make([][]int32, g.L+1)
 	d.Owner[g.L] = leafOwner

@@ -54,12 +54,9 @@ type Config struct {
 	HashCost sim.Time
 
 	// TraceBins, when positive, enables activity-timeline recording with
-	// the given bin width in cycles (see Timeline).
+	// the given bin width in cycles (see Timeline); every Run records into
+	// a timeline of its own.
 	TraceBins sim.Time
-	// TraceHorizon, when positive, is the expected makespan in cycles. It
-	// pre-sizes timeline bin storage so recording does not grow slices on
-	// the hot path; runs longer than the horizon still record correctly.
-	TraceHorizon sim.Time
 
 	// Obs, when non-nil, attaches the structured observability tracer: per
 	// node, coalesced charge spans plus discrete events from the messaging
@@ -88,8 +85,10 @@ type Config struct {
 
 	// Checkpoint, when non-nil, arms a deterministic checkpoint (or restore
 	// verification) spanning the phases run with this config; the spec is a
-	// cross-phase cursor like Obs's phase offset. The driver resolves which
-	// phase the boundary falls in and performs the capture.
+	// cross-phase cursor like Obs's phase offset: set the same spec on
+	// every phase. The driver resolves which phase the boundary falls in,
+	// performs the capture and, in verify mode, also records a divergence
+	// on the run's error chain.
 	Checkpoint *CheckpointSpec
 }
 
@@ -145,9 +144,6 @@ func (c *Config) Validate() error {
 	if c.SendOverhead < 0 || c.RecvOverhead < 0 || c.PollCost < 0 || c.HandlerCost < 0 ||
 		c.LatencyBase < 0 || c.LatencyPerHop < 0 {
 		return fmt.Errorf("machine: per-operation costs must be non-negative")
-	}
-	if c.TraceHorizon < 0 {
-		return fmt.Errorf("machine: TraceHorizon = %d, must be non-negative", c.TraceHorizon)
 	}
 	if c.Obs != nil && c.Obs.Nodes() != c.Nodes {
 		return fmt.Errorf("machine: Obs tracer built for %d nodes, machine has %d", c.Obs.Nodes(), c.Nodes)
@@ -254,15 +250,11 @@ func New(cfg Config) *Machine {
 		// Unreachable after Validate, which checks the same tuning bounds.
 		panic(err)
 	}
-	m := &Machine{
+	return &Machine{
 		Cfg:  cfg,
 		eng:  eng,
 		plan: sim.NewFaultPlan(cfg.Faults.FaultParams),
 	}
-	if cfg.TraceBins > 0 {
-		m.EnableTrace(cfg.TraceBins)
-	}
-	return m
 }
 
 // newEngine builds every machine's engine. It is a variable so that this
@@ -299,9 +291,9 @@ func (m *Machine) Run(main func(n *Node)) (sim.Time, error) {
 		}
 	} else {
 		m.eng.Reset()
-		if m.trace != nil {
-			m.trace = newTimeline(m.trace.BinWidth, &m.Cfg)
-		}
+	}
+	if m.Cfg.TraceBins > 0 {
+		m.trace = newTimeline(m.Cfg.TraceBins, m.Cfg.Nodes)
 	}
 	for i, n := range m.nodes {
 		n.reset(m, i)

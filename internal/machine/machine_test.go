@@ -547,8 +547,9 @@ func TestSPMDAllNodesRun(t *testing.T) {
 }
 
 func TestTimelineRecordsBins(t *testing.T) {
-	m := New(DefaultT3D(2))
-	m.EnableTrace(100)
+	cfg := DefaultT3D(2)
+	cfg.TraceBins = 100
+	m := New(cfg)
 	m.Run(func(n *Node) {
 		if n.ID() == 0 {
 			n.Charge(sim.Compute, 250) // bins 0,1,2
@@ -579,8 +580,9 @@ func TestTimelineRecordsBins(t *testing.T) {
 }
 
 func TestGanttRendering(t *testing.T) {
-	m := New(DefaultT3D(2))
-	m.EnableTrace(10)
+	cfg := DefaultT3D(2)
+	cfg.TraceBins = 10
+	m := New(cfg)
 	m.Run(func(n *Node) {
 		if n.ID() == 0 {
 			n.Charge(sim.Compute, 1000)
@@ -603,15 +605,4 @@ func TestGanttRendering(t *testing.T) {
 	if !strings.Contains(rows[1], ".") {
 		t.Errorf("node 1 row %q has no idle", rows[1])
 	}
-}
-
-func TestEnableTraceAfterRunPanics(t *testing.T) {
-	m := New(DefaultT3D(1))
-	m.Run(func(n *Node) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.EnableTrace(10)
 }

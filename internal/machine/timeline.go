@@ -15,39 +15,16 @@ type Timeline struct {
 	Bins [][][sim.NumCategories]sim.Time
 }
 
-// EnableTrace turns on activity recording with the given bin width (in
-// cycles). Must be called before the first Run; every Run records into a
-// timeline of its own. When Config.TraceHorizon is set, each
-// node's bin slice is pre-sized (capacity, not length) to cover the horizon,
-// so recording never grows storage while the simulation runs.
-func (m *Machine) EnableTrace(binWidth sim.Time) {
-	if binWidth <= 0 {
-		panic("machine: trace bin width must be positive")
-	}
-	if m.nodes != nil {
-		panic("machine: EnableTrace after Run")
-	}
-	m.trace = newTimeline(binWidth, &m.Cfg)
-}
-
-// newTimeline returns an empty timeline for cfg's nodes, each node's bins
-// pre-sized to cfg.TraceHorizon.
-func newTimeline(binWidth sim.Time, cfg *Config) *Timeline {
-	horizonBins := 0
-	if cfg.TraceHorizon > 0 {
-		horizonBins = int((cfg.TraceHorizon + binWidth - 1) / binWidth)
-	}
-	t := &Timeline{
+// newTimeline returns an empty timeline for the given node count.
+func newTimeline(binWidth sim.Time, nodes int) *Timeline {
+	return &Timeline{
 		BinWidth: binWidth,
-		Bins:     make([][][sim.NumCategories]sim.Time, cfg.Nodes),
+		Bins:     make([][][sim.NumCategories]sim.Time, nodes),
 	}
-	for n := range t.Bins {
-		t.Bins[n] = make([][sim.NumCategories]sim.Time, 0, horizonBins)
-	}
-	return t
 }
 
-// Trace returns the recorded timeline (nil if tracing was not enabled).
+// Trace returns the last Run's timeline (nil before the first Run and
+// whenever Config.TraceBins is not positive).
 func (m *Machine) Trace() *Timeline { return m.trace }
 
 // record distributes the interval [start, end) of category cat over bins.
@@ -56,7 +33,7 @@ func (t *Timeline) record(node int, cat sim.Category, start, end sim.Time) {
 		return
 	}
 	// Grow once to cover the interval's last bin, rather than one bin per
-	// loop iteration (a no-op whenever the pre-sized capacity suffices).
+	// loop iteration.
 	lastBin := int((end - 1) / t.BinWidth)
 	if nb := t.Bins[node]; lastBin >= len(nb) {
 		t.Bins[node] = append(nb, make([][sim.NumCategories]sim.Time, lastBin+1-len(nb))...)

@@ -6,15 +6,8 @@ import (
 	"dpa/internal/sim"
 )
 
-func newTestTimeline(binWidth sim.Time, nodes int) *Timeline {
-	return &Timeline{
-		BinWidth: binWidth,
-		Bins:     make([][][sim.NumCategories]sim.Time, nodes),
-	}
-}
-
 func TestRecordSpansManyBins(t *testing.T) {
-	tl := newTestTimeline(10, 1)
+	tl := newTimeline(10, 1)
 	tl.record(0, sim.Compute, 5, 995)
 	if got := len(tl.Bins[0]); got != 100 {
 		t.Fatalf("bins = %d, want 100", got)
@@ -38,7 +31,7 @@ func TestRecordSpansManyBins(t *testing.T) {
 }
 
 func TestRecordZeroLengthInterval(t *testing.T) {
-	tl := newTestTimeline(10, 1)
+	tl := newTimeline(10, 1)
 	tl.record(0, sim.Compute, 50, 50)
 	tl.record(0, sim.Compute, 60, 40) // inverted: also a no-op
 	if got := len(tl.Bins[0]); got != 0 {
@@ -47,7 +40,7 @@ func TestRecordZeroLengthInterval(t *testing.T) {
 }
 
 func TestRecordEndsExactlyOnBinEdge(t *testing.T) {
-	tl := newTestTimeline(50, 1)
+	tl := newTimeline(50, 1)
 	tl.record(0, sim.Idle, 0, 100)
 	// [0,100) with width 50 fills exactly bins 0 and 1; a third bin would
 	// mean the edge case allocated an empty trailing bin.
@@ -61,7 +54,7 @@ func TestRecordEndsExactlyOnBinEdge(t *testing.T) {
 }
 
 func TestGanttClampsWidthToBinCount(t *testing.T) {
-	tl := newTestTimeline(10, 1)
+	tl := newTimeline(10, 1)
 	tl.record(0, sim.Compute, 0, 30) // 3 bins
 	rows := tl.Gantt(80)
 	// With fewer bins than requested columns the row must shrink to one
@@ -76,7 +69,7 @@ func TestGanttClampsWidthToBinCount(t *testing.T) {
 }
 
 func TestGanttWideRunsKeepRequestedWidth(t *testing.T) {
-	tl := newTestTimeline(10, 1)
+	tl := newTimeline(10, 1)
 	tl.record(0, sim.Compute, 0, 1000) // 100 bins
 	rows := tl.Gantt(20)
 	if len(rows[0]) != 20 {
@@ -84,25 +77,10 @@ func TestGanttWideRunsKeepRequestedWidth(t *testing.T) {
 	}
 }
 
-func TestEnableTracePreSizesFromHorizon(t *testing.T) {
-	cfg := DefaultT3D(2)
-	cfg.TraceHorizon = 995
-	m := New(cfg)
-	m.EnableTrace(10)
-	for n := range m.trace.Bins {
-		if got := cap(m.trace.Bins[n]); got != 100 {
-			t.Errorf("node %d bin capacity = %d, want 100 (horizon/width rounded up)", n, got)
-		}
-		if got := len(m.trace.Bins[n]); got != 0 {
-			t.Errorf("node %d bin length = %d, want 0 (capacity only)", n, got)
-		}
-	}
-}
-
 func TestAppendShifted(t *testing.T) {
-	a := newTestTimeline(10, 1)
+	a := newTimeline(10, 1)
 	a.record(0, sim.Compute, 0, 10)
-	b := newTestTimeline(10, 1)
+	b := newTimeline(10, 1)
 	b.record(0, sim.Idle, 0, 10)
 	b.record(0, sim.Compute, 10, 15)
 
@@ -126,8 +104,8 @@ func TestAppendShifted(t *testing.T) {
 }
 
 func TestAppendShiftedBinWidthMismatchPanics(t *testing.T) {
-	a := newTestTimeline(10, 1)
-	b := newTestTimeline(20, 1)
+	a := newTimeline(10, 1)
+	b := newTimeline(20, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on bin-width mismatch")

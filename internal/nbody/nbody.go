@@ -239,31 +239,43 @@ func Partition(bodies []Body, cost []float64, nodes int, key func(Body) uint64) 
 		keys[i] = key(bodies[i])
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+	return CostZones(idx, cost, nodes)
+}
 
+// CostZones cuts items, visited in order, into nodes contiguous zones of
+// about total/nodes weight each and returns every item's zone, indexed like
+// weight: item i weighs weight[i] (nil weighs each of the len(order) items
+// 1), and items absent from order are left in zone 0. The total is summed in
+// index order. A zone closes before the item that would carry the running
+// weight past its share, except the last, which takes every remaining item,
+// so each zone's load is below total/nodes plus the heaviest item.
+func CostZones(order []int, weight []float64, nodes int) []int32 {
+	w := func(i int) float64 {
+		if weight == nil {
+			return 1
+		}
+		return weight[i]
+	}
+	n := len(weight)
+	if weight == nil {
+		n = len(order)
+	}
 	var total float64
 	for i := 0; i < n; i++ {
-		if cost == nil {
-			total++
-		} else {
-			total += cost[i]
-		}
+		total += w(i)
 	}
-	owner := make([]int32, n)
+	zone := make([]int32, n)
 	perNode := total / float64(nodes)
-	acc := 0.0
-	node := 0
-	for _, i := range idx {
-		w := 1.0
-		if cost != nil {
-			w = cost[i]
-		}
-		if acc+w > perNode*float64(node+1) && node < nodes-1 {
+	acc, node := 0.0, 0
+	for _, i := range order {
+		wi := w(i)
+		if acc+wi > perNode*float64(node+1) && node < nodes-1 {
 			node++
 		}
-		owner[i] = int32(node)
-		acc += w
+		zone[i] = int32(node)
+		acc += wi
 	}
-	return owner
+	return zone
 }
 
 // Leapfrog advances bodies one step of size dt given per-body accelerations.

@@ -2,6 +2,8 @@ package nbody
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -207,5 +209,48 @@ func TestLeapfrog(t *testing.T) {
 	}
 	if bodies[0].Pos != [3]float64{0.5, 0.25, 0} {
 		t.Errorf("pos = %v", bodies[0].Pos)
+	}
+}
+
+// TestCostZonesProperty: for random visit orders and positive integer
+// weights, some of them heavy, zones never step back along the visit order
+// (each zone is one contiguous range of it), every zone's load is below
+// total/nodes plus the heaviest item, and nil weights cut like unit ones.
+func TestCostZonesProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 1000; trial++ {
+		n, nodes := 1+rng.Intn(300), 1+rng.Intn(40)
+		weight := make([]float64, n)
+		var total, heaviest float64
+		for i := range weight {
+			weight[i] = float64(1 + rng.Intn(8))
+			if rng.Intn(20) == 0 {
+				weight[i] *= 100
+			}
+			total += weight[i]
+			heaviest = max(heaviest, weight[i])
+		}
+		order := rng.Perm(n)
+		zone := CostZones(order, weight, nodes)
+		load := make([]float64, nodes)
+		last := int32(0)
+		for _, i := range order {
+			if zone[i] < last || int(zone[i]) >= nodes {
+				t.Fatalf("trial %d: item %d in zone %d after zone %d (%d nodes)", trial, i, zone[i], last, nodes)
+			}
+			last = zone[i]
+			load[last] += weight[i]
+		}
+		for k, l := range load {
+			if l >= total/float64(nodes)+heaviest {
+				t.Fatalf("trial %d: zone %d carries %v of %v over %d nodes (heaviest %v)", trial, k, l, total, nodes, heaviest)
+			}
+		}
+		for i := range weight {
+			weight[i] = 1
+		}
+		if !slices.Equal(CostZones(order, nil, nodes), CostZones(order, weight, nodes)) {
+			t.Fatalf("trial %d: nil weights cut differently from unit weights", trial)
+		}
 	}
 }

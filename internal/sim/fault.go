@@ -1,6 +1,14 @@
 package sim
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
+
+// ErrBadFaults is the sentinel matched by errors.Is for FaultParams that
+// Validate rejects. Every rejection wraps it as its message's prefix, so the
+// message reads "sim: fault <field> = <value>, ...".
+var ErrBadFaults = errors.New("sim: fault")
 
 // FaultParams configures deterministic fault injection. All rates are
 // probabilities in [0, 1]; a zero value injects nothing.
@@ -55,7 +63,8 @@ func (f *FaultParams) Any() bool {
 		(f.CrashRate > 0 && f.CrashAt > 0)
 }
 
-// Validate rejects parameters with no defined meaning.
+// Validate rejects parameters with no defined meaning with an error that
+// wraps ErrBadFaults.
 func (f *FaultParams) Validate() error {
 	for _, r := range []struct {
 		name string
@@ -66,17 +75,17 @@ func (f *FaultParams) Validate() error {
 		{"CrashRate", f.CrashRate},
 	} {
 		if !(r.v >= 0 && r.v <= 1) { // NaN fails both comparisons
-			return fmt.Errorf("sim: fault %s = %v, must be in [0, 1]", r.name, r.v)
+			return fmt.Errorf("%w %s = %v, must be in [0, 1]", ErrBadFaults, r.name, r.v)
 		}
 	}
 	if f.MaxJitter < 0 {
-		return fmt.Errorf("sim: fault MaxJitter = %d, must be >= 0", f.MaxJitter)
+		return fmt.Errorf("%w MaxJitter = %d, must be >= 0", ErrBadFaults, f.MaxJitter)
 	}
 	if f.StallCycles < 0 {
-		return fmt.Errorf("sim: fault StallCycles = %d, must be >= 0", f.StallCycles)
+		return fmt.Errorf("%w StallCycles = %d, must be >= 0", ErrBadFaults, f.StallCycles)
 	}
 	if f.CrashAt < 0 {
-		return fmt.Errorf("sim: fault CrashAt = %d, must be >= 0", f.CrashAt)
+		return fmt.Errorf("%w CrashAt = %d, must be >= 0", ErrBadFaults, f.CrashAt)
 	}
 	return nil
 }

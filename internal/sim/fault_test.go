@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -36,15 +37,20 @@ func TestFaultParamsValidate(t *testing.T) {
 		{JitterRate: nan},
 		{StallRate: nan},
 		{CrashRate: nan, CrashAt: 100},
+		{CrashRate: 1.5},
+		{CrashAt: -1},
 	}
 	for _, p := range bad {
-		if p.Validate() == nil {
-			t.Errorf("params %+v must be rejected", p)
+		if err := p.Validate(); !errors.Is(err, ErrBadFaults) {
+			t.Errorf("params %+v: Validate = %v, want an ErrBadFaults error", p, err)
 		}
 	}
-	// The error names the field.
+	// The error names the field and its value.
 	if err := (&FaultParams{StallRate: nan}).Validate(); err == nil || !strings.Contains(err.Error(), "StallRate") {
 		t.Errorf("NaN StallRate: error %v does not name the field", err)
+	}
+	if err := (&FaultParams{DropRate: 2}).Validate(); err == nil || err.Error() != "sim: fault DropRate = 2, must be in [0, 1]" {
+		t.Errorf("DropRate 2: error %q", err)
 	}
 	ok := FaultParams{DropRate: 0.5, DupRate: 0.1, JitterRate: 1,
 		MaxJitter: 10, StallRate: 0.2, StallCycles: 100}

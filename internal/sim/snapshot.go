@@ -80,7 +80,7 @@ func (e *SnapshotDivergedError) Unwrap() error { return ErrSnapshotDiverged }
 // SnapshotMeta identifies when in a run a snapshot was captured.
 type SnapshotMeta struct {
 	// RequestedAt is the cumulative virtual time the checkpoint was
-	// requested for (the WithCheckpoint argument).
+	// requested for (CheckpointSpec.At).
 	RequestedAt Time
 	// Boundary is the cumulative virtual time of the boundary the capture
 	// actually ran at (== RequestedAt; kept separately so the format can

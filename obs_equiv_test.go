@@ -13,9 +13,10 @@ import (
 	"dpa/internal/tpart"
 )
 
-// obsRun executes the treesum workload under one engine with a fresh tracer
-// and returns the exported Chrome trace and Prometheus metrics text.
-func obsRun(t *testing.T, spec Spec, eng Engine, opts ...RunOption) (traceOut, metricsOut []byte) {
+// obsRun executes the treesum workload under one engine and fault plan with
+// a fresh tracer and returns the exported Chrome trace and Prometheus
+// metrics text.
+func obsRun(t *testing.T, spec Spec, eng Engine, fc FaultConfig) (traceOut, metricsOut []byte) {
 	t.Helper()
 	const nodes = 4
 	const depth = 8
@@ -28,13 +29,16 @@ func obsRun(t *testing.T, spec Spec, eng Engine, opts ...RunOption) (traceOut, m
 	root := buildEquivTree(space, depth)
 
 	tracer := NewTracer(nodes, 0)
+	mcfg := withEngine(DefaultT3D(nodes), eng)
+	mcfg.Obs = tracer
+	mcfg.Faults = fc
 	res := pdg.NewResult()
-	run := RunPhase(DefaultT3D(nodes), space, spec,
+	run := RunPhase(mcfg, space, spec,
 		func(rt Runtime, ep *Endpoint, nd *Node) {
 			if nd.ID() == 0 {
 				tpart.Run(compiled, rt, nd, res, root)
 			}
-		}, append([]RunOption{WithEngineValue(eng), WithTracer(tracer)}, opts...)...)
+		})
 	if run.Err != nil {
 		t.Fatal(run.Err)
 	}
@@ -53,8 +57,8 @@ func TestObsEquivalenceAcrossEngines(t *testing.T) {
 	for _, spec := range equivSpecs() {
 		spec := spec
 		t.Run(spec.String(), func(t *testing.T) {
-			seqTrace, seqMetrics := obsRun(t, spec, Sequential())
-			parTrace, parMetrics := obsRun(t, spec, Parallel())
+			seqTrace, seqMetrics := obsRun(t, spec, Sequential(), FaultConfig{})
+			parTrace, parMetrics := obsRun(t, spec, Parallel(), FaultConfig{})
 			if !bytes.Equal(seqTrace, parTrace) {
 				t.Error("exported traces differ between engines")
 			}
@@ -70,8 +74,8 @@ func TestObsEquivalenceAcrossEngines(t *testing.T) {
 }
 
 func TestObsEquivalenceAcrossRepeats(t *testing.T) {
-	aTrace, aMetrics := obsRun(t, DPASpec(8), Parallel(Workers(2)))
-	bTrace, bMetrics := obsRun(t, DPASpec(8), Parallel(Workers(4)))
+	aTrace, aMetrics := obsRun(t, DPASpec(8), Parallel(Workers(2)), FaultConfig{})
+	bTrace, bMetrics := obsRun(t, DPASpec(8), Parallel(Workers(4)), FaultConfig{})
 	if !bytes.Equal(aTrace, bTrace) {
 		t.Error("repeat runs exported different traces")
 	}
@@ -82,8 +86,8 @@ func TestObsEquivalenceAcrossRepeats(t *testing.T) {
 
 func TestObsEquivalenceUnderFaults(t *testing.T) {
 	fc := DefaultFaults(7, 0.05)
-	seqTrace, seqMetrics := obsRun(t, DPASpec(8), Sequential(), WithFaults(fc))
-	parTrace, parMetrics := obsRun(t, DPASpec(8), Parallel(), WithFaults(fc))
+	seqTrace, seqMetrics := obsRun(t, DPASpec(8), Sequential(), fc)
+	parTrace, parMetrics := obsRun(t, DPASpec(8), Parallel(), fc)
 	if !bytes.Equal(seqTrace, parTrace) {
 		t.Error("faulty-run traces differ between engines")
 	}
