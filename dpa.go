@@ -285,7 +285,8 @@ func BlockingSpec(opts ...SpecOption) Spec { return driver.BlockingSpec(opts...)
 type RunOption = driver.RunOption
 
 // WithValidation runs the phase under the other engine too and panics if the
-// two runs' statistics diverge. The body is executed twice.
+// two runs' statistics diverge or either run allocated in the Space, which
+// must be read-only while a phase runs. The body is executed twice.
 func WithValidation() RunOption { return driver.WithValidation() }
 
 // DefaultFaults returns a FaultConfig injecting message loss at the given

@@ -191,20 +191,16 @@ type Proto struct {
 	hReply int
 }
 
-// fetchReq asks an owner for a batch of its objects. Requests and replies
-// are passed by pointer and recycled through per-node free lists once their
-// handler has consumed them, so the steady-state fetch protocol allocates
-// nothing on the host.
+// fetchReq is the fetch protocol's one record: a batch of pointers to one
+// owner's objects. The requester fills it (it is the owner's open
+// aggregation buffer until flushed), the owner sends the same record back as
+// the reply, and the requester recycles it through its free list, so a
+// record always returns to the node that filled it and the steady-state
+// fetch protocol allocates nothing on the host. The reply carries no objects:
+// phases are read-only, so the renamed copy of p is rt.Space.Get(p), and the
+// reply's byte size models its serialization.
 type fetchReq struct {
 	ptrs []gptr.Ptr
-}
-
-// fetchReply carries the objects back. In the simulator objects are
-// transferred by reference (phases are read-only); the byte size models
-// serialization.
-type fetchReply struct {
-	ptrs []gptr.Ptr
-	objs []gptr.Object
 }
 
 const msgHeaderBytes = 4
@@ -223,25 +219,18 @@ func onFetchReq(ep *fm.EP, m sim.Message) {
 	if rt.trc != nil {
 		rt.trc.Event(obs.KFetchServe, ep.Node.Now(), int64(m.From), int64(len(req.ptrs)))
 	}
-	rep := rt.pool.getReply()
-	rep.ptrs = req.ptrs // echoed back; recycled by the requester
-	rep.objs = rt.pool.getObjs(len(req.ptrs))
 	bytes := msgHeaderBytes
-	for i, p := range req.ptrs {
+	for _, p := range req.ptrs {
 		// The owner reads the object out of its memory to serialize it.
 		ep.Node.Touch(p.Key())
-		o := rt.Space.Get(p)
-		rep.objs[i] = o
-		bytes += o.ByteSize() + gptr.PtrBytes
+		bytes += rt.Space.Get(p).ByteSize() + gptr.PtrBytes
 	}
-	ep.Send(m.From, rt.proto.hReply, rep, bytes)
-	req.ptrs = nil // ownership moved to the reply
-	rt.pool.putReq(req)
+	ep.Send(m.From, rt.proto.hReply, req, bytes) // the record goes home as the reply
 }
 
 func onFetchReply(ep *fm.EP, m sim.Message) {
 	rt := ep.Ctx.(*RT)
-	rep := m.Payload.(*fetchReply)
+	rep := m.Payload.(*fetchReq)
 	if d := rt.dests.find(m.From); d != nil {
 		if d.pending > 0 {
 			d.pending--
@@ -250,10 +239,10 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 		observeRTT(d, ep.Node.Now())
 	}
 	if rt.planned {
-		rt.scatterReply(m.From, rep)
+		rt.scatterReply(m.From, rep.ptrs)
 	} else {
-		for i, p := range rep.ptrs {
-			e := rt.arrive(p, rep.objs[i], m.From)
+		for _, p := range rep.ptrs {
+			e := rt.arrive(p, m.From)
 			if e == nil {
 				continue
 			}
@@ -261,33 +250,30 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 			// All threads dependent on p become ready together: they will run
 			// back to back, reusing the renamed copy while it is hot.
 			for wi, k := e.head, e.n; k > 0; wi, k = rt.waiters[wi].next, k-1 {
-				rt.ready.push(rt.waiters[wi].ready(p.Key(), e.obj))
+				rt.ready.push(rt.waiters[wi].ready(p))
 			}
 			rt.freeWaiters(e)
 		}
 	}
 	rt.trackPeak()
-	rt.pool.putPtrs(rep.ptrs)
-	rt.pool.putObjs(rep.objs)
-	rt.pool.putReply(rep)
+	rt.pool.putReq(rep)
 }
 
-// arrive records the renamed copy of p that owner's reply carried and returns
+// arrive records that owner's reply carried the renamed copy of p and returns
 // p's entry, or nil when there is nothing to wake — only possible under
 // degradation: the entry was abandoned (owner declared unreachable) before
 // this late reply landed.
-func (rt *RT) arrive(p gptr.Ptr, o gptr.Object, owner int) *dEntry {
+func (rt *RT) arrive(p gptr.Ptr, owner int) *dEntry {
 	ei, ok := rt.table[p]
 	if !ok || rt.entries[ei].arrived {
 		return nil
 	}
 	e := &rt.entries[ei]
-	e.obj = o
 	e.arrived = true
 	if rt.trc != nil {
 		rt.trc.Event(obs.KFetchReply, rt.EP.Node.Now(), int64(p.Key()), int64(owner))
 	}
-	rt.arrivedBytes += int64(o.ByteSize())
+	rt.arrivedBytes += int64(rt.Space.Get(p).ByteSize())
 	if rt.arrivedBytes > rt.st.PeakArrivedBytes {
 		rt.st.PeakArrivedBytes = rt.arrivedBytes
 	}
@@ -301,17 +287,17 @@ func (rt *RT) arrive(p gptr.Ptr, o gptr.Object, owner int) *dEntry {
 // dependent thread of the batch — all waiters of all pointers the reply
 // carries — to the owner's run list, enqueueing the owner once, instead of
 // per-pointer wakeups into a global queue.
-func (rt *RT) scatterReply(owner int, rep *fetchReply) {
+func (rt *RT) scatterReply(owner int, ptrs []gptr.Ptr) {
 	si := rt.dests.slot(owner)
 	d := &rt.dests.slots[si]
 	woken := 0
-	for i, p := range rep.ptrs {
-		e := rt.arrive(p, rep.objs[i], owner)
+	for _, p := range ptrs {
+		e := rt.arrive(p, owner)
 		if e == nil {
 			continue
 		}
 		for wi, k := e.head, e.n; k > 0; wi, k = rt.waiters[wi].next, k-1 {
-			rt.oq.link(d, rt.waiters[wi].ready(p.Key(), e.obj))
+			rt.oq.link(d, rt.waiters[wi].ready(p))
 		}
 		woken += int(e.n)
 		rt.freeWaiters(e)
@@ -325,14 +311,14 @@ func (rt *RT) scatterReply(owner int, rep *fetchReply) {
 
 // dEntry is one fused M/D table entry for a remote pointer: while the fetch
 // is in flight it holds the suspended threads (the paper's M table) as a FIFO
-// chain of n nodes through the waiter slab; once the reply lands it holds the
-// renamed copy (the D table). Fusing the two maps means a remote spawn costs
-// one hash probe instead of up to three. Entries live in RT.entries and the
-// table maps a pointer to an index, so the map holds no Go pointers; a free
-// entry links to the next through head. head and tail mean nothing while n
-// is zero. The sizeof regression test pins the 40-byte layout.
+// chain of n nodes through the waiter slab; once the reply lands it marks the
+// renamed copy arrived (the D table), and the copy itself is rt.Space.Get of
+// the entry's pointer. Fusing the two maps means a remote spawn costs one
+// hash probe instead of up to three. Entries live in RT.entries and the table
+// maps a pointer to an index, so neither the map nor the slab holds Go
+// pointers; a free entry links to the next through head. head and tail mean
+// nothing while n is zero. The sizeof regression test pins the layout.
 type dEntry struct {
-	obj        gptr.Object
 	head, tail int32 // first and last waiter of the chain
 	n          int32 // suspended threads
 	lastUse    int32 // strip index of the last reference (planner reuse regions)
@@ -350,8 +336,8 @@ type waiter struct {
 	next   int32
 }
 
-func (w *waiter) ready(key uint64, o gptr.Object) readyEntry {
-	return readyEntry{key: key, obj: o, a0: w.a0, a1: w.a1, tmpl: w.tmpl, iter: -1}
+func (w *waiter) ready(p gptr.Ptr) readyEntry {
+	return readyEntry{p: p, a0: w.a0, a1: w.a1, tmpl: w.tmpl, iter: -1}
 }
 
 // slabMin is the capacity a slab starts with: one allocation where append's
@@ -412,8 +398,8 @@ func (rt *RT) newEntry() int32 {
 	return int32(len(rt.entries) - 1)
 }
 
-// freeEntry zeroes entry ei, dropping its renamed copy, and puts it on the
-// free list. The caller removes it from the table.
+// freeEntry zeroes entry ei and puts it on the free list. The caller removes
+// it from the table.
 func (rt *RT) freeEntry(ei int32) {
 	rt.entries[ei] = dEntry{head: rt.entryFree}
 	rt.entryFree = ei
@@ -431,8 +417,8 @@ type RT struct {
 	waiting int
 
 	// Thread records (see DESIGN.md §6, "Thread records"). A thread is a
-	// template and two frame words; everything that holds threads is a slab
-	// linked by index, whose free lists end at -1.
+	// pointer, a template and two frame words; everything that holds threads
+	// is a slab linked by index, whose free lists end at -1.
 	entries     []dEntry   // M/D entry slab
 	entryFree   int32      // free entries, linked through head
 	waiters     []waiter   // suspended-thread slab
@@ -442,12 +428,12 @@ type RT struct {
 	closures    []Thread   // Spawn's side-table: template 0's a0 is a slot here
 	closureFree []int32    // free closure slots
 
-	// dests holds all per-destination state (aggregation buffers,
+	// dests holds all per-destination state (open request records,
 	// outstanding-request counts, RTT samples, run-list chains, planner
 	// histograms), one slot per owner this node has touched; see dests.go.
 	dests    destTable
 	nodes    int     // machine size: the length of every dense per-owner view
-	aggDests []int32 // slots with non-empty request buffers, FIFO
+	aggDests []int32 // slots with an open request record, FIFO
 	aggCount int     // total queued pointers
 
 	pendingReplies int
@@ -477,8 +463,8 @@ type RT struct {
 }
 
 // Arena is one node's runtime storage — the RT struct itself, the M/D and
-// seen maps' buckets, the entry, waiter and closure slabs, the free lists,
-// the destination table with its request buffers, the ready queues and the
+// seen maps' buckets, the entry, waiter and closure slabs, the free lists
+// (fetch records included), the destination table, the ready queues and the
 // run-list slab — kept by the driver across the phases of one run so that
 // only the first phase pays for building it. What
 // an arena carries is storage, never state: New empties every container and
@@ -512,21 +498,18 @@ func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, a *Arena) *RT {
 }
 
 // recycle reduces the runtime to its storage: every container is emptied in
-// place (dropping the renamed copies retained to the end of the previous
-// phase, its templates and any closure still parked) and carried over; every
-// other field — counters, EWMAs, controller and planner state, configuration,
-// bindings — is zeroed by omission from the literal, so nothing a new field
-// adds can leak across phases. Template ids die here: tmplBase moves past
+// place (dropping the previous phase's templates and any closure still
+// parked) and carried over; every other field — counters, EWMAs, controller
+// and planner state, configuration, bindings — is zeroed by omission from the
+// literal, so nothing a new field adds can leak across phases. Template ids die here: tmplBase moves past
 // every id the previous phases issued, so a stale one is unknown to SpawnT
 // rather than an alias of a new template. On a zero RT it only creates the
 // two maps.
 func (rt *RT) recycle() {
 	clear(rt.table)
 	clear(rt.seen)
-	clear(rt.entries)
 	clear(rt.tmpls)
 	clear(rt.closures)
-	clear(rt.oq.nodes)
 	rt.dests.reset()
 	*rt = RT{
 		table:       rt.table,
@@ -573,10 +556,9 @@ func (rt *RT) Template(fn Template) int {
 // SpawnT registers a thread labeled with pointer p — the paper's
 // thread-creation site: template id will run on p's object with the frame
 // words a0 and a1. If p is local or replicated the thread is immediately
-// ready with a direct object reference (no table operation). Otherwise M and
-// D route it: an already-arrived renamed copy makes it ready, an in-flight
-// fetch queues it on M, and a fresh pointer enqueues a request in the owner's
-// aggregation buffer.
+// ready (no table operation). Otherwise M and D route it: an already-arrived
+// renamed copy makes it ready, an in-flight fetch queues it on M, and a fresh
+// pointer enqueues a request in the owner's open request record.
 func (rt *RT) SpawnT(p gptr.Ptr, id int, a0, a1 uint64) {
 	tmpl := id - rt.tmplBase
 	if tmpl < 1 || tmpl > len(rt.tmpls) {
@@ -625,10 +607,9 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 	// so a local spawn's thread tree (e.g. a traversal rooted at a replicated
 	// pointer) keeps attributing its remote references to the originating
 	// top-level iteration.
-	t := readyEntry{key: p.Key(), a0: a0, a1: a1, tmpl: tmpl, iter: rt.plan.curIter}
+	t := readyEntry{p: p, a0: a0, a1: a1, tmpl: tmpl, iter: rt.plan.curIter}
 	if rt.Space.LocalOrRepl(p, n.ID()) {
 		rt.st.LocalHits++
-		t.obj = rt.Space.Get(p)
 		rt.pushReady(n.ID(), t)
 		rt.trackPeak()
 		return
@@ -652,7 +633,6 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 		}
 		e.lastUse = rt.plan.stripIdx // reuse region stays open
 		if e.arrived {
-			t.obj = e.obj
 			rt.pushReady(int(p.Node), t)
 		} else {
 			rt.suspend(e, tmpl, a0, a1)
@@ -696,16 +676,18 @@ func (rt *RT) readyLen() int {
 	return rt.ready.len()
 }
 
-// enqueueReq adds p to its owner's aggregation buffer and, under the
-// pipelining policy, flushes the buffer when it reaches the aggregation
-// limit.
+// enqueueReq adds p to its owner's open request record — the aggregation
+// buffer, opened from the free list on the owner's first pending request —
+// and, under the pipelining policy, flushes the record when it reaches the
+// aggregation limit.
 func (rt *RT) enqueueReq(p gptr.Ptr) {
 	si := rt.dests.slot(int(p.Node))
 	d := &rt.dests.slots[si]
-	if len(d.agg) == 0 {
+	if d.req == nil {
+		d.req = rt.pool.getReq(rt.destLimit(d))
 		rt.aggDests = append(rt.aggDests, si)
 	}
-	d.agg = append(d.agg, p)
+	d.req.ptrs = append(d.req.ptrs, p)
 	rt.aggCount++
 	if rt.planned {
 		if d.curHist == 0 {
@@ -714,19 +696,23 @@ func (rt *RT) enqueueReq(p gptr.Ptr) {
 		d.curHist++
 		d.phaseHist++
 	}
-	if rt.Cfg.Pipeline && len(d.agg) >= rt.destLimit(d) {
+	if rt.Cfg.Pipeline && len(d.req.ptrs) >= rt.destLimit(d) {
 		rt.flushDest(d)
 	}
 }
 
-// flushDest sends the pending requests for one destination, in chunks of at
-// most the destination's aggregation limit per message. Sending never runs
-// a handler, so d stays valid throughout.
+// flushDest sends one destination's open request record. A record within the
+// destination's aggregation limit goes out as it is; a longer one — requests
+// deferred with Pipeline off, or a planned limit that shrank while the record
+// was open — is split into chunks of at most the limit, each copied into a
+// record of its own, and goes back to the free list. Sending never runs a
+// handler, so d stays valid throughout.
 func (rt *RT) flushDest(d *destState) {
-	ptrs := d.agg
-	if len(ptrs) == 0 {
+	req := d.req
+	if req == nil {
 		return
 	}
+	d.req = nil
 	dst := int(d.owner)
 	if rt.planned && !d.rttMark && d.pending == 0 {
 		// Arm a round-trip sample: nothing is in flight to dst, so the
@@ -735,30 +721,32 @@ func (rt *RT) flushDest(d *destState) {
 		d.rttSentAt = rt.EP.Node.Now()
 	}
 	limit := rt.destLimit(d)
-	for lo := 0; lo < len(ptrs); lo += limit {
-		hi := lo + limit
-		if hi > len(ptrs) {
-			hi = len(ptrs)
+	n := len(req.ptrs)
+	for lo := 0; lo < n; lo += limit {
+		msg := req
+		if n > limit {
+			msg = rt.pool.getReq(limit)
+			msg.ptrs = append(msg.ptrs, req.ptrs[lo:min(lo+limit, n)]...)
 		}
 		if rt.trc != nil {
 			now := rt.EP.Node.Now()
-			for _, p := range ptrs[lo:hi] {
+			for _, p := range msg.ptrs {
 				rt.trc.Event(obs.KFetchReq, now, int64(p.Key()), int64(dst))
 			}
 		}
-		req := rt.pool.getReq()
-		req.ptrs = append(rt.pool.getPtrs(), ptrs[lo:hi]...)
-		rt.EP.Send(dst, rt.proto.hReq, req,
-			msgHeaderBytes+gptr.PtrBytes*len(req.ptrs))
+		rt.EP.Send(dst, rt.proto.hReq, msg,
+			msgHeaderBytes+gptr.PtrBytes*len(msg.ptrs))
 		rt.pendingReplies++
 		d.pending++
 		rt.st.ReqMsgs++
 	}
-	rt.aggCount -= len(ptrs)
-	d.agg = d.agg[:0]
+	if n > limit {
+		rt.pool.putReq(req)
+	}
+	rt.aggCount -= n
 }
 
-// FlushAll sends every pending request buffer: in destination-arrival order
+// FlushAll sends every open request record: in destination-arrival order
 // normally, in ascending owner order in planned mode (owner-sorted batches,
 // matching the owner-major service order of the ready queue). Both orders
 // are deterministic.
@@ -865,7 +853,12 @@ func (rt *RT) abandonUnreachable() bool {
 }
 
 // runOne dispatches the next ready thread under the configured queue
-// discipline.
+// discipline. The thread runs on rt.Space.Get of its pointer: its own node's
+// object, a replicated one, or another node's object standing in for the
+// renamed copy that arrived. Reading other nodes' heaps here is safe under
+// the parallel engine only because the space is read-only during a phase —
+// every Space.Alloc happens while the application builds its data, before
+// the machine runs (the driver's validation checks this).
 func (rt *RT) runOne() {
 	var e readyEntry
 	switch {
@@ -887,15 +880,17 @@ func (rt *RT) runOne() {
 		rt.plan.curIter = e.iter
 	}
 	n.Charge(sim.SchedOv, rt.Cfg.ExecCost)
-	n.Touch(e.key)
+	key := e.p.Key()
+	n.Touch(key)
 	rt.st.ThreadsRun++
+	obj := rt.Space.Get(e.p)
 	if e.tmpl == 0 {
-		rt.takeClosure(e.a0)(e.obj)
+		rt.takeClosure(e.a0)(obj)
 	} else {
-		rt.tmpls[e.tmpl-1](e.obj, e.a0, e.a1)
+		rt.tmpls[e.tmpl-1](obj, e.a0, e.a1)
 	}
 	if rt.trc != nil {
-		rt.trc.EventDur(obs.KThread, t0, n.Now()-t0, int64(e.key), 0)
+		rt.trc.EventDur(obs.KThread, t0, n.Now()-t0, int64(key), 0)
 	}
 }
 
@@ -960,7 +955,6 @@ func (rt *RT) dropCopies() {
 		rt.seen[p] = struct{}{}
 	}
 	clear(rt.table)
-	clear(rt.entries)
 	rt.entries = rt.entries[:0]
 	rt.entryFree = -1
 	rt.arrivedBytes = 0
@@ -976,13 +970,14 @@ func (rt *RT) trackPeak() {
 }
 
 // readyEntry is a thread whose object is available: the thread record
-// (template and two frame words) plus the object it runs on. iter is the
-// top-level iteration the thread's tree originated from (-1 when
+// (template and two frame words) plus the pointer whose object it runs on.
+// iter is the top-level iteration the thread's tree originated from (-1 when
 // unattributed), used by the planner's affinity recording; it shares a word
-// with tmpl. The sizeof regression test pins the 48-byte layout.
+// with tmpl. It holds no Go pointers, so the collector never scans the ready
+// ring or the run-list slab. The sizeof regression test pins the 32-byte
+// layout.
 type readyEntry struct {
-	key    uint64
-	obj    gptr.Object
+	p      gptr.Ptr
 	a0, a1 uint64
 	tmpl   int32 // 0: the closure in slot a0 of the side-table
 	iter   int32
@@ -1016,9 +1011,7 @@ func (q *readyQueue) push(e readyEntry) {
 }
 
 func (q *readyQueue) pop() readyEntry {
-	slot := q.at(0)
-	e := *slot
-	*slot = readyEntry{} // release references
+	e := *q.at(0)
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return e
@@ -1026,9 +1019,6 @@ func (q *readyQueue) pop() readyEntry {
 
 // popBack removes the most recently pushed entry (LIFO discipline).
 func (q *readyQueue) popBack() readyEntry {
-	slot := q.at(q.n - 1)
-	e := *slot
-	*slot = readyEntry{}
 	q.n--
-	return e
+	return *q.at(q.n)
 }

@@ -3,20 +3,19 @@ package core
 import (
 	"math/bits"
 
-	"dpa/internal/gptr"
 	"dpa/internal/sim"
 )
 
-// destState is everything the runtime keeps about one owner node: its
-// aggregation buffer and outstanding-request count, the round-trip sample and
-// EWMA, its run list's chain in the owner-major ready queue, and the
-// planner's per-owner fetch histograms. A slot exists only for an owner the
-// node has touched this phase — the paper sizes M and D by the strip, and this
-// table follows suit — so the per-node footprint is independent of the
-// machine size. Field order packs the scalars behind the slice header; the
+// destState is everything the runtime keeps about one owner node: its open
+// request record (the aggregation buffer) and outstanding-request count, the
+// round-trip sample and EWMA, its run list's chain in the owner-major ready
+// queue, and the planner's per-owner fetch histograms. A slot exists only for
+// an owner the node has touched this phase — the paper sizes M and D by the
+// strip, and this table follows suit — so the per-node footprint is
+// independent of the machine size. Field order packs the scalars behind the record pointer; the
 // sizeof regression test pins the layout.
 type destState struct {
-	agg []gptr.Ptr // request buffer (append order is program order)
+	req *fetchReq // open request record or nil (append order is program order)
 
 	rttEwma   sim.Time // round-trip EWMA
 	rttSentAt sim.Time
@@ -90,9 +89,7 @@ func (t *destTable) find(owner int) *destState {
 // touch returns owner's slot, creating it on first touch.
 func (t *destTable) touch(owner int) *destState { return &t.slots[t.slot(owner)] }
 
-// slot returns the index of owner's slot, creating it on first touch. A new
-// slot reuses the aggregation buffer left behind by the slot that held the
-// position before the last reset.
+// slot returns the index of owner's slot, creating it on first touch.
 func (t *destTable) slot(owner int) int32 {
 	if len(t.index) > 0 {
 		if r := t.index[t.probe(owner)]; r.slot != 0 {
@@ -104,13 +101,7 @@ func (t *destTable) slot(owner int) int32 {
 	}
 	i := t.probe(owner)
 	n := len(t.slots)
-	if n < cap(t.slots) {
-		t.slots = t.slots[:n+1]
-		d := &t.slots[n]
-		*d = destState{owner: int32(owner), agg: d.agg[:0]}
-	} else {
-		t.slots = append(t.slots, destState{owner: int32(owner)})
-	}
+	t.slots = append(t.slots, destState{owner: int32(owner)})
 	t.index[i] = destRef{owner: int32(owner), slot: int32(n) + 1}
 
 	// Sorted insert: byOwner stays in ascending owner order at all times.
@@ -139,10 +130,10 @@ func (t *destTable) grow() {
 	}
 }
 
-// reset empties the table, keeping the slot array (with each slot's buffers),
-// the order list, and the index for the next phase. A table that has never
-// held anything gets room for its first destMinSlots owners here, so a phase
-// touching that few pays nothing at first touch.
+// reset empties the table, keeping the slot array, the order list, and the
+// index for the next phase. A table that has never held anything gets room
+// for its first destMinSlots owners here, so a phase touching that few pays
+// nothing at first touch.
 func (t *destTable) reset() {
 	if t.index == nil {
 		t.slots = make([]destState, 0, destMinSlots)

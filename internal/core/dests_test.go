@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"dpa/internal/gptr"
@@ -53,7 +52,7 @@ func TestDestTableIteratesInAscendingOwnerOrder(t *testing.T) {
 			if seen != 512 {
 				t.Fatalf("dense view placed owner 512's record at position %d", seen)
 			}
-		} else if d.pending != 0 || len(d.agg) != 0 {
+		} else if d.pending != 0 || d.req != nil {
 			t.Fatalf("dense view position %d is not zero: %+v", seen, d)
 		}
 		seen++
@@ -106,13 +105,12 @@ func TestDestTableIndexGrowsAndRehashes(t *testing.T) {
 
 // TestDestTableResetLeavesNoStaleSlot: after reset nothing of the previous
 // phase is reachable — not by lookup, not by the ordered walk, not through a
-// recycled slot's fields, run-list chain included — while the slot's request
-// buffer is kept for reuse.
+// recycled slot's fields, open request record and run-list chain included.
 func TestDestTableResetLeavesNoStaleSlot(t *testing.T) {
 	var tb destTable
 	for _, o := range []int{5, 2, 9} {
 		d := tb.touch(o)
-		d.agg = append(d.agg, gptr.Ptr{Node: int32(o)})
+		d.req = &fetchReq{ptrs: []gptr.Ptr{{Node: int32(o)}}}
 		d.pending, d.curHist, d.prevHist, d.phaseHist = 1, 2, 3, 4
 		d.rttEwma, d.rttSentAt, d.rttMark, d.queued, d.shape = 5, 6, true, true, 7
 		d.runHead, d.runTail, d.runN = 8, 9, 10
@@ -127,15 +125,7 @@ func TestDestTableResetLeavesNoStaleSlot(t *testing.T) {
 		}
 	}
 	d := tb.touch(7) // takes over the storage owner 5 held
-	if cap(d.agg) == 0 {
-		t.Fatal("recycled slot lost its request buffer")
-	}
-	if d.runHead != 0 || d.runTail != 0 || d.runN != 0 {
-		t.Fatalf("recycled slot keeps a run-list chain: head=%d tail=%d n=%d", d.runHead, d.runTail, d.runN)
-	}
-	fresh := *d
-	fresh.agg = nil
-	if len(d.agg) != 0 || !reflect.DeepEqual(fresh, destState{owner: 7}) {
+	if *d != (destState{owner: 7}) {
 		t.Fatalf("recycled slot carries stale state: %+v", *d)
 	}
 	if got := ascending(&tb); len(got) != 1 || got[0] != 7 {

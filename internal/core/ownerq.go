@@ -14,6 +14,7 @@ import "dpa/internal/sim"
 // FIFO of slots with queued entries. The slab's footprint is the peak ready
 // count, not one buffer per touched owner, and a drained node goes back to
 // the free list, so steady-state scheduling allocates nothing on the host.
+// Nodes hold no Go pointers, so a freed node needs no clearing.
 type ownerQueue struct {
 	order []int32 // FIFO of destination-table slots with queued entries
 	oHead int
@@ -77,7 +78,7 @@ func (q *ownerQueue) pop(t *destTable) readyEntry {
 	ni := d.runHead
 	e := q.nodes[ni].readyEntry
 	d.runHead = q.nodes[ni].next
-	q.nodes[ni] = runNode{next: q.free} // release references
+	q.nodes[ni].next = q.free
 	q.free = ni
 	d.runN--
 	q.count--
@@ -100,7 +101,7 @@ func (q *ownerQueue) digest(t *destTable) uint64 {
 		d := &t.slots[si]
 		h = sim.MixFP(h, uint64(d.owner))
 		for ni, k := d.runHead, d.runN; k > 0; ni, k = q.nodes[ni].next, k-1 {
-			h = sim.MixFP(h, q.nodes[ni].key)
+			h = sim.MixFP(h, q.nodes[ni].p.Key())
 		}
 	}
 	return h

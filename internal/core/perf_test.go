@@ -168,12 +168,11 @@ func TestScatterReplyWakesAllWaitersOnce(t *testing.T) {
 			t.Fatalf("%d fetches and %d reuses, want %d and %d: the threads did not share in-flight entries",
 				st.Fetches, st.Reuses, ptrs, ptrs*(waiters-1))
 		}
-		rep := &fetchReply{}
+		var ptrs []gptr.Ptr
 		for p := range rt.table {
-			rep.ptrs = append(rep.ptrs, p)
-			rep.objs = append(rep.objs, rt.Space.Get(p))
+			ptrs = append(ptrs, p)
 		}
-		rt.scatterReply(int(rep.ptrs[0].Node), rep)
+		rt.scatterReply(int(ptrs[0].Node), ptrs)
 		if rt.oq.len() != 0 || rt.waiting != 0 {
 			t.Fatalf("duplicate delivery woke threads: queued=%d waiting=%d", rt.oq.len(), rt.waiting)
 		}

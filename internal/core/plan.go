@@ -348,7 +348,7 @@ func (rt *RT) endStripPlanned() {
 
 // release drops p's arrived copy, whose reuse region has closed.
 func (rt *RT) release(p gptr.Ptr, ei int32) {
-	rt.arrivedBytes -= int64(rt.entries[ei].obj.ByteSize())
+	rt.arrivedBytes -= int64(rt.Space.Get(p).ByteSize())
 	rt.forget(p, ei)
 	rt.st.RegionReleases++
 }

@@ -2,17 +2,17 @@ package core
 
 import "dpa/internal/gptr"
 
-// poolCap bounds each free list so a burst (one oversized strip, say) does
-// not pin memory for the rest of the run.
+// poolCap bounds the free list so a burst (one oversized strip, say) does not
+// pin memory for the rest of the run.
 const poolCap = 64
 
 // put pushes v on a free list. A full list gives up its oldest element, not
 // v, so the element a later get pops never depends on how much the list held
 // before — and therefore not on whether the list started the phase empty or
-// was carried over in a recycled Arena. That matters for requests and
-// replies, the only pooled values other nodes can still see: an unacked
-// reliable frame keeps pointing at a payload its receiver has already
-// consumed and recycled, and a snapshot fingerprints it through that pointer.
+// was carried over in a recycled Arena. That matters for fetch records, the
+// only pooled values other nodes can still see: an unacked reliable frame
+// keeps pointing at a record its receiver has already consumed and its home
+// node has recycled, and a snapshot fingerprints it through that pointer.
 func put[T any](list []T, v T) []T {
 	if len(list) < poolCap {
 		return append(list, v)
@@ -22,78 +22,35 @@ func put[T any](list []T, v T) []T {
 	return list
 }
 
-// pools are the per-node free lists behind the fetch protocol. Every buffer
-// is only ever touched by the node currently holding it — requests and
-// replies move between nodes by message passing, and a handler recycles a
-// buffer only after it has fully consumed it — so the lists need no locking
-// even under the parallel engine. Recycling affects
-// host allocations only, never simulated time, so it cannot perturb the
-// bit-identical determinism contract. The lists survive from phase to phase
-// inside the node's Arena.
+// recCap is the most pointers a new fetch record has room for before its
+// batch first grows; a batch limited to fewer gets exactly its limit.
+const recCap = 16
+
+// pools is the per-node free list behind the fetch protocol. A record leaves
+// its home node as a request, comes back as the reply, and is recycled here
+// once the reply is consumed, so every record is only ever touched by the
+// node currently holding it and always returns to the node that filled it:
+// the list needs no locking even under the parallel engine, and its length is
+// bounded by the node's own peak of in-flight requests, not by what other
+// nodes send it. Recycling affects host allocations only, never simulated
+// time, so it cannot perturb the bit-identical determinism contract. The
+// list survives from phase to phase inside the node's Arena.
 type pools struct {
-	reqs    []*fetchReq
-	replies []*fetchReply
-	ptrs    [][]gptr.Ptr
-	objs    [][]gptr.Object
+	reqs []*fetchReq
 }
 
-func (pl *pools) getReq() *fetchReq {
+// getReq returns an empty record for a batch of at most limit pointers,
+// reusing a recycled one's capacity.
+func (pl *pools) getReq(limit int) *fetchReq {
 	if n := len(pl.reqs); n > 0 {
 		r := pl.reqs[n-1]
 		pl.reqs = pl.reqs[:n-1]
 		return r
 	}
-	return &fetchReq{}
+	return &fetchReq{ptrs: make([]gptr.Ptr, 0, min(limit, recCap))}
 }
 
-func (pl *pools) putReq(r *fetchReq) { pl.reqs = put(pl.reqs, r) }
-
-func (pl *pools) getReply() *fetchReply {
-	if n := len(pl.replies); n > 0 {
-		r := pl.replies[n-1]
-		pl.replies = pl.replies[:n-1]
-		return r
-	}
-	return &fetchReply{}
-}
-
-func (pl *pools) putReply(r *fetchReply) {
-	r.ptrs, r.objs = nil, nil
-	pl.replies = put(pl.replies, r)
-}
-
-// getPtrs returns an empty pointer batch, reusing a recycled one's capacity.
-func (pl *pools) getPtrs() []gptr.Ptr {
-	if n := len(pl.ptrs); n > 0 {
-		s := pl.ptrs[n-1]
-		pl.ptrs = pl.ptrs[:n-1]
-		return s[:0]
-	}
-	return nil
-}
-
-func (pl *pools) putPtrs(s []gptr.Ptr) {
-	if s != nil {
-		pl.ptrs = put(pl.ptrs, s)
-	}
-}
-
-// getObjs returns an object batch of length n with all slots zeroed.
-func (pl *pools) getObjs(n int) []gptr.Object {
-	if m := len(pl.objs); m > 0 {
-		s := pl.objs[m-1]
-		pl.objs = pl.objs[:m-1]
-		if cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]gptr.Object, n)
-}
-
-func (pl *pools) putObjs(s []gptr.Object) {
-	if s == nil {
-		return
-	}
-	clear(s) // drop object references so renamed copies can be collected
-	pl.objs = put(pl.objs, s[:0])
+func (pl *pools) putReq(r *fetchReq) {
+	r.ptrs = r.ptrs[:0]
+	pl.reqs = put(pl.reqs, r)
 }

@@ -1,6 +1,12 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"dpa/internal/fm"
+	"dpa/internal/gptr"
+	"dpa/internal/machine"
+)
 
 // TestFreeListCarriedOverPopsLikeFresh pins the property put's evict-oldest
 // rule exists for: drive a free list that starts empty and one that starts
@@ -58,5 +64,123 @@ func TestFreeListCarriedOverPopsLikeFresh(t *testing.T) {
 	}
 	if overflows == 0 || empties == 0 {
 		t.Fatalf("the walk never left the easy middle: %d overflowing puts, %d gets on an empty list", overflows, empties)
+	}
+}
+
+// TestFetchRecordsReturnHome pins the fetch record's round trip on a real
+// 8-node machine, phase after phase on recycled arenas: every record a node's
+// free list holds is one that node filled — replies bring records home, they
+// never pile up at the owners that served them — and a second phase of the
+// same program sends every request and receives every reply in records the
+// first phase left behind, without growing a single batch. Two programs:
+// PageRank's shape (planned mode with priors; edges skewed towards a few hot
+// vertices on every node, so owners see very different fetch counts) and
+// EM3D's (static strips; a node's neighbours are mostly its own vertices
+// and its two ring neighbours').
+func TestFetchRecordsReturnHome(t *testing.T) {
+	const nodes, verts, degree = 8, 96, 6
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		edge func(me, v, k int) (node, addr int)
+	}{
+		{"pagerank", shapedCfg(), func(me, v, k int) (int, int) {
+			h := uint32((me*verts+v)*degree+k) * 0x9E3779B1
+			a := int(h>>16) % verts
+			return int(h>>8) % nodes, a * a / verts
+		}},
+		{"em3d", staticCfg(), func(me, v, k int) (int, int) {
+			node := me
+			switch k {
+			case 0:
+				node = (me + 1) % nodes
+			case 1:
+				node = (me + nodes - 1) % nodes
+			}
+			return node, (v*7 + k*13) % verts
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net := fm.NewNet()
+			proto := RegisterProto(net)
+			space := gptr.NewSpace(nodes)
+			for node := 0; node < nodes; node++ {
+				for i := 0; i < verts; i++ {
+					space.Alloc(node, obj{id: i})
+				}
+			}
+			arenas := make([]Arena, nodes)
+			priors := make([]PriorTable, nodes)
+			var reqs [nodes]int64
+			phase := func() {
+				_, err := machine.New(machine.DefaultT3D(nodes)).Run(func(nd *machine.Node) {
+					me := nd.ID()
+					ep := fm.NewEP(net, nd)
+					rt := New(proto, ep, space, c.cfg, &arenas[me])
+					if c.cfg.Planned {
+						rt.AttachPrior(&priors[me])
+					}
+					id := rt.Template(func(gptr.Object, uint64, uint64) {})
+					rt.ForAll(verts, func(v int) {
+						for k := 0; k < degree; k++ {
+							node, addr := c.edge(me, v, k)
+							rt.SpawnT(gptr.Ptr{Node: int32(node), Addr: int32(addr)}, id, 0, 0)
+						}
+					})
+					if c.cfg.Planned {
+						rt.FoldPrior()
+					}
+					reqs[me] = rt.Stats().ReqMsgs
+					ep.Barrier()
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// held maps every record on each node's free list to its batch's
+			// capacity.
+			held := func() []map[*fetchReq]int {
+				lists := make([]map[*fetchReq]int, nodes)
+				for i := range arenas {
+					lists[i] = map[*fetchReq]int{}
+					for _, r := range arenas[i].rt.pool.reqs {
+						lists[i][r] = cap(r.ptrs)
+					}
+				}
+				return lists
+			}
+
+			phase()
+			first := held()
+			home := map[*fetchReq]int{}
+			for i, list := range first {
+				if reqs[i] == 0 || len(list) == 0 {
+					t.Fatalf("node %d sent %d requests and holds %d records: the program fetches nothing", i, reqs[i], len(list))
+				}
+				for r := range list {
+					if j, dup := home[r]; dup {
+						t.Fatalf("one record is on the free lists of nodes %d and %d", j, i)
+					}
+					home[r] = i
+				}
+			}
+			phase()
+			for i, list := range held() {
+				for r, n := range list {
+					j, ok := home[r]
+					switch {
+					case !ok:
+						t.Errorf("node %d holds a record the second phase allocated", i)
+					case j != i:
+						t.Errorf("node %d holds a record node %d filled", i, j)
+					case n != first[i][r]:
+						t.Errorf("node %d: a record's batch grew from %d to %d pointers", i, first[i][r], n)
+					}
+				}
+				if len(list) != len(first[i]) {
+					t.Errorf("node %d holds %d records after the second phase, %d after the first", i, len(list), len(first[i]))
+				}
+			}
+		})
 	}
 }

@@ -13,10 +13,10 @@ import (
 // readyEntry are the thread record suspended and ready: outstanding-thread
 // memory is PeakOutstanding times one of the two (runNode in owner-major
 // mode). destState is the per-touched-owner slot that replaced nine dense
-// per-node arrays. fetchReq/fetchReply are the free-list nodes the fetch
-// protocol recycles on every aggregation batch. A failing test here means a field was added
-// without repacking: either restore the layout or raise the budget in the
-// same change with a justification.
+// per-node arrays. fetchReq is the fetch protocol's one record, the
+// free-list node recycled on every aggregation batch. A failing test here
+// means a field was added without repacking: either restore the layout or
+// raise the budget in the same change with a justification.
 func TestHotStructSizeBudgets(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout budgets are calibrated for 64-bit platforms")
@@ -26,27 +26,25 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		size   uintptr
 		budget uintptr
 	}{
-		// Object interface (2 words) + the waiter chain's head, tail and
-		// count and the reuse-region stamp (four int32, 2 words) + arrived
-		// (bool) in a word of its own.
-		{"core.dEntry", unsafe.Sizeof(dEntry{}), 40},
+		// The waiter chain's head, tail and count and the reuse-region
+		// stamp (four int32) + arrived (bool), padded to int32 alignment.
+		{"core.dEntry", unsafe.Sizeof(dEntry{}), 20},
 		// A suspended thread: two frame words + template and next-node
 		// index (int32 each) sharing the third.
 		{"core.waiter", unsafe.Sizeof(waiter{}), 24},
-		// A ready thread: object key, Object interface (2 words), two frame
-		// words, template and iteration stamp (int32 each) sharing the last.
-		{"core.readyEntry", unsafe.Sizeof(readyEntry{}), 48},
-		// One slot of the destination table, per touched owner: the request
-		// buffer's slice header, three 8-byte words (RTT EWMA, sample start,
-		// phase fetch total), eight int32 (the run list's head, tail and
-		// length among them) and two bools packed into the last five words.
-		{"core.destState", unsafe.Sizeof(destState{}), 88},
+		// A ready thread: the global pointer (two int32), two frame words,
+		// template and iteration stamp (int32 each) sharing the last word.
+		{"core.readyEntry", unsafe.Sizeof(readyEntry{}), 32},
+		// One slot of the destination table, per touched owner: the open
+		// request record's pointer, three 8-byte words (RTT EWMA, sample
+		// start, phase fetch total), eight int32 (the run list's head, tail
+		// and length among them) and two bools packed into the last five
+		// words.
+		{"core.destState", unsafe.Sizeof(destState{}), 72},
 		// A run-list node: a ready thread and the next-node index.
-		{"core.runNode", unsafe.Sizeof(runNode{}), 56},
-		// One pointer batch: a single slice header.
+		{"core.runNode", unsafe.Sizeof(runNode{}), 40},
+		// The fetch record: one pointer batch, a single slice header.
 		{"core.fetchReq", unsafe.Sizeof(fetchReq{}), 24},
-		// Pointer batch + object batch: two slice headers.
-		{"core.fetchReply", unsafe.Sizeof(fetchReply{}), 48},
 		// Cross-phase prior records: the modelled PriorOwner charged per node
 		// per phase kind (two words), the stored record per touched owner
 		// (owner id in a word of its own, then the PriorOwner), and the fixed
@@ -65,11 +63,13 @@ func TestHotStructSizeBudgets(t *testing.T) {
 	}
 }
 
-// TestThreadSlabsHoldNoPointers pins the property that takes the waiter slab
-// and the M/D map out of the collector's scanning: neither the waiter node
-// nor the map's key and value types contain anything the collector follows.
-// The slab layout alone does not give that — a func or interface field added
-// to the thread record later would lose it silently.
+// TestThreadSlabsHoldNoPointers pins the property that takes every thread
+// slab and the M/D map out of the collector's scanning: no thread record —
+// suspended, ready or on a run list — no M/D entry, and neither the map's key
+// nor its value type contains anything the collector follows. Threads carry
+// their object's pointer, never the object, so a freed slot keeps nothing
+// alive and needs no clearing. The slab layout alone does not give that — a
+// func or interface field added to a record later would lose it silently.
 func TestThreadSlabsHoldNoPointers(t *testing.T) {
 	var pointerFree func(ty reflect.Type) bool
 	pointerFree = func(ty reflect.Type) bool {
@@ -96,6 +96,9 @@ func TestThreadSlabsHoldNoPointers(t *testing.T) {
 		ty   reflect.Type
 	}{
 		{"waiter", reflect.TypeOf(waiter{})},
+		{"readyEntry", reflect.TypeOf(readyEntry{})},
+		{"runNode", reflect.TypeOf(runNode{})},
+		{"dEntry", reflect.TypeOf(dEntry{})},
 		{"M/D map key", table.Key()},
 		{"M/D map value", table.Elem()},
 	} {
@@ -104,7 +107,7 @@ func TestThreadSlabsHoldNoPointers(t *testing.T) {
 		}
 	}
 	// The walk itself must know a pointer when it sees one.
-	for _, ty := range []reflect.Type{reflect.TypeOf(readyEntry{}), reflect.TypeOf(dEntry{}),
+	for _, ty := range []reflect.Type{reflect.TypeOf(destState{}), reflect.TypeOf(fetchReq{}),
 		reflect.TypeOf(Thread(nil)), reflect.TypeOf([1]*int{}), reflect.TypeOf(struct{ o gptr.Object }{})} {
 		if pointerFree(ty) {
 			t.Errorf("the walk calls %v pointer-free", ty)

@@ -8,24 +8,17 @@ import (
 	"dpa/internal/sim"
 )
 
-// SnapshotFingerprint folds the request's pointer list (order matters: the
-// owner extracts in list order, which decides reply layout and charges).
+// SnapshotFingerprint folds the record's pointer list (order matters: the
+// owner extracts in list order, which decides reply layout and charges). The
+// request and its reply are one record, so both directions fingerprint the
+// same way, and a retained frame whose record has since come home reads what
+// its home node holds in it now.
 func (rq *fetchReq) SnapshotFingerprint() uint64 {
 	h := uint64(0x66726571) // "freq"
 	for _, p := range rq.ptrs {
 		h = sim.MixFP(h, p.Key())
 	}
 	return sim.MixFP(h, uint64(len(rq.ptrs)))
-}
-
-// SnapshotFingerprint folds the reply's pointers and modeled object sizes.
-func (rp *fetchReply) SnapshotFingerprint() uint64 {
-	h := uint64(0x6672706c) // "frpl"
-	for i, p := range rp.ptrs {
-		h = sim.MixFP(h, p.Key())
-		h = sim.MixFP(h, uint64(rp.objs[i].ByteSize()))
-	}
-	return sim.MixFP(h, uint64(len(rp.ptrs)))
 }
 
 // EncodeSnapshot writes the runtime's complete deterministic state: the
@@ -62,14 +55,14 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 		w.Bool(e.arrived)
 		w.U32(uint32(e.lastUse))
 		w.Int(int(e.n))
-		if e.obj != nil {
-			w.Int(e.obj.ByteSize())
+		if e.arrived {
+			w.Int(rt.Space.Get(p).ByteSize())
 		} else {
 			w.Int(-1)
 		}
 	}
 
-	// Aggregation buffers (append order is program order). Every
+	// Open request records (append order is program order). Every
 	// per-destination record below is written through the table's dense
 	// view — one entry per machine node, zeros for untouched owners — which
 	// is the layout the encoding had when this state was P-length arrays;
@@ -81,9 +74,13 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	}
 	w.Int(rt.nodes)
 	dests.dense(rt.nodes, func(d *destState) {
-		w.Int(len(d.agg))
-		h := uint64(len(d.agg))
-		for _, p := range d.agg {
+		var agg []gptr.Ptr
+		if d.req != nil {
+			agg = d.req.ptrs
+		}
+		w.Int(len(agg))
+		h := uint64(len(agg))
+		for _, p := range agg {
 			h = sim.MixFP(h, p.Key())
 		}
 		w.U64(h)
@@ -118,7 +115,7 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Int(rt.ready.len())
 	h = uint64(rt.ready.len())
 	for i := 0; i < rt.ready.len(); i++ {
-		h = sim.MixFP(h, rt.ready.at(i).key)
+		h = sim.MixFP(h, rt.ready.at(i).p.Key())
 	}
 	w.U64(h)
 	w.Int(rt.oq.len())

@@ -42,7 +42,7 @@ func FuzzReadyQueue(f *testing.F) {
 			}
 			switch {
 			case push:
-				e := readyEntry{key: next, a0: next * 3, a1: ^next, tmpl: int32(next % 5), iter: int32(i)}
+				e := readyEntry{p: gptr.Ptr{Addr: int32(next)}, a0: next * 3, a1: ^next, tmpl: int32(next % 5), iter: int32(i)}
 				next++
 				q.push(e)
 				model = append(model, e)

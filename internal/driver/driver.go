@@ -304,9 +304,10 @@ type runConfig struct {
 
 // WithValidation runs the phase a second time under the other engine and
 // panics if the two runs' statistics diverge — a determinism check for the
-// engine pair. The body must be re-runnable: it is executed twice, so any
-// state it mutates outside the runtime (e.g. application arrays) is updated
-// twice. The check run records into no tracer (mcfg.Obs) and fires no
+// engine pair — or if either run changed the number of objects in the space,
+// which must be read-only while a phase runs (see gptr.Space). The body must
+// be re-runnable: it is executed twice, so any state it mutates outside the
+// runtime (e.g. application arrays) is updated twice. The check run records into no tracer (mcfg.Obs) and fires no
 // checkpoint (mcfg.Checkpoint), so each is seen exactly once.
 func WithValidation() RunOption {
 	return func(rc *runConfig) { rc.validate = true }
@@ -331,11 +332,16 @@ func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 	// run without the two folding into one table, so it gets a deep copy
 	// taken before the primary run mutates the store.
 	var checkPrior *PriorStore
-	if rc.validate && rc.prior != nil {
-		checkPrior = rc.prior.Clone()
+	objects := 0
+	if rc.validate {
+		objects = space.Len()
+		if rc.prior != nil {
+			checkPrior = rc.prior.Clone()
+		}
 	}
 	run := runOnce(mcfg, space, spec, body, rc.prior, rc.priorKind)
 	if rc.validate {
+		readOnly(space, objects)
 		other := mcfg
 		// The check run must not re-record into the caller's tracer: it
 		// would duplicate every event and advance the phase offset twice.
@@ -348,12 +354,22 @@ func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 			other.Engine = sim.Parallel
 		}
 		check := runOnce(other, space, spec, body, checkPrior, rc.priorKind)
+		readOnly(space, objects)
 		if diff := run.Diff(check); diff != "" {
 			panic(fmt.Sprintf("driver: engine validation failed (%v vs %v): %s",
 				mcfg.Engine, other.Engine, diff))
 		}
 	}
 	return run
+}
+
+// readOnly panics unless the space still holds the objects it held before
+// the phase ran.
+func readOnly(space *gptr.Space, objects int) {
+	if n := space.Len(); n != objects {
+		panic(fmt.Sprintf("driver: the phase changed the space from %d to %d objects; allocate before the machine runs",
+			objects, n))
+	}
 }
 
 // runOnce executes the phase and collects statistics. The machine and its

@@ -385,3 +385,29 @@ func TestBadThreadRejectedAtCreationSite(t *testing.T) {
 		}
 	}
 }
+
+// TestValidationRejectsAllocDuringPhase: a phase that allocates in the global
+// space runs as it always did, but under WithValidation it panics — the space
+// must be read-only while a phase runs, because every node reads every heap
+// at dispatch.
+func TestValidationRejectsAllocDuringPhase(t *testing.T) {
+	space := gptr.NewSpace(2)
+	remote := space.Alloc(1, thing{id: 1})
+	phase := func(opts ...RunOption) {
+		RunPhase(machine.DefaultT3D(2), space, DPASpec(10), func(rt Runtime, ep *fm.EP, nd *machine.Node) {
+			if nd.ID() == 0 {
+				rt.Spawn(remote, func(gptr.Object) { space.Alloc(0, thing{id: 2}) })
+				rt.Drain()
+			}
+		}, opts...)
+	}
+	phase()
+	defer func() {
+		const want = "driver: the phase changed the space from 2 to 3 objects"
+		if got := fmt.Sprint(recover()); !strings.HasPrefix(got, want) {
+			t.Fatalf("panic %q, want one starting %q", got, want)
+		}
+	}()
+	phase(WithValidation())
+	t.Fatal("a phase that allocated passed validation")
+}

@@ -81,7 +81,11 @@ func (h *Heap) Len() int { return len(h.objs) }
 
 // Space is the global object space for one machine: one heap per node plus
 // the replicated area. The application builds it before the simulation and
-// the runtimes read it during the run.
+// the runtimes read it during the run. Every Alloc belongs to that build: a
+// runtime dispatches a thread on Get of its pointer whichever node owns it,
+// so under the parallel engine every node reads every heap concurrently, and
+// an Alloc while a phase runs would race with those reads. The driver's
+// validation mode fails a phase that changed Len.
 type Space struct {
 	heaps []Heap
 	repl  []Object
@@ -94,6 +98,15 @@ func NewSpace(n int) *Space {
 
 // Nodes returns the number of per-node heaps.
 func (s *Space) Nodes() int { return len(s.heaps) }
+
+// Len returns the number of objects in the space, replicated ones included.
+func (s *Space) Len() int {
+	n := len(s.repl)
+	for i := range s.heaps {
+		n += s.heaps[i].Len()
+	}
+	return n
+}
 
 // Alloc places an object in node's heap and returns its global pointer.
 func (s *Space) Alloc(node int, o Object) Ptr {

@@ -56,6 +56,20 @@ func TestReplicated(t *testing.T) {
 	}
 }
 
+func TestLenCountsEveryObject(t *testing.T) {
+	s := NewSpace(3)
+	if s.Len() != 0 {
+		t.Fatalf("empty space holds %d objects", s.Len())
+	}
+	s.Alloc(0, blob{})
+	s.Alloc(2, blob{})
+	s.Alloc(2, blob{})
+	s.AllocReplicated(blob{})
+	if s.Len() != 4 {
+		t.Errorf("Len = %d after three heap objects and one replicated, want 4", s.Len())
+	}
+}
+
 func TestKeyUnique(t *testing.T) {
 	f := func(n1, a1, n2, a2 int16) bool {
 		p1 := Ptr{Node: int32(n1), Addr: int32(a1)}

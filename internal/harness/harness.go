@@ -74,10 +74,18 @@ type Session struct {
 	bhPar     bh.Params
 	fmmPar    fmm.Params
 
-	bhMemo  map[string]stats.Run
-	fmmMemo map[string]stats.Run
+	bhMemo  map[memoKey]stats.Run
+	fmmMemo map[memoKey]stats.Run
 	bhSeq   *stats.Run
 	fmmSeq  *stats.Run
+}
+
+// memoKey identifies a memoized run: the node count and the whole Spec,
+// which is all scalars and therefore comparable, so two specs share an entry
+// only when every field agrees.
+type memoKey struct {
+	n    int
+	spec driver.Spec
 }
 
 // NewSession prepares workload data for the given sizes.
@@ -91,8 +99,8 @@ func NewSession(w Workload, out io.Writer) *Session {
 		fmmBodies: nbody.Uniform2D(w.FMMBodies, w.Seed),
 		bhPar:     bh.DefaultParams(),
 		fmmPar:    fp,
-		bhMemo:    map[string]stats.Run{},
-		fmmMemo:   map[string]stats.Run{},
+		bhMemo:    map[memoKey]stats.Run{},
+		fmmMemo:   map[memoKey]stats.Run{},
 	}
 }
 
@@ -104,7 +112,7 @@ func (s *Session) Sec(r stats.Run) float64 { return s.Clock().Seconds(r.Makespan
 
 // BH runs (or recalls) the Barnes-Hut force phases under spec on n nodes.
 func (s *Session) BH(n int, spec driver.Spec) stats.Run {
-	key := fmt.Sprintf("%d/%s/%+v", n, spec, specKnobs(spec))
+	key := memoKey{n, spec}
 	if r, ok := s.bhMemo[key]; ok {
 		return r
 	}
@@ -115,20 +123,13 @@ func (s *Session) BH(n int, spec driver.Spec) stats.Run {
 
 // FMM runs (or recalls) the FMM step under spec on n nodes.
 func (s *Session) FMM(n int, spec driver.Spec) stats.Run {
-	key := fmt.Sprintf("%d/%s/%+v", n, spec, specKnobs(spec))
+	key := memoKey{n, spec}
 	if r, ok := s.fmmMemo[key]; ok {
 		return r
 	}
 	r, _ := fmm.RunStep(machine.DefaultT3D(n), spec, s.fmmBodies, s.fmmPar)
 	s.fmmMemo[key] = r
 	return r
-}
-
-// specKnobs distinguishes ablation variants that share a Spec string.
-func specKnobs(spec driver.Spec) string {
-	c := spec.Core
-	return fmt.Sprintf("agg%d pipe%v poll%d lifo%v planned%v cap%d",
-		c.AggLimit, c.Pipeline, c.PollEvery, c.LIFO, c.Planned, spec.Caching.Capacity)
 }
 
 // BHSeq returns the sequential Barnes-Hut baseline (memoized).

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dpa/internal/driver"
+	"dpa/internal/stats"
 )
 
 // tinyWorkload keeps harness tests fast.
@@ -66,6 +67,28 @@ func TestSessionMemoizes(t *testing.T) {
 	if e.RT.Fetches <= unbounded.RT.Fetches {
 		t.Errorf("bounded cache fetched %d, unbounded %d — capacity knob lost",
 			e.RT.Fetches, unbounded.RT.Fetches)
+	}
+	// So must specs that differ in a field no ablation names, under both
+	// apps: the key is the whole Spec.
+	budget := driver.DPASpec(50, driver.WithShape())
+	s.BH(2, budget)
+	s.FMM(2, budget)
+	budget.Core.MemBudget = 1 << 20
+	s.BH(2, budget)
+	s.FMM(2, budget)
+	for _, m := range []struct {
+		app  string
+		memo map[memoKey]stats.Run
+	}{{"BH", s.bhMemo}, {"FMM", s.fmmMemo}} {
+		n := 0
+		for k := range m.memo {
+			if k.n == 2 && k.spec.Core.Planned {
+				n++
+			}
+		}
+		if n != 2 {
+			t.Errorf("%s: specs differing only in MemBudget made %d memo entries, want 2", m.app, n)
+		}
 	}
 }
 

@@ -41,8 +41,11 @@ const snapshotMagic = "DPASNAP1"
 // mode bool where it wrote the adaptive, planner, prior and shape bools.
 // Version 5: the "fm" section lost the all-reduce and crash-hub state and
 // writes barrier ordinals: left, released, one per tree child, and the
-// adopted senders' in key order.
-const SnapshotVersion uint32 = 5
+// adopted senders' in key order. Version 6: a DPA fetch request and its
+// reply are one record, fingerprinted as the request in both directions, so
+// a pending reply and a retained frame whose record has since come home
+// digest differently.
+const SnapshotVersion uint32 = 6
 
 // ErrBadSnapshot is the sentinel matched by errors.Is for snapshot
 // encodings that fail to decode: truncated, corrupted (checksum mismatch),
