@@ -7,13 +7,22 @@
 //	dpabench -app bh|fmm|em3d|bfs|pagerank|cc -nodes 16 -runtime dpa|caching|blocking \
 //	         -engine sequential|parallel [-workers 8] \
 //	         -bodies 16384 -strip 50 -agg 16 [-nopipe] [-steps 4] [-terms 29] \
-//	         [-shape] [-strips 10,50,300] \
-//	         [-vertices 16384] [-degree 8] [-graph rmat|uniform]
+//	         [-shape] [-strips 10,50,300] [-seed 42] [-iters 4] \
+//	         [-vertices 16384] [-degree 8] [-graph rmat|uniform] [-source 0]
+//
+// The flags build one harness.Cell — the app, its inputs, the runtime Spec
+// and the machine — which is validated as a whole and then executed; a bad
+// value of any input the chosen app reads is a one-line error. -bodies sizes
+// bh and fmm (bodies) and em3d (graph nodes per kind); -steps counts bh and
+// fmm time steps, -iters em3d and pagerank iterations. -seed seeds the
+// bodies and the graph apps' graph. em3d builds its default graph from seed
+// 7 (the Olden shape) unless -seed is given explicitly.
 //
 // DPA runs the paper's static strip (-strip) by default; -shape selects
 // planned mode instead, where a cost model sizes every strip and multi-phase
 // apps plan repeated phases from the previous phase's measurements. -strips
-// runs a static sweep over the listed sizes plus one planned row.
+// runs a static sweep over the listed sizes plus one planned row: the cell
+// stays the same and only its Spec varies.
 //
 // The graph-analytics apps (bfs, pagerank, cc) run over a partitioned graph
 // generated deterministically from -seed: -vertices and -degree size it,
@@ -61,13 +70,11 @@ import (
 	"strconv"
 	"strings"
 
-	"dpa/internal/bh"
 	"dpa/internal/driver"
 	"dpa/internal/em3d"
-	"dpa/internal/fmm"
 	"dpa/internal/graph"
+	"dpa/internal/harness"
 	"dpa/internal/machine"
-	"dpa/internal/nbody"
 	"dpa/internal/obs"
 	"dpa/internal/sim"
 	"dpa/internal/stats"
@@ -79,8 +86,8 @@ func main() {
 	rtName := flag.String("runtime", "dpa", "runtime: dpa, caching, or blocking")
 	engine := flag.String("engine", "sequential", "simulation engine: sequential or parallel")
 	workers := flag.Int("workers", 0, "parallel engine: host worker count (0 = one per core, capped at nodes)")
-	bodies := flag.Int("bodies", 16384, "body count")
-	steps := flag.Int("steps", 1, "Barnes-Hut steps")
+	bodies := flag.Int("bodies", 16384, "body count (em3d: graph nodes per kind)")
+	steps := flag.Int("steps", 1, "Barnes-Hut and FMM time steps")
 	terms := flag.Int("terms", 29, "FMM expansion terms")
 	strip := flag.Int("strip", 50, "DPA strip size (0 = one strip)")
 	shape := flag.Bool("shape", false, "select DPA's planned mode (cost-model strip sizing, reuse-region pinning, cross-phase priors, affinity-shaped tiles)")
@@ -91,8 +98,8 @@ func main() {
 	strips := flag.String("strips", "", "comma-separated strip sizes: run a static sweep plus a planned row and print a comparison table")
 	agg := flag.Int("agg", 16, "DPA aggregation limit (1 disables, 0 unlimited)")
 	noPipe := flag.Bool("nopipe", false, "disable DPA message pipelining")
-	seed := flag.Int64("seed", 42, "workload seed")
-	iters := flag.Int("iters", 4, "EM3D iterations")
+	seed := flag.Int64("seed", 42, "workload seed (em3d, unless set: 7, the seed of its default graph)")
+	iters := flag.Int("iters", 4, "EM3D and PageRank iterations")
 	faults := flag.Bool("faults", false, "enable fault injection and the reliability layer")
 	dropRate := flag.Float64("drop-rate", 0, "message drop probability (implies -faults)")
 	dupRate := flag.Float64("dup-rate", 0, "message duplication probability (implies -faults)")
@@ -114,32 +121,9 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a host heap profile to this file on exit")
 	flag.Parse()
 
-	if err := checkSizes(*app, sizes{bodies: *bodies, vertices: *vertices, degree: *degree,
-		terms: *terms, steps: *steps, iters: *iters}); err != nil {
-		fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
-		os.Exit(1)
-	}
 	if *traceBins <= 0 {
-		fmt.Fprintf(os.Stderr, "dpabench: -tracebins must be positive, got %d\n", *traceBins)
-		os.Exit(1)
+		fatalf("-tracebins must be positive, got %d", *traceBins)
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	defer writeMemProfile(*memProfile)
-
 	var spec driver.Spec
 	switch *rtName {
 	case "dpa":
@@ -153,12 +137,7 @@ func main() {
 	case "blocking":
 		spec = driver.BlockingSpec()
 	default:
-		fmt.Fprintf(os.Stderr, "dpabench: unknown runtime %q\n", *rtName)
-		os.Exit(1)
-	}
-	if err := spec.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
-		os.Exit(1)
+		fatalf("unknown runtime %q", *rtName)
 	}
 
 	mcfg := machine.DefaultT3D(*nodes)
@@ -168,25 +147,14 @@ func main() {
 	case "parallel":
 		mcfg.Engine = sim.Parallel
 	default:
-		fmt.Fprintf(os.Stderr, "dpabench: unknown engine %q\n", *engine)
-		os.Exit(1)
+		fatalf("unknown engine %q", *engine)
 	}
 	mcfg.EngineTuning = sim.Tuning{Workers: *workers}
-	if err := mcfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
-		os.Exit(1)
-	}
 	if *trace {
 		mcfg.TraceBins = sim.Time(*traceBins) // default ~0.3 ms bins at 150 MHz; Gantt re-bins to fit
 	}
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tracer = obs.NewTracer(*nodes, 0)
-		mcfg.Obs = tracer
-	}
 	if *crashRate > 0 && *crashAt <= 0 {
-		fmt.Fprintf(os.Stderr, "dpabench: -crash-rate requires -crash-at > 0\n")
-		os.Exit(1)
+		fatalf("-crash-rate requires -crash-at > 0")
 	}
 	if *faults || *dropRate > 0 || *dupRate > 0 || *jitterRate > 0 || *stallRate > 0 || *crashRate > 0 {
 		mcfg.Faults = machine.FaultConfig{
@@ -203,109 +171,81 @@ func main() {
 			},
 			Reliable: true,
 		}
-		if err := mcfg.Faults.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
-			os.Exit(1)
-		}
 	}
-	// Checkpoint/restore: capture arms a snapshot at a cumulative virtual
-	// time; restore re-executes the same configuration deterministically and
-	// verifies the state at the stored boundary bit for bit.
+
+	// EM3D's default graph is seed 7's; only an explicit -seed replaces it.
+	em3dPrm := em3d.DefaultParams(*bodies)
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			em3dPrm.Seed = *seed
+		}
+	})
+	graphPrm := graph.DefaultParams(*vertices)
+	graphPrm.Degree, graphPrm.Kind, graphPrm.Seed = *degree, *graphKind, *seed
+	cell := harness.Cell{App: *app, Bodies: *bodies, Seed: *seed, Steps: *steps, Terms: *terms,
+		EM3D: em3dPrm, Graph: graphPrm, Source: *source, Iters: *iters, Spec: spec, Machine: mcfg}
+	if err := cell.Validate(); err != nil {
+		fatalf("%v", err)
+	}
+	switch {
+	case *restorePath != "" && *checkpointAt > 0:
+		fatalf("-restore and -checkpoint-at are mutually exclusive")
+	case *checkpointOut != "" && *checkpointAt <= 0:
+		fatalf("-checkpoint-out requires -checkpoint-at")
+	case *strips != "" && (*restorePath != "" || *checkpointAt > 0):
+		fatalf("checkpoint/restore is a single-run mode (no -strips)")
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatalf("%v", err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}()
+	}
+	defer writeMemProfile(*memProfile)
+
+	if *strips != "" {
+		stripSweep(cell, *strips, *agg, !*noPipe)
+		return
+	}
+
+	// The run's sinks: checkpoint/restore arms a snapshot at a cumulative
+	// virtual time (restore re-executes the same cell deterministically and
+	// verifies the state at the stored boundary bit for bit), and -traceout
+	// records a tracer.
 	var ckSpec *machine.CheckpointSpec
 	var ckSnap *sim.Snapshot
 	var ckErr error
 	ckDeliver := func(s *sim.Snapshot, err error) { ckSnap, ckErr = s, err }
 	switch {
-	case *restorePath != "" && *checkpointAt > 0:
-		fmt.Fprintf(os.Stderr, "dpabench: -restore and -checkpoint-at are mutually exclusive\n")
-		os.Exit(1)
-	case *checkpointOut != "" && *checkpointAt <= 0:
-		fmt.Fprintf(os.Stderr, "dpabench: -checkpoint-out requires -checkpoint-at\n")
-		os.Exit(1)
 	case *restorePath != "":
 		data, err := os.ReadFile(*restorePath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		snap, err := sim.Restore(data)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
-			os.Exit(1)
+			fatalf("%v", err)
 		}
 		ckSpec = &machine.CheckpointSpec{Verify: snap, Deliver: ckDeliver}
 	case *checkpointAt > 0:
 		ckSpec = &machine.CheckpointSpec{At: sim.Time(*checkpointAt), Deliver: ckDeliver}
 	}
-	if ckSpec != nil {
-		mcfg.Checkpoint = ckSpec
+	cell.Machine.Checkpoint = ckSpec
+	var tracer *obs.Tracer
+	if *traceOut != "" {
+		tracer = obs.NewTracer(*nodes, 0)
+		cell.Machine.Obs = tracer
 	}
-	var runWith func(machine.Config, driver.Spec) stats.Run
-	switch *app {
-	case "bh":
-		w := nbody.Plummer(*bodies, *seed)
-		runWith = func(cfg machine.Config, sp driver.Spec) stats.Run {
-			return bh.RunSteps(cfg, sp, w, *steps, bh.DefaultParams())
-		}
-	case "fmm":
-		w := nbody.Uniform2D(*bodies, *seed)
-		prm := fmm.DefaultParams(*bodies)
-		prm.Terms = *terms
-		runWith = func(cfg machine.Config, sp driver.Spec) stats.Run {
-			run, _ := fmm.RunStep(cfg, sp, w, prm)
-			return run
-		}
-	case "em3d":
-		prm := em3d.DefaultParams(*bodies)
-		runWith = func(cfg machine.Config, sp driver.Spec) stats.Run {
-			run, _ := em3d.RunIters(cfg, sp, prm, *iters)
-			return run
-		}
-	case "bfs", "pagerank", "cc":
-		gprm := graph.DefaultParams(*vertices)
-		gprm.Degree = *degree
-		gprm.Kind = *graphKind
-		gprm.Seed = *seed
-		if *graphKind != graph.KindRMAT && *graphKind != graph.KindUniform {
-			fmt.Fprintf(os.Stderr, "dpabench: unknown graph kind %q\n", *graphKind)
-			os.Exit(1)
-		}
-		if *source < 0 || *source >= *vertices {
-			fmt.Fprintf(os.Stderr, "dpabench: -source %d outside [0,%d)\n", *source, *vertices)
-			os.Exit(1)
-		}
-		switch *app {
-		case "bfs":
-			runWith = func(cfg machine.Config, sp driver.Spec) stats.Run {
-				run, _ := graph.RunBFS(cfg, sp, gprm, *source)
-				return run
-			}
-		case "pagerank":
-			runWith = func(cfg machine.Config, sp driver.Spec) stats.Run {
-				run, _ := graph.RunPageRank(cfg, sp, gprm, *iters)
-				return run
-			}
-		case "cc":
-			runWith = func(cfg machine.Config, sp driver.Spec) stats.Run {
-				run, _ := graph.RunCC(cfg, sp, gprm)
-				return run
-			}
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "dpabench: unknown app %q\n", *app)
-		os.Exit(1)
-	}
-	if ckSpec != nil && *strips != "" {
-		fmt.Fprintf(os.Stderr, "dpabench: checkpoint/restore is a single-run mode (no -strips)\n")
-		os.Exit(1)
-	}
-	if *strips != "" {
-		stripSweep(mcfg, runWith, *strips, *agg, !*noPipe, *app, *nodes)
-		return
-	}
-	run := runWith(mcfg, spec)
+	run := cell.Exec()
 
-	fmt.Printf("app=%s nodes=%d runtime=%s engine=%s\n", *app, *nodes, spec, mcfg.Engine)
+	fmt.Printf("app=%s nodes=%d runtime=%s engine=%s\n", cell.App, *nodes, spec, mcfg.Engine)
 	fmt.Print(run.Table(mcfg.ClockHz))
 	if run.Host != nil {
 		// Host-scheduler counters depend on host timing, so they go to
@@ -314,12 +254,10 @@ func main() {
 	}
 	if ckSpec != nil {
 		if !ckSpec.Done() {
-			fmt.Fprintf(os.Stderr, "dpabench: checkpoint boundary lies beyond the run's end\n")
-			os.Exit(1)
+			fatalf("checkpoint boundary lies beyond the run's end")
 		}
 		if ckErr != nil {
-			fmt.Fprintf(os.Stderr, "dpabench: %v\n", ckErr)
-			os.Exit(1)
+			fatalf("%v", ckErr)
 		}
 		data := ckSnap.Encode()
 		// The snapshot is bit-identical across engines, so its summary is
@@ -331,8 +269,7 @@ func main() {
 		}
 		if *checkpointOut != "" {
 			if err := os.WriteFile(*checkpointOut, data, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
-				os.Exit(1)
+				fatalf("%v", err)
 			}
 		}
 	}
@@ -355,44 +292,17 @@ func main() {
 	}
 }
 
-// sizes holds the workload-size flags.
-type sizes struct{ bodies, vertices, degree, terms, steps, iters int }
-
-// checkSizes rejects a non-positive value of any size flag the chosen app
-// reads; the generators allocate and index by these without checking. An
-// unknown app reads none and is reported where the app is selected.
-func checkSizes(app string, sz sizes) error {
-	type sizeFlag struct {
-		name string
-		v    int
-	}
-	var read []sizeFlag
-	switch app {
-	case "bh":
-		read = []sizeFlag{{"bodies", sz.bodies}, {"steps", sz.steps}}
-	case "fmm":
-		read = []sizeFlag{{"bodies", sz.bodies}, {"terms", sz.terms}}
-	case "em3d":
-		read = []sizeFlag{{"bodies", sz.bodies}, {"iters", sz.iters}}
-	case "bfs", "cc":
-		read = []sizeFlag{{"vertices", sz.vertices}, {"degree", sz.degree}}
-	case "pagerank":
-		read = []sizeFlag{{"vertices", sz.vertices}, {"degree", sz.degree}, {"iters", sz.iters}}
-	}
-	for _, f := range read {
-		if f.v <= 0 {
-			return fmt.Errorf("-%s must be positive, got %d", f.name, f.v)
-		}
-	}
-	return nil
+// fatalf reports a one-line error and exits with status 1.
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dpabench: "+format+"\n", args...)
+	os.Exit(1)
 }
 
 // writeOut creates path and fills it with write, exiting on any error.
 func writeOut(path string, write func(io.Writer) error) {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 	if err := write(f); err == nil {
 		err = f.Close()
@@ -400,8 +310,7 @@ func writeOut(path string, write func(io.Writer) error) {
 		f.Close()
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dpabench: %v\n", err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 }
 
@@ -414,19 +323,18 @@ func writeMemProfile(path string) {
 	writeOut(path, pprof.WriteHeapProfile)
 }
 
-// stripSweep runs the app once per static strip size plus once in planned
+// stripSweep runs the cell once per static strip size plus once in planned
 // mode and prints one comparison row each — the quick command-line version of
 // the harness's X7 experiment.
-func stripSweep(mcfg machine.Config, runWith func(machine.Config, driver.Spec) stats.Run,
-	strips string, agg int, pipeline bool, app string, nodes int) {
-
-	fmt.Printf("app=%s nodes=%d engine=%s strip sweep\n", app, nodes, mcfg.Engine)
+func stripSweep(cell harness.Cell, strips string, agg int, pipeline bool) {
+	fmt.Printf("app=%s nodes=%d engine=%s strip sweep\n", cell.App, cell.Machine.Nodes, cell.Machine.Engine)
 	fmt.Printf("%-12s %10s %10s %10s %10s %8s\n",
 		"runtime", "time", "fetches", "refetches", "reqmsgs", "peakKB")
 	row := func(sp driver.Spec) stats.Run {
-		r := runWith(mcfg, sp)
+		cell.Spec = sp
+		r := cell.Exec()
 		fmt.Printf("%-12s %9.4fs %10d %10d %10d %8.1f\n",
-			sp, mcfg.Seconds(r.Makespan), r.RT.Fetches, r.RT.Refetches,
+			sp, cell.Machine.Seconds(r.Makespan), r.RT.Fetches, r.RT.Refetches,
 			r.RT.ReqMsgs, float64(r.RT.PeakArrivedBytes)/1024)
 		return r
 	}
@@ -435,8 +343,7 @@ func stripSweep(mcfg machine.Config, runWith func(machine.Config, driver.Spec) s
 	for _, f := range strings.Split(strips, ",") {
 		s, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || s < 0 {
-			fmt.Fprintf(os.Stderr, "dpabench: bad strip size %q\n", f)
-			os.Exit(1)
+			fatalf("bad strip size %q", f)
 		}
 		r := row(driver.DPASpec(s, opts...))
 		if best == 0 || r.Makespan < best {

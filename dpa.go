@@ -107,6 +107,11 @@ var ErrBadEngine = sim.ErrBadTuning
 // parameters (a rate outside [0, 1], a negative cycle count).
 var ErrBadFaults = sim.ErrBadFaults
 
+// ErrBadSpec is the sentinel matched by errors.Is for a Spec that
+// Spec.Validate rejects (an unknown runtime kind, or a runtime configuration
+// out of range).
+var ErrBadSpec = driver.ErrBadSpec
+
 // Runtime selection types.
 type (
 	// Runtime is the common surface of the DPA, caching, and blocking
@@ -210,24 +215,15 @@ func NewSpace(n int) *Space { return gptr.NewSpace(n) }
 // node count (150 MHz nodes, FM-style messaging costs, 3D torus).
 func DefaultT3D(nodes int) MachineConfig { return machine.DefaultT3D(nodes) }
 
-// SpecOption customizes a Spec built by DPASpec, CachingSpec, or
-// BlockingSpec.
+// SpecOption customizes the DPA configuration of a Spec built by DPASpec;
+// every other knob is a field of the Spec's runtime config, set directly.
 type SpecOption = driver.SpecOption
 
 // WithAggLimit sets the DPA aggregation limit (1 disables, 0 unlimited).
 func WithAggLimit(n int) SpecOption { return driver.WithAggLimit(n) }
 
-// WithLIFO selects the depth-first (LIFO) ready-queue discipline for DPA.
-func WithLIFO() SpecOption { return driver.WithLIFO() }
-
 // WithPipeline enables or disables DPA message pipelining.
 func WithPipeline(on bool) SpecOption { return driver.WithPipeline(on) }
-
-// WithPollEvery sets ready-thread executions between network polls.
-func WithPollEvery(n int) SpecOption { return driver.WithPollEvery(n) }
-
-// WithCacheCapacity bounds the software cache to n objects (0 = unbounded).
-func WithCacheCapacity(n int) SpecOption { return driver.WithCacheCapacity(n) }
 
 // WithShape selects DPA's planned mode, the one alternative to the paper's
 // static strip: a closed-form cost model sizes each strip and the
@@ -237,7 +233,8 @@ func WithCacheCapacity(n int) SpecOption { return driver.WithCacheCapacity(n) }
 // planned from the previous phase's measured signals, with top-level
 // iterations reordered into owner-major runs (affinity-shaped tiles). The
 // cross-phase half takes effect when the runner supplies a PriorStore via
-// WithPriors. Mutually exclusive with WithLIFO.
+// WithPriors. Mutually exclusive with the LIFO queue discipline
+// (DPAConfig.LIFO).
 func WithShape() SpecOption { return driver.WithShape() }
 
 // PriorStore carries the planner's cross-phase reuse priors across the phase
@@ -255,13 +252,6 @@ func WithPriors(store *PriorStore, kind string) RunOption {
 	return driver.WithPriors(store, kind)
 }
 
-// WithStripBounds sets planned mode's strip bounds: strip sizes stay in
-// [min, max], and renamed copies beyond memBudget bytes release closed reuse
-// regions. Zero values keep the defaults (8, 4096 and 4 MB).
-func WithStripBounds(min, max int, memBudget int64) SpecOption {
-	return driver.WithStripBounds(min, max, memBudget)
-}
-
 // DPASpec selects the DPA runtime with the given strip size and the default
 // communication optimizations (aggregation + pipelining) enabled, then
 // applies opts. The paper's headline configuration is DPASpec(50).
@@ -275,10 +265,10 @@ func DPADefault() DPAConfig { return core.Default() }
 func SpecFromDPA(cfg DPAConfig) Spec { return Spec{Kind: driver.DPA, Core: cfg} }
 
 // CachingSpec selects the software-caching comparator runtime.
-func CachingSpec(opts ...SpecOption) Spec { return driver.CachingSpec(opts...) }
+func CachingSpec() Spec { return driver.CachingSpec() }
 
 // BlockingSpec selects the blocking comparator runtime.
-func BlockingSpec(opts ...SpecOption) Spec { return driver.BlockingSpec(opts...) }
+func BlockingSpec() Spec { return driver.BlockingSpec() }
 
 // RunOption adjusts how RunPhase executes a phase beyond what the
 // MachineConfig describes: WithValidation and WithPriors.

@@ -4,6 +4,7 @@
 package driver
 
 import (
+	"errors"
 	"fmt"
 
 	"dpa/internal/blocking"
@@ -68,17 +69,13 @@ type Spec struct {
 	Blocking blocking.Config // used when Kind == Blocking
 }
 
-// SpecOption customizes a Spec built by DPASpec, CachingSpec, or
-// BlockingSpec. Options that target a field of a runtime the Spec does not
-// select are recorded but have no effect on the run.
+// SpecOption customizes the DPA configuration of a Spec built by DPASpec.
+// Every other knob is a field of the Spec's runtime config, set directly.
 type SpecOption func(*Spec)
 
 // WithAggLimit sets the DPA aggregation limit: the maximum number of
 // pointers per request message (1 disables aggregation, 0 means unlimited).
 func WithAggLimit(n int) SpecOption { return func(s *Spec) { s.Core.AggLimit = n } }
-
-// WithLIFO selects the depth-first (LIFO) ready-queue discipline for DPA.
-func WithLIFO() SpecOption { return func(s *Spec) { s.Core.LIFO = true } }
 
 // WithShape selects DPA's planned mode, the alternative to the paper's static
 // strip: a closed-form cost model sizes every strip and the per-destination
@@ -87,66 +84,59 @@ func WithLIFO() SpecOption { return func(s *Spec) { s.Core.LIFO = true } }
 // passes a PriorStore via WithPriors — repeated phases are planned from the
 // previous phase's measured signals, with top-level iterations reordered into
 // owner-major runs (affinity-shaped tiles, hence the name). Mutually
-// exclusive with WithLIFO.
+// exclusive with the LIFO queue discipline (Core.LIFO).
 func WithShape() SpecOption { return func(s *Spec) { s.Core.Planned = true } }
-
-// WithStripBounds sets planned mode's strip-size bounds and renamed-copy
-// memory budget in bytes (zero keeps each default).
-func WithStripBounds(min, max int, memBudget int64) SpecOption {
-	return func(s *Spec) {
-		s.Core.StripMin, s.Core.StripMax, s.Core.MemBudget = min, max, memBudget
-	}
-}
 
 // WithPipeline enables or disables DPA message pipelining (eager request
 // flushing that overlaps communication with thread execution).
 func WithPipeline(on bool) SpecOption { return func(s *Spec) { s.Core.Pipeline = on } }
 
-// WithPollEvery sets the number of ready-thread executions between network
-// polls for the DPA and caching runtimes.
-func WithPollEvery(n int) SpecOption {
-	return func(s *Spec) { s.Core.PollEvery = n; s.Caching.PollEvery = n }
-}
-
-// WithCacheCapacity bounds the software cache to n objects (0 = unbounded).
-func WithCacheCapacity(n int) SpecOption { return func(s *Spec) { s.Caching.Capacity = n } }
-
 // DPASpec returns a Spec for DPA with the given strip size and the default
 // communication optimizations enabled, then applies opts.
 func DPASpec(strip int, opts ...SpecOption) Spec {
-	c := core.Default()
-	c.Strip = strip
-	return applySpec(Spec{Kind: DPA, Core: c}, opts)
-}
-
-// CachingSpec returns a Spec for the software-caching runtime.
-func CachingSpec(opts ...SpecOption) Spec {
-	return applySpec(Spec{Kind: Caching, Caching: caching.Default()}, opts)
-}
-
-// BlockingSpec returns a Spec for the blocking runtime.
-func BlockingSpec(opts ...SpecOption) Spec {
-	return applySpec(Spec{Kind: Blocking, Blocking: blocking.Default()}, opts)
-}
-
-func applySpec(s Spec, opts []SpecOption) Spec {
+	s := Spec{Kind: DPA, Core: core.Default()}
+	s.Core.Strip = strip
 	for _, o := range opts {
 		o(&s)
 	}
 	return s
 }
 
-// Validate checks the spec's selected runtime configuration.
+// CachingSpec returns a Spec for the software-caching runtime.
+func CachingSpec() Spec { return Spec{Kind: Caching, Caching: caching.Default()} }
+
+// BlockingSpec returns a Spec for the blocking runtime.
+func BlockingSpec() Spec { return Spec{Kind: Blocking, Blocking: blocking.Default()} }
+
+// ErrBadSpec is the sentinel matched by errors.Is for every rejection of
+// Spec.Validate: an unknown runtime kind or an invalid configuration of the
+// selected runtime.
+var ErrBadSpec = errors.New("driver: invalid runtime spec")
+
+// specError marks a runtime's rejection of its configuration as a bad spec
+// while keeping the runtime's message.
+type specError struct{ error }
+
+func (e specError) Unwrap() []error { return []error{ErrBadSpec, e.error} }
+
+// Validate checks the spec's selected runtime configuration. Every error it
+// returns wraps ErrBadSpec.
 func (s Spec) Validate() error {
+	var err error
 	switch s.Kind {
 	case DPA:
-		return s.Core.Validate()
+		err = s.Core.Validate()
 	case Caching:
-		return s.Caching.Validate()
+		err = s.Caching.Validate()
 	case Blocking:
-		return s.Blocking.Validate()
+		err = s.Blocking.Validate()
+	default:
+		err = fmt.Errorf("driver: unknown runtime kind %q", string(s.Kind))
 	}
-	return fmt.Errorf("driver: unknown runtime kind %q", string(s.Kind))
+	if err != nil {
+		return specError{err}
+	}
+	return nil
 }
 
 // String names the spec for table rows.

@@ -78,7 +78,8 @@ func TestRuntimeRejectsInvalidConfig(t *testing.T) {
 		if _, err := protos.newRuntime(bad, ep, space, nil); err == nil {
 			t.Error("expected error for negative AggLimit")
 		}
-		badCache := CachingSpec(WithCacheCapacity(-1))
+		badCache := CachingSpec()
+		badCache.Caching.Capacity = -1
 		if _, err := protos.newRuntime(badCache, ep, space, nil); err == nil {
 			t.Error("expected error for negative cache capacity")
 		}
@@ -86,13 +87,40 @@ func TestRuntimeRejectsInvalidConfig(t *testing.T) {
 }
 
 func TestSpecOptions(t *testing.T) {
-	s := DPASpec(300, WithAggLimit(4), WithLIFO(), WithPipeline(false), WithPollEvery(3))
-	if s.Core.Strip != 300 || s.Core.AggLimit != 4 || !s.Core.LIFO || s.Core.Pipeline || s.Core.PollEvery != 3 {
+	s := DPASpec(300, WithAggLimit(4), WithPipeline(false), WithShape())
+	if s.Core.Strip != 300 || s.Core.AggLimit != 4 || s.Core.Pipeline || !s.Core.Planned {
 		t.Fatalf("option application: %+v", s.Core)
 	}
-	c := CachingSpec(WithCacheCapacity(128), WithPollEvery(2))
-	if c.Caching.Capacity != 128 || c.Caching.PollEvery != 2 {
-		t.Fatalf("caching options: %+v", c.Caching)
+}
+
+// TestSpecErrorsTyped: every Spec.Validate rejection, from each runtime's
+// validator and from the kind switch, matches ErrBadSpec and keeps the
+// validator's own message.
+func TestSpecErrorsTyped(t *testing.T) {
+	lifoPlanned := DPASpec(50, WithShape())
+	lifoPlanned.Core.LIFO = true
+	badPoll := CachingSpec()
+	badPoll.Caching.PollEvery = -1
+	badSpawn := BlockingSpec()
+	badSpawn.Blocking.SpawnCost = -1
+	for _, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{DPASpec(-1), "core: Strip must be >= 0 (0 = one strip), got -1"},
+		{DPASpec(50, WithAggLimit(-2)), "core: AggLimit must be >= 0 (0 = unlimited), got -2"},
+		{lifoPlanned, "core: Planned and LIFO are mutually exclusive (owner-major scheduling replaces the queue discipline)"},
+		{badPoll, "caching: PollEvery must be >= 0 (0 = every iteration), got -1"},
+		{badSpawn, "blocking: SpawnCost must be non-negative, got -1"},
+		{Spec{Kind: "bogus"}, `driver: unknown runtime kind "bogus"`},
+	} {
+		err := tc.spec.Validate()
+		if !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%v: Validate = %v, want an ErrBadSpec", tc.spec, err)
+		}
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%v: message %q, want %q", tc.spec, err, tc.want)
+		}
 	}
 }
 

@@ -8,16 +8,18 @@ import (
 	"dpa/internal/driver"
 	"dpa/internal/em3d"
 	"dpa/internal/fm"
+	"dpa/internal/harness"
 	"dpa/internal/machine"
 	"dpa/internal/sim"
 	"dpa/internal/stats"
 )
 
 // FuzzFaultConfig holds machine.FaultConfig and a capture-mode
-// machine.CheckpointSpec to their contract: a config that Validate rejects
-// is refused with an error wrapping sim.ErrBadFaults (or, for the
-// checkpoint, machine.ErrBadCheckpoint), never a panic, and one it accepts
-// carries a 4-phase, 8-node EM3D run to the end under both engines, with
+// machine.CheckpointSpec to their contract, on a harness.Cell whose machine
+// carries them: a config that the cell's Validate rejects is refused with an
+// error wrapping sim.ErrBadFaults (or, for the checkpoint,
+// machine.ErrBadCheckpoint), never a panic, and one it accepts carries a
+// 4-phase, 8-node EM3D run to the end under both engines, with
 // identical run tables and an error that is nil or typed — every leaf wraps
 // fm.ErrUnreachable, machine.ErrCrashed or sim.ErrDeadlock. A checkpoint
 // time that is not positive is rejected with machine.ErrBadCheckpoint; an
@@ -27,7 +29,8 @@ import (
 // and the cycle counts from 32 bits, negatives included, which covers every
 // rule Validate states. The reliability knobs are drawn from small ranges:
 // they scale how long a death takes to detect, and past these bounds a run
-// only spends longer probing live peers.
+// only spends longer probing live peers. A failure prints the cell with %#v,
+// ready to paste into a regression test.
 func FuzzFaultConfig(f *testing.F) {
 	type knobs = struct {
 		seed                         uint64
@@ -56,8 +59,8 @@ func FuzzFaultConfig(f *testing.F) {
 	prm := em3d.DefaultParams(64)
 	f.Fuzz(func(t *testing.T, seed uint64, drop, dup, jitter, stall, crash float64,
 		maxJitter, stallCyc, crashAt int32, reliable bool, window, backoff, retries uint8, rto, ackBytes uint16, ckAt int32) {
-		cfg := machine.DefaultT3D(8)
-		cfg.Faults = machine.FaultConfig{
+		cell := harness.Cell{App: "em3d", EM3D: prm, Iters: 2, Spec: driver.DPASpec(50), Machine: machine.DefaultT3D(8)}
+		cell.Machine.Faults = machine.FaultConfig{
 			FaultParams: sim.FaultParams{
 				Seed: seed, DropRate: drop, DupRate: dup, JitterRate: jitter, MaxJitter: sim.Time(maxJitter),
 				StallRate: stall, StallCycles: sim.Time(stallCyc), CrashRate: crash, CrashAt: sim.Time(crashAt),
@@ -69,9 +72,9 @@ func FuzzFaultConfig(f *testing.F) {
 			RelMaxRetries: 1 + int(retries%6),
 			RelAckBytes:   int(ackBytes % 64),
 		}
-		if err := cfg.Validate(); err != nil {
+		if err := cell.Validate(); err != nil {
 			if !errors.Is(err, sim.ErrBadFaults) {
-				t.Fatalf("%+v rejected with an untyped error: %v", cfg.Faults, err)
+				t.Fatalf("%#v rejected with an untyped error: %v", cell, err)
 			}
 			return
 		}
@@ -84,8 +87,8 @@ func FuzzFaultConfig(f *testing.F) {
 				}
 			}}
 		}
-		withCk := cfg
-		withCk.Checkpoint = ck()
+		withCk := cell
+		withCk.Machine.Checkpoint = ck()
 		err := withCk.Validate()
 		if ckAt <= 0 {
 			if !errors.Is(err, machine.ErrBadCheckpoint) {
@@ -96,27 +99,28 @@ func FuzzFaultConfig(f *testing.F) {
 		}
 		var seq stats.Run
 		for _, eng := range []sim.EngineKind{sim.Sequential, sim.Parallel} {
-			c := cfg
-			c.Engine = eng
-			run, _ := em3d.RunIters(c, driver.DPASpec(50), prm, 2)
+			c := cell
+			c.Machine.Engine = eng
+			run := c.Exec()
 			if run.Err != nil && !typedFault(run.Err) {
-				t.Fatalf("%+v under %v: untyped error %v", cfg.Faults, eng, run.Err)
+				t.Fatalf("%#v: untyped error %v", c, run.Err)
 			}
 			if eng == sim.Sequential {
 				seq = run
 			} else if d := seq.Diff(run); d != "" {
-				t.Fatalf("%+v: engines disagree: %s", cfg.Faults, d)
+				t.Fatalf("%#v: engines disagree: %s", c, d)
 			}
 			if ckAt <= 0 {
 				continue
 			}
-			c.Checkpoint, delivered = ck(), 0
-			ckRun, _ := em3d.RunIters(c, driver.DPASpec(50), prm, 2)
+			withCk := c
+			withCk.Machine.Checkpoint, delivered = ck(), 0
+			ckRun := withCk.Exec()
 			if delivered > 1 {
-				t.Fatalf("checkpoint at %d under %v delivered %d times", ckAt, eng, delivered)
+				t.Fatalf("%#v, checkpoint at %d: delivered %d times", c, ckAt, delivered)
 			}
 			if d := seq.Diff(ckRun); d != "" {
-				t.Fatalf("%+v, checkpoint at %d under %v: run differs from the run without it: %s", cfg.Faults, ckAt, eng, d)
+				t.Fatalf("%#v, checkpoint at %d: run differs from the run without it: %s", c, ckAt, d)
 			}
 		}
 	})

@@ -1,18 +1,22 @@
 package driver_test
 
 import (
+	"errors"
 	"testing"
 
 	"dpa/internal/driver"
 	"dpa/internal/em3d"
+	"dpa/internal/harness"
 	"dpa/internal/machine"
 )
 
 // FuzzSpecValidate holds Spec.Validate to its contract: a DPA spec it
-// accepts runs, and one it rejects is refused with an error, never a panic.
-// An accepted spec must carry a 4-node EM3D iteration (an E and an H phase)
-// to completion with no error, and in planned mode end on a strip inside the
-// bounds the defaults resolve to. The sizes are drawn from 16 bits (the
+// accepts runs, and one it rejects is refused with an error wrapping
+// driver.ErrBadSpec, never a panic. The spec runs as a harness.Cell: an
+// accepted spec must carry a 4-node EM3D iteration (an E and an H phase) to
+// completion with no error, and in planned mode end on a strip inside the
+// bounds the defaults resolve to. A failure prints the cell with %#v, ready
+// to paste into a regression test. The sizes are drawn from 16 bits (the
 // budget from 32), negatives included, which covers every rule Validate
 // states; beyond that range the knobs only scale arithmetic the phase does
 // not reach at this size.
@@ -36,25 +40,21 @@ func FuzzSpecValidate(f *testing.F) {
 	add(knobs{strip: 0, agg: 0, lifo: true})
 	add(knobs{strip: -1, agg: -1, poll: -1, lifo: true, planned: true})
 
-	prm := em3d.DefaultParams(32)
 	f.Fuzz(func(t *testing.T, strip, stripMin, stripMax int16, memBudget int32, agg, poll int16, lifo, pipeline, planned bool) {
-		opts := []driver.SpecOption{
-			driver.WithStripBounds(int(stripMin), int(stripMax), int64(memBudget)),
-			driver.WithAggLimit(int(agg)), driver.WithPollEvery(int(poll)), driver.WithPipeline(pipeline),
-		}
-		if lifo {
-			opts = append(opts, driver.WithLIFO())
-		}
-		if planned {
-			opts = append(opts, driver.WithShape())
-		}
-		spec := driver.DPASpec(int(strip), opts...)
-		if spec.Validate() != nil {
+		spec := driver.DPASpec(int(strip), driver.WithAggLimit(int(agg)), driver.WithPipeline(pipeline))
+		spec.Core.StripMin, spec.Core.StripMax, spec.Core.MemBudget = int(stripMin), int(stripMax), int64(memBudget)
+		spec.Core.PollEvery, spec.Core.LIFO, spec.Core.Planned = int(poll), lifo, planned
+		cell := harness.Cell{App: "em3d", EM3D: em3d.DefaultParams(32), Iters: 1,
+			Spec: spec, Machine: machine.DefaultT3D(4)}
+		if err := cell.Validate(); err != nil {
+			if !errors.Is(err, driver.ErrBadSpec) {
+				t.Fatalf("%#v rejected with an error that is not ErrBadSpec: %v", cell, err)
+			}
 			return
 		}
-		run, _ := em3d.RunIters(machine.DefaultT3D(4), spec, prm, 1)
+		run := cell.Exec()
 		if run.Err != nil {
-			t.Fatalf("%+v: accepted spec degraded: %v", spec.Core, run.Err)
+			t.Fatalf("%#v: accepted spec degraded: %v", cell, run.Err)
 		}
 		if !planned {
 			return
@@ -67,7 +67,7 @@ func FuzzSpecValidate(f *testing.F) {
 			hi = 4096
 		}
 		if fs := run.RT.FinalStrip; fs < lo || fs > hi {
-			t.Fatalf("%+v: final strip %d outside the effective bounds [%d, %d]", spec.Core, fs, lo, hi)
+			t.Fatalf("%#v: final strip %d outside the effective bounds [%d, %d]", cell, fs, lo, hi)
 		}
 	})
 }

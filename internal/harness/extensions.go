@@ -5,8 +5,6 @@ import (
 
 	"dpa/internal/core"
 	"dpa/internal/driver"
-	"dpa/internal/em3d"
-	"dpa/internal/machine"
 	"dpa/internal/stats"
 )
 
@@ -24,10 +22,9 @@ func init() {
 
 // em3dRun runs the EM3D kernel for one iteration pair at P=16.
 func (s *Session) em3dRun(localFrac float64, spec driver.Spec) stats.Run {
-	prm := em3d.DefaultParams(s.W.EM3DNodes)
-	prm.LocalFrac = localFrac
-	r, _ := em3d.RunIters(machine.DefaultT3D(16), spec, prm, 1)
-	return r
+	c := s.em3dCell(16, spec, 1)
+	c.EM3D.LocalFrac = localFrac
+	return s.Run(c)
 }
 
 func runX1(s *Session) {

@@ -1,11 +1,8 @@
 package harness
 
 import (
-	"dpa/internal/bh"
 	"dpa/internal/driver"
-	"dpa/internal/em3d"
 	"dpa/internal/machine"
-	"dpa/internal/stats"
 )
 
 // X5: loss-rate sweep. The paper assumes reliable delivery; this extension
@@ -31,34 +28,26 @@ func runX5(s *Session) {
 	s.printf("protocol with no loss (pure overhead: acks and sequencing); overhead\n")
 	s.printf("is relative to the fault-free run without the reliability layer.\n\n")
 
-	// Fault-free baselines, no reliability layer. The EM3D run is direct (the
-	// session has no EM3D memo); Barnes-Hut reuses the session memo.
-	em3dBase, _ := em3d.RunIters(machine.DefaultT3D(nodes), spec, em3d.DefaultParams(s.W.EM3DNodes), 1)
-	bhBase := s.BH(nodes, spec)
-
+	// Each app's fault-free cell, no reliability layer, is its baseline; the
+	// sweep varies only the cell's fault plan.
 	apps := []struct {
 		name string
-		base stats.Run
-		run  func(machine.Config) stats.Run
+		cell Cell
 	}{
-		{"EM3D", em3dBase, func(cfg machine.Config) stats.Run {
-			r, _ := em3d.RunIters(cfg, spec, em3d.DefaultParams(s.W.EM3DNodes), 1)
-			return r
-		}},
-		{"BH", bhBase, func(cfg machine.Config) stats.Run {
-			return bh.RunSteps(cfg, spec, s.bhBodies, s.W.BHSteps, s.bhPar)
-		}},
+		{"EM3D", s.em3dCell(nodes, spec, 1)},
+		{"BH", s.bhCell(nodes, spec)},
 	}
 
 	for _, app := range apps {
-		s.printf("%s (fault-free: %.2fms)\n", app.name, s.Clock().Seconds(app.base.Makespan)*1e3)
+		base := s.Run(app.cell)
+		s.printf("%s (fault-free: %.2fms)\n", app.name, s.Clock().Seconds(base.Makespan)*1e3)
 		s.printf("%8s %12s %10s %10s %12s %10s\n",
 			"loss", "time", "dropped", "retrans", "dups suppr", "overhead")
 		for _, rate := range faultSweepRates {
-			cfg := machine.DefaultT3D(nodes)
-			cfg.Faults = machine.DefaultFaults(faultSweepSeed, rate)
-			r := app.run(cfg)
-			over := float64(r.Makespan)/float64(app.base.Makespan) - 1
+			c := app.cell
+			c.Machine.Faults = machine.DefaultFaults(faultSweepSeed, rate)
+			r := s.Run(c)
+			over := float64(r.Makespan)/float64(base.Makespan) - 1
 			status := ""
 			if r.Err != nil {
 				status = "  DEGRADED"

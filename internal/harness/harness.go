@@ -13,9 +13,9 @@ import (
 
 	"dpa/internal/bh"
 	"dpa/internal/driver"
+	"dpa/internal/em3d"
 	"dpa/internal/fmm"
 	"dpa/internal/machine"
-	"dpa/internal/nbody"
 	"dpa/internal/stats"
 )
 
@@ -63,45 +63,20 @@ func (w Workload) procSweep(from int) []int {
 }
 
 // Session runs experiments with memoized simulation results, so that
-// experiments sharing a configuration (e.g. the T2 table and the F3 speedup
-// curves) pay for it once.
+// experiments sharing a cell (e.g. the T2 table and the F3 speedup curves, or
+// X1's 75%-local EM3D row and X5's fault-free baseline) pay for it once.
 type Session struct {
 	W   Workload
 	Out io.Writer
 
-	bhBodies  []nbody.Body
-	fmmBodies []nbody.Body
-	bhPar     bh.Params
-	fmmPar    fmm.Params
-
-	bhMemo  map[memoKey]stats.Run
-	fmmMemo map[memoKey]stats.Run
-	bhSeq   *stats.Run
-	fmmSeq  *stats.Run
+	memo   map[Cell]stats.Run
+	bhSeq  *stats.Run
+	fmmSeq *stats.Run
 }
 
-// memoKey identifies a memoized run: the node count and the whole Spec,
-// which is all scalars and therefore comparable, so two specs share an entry
-// only when every field agrees.
-type memoKey struct {
-	n    int
-	spec driver.Spec
-}
-
-// NewSession prepares workload data for the given sizes.
+// NewSession starts a session over the given workload sizes.
 func NewSession(w Workload, out io.Writer) *Session {
-	fp := fmm.DefaultParams(w.FMMBodies)
-	fp.Terms = w.FMMTerms
-	return &Session{
-		W:         w,
-		Out:       out,
-		bhBodies:  nbody.Plummer(w.BHBodies, w.Seed),
-		fmmBodies: nbody.Uniform2D(w.FMMBodies, w.Seed),
-		bhPar:     bh.DefaultParams(),
-		fmmPar:    fp,
-		bhMemo:    map[memoKey]stats.Run{},
-		fmmMemo:   map[memoKey]stats.Run{},
-	}
+	return &Session{W: w, Out: out, memo: map[Cell]stats.Run{}}
 }
 
 // Clock returns cycles→seconds conversion under the default machine.
@@ -110,32 +85,51 @@ func (s *Session) Clock() machine.Config { return machine.DefaultT3D(1) }
 // Sec converts a makespan to seconds.
 func (s *Session) Sec(r stats.Run) float64 { return s.Clock().Seconds(r.Makespan) }
 
-// BH runs (or recalls) the Barnes-Hut force phases under spec on n nodes.
-func (s *Session) BH(n int, spec driver.Spec) stats.Run {
-	key := memoKey{n, spec}
-	if r, ok := s.bhMemo[key]; ok {
+// Run executes c, or recalls its run: every run is deterministic, so equal
+// cells give equal runs. A cell whose machine carries a sink (a tracer or a
+// checkpoint) is executed every time, since the sink is an output of the run.
+func (s *Session) Run(c Cell) stats.Run {
+	if c.Machine.Obs != nil || c.Machine.Checkpoint != nil {
+		return c.Exec()
+	}
+	if r, ok := s.memo[c]; ok {
 		return r
 	}
-	r := bh.RunSteps(machine.DefaultT3D(n), spec, s.bhBodies, s.W.BHSteps, s.bhPar)
-	s.bhMemo[key] = r
+	r := c.Exec()
+	s.memo[c] = r
 	return r
 }
 
-// FMM runs (or recalls) the FMM step under spec on n nodes.
-func (s *Session) FMM(n int, spec driver.Spec) stats.Run {
-	key := memoKey{n, spec}
-	if r, ok := s.fmmMemo[key]; ok {
-		return r
-	}
-	r, _ := fmm.RunStep(machine.DefaultT3D(n), spec, s.fmmBodies, s.fmmPar)
-	s.fmmMemo[key] = r
-	return r
+// bhCell is the workload's Barnes-Hut run under spec on n nodes.
+func (s *Session) bhCell(n int, spec driver.Spec) Cell {
+	return Cell{App: "bh", Bodies: s.W.BHBodies, Seed: s.W.Seed, Steps: s.W.BHSteps,
+		Spec: spec, Machine: machine.DefaultT3D(n)}
 }
+
+// fmmCell is the workload's single FMM step under spec on n nodes.
+func (s *Session) fmmCell(n int, spec driver.Spec) Cell {
+	return Cell{App: "fmm", Bodies: s.W.FMMBodies, Seed: s.W.Seed, Steps: 1, Terms: s.W.FMMTerms,
+		Spec: spec, Machine: machine.DefaultT3D(n)}
+}
+
+// em3dCell is the workload's EM3D kernel, Olden's default graph shape, for
+// iters E/H pairs under spec on n nodes.
+func (s *Session) em3dCell(n int, spec driver.Spec, iters int) Cell {
+	return Cell{App: "em3d", EM3D: em3d.DefaultParams(s.W.EM3DNodes), Iters: iters,
+		Spec: spec, Machine: machine.DefaultT3D(n)}
+}
+
+// BH runs (or recalls) the Barnes-Hut force phases under spec on n nodes.
+func (s *Session) BH(n int, spec driver.Spec) stats.Run { return s.Run(s.bhCell(n, spec)) }
+
+// FMM runs (or recalls) the FMM step under spec on n nodes.
+func (s *Session) FMM(n int, spec driver.Spec) stats.Run { return s.Run(s.fmmCell(n, spec)) }
 
 // BHSeq returns the sequential Barnes-Hut baseline (memoized).
 func (s *Session) BHSeq() stats.Run {
 	if s.bhSeq == nil {
-		r := bh.SeqSteps(s.bhBodies, s.W.BHSteps, s.bhPar)
+		c := s.bhCell(1, driver.Spec{})
+		r := bh.SeqSteps(c.bodies(), c.Steps, bh.DefaultParams())
 		s.bhSeq = &r
 	}
 	return *s.bhSeq
@@ -144,7 +138,8 @@ func (s *Session) BHSeq() stats.Run {
 // FMMSeq returns the sequential FMM baseline (memoized).
 func (s *Session) FMMSeq() stats.Run {
 	if s.fmmSeq == nil {
-		r, _ := fmm.SeqStep(s.fmmBodies, s.fmmPar)
+		c := s.fmmCell(1, driver.Spec{})
+		r, _ := fmm.SeqStep(c.bodies(), c.fmmParams())
 		s.fmmSeq = &r
 	}
 	return *s.fmmSeq

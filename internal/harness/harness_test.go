@@ -1,11 +1,16 @@
 package harness
 
 import (
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
 	"dpa/internal/driver"
-	"dpa/internal/stats"
+	"dpa/internal/em3d"
+	"dpa/internal/graph"
+	"dpa/internal/machine"
+	"dpa/internal/sim"
 )
 
 // tinyWorkload keeps harness tests fast.
@@ -69,26 +74,137 @@ func TestSessionMemoizes(t *testing.T) {
 			e.RT.Fetches, unbounded.RT.Fetches)
 	}
 	// So must specs that differ in a field no ablation names, under both
-	// apps: the key is the whole Spec.
+	// apps: the key is the whole cell.
 	budget := driver.DPASpec(50, driver.WithShape())
 	s.BH(2, budget)
 	s.FMM(2, budget)
 	budget.Core.MemBudget = 1 << 20
 	s.BH(2, budget)
 	s.FMM(2, budget)
-	for _, m := range []struct {
-		app  string
-		memo map[memoKey]stats.Run
-	}{{"BH", s.bhMemo}, {"FMM", s.fmmMemo}} {
+	for _, app := range []string{"bh", "fmm"} {
 		n := 0
-		for k := range m.memo {
-			if k.n == 2 && k.spec.Core.Planned {
+		for k := range s.memo {
+			if k.App == app && k.Machine.Nodes == 2 && k.Spec.Core.Planned {
 				n++
 			}
 		}
 		if n != 2 {
-			t.Errorf("%s: specs differing only in MemBudget made %d memo entries, want 2", m.app, n)
+			t.Errorf("%s: specs differing only in MemBudget made %d memo entries, want 2", app, n)
 		}
+	}
+
+	// A cell two askers share makes exactly one entry, whichever asks first:
+	// the memo of both askers together is one entry smaller than the sum of
+	// each asker's alone.
+	experiment := func(id string) func(*Session) {
+		e, _ := Get(id)
+		return e.Run
+	}
+	faulted := func(s *Session) {
+		c := Cell{App: "em3d", EM3D: em3d.DefaultParams(s.W.EM3DNodes), Iters: 1,
+			Spec: driver.DPASpec(50), Machine: machine.DefaultT3D(16)}
+		c.Machine.Faults = machine.DefaultFaults(faultSweepSeed, 0.05)
+		s.Run(c)
+	}
+	for _, tc := range []struct {
+		name string
+		a, b func(*Session)
+	}{
+		// X5's fault-free EM3D baseline is X1's 75%-local DPA(50) row.
+		{"EM3D cell", experiment("X1"), experiment("X5")},
+		// A faulted machine is part of the key like any other field.
+		{"faulted-Config cell", faulted, experiment("X5")},
+	} {
+		entries := func(askers ...func(*Session)) int {
+			s := NewSession(tinyWorkload(), io.Discard)
+			for _, ask := range askers {
+				ask(s)
+			}
+			return len(s.memo)
+		}
+		na, nb := entries(tc.a), entries(tc.b)
+		for _, n := range []int{entries(tc.a, tc.b), entries(tc.b, tc.a)} {
+			if n != na+nb-1 {
+				t.Errorf("%s: both askers made %d entries, want %d + %d - 1", tc.name, n, na, nb)
+			}
+		}
+	}
+}
+
+// TestCellValidate: every size an app reads must be positive, and fields it
+// does not read are ignored; every rejection is typed, by the cell's own
+// ErrBadRun or by the sentinel of the validator it came from.
+func TestCellValidate(t *testing.T) {
+	def := func(app string) Cell {
+		gp := graph.DefaultParams(16384)
+		return Cell{App: app, Bodies: 16384, Seed: 42, Steps: 1, Terms: 29,
+			EM3D: em3d.DefaultParams(16384), Graph: gp, Iters: 4,
+			Spec: driver.DPASpec(50), Machine: machine.DefaultT3D(16)}
+	}
+	with := func(app string, edit func(*Cell)) Cell { c := def(app); edit(&c); return c }
+	for _, tc := range []struct {
+		cell Cell
+		want string // "" = accepted
+		is   error
+	}{
+		{with("bh", func(c *Cell) { c.Bodies = -1 }), "harness: invalid run: Bodies must be positive, got -1", ErrBadRun},
+		{with("em3d", func(c *Cell) { c.EM3D.NodesPerKind = -3 }), "harness: invalid run: EM3D.NodesPerKind must be positive, got -3", ErrBadRun},
+		{with("fmm", func(c *Cell) { c.Terms = -1 }), "harness: invalid run: Terms must be positive, got -1", ErrBadRun},
+		{with("pagerank", func(c *Cell) { c.Graph.Vertices = 0 }), "harness: invalid run: Graph.Vertices must be positive, got 0", ErrBadRun},
+		{with("bh", func(c *Cell) { c.Bodies = 0 }), "harness: invalid run: Bodies must be positive, got 0", ErrBadRun},
+		{with("bh", func(c *Cell) { c.Steps = 0 }), "harness: invalid run: Steps must be positive, got 0", ErrBadRun},
+		{with("em3d", func(c *Cell) { c.Iters = -1 }), "harness: invalid run: Iters must be positive, got -1", ErrBadRun},
+		{with("bfs", func(c *Cell) { c.Graph.Degree = -1 }), "harness: invalid run: Graph.Degree must be positive, got -1", ErrBadRun},
+
+		// One accepted row per app, each with a field it does not read set
+		// to a value that would be rejected if it did.
+		{with("bh", func(c *Cell) { c.Graph.Vertices = 0 }), "", nil},
+		{with("fmm", func(c *Cell) { c.Iters = 0 }), "", nil},
+		{with("em3d", func(c *Cell) { c.Terms = -1 }), "", nil},
+		{with("bfs", func(c *Cell) { c.Iters = -1 }), "", nil},
+		{with("pagerank", func(c *Cell) { c.Bodies = -1 }), "", nil},
+		{with("cc", func(c *Cell) { c.Bodies = 0 }), "", nil},
+
+		// The cell's other own rejections.
+		{def("nbody"), `harness: invalid run: unknown app "nbody"`, ErrBadRun},
+		{with("cc", func(c *Cell) { c.Graph.Kind = "grid" }), `harness: invalid run: unknown graph kind "grid"`, ErrBadRun},
+		{with("bfs", func(c *Cell) { c.Source = 16384 }), "harness: invalid run: BFS source 16384 outside [0,16384)", ErrBadRun},
+		{with("pagerank", func(c *Cell) { c.Source = -1 }), "", nil},
+		{with("bh", func(c *Cell) { c.Machine.Nodes = 0 }), "harness: invalid run: machine: Nodes = 0, must be positive", ErrBadRun},
+
+		// The validators it composes keep their sentinels and messages.
+		{with("bh", func(c *Cell) { c.Spec.Core.AggLimit = -1 }), "core: AggLimit must be >= 0 (0 = unlimited), got -1", driver.ErrBadSpec},
+		{with("bh", func(c *Cell) { c.Machine.Engine, c.Machine.EngineTuning.Workers = sim.Parallel, 17 }),
+			"sim: invalid engine tuning: workers = 17 exceeds the 16 simulated processes", sim.ErrBadTuning},
+		{with("em3d", func(c *Cell) { c.Machine.Faults = machine.DefaultFaults(7, 2) }), "", sim.ErrBadFaults},
+		{with("em3d", func(c *Cell) { c.Machine.Checkpoint = &machine.CheckpointSpec{} }),
+			"machine: invalid checkpoint: capture time At = 0, must be positive", machine.ErrBadCheckpoint},
+	} {
+		err := tc.cell.Validate()
+		if tc.is == nil {
+			if err != nil {
+				t.Errorf("%s %+v: rejected: %v", tc.cell.App, tc.cell, err)
+			}
+			continue
+		}
+		if !errors.Is(err, tc.is) {
+			t.Errorf("%s: Validate = %v, want an error matching %v", tc.cell.App, err, tc.is)
+		} else if tc.want != "" && err.Error() != tc.want {
+			t.Errorf("%s: Validate = %q, want %q", tc.cell.App, err, tc.want)
+		}
+	}
+}
+
+// TestCellSeedsEM3D: an EM3D cell's seed builds its graph, so two cells that
+// differ only in the seed run different graphs.
+func TestCellSeedsEM3D(t *testing.T) {
+	a := Cell{App: "em3d", EM3D: em3d.DefaultParams(256), Iters: 1,
+		Spec: driver.DPASpec(50), Machine: machine.DefaultT3D(4)}
+	b := a
+	b.EM3D.Seed = 9
+	ra, rb := a.Exec(), b.Exec()
+	if ta, tb := ra.Table(a.Machine.ClockHz), rb.Table(b.Machine.ClockHz); ta == tb {
+		t.Fatalf("seeds %d and %d gave the same run table:\n%s", a.EM3D.Seed, b.EM3D.Seed, ta)
 	}
 }
 

@@ -28,22 +28,17 @@ func runX10(s *Session) {
 	s.printf("planner+prior row pins each copy for its reuse region ('peak copies'\n")
 	s.printf("is what that costs) and must report exactly 0 refetches.\n\n")
 
+	// Each app's cell; the rows vary its Spec. BFS starts at vertex 0.
+	cell := func(app string) Cell {
+		return Cell{App: app, Graph: prm, Iters: 3, Machine: machine.DefaultT3D(nodes)}
+	}
 	apps := []struct {
 		name string
-		run  func(spec driver.Spec) stats.Run
+		cell Cell
 	}{
-		{"BFS", func(spec driver.Spec) stats.Run {
-			r, _ := graph.RunBFS(machine.DefaultT3D(nodes), spec, prm, 0)
-			return r
-		}},
-		{"PageRank", func(spec driver.Spec) stats.Run {
-			r, _ := graph.RunPageRank(machine.DefaultT3D(nodes), spec, prm, 3)
-			return r
-		}},
-		{"CC", func(spec driver.Spec) stats.Run {
-			r, _ := graph.RunCC(machine.DefaultT3D(nodes), spec, prm)
-			return r
-		}},
+		{"BFS", cell("bfs")},
+		{"PageRank", cell("pagerank")},
+		{"CC", cell("cc")},
 	}
 
 	for _, app := range apps {
@@ -51,7 +46,9 @@ func runX10(s *Session) {
 		s.printf("%-14s %12s %10s %10s %12s %10s\n",
 			"runtime", "time", "fetches", "reuses", "peak copies", "refetches")
 		row := func(spec driver.Spec) stats.Run {
-			r := app.run(spec)
+			c := app.cell
+			c.Spec = spec
+			r := s.Run(c)
 			s.printf("%-14s %10.2fms %10d %10d %10.1fKB %10d\n",
 				spec, s.Sec(r)*1e3, r.RT.Fetches, r.RT.Reuses,
 				float64(r.RT.PeakArrivedBytes)/1024, r.RT.Refetches)

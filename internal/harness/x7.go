@@ -2,8 +2,6 @@ package harness
 
 import (
 	"dpa/internal/driver"
-	"dpa/internal/em3d"
-	"dpa/internal/machine"
 	"dpa/internal/sim"
 	"dpa/internal/stats"
 )
@@ -34,16 +32,14 @@ func runX7(s *Session) {
 	s.printf("cold start. 'plans/mispredicts' counts model decisions and hand-offs\n")
 	s.printf("to the bounded controller; refetches must be exactly zero.\n\n")
 
+	// Each app's cell; the rows vary its Spec.
 	apps := []struct {
 		name string
-		run  func(spec driver.Spec) stats.Run
+		cell Cell
 	}{
-		{"BH", func(spec driver.Spec) stats.Run { return s.BH(nodes, spec) }},
-		{"FMM", func(spec driver.Spec) stats.Run { return s.FMM(nodes, spec) }},
-		{"EM3D", func(spec driver.Spec) stats.Run {
-			r, _ := em3d.RunIters(machine.DefaultT3D(nodes), spec, em3d.DefaultParams(s.W.EM3DNodes), 4)
-			return r
-		}},
+		{"BH", s.bhCell(nodes, driver.Spec{})},
+		{"FMM", s.fmmCell(nodes, driver.Spec{})},
+		{"EM3D", s.em3dCell(nodes, driver.Spec{}, 4)},
 	}
 
 	for _, app := range apps {
@@ -51,7 +47,9 @@ func runX7(s *Session) {
 		s.printf("%-12s %12s %10s %10s %10s\n",
 			"runtime", "time", "fetches", "refetches", "reqmsgs")
 		row := func(spec driver.Spec) stats.Run {
-			r := app.run(spec)
+			c := app.cell
+			c.Spec = spec
+			r := s.Run(c)
 			s.printf("%-12s %10.2fms %10d %10d %10d\n",
 				spec, s.Sec(r)*1e3, r.RT.Fetches, r.RT.Refetches, r.RT.ReqMsgs)
 			return r

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"dpa/internal/driver"
-	"dpa/internal/em3d"
 	"dpa/internal/machine"
 	"dpa/internal/sim"
 	"dpa/internal/stats"
@@ -51,21 +50,18 @@ func runX8(s *Session) {
 	// Fault-free baseline fixes the virtual-time geometry: crashes land at a
 	// quarter of its makespan, the checkpoint boundary at half — safely past
 	// the crash time, safely before the end of even a heavily degraded run.
-	base, _ := em3d.RunIters(machine.DefaultT3D(nodes), spec, em3d.DefaultParams(s.W.EM3DNodes), x8Iter)
+	cell := s.em3dCell(nodes, spec, x8Iter)
+	base := s.Run(cell)
 	crashAt := base.Makespan / 4
 	boundary := base.Makespan / 2
 
-	chaosCfg := func(rate float64) machine.Config {
-		cfg := machine.DefaultT3D(nodes)
-		cfg.Faults = machine.FaultConfig{
+	chaos := func(rate float64) Cell {
+		c := cell
+		c.Machine.Faults = machine.FaultConfig{
 			FaultParams: sim.FaultParams{Seed: x8Seed, DropRate: x8Drop, CrashRate: rate, CrashAt: crashAt},
 			Reliable:    true,
 		}
-		return cfg
-	}
-	run := func(cfg machine.Config) stats.Run {
-		r, _ := em3d.RunIters(cfg, spec, em3d.DefaultParams(s.W.EM3DNodes), x8Iter)
-		return r
+		return c
 	}
 
 	s.printf("EM3D (fault-free: %.2fms, crash at %d, checkpoint at %d)\n",
@@ -73,7 +69,7 @@ func runX8(s *Session) {
 	s.printf("%8s %12s %8s %8s %10s %10s %8s\n",
 		"crash", "time", "killed", "dropped", "retrans", "exhausted", "probes")
 	for _, rate := range x8CrashRates {
-		r := run(chaosCfg(rate))
+		r := s.Run(chaos(rate))
 		status := ""
 		if r.Err != nil {
 			status = "  DEGRADED"
@@ -91,8 +87,8 @@ func runX8(s *Session) {
 	// cross-engine run diff closes the loop on the counters themselves.
 	heaviest := x8CrashRates[len(x8CrashRates)-1]
 	ckRun := func(eng sim.EngineKind, verify *sim.Snapshot) (stats.Run, *sim.Snapshot, error) {
-		cfg := chaosCfg(heaviest)
-		cfg.Engine = eng
+		c := chaos(heaviest)
+		c.Machine.Engine = eng
 		var snap *sim.Snapshot
 		var snapErr error
 		ck := &machine.CheckpointSpec{Deliver: func(sn *sim.Snapshot, err error) { snap, snapErr = sn, err }}
@@ -101,8 +97,8 @@ func runX8(s *Session) {
 		} else {
 			ck.At = boundary
 		}
-		cfg.Checkpoint = ck
-		r := run(cfg)
+		c.Machine.Checkpoint = ck
+		r := s.Run(c)
 		if !ck.Done() {
 			s.printf("checkpoint boundary %d never reached — run too short\n", boundary)
 		}

@@ -1,11 +1,7 @@
 package harness
 
 import (
-	"dpa/internal/bh"
 	"dpa/internal/driver"
-	"dpa/internal/em3d"
-	"dpa/internal/fmm"
-	"dpa/internal/machine"
 	"dpa/internal/stats"
 )
 
@@ -36,30 +32,27 @@ func runX9(s *Session) {
 	s.printf("counts boundary decisions taken from measured history. Planned\n")
 	s.printf("refetches must stay exactly 0.\n\n")
 
+	bhc := s.bhCell(nodes, driver.Spec{})
+	bhc.Steps = 3
+	fmmc := s.fmmCell(nodes, driver.Spec{})
+	fmmc.Steps = 3
+	// Heavier remote traffic than the default Olden shape (degree 16, 25%
+	// local): per-owner strip volumes exceed the cold 8×agg destLimit cap,
+	// the regime the prior's measured batch sizing is for. The defaults'
+	// sparser graph sits under the cap, where warm and cold batching
+	// coincide by construction.
+	em3dc := s.em3dCell(nodes, driver.Spec{}, 4)
+	em3dc.EM3D.Degree = 16
+	em3dc.EM3D.LocalFrac = 0.25
+	// Each app's cell; the rows vary its Spec.
 	apps := []struct {
 		name   string
 		phases string
-		run    func(spec driver.Spec) stats.Run
+		cell   Cell
 	}{
-		{"BH", "3 steps", func(spec driver.Spec) stats.Run {
-			return bh.RunSteps(machine.DefaultT3D(nodes), spec, s.bhBodies, 3, s.bhPar)
-		}},
-		{"FMM", "3 steps", func(spec driver.Spec) stats.Run {
-			r, _ := fmm.RunSteps(machine.DefaultT3D(nodes), spec, s.fmmBodies, 3, s.fmmPar)
-			return r
-		}},
-		{"EM3D", "4 iters (8 phases)", func(spec driver.Spec) stats.Run {
-			// Heavier remote traffic than the default Olden shape (degree 16,
-			// 25% local): per-owner strip volumes exceed the cold 8×agg
-			// destLimit cap, the regime the prior's measured batch sizing is
-			// for. The defaults' sparser graph sits under the cap, where warm
-			// and cold batching coincide by construction.
-			prm := em3d.DefaultParams(s.W.EM3DNodes)
-			prm.Degree = 16
-			prm.LocalFrac = 0.25
-			r, _ := em3d.RunIters(machine.DefaultT3D(nodes), spec, prm, 4)
-			return r
-		}},
+		{"BH", "3 steps", bhc},
+		{"FMM", "3 steps", fmmc},
+		{"EM3D", "4 iters (8 phases)", em3dc},
 	}
 
 	for _, app := range apps {
@@ -67,7 +60,9 @@ func runX9(s *Session) {
 		s.printf("%-12s %12s %10s %10s %10s %10s %10s\n",
 			"runtime", "time", "fetches", "refetches", "reqmsgs", "priorhits", "shapedruns")
 		row := func(spec driver.Spec) stats.Run {
-			r := app.run(spec)
+			c := app.cell
+			c.Spec = spec
+			r := s.Run(c)
 			s.printf("%-12s %10.2fms %10d %10d %10d %10d %10d\n",
 				spec, s.Sec(r)*1e3, r.RT.Fetches, r.RT.Refetches, r.RT.ReqMsgs,
 				r.RT.PlanPriorHits, r.RT.ShapedRuns)
