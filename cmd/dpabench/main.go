@@ -243,7 +243,7 @@ func main() {
 		tracer = obs.NewTracer(*nodes, 0)
 		cell.Machine.Obs = tracer
 	}
-	run := cell.Exec()
+	run, _ := cell.Exec()
 
 	fmt.Printf("app=%s nodes=%d runtime=%s engine=%s\n", cell.App, *nodes, spec, mcfg.Engine)
 	fmt.Print(run.Table(mcfg.ClockHz))
@@ -332,7 +332,7 @@ func stripSweep(cell harness.Cell, strips string, agg int, pipeline bool) {
 		"runtime", "time", "fetches", "refetches", "reqmsgs", "peakKB")
 	row := func(sp driver.Spec) stats.Run {
 		cell.Spec = sp
-		r := cell.Exec()
+		r, _ := cell.Exec()
 		fmt.Printf("%-12s %9.4fs %10d %10d %10d %8.1f\n",
 			sp, cell.Machine.Seconds(r.Makespan), r.RT.Fetches, r.RT.Refetches,
 			r.RT.ReqMsgs, float64(r.RT.PeakArrivedBytes)/1024)

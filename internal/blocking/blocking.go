@@ -93,8 +93,8 @@ type RT struct {
 	Cfg   Config
 	proto *Proto
 
-	// Depth of nested Spawn calls, to keep TOUCH semantics: only one
-	// outstanding blocking fetch at a time per node.
+	// The reply to the node's one outstanding blocking fetch (TOUCH
+	// semantics: a node waits on at most one fetch at a time).
 	replyObj gptr.Object
 	replyPtr gptr.Ptr
 	replyOK  bool

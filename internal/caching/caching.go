@@ -127,9 +127,9 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 				delete(rt.cache, victim)
 			}
 		}
+		rt.evictQueue = append(rt.evictQueue, rep.ptr) // read only when bounded
 	}
 	rt.cache[rep.ptr] = rep.obj
-	rt.evictQueue = append(rt.evictQueue, rep.ptr)
 	rt.cacheBytes += int64(rep.obj.ByteSize())
 	if rt.cacheBytes > rt.st.PeakArrivedBytes {
 		rt.st.PeakArrivedBytes = rt.cacheBytes

@@ -215,6 +215,7 @@ func TestUnboundedCacheNeverEvicts(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ptrs = append(ptrs, w.space.Alloc(1, obj{id: i}))
 	}
+	queued := -1
 	st, _ := w.run(Default(), func(rt *RT) {
 		for pass := 0; pass < 3; pass++ {
 			for _, p := range ptrs {
@@ -222,8 +223,12 @@ func TestUnboundedCacheNeverEvicts(t *testing.T) {
 			}
 			rt.Drain()
 		}
+		queued = len(rt.evictQueue)
 	})
 	if st.Fetches != 10 {
 		t.Fatalf("fetches = %d, want 10", st.Fetches)
+	}
+	if queued != 0 {
+		t.Fatalf("unbounded cache queued %d pointers for eviction, want 0", queued)
 	}
 }

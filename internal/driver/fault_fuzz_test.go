@@ -101,7 +101,7 @@ func FuzzFaultConfig(f *testing.F) {
 		for _, eng := range []sim.EngineKind{sim.Sequential, sim.Parallel} {
 			c := cell
 			c.Machine.Engine = eng
-			run := c.Exec()
+			run, _ := c.Exec()
 			if run.Err != nil && !typedFault(run.Err) {
 				t.Fatalf("%#v: untyped error %v", c, run.Err)
 			}
@@ -115,7 +115,7 @@ func FuzzFaultConfig(f *testing.F) {
 			}
 			withCk := c
 			withCk.Machine.Checkpoint, delivered = ck(), 0
-			ckRun := withCk.Exec()
+			ckRun, _ := withCk.Exec()
 			if delivered > 1 {
 				t.Fatalf("%#v, checkpoint at %d: delivered %d times", c, ckAt, delivered)
 			}

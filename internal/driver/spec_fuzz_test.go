@@ -52,7 +52,7 @@ func FuzzSpecValidate(f *testing.F) {
 			}
 			return
 		}
-		run := cell.Exec()
+		run, _ := cell.Exec()
 		if run.Err != nil {
 			t.Fatalf("%#v: accepted spec degraded: %v", cell, run.Err)
 		}

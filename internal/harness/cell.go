@@ -102,26 +102,25 @@ func (c Cell) Validate() error {
 	return nil
 }
 
-// Exec runs c and returns its merged statistics. c must pass Validate.
-func (c Cell) Exec() stats.Run {
-	var r stats.Run
+// Exec runs c and returns its merged statistics and the application's
+// output: em3d's *em3d.Graph, fmm's *fmm.Result, BFS's distances, PageRank's
+// ranks, CC's labels, and nil for bh. c must pass Validate.
+func (c Cell) Exec() (stats.Run, any) {
 	switch c.App {
 	case "bh":
-		r = bh.RunSteps(c.Machine, c.Spec, c.bodies(), c.Steps, bh.DefaultParams())
+		return bh.RunSteps(c.Machine, c.Spec, c.bodies(), c.Steps, bh.DefaultParams()), nil
 	case "fmm":
-		r, _ = fmm.RunSteps(c.Machine, c.Spec, c.bodies(), c.Steps, c.fmmParams())
+		return fmm.RunSteps(c.Machine, c.Spec, c.bodies(), c.Steps, c.fmmParams())
 	case "em3d":
-		r, _ = em3d.RunIters(c.Machine, c.Spec, c.EM3D, c.Iters)
+		return em3d.RunIters(c.Machine, c.Spec, c.EM3D, c.Iters)
 	case "bfs":
-		r, _ = graph.RunBFS(c.Machine, c.Spec, c.Graph, c.Source)
+		return graph.RunBFS(c.Machine, c.Spec, c.Graph, c.Source)
 	case "pagerank":
-		r, _ = graph.RunPageRank(c.Machine, c.Spec, c.Graph, c.Iters)
+		return graph.RunPageRank(c.Machine, c.Spec, c.Graph, c.Iters)
 	case "cc":
-		r, _ = graph.RunCC(c.Machine, c.Spec, c.Graph)
-	default:
-		panic(fmt.Sprintf("harness: Exec of unknown app %q", c.App))
+		return graph.RunCC(c.Machine, c.Spec, c.Graph)
 	}
-	return r
+	panic(fmt.Sprintf("harness: Exec of unknown app %q", c.App))
 }
 
 // bodies generates the n-body apps' bodies.

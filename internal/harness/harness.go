@@ -90,12 +90,13 @@ func (s *Session) Sec(r stats.Run) float64 { return s.Clock().Seconds(r.Makespan
 // checkpoint) is executed every time, since the sink is an output of the run.
 func (s *Session) Run(c Cell) stats.Run {
 	if c.Machine.Obs != nil || c.Machine.Checkpoint != nil {
-		return c.Exec()
+		r, _ := c.Exec()
+		return r
 	}
 	if r, ok := s.memo[c]; ok {
 		return r
 	}
-	r := c.Exec()
+	r, _ := c.Exec()
 	s.memo[c] = r
 	return r
 }

@@ -202,7 +202,8 @@ func TestCellSeedsEM3D(t *testing.T) {
 		Spec: driver.DPASpec(50), Machine: machine.DefaultT3D(4)}
 	b := a
 	b.EM3D.Seed = 9
-	ra, rb := a.Exec(), b.Exec()
+	ra, _ := a.Exec()
+	rb, _ := b.Exec()
 	if ta, tb := ra.Table(a.Machine.ClockHz), rb.Table(b.Machine.ClockHz); ta == tb {
 		t.Fatalf("seeds %d and %d gave the same run table:\n%s", a.EM3D.Seed, b.EM3D.Seed, ta)
 	}
