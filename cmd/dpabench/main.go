@@ -61,6 +61,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -121,8 +122,11 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a host heap profile to this file on exit")
 	flag.Parse()
 
-	if *traceBins <= 0 {
-		fatalf("-tracebins must be positive, got %d", *traceBins)
+	stripSizes, err := flags{runtime: *rtName, shape: *shape, strips: *strips,
+		checkpointAt: *checkpointAt, checkpointOut: *checkpointOut, restore: *restorePath,
+		traceBins: *traceBins, crashRate: *crashRate, crashAt: *crashAt}.check()
+	if err != nil {
+		fatalf("%v", err)
 	}
 	var spec driver.Spec
 	switch *rtName {
@@ -152,9 +156,6 @@ func main() {
 	mcfg.EngineTuning = sim.Tuning{Workers: *workers}
 	if *trace {
 		mcfg.TraceBins = sim.Time(*traceBins) // default ~0.3 ms bins at 150 MHz; Gantt re-bins to fit
-	}
-	if *crashRate > 0 && *crashAt <= 0 {
-		fatalf("-crash-rate requires -crash-at > 0")
 	}
 	if *faults || *dropRate > 0 || *dupRate > 0 || *jitterRate > 0 || *stallRate > 0 || *crashRate > 0 {
 		mcfg.Faults = machine.FaultConfig{
@@ -187,14 +188,6 @@ func main() {
 	if err := cell.Validate(); err != nil {
 		fatalf("%v", err)
 	}
-	switch {
-	case *restorePath != "" && *checkpointAt > 0:
-		fatalf("-restore and -checkpoint-at are mutually exclusive")
-	case *checkpointOut != "" && *checkpointAt <= 0:
-		fatalf("-checkpoint-out requires -checkpoint-at")
-	case *strips != "" && (*restorePath != "" || *checkpointAt > 0):
-		fatalf("checkpoint/restore is a single-run mode (no -strips)")
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -210,8 +203,8 @@ func main() {
 	}
 	defer writeMemProfile(*memProfile)
 
-	if *strips != "" {
-		stripSweep(cell, *strips, *agg, !*noPipe)
+	if stripSizes != nil {
+		stripSweep(cell, stripSizes, *agg, !*noPipe)
 		return
 	}
 
@@ -292,6 +285,53 @@ func main() {
 	}
 }
 
+// flags are the command-line inputs whose combinations main checks before
+// anything runs or prints.
+type flags struct {
+	runtime                string
+	shape                  bool
+	strips                 string
+	checkpointAt           int64
+	checkpointOut, restore string
+	traceBins              int64
+	crashRate              float64
+	crashAt                int64
+}
+
+// check rejects a flag combination that would otherwise be ignored or fail
+// part-way through the output, and parses the -strips list (nil without one).
+func (f flags) check() ([]int, error) {
+	switch {
+	case f.traceBins <= 0:
+		return nil, fmt.Errorf("-tracebins must be positive, got %d", f.traceBins)
+	case f.crashRate > 0 && f.crashAt <= 0:
+		return nil, errors.New("-crash-rate requires -crash-at > 0")
+	case f.checkpointAt < 0:
+		return nil, fmt.Errorf("-checkpoint-at must be positive, got %d", f.checkpointAt)
+	case f.restore != "" && f.checkpointAt > 0:
+		return nil, errors.New("-restore and -checkpoint-at are mutually exclusive")
+	case f.checkpointOut != "" && f.checkpointAt == 0:
+		return nil, errors.New("-checkpoint-out requires -checkpoint-at")
+	case f.strips != "" && (f.restore != "" || f.checkpointAt > 0):
+		return nil, errors.New("checkpoint/restore is a single-run mode (no -strips)")
+	case f.shape && f.runtime != "dpa":
+		return nil, fmt.Errorf("-shape selects DPA's planned mode and needs -runtime dpa, not %s", f.runtime)
+	case f.strips != "" && f.runtime != "dpa":
+		return nil, fmt.Errorf("-strips sweeps DPA strip sizes and needs -runtime dpa, not %s", f.runtime)
+	case f.strips == "":
+		return nil, nil
+	}
+	var sizes []int
+	for _, field := range strings.Split(f.strips, ",") {
+		s, err := strconv.Atoi(strings.TrimSpace(field))
+		if err != nil || s < 0 {
+			return nil, fmt.Errorf("bad strip size %q", field)
+		}
+		sizes = append(sizes, s)
+	}
+	return sizes, nil
+}
+
 // fatalf reports a one-line error and exits with status 1.
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "dpabench: "+format+"\n", args...)
@@ -326,7 +366,7 @@ func writeMemProfile(path string) {
 // stripSweep runs the cell once per static strip size plus once in planned
 // mode and prints one comparison row each — the quick command-line version of
 // the harness's X7 experiment.
-func stripSweep(cell harness.Cell, strips string, agg int, pipeline bool) {
+func stripSweep(cell harness.Cell, strips []int, agg int, pipeline bool) {
 	fmt.Printf("app=%s nodes=%d engine=%s strip sweep\n", cell.App, cell.Machine.Nodes, cell.Machine.Engine)
 	fmt.Printf("%-12s %10s %10s %10s %10s %8s\n",
 		"runtime", "time", "fetches", "refetches", "reqmsgs", "peakKB")
@@ -340,11 +380,7 @@ func stripSweep(cell harness.Cell, strips string, agg int, pipeline bool) {
 	}
 	opts := []driver.SpecOption{driver.WithAggLimit(agg), driver.WithPipeline(pipeline)}
 	best := sim.Time(0)
-	for _, f := range strings.Split(strips, ",") {
-		s, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || s < 0 {
-			fatalf("bad strip size %q", f)
-		}
+	for _, s := range strips {
 		r := row(driver.DPASpec(s, opts...))
 		if best == 0 || r.Makespan < best {
 			best = r.Makespan

@@ -615,6 +615,7 @@ func TestPlannerDeterminismEM3D(t *testing.T) { checkRows(t, plannedRows(em3dCel
 func TestPlannerDeterminismBarnesHut(t *testing.T) {
 	checkRows(t, plannedRows(bhCell(256, 1), false)...)
 }
+func TestPlannerDeterminismFMM(t *testing.T)     { checkRows(t, plannedRows(fmmCell(1024), false)...) }
 func TestPriorDeterminismEM3D(t *testing.T)      { checkRows(t, plannedRows(em3dCell(160, 2), true)...) }
 func TestPriorDeterminismBarnesHut(t *testing.T) { checkRows(t, plannedRows(bhCell(256, 2), true)...) }
 

@@ -65,11 +65,12 @@ type Config struct {
 	// prior table, a repeated phase is planned from the previous phase's
 	// measured signals and its top-level iterations are reordered into
 	// owner-major runs (affinity-shaped tiles). Ready threads are scheduled
-	// owner-major and replies scatter in one batch. A bounded
-	// multiplicative controller corrects only when the model mispredicts.
-	// All decisions are pure functions of simulated-time state, so planned
-	// runs stay bit-identical across engines, repeats and seeded faults; with
-	// Planned false none of these paths run.
+	// owner-major and replies scatter in one batch. Each strip is the
+	// model's proposal clamped to [StripMin, StripMax]; a misprediction is
+	// counted, not corrected. All decisions are pure functions of
+	// simulated-time state, so planned runs stay bit-identical across
+	// engines, repeats and seeded faults; with Planned false none of these
+	// paths run.
 	Planned bool
 	// StripMin/StripMax bound the planned strip size (<= 0: defaults 8 and
 	// 4096). Ignored in static mode.
@@ -468,7 +469,7 @@ type RT struct {
 // run-list slab — kept by the driver across the phases of one run so that
 // only the first phase pays for building it. What
 // an arena carries is storage, never state: New empties every container and
-// re-initialises every counter, EWMA, controller and planner field, so a
+// re-initialises every counter, EWMA, strip and planner field, so a
 // runtime on a recycled arena is indistinguishable from one on a fresh arena
 // (the snapshot encodings of the two are byte-equal). The zero value is an
 // arena that has never been used. A runtime, and every slice it handed out
@@ -499,7 +500,7 @@ func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, a *Arena) *RT {
 
 // recycle reduces the runtime to its storage: every container is emptied in
 // place (dropping the previous phase's templates and any closure still
-// parked) and carried over; every other field — counters, EWMAs, controller
+// parked) and carried over; every other field — counters, EWMAs, strip
 // and planner state, configuration, bindings — is zeroed by omission from the
 // literal, so nothing a new field adds can leak across phases. Template ids die here: tmplBase moves past
 // every id the previous phases issued, so a stale one is unknown to SpawnT
@@ -624,13 +625,6 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 	if ei, ok := rt.table[p]; ok {
 		e := &rt.entries[ei]
 		rt.st.Reuses++
-		if rt.planned {
-			// The idle span this re-reference closes feeds the reuse-gap
-			// ceiling, the retention window of the next phase's prior.
-			if gap := satGap(rt.plan.stripIdx, e.lastUse); gap > rt.plan.maxGap {
-				rt.plan.maxGap = gap
-			}
-		}
 		e.lastUse = rt.plan.stripIdx // reuse region stays open
 		if e.arrived {
 			rt.pushReady(int(p.Node), t)

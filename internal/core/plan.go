@@ -8,10 +8,11 @@ import (
 )
 
 // This file wires the predictive planner (planmodel.go) into the strip-mined
-// loop: the per-node strip state and its bounds, the planned ForAll, the
-// reuse-region lifecycle of renamed copies in the D-table, and the
-// misprediction hand-off to a bounded multiplicative controller. Every
-// decision is a pure function of simulated-time counters (cycle charges,
+// loop: the per-node strip state and its bounds, the planned ForAll, and the
+// reuse-region lifecycle of renamed copies in the D-table. Every strip size is
+// the cost model's proposal clamped to [StripMin, StripMax]; a strip whose
+// outcome breaks a model promise is counted (PlanMispredicts), not corrected.
+// Every decision is a pure function of simulated-time counters (cycle charges,
 // fetch/refetch counts, arrival times), never of host state, so planned runs
 // are bit-identical across both engines and across repeats — including under
 // fault injection, whose schedule is itself a pure function of the seed. See
@@ -28,18 +29,11 @@ import (
 // (or any budget-respecting pattern of) strips is fetched exactly once per
 // region and refetch traffic is structurally zero.
 
-// Strip bounds and controller constants. The misprediction signals are
-// ratios, so the same constants work across workloads; the bounds keep a
-// misbehaving signal from running away.
+// Strip bounds and planner constants.
 const (
 	defaultStripMin  = 8
 	defaultStripMax  = 4096
 	defaultMemBudget = 4 << 20 // renamed-copy bytes
-
-	// growNum/growDen is the strong-signal growth factor; a weak signal
-	// grows by half as much. Shrinking (memory pressure) always halves.
-	growNum = 2
-	growDen = 1
 
 	// maxTracePoints bounds the per-node strip-size trace.
 	maxTracePoints = 64
@@ -60,7 +54,6 @@ type stripCtl struct {
 	// Snapshot at the start of the current strip.
 	baseFetches   int64
 	baseRefetches int64
-	baseReqMsgs   int64
 	baseArrived   int64
 	baseStall     sim.Time
 	baseNow       sim.Time
@@ -83,7 +76,6 @@ func (rt *RT) beginStrip() {
 	c := &rt.ctl
 	c.baseFetches = rt.st.Fetches
 	c.baseRefetches = rt.st.Refetches
-	c.baseReqMsgs = rt.st.ReqMsgs
 	c.baseArrived = rt.arrivedBytes
 	c.baseStall = rt.EP.Node.Charges()[sim.FetchStall]
 	c.baseNow = rt.EP.Node.Now()
@@ -91,14 +83,12 @@ func (rt *RT) beginStrip() {
 }
 
 // stripSignals is one strip's observed communication behaviour, diffed from
-// the beginStrip snapshots: the input of the cost model, the misprediction
-// check and the corrective controller, all of which read only simulated-time
-// counters through it.
+// the beginStrip snapshots: the input of the cost model and the misprediction
+// count, both of which read only simulated-time counters through it.
 type stripSignals struct {
 	iters        int // top-level iterations the strip admitted
 	fetches      int64
 	refetches    int64
-	msgs         int64
 	fetchedBytes int64 // renamed-copy bytes fetched during the strip
 	stall        sim.Time
 	elapsed      sim.Time
@@ -113,48 +103,11 @@ func (rt *RT) stripSignals(iters int) stripSignals {
 		iters:        iters,
 		fetches:      rt.st.Fetches - c.baseFetches,
 		refetches:    rt.st.Refetches - c.baseRefetches,
-		msgs:         rt.st.ReqMsgs - c.baseReqMsgs,
 		fetchedBytes: rt.arrivedBytes - c.baseArrived,
 		stall:        rt.EP.Node.Charges()[sim.FetchStall] - c.baseStall,
 		elapsed:      rt.EP.Node.Now() - c.baseNow,
 		peakOver:     c.stripPeak-c.baseArrived > c.memBudget,
 	}
-}
-
-// controllerNext is the bounded multiplicative-increase/decrease step that
-// corrects the strip size when the model mispredicts:
-//
-//   - renamed-copy memory above budget shrinks (the paper's reason to
-//     strip-mine at all);
-//   - a high refetch ratio means the strip boundary is cutting reuse apart
-//     — copies dropped at the boundary are fetched again — so grow;
-//   - a high fetch-stall fraction means the strip admits too little work to
-//     cover its own communication, so grow;
-//   - under-filled request batches (objects/message well below the
-//     aggregation limit) mean the strip boundary truncates aggregation, so
-//     grow;
-//   - weak versions of the same signals grow by half the factor, and a
-//     quiet strip (little refetch or stall, full batches) holds.
-//
-// The result is unclamped; setStrip applies the [min, max] bounds.
-func controllerNext(cur int, sig stripSignals, aggBase int64) int {
-	switch {
-	case sig.peakOver:
-		// One strip's own copies overflow the budget: only a smaller strip
-		// can bound memory.
-		return cur / 2
-	case sig.fetches == 0:
-		// A purely local strip carries no communication signal.
-	case sig.refetches*4 >= sig.fetches ||
-		(sig.elapsed > 0 && sig.stall*2 >= sig.elapsed) ||
-		(aggBase > 0 && sig.fetches*4 <= sig.msgs*aggBase):
-		return cur * 2 * growNum / growDen
-	case sig.refetches*16 >= sig.fetches ||
-		(sig.elapsed > 0 && sig.stall*4 >= sig.elapsed) ||
-		(aggBase > 0 && sig.fetches < sig.msgs*aggBase):
-		return cur * growNum / growDen
-	}
-	return cur
 }
 
 // setStrip clamps and installs a new strip size, maintaining the grow/shrink
@@ -242,12 +195,13 @@ func (rt *RT) forAllPlanned(n int, spawnIter func(i int)) {
 		// (planWarmStart sizes the first strip from the previous phase's
 		// measured signals and stages its owner histogram as the prediction
 		// source). With no usable prior the reuse summary is empty and the
-		// cost model's only evidence-free bound is memory — enforced
-		// reactively by the misprediction hand-off. Every strip boundary is
-		// pure overhead under zero evidence of pressure (the fetches==0
-		// branch of the model), so plan the whole loop as one strip, bounded
-		// by the configured maximum. This is what "zero warm-up strips"
-		// means: the first strip is already model-chosen, not cfg.Strip.
+		// cost model's only evidence-free bound is memory — enforced at each
+		// boundary by region release and the wholesale drop. Every strip
+		// boundary is pure overhead under zero evidence of pressure (the
+		// fetches==0 branch of the model), so plan the whole loop as one
+		// strip, bounded by the configured maximum. This is what "zero
+		// warm-up strips" means: the first strip is already model-chosen,
+		// not cfg.Strip.
 		if rt.plan.prior == nil || !rt.planWarmStart(n) {
 			s := n
 			if s > c.max {
@@ -310,8 +264,8 @@ func (rt *RT) forAllPlanned(n int, spawnIter func(i int)) {
 // pressure, exactly the copies whose reuse region has closed (no reference
 // in the strip that just finished) are released. If the live regions alone
 // still exceed the budget, the memory model mispredicted — fall back to the
-// wholesale drop and flag the misprediction for planStrip. Both map scans
-// have order-independent effects (deletions and commutative sums), so map
+// wholesale drop and flag the misprediction for planStrip. The map scan has
+// order-independent effects (deletions and commutative sums), so map
 // iteration order cannot perturb determinism.
 func (rt *RT) endStripPlanned() {
 	rt.checkStripInvariant()
@@ -319,22 +273,6 @@ func (rt *RT) endStripPlanned() {
 		return
 	}
 	cur := rt.plan.stripIdx
-	if w := rt.plan.retainGap; w > 1 {
-		// Reuse-gap prior (prior.go): last phase re-referenced live copies
-		// after idle spans of up to w strips, so a copy idle for w strips or
-		// fewer may well still be live — releasing it would break the
-		// exactly-once contract with a refetch. Release the provably stale
-		// tail first (idle longer than the observed ceiling); only when that
-		// is not enough fall back to the closed-region rule below.
-		for p, ei := range rt.table {
-			if cur-rt.entries[ei].lastUse > w {
-				rt.release(p, ei)
-			}
-		}
-		if rt.arrivedBytes <= rt.ctl.memBudget {
-			return
-		}
-	}
 	for p, ei := range rt.table {
 		if rt.entries[ei].lastUse < cur {
 			rt.release(p, ei)
@@ -354,32 +292,26 @@ func (rt *RT) release(p gptr.Ptr, ei int32) {
 }
 
 // planMispredicted checks the model's promise against the strip's outcome:
-// the strip was model-sized, and either its own copies overflowed the budget
-// (memory bound wrong), the live reuse regions did (endStripPlanned fell
-// back to a wholesale drop), a refetch occurred (a region was released while
-// still live — the exactly-once contract broke), or the model claimed the
-// latency bound was covered yet the strip spent half its time stalled.
+// either the strip's own copies overflowed the budget (memory bound wrong),
+// the live reuse regions did (endStripPlanned fell back to a wholesale drop),
+// a refetch occurred (a region was released while still live — the
+// exactly-once contract broke), or the model claimed the latency bound was
+// covered yet the strip spent half its time stalled.
 func (rt *RT) planMispredicted(sig stripSignals, proposal, cur int) bool {
-	if !rt.plan.modelled {
-		return false // first strip: the model had no hand in its size
-	}
 	if sig.peakOver || rt.plan.overBudget {
 		return true
 	}
 	if sig.refetches > 0 {
 		return true
 	}
-	if sig.fetches > 0 && sig.elapsed > 0 && sig.stall*2 >= sig.elapsed && proposal <= cur {
-		return true
-	}
-	return false
+	return sig.fetches > 0 && sig.elapsed > 0 && sig.stall*2 >= sig.elapsed && proposal <= cur
 }
 
 // planStrip is the planner's boundary decision: evaluate the cost model on
-// the finished strip's signals and install its proposal — unless the model
-// mispredicted, in which case the bounded controller takes one corrective
-// step instead (planner proposes, controller corrects). The decision is
-// recorded as a KPlan event and in the planner counters.
+// the finished strip's signals and install its proposal, clamped to the
+// strip bounds. A strip that broke a model promise is counted in
+// PlanMispredicts; nothing corrects the proposal. The decision is recorded
+// as a KPlan event and in the planner counters.
 func (rt *RT) planStrip(sig stripSignals) {
 	c := &rt.ctl
 	// Accumulate the phase totals the seam fold (FoldPrior) publishes as the
@@ -389,16 +321,12 @@ func (rt *RT) planStrip(sig stripSignals) {
 	ps.phaseBytes += sig.fetchedBytes
 	ps.phaseBusy += sig.elapsed - sig.stall
 	ps.phaseStall += sig.stall
-	cur := c.strip
 	proposal := rt.planPropose(sig)
-	next := proposal
-	if rt.planMispredicted(sig, proposal, cur) {
+	if rt.planMispredicted(sig, proposal, c.strip) {
 		rt.st.PlanMispredicts++
-		next = controllerNext(cur, sig, int64(rt.Cfg.AggLimit))
 	}
 	ps.overBudget = false
-	rt.setStrip(next)
-	ps.modelled = true
+	rt.setStrip(proposal)
 	rt.st.PlanStrips++
 	if rt.trc != nil {
 		rt.trc.Event(obs.KPlan, rt.EP.Node.Now(), int64(c.strip), int64(c.loop))

@@ -138,10 +138,10 @@ func TestRefetchAfterRegionRelease(t *testing.T) {
 	}
 }
 
-func TestPlannerMispredictionFallsBackToController(t *testing.T) {
+func TestPlannerMispredictionCountedNotCorrected(t *testing.T) {
 	// A budget far smaller than any strip's fetch volume: the model's memory
-	// bound cannot hold, every planned strip overflows, and the bounded
-	// controller must take over the corrections.
+	// bound cannot hold, every planned strip overflows and is counted as a
+	// misprediction, and the strip follows the model's memory bound down.
 	w := newWorld(2)
 	const n = 256
 	var ptrs []gptr.Ptr
@@ -159,7 +159,35 @@ func TestPlannerMispredictionFallsBackToController(t *testing.T) {
 		t.Fatalf("overflowing strips were never flagged as mispredictions: %+v", st)
 	}
 	if st.StripShrinks == 0 {
-		t.Fatalf("controller never corrected the strip after misprediction: %+v", st)
+		t.Fatalf("the model's memory bound never shrank the strip: %+v", st)
+	}
+}
+
+// TestPlanStripInstallsClampedProposal: a strip flagged in the stall class
+// (half its time stalled, the model not proposing to grow past it) still
+// takes the model's proposal, clamped to the strip bounds; the misprediction
+// is only counted.
+func TestPlanStripInstallsClampedProposal(t *testing.T) {
+	rt := &RT{planned: true}
+	rt.Cfg = Default()
+	rt.initCtl()
+	rt.plan.rttPrior = 100
+	rt.plan.modelled = true // forAllPlanned sized the first strip
+	rt.ctl.strip = 100
+	// busyPerIter = (1000-600)/10 = 40, so the latency bound proposes
+	// 2*100/40+1 = 6 iterations, below the default minimum of 8.
+	sig := stripSignals{iters: 10, fetches: 10, elapsed: 1000, stall: 600}
+	proposal := rt.planPropose(sig)
+	if bad := rt.planMispredicted(sig, proposal, rt.ctl.strip); proposal != 6 || !bad {
+		t.Fatalf("proposal %d, mispredicted %v: want 6 in the stall class", proposal, bad)
+	}
+	rt.planStrip(sig)
+	if rt.ctl.strip != rt.ctl.min {
+		t.Fatalf("next strip = %d, want the proposal clamped to StripMin %d", rt.ctl.strip, rt.ctl.min)
+	}
+	if rt.st.PlanMispredicts != 1 || rt.st.PlanStrips != 1 {
+		t.Fatalf("PlanMispredicts = %d, PlanStrips = %d, want 1 and 1",
+			rt.st.PlanMispredicts, rt.st.PlanStrips)
 	}
 }
 
@@ -232,9 +260,8 @@ func checkValidate(t *testing.T, bad []badConfig, good []Config) {
 }
 
 // TestValidateRejectsBadAdaptiveConfigs checks the bounds of the adaptively
-// sized strip: planned mode moves the strip between StripMin and StripMax
-// (mispredictions shrink it, under MemBudget), so the bounds must be ordered
-// once defaults apply.
+// sized strip: planned mode clamps every proposal to [StripMin, StripMax],
+// so the bounds must be ordered once defaults apply.
 func TestValidateRejectsBadAdaptiveConfigs(t *testing.T) {
 	checkValidate(t, []badConfig{
 		{func() Config { c := plannedCfg(50); c.StripMin = 100; c.StripMax = 10; return c }(), "min 100 > max 10"},
@@ -305,21 +332,15 @@ func TestPlannedDestLimit(t *testing.T) {
 	rt.plan.warm = false
 }
 
-// TestPlanMispredictedCases pins the hand-off boundary between the model and
-// the bounded controller: exactly the outcomes that break a model promise —
-// a budget overflow (either flavor), a refetch, or an uncovered stall the
-// model would not fix — count as mispredictions; a first-contact strip and a
-// stall the model already proposes to outgrow do not.
+// TestPlanMispredictedCases pins what counts as a misprediction: exactly the
+// outcomes that break a model promise — a budget overflow (either flavor), a
+// refetch, or an uncovered stall the model would not fix; a stall the model
+// already proposes to outgrow does not.
 func TestPlanMispredictedCases(t *testing.T) {
 	rt := &RT{planned: true}
 	rt.Cfg = Default()
 	stalled := stripSignals{iters: 10, fetches: 5, elapsed: 100, stall: 60}
 
-	rt.plan.modelled = false
-	if rt.planMispredicted(stripSignals{peakOver: true}, 10, 50) {
-		t.Error("first-contact strip blamed on the model")
-	}
-	rt.plan.modelled = true
 	if !rt.planMispredicted(stripSignals{peakOver: true}, 10, 50) {
 		t.Error("peak budget overflow not flagged")
 	}

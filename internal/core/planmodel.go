@@ -7,12 +7,11 @@ import (
 
 // This file is the predictive half of planned mode: a closed-form cost model
 // that chooses the next strip size and the per-destination aggregation
-// limits from one strip's reuse summary, *before* the next strip runs. Where
-// a reactive controller would nudge the strip multiplicatively on trailing
-// signals — paying several warm-up strips at the wrong size — the planner
-// computes the size the signals imply and jumps straight to it. All
-// inputs are simulated-time counters and machine-model constants, so every
-// decision is a pure function of simulated-time state and planned runs stay
+// limits from one strip's reuse summary, *before* the next strip runs. The
+// planner computes the size the signals imply and jumps straight to it; no
+// feedback step corrects the proposal afterwards. All inputs are
+// simulated-time counters and machine-model constants, so every decision is
+// a pure function of simulated-time state and planned runs stay
 // bit-identical across engines, repeats, and seeded faults (DESIGN.md §11).
 //
 // The model balances three communication bounds per strip of S iterations:
@@ -36,7 +35,7 @@ import (
 // index that timestamps reuse regions in the D-table.
 type planState struct {
 	stripIdx int32 // monotone strip counter across loops within the phase
-	modelled bool  // the current strip size came from the model
+	modelled bool  // the phase's first strip has been sized (cold or warm)
 	// overBudget records that the last strip's live reuse regions alone
 	// exceeded the memory budget (endStripPlanned had to drop wholesale) —
 	// a memory-model misprediction even when no single strip overflowed.
@@ -57,12 +56,8 @@ type planState struct {
 	// Cross-phase prior plumbing (prior.go). prior is the table the driver
 	// attached for this phase kind (nil: cold phase). priorBytes is the
 	// table's footprint, charged against the memory budget headroom.
-	// retainGap is the reuse-gap retention window seeded from the prior;
-	// maxGap is the ceiling observed this phase, folded back at the seam.
 	prior      *PriorTable
 	priorBytes int64
-	retainGap  int32
-	maxGap     int32
 	// warm records that this phase warm-started from a non-empty prior: the
 	// prediction source holds measured whole-phase volumes, not a trailing
 	// one-strip sample, so plannedDestLimit trusts it past the cold 8×cap.
@@ -118,8 +113,8 @@ func (rt *RT) planPropose(sig stripSignals) int {
 		// An all-local/all-reuse strip fetches nothing: its boundaries are
 		// pure overhead and carry no memory cost, so the widest strip is
 		// optimal. (If a later strip does fetch, the model re-sizes from
-		// that strip's measurements; an overshoot is caught as a
-		// misprediction and corrected by the bounded controller.)
+		// that strip's measurements; an overshoot is counted as a
+		// misprediction.)
 		return c.max
 	}
 	iters := int64(sig.iters)

@@ -11,10 +11,10 @@ import (
 // compact per-(phase-kind, node) prior table that survives phase boundaries
 // in the driver, so a repeated phase starts from measured history instead of
 // the cold machine-model prior. At each phase end the driver folds the
-// phase's reuse summary — per-owner fetch totals, round-trip EWMAs, the
-// maximum reuse gap, byte/iteration volumes, and per-loop owner-affinity
-// arrays — into the table; at the next phase's first loop the planner seeds
-// its state back out of it:
+// phase's reuse summary — per-owner fetch totals, round-trip EWMAs,
+// byte/iteration volumes, and per-loop owner-affinity arrays — into the
+// table; at the next phase's first loop the planner seeds its state back out
+// of it:
 //
 //	strip      the first strip is sized by the same cost model as every
 //	           later strip, fed the prior phase's aggregate signals — zero
@@ -22,9 +22,6 @@ import (
 //	destLimit  the per-owner histogram is staged as the prediction source,
 //	           so aggregation batches are pre-sized from measured volumes
 //	           instead of the cold 8×base cap;
-//	retention  the observed reuse-gap ceiling pins copies whose idle span
-//	           is still within last phase's reuse pattern (pre-pinned
-//	           reuse regions under memory pressure);
 //	shape      per-loop affinity arrays reorder iterations into owner-major
 //	           runs at plan time, so each owner's batch fills in contiguous
 //	           runs instead of interleaved dribbles.
@@ -62,14 +59,6 @@ type PriorTable struct {
 	Bytes   int64
 	Busy    sim.Time
 	Stall   sim.Time
-	// ReuseGap is the maximum strip gap between successive references to a
-	// live renamed copy observed last phase — the retention window that
-	// keeps still-live reuse regions pinned under memory pressure. Recorded
-	// through satGap, so it saturates at math.MaxInt32 instead of
-	// overflowing: the fingerprint and snapshot encodings truncate it to
-	// uint32, and a wrapped negative gap would silently corrupt both and
-	// turn the retention window off.
-	ReuseGap int32
 	// nodes is the machine size of the last fold. The modelled per-owner
 	// record is dense — one PriorOwner per node, zero for an owner the phase
 	// never touched — and charged so; owners stores only the touched owners'
@@ -94,24 +83,6 @@ const (
 
 // Empty reports whether the table has never been folded into.
 func (pt *PriorTable) Empty() bool { return pt == nil || pt.Phases == 0 }
-
-// satGap returns the strip gap cur-last, widened to 64 bits and saturated
-// to [0, math.MaxInt32]. The gap feeds PriorTable.ReuseGap; int32
-// subtraction would overflow when the distance exceeds 2^31-1 strips (a
-// long-running phase wrapping the strip counter), producing a negative
-// ceiling that disables retention and corrupts the uint32-truncating
-// fingerprint/snapshot encodings. Saturating keeps the semantic reading —
-// "the copy was reused after an enormous gap" — monotone.
-func satGap(cur, last int32) int32 {
-	g := int64(cur) - int64(last)
-	if g > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	if g < 0 {
-		return 0
-	}
-	return int32(g)
-}
 
 // ByteSize is the memory the modelled table pins across phases, owner
 // records dense. It is charged against the planner's renamed-copy memory
@@ -187,7 +158,6 @@ func (pt *PriorTable) fingerprint() uint64 {
 	h = sim.MixFP(h, uint64(pt.Bytes))
 	h = sim.MixFP(h, uint64(pt.Busy))
 	h = sim.MixFP(h, uint64(pt.Stall))
-	h = sim.MixFP(h, uint64(uint32(pt.ReuseGap)))
 	recs := pt.owners
 	for o := int32(0); o < pt.nodes; o++ {
 		var r PriorOwner
@@ -219,7 +189,6 @@ func (pt *PriorTable) EncodeSnapshot(w *sim.SnapWriter) {
 	w.I64(pt.Bytes)
 	w.Time(pt.Busy)
 	w.Time(pt.Stall)
-	w.U32(uint32(pt.ReuseGap))
 	w.Int(int(pt.nodes))
 	w.U64(pt.fingerprint())
 }
@@ -228,9 +197,8 @@ func (pt *PriorTable) EncodeSnapshot(w *sim.SnapWriter) {
 // about to run. Called by the driver before the phase body; a nil table or a
 // static spec leaves planning exactly as cold as before. Attaching seeds the
 // per-destination RTT EWMAs from last phase's observations (warming the
-// latency bound) and installs the reuse-gap retention window; the strip and
-// histogram seeding happens lazily at the first planned loop
-// (planWarmStart), where the loop bounds are known.
+// latency bound); the strip and histogram seeding happens lazily at the
+// first planned loop (planWarmStart), where the loop bounds are known.
 func (rt *RT) AttachPrior(pt *PriorTable) {
 	if !rt.planned || pt == nil {
 		return
@@ -238,7 +206,6 @@ func (rt *RT) AttachPrior(pt *PriorTable) {
 	ps := &rt.plan
 	ps.prior = pt
 	if !pt.Empty() {
-		ps.retainGap = pt.ReuseGap
 		// Ascending owner order, as the dense walk had: first touch fixes
 		// slot order.
 		for _, r := range pt.owners {
@@ -269,7 +236,6 @@ func (rt *RT) FoldPrior() {
 	pt.Bytes = ps.phaseBytes
 	pt.Busy = ps.phaseBusy
 	pt.Stall = ps.phaseStall
-	pt.ReuseGap = ps.maxGap
 	pt.nodes = int32(rt.nodes)
 	pt.owners = pt.owners[:0]
 	for _, si := range rt.dests.byOwner {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"dpa/internal/sim"
@@ -118,14 +117,14 @@ func TestPriorFingerprintIsTheDenseView(t *testing.T) {
 	dense[1] = PriorOwner{Fetches: 7, RTT: 300}
 	dense[4] = PriorOwner{Fetches: 2, RTT: 0}
 	pt := &PriorTable{
-		Phases: 2, Iters: 64, Fetches: 9, Bytes: 1 << 10, Busy: 5000, Stall: 40, ReuseGap: 3,
+		Phases: 2, Iters: 64, Fetches: 9, Bytes: 1 << 10, Busy: 5000, Stall: 40,
 		nodes:    nodes,
 		owners:   []priorRec{{1, dense[1]}, {4, dense[4]}},
 		Affinity: [][]int32{{-1, 1, 4}},
 		scratch:  [][]int32{{0, 0}},
 	}
 	h := uint64(0x70726972)
-	for _, v := range []int64{pt.Phases, pt.Iters, pt.Fetches, pt.Bytes, int64(pt.Busy), int64(pt.Stall), int64(pt.ReuseGap)} {
+	for _, v := range []int64{pt.Phases, pt.Iters, pt.Fetches, pt.Bytes, int64(pt.Busy), int64(pt.Stall)} {
 		h = sim.MixFP(h, uint64(v))
 	}
 	for _, o := range dense {
@@ -143,56 +142,5 @@ func TestPriorFingerprintIsTheDenseView(t *testing.T) {
 	}
 	if got := pt.fingerprint(); got != h {
 		t.Fatalf("sparse table digests to %#x, its dense view to %#x", got, h)
-	}
-}
-
-// TestSatGapSaturates pins the reuse-gap record arithmetic at its
-// boundaries: the gap must widen to 64 bits before comparison, saturate at
-// math.MaxInt32 instead of wrapping negative (the distance MaxInt32 -
-// MinInt32 overflows int32 subtraction to -1), and clamp a wrapped strip
-// counter's negative distance to zero — PriorTable.ReuseGap feeds
-// uint32-truncating fingerprint and snapshot encodings, so a negative
-// value silently corrupts both.
-func TestSatGapSaturates(t *testing.T) {
-	cases := []struct {
-		cur, last, want int32
-	}{
-		{5, 3, 2},
-		{7, 7, 0},
-		{math.MaxInt32, 0, math.MaxInt32},
-		// int32 subtraction would give -1 here; the true distance 2^32-1
-		// must saturate to the ceiling.
-		{math.MaxInt32, math.MinInt32, math.MaxInt32},
-		// Wrapped counter: cur behind last clamps to zero, not a huge
-		// positive residue.
-		{math.MinInt32, math.MaxInt32, 0},
-		{-3, 5, 0},
-	}
-	for _, c := range cases {
-		if got := satGap(c.cur, c.last); got != c.want {
-			t.Errorf("satGap(%d, %d) = %d, want %d", c.cur, c.last, got, c.want)
-		}
-	}
-}
-
-// TestReuseGapRecordSaturates drives the actual record site in Spawn: a
-// reuse that closes an int32-overflowing strip distance must fold the
-// saturated ceiling into maxGap (and from there into the prior table), not
-// a wrapped negative that a later honest gap could never exceed.
-func TestReuseGapRecordSaturates(t *testing.T) {
-	rt := priorCycleRT(2)
-	rt.plan.stripIdx = math.MaxInt32
-	rt.plan.maxGap = 10
-	if gap := satGap(rt.plan.stripIdx, math.MinInt32); gap > rt.plan.maxGap {
-		rt.plan.maxGap = gap
-	}
-	if rt.plan.maxGap != math.MaxInt32 {
-		t.Fatalf("maxGap = %d, want saturation at MaxInt32", rt.plan.maxGap)
-	}
-	pt := &PriorTable{}
-	rt.plan.prior = pt
-	rt.FoldPrior()
-	if pt.ReuseGap != math.MaxInt32 {
-		t.Fatalf("folded ReuseGap = %d, want MaxInt32", pt.ReuseGap)
 	}
 }

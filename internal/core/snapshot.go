@@ -24,7 +24,7 @@ func (rq *fetchReq) SnapshotFingerprint() uint64 {
 // EncodeSnapshot writes the runtime's complete deterministic state: the
 // fused M/D table (sorted by pointer key — map iteration order must not leak
 // into the encoding), aggregation buffers in FIFO order, ready queues,
-// controller and planner state, and the per-phase statistics counters.
+// strip and planner state, and the per-phase statistics counters.
 // A suspended thread is represented by its count on the table entry: template
 // ids, closure slots and slab indices are host-side names that never reach an
 // encoding (restore is by deterministic re-execution, so the encoding only
@@ -131,7 +131,6 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.U32(uint32(c.loop))
 	w.I64(c.baseFetches)
 	w.I64(c.baseRefetches)
-	w.I64(c.baseReqMsgs)
 	w.I64(c.baseArrived)
 	w.Time(c.baseStall)
 	w.Time(c.baseNow)
@@ -154,8 +153,6 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	// "rt" section even when the driver does not encode a "priors" section.
 	w.Bool(ps.warm)
 	w.I64(ps.priorBytes)
-	w.U32(uint32(ps.retainGap))
-	w.U32(uint32(ps.maxGap))
 	w.U32(uint32(ps.curIter))
 	w.I64(ps.phaseIters)
 	w.I64(ps.phaseBytes)

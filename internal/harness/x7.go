@@ -29,8 +29,8 @@ func runX7(s *Session) {
 	const nodes = 16
 	s.printf("Static strip-size sweep vs planned mode on %d nodes. The planner\n", nodes)
 	s.printf("sizes every strip, the first one included, so its numbers carry its\n")
-	s.printf("cold start. 'plans/mispredicts' counts model decisions and hand-offs\n")
-	s.printf("to the bounded controller; refetches must be exactly zero.\n\n")
+	s.printf("cold start. 'plans/mispredicts' counts model decisions and the ones\n")
+	s.printf("whose outcome broke a model promise; refetches must be exactly zero.\n\n")
 
 	// Each app's cell; the rows vary its Spec.
 	apps := []struct {

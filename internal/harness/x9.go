@@ -10,11 +10,11 @@ import (
 // EM3D alternates E and H halves — and the phases of one kind resemble each
 // other far more than the cold machine-model prior resembles any of them.
 // Planned mode folds each phase's measured reuse summary (per-owner fetch
-// histograms, RTT EWMAs, reuse-gap ceiling, iteration affinity) into a
-// per-(phase-kind, node) table that survives in the runner (DESIGN.md §13),
-// so the first strip of a repeated phase is planned from history:
-// warm-started strip size, pre-sized aggregation batches, reuse-gap
-// retention, and owner-major iteration runs chosen at plan time. The
+// histograms, RTT EWMAs, iteration affinity) into a per-(phase-kind, node)
+// table that survives in the runner (DESIGN.md §13), so the first strip of
+// a repeated phase is planned from history: warm-started strip size,
+// pre-sized aggregation batches, and owner-major iteration runs chosen at
+// plan time. The
 // questions: how far does it move repeated phases from the paper's static
 // strip, and do refetches stay exactly zero?
 

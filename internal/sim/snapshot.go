@@ -44,8 +44,11 @@ const snapshotMagic = "DPASNAP1"
 // adopted senders' in key order. Version 6: a DPA fetch request and its
 // reply are one record, fingerprinted as the request in both directions, so
 // a pending reply and a retained frame whose record has since come home
-// digest differently.
-const SnapshotVersion uint32 = 6
+// digest differently. Version 7: the "rt" section lost the strip's
+// request-message base and the planner's reuse-gap retention window and
+// ceiling, and the prior table (its "priors" words and its fingerprint) lost
+// its reuse gap.
+const SnapshotVersion uint32 = 7
 
 // ErrBadSnapshot is the sentinel matched by errors.Is for snapshot
 // encodings that fail to decode: truncated, corrupted (checksum mismatch),

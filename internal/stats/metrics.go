@@ -65,13 +65,13 @@ func (r *Run) MetricsInto(reg *obs.Registry, phase string) {
 		Set(r.RT.PeakOutstanding, lbl()...)
 	reg.Gauge("dpa_peak_arrived_bytes", "Peak renamed-copy bytes on one node.").
 		Set(r.RT.PeakArrivedBytes, lbl()...)
-	reg.Counter("dpa_strip_grows_total", "Adaptive strip-size increases.").
+	reg.Counter("dpa_strip_grows_total", "Planned strip-size increases.").
 		Add(r.RT.StripGrows, lbl()...)
-	reg.Counter("dpa_strip_shrinks_total", "Adaptive strip-size decreases.").
+	reg.Counter("dpa_strip_shrinks_total", "Planned strip-size decreases.").
 		Add(r.RT.StripShrinks, lbl()...)
 	reg.Counter("dpa_plan_strips_total", "Predictive planner strip decisions.").
 		Add(r.RT.PlanStrips, lbl()...)
-	reg.Counter("dpa_plan_mispredicts_total", "Planner decisions corrected by the reactive controller.").
+	reg.Counter("dpa_plan_mispredicts_total", "Planner strips whose outcome broke a model promise.").
 		Add(r.RT.PlanMispredicts, lbl()...)
 	reg.Counter("dpa_region_releases_total", "Renamed copies released at reuse-region close.").
 		Add(r.RT.RegionReleases, lbl()...)

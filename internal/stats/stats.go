@@ -101,8 +101,7 @@ type RTStats struct {
 	// Refetches counts fetches of objects this node had already fetched
 	// earlier in the phase (and since dropped — at a strip boundary under
 	// DPA, by eviction under caching, on every re-access under blocking).
-	// Refetches/Fetches is the refetch ratio the planner's corrective
-	// controller steers on.
+	// In planned mode any refetch counts the strip as a misprediction.
 	Refetches int64
 	// StripGrows/StripShrinks count strip-size changes made in planned
 	// mode (zero for static runs).
@@ -112,9 +111,9 @@ type RTStats struct {
 	// zero for static runs).
 	FinalStrip int64
 	// PlanStrips counts strip-boundary decisions made by the predictive
-	// planner; PlanMispredicts counts the subset where the model's promise
-	// failed and the bounded reactive controller corrected instead. Zero
-	// outside planner mode.
+	// planner; PlanMispredicts counts the subset whose outcome broke a model
+	// promise (budget overflow, refetch, or uncovered stall). The proposal is
+	// installed either way. Zero outside planner mode.
 	PlanStrips      int64
 	PlanMispredicts int64
 	// RegionReleases counts renamed copies released because their reuse
@@ -505,7 +504,7 @@ func (r *Run) Diff(o Run) string {
 }
 
 // adaptTrace renders node 0's strip-change sequence compactly, grouped by
-// top-level loop: "L0:→100→200; L1:→400". An empty trace (the controller
+// top-level loop: "L0:→100→200; L1:→400". An empty trace (the strip
 // never moved) renders as "held".
 func adaptTrace(a []AdaptPoint) string {
 	if len(a) == 0 {
