@@ -122,7 +122,21 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a host heap profile to this file on exit")
 	flag.Parse()
 
-	stripSizes, err := flags{runtime: *rtName, shape: *shape, strips: *strips,
+	// EM3D's default graph is seed 7's; only an explicit -seed replaces it.
+	// A DPA tuning flag counts only when set: its default is DPA's.
+	var seedSet bool
+	var dpaTuning string
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "seed":
+			seedSet = true
+		case "strip", "agg", "nopipe":
+			if dpaTuning == "" {
+				dpaTuning = "-" + f.Name
+			}
+		}
+	})
+	stripSizes, err := flags{runtime: *rtName, shape: *shape, strips: *strips, dpaTuning: dpaTuning,
 		checkpointAt: *checkpointAt, checkpointOut: *checkpointOut, restore: *restorePath,
 		traceBins: *traceBins, crashRate: *crashRate, crashAt: *crashAt}.check()
 	if err != nil {
@@ -174,13 +188,10 @@ func main() {
 		}
 	}
 
-	// EM3D's default graph is seed 7's; only an explicit -seed replaces it.
 	em3dPrm := em3d.DefaultParams(*bodies)
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			em3dPrm.Seed = *seed
-		}
-	})
+	if seedSet {
+		em3dPrm.Seed = *seed
+	}
 	graphPrm := graph.DefaultParams(*vertices)
 	graphPrm.Degree, graphPrm.Kind, graphPrm.Seed = *degree, *graphKind, *seed
 	cell := harness.Cell{App: *app, Bodies: *bodies, Seed: *seed, Steps: *steps, Terms: *terms,
@@ -291,6 +302,7 @@ type flags struct {
 	runtime                string
 	shape                  bool
 	strips                 string
+	dpaTuning              string // the first DPA tuning flag set explicitly
 	checkpointAt           int64
 	checkpointOut, restore string
 	traceBins              int64
@@ -318,6 +330,8 @@ func (f flags) check() ([]int, error) {
 		return nil, fmt.Errorf("-shape selects DPA's planned mode and needs -runtime dpa, not %s", f.runtime)
 	case f.strips != "" && f.runtime != "dpa":
 		return nil, fmt.Errorf("-strips sweeps DPA strip sizes and needs -runtime dpa, not %s", f.runtime)
+	case f.dpaTuning != "" && f.runtime != "dpa":
+		return nil, fmt.Errorf("%s tunes DPA and needs -runtime dpa, not %s", f.dpaTuning, f.runtime)
 	case f.strips == "":
 		return nil, nil
 	}

@@ -31,6 +31,11 @@ func TestRejectsBadFlagsBeforeOutput(t *testing.T) {
 		{[]string{"-shape", "-runtime", "caching"}, "-shape selects DPA's planned mode"},
 		{[]string{"-shape", "-runtime", "blocking"}, "needs -runtime dpa, not blocking"},
 		{[]string{"-runtime", "caching", "-strips", "10"}, "-strips sweeps DPA strip sizes"},
+		{[]string{"-runtime", "caching", "-strip", "7"}, "-strip tunes DPA and needs -runtime dpa, not caching"},
+		{[]string{"-runtime", "blocking", "-agg", "1"}, "-agg tunes DPA and needs -runtime dpa, not blocking"},
+		{[]string{"-runtime", "blocking", "-nopipe"}, "-nopipe tunes DPA"},
+		{[]string{"-runtime", "caching", "-strip", "7", "-agg", "1", "-nopipe", "-app", "em3d", "-nodes", "4", "-bodies", "64", "-iters", "1"},
+			"-agg tunes DPA"},
 		{[]string{"-strips", "10,-5"}, `bad strip size "-5"`},
 		{[]string{"-strips", "10,x"}, `bad strip size "x"`},
 		{[]string{"-strips", "10", "-checkpoint-at", "5"}, "single-run mode"},

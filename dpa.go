@@ -20,9 +20,10 @@
 //	    })
 //
 // A thread body is a template registered once per node per phase; a spawned
-// thread is the template's id and two frame words, which under DPA costs no
-// host allocation. rt.Spawn(p, func(o dpa.Object) { ... }) is the closure
-// convenience for a frame that does not fit two words.
+// thread is the template's id and two frame words, which costs no host
+// allocation under any runtime. rt.Spawn(p, func(o dpa.Object) { ... }) is
+// the closure convenience for a frame that does not fit two words: the
+// closure is parked in a slot and runs as an ordinary template thread.
 //
 // DPA runs under one of two policies: DPASpec(50) is the paper's static
 // strip of 50 top-level iterations, and DPASpec(50, WithShape()) is planned

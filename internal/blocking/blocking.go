@@ -1,6 +1,6 @@
 // Package blocking implements the naive baseline runtime: every remote
 // access is a blocking round trip with no caching, no aggregation, and no
-// overlap of communication with computation. It exposes the same Spawn
+// overlap of communication with computation. It exposes the same thread
 // interface as the DPA and caching runtimes, but a spawned thread simply
 // executes at its creation site, stalling the node on each remote
 // dereference. This is the "unoptimized" end of the paper's breakdown
@@ -10,15 +10,13 @@ package blocking
 import (
 	"fmt"
 
+	"dpa/internal/core"
 	"dpa/internal/fm"
 	"dpa/internal/gptr"
 	"dpa/internal/obs"
 	"dpa/internal/sim"
 	"dpa/internal/stats"
 )
-
-// Thread is a thread body, as in the core package.
-type Thread = func(obj gptr.Object)
 
 // Config selects the blocking runtime's costs.
 type Config struct {
@@ -44,14 +42,11 @@ type Proto struct {
 	hReply int
 }
 
-type fetchReq struct {
-	ptr gptr.Ptr
-}
+// A request and its reply carry just the pointer: phases are read-only, so
+// the object is rt.Space.Get(p), and the reply's byte size models it.
+type fetchReq struct{ ptr gptr.Ptr }
 
-type fetchReply struct {
-	ptr gptr.Ptr
-	obj gptr.Object
-}
+type fetchReply struct{ ptr gptr.Ptr }
 
 const msgHeaderBytes = 4
 
@@ -65,24 +60,22 @@ func RegisterProto(net *fm.Net) *Proto {
 
 func onFetchReq(ep *fm.EP, m sim.Message) {
 	rt := ep.Ctx.(*RT)
-	req := m.Payload.(fetchReq)
+	p := m.Payload.(fetchReq).ptr
 	if rt.trc != nil {
 		rt.trc.Event(obs.KFetchServe, ep.Node.Now(), int64(m.From), 1)
 	}
-	ep.Node.Touch(req.ptr.Key())
-	o := rt.Space.Get(req.ptr)
-	ep.Send(m.From, rt.proto.hReply, fetchReply{ptr: req.ptr, obj: o},
-		msgHeaderBytes+gptr.PtrBytes+o.ByteSize())
+	ep.Node.Touch(p.Key())
+	ep.Send(m.From, rt.proto.hReply, fetchReply{p},
+		msgHeaderBytes+gptr.PtrBytes+rt.Space.Get(p).ByteSize())
 }
 
 func onFetchReply(ep *fm.EP, m sim.Message) {
 	rt := ep.Ctx.(*RT)
-	rep := m.Payload.(fetchReply)
+	p := m.Payload.(fetchReply).ptr
 	if rt.trc != nil {
-		rt.trc.Event(obs.KFetchReply, ep.Node.Now(), int64(rep.ptr.Key()), int64(m.From))
+		rt.trc.Event(obs.KFetchReply, ep.Node.Now(), int64(p.Key()), int64(m.From))
 	}
-	rt.replyObj = rep.obj
-	rt.replyPtr = rep.ptr
+	rt.replyPtr = p
 	rt.replyOK = true
 }
 
@@ -95,9 +88,11 @@ type RT struct {
 
 	// The reply to the node's one outstanding blocking fetch (TOUCH
 	// semantics: a node waits on at most one fetch at a time).
-	replyObj gptr.Object
 	replyPtr gptr.Ptr
 	replyOK  bool
+
+	tmpls    core.Templates
+	closures core.Closures
 
 	seen map[gptr.Ptr]struct{} // pointers fetched earlier in the phase
 
@@ -121,41 +116,41 @@ func (rt *RT) Stats() stats.RTStats { return rt.st }
 // Err returns the runtime's degradation error, nil for a clean run.
 func (rt *RT) Err() error { return rt.err }
 
-// Spawn executes fn immediately. Remote pointers cost a full round trip
-// (TOUCH semantics: issue the read and block until it completes), during
-// which the node serves incoming requests but performs no local work. A
-// thread whose owner node is unreachable is abandoned (counted, surfaced
-// through Err) instead of blocking forever.
-func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
+// Template registers a thread body for the rest of the phase and returns the
+// id SpawnT takes.
+func (rt *RT) Template(fn core.Template) int { return rt.tmpls.Add("blocking", fn) }
+
+// Spawn is SpawnT for a closure, through the shared closure form.
+func (rt *RT) Spawn(p gptr.Ptr, fn core.Thread) { rt.closures.Spawn(rt, "blocking", p, fn) }
+
+// SpawnT executes template id on p's object, with the frame words a0 and a1,
+// at once. Remote pointers cost a full round trip (TOUCH semantics: issue the
+// read and block until it completes), during which the node serves incoming
+// requests but performs no local work. A thread whose owner node is
+// unreachable is abandoned (counted, surfaced through Err) instead of
+// blocking forever.
+func (rt *RT) SpawnT(p gptr.Ptr, id int, a0, a1 uint64) {
+	tmpl := rt.tmpls.Index("blocking", id)
 	if p.IsNil() {
 		panic("blocking: Spawn with nil pointer")
-	}
-	if fn == nil {
-		panic("blocking: Spawn with nil thread")
 	}
 	n := rt.EP.Node
 	n.Charge(sim.SchedOv, rt.Cfg.SpawnCost)
 	rt.st.Spawns++
-	var o gptr.Object
 	if rt.Space.LocalOrRepl(p, n.ID()) {
 		rt.st.LocalHits++
-		o = rt.Space.Get(p)
-	} else {
-		var ok bool
-		o, ok = rt.fetch(p)
-		if !ok {
-			rt.st.Abandoned++
-			return
-		}
+	} else if !rt.fetch(p) {
+		rt.st.Abandoned++
+		return
 	}
 	rt.st.ThreadsRun++
 	n.Touch(p.Key())
-	fn(o)
+	rt.tmpls.Run(tmpl, rt.Space.Get(p), a0, a1)
 }
 
 // fetch performs one blocking single-object read. It reports failure when
 // the owner is declared unreachable mid-wait.
-func (rt *RT) fetch(p gptr.Ptr) (gptr.Object, bool) {
+func (rt *RT) fetch(p gptr.Ptr) bool {
 	rt.st.Fetches++
 	if _, dup := rt.seen[p]; dup {
 		// The blocking runtime holds nothing between accesses, so every
@@ -169,26 +164,22 @@ func (rt *RT) fetch(p gptr.Ptr) (gptr.Object, bool) {
 	if rt.trc != nil {
 		rt.trc.Event(obs.KFetchReq, rt.EP.Node.Now(), int64(p.Key()), int64(dst))
 	}
-	rt.EP.Send(dst, rt.proto.hReq, fetchReq{ptr: p},
-		msgHeaderBytes+gptr.PtrBytes)
+	rt.EP.Send(dst, rt.proto.hReq, fetchReq{p}, msgHeaderBytes+gptr.PtrBytes)
 	n := rt.EP.Node
 	n.SetIdleCategory(sim.FetchStall) // the round-trip wait blocks on a fetch
 	defer n.SetIdleCategory(sim.Idle)
-	// Nested fetches cannot occur: Spawn runs synchronously and handlers
-	// never call Spawn, so at most one reply is outstanding per node —
-	// except for the late reply of an abandoned fetch, which the pointer
-	// tag filters out.
+	// Nested fetches cannot occur: a spawn runs synchronously and handlers
+	// never spawn, so at most one reply is outstanding per node — except
+	// for the late reply of an abandoned fetch, which the pointer tag
+	// filters out.
 	for !rt.replyOK || rt.replyPtr != p {
-		if rt.replyOK {
-			rt.replyOK = false
-			rt.replyObj = nil
-		}
+		rt.replyOK = false
 		if rt.EP.Unreachable(dst) {
 			if rt.err == nil {
 				rt.err = fmt.Errorf("blocking: abandoned fetch from unreachable owner %d: %w",
 					dst, fm.ErrUnreachable)
 			}
-			return nil, false
+			return false
 		}
 		// The owner may have crashed after acking the request; keep
 		// detection traffic flowing (no-op outside crash fault mode).
@@ -196,9 +187,7 @@ func (rt *RT) fetch(p gptr.Ptr) (gptr.Object, bool) {
 		rt.EP.WaitAndDispatch()
 	}
 	rt.replyOK = false
-	o := rt.replyObj
-	rt.replyObj = nil
-	return o, true
+	return true
 }
 
 // Drain is a no-op: blocking threads complete at their creation sites. It

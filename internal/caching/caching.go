@@ -18,15 +18,13 @@ package caching
 import (
 	"fmt"
 
+	"dpa/internal/core"
 	"dpa/internal/fm"
 	"dpa/internal/gptr"
 	"dpa/internal/obs"
 	"dpa/internal/sim"
 	"dpa/internal/stats"
 )
-
-// Thread is a non-blocking thread body, as in the core package.
-type Thread = func(obj gptr.Object)
 
 // Config selects the caching runtime's costs and scheduling.
 type Config struct {
@@ -77,14 +75,11 @@ type Proto struct {
 	hReply int
 }
 
-type fetchReq struct {
-	ptr gptr.Ptr
-}
+// A request and its reply carry just the pointer: phases are read-only, so
+// the copy is rt.Space.Get(p), and the reply's byte size models it.
+type fetchReq struct{ ptr gptr.Ptr }
 
-type fetchReply struct {
-	ptr gptr.Ptr
-	obj gptr.Object
-}
+type fetchReply struct{ ptr gptr.Ptr }
 
 const msgHeaderBytes = 4
 
@@ -98,21 +93,20 @@ func RegisterProto(net *fm.Net) *Proto {
 
 func onFetchReq(ep *fm.EP, m sim.Message) {
 	rt := ep.Ctx.(*RT)
-	req := m.Payload.(fetchReq)
+	p := m.Payload.(fetchReq).ptr
 	if rt.trc != nil {
 		rt.trc.Event(obs.KFetchServe, ep.Node.Now(), int64(m.From), 1)
 	}
-	ep.Node.Touch(req.ptr.Key())
-	o := rt.Space.Get(req.ptr)
-	ep.Send(m.From, rt.proto.hReply, fetchReply{ptr: req.ptr, obj: o},
-		msgHeaderBytes+gptr.PtrBytes+o.ByteSize())
+	ep.Node.Touch(p.Key())
+	ep.Send(m.From, rt.proto.hReply, fetchReply{p},
+		msgHeaderBytes+gptr.PtrBytes+rt.Space.Get(p).ByteSize())
 }
 
 func onFetchReply(ep *fm.EP, m sim.Message) {
 	rt := ep.Ctx.(*RT)
-	rep := m.Payload.(fetchReply)
+	p := m.Payload.(fetchReply).ptr
 	if rt.trc != nil {
-		rt.trc.Event(obs.KFetchReply, ep.Node.Now(), int64(rep.ptr.Key()), int64(m.From))
+		rt.trc.Event(obs.KFetchReply, ep.Node.Now(), int64(p.Key()), int64(m.From))
 	}
 	if rt.pendingByDest[m.From] > 0 {
 		rt.pendingByDest[m.From]--
@@ -122,24 +116,22 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 		for len(rt.cache) >= rt.Cfg.Capacity && len(rt.evictQueue) > 0 {
 			victim := rt.evictQueue[0]
 			rt.evictQueue = rt.evictQueue[1:]
-			if old, ok := rt.cache[victim]; ok {
-				rt.cacheBytes -= int64(old.ByteSize())
+			if _, ok := rt.cache[victim]; ok {
+				rt.cacheBytes -= int64(rt.Space.Get(victim).ByteSize())
 				delete(rt.cache, victim)
 			}
 		}
-		rt.evictQueue = append(rt.evictQueue, rep.ptr) // read only when bounded
+		rt.evictQueue = append(rt.evictQueue, p) // read only when bounded
 	}
-	rt.cache[rep.ptr] = rep.obj
-	rt.cacheBytes += int64(rep.obj.ByteSize())
+	rt.cache[p] = struct{}{}
+	rt.cacheBytes += int64(rt.Space.Get(p).ByteSize())
 	if rt.cacheBytes > rt.st.PeakArrivedBytes {
 		rt.st.PeakArrivedBytes = rt.cacheBytes
 	}
-	ws := rt.waitersFor[rep.ptr]
-	delete(rt.waitersFor, rep.ptr)
+	ws := rt.waitersFor[p]
+	delete(rt.waitersFor, p)
 	rt.waiting -= len(ws)
-	for _, fn := range ws {
-		rt.ready = append(rt.ready, readyEntry{key: rep.ptr.Key(), obj: rep.obj, fn: fn, remote: true})
-	}
+	rt.ready = append(rt.ready, ws...)
 	rt.trackPeak()
 }
 
@@ -150,15 +142,18 @@ type RT struct {
 	Cfg   Config
 	proto *Proto
 
-	cache      map[gptr.Ptr]gptr.Object
+	cache      map[gptr.Ptr]struct{} // the copy itself is rt.Space.Get of its pointer
 	cacheBytes int64
 	evictQueue []gptr.Ptr
-	waitersFor map[gptr.Ptr][]Thread
+	waitersFor map[gptr.Ptr][]thread
 	waiting    int
 	seen       map[gptr.Ptr]struct{} // pointers fetched earlier in the phase
 
-	ready     []readyEntry
+	ready     []thread
 	readyHead int
+
+	tmpls    core.Templates
+	closures core.Closures
 
 	pendingReplies int
 	pendingByDest  []int // outstanding request messages per owner node
@@ -169,10 +164,14 @@ type RT struct {
 	st  stats.RTStats
 }
 
-type readyEntry struct {
-	key    uint64
-	obj    gptr.Object
-	fn     Thread
+// thread is a spawned thread, ready or waiting on a fetch: the pointer, the
+// template's index and the two frame words, and whether the body's
+// dereference pays a second hash probe. It holds no Go pointer — the thread
+// runs on rt.Space.Get of its pointer — which the sizeof test pins.
+type thread struct {
+	p      gptr.Ptr
+	a0, a1 uint64
+	tmpl   int32
 	remote bool
 }
 
@@ -183,8 +182,8 @@ func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config) *RT {
 		Space:         space,
 		Cfg:           cfg,
 		proto:         proto,
-		cache:         make(map[gptr.Ptr]gptr.Object),
-		waitersFor:    make(map[gptr.Ptr][]Thread),
+		cache:         make(map[gptr.Ptr]struct{}),
+		waitersFor:    make(map[gptr.Ptr][]thread),
 		pendingByDest: make([]int, ep.Node.N()),
 		seen:          make(map[gptr.Ptr]struct{}),
 		trc:           ep.Node.Obs(),
@@ -199,16 +198,23 @@ func (rt *RT) Stats() stats.RTStats { return rt.st }
 // Err returns the runtime's degradation error, nil for a clean run.
 func (rt *RT) Err() error { return rt.err }
 
-// Spawn registers a thread for pointer p. Every spawn pays a hash probe;
-// hits run from the cache, misses send a single-object request and suspend
-// the thread until the reply.
-func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
+// Template registers a thread body for the rest of the phase and returns the
+// id SpawnT takes.
+func (rt *RT) Template(fn core.Template) int { return rt.tmpls.Add("caching", fn) }
+
+// Spawn is SpawnT for a closure, through the shared closure form.
+func (rt *RT) Spawn(p gptr.Ptr, fn core.Thread) { rt.closures.Spawn(rt, "caching", p, fn) }
+
+// SpawnT registers a thread for pointer p: template id will run on p's object
+// with the frame words a0 and a1. Every remote spawn pays a hash probe; hits
+// run from the cache, misses send a single-object request and suspend the
+// thread until the reply.
+func (rt *RT) SpawnT(p gptr.Ptr, id int, a0, a1 uint64) {
+	tmpl := rt.tmpls.Index("caching", id)
 	if p.IsNil() {
 		panic("caching: Spawn with nil pointer")
 	}
-	if fn == nil {
-		panic("caching: Spawn with nil thread")
-	}
+	t := thread{p: p, a0: a0, a1: a1, tmpl: tmpl}
 	n := rt.EP.Node
 	n.Charge(sim.SchedOv, rt.Cfg.SpawnCost)
 	rt.st.Spawns++
@@ -216,27 +222,28 @@ func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
 		// Local and replicated objects take the cheap address-check fast
 		// path (subsumed in SpawnCost), as in Olden-style software caching.
 		rt.st.LocalHits++
-		rt.ready = append(rt.ready, readyEntry{key: p.Key(), obj: rt.Space.Get(p), fn: fn})
+		rt.ready = append(rt.ready, t)
 		rt.trackPeak()
 		return
 	}
 	// Every remote access is mediated by the cache hash table: one probe at
 	// the access site...
 	n.Charge(sim.HashOv, n.Cfg().HashCost)
-	if o, ok := rt.cache[p]; ok {
+	t.remote = true
+	if _, ok := rt.cache[p]; ok {
 		rt.st.Reuses++
-		rt.ready = append(rt.ready, readyEntry{key: p.Key(), obj: o, fn: fn, remote: true})
+		rt.ready = append(rt.ready, t)
 		rt.trackPeak()
 		return
 	}
 	if ws, ok := rt.waitersFor[p]; ok {
 		rt.st.Reuses++
-		rt.waitersFor[p] = append(ws, fn)
+		rt.waitersFor[p] = append(ws, t)
 		rt.waiting++
 		rt.trackPeak()
 		return
 	}
-	rt.waitersFor[p] = []Thread{fn}
+	rt.waitersFor[p] = []thread{t}
 	rt.waiting++
 	rt.st.Fetches++
 	if _, dup := rt.seen[p]; dup {
@@ -250,8 +257,7 @@ func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
 	if rt.trc != nil {
 		rt.trc.Event(obs.KFetchReq, rt.EP.Node.Now(), int64(p.Key()), int64(p.Node))
 	}
-	rt.EP.Send(int(p.Node), rt.proto.hReq, fetchReq{ptr: p},
-		msgHeaderBytes+gptr.PtrBytes)
+	rt.EP.Send(int(p.Node), rt.proto.hReq, fetchReq{p}, msgHeaderBytes+gptr.PtrBytes)
 	rt.pendingReplies++
 	rt.pendingByDest[int(p.Node)]++
 	rt.trackPeak()
@@ -338,7 +344,6 @@ func (rt *RT) readyLen() int { return len(rt.ready) - rt.readyHead }
 
 func (rt *RT) runOne() {
 	e := rt.ready[rt.readyHead]
-	rt.ready[rt.readyHead] = readyEntry{}
 	rt.readyHead++
 	if rt.readyHead == len(rt.ready) {
 		rt.ready = rt.ready[:0]
@@ -352,9 +357,9 @@ func (rt *RT) runOne() {
 		// (access hoisting): its threads receive a direct pointer.
 		n.Charge(sim.HashOv, n.Cfg().HashCost)
 	}
-	n.Touch(e.key)
+	n.Touch(e.p.Key())
 	rt.st.ThreadsRun++
-	e.fn(e.obj)
+	rt.tmpls.Run(e.tmpl, rt.Space.Get(e.p), e.a0, e.a1)
 }
 
 func (rt *RT) trackPeak() {

@@ -37,16 +37,6 @@ import (
 	"dpa/internal/stats"
 )
 
-// Template is a non-blocking thread body. It receives the (local or renamed)
-// object for the pointer its creation site was labeled with and the two
-// frame words the site passed to SpawnT, and must not block; it may create
-// further threads.
-type Template = func(obj gptr.Object, a0, a1 uint64)
-
-// Thread is the closure form of a thread body, Spawn's parameter: its frame
-// is whatever the closure captured.
-type Thread = func(obj gptr.Object)
-
 // Config selects the DPA scheduling and communication policy.
 type Config struct {
 	// Strip is the strip size for top-level concurrent loops (the paper's
@@ -420,14 +410,12 @@ type RT struct {
 	// Thread records (see DESIGN.md §6, "Thread records"). A thread is a
 	// pointer, a template and two frame words; everything that holds threads
 	// is a slab linked by index, whose free lists end at -1.
-	entries     []dEntry   // M/D entry slab
-	entryFree   int32      // free entries, linked through head
-	waiters     []waiter   // suspended-thread slab
-	waiterFree  int32      // free waiter nodes, linked through next
-	tmpls       []Template // this phase's templates; a record's tmpl-1 indexes it
-	tmplBase    int        // ids issued on this arena before this phase
-	closures    []Thread   // Spawn's side-table: template 0's a0 is a slot here
-	closureFree []int32    // free closure slots
+	entries    []dEntry  // M/D entry slab
+	entryFree  int32     // free entries, linked through head
+	waiters    []waiter  // suspended-thread slab
+	waiterFree int32     // free waiter nodes, linked through next
+	tmpls      Templates // this phase's templates; a record's tmpl indexes it
+	closures   Closures  // Spawn's parked closures (threads.go)
 
 	// dests holds all per-destination state (open request records,
 	// outstanding-request counts, RTT samples, run-list chains, planner
@@ -499,37 +487,33 @@ func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, a *Arena) *RT {
 }
 
 // recycle reduces the runtime to its storage: every container is emptied in
-// place (dropping the previous phase's templates and any closure still
-// parked) and carried over; every other field — counters, EWMAs, strip
-// and planner state, configuration, bindings — is zeroed by omission from the
-// literal, so nothing a new field adds can leak across phases. Template ids die here: tmplBase moves past
-// every id the previous phases issued, so a stale one is unknown to SpawnT
-// rather than an alias of a new template. On a zero RT it only creates the
-// two maps.
+// place (dropping the previous phase's templates, whose ids die here, and any
+// closure still parked) and carried over; every other field — counters,
+// EWMAs, strip and planner state, configuration, bindings — is zeroed by
+// omission from the literal, so nothing a new field adds can leak across
+// phases. On a zero RT it only creates the two maps.
 func (rt *RT) recycle() {
 	clear(rt.table)
 	clear(rt.seen)
-	clear(rt.tmpls)
-	clear(rt.closures)
+	rt.tmpls.reset()
+	rt.closures.reset()
 	rt.dests.reset()
 	*rt = RT{
-		table:       rt.table,
-		seen:        rt.seen,
-		pool:        rt.pool,
-		dests:       rt.dests,
-		entries:     rt.entries[:0],
-		entryFree:   -1,
-		waiters:     rt.waiters[:0],
-		waiterFree:  -1,
-		tmpls:       rt.tmpls[:0],
-		tmplBase:    rt.tmplBase + len(rt.tmpls),
-		closures:    rt.closures[:0],
-		closureFree: rt.closureFree[:0],
-		ready:       readyQueue{buf: rt.ready.buf},
-		oq:          ownerQueue{order: rt.oq.order[:0], nodes: rt.oq.nodes[:0], free: -1},
-		aggDests:    rt.aggDests[:0],
-		trace:       rt.trace[:0],
-		plan:        planState{perm: rt.plan.perm},
+		table:      rt.table,
+		seen:       rt.seen,
+		pool:       rt.pool,
+		dests:      rt.dests,
+		entries:    rt.entries[:0],
+		entryFree:  -1,
+		waiters:    rt.waiters[:0],
+		waiterFree: -1,
+		tmpls:      rt.tmpls,
+		closures:   rt.closures,
+		ready:      readyQueue{buf: rt.ready.buf},
+		oq:         ownerQueue{order: rt.oq.order[:0], nodes: rt.oq.nodes[:0], free: -1},
+		aggDests:   rt.aggDests[:0],
+		trace:      rt.trace[:0],
+		plan:       planState{perm: rt.plan.perm},
 	}
 	if rt.table == nil {
 		rt.table = make(map[gptr.Ptr]int32)
@@ -546,13 +530,7 @@ func (rt *RT) Err() error { return rt.err }
 // Template registers a thread body for the rest of the phase and returns the
 // id SpawnT takes. Apps register each creation site's body once per node per
 // phase; the id dies with the phase.
-func (rt *RT) Template(fn Template) int {
-	if fn == nil {
-		panic("core: Template with nil body")
-	}
-	rt.tmpls = append(rt.tmpls, fn)
-	return rt.tmplBase + len(rt.tmpls)
-}
+func (rt *RT) Template(fn Template) int { return rt.tmpls.Add("core", fn) }
 
 // SpawnT registers a thread labeled with pointer p — the paper's
 // thread-creation site: template id will run on p's object with the frame
@@ -561,41 +539,13 @@ func (rt *RT) Template(fn Template) int {
 // renamed copy makes it ready, an in-flight fetch queues it on M, and a fresh
 // pointer enqueues a request in the owner's open request record.
 func (rt *RT) SpawnT(p gptr.Ptr, id int, a0, a1 uint64) {
-	tmpl := id - rt.tmplBase
-	if tmpl < 1 || tmpl > len(rt.tmpls) {
-		panic(fmt.Sprintf("core: SpawnT with unknown template id %d (%d registered this phase, ids %d..%d)",
-			id, len(rt.tmpls), rt.tmplBase+1, rt.tmplBase+len(rt.tmpls)))
-	}
-	rt.spawn(p, int32(tmpl), a0, a1)
+	rt.spawn(p, rt.tmpls.Index("core", id), a0, a1)
 }
 
 // Spawn is SpawnT for a closure: the convenience form, for threads whose
-// frame does not fit two words. It parks fn in the closure side-table and
-// spawns the reserved template 0 on its slot, so a closure thread is the same
-// record on the same path as a template thread.
-func (rt *RT) Spawn(p gptr.Ptr, fn Thread) {
-	if fn == nil {
-		panic("core: Spawn with nil thread")
-	}
-	var slot int32
-	if n := len(rt.closureFree); n > 0 {
-		slot = rt.closureFree[n-1]
-		rt.closureFree = rt.closureFree[:n-1]
-		rt.closures[slot] = fn
-	} else {
-		slot = int32(len(rt.closures))
-		rt.closures = push(rt.closures, fn)
-	}
-	rt.spawn(p, 0, uint64(slot), 0)
-}
-
-// takeClosure empties a closure slot for its thread's dispatch (or abandon).
-func (rt *RT) takeClosure(slot uint64) Thread {
-	fn := rt.closures[slot]
-	rt.closures[slot] = nil
-	rt.closureFree = push(rt.closureFree, int32(slot))
-	return fn
-}
+// frame does not fit two words. The closure is parked and runs as an
+// ordinary template thread, the same record on the same path.
+func (rt *RT) Spawn(p gptr.Ptr, fn Thread) { rt.closures.Spawn(rt, "core", p, fn) }
 
 func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 	if p.IsNil() {
@@ -823,11 +773,6 @@ func (rt *RT) abandonUnreachable() bool {
 		}
 		rt.st.Abandoned += int64(e.n)
 		rt.waiting -= int(e.n)
-		for wi, k := e.head, e.n; k > 0; wi, k = rt.waiters[wi].next, k-1 {
-			if w := &rt.waiters[wi]; w.tmpl == 0 {
-				rt.takeClosure(w.a0)
-			}
-		}
 		rt.freeWaiters(e)
 		rt.forget(p, ei)
 		progress = true
@@ -877,12 +822,7 @@ func (rt *RT) runOne() {
 	key := e.p.Key()
 	n.Touch(key)
 	rt.st.ThreadsRun++
-	obj := rt.Space.Get(e.p)
-	if e.tmpl == 0 {
-		rt.takeClosure(e.a0)(obj)
-	} else {
-		rt.tmpls[e.tmpl-1](obj, e.a0, e.a1)
-	}
+	rt.tmpls.Run(e.tmpl, rt.Space.Get(e.p), e.a0, e.a1)
 	if rt.trc != nil {
 		rt.trc.EventDur(obs.KThread, t0, n.Now()-t0, int64(key), 0)
 	}
@@ -973,7 +913,7 @@ func (rt *RT) trackPeak() {
 type readyEntry struct {
 	p      gptr.Ptr
 	a0, a1 uint64
-	tmpl   int32 // 0: the closure in slot a0 of the side-table
+	tmpl   int32
 	iter   int32
 }
 

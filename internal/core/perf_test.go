@@ -121,7 +121,7 @@ func warmMallocs(t *testing.T, cfg Config, kind string, n int, closure bool) uin
 // threads allocates exactly what a phase of 64 does. The difference cancels
 // everything a phase and its messages cost by themselves and leaves the
 // per-thread term, which must be zero for templates and for the closure form
-// alike (the closure is the caller's; its slot in the side-table is recycled).
+// alike (the closure is the caller's; its slot is recycled).
 func TestThreadsAllocateNothing(t *testing.T) {
 	for _, c := range []struct {
 		name string

@@ -102,9 +102,10 @@ func crashSeed(t *testing.T, nodes, doomed int, fp sim.FaultParams) uint64 {
 // round on two more objects then builds its chains from the free list the
 // first round's wake left, which is in neither spawn nor index order. In the
 // abandoned rows node 0 first does the same on two objects of node 2, which
-// has crashed: those chains go back to the free list, closures and all,
-// through abandonUnreachable instead of a wake — and do so again at the end,
-// when the same two objects are asked for a second time.
+// has crashed: those chains go back to the free list through
+// abandonUnreachable instead of a wake, their closures staying parked until
+// the phase ends — and do so again at the end, when the same two objects are
+// asked for a second time.
 func TestWaitersRunInSpawnOrder(t *testing.T) {
 	const nodes, k = 3, 7
 	planned := staticCfg()
@@ -170,9 +171,10 @@ func TestWaitersRunInSpawnOrder(t *testing.T) {
 						if got := rt.Stats().Abandoned; got != 2*k {
 							t.Errorf("%d threads abandoned, want %d", got, 2*k)
 						}
-						if rt.waiting != 0 || len(rt.closureFree) != len(rt.closures) {
-							t.Errorf("abandon left waiting=%d and %d of %d closure slots taken",
-								rt.waiting, len(rt.closures)-len(rt.closureFree), len(rt.closures))
+						parked := len(rt.closures.fns) - len(rt.closures.free)
+						if rt.waiting != 0 || parked != 2*(k/2) {
+							t.Errorf("abandon left waiting=%d and %d closure slots taken, want 0 and %d",
+								rt.waiting, parked, 2*(k/2))
 						}
 					}
 					round(rt, id, first, tag)

@@ -25,12 +25,12 @@ type Runtime interface {
 	// this runtime until the phase ends.
 	Template(fn func(obj gptr.Object, a0, a1 uint64)) int
 	// SpawnT registers a pointer-labeled non-blocking thread: template id
-	// will run on p's object with the frame words a0 and a1. Under DPA a
-	// thread spawned this way is a pointer-free value and costs no host
+	// will run on p's object with the frame words a0 and a1. A thread
+	// spawned this way is a pointer-free value and costs no host
 	// allocation.
 	SpawnT(p gptr.Ptr, id int, a0, a1 uint64)
 	// Spawn is the closure convenience over SpawnT, for a thread whose frame
-	// does not fit two words.
+	// does not fit two words (core.Closures).
 	Spawn(p gptr.Ptr, fn func(obj gptr.Object))
 	// Drain completes all spawned (and transitively spawned) work.
 	Drain()
@@ -42,14 +42,6 @@ type Runtime interface {
 	// peer became unreachable under fault injection), nil for a clean run.
 	Err() error
 }
-
-// Interface conformance (the baselines through templated, below).
-var (
-	_ Runtime        = (*core.RT)(nil)
-	_ Runtime        = (*templated)(nil)
-	_ closureRuntime = (*caching.RT)(nil)
-	_ closureRuntime = (*blocking.RT)(nil)
-)
 
 // Kind names a runtime scheme.
 type Kind string
@@ -155,38 +147,6 @@ func (s Spec) String() string {
 	return string(s.Kind)
 }
 
-// core.RT is a Runtime as it stands. The two baselines have no thread records:
-// closureRuntime is what they implement, and templated adds the template form
-// by keeping the templates here and spawning a closure over the frame.
-type closureRuntime interface {
-	Spawn(p gptr.Ptr, fn func(obj gptr.Object))
-	Drain()
-	ForAll(n int, spawnIter func(i int))
-	Stats() stats.RTStats
-	Err() error
-}
-
-type templated struct {
-	closureRuntime
-	tmpls []core.Template // ids count from 1
-}
-
-func (a *templated) Template(fn core.Template) int {
-	if fn == nil {
-		panic("driver: Template with nil body")
-	}
-	a.tmpls = append(a.tmpls, fn)
-	return len(a.tmpls)
-}
-
-func (a *templated) SpawnT(p gptr.Ptr, id int, a0, a1 uint64) {
-	if id < 1 || id > len(a.tmpls) {
-		panic(fmt.Sprintf("driver: SpawnT with unknown template id %d (%d registered this phase)", id, len(a.tmpls)))
-	}
-	fn := a.tmpls[id-1]
-	a.Spawn(p, func(o gptr.Object) { fn(o, a0, a1) })
-}
-
 // Protos bundles the three runtimes' registered protocols on one net.
 type Protos struct {
 	Net      *fm.Net
@@ -218,9 +178,9 @@ func (p *Protos) newRuntime(spec Spec, ep *fm.EP, space *gptr.Space, arena *core
 	case DPA:
 		return core.New(p.core, ep, space, spec.Core, arena), nil
 	case Caching:
-		return &templated{closureRuntime: caching.New(p.caching, ep, space, spec.Caching)}, nil
+		return caching.New(p.caching, ep, space, spec.Caching), nil
 	case Blocking:
-		return &templated{closureRuntime: blocking.New(p.blocking, ep, space, spec.Blocking)}, nil
+		return blocking.New(p.blocking, ep, space, spec.Blocking), nil
 	}
 	panic("driver: unreachable kind " + string(spec.Kind)) // Validate rejected it
 }

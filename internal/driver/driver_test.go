@@ -377,10 +377,10 @@ func TestBadThreadRejectedAtCreationSite(t *testing.T) {
 		{"Spawn(p, nil)", func(rt Runtime, _ int) { rt.Spawn(remote, nil) }, map[Kind]string{
 			DPA: "core: Spawn with nil thread", Caching: "caching: Spawn with nil thread", Blocking: "blocking: Spawn with nil thread"}},
 		{"Template(nil)", func(rt Runtime, _ int) { rt.Template(nil) }, map[Kind]string{
-			DPA: "core: Template with nil body", Caching: "driver: Template with nil body", Blocking: "driver: Template with nil body"}},
+			DPA: "core: Template with nil body", Caching: "caching: Template with nil body", Blocking: "blocking: Template with nil body"}},
 		{"SpawnT(never registered)", func(rt Runtime, _ int) { rt.SpawnT(remote, 7, 0, 0) }, map[Kind]string{
 			DPA:     "core: SpawnT with unknown template id 7 (0 registered this phase",
-			Caching: "driver: SpawnT with unknown template id 7 (0 registered this phase", Blocking: "driver: SpawnT with unknown template id 7 (0 registered this phase"}},
+			Caching: "caching: SpawnT with unknown template id 7 (0 registered this phase", Blocking: "blocking: SpawnT with unknown template id 7 (0 registered this phase"}},
 		{"SpawnT(stale)", func(rt Runtime, staleID int) {
 			rt.Template(func(gptr.Object, uint64, uint64) {}) // this phase has a template of its own
 			rt.SpawnT(remote, staleID, 0, 0)

@@ -112,3 +112,55 @@ func TestRecycledEmptyPhaseAllocations(t *testing.T) {
 		t.Errorf("recycled empty phase allocates %.0f bytes per node, want at most 1 KiB", bytesPerNode)
 	}
 }
+
+// TestThreadsAtHandAllocateNothing: under every runtime a template thread
+// whose object is at hand — the node's own, or a remote one already fetched
+// (a cached copy, an arrived renamed copy) — is a value, spawned and drained
+// without a host allocation. Node 0 spawns and drains n such threads one by
+// one; once a phase has warmed the store, a phase of 4096 must allocate what
+// a phase of 64 does. The blocking runtime keeps nothing between accesses,
+// so it has no reuse row.
+func TestThreadsAtHandAllocateNothing(t *testing.T) {
+	space := gptr.NewSpace(2)
+	local, remote := space.Alloc(0, thing{id: 1}), space.Alloc(1, thing{id: 2})
+	for _, spec := range []Spec{DPASpec(10), CachingSpec(), BlockingSpec()} {
+		for _, c := range []struct {
+			name string
+			p    gptr.Ptr
+		}{{"local", local}, {"reuse", remote}} {
+			if spec.Kind == Blocking && c.name == "reuse" {
+				continue
+			}
+			t.Run(spec.String()+"/"+c.name, func(t *testing.T) {
+				store := NewPriorStore()
+				allocs := func(n int) float64 {
+					ran := 0
+					phase := func() {
+						ran = 0
+						RunPhase(machine.DefaultT3D(2), space, spec, func(rt Runtime, _ *fm.EP, nd *machine.Node) {
+							if nd.ID() != 0 {
+								return
+							}
+							id := rt.Template(func(gptr.Object, uint64, uint64) { ran++ })
+							for i := 0; i < n; i++ {
+								rt.SpawnT(c.p, id, uint64(i), 0)
+								rt.Drain()
+							}
+						}, WithPriors(store, "k"))
+					}
+					phase()
+					a := testing.AllocsPerRun(5, phase)
+					if ran != n {
+						t.Fatalf("%d of %d threads ran", ran, n)
+					}
+					return a
+				}
+				small, large := allocs(64), allocs(4096)
+				if per := (large - small) / (4096 - 64); per != 0 {
+					t.Errorf("a phase of 4096 threads allocates %.0f objects, one of 64 allocates %.0f: %.3f per thread, want 0",
+						large, small, per)
+				}
+			})
+		}
+	}
+}

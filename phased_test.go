@@ -283,8 +283,8 @@ func TestRecycledStorageEquivalence(t *testing.T) {
 					// priors, no machine, no arenas) are the same run: run
 					// tables, results, mid-run snapshot bytes, trace bytes.
 					// The app's closure and template spellings are one path
-					// too — a closure thread is template 0 on a side-table
-					// slot — so they match the same way.
+					// too — a closure thread is an ordinary template thread
+					// on its parked slot — so they match the same way.
 					var snap0 []byte
 					for _, eng := range []Engine{Sequential(), Parallel()} {
 						recycled := runTraced(t, app.build, mcfg, sp.spec, false, at, eng)
