@@ -10,10 +10,10 @@ package blocking
 import (
 	"fmt"
 
+	"dpa/internal/caching"
 	"dpa/internal/core"
 	"dpa/internal/fm"
 	"dpa/internal/gptr"
-	"dpa/internal/obs"
 	"dpa/internal/sim"
 	"dpa/internal/stats"
 )
@@ -36,55 +36,20 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Proto holds the fetch-protocol handler ids.
-type Proto struct {
-	hReq   int
-	hReply int
-}
+// RegisterProto installs the blocking runtime's handlers for the
+// single-object fetch protocol it shares with the caching runtime.
+func RegisterProto(net *fm.Net) *caching.Proto { return caching.RegisterFetch(net, onFetchReply) }
 
-// A request and its reply carry just the pointer: phases are read-only, so
-// the object is rt.Space.Get(p), and the reply's byte size models it.
-type fetchReq struct{ ptr gptr.Ptr }
-
-type fetchReply struct{ ptr gptr.Ptr }
-
-const msgHeaderBytes = 4
-
-// RegisterProto installs the blocking fetch handlers on net.
-func RegisterProto(net *fm.Net) *Proto {
-	p := &Proto{}
-	p.hReq = net.Register(onFetchReq)
-	p.hReply = net.Register(onFetchReply)
-	return p
-}
-
-func onFetchReq(ep *fm.EP, m sim.Message) {
+func onFetchReply(ep *fm.EP, _ int, p gptr.Ptr) {
 	rt := ep.Ctx.(*RT)
-	p := m.Payload.(fetchReq).ptr
-	if rt.trc != nil {
-		rt.trc.Event(obs.KFetchServe, ep.Node.Now(), int64(m.From), 1)
-	}
-	ep.Node.Touch(p.Key())
-	ep.Send(m.From, rt.proto.hReply, fetchReply{p},
-		msgHeaderBytes+gptr.PtrBytes+rt.Space.Get(p).ByteSize())
-}
-
-func onFetchReply(ep *fm.EP, m sim.Message) {
-	rt := ep.Ctx.(*RT)
-	p := m.Payload.(fetchReply).ptr
-	if rt.trc != nil {
-		rt.trc.Event(obs.KFetchReply, ep.Node.Now(), int64(p.Key()), int64(m.From))
-	}
 	rt.replyPtr = p
 	rt.replyOK = true
 }
 
 // RT is the per-node blocking runtime.
 type RT struct {
-	EP    *fm.EP
-	Space *gptr.Space
-	Cfg   Config
-	proto *Proto
+	caching.Fetcher
+	Cfg Config
 
 	// The reply to the node's one outstanding blocking fetch (TOUCH
 	// semantics: a node waits on at most one fetch at a time).
@@ -94,18 +59,23 @@ type RT struct {
 	tmpls    core.Templates
 	closures core.Closures
 
-	seen map[gptr.Ptr]struct{} // pointers fetched earlier in the phase
-
 	err error // first degradation error (unreachable owners), if any
-
-	trc *obs.NodeTrace // nil unless the phase has a tracer attached
 	st  stats.RTStats
 }
 
-// New creates the blocking runtime for one node.
-func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config) *RT {
-	rt := &RT{EP: ep, Space: space, Cfg: cfg, proto: proto,
-		seen: make(map[gptr.Ptr]struct{}), trc: ep.Node.Obs()}
+// New creates the blocking runtime for one node, on the storage of prev, the
+// node's runtime from the previous phase (nil: fresh storage). Every other
+// field is zeroed, so the runtime is indistinguishable from a fresh one
+// except that its template ids continue from prev's, so a stale id panics.
+func New(proto *caching.Proto, ep *fm.EP, space *gptr.Space, cfg Config, prev *RT) *RT {
+	rt := prev
+	if rt == nil {
+		rt = new(RT)
+	}
+	rt.tmpls.Reset()
+	rt.closures.Reset()
+	rt.Fetcher.Reset(proto, ep, space)
+	*rt = RT{Fetcher: rt.Fetcher, Cfg: cfg, tmpls: rt.tmpls, closures: rt.closures}
 	ep.Ctx = rt
 	return rt
 }
@@ -151,20 +121,10 @@ func (rt *RT) SpawnT(p gptr.Ptr, id int, a0, a1 uint64) {
 // fetch performs one blocking single-object read. It reports failure when
 // the owner is declared unreachable mid-wait.
 func (rt *RT) fetch(p gptr.Ptr) bool {
-	rt.st.Fetches++
-	if _, dup := rt.seen[p]; dup {
-		// The blocking runtime holds nothing between accesses, so every
-		// repeated access is a refetch.
-		rt.st.Refetches++
-	} else {
-		rt.seen[p] = struct{}{}
-	}
-	rt.st.ReqMsgs++
+	// The blocking runtime holds nothing between accesses, so every
+	// repeated access is a refetch.
+	rt.Request(p, &rt.st)
 	dst := int(p.Node)
-	if rt.trc != nil {
-		rt.trc.Event(obs.KFetchReq, rt.EP.Node.Now(), int64(p.Key()), int64(dst))
-	}
-	rt.EP.Send(dst, rt.proto.hReq, fetchReq{p}, msgHeaderBytes+gptr.PtrBytes)
 	n := rt.EP.Node
 	n.SetIdleCategory(sim.FetchStall) // the round-trip wait blocks on a fetch
 	defer n.SetIdleCategory(sim.Idle)

@@ -25,7 +25,7 @@ func TestBlockingSpawnRunsInOrder(t *testing.T) {
 	m := machine.New(machine.DefaultT3D(2))
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
-		rt := New(proto, ep, space, Default())
+		rt := New(proto, ep, space, Default(), nil)
 		if nd.ID() == 0 {
 			for _, p := range ptrs {
 				rt.Spawn(p, func(o gptr.Object) { order = append(order, o.(obj).id) })
@@ -53,7 +53,7 @@ func TestEveryRemoteAccessRoundTrips(t *testing.T) {
 	var st int64
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
-		rt := New(proto, ep, space, Default())
+		rt := New(proto, ep, space, Default(), nil)
 		if nd.ID() == 0 {
 			for i := 0; i < 5; i++ {
 				rt.Spawn(p, func(o gptr.Object) {})
@@ -78,7 +78,7 @@ func TestBlockingAccumulatesIdle(t *testing.T) {
 	m := machine.New(machine.DefaultT3D(2))
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
-		rt := New(proto, ep, space, Default())
+		rt := New(proto, ep, space, Default(), nil)
 		if nd.ID() == 0 {
 			for _, p := range ptrs {
 				rt.Spawn(p, func(o gptr.Object) {})
@@ -106,7 +106,7 @@ func TestNestedBlockingSpawns(t *testing.T) {
 	m := machine.New(machine.DefaultT3D(2))
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
-		rt := New(proto, ep, space, Default())
+		rt := New(proto, ep, space, Default(), nil)
 		if nd.ID() == 0 {
 			rt.Spawn(root, func(o gptr.Object) {
 				order = append(order, o.(obj).id)
@@ -136,7 +136,7 @@ func TestMutualBlockingService(t *testing.T) {
 	m := machine.New(machine.DefaultT3D(2))
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
-		rt := New(proto, ep, space, Default())
+		rt := New(proto, ep, space, Default(), nil)
 		me := nd.ID()
 		for _, p := range ptrs[1-me] {
 			rt.Spawn(p, func(o gptr.Object) { ran[me]++ })

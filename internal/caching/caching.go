@@ -69,47 +69,93 @@ func (c *Config) pollEvery() int {
 	return c.PollEvery
 }
 
-// Proto holds the fetch-protocol handler ids.
+// Proto holds the handler ids of the single-object fetch protocol, which the
+// blocking runtime speaks too: a miss sends one pointer to its owner, and the
+// owner sends the same payload back as the reply. Phases are read-only, so
+// the copy is Space.Get of the pointer, and the reply's byte size models it.
 type Proto struct {
 	hReq   int
 	hReply int
 }
 
-// A request and its reply carry just the pointer: phases are read-only, so
-// the copy is rt.Space.Get(p), and the reply's byte size models it.
+// fetchReq is a request and, sent back by the owner, its reply.
 type fetchReq struct{ ptr gptr.Ptr }
-
-type fetchReply struct{ ptr gptr.Ptr }
 
 const msgHeaderBytes = 4
 
-// RegisterProto installs the caching fetch handlers on net.
-func RegisterProto(net *fm.Net) *Proto {
-	p := &Proto{}
-	p.hReq = net.Register(onFetchReq)
-	p.hReply = net.Register(onFetchReply)
-	return p
+// RegisterProto installs the caching runtime's fetch handlers on net.
+func RegisterProto(net *fm.Net) *Proto { return RegisterFetch(net, onFetchReply) }
+
+// RegisterFetch installs the single-object fetch protocol on net for a
+// runtime that embeds a Fetcher and is its endpoint's Ctx: the shared request
+// handler, and onReply, which runs on the requesting node for each reply.
+func RegisterFetch(net *fm.Net, onReply func(ep *fm.EP, from int, p gptr.Ptr)) *Proto {
+	return &Proto{
+		hReq: net.Register(onFetchReq),
+		hReply: net.Register(func(ep *fm.EP, m sim.Message) {
+			p := m.Payload.(fetchReq).ptr
+			if trc := ep.Node.Obs(); trc != nil {
+				trc.Event(obs.KFetchReply, ep.Node.Now(), int64(p.Key()), int64(m.From))
+			}
+			onReply(ep, m.From, p)
+		}),
+	}
 }
 
 func onFetchReq(ep *fm.EP, m sim.Message) {
-	rt := ep.Ctx.(*RT)
+	f := ep.Ctx.(interface{ fetcher() *Fetcher }).fetcher()
 	p := m.Payload.(fetchReq).ptr
-	if rt.trc != nil {
-		rt.trc.Event(obs.KFetchServe, ep.Node.Now(), int64(m.From), 1)
+	if trc := ep.Node.Obs(); trc != nil {
+		trc.Event(obs.KFetchServe, ep.Node.Now(), int64(m.From), 1)
 	}
 	ep.Node.Touch(p.Key())
-	ep.Send(m.From, rt.proto.hReply, fetchReply{p},
-		msgHeaderBytes+gptr.PtrBytes+rt.Space.Get(p).ByteSize())
+	ep.Send(m.From, f.proto.hReply, fetchReq{p},
+		msgHeaderBytes+gptr.PtrBytes+f.Space.Get(p).ByteSize())
 }
 
-func onFetchReply(ep *fm.EP, m sim.Message) {
-	rt := ep.Ctx.(*RT)
-	p := m.Payload.(fetchReply).ptr
-	if rt.trc != nil {
-		rt.trc.Event(obs.KFetchReply, ep.Node.Now(), int64(p.Key()), int64(m.From))
+// Fetcher is one node's end of the single-object fetch protocol, embedded in
+// the caching and the blocking runtime.
+type Fetcher struct {
+	EP    *fm.EP
+	Space *gptr.Space
+	proto *Proto
+	seen  map[gptr.Ptr]struct{} // pointers fetched earlier in the phase
+}
+
+// fetcher finds the Fetcher of the runtime bound to an endpoint.
+func (f *Fetcher) fetcher() *Fetcher { return f }
+
+// Reset starts a phase on f's storage, bound to ep and space: the pointers
+// fetched so far are forgotten. The runtime embedding f binds itself to ep.
+func (f *Fetcher) Reset(proto *Proto, ep *fm.EP, space *gptr.Space) {
+	clear(f.seen)
+	if f.seen == nil {
+		f.seen = make(map[gptr.Ptr]struct{})
 	}
-	if rt.pendingByDest[m.From] > 0 {
-		rt.pendingByDest[m.From]--
+	*f = Fetcher{EP: ep, Space: space, proto: proto, seen: f.seen}
+}
+
+// Request sends p's owner a request for p, counted in st. A pointer
+// requested before in the phase counts as a refetch: the runtime held
+// nothing for it (blocking) or evicted it (a bounded cache).
+func (f *Fetcher) Request(p gptr.Ptr, st *stats.RTStats) {
+	st.Fetches++
+	if _, dup := f.seen[p]; dup {
+		st.Refetches++
+	} else {
+		f.seen[p] = struct{}{}
+	}
+	st.ReqMsgs++
+	if trc := f.EP.Node.Obs(); trc != nil {
+		trc.Event(obs.KFetchReq, f.EP.Node.Now(), int64(p.Key()), int64(p.Node))
+	}
+	f.EP.Send(int(p.Node), f.proto.hReq, fetchReq{p}, msgHeaderBytes+gptr.PtrBytes)
+}
+
+func onFetchReply(ep *fm.EP, from int, p gptr.Ptr) {
+	rt := ep.Ctx.(*RT)
+	if rt.pendingByDest[from] > 0 {
+		rt.pendingByDest[from]--
 		rt.pendingReplies--
 	}
 	if rt.Cfg.Capacity > 0 {
@@ -137,17 +183,14 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 
 // RT is the per-node software-caching runtime.
 type RT struct {
-	EP    *fm.EP
-	Space *gptr.Space
-	Cfg   Config
-	proto *Proto
+	Fetcher
+	Cfg Config
 
 	cache      map[gptr.Ptr]struct{} // the copy itself is rt.Space.Get of its pointer
 	cacheBytes int64
 	evictQueue []gptr.Ptr
 	waitersFor map[gptr.Ptr][]thread
 	waiting    int
-	seen       map[gptr.Ptr]struct{} // pointers fetched earlier in the phase
 
 	ready     []thread
 	readyHead int
@@ -159,8 +202,6 @@ type RT struct {
 	pendingByDest  []int // outstanding request messages per owner node
 
 	err error // first degradation error (unreachable owners), if any
-
-	trc *obs.NodeTrace // nil unless the phase has a tracer attached
 	st  stats.RTStats
 }
 
@@ -175,18 +216,36 @@ type thread struct {
 	remote bool
 }
 
-// New creates the caching runtime for one node.
-func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config) *RT {
-	rt := &RT{
-		EP:            ep,
-		Space:         space,
+// New creates the caching runtime for one node, on the storage of prev, the
+// node's runtime from the previous phase (nil: fresh storage). Every container is emptied and every other field zeroed, so the
+// runtime is indistinguishable from a fresh one except that its template ids
+// continue from prev's, so a stale id panics.
+func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, prev *RT) *RT {
+	rt := prev
+	if rt == nil {
+		rt = new(RT)
+	}
+	clear(rt.cache)
+	clear(rt.waitersFor)
+	clear(rt.pendingByDest)
+	rt.tmpls.Reset()
+	rt.closures.Reset()
+	rt.Fetcher.Reset(proto, ep, space)
+	*rt = RT{
+		Fetcher:       rt.Fetcher,
 		Cfg:           cfg,
-		proto:         proto,
-		cache:         make(map[gptr.Ptr]struct{}),
-		waitersFor:    make(map[gptr.Ptr][]thread),
-		pendingByDest: make([]int, ep.Node.N()),
-		seen:          make(map[gptr.Ptr]struct{}),
-		trc:           ep.Node.Obs(),
+		cache:         rt.cache,
+		evictQueue:    rt.evictQueue[:0],
+		waitersFor:    rt.waitersFor,
+		ready:         rt.ready[:0],
+		tmpls:         rt.tmpls,
+		closures:      rt.closures,
+		pendingByDest: rt.pendingByDest,
+	}
+	if rt.cache == nil {
+		rt.cache = make(map[gptr.Ptr]struct{})
+		rt.waitersFor = make(map[gptr.Ptr][]thread)
+		rt.pendingByDest = make([]int, ep.Node.N())
 	}
 	ep.Ctx = rt
 	return rt
@@ -245,19 +304,9 @@ func (rt *RT) SpawnT(p gptr.Ptr, id int, a0, a1 uint64) {
 	}
 	rt.waitersFor[p] = []thread{t}
 	rt.waiting++
-	rt.st.Fetches++
-	if _, dup := rt.seen[p]; dup {
-		// A capacity miss: the object was fetched, evicted, and is wanted
-		// again (comparable to DPA's strip-boundary refetches).
-		rt.st.Refetches++
-	} else {
-		rt.seen[p] = struct{}{}
-	}
-	rt.st.ReqMsgs++
-	if rt.trc != nil {
-		rt.trc.Event(obs.KFetchReq, rt.EP.Node.Now(), int64(p.Key()), int64(p.Node))
-	}
-	rt.EP.Send(int(p.Node), rt.proto.hReq, fetchReq{p}, msgHeaderBytes+gptr.PtrBytes)
+	// A refetch is a capacity miss: the object was fetched, evicted, and
+	// is wanted again (comparable to DPA's strip-boundary refetches).
+	rt.Request(p, &rt.st)
 	rt.pendingReplies++
 	rt.pendingByDest[int(p.Node)]++
 	rt.trackPeak()

@@ -31,7 +31,7 @@ func (w *world) run(cfg Config, main func(rt *RT)) (stats.RTStats, *machine.Mach
 	var st stats.RTStats
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(w.net, nd)
-		rt := New(w.proto, ep, w.space, cfg)
+		rt := New(w.proto, ep, w.space, cfg, nil)
 		if nd.ID() == 0 {
 			main(rt)
 			st = rt.Stats()

@@ -333,7 +333,7 @@ func (w *waiter) ready(p gptr.Ptr) readyEntry {
 
 // slabMin is the capacity a slab starts with: one allocation where append's
 // doubling from one element would make seven before a strip of 50 fits — on
-// every phase's first strip when the arena is fresh.
+// every phase's first strip on fresh storage.
 const slabMin = 64
 
 // push is append for a slab.
@@ -451,28 +451,18 @@ type RT struct {
 	trace   []stats.AdaptPoint
 }
 
-// Arena is one node's runtime storage — the RT struct itself, the M/D and
-// seen maps' buckets, the entry, waiter and closure slabs, the free lists
-// (fetch records included), the destination table, the ready queues and the
-// run-list slab — kept by the driver across the phases of one run so that
-// only the first phase pays for building it. What
-// an arena carries is storage, never state: New empties every container and
-// re-initialises every counter, EWMA, strip and planner field, so a
-// runtime on a recycled arena is indistinguishable from one on a fresh arena
-// (the snapshot encodings of the two are byte-equal). The zero value is an
-// arena that has never been used. A runtime, and every slice it handed out
-// (AdaptTrace), is valid only until its arena is passed to New again.
-type Arena struct{ rt RT }
-
 // New creates the runtime for one node and binds it to the endpoint (the
-// fetch handlers find it through ep.Ctx). It builds the runtime on arena a,
-// recycling whatever storage an earlier phase left there; a nil a means a
-// fresh arena of the runtime's own.
-func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, a *Arena) *RT {
-	if a == nil {
-		a = new(Arena)
+// fetch handlers find it through ep.Ctx). It builds the runtime on the
+// storage of prev, the node's runtime from the previous phase (nil: fresh
+// storage), which recycle reduces to storage: the new runtime's snapshot
+// encoding is a fresh one's byte for byte, and only its template ids continue
+// from prev's, so a stale id panics. prev, and every slice it handed out
+// (AdaptTrace), is invalid once New returns.
+func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, prev *RT) *RT {
+	rt := prev
+	if rt == nil {
+		rt = new(RT)
 	}
-	rt := &a.rt
 	rt.recycle()
 	rt.EP, rt.Space, rt.Cfg, rt.proto = ep, space, cfg, proto
 	rt.nodes = ep.Node.N()
@@ -495,8 +485,8 @@ func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, a *Arena) *RT {
 func (rt *RT) recycle() {
 	clear(rt.table)
 	clear(rt.seen)
-	rt.tmpls.reset()
-	rt.closures.reset()
+	rt.tmpls.Reset()
+	rt.closures.Reset()
 	rt.dests.reset()
 	*rt = RT{
 		table:      rt.table,

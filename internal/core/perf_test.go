@@ -12,7 +12,7 @@ import (
 
 // threadWorld is the real stack under the thread-record pins: a 2-node
 // machine, fm endpoints, and one runtime per node built by New on that node's
-// arena, phase after phase. Both nodes run the same program, each spawning on
+// previous runtime, phase after phase. Both nodes run the same program, each spawning on
 // its own objects or on the other's, so request and reply buffers flow both
 // ways and the free lists balance as they do under an application. Nothing of
 // the runtime is fabricated, so a pin here holds for the path the apps run.
@@ -21,7 +21,7 @@ type threadWorld struct {
 	proto  *Proto
 	space  *gptr.Space
 	ptrs   [2][]gptr.Ptr // each node's objects
-	arenas [2]Arena
+	rts    [2]*RT
 	priors [2]PriorTable
 }
 
@@ -68,7 +68,8 @@ func (w *threadWorld) phase(t testing.TB, cfg Config, kind string, n int, closur
 	_, err := machine.New(mcfg).Run(func(nd *machine.Node) {
 		me := nd.ID()
 		ep := fm.NewEP(w.net, nd)
-		rt := New(w.proto, ep, w.space, cfg, &w.arenas[me])
+		rt := New(w.proto, ep, w.space, cfg, w.rts[me])
+		w.rts[me] = rt
 		if cfg.Planned {
 			rt.AttachPrior(&w.priors[me])
 		}
@@ -97,7 +98,7 @@ func (w *threadWorld) phase(t testing.TB, cfg Config, kind string, n int, closur
 }
 
 // warmMallocs is what a phase of n threads per node allocates once an earlier
-// phase of the same shape has warmed the arenas. The Go runtime may allocate
+// phase of the same shape has warmed the runtimes. The Go runtime may allocate
 // behind the measurement's back (a GC worker starting, say); the smallest of
 // a few tries is the program's own figure.
 func warmMallocs(t *testing.T, cfg Config, kind string, n int, closure bool) uint64 {
@@ -117,7 +118,7 @@ func warmMallocs(t *testing.T, cfg Config, kind string, n int, closure bool) uin
 
 // TestThreadsAllocateNothing pins the thread record: a spawned thread — ready
 // at once, suspended on an in-flight fetch, or the first waiter of a fresh
-// entry — is a value in a recycled slab, so on a warm arena a phase of 4096
+// entry — is a value in a recycled slab, so on a warm runtime a phase of 4096
 // threads allocates exactly what a phase of 64 does. The difference cancels
 // everything a phase and its messages cost by themselves and leaves the
 // per-thread term, which must be zero for templates and for the closure form

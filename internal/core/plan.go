@@ -139,7 +139,7 @@ func (rt *RT) setStrip(next int) {
 }
 
 // AdaptTrace returns this node's strip-size trace (empty in static mode). The
-// slice lives in the runtime's arena: copy it to keep it past the phase. The
+// slice is runtime storage the next phase reuses: copy it to keep it. The
 // driver records node 0's trace on the run.
 func (rt *RT) AdaptTrace() []stats.AdaptPoint { return rt.trace }
 

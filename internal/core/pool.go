@@ -9,7 +9,7 @@ const poolCap = 64
 // put pushes v on a free list. A full list gives up its oldest element, not
 // v, so the element a later get pops never depends on how much the list held
 // before — and therefore not on whether the list started the phase empty or
-// was carried over in a recycled Arena. That matters for fetch records, the
+// was carried over from the previous phase's runtime. That matters for fetch records, the
 // only pooled values other nodes can still see: an unacked reliable frame
 // keeps pointing at a record its receiver has already consumed and its home
 // node has recycled, and a snapshot fingerprints it through that pointer.
@@ -34,7 +34,7 @@ const recCap = 16
 // bounded by the node's own peak of in-flight requests, not by what other
 // nodes send it. Recycling affects host allocations only, never simulated
 // time, so it cannot perturb the bit-identical determinism contract. The
-// list survives from phase to phase inside the node's Arena.
+// list survives from phase to phase in the node's recycled runtime.
 type pools struct {
 	reqs []*fetchReq
 }

@@ -10,7 +10,7 @@ import (
 
 // TestFreeListCarriedOverPopsLikeFresh pins the property put's evict-oldest
 // rule exists for: drive a free list that starts empty and one that starts
-// with leftovers (a recycled arena's) through the same puts and gets, past
+// with leftovers (a recycled runtime's) through the same puts and gets, past
 // poolCap in both directions, and every get the fresh list serves from its
 // pool is served the same element by the carried-over one. Where the fresh
 // list is empty (it would allocate) the carried one may hand out a leftover;
@@ -68,7 +68,7 @@ func TestFreeListCarriedOverPopsLikeFresh(t *testing.T) {
 }
 
 // TestFetchRecordsReturnHome pins the fetch record's round trip on a real
-// 8-node machine, phase after phase on recycled arenas: every record a node's
+// 8-node machine, phase after phase on recycled runtimes: every record a node's
 // free list holds is one that node filled — replies bring records home, they
 // never pile up at the owners that served them — and a second phase of the
 // same program sends every request and receives every reply in records the
@@ -109,14 +109,15 @@ func TestFetchRecordsReturnHome(t *testing.T) {
 					space.Alloc(node, obj{id: i})
 				}
 			}
-			arenas := make([]Arena, nodes)
+			rts := make([]*RT, nodes)
 			priors := make([]PriorTable, nodes)
 			var reqs [nodes]int64
 			phase := func() {
 				_, err := machine.New(machine.DefaultT3D(nodes)).Run(func(nd *machine.Node) {
 					me := nd.ID()
 					ep := fm.NewEP(net, nd)
-					rt := New(proto, ep, space, c.cfg, &arenas[me])
+					rt := New(proto, ep, space, c.cfg, rts[me])
+					rts[me] = rt
 					if c.cfg.Planned {
 						rt.AttachPrior(&priors[me])
 					}
@@ -141,9 +142,9 @@ func TestFetchRecordsReturnHome(t *testing.T) {
 			// capacity.
 			held := func() []map[*fetchReq]int {
 				lists := make([]map[*fetchReq]int, nodes)
-				for i := range arenas {
+				for i := range rts {
 					lists[i] = map[*fetchReq]int{}
-					for _, r := range arenas[i].rt.pool.reqs {
+					for _, r := range rts[i].pool.reqs {
 						lists[i][r] = cap(r.ptrs)
 					}
 				}

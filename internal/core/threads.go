@@ -47,9 +47,9 @@ func (t *Templates) Index(who string, id int) int32 {
 // Run runs the template at index i.
 func (t *Templates) Run(i int32, obj gptr.Object, a0, a1 uint64) { t.fns[i](obj, a0, a1) }
 
-// reset starts a phase on the same storage. The ids issued so far die: a
+// Reset starts a phase on the same storage. The ids issued so far die: a
 // stale one is unknown to Index, not an alias of a new template.
-func (t *Templates) reset() {
+func (t *Templates) Reset() {
 	clear(t.fns)
 	*t = Templates{fns: t.fns[:0], base: t.base + len(t.fns)}
 }
@@ -95,7 +95,8 @@ func (c *Closures) run(obj gptr.Object, slot, _ uint64) {
 	fn(obj)
 }
 
-func (c *Closures) reset() {
+// Reset starts a phase on the same storage, dropping any parked closure.
+func (c *Closures) Reset() {
 	clear(c.fns)
 	*c = Closures{fns: c.fns[:0], free: c.free[:0]}
 }

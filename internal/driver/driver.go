@@ -22,7 +22,9 @@ import (
 type Runtime interface {
 	// Template registers a thread body — one per creation site, once per
 	// node per phase — and returns the id SpawnT takes. The id is valid on
-	// this runtime until the phase ends.
+	// this runtime until the phase ends. A runtime recycled from this one's
+	// storage (the next phase on the same store, spec and node count)
+	// panics on it; a fresh runtime numbers its templates from 1 again.
 	Template(fn func(obj gptr.Object, a0, a1 uint64)) int
 	// SpawnT registers a pointer-labeled non-blocking thread: template id
 	// will run on p's object with the frame words a0 and a1. A thread
@@ -152,7 +154,7 @@ type Protos struct {
 	Net      *fm.Net
 	core     *core.Proto
 	caching  *caching.Proto
-	blocking *blocking.Proto
+	blocking *caching.Proto
 }
 
 // NewProtos creates a net with all runtime protocols registered.
@@ -166,21 +168,24 @@ func NewProtos() *Protos {
 	}
 }
 
-// newRuntime instantiates the runtime selected by spec on one node, a DPA
-// runtime on a recycled arena (nil: a fresh one); the other runtimes have no
-// arena. It validates the spec's configuration and returns a descriptive
-// error when it is rejected.
-func (p *Protos) newRuntime(spec Spec, ep *fm.EP, space *gptr.Space, arena *core.Arena) (Runtime, error) {
+// newRuntime instantiates the runtime selected by spec on one node, on the
+// storage of prev, the node's runtime from the previous phase under the same
+// spec (nil: fresh storage). It validates the spec's configuration and
+// returns a descriptive error when it is rejected.
+func (p *Protos) newRuntime(spec Spec, ep *fm.EP, space *gptr.Space, prev Runtime) (Runtime, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	switch spec.Kind {
 	case DPA:
-		return core.New(p.core, ep, space, spec.Core, arena), nil
+		prev, _ := prev.(*core.RT)
+		return core.New(p.core, ep, space, spec.Core, prev), nil
 	case Caching:
-		return caching.New(p.caching, ep, space, spec.Caching), nil
+		prev, _ := prev.(*caching.RT)
+		return caching.New(p.caching, ep, space, spec.Caching, prev), nil
 	case Blocking:
-		return blocking.New(p.blocking, ep, space, spec.Blocking), nil
+		prev, _ := prev.(*blocking.RT)
+		return blocking.New(p.blocking, ep, space, spec.Blocking, prev), nil
 	}
 	panic("driver: unreachable kind " + string(spec.Kind)) // Validate rejected it
 }
@@ -322,9 +327,10 @@ func readOnly(space *gptr.Space, objects int) {
 	}
 }
 
-// runOnce executes the phase and collects statistics. The machine and its
-// endpoints come from the run's store (a fresh machine without one), and
-// the store keeps them for the next phase only if this one ends cleanly.
+// runOnce executes the phase and collects statistics. The machine, its
+// endpoints and the previous phase's runtimes come from the run's store (a
+// fresh machine and fresh runtimes without one), and the store keeps them
+// for the next phase only if this one ends cleanly.
 // Under fault injection the endpoints quiesce the reliability protocol once
 // before the closing barrier — while every peer still polls and acks — and
 // once after, for the barrier traffic itself; both are no-ops when the
@@ -353,12 +359,7 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 	if prior != nil && spec.Kind == DPA && spec.Core.Planned {
 		ptabs = prior.tables(priorKind, mcfg.Nodes)
 	}
-	// Likewise the recycled runtime arenas: one per node, each node's body
-	// touching only its own.
-	var arenas []core.Arena
-	if prior != nil && spec.Kind == DPA {
-		arenas = prior.runtimeArenas(spec, mcfg.Nodes)
-	}
+	prevs := prior.runtimes(spec, mcfg.Nodes)
 	var ckErr error
 	if at, ok := ck.Target(); ok {
 		m.CheckpointAt(at, func() {
@@ -376,11 +377,7 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 	}
 	makespan, engErr := m.Run(func(nd *machine.Node) {
 		ep := pm.endpoint(nd)
-		var arena *core.Arena
-		if arenas != nil {
-			arena = &arenas[nd.ID()]
-		}
-		rt, err := pm.protos.newRuntime(spec, ep, space, arena)
+		rt, err := pm.protos.newRuntime(spec, ep, space, prevs[nd.ID()])
 		if err != nil {
 			panic(err) // spec was validated before the machine started
 		}
@@ -437,7 +434,7 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 	}
 	// Node 0's strip-adaptation trace is the run's representative (every
 	// node adapts independently; recording all of them would swamp tables).
-	// Copied: the runtime's own slice is arena storage the next phase reuses.
+	// Copied: the runtime's own slice is storage the next phase reuses.
 	if len(rts) > 0 {
 		if tr, ok := rts[0].(interface{ AdaptTrace() []stats.AdaptPoint }); ok {
 			run.Adapt = append([]stats.AdaptPoint(nil), tr.AdaptTrace()...)
@@ -453,6 +450,9 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 	// A degraded phase (abandoned fetches, a crashed node, a deadlocked
 	// machine) hands nothing on: the deferred drop runs unless this is set.
 	clean = run.Err == nil
+	if prior != nil {
+		prior.rts, prior.rtSpec = rts, spec
+	}
 	return run
 }
 

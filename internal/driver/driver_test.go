@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"dpa/internal/core"
 	"dpa/internal/fm"
 	"dpa/internal/gptr"
 	"dpa/internal/machine"
@@ -244,15 +243,15 @@ func TestRunPhaseCrossTraffic(t *testing.T) {
 	}
 }
 
-// TestPriorStoreArenaLifetime pins when a store's runtime arenas and machine
-// are recycled and when they are rebuilt or dropped. Arenas: kept across
-// phases of one shape; rebuilt for another node count or another spec; never
-// created for the other runtimes; absent from a Clone; dropped after a
-// degraded phase. The machine: kept while the machine config repeats, under
-// any runtime; rebuilt when it changes; absent from a Clone; dropped after a
-// degraded phase. A kind's prior tables are rebuilt cold for another node
-// count, either way.
-func TestPriorStoreArenaLifetime(t *testing.T) {
+// TestPriorStoreRuntimeLifetime pins when a store's runtimes and machine are
+// recycled and when they are rebuilt or dropped, one rule for every runtime.
+// Runtimes: kept across phases of one spec and node count, on the same
+// machine or another (another engine); rebuilt for another spec (another
+// runtime, or another DPA policy) or another node count; absent from a
+// Clone; dropped with the machine after a degraded phase. The machine: kept
+// while the machine config repeats, under any runtime; rebuilt when it
+// changes. A kind's prior tables are rebuilt cold for another node count.
+func TestPriorStoreRuntimeLifetime(t *testing.T) {
 	space := gptr.NewSpace(4)
 	ptrs := make([]gptr.Ptr, 4)
 	for i := range ptrs {
@@ -269,61 +268,66 @@ func TestPriorStoreArenaLifetime(t *testing.T) {
 			}, WithPriors(store, "k"))
 	}
 	phase := func(nodes int, spec Spec) stats.Run { return phaseOn(machine.DefaultT3D(nodes), spec) }
-	held := func() *core.Arena {
-		if len(store.arenas) == 0 {
+	held := func() Runtime {
+		if len(store.rts) == 0 {
 			return nil
 		}
-		return &store.arenas[0]
+		return store.rts[0]
 	}
 
 	phase(4, CachingSpec())
-	if held() != nil {
-		t.Fatal("a caching phase built DPA arenas")
+	mach, first := store.mach, held()
+	if mach == nil || first == nil {
+		t.Fatal("a caching phase left no machine or runtimes for the next")
 	}
-	mach := store.mach
-	if mach == nil {
-		t.Fatal("a caching phase left no machine for the next")
+	phase(4, CachingSpec())
+	if store.mach != mach || held() != first {
+		t.Fatal("second caching phase rebuilt its machine or runtimes instead of recycling them")
+	}
+	for _, spec := range []Spec{BlockingSpec(), DPASpec(10)} {
+		phase(4, spec)
+		if store.mach != mach {
+			t.Fatalf("a %v phase on the same machine config rebuilt the machine", spec)
+		}
+		if held() == first {
+			t.Fatalf("a %v phase recycled the runtimes of the phase before", spec)
+		}
+		first = held()
 	}
 	phase(4, DPASpec(10))
-	if store.mach != mach {
-		t.Fatal("a phase on the same machine config under another runtime rebuilt the machine")
+	if held() != first || len(store.rts) != 4 {
+		t.Fatal("second DPA phase of the same shape rebuilt the runtimes instead of recycling them")
 	}
-	first := held()
-	if first == nil || len(store.arenas) != 4 {
-		t.Fatalf("DPA phase on 4 nodes holds %d arenas", len(store.arenas))
+	phaseOn(t3d(4, Parallel(Workers(2))), DPASpec(10))
+	if store.mach == mach || held() != first {
+		t.Fatal("a phase under another engine kept the machine or rebuilt the runtimes")
 	}
-	phase(4, DPASpec(10))
-	if held() != first {
-		t.Fatal("second phase of the same shape rebuilt the arenas instead of recycling them")
-	}
-	if c := store.Clone(); c.arenas != nil || c.mach != nil {
+	mach = store.mach
+	if c := store.Clone(); c.mach != nil || c.rts != nil {
 		t.Fatal("Clone copied run storage")
 	}
 	phase(3, DPASpec(10))
-	if held() == first || len(store.arenas) != 3 {
-		t.Fatalf("a 3-node phase kept the 4-node arenas (%d held)", len(store.arenas))
-	}
-	if store.mach == mach {
-		t.Fatal("a 3-node phase ran on the 4-node machine")
+	if store.mach == mach || held() == first || len(store.rts) != 3 {
+		t.Fatal("a 3-node phase ran on the 4-node machine or its runtimes")
 	}
 	resized := held()
 	phase(3, DPASpec(10, WithShape()))
 	if held() == resized {
-		t.Fatal("a phase under another spec recycled arenas built for the first")
+		t.Fatal("a phase under another spec recycled runtimes built for the first")
 	}
 
-	// A degraded phase: every message is lost, the retry budget runs out,
-	// owners become unreachable and the run carries an error.
+	// A degraded caching phase: every message is lost, the retry budget runs
+	// out, owners become unreachable and the run carries an error.
 	lossy := machine.DefaultT3D(3)
 	lossy.Faults = machine.DefaultFaults(1, 1.0)
-	if run := phaseOn(lossy, DPASpec(10, WithShape())); run.Err == nil {
+	if run := phaseOn(lossy, CachingSpec()); run.Err == nil {
 		t.Fatal("total message loss produced a clean run")
 	}
-	if store.arenas != nil || store.mach != nil {
+	if store.mach != nil || store.rts != nil {
 		t.Fatal("run storage survived a degraded phase")
 	}
 
-	// A kind's prior tables follow the node count as the arenas do: a phase
+	// A kind's prior tables follow the node count as the runtimes do: a phase
 	// on more nodes than they were built for must not index past them, and
 	// one on fewer must start cold, not warm from another machine's history.
 	big := gptr.NewSpace(8)
@@ -358,8 +362,9 @@ func TestPriorStoreArenaLifetime(t *testing.T) {
 func TestBadThreadRejectedAtCreationSite(t *testing.T) {
 	space := gptr.NewSpace(2)
 	remote := space.Alloc(1, thing{id: 1})
-	// stale is a template id of an earlier phase on the same store: the DPA
-	// arenas are recycled, and the id must have died with its phase.
+	// stale is a template id of an earlier phase on the same store, under the
+	// sequential engine: every runtime is recycled, on another machine too,
+	// and the id must have died with its phase.
 	stale := func(spec Spec) (*PriorStore, int) {
 		store, id := NewPriorStore(), 0
 		RunPhase(machine.DefaultT3D(2), space, spec, func(rt Runtime, ep *fm.EP, nd *machine.Node) {
@@ -384,7 +389,9 @@ func TestBadThreadRejectedAtCreationSite(t *testing.T) {
 		{"SpawnT(stale)", func(rt Runtime, staleID int) {
 			rt.Template(func(gptr.Object, uint64, uint64) {}) // this phase has a template of its own
 			rt.SpawnT(remote, staleID, 0, 0)
-		}, map[Kind]string{DPA: "core: SpawnT with unknown template id 1 (1 registered this phase, ids 2..2)"}},
+		}, map[Kind]string{DPA: "core: SpawnT with unknown template id 1 (1 registered this phase, ids 2..2)",
+			Caching:  "caching: SpawnT with unknown template id 1 (1 registered this phase, ids 2..2)",
+			Blocking: "blocking: SpawnT with unknown template id 1 (1 registered this phase, ids 2..2)"}},
 	}
 	for _, spec := range []Spec{DPASpec(10), DPASpec(10, WithShape()), CachingSpec(), BlockingSpec()} {
 		for _, eng := range []Engine{Sequential(), Parallel(Workers(2))} {

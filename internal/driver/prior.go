@@ -20,17 +20,17 @@ import (
 //
 // The store also carries what is recycled between the phases of the run that
 // is not state at all: the simulated machine with its endpoints (see
-// phaseMachine) and one core.Arena of runtime storage per node (see
-// runtimeArenas). This run-scoped storage is never encoded, cloned or
-// compared, and a phase that does not end cleanly drops all of it
-// (dropRunStorage).
+// phaseMachine) and each node's runtime from the previous phase, whose
+// storage the next phase under the same spec builds on (see runtimes). This
+// run-scoped storage is never encoded, cloned or compared, and a phase that
+// does not end cleanly drops all of it (dropRunStorage).
 type PriorStore struct {
 	kinds map[string][]*core.PriorTable
 	order []string // insertion order, for deterministic encoding
 
-	mach      *phaseMachine
-	arenas    []core.Arena
-	arenaSpec Spec // the spec arenas was built for
+	mach   *phaseMachine
+	rts    []Runtime
+	rtSpec Spec // the spec rts ran under
 }
 
 // phaseMachine is the simulated machine the phases of one run share: one
@@ -84,7 +84,7 @@ func NewPriorStore() *PriorStore {
 
 // tables returns the per-node table slice for a phase kind, creating cold
 // tables on first use and whenever the node count differs from the one the
-// kind's tables were built for (as runtimeArenas does). Creation happens on
+// kind's tables were built for. Creation happens on
 // the host before the machine runs, so concurrent node bodies only ever read
 // the returned slice.
 func (ps *PriorStore) tables(kind string, nodes int) []*core.PriorTable {
@@ -102,28 +102,27 @@ func (ps *PriorStore) tables(kind string, nodes int) []*core.PriorTable {
 	return ts
 }
 
-// runtimeArenas returns the per-node runtime arenas for a DPA phase under
-// spec, building empty ones on first use and whenever the node count or the
-// spec differs from what the held arenas were built for. Like tables it runs
-// on the host before the machine starts, and node i's body touches only
-// arenas[i], so the parallel engine's workers never share one.
-func (ps *PriorStore) runtimeArenas(spec Spec, nodes int) []core.Arena {
-	if len(ps.arenas) != nodes || ps.arenaSpec != spec {
-		ps.arenas = make([]core.Arena, nodes)
-		ps.arenaSpec = spec
+// runtimes returns each node's runtime from the previous phase for a phase
+// under spec on nodes nodes: the store's, when that phase ran under the same
+// spec and node count — on whatever machine — and nils otherwise. A nil
+// store always gets nils. Node i's body reads only slot i, so the parallel
+// engine's workers never share one.
+func (ps *PriorStore) runtimes(spec Spec, nodes int) []Runtime {
+	if ps == nil || len(ps.rts) != nodes || ps.rtSpec != spec {
+		return make([]Runtime, nodes)
 	}
-	return ps.arenas
+	return ps.rts
 }
 
-// dropRunStorage discards the machine and the arenas; the next phase builds
-// fresh ones. A phase that deadlocked leaves coroutines parked on its
+// dropRunStorage discards the machine and the runtimes; the next phase
+// builds fresh ones. A phase that deadlocked leaves coroutines parked on its
 // machine's processes, and one that degraded or panicked can leave buffers
 // referenced from wherever it stopped, so neither may hand its storage on.
 // The priors stay: they are simulated history, folded only at a seam.
-func (ps *PriorStore) dropRunStorage() { ps.mach, ps.arenas = nil, nil }
+func (ps *PriorStore) dropRunStorage() { ps.mach, ps.rts = nil, nil }
 
 // Clone deep-copies the store's priors; the copy holds no machine and no
-// arenas. RunPhase uses it to give the WithValidation check run the same
+// runtimes. RunPhase uses it to give the WithValidation check run the same
 // pre-phase priors as the primary run without the two runs double-folding
 // into one table — and, since the check run therefore builds a fresh
 // machine and fresh runtimes, every validated phase also compares recycled

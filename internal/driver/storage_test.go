@@ -67,7 +67,7 @@ func TestDegradedPhaseDropsRunStorage(t *testing.T) {
 			if run := phase(store, false); !errors.Is(run.Err, c.want) {
 				t.Fatalf("%s/%v: degraded phase err = %v, want %v", c.name, eng, run.Err, c.want)
 			}
-			if store.mach != nil || store.arenas != nil {
+			if store.mach != nil || store.rts != nil {
 				t.Fatalf("%s/%v: run storage survived a degraded phase", c.name, eng)
 			}
 			got := phase(store, true)
@@ -87,29 +87,34 @@ func TestDegradedPhaseDropsRunStorage(t *testing.T) {
 
 // TestRecycledEmptyPhaseAllocations: once a store's first phase has run, an
 // empty phase on it allocates a constant number of small objects per node —
-// each process's new coroutine, the spawn closure, the runtime — and none of
-// the per-node slabs (message buffers, data-cache index, endpoint) a new
-// machine builds. Measured at 64 nodes: about 14 objects and 600 B per node
-// recycled, against 21 objects and 6.4 KB per node on a new store.
+// each process's new coroutine, the spawn closure — and none of the per-node
+// slabs (message buffers, data-cache index, endpoint, runtime) a new machine
+// builds, under every runtime. Measured at 64 nodes: about 14 objects and
+// 600 B per node recycled, against 21 objects and 6.4 KB per node on a new
+// store.
 func TestRecycledEmptyPhaseAllocations(t *testing.T) {
 	const nodes = 64
 	space := gptr.NewSpace(nodes)
-	store := NewPriorStore()
 	empty := func(Runtime, *fm.EP, *machine.Node) {}
-	phase := func() { RunPhase(machine.DefaultT3D(nodes), space, DPASpec(10), empty, WithPriors(store, "k")) }
-	phase()
-	perNode := testing.AllocsPerRun(5, phase) / nodes
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	phase()
-	runtime.ReadMemStats(&after)
-	bytesPerNode := float64(after.TotalAlloc-before.TotalAlloc) / nodes
-	t.Logf("recycled empty phase: %.1f allocations, %.0f bytes per node", perNode, bytesPerNode)
-	if perNode > 16 {
-		t.Errorf("recycled empty phase allocates %.1f objects per node, want at most 16", perNode)
-	}
-	if bytesPerNode > 1024 {
-		t.Errorf("recycled empty phase allocates %.0f bytes per node, want at most 1 KiB", bytesPerNode)
+	for _, spec := range []Spec{DPASpec(10), CachingSpec(), BlockingSpec()} {
+		t.Run(spec.String(), func(t *testing.T) {
+			store := NewPriorStore()
+			phase := func() { RunPhase(machine.DefaultT3D(nodes), space, spec, empty, WithPriors(store, "k")) }
+			phase()
+			perNode := testing.AllocsPerRun(5, phase) / nodes
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			phase()
+			runtime.ReadMemStats(&after)
+			bytesPerNode := float64(after.TotalAlloc-before.TotalAlloc) / nodes
+			t.Logf("recycled empty phase: %.1f allocations, %.0f bytes per node", perNode, bytesPerNode)
+			if perNode > 16 {
+				t.Errorf("recycled empty phase allocates %.1f objects per node, want at most 16", perNode)
+			}
+			if bytesPerNode > 1024 {
+				t.Errorf("recycled empty phase allocates %.0f bytes per node, want at most 1 KiB", bytesPerNode)
+			}
+		})
 	}
 }
 

@@ -47,7 +47,10 @@ const snapshotMagic = "DPASNAP1"
 // digest differently. Version 7: the "rt" section lost the strip's
 // request-message base and the planner's reuse-gap retention window and
 // ceiling, and the prior table (its "priors" words and its fingerprint) lost
-// its reuse gap.
+// its reuse gap. Version 7 files from builds that gave the caching and the
+// blocking runtime each a request and a reply payload type, rather than one
+// shared type, fingerprint an in-flight comparator fetch differently: such a
+// file fails -restore as a divergence, not as a version mismatch.
 const SnapshotVersion uint32 = 7
 
 // ErrBadSnapshot is the sentinel matched by errors.Is for snapshot

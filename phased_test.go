@@ -3,7 +3,7 @@ package dpa
 // Recycled-storage equivalence, over phase loops the tests drive by hand. A
 // multi-phase runner hands one PriorStore to every phase, and the store
 // recycles the simulated machine (nodes, data caches, mailboxes, engine
-// storage, endpoints) and each node's runtime storage (core.Arena) from
+// storage, endpoints) and each node's runtime, under every runtime, from
 // phase to phase. Storage is not state: a run on
 // recycled storage must be indistinguishable — run tables, application
 // results, mid-run snapshot bytes, exported traces — from the same run with
@@ -186,9 +186,10 @@ type phasedRun struct {
 
 // runPhased runs every phase of a freshly built app. With scratch false one
 // store spans the run, as the real runners do, so from the second phase on
-// the machine is the previous phase's and every runtime sits on a recycled
-// arena. With scratch true each phase gets a Clone of the running store — the
-// same priors and, by Clone's contract, no machine and no arenas — so every
+// the machine is the previous phase's and every runtime is built on the
+// previous phase's storage. With scratch true each phase gets a Clone of the
+// running store — the same priors and, by Clone's contract, no machine and no
+// runtimes — so every
 // phase's machine and runtimes are built from scratch.
 func runPhased(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec Spec,
 	scratch bool, at Time, extra ...RunOption) phasedRun {
@@ -252,7 +253,8 @@ func TestRecycledStorageEquivalence(t *testing.T) {
 		name   string
 		spec   Spec
 		priors bool
-	}{{"static", DPASpec(8), false}, {"planned", DPASpec(8, WithShape()), true}}
+	}{{"static", DPASpec(8), false}, {"planned", DPASpec(8, WithShape()), true},
+		{"caching", CachingSpec(), false}, {"blocking", BlockingSpec(), false}}
 	plans := []struct {
 		name   string
 		faults FaultConfig
@@ -280,7 +282,7 @@ func TestRecycledStorageEquivalence(t *testing.T) {
 					}
 					// Under either engine, recycled storage (one store for the
 					// run) and from-scratch storage (a Clone per phase: same
-					// priors, no machine, no arenas) are the same run: run
+					// priors, no machine, no runtimes) are the same run: run
 					// tables, results, mid-run snapshot bytes, trace bytes.
 					// The app's closure and template spellings are one path
 					// too — a closure thread is an ordinary template thread
@@ -312,7 +314,7 @@ func TestRecycledStorageEquivalence(t *testing.T) {
 					}
 					if sp.priors {
 						// The check run of a validated phase gets a Clone of
-						// the store — priors, no machine, no arenas — under
+						// the store — priors, no machine, no runtimes — under
 						// the other engine, so validating every phase compares
 						// recycled against from-scratch across engines;
 						// RunPhase panics on any difference. (The body runs
@@ -374,8 +376,8 @@ func samePhased(t *testing.T, what string, a, b phasedRun) {
 }
 
 // TestStoreReusedAcrossShapesRebuilds: a store's machine belongs to the
-// complete machine config it was built for, and its arenas to the node count
-// and spec. Handing the same store to a phase on a machine of another size,
+// complete machine config it was built for, and its runtimes to that machine
+// and the spec. Handing the same store to a phase on a machine of another size,
 // under another engine or fault plan, or under another spec, must run that
 // phase exactly as a new store would — not index a too-short slice, not
 // carry storage shaped by the other policy or machine.
@@ -390,11 +392,15 @@ func TestStoreReusedAcrossShapesRebuilds(t *testing.T) {
 	lossy := DefaultFaults(5, 0.05)
 	steps := []storeStep{
 		{4, DPASpec(8), Sequential(), FaultConfig{}},
-		{6, DPASpec(8), Sequential(), FaultConfig{}},              // more nodes than arenas held
+		{6, DPASpec(8), Sequential(), FaultConfig{}},              // more nodes than runtimes held
 		{3, DPASpec(8), Sequential(), FaultConfig{}},              // fewer
 		{3, DPASpec(8, WithShape()), Sequential(), FaultConfig{}}, // same count, other spec
 		{3, DPASpec(8), Sequential(), FaultConfig{}},              // and back
 		{3, DPASpec(8), Sequential(), FaultConfig{}},              // same shape twice: this one recycles
+		{3, CachingSpec(), Sequential(), FaultConfig{}},           // another runtime
+		{3, CachingSpec(), Sequential(), FaultConfig{}},           // recycles
+		{3, BlockingSpec(), Sequential(), FaultConfig{}},
+		{3, BlockingSpec(), Sequential(), FaultConfig{}},
 		{8, DPASpec(8), Sequential(), FaultConfig{}},
 		{16, DPASpec(8), Sequential(), FaultConfig{}},
 		{8, DPASpec(8), Sequential(), FaultConfig{}},
