@@ -178,6 +178,7 @@ func onFetchReply(ep *fm.EP, from int, p gptr.Ptr) {
 	delete(rt.waitersFor, p)
 	rt.waiting -= len(ws)
 	rt.ready = append(rt.ready, ws...)
+	rt.recycleWaiters(ws)
 	rt.trackPeak()
 }
 
@@ -191,6 +192,9 @@ type RT struct {
 	evictQueue []gptr.Ptr
 	waitersFor map[gptr.Ptr][]thread
 	waiting    int
+	// spare holds emptied waiter lists for the next misses to reuse; it
+	// grows to the node's peak of pointers in flight at once.
+	spare [][]thread
 
 	ready     []thread
 	readyHead int
@@ -237,6 +241,7 @@ func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, prev *RT) *RT {
 		cache:         rt.cache,
 		evictQueue:    rt.evictQueue[:0],
 		waitersFor:    rt.waitersFor,
+		spare:         rt.spare,
 		ready:         rt.ready[:0],
 		tmpls:         rt.tmpls,
 		closures:      rt.closures,
@@ -302,7 +307,11 @@ func (rt *RT) SpawnT(p gptr.Ptr, id int, a0, a1 uint64) {
 		rt.trackPeak()
 		return
 	}
-	rt.waitersFor[p] = []thread{t}
+	var ws []thread
+	if k := len(rt.spare); k > 0 {
+		ws, rt.spare = rt.spare[k-1], rt.spare[:k-1]
+	}
+	rt.waitersFor[p] = append(ws, t)
 	rt.waiting++
 	// A refetch is a capacity miss: the object was fetched, evicted, and
 	// is wanted again (comparable to DPA's strip-boundary refetches).
@@ -363,6 +372,7 @@ func (rt *RT) abandonUnreachable() bool {
 		rt.st.Abandoned += int64(len(ws))
 		rt.waiting -= len(ws)
 		delete(rt.waitersFor, p)
+		rt.recycleWaiters(ws)
 		progress = true
 	}
 	for dst := range rt.pendingByDest {
@@ -387,6 +397,13 @@ func (rt *RT) ForAll(n int, spawnIter func(i int)) {
 		spawnIter(i)
 	}
 	rt.Drain()
+}
+
+// recycleWaiters keeps an emptied waiter list's array for a later miss.
+func (rt *RT) recycleWaiters(ws []thread) {
+	if cap(ws) > 0 {
+		rt.spare = append(rt.spare, ws[:0])
+	}
 }
 
 func (rt *RT) readyLen() int { return len(rt.ready) - rt.readyHead }

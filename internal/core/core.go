@@ -617,11 +617,12 @@ func (rt *RT) readyLen() int {
 func (rt *RT) enqueueReq(p gptr.Ptr) {
 	si := rt.dests.slot(int(p.Node))
 	d := &rt.dests.slots[si]
+	limit := rt.destLimit(d)
 	if d.req == nil {
-		d.req = rt.pool.getReq(rt.destLimit(d))
+		d.req = rt.pool.getReq(1)
 		rt.aggDests = append(rt.aggDests, si)
 	}
-	d.req.ptrs = append(d.req.ptrs, p)
+	rt.pool.push(d.req, p, limit)
 	rt.aggCount++
 	if rt.planned {
 		if d.curHist == 0 {
@@ -630,7 +631,7 @@ func (rt *RT) enqueueReq(p gptr.Ptr) {
 		d.curHist++
 		d.phaseHist++
 	}
-	if rt.Cfg.Pipeline && len(d.req.ptrs) >= rt.destLimit(d) {
+	if rt.Cfg.Pipeline && len(d.req.ptrs) >= limit {
 		rt.flushDest(d)
 	}
 }
@@ -659,8 +660,9 @@ func (rt *RT) flushDest(d *destState) {
 	for lo := 0; lo < n; lo += limit {
 		msg := req
 		if n > limit {
-			msg = rt.pool.getReq(limit)
-			msg.ptrs = append(msg.ptrs, req.ptrs[lo:min(lo+limit, n)]...)
+			hi := min(lo+limit, n)
+			msg = rt.pool.getReq(hi - lo)
+			msg.ptrs = append(msg.ptrs, req.ptrs[lo:hi]...)
 		}
 		if rt.trc != nil {
 			now := rt.EP.Node.Now()

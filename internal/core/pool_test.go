@@ -1,11 +1,14 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"dpa/internal/fm"
 	"dpa/internal/gptr"
 	"dpa/internal/machine"
+	"dpa/internal/sim"
+	"dpa/internal/stats"
 )
 
 // TestFreeListCarriedOverPopsLikeFresh pins the property put's evict-oldest
@@ -183,5 +186,99 @@ func TestFetchRecordsReturnHome(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestColdRecordsComeInSlabs pins where new fetch records come from. A cold
+// node (empty free list, no chunks yet) that opens R records, a quarter of
+// which outgrow their first room, pays O(R/recChunk) allocations for them,
+// not two or more per record: every record chunk is used whole, and no
+// full-size pointer chunk but the last is left more than a quarter unused. A record
+// that outgrows its room moves alone; the neighbour carved after it keeps
+// its pointers and its room. Last, eight cold nodes fetch from one another
+// under the parallel engine, where owners on other workers read requests
+// from chunks their home nodes are still filling, and every node's counters
+// and the makespan match the sequential engine's.
+func TestColdRecordsComeInSlabs(t *testing.T) {
+	const R = 512
+	p := gptr.Ptr{Node: 1, Addr: 7}
+	recs := make([]*fetchReq, R)
+	allocs := testing.AllocsPerRun(3, func() {
+		var pl pools
+		for i := range recs {
+			recs[i] = pl.getReq(1)
+			pl.push(recs[i], p, math.MaxInt)
+			for k := 1; i%4 == 0 && k < recCap; k++ {
+				pl.push(recs[i], p, math.MaxInt)
+			}
+		}
+		for _, r := range recs {
+			pl.putReq(r)
+		}
+	})
+	slots := R + R/4*recCap // first rooms, then the grown quarter's
+	// Record chunks; full-size pointer chunks at three quarters' use, plus
+	// the two smaller ones before them and the last; the free list.
+	bound := R/recChunk + slots*4/(3*ptrChunk) + 3 + 1
+	t.Logf("%d cold records: %.0f allocations (bound %d)", R, allocs, bound)
+	if allocs > float64(bound) {
+		t.Errorf("opening %d records on a cold node costs %.0f allocations, want at most %d", R, allocs, bound)
+	}
+
+	var pl pools
+	a, b := pl.getReq(1), pl.getReq(1)
+	p1, p2, p3 := gptr.Ptr{Node: 1, Addr: 1}, gptr.Ptr{Node: 1, Addr: 2}, gptr.Ptr{Node: 1, Addr: 3}
+	pl.push(a, p1, math.MaxInt)
+	pl.push(b, p2, math.MaxInt)
+	was := &a.ptrs[0]
+	pl.push(a, p3, math.MaxInt)
+	switch {
+	case len(a.ptrs) != 2 || a.ptrs[0] != p1 || a.ptrs[1] != p3:
+		t.Errorf("the grown record holds %v, want [%v %v]", a.ptrs, p1, p3)
+	case &a.ptrs[0] == was || cap(a.ptrs) != recCap:
+		t.Errorf("the grown record did not move to room for %d pointers (cap %d)", recCap, cap(a.ptrs))
+	case len(b.ptrs) != 1 || b.ptrs[0] != p2 || cap(b.ptrs) != 1:
+		t.Errorf("growing one record changed its neighbour to %v (cap %d)", b.ptrs, cap(b.ptrs))
+	}
+
+	const nodes, objs = 8, 64
+	run := func(mcfg machine.Config) ([nodes]stats.RTStats, sim.Time) {
+		net := fm.NewNet()
+		proto := RegisterProto(net)
+		space := gptr.NewSpace(nodes)
+		for node := 0; node < nodes; node++ {
+			for i := 0; i < objs; i++ {
+				space.Alloc(node, obj{id: i})
+			}
+		}
+		var st [nodes]stats.RTStats
+		makespan, err := machine.New(mcfg).Run(func(nd *machine.Node) {
+			me := nd.ID()
+			ep := fm.NewEP(net, nd)
+			rt := New(proto, ep, space, staticCfg(), nil)
+			id := rt.Template(func(gptr.Object, uint64, uint64) {})
+			rt.ForAll(objs, func(i int) {
+				for k := 1; k < nodes; k++ {
+					rt.SpawnT(gptr.Ptr{Node: int32((me + k) % nodes), Addr: int32((i*k + me) % objs)}, id, 0, 0)
+				}
+			})
+			st[me] = rt.Stats()
+			ep.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, makespan
+	}
+	seq := machine.DefaultT3D(nodes)
+	par := seq
+	par.Engine, par.EngineTuning = sim.Parallel, sim.Tuning{Workers: 4}
+	wantSt, wantT := run(seq)
+	gotSt, gotT := run(par)
+	if wantSt[0].ReqMsgs == 0 {
+		t.Fatal("the program sent no requests")
+	}
+	if gotSt != wantSt || gotT != wantT {
+		t.Errorf("parallel engine: makespan %d, counters %+v\nsequential: makespan %d, counters %+v", gotT, gotSt, wantT, wantSt)
 	}
 }

@@ -14,7 +14,8 @@ import (
 // memory is PeakOutstanding times one of the two (runNode in owner-major
 // mode). destState is the per-touched-owner slot that replaced nine dense
 // per-node arrays. fetchReq is the fetch protocol's one record, the
-// free-list node recycled on every aggregation batch. A failing test here
+// free-list node recycled on every aggregation batch, and pools the node's
+// store of them. A failing test here
 // means a field was added without repacking: either restore the layout or
 // raise the budget in the same change with a justification.
 func TestHotStructSizeBudgets(t *testing.T) {
@@ -45,6 +46,9 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		{"core.runNode", unsafe.Sizeof(runNode{}), 40},
 		// The fetch record: one pointer batch, a single slice header.
 		{"core.fetchReq", unsafe.Sizeof(fetchReq{}), 24},
+		// A node's fetch-record storage: the free list and the current
+		// record and pointer chunks, three slice headers.
+		{"core.pools", unsafe.Sizeof(pools{}), 72},
 		// Cross-phase prior records: the modelled PriorOwner charged per node
 		// per phase kind (two words), the stored record per touched owner
 		// (owner id in a word of its own, then the PriorOwner), and the fixed

@@ -169,3 +169,53 @@ func TestThreadsAtHandAllocateNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestFetchedThreadAllocations pins what a thread whose object must be
+// fetched costs the host under each runtime, once a phase has warmed the
+// store: node 0 spawns n threads on n distinct objects of node 1 and drains
+// them, and a phase of 4096 may allocate at most per objects per thread more
+// than a phase of 64. DPA's records and waiters are recycled values (0). The
+// comparators send one boxed request and one boxed reply per object (2,
+// which sim.FingerprintPayload digests by type name); the caching runtime's
+// waiter lists are recycled too, so it pays nothing more.
+func TestFetchedThreadAllocations(t *testing.T) {
+	const large = 4096
+	space := gptr.NewSpace(2)
+	remote := make([]gptr.Ptr, large)
+	for i := range remote {
+		remote[i] = space.Alloc(1, thing{id: i})
+	}
+	for _, c := range []struct {
+		spec Spec
+		per  float64
+	}{{DPASpec(10), 0}, {CachingSpec(), 2.03}, {BlockingSpec(), 2.01}} {
+		t.Run(c.spec.String(), func(t *testing.T) {
+			store := NewPriorStore()
+			allocs := func(n int) float64 {
+				ran := 0
+				phase := func() {
+					ran = 0
+					RunPhase(machine.DefaultT3D(2), space, c.spec, func(rt Runtime, _ *fm.EP, nd *machine.Node) {
+						if nd.ID() != 0 {
+							return
+						}
+						id := rt.Template(func(gptr.Object, uint64, uint64) { ran++ })
+						rt.ForAll(n, func(i int) { rt.SpawnT(remote[i], id, uint64(i), 0) })
+					}, WithPriors(store, "k"))
+				}
+				phase()
+				a := testing.AllocsPerRun(5, phase)
+				if ran != n {
+					t.Fatalf("%d of %d threads ran", ran, n)
+				}
+				return a
+			}
+			small, big := allocs(64), allocs(large)
+			per := (big - small) / (large - 64)
+			t.Logf("%.0f objects at 64 threads, %.0f at %d: %.3f per fetched thread", small, big, large, per)
+			if per > c.per {
+				t.Errorf("%.3f objects per fetched thread, want at most %.2f", per, c.per)
+			}
+		})
+	}
+}

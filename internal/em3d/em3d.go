@@ -80,51 +80,58 @@ type Graph struct {
 }
 
 // Build constructs a deterministic bipartite graph distributed over the
-// given number of machine nodes.
+// given number of machine nodes. The graph nodes and their dependency lists
+// are carved from three slabs (E[i] and H[i] side by side, then their lists),
+// one allocation each rather than three per graph node.
 func Build(prm Params, nodes int) *Graph {
 	rng := rand.New(rand.NewSource(prm.Seed))
+	n, deg := prm.NodesPerKind, prm.Degree
 	g := &Graph{
 		Prm:   prm,
 		Nodes: nodes,
 		Space: gptr.NewSpace(nodes),
-		EPtr:  make([]gptr.Ptr, prm.NodesPerKind),
-		HPtr:  make([]gptr.Ptr, prm.NodesPerKind),
-		E:     make([]*GraphNode, prm.NodesPerKind),
-		H:     make([]*GraphNode, prm.NodesPerKind),
-		per:   (prm.NodesPerKind + nodes - 1) / nodes,
+		EPtr:  make([]gptr.Ptr, n),
+		HPtr:  make([]gptr.Ptr, n),
+		E:     make([]*GraphNode, n),
+		H:     make([]*GraphNode, n),
+		per:   (n + nodes - 1) / nodes,
 	}
-	for i := 0; i < prm.NodesPerKind; i++ {
-		g.E[i] = &GraphNode{Idx: int32(i), Value: rng.Float64()}
-		g.H[i] = &GraphNode{Idx: int32(i), Value: rng.Float64()}
+	slab := make([]GraphNode, 2*n)
+	for i := 0; i < n; i++ {
+		g.E[i], g.H[i] = &slab[2*i], &slab[2*i+1]
+		*g.E[i] = GraphNode{Idx: int32(i), Value: rng.Float64()}
+		*g.H[i] = GraphNode{Idx: int32(i), Value: rng.Float64()}
 		owner := i / g.per
 		g.EPtr[i] = g.Space.Alloc(owner, g.E[i])
 		g.HPtr[i] = g.Space.Alloc(owner, g.H[i])
 	}
+	deps := make([]gptr.Ptr, 2*n*deg)
+	coeffs := make([]float64, 2*n*deg)
 	// Wire dependencies: mostly within the owner's block, the rest uniform.
-	wire := func(self int, other []gptr.Ptr) ([]gptr.Ptr, []float64) {
+	// Graph node k of the slab takes the k-th run of deg entries of each.
+	wire := func(k, self int, other []gptr.Ptr) {
 		owner := self / g.per
 		lo := owner * g.per
 		hi := lo + g.per
-		if hi > prm.NodesPerKind {
-			hi = prm.NodesPerKind
+		if hi > n {
+			hi = n
 		}
-		deps := make([]gptr.Ptr, prm.Degree)
-		coeff := make([]float64, prm.Degree)
-		for d := 0; d < prm.Degree; d++ {
+		at, end := k*deg, (k+1)*deg
+		slab[k].Deps, slab[k].Coeff = deps[at:end:end], coeffs[at:end:end]
+		for d := 0; d < deg; d++ {
 			var j int
 			if rng.Float64() < prm.LocalFrac {
 				j = lo + rng.Intn(hi-lo)
 			} else {
-				j = rng.Intn(prm.NodesPerKind)
+				j = rng.Intn(n)
 			}
-			deps[d] = other[j]
-			coeff[d] = rng.Float64()
+			slab[k].Deps[d] = other[j]
+			slab[k].Coeff[d] = rng.Float64()
 		}
-		return deps, coeff
 	}
-	for i := 0; i < prm.NodesPerKind; i++ {
-		g.E[i].Deps, g.E[i].Coeff = wire(i, g.HPtr)
-		g.H[i].Deps, g.H[i].Coeff = wire(i, g.EPtr)
+	for i := 0; i < n; i++ {
+		wire(2*i, i, g.HPtr)
+		wire(2*i+1, i, g.EPtr)
 	}
 	return g
 }
