@@ -240,8 +240,10 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 			rt.waiting -= int(e.n)
 			// All threads dependent on p become ready together: they will run
 			// back to back, reusing the renamed copy while it is hot.
-			for wi, k := e.head, e.n; k > 0; wi, k = rt.waiters[wi].next, k-1 {
-				rt.ready.push(rt.waiters[wi].ready(p))
+			for wi, k := e.head, e.n; k > 0; k-- {
+				w := rt.waiters.at(wi)
+				rt.ready.push(w.ready(p))
+				wi = w.next
 			}
 			rt.freeWaiters(e)
 		}
@@ -256,10 +258,13 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 // this late reply landed.
 func (rt *RT) arrive(p gptr.Ptr, owner int) *dEntry {
 	ei, ok := rt.table[p]
-	if !ok || rt.entries[ei].arrived {
+	if !ok {
 		return nil
 	}
-	e := &rt.entries[ei]
+	e := rt.entries.at(ei)
+	if e.arrived {
+		return nil
+	}
 	e.arrived = true
 	if rt.trc != nil {
 		rt.trc.Event(obs.KFetchReply, rt.EP.Node.Now(), int64(p.Key()), int64(owner))
@@ -287,8 +292,10 @@ func (rt *RT) scatterReply(owner int, ptrs []gptr.Ptr) {
 		if e == nil {
 			continue
 		}
-		for wi, k := e.head, e.n; k > 0; wi, k = rt.waiters[wi].next, k-1 {
-			rt.oq.link(d, rt.waiters[wi].ready(p))
+		for wi, k := e.head, e.n; k > 0; k-- {
+			w := rt.waiters.at(wi)
+			rt.oq.link(d, w.ready(p))
+			wi = w.next
 		}
 		woken += int(e.n)
 		rt.freeWaiters(e)
@@ -331,34 +338,22 @@ func (w *waiter) ready(p gptr.Ptr) readyEntry {
 	return readyEntry{p: p, a0: w.a0, a1: w.a1, tmpl: w.tmpl, iter: -1}
 }
 
-// slabMin is the capacity a slab starts with: one allocation where append's
-// doubling from one element would make seven before a strip of 50 fits — on
-// every phase's first strip on fresh storage.
-const slabMin = 64
-
-// push is append for a slab.
-func push[T any](slab []T, v T) []T {
-	if cap(slab) == 0 {
-		slab = make([]T, 0, slabMin)
-	}
-	return append(slab, v)
-}
-
 // suspend appends a thread to e's waiter chain, taking the node from the
 // slab's free list.
 func (rt *RT) suspend(e *dEntry, tmpl int32, a0, a1 uint64) {
+	w := waiter{a0: a0, a1: a1, tmpl: tmpl}
 	wi := rt.waiterFree
-	if wi >= 0 {
-		rt.waiterFree = rt.waiters[wi].next
+	if wi < 0 {
+		wi = rt.waiters.push(w)
 	} else {
-		wi = int32(len(rt.waiters))
-		rt.waiters = push(rt.waiters, waiter{})
+		slot := rt.waiters.at(wi)
+		rt.waiterFree = slot.next
+		*slot = w
 	}
-	rt.waiters[wi] = waiter{a0: a0, a1: a1, tmpl: tmpl}
 	if e.n == 0 {
 		e.head = wi
 	} else {
-		rt.waiters[e.tail].next = wi
+		rt.waiters.at(e.tail).next = wi
 	}
 	e.tail = wi
 	e.n++
@@ -371,28 +366,26 @@ func (rt *RT) freeWaiters(e *dEntry) {
 	if e.n == 0 {
 		return
 	}
-	rt.waiters[e.tail].next = rt.waiterFree
+	rt.waiters.at(e.tail).next = rt.waiterFree
 	rt.waiterFree = e.head
 	e.n = 0
 }
 
-// newEntry takes a zeroed entry from the slab's free list. Growing the slab
-// moves it: no *dEntry is held across a call that can reach here.
+// newEntry takes a zeroed entry from the slab's free list.
 func (rt *RT) newEntry() int32 {
 	ei := rt.entryFree
-	if ei >= 0 {
-		rt.entryFree = rt.entries[ei].head
-		rt.entries[ei].head = 0
-		return ei
+	if ei < 0 {
+		return rt.entries.push(dEntry{})
 	}
-	rt.entries = push(rt.entries, dEntry{})
-	return int32(len(rt.entries) - 1)
+	e := rt.entries.at(ei)
+	rt.entryFree, e.head = e.head, 0
+	return ei
 }
 
 // freeEntry zeroes entry ei and puts it on the free list. The caller removes
 // it from the table.
 func (rt *RT) freeEntry(ei int32) {
-	rt.entries[ei] = dEntry{head: rt.entryFree}
+	*rt.entries.at(ei) = dEntry{head: rt.entryFree}
 	rt.entryFree = ei
 }
 
@@ -409,13 +402,14 @@ type RT struct {
 
 	// Thread records (see DESIGN.md §6, "Thread records"). A thread is a
 	// pointer, a template and two frame words; everything that holds threads
-	// is a slab linked by index, whose free lists end at -1.
-	entries    []dEntry  // M/D entry slab
-	entryFree  int32     // free entries, linked through head
-	waiters    []waiter  // suspended-thread slab
-	waiterFree int32     // free waiter nodes, linked through next
-	tmpls      Templates // this phase's templates; a record's tmpl indexes it
-	closures   Closures  // Spawn's parked closures (threads.go)
+	// is a slab linked by index, whose free lists end at -1. The two list
+	// heads share a word (TestHotStructSizeBudgets' RT row).
+	entries    seg[dEntry] // M/D entry slab
+	waiters    seg[waiter] // suspended-thread slab
+	entryFree  int32       // free entries, linked through head
+	waiterFree int32       // free waiter nodes, linked through next
+	tmpls      Templates   // this phase's templates; a record's tmpl indexes it
+	closures   Closures    // Spawn's parked closures (threads.go)
 
 	// dests holds all per-destination state (open request records,
 	// outstanding-request counts, RTT samples, run-list chains, planner
@@ -488,19 +482,22 @@ func (rt *RT) recycle() {
 	rt.tmpls.Reset()
 	rt.closures.Reset()
 	rt.dests.reset()
+	rt.entries.reset()
+	rt.waiters.reset()
+	rt.oq.nodes.reset()
 	*rt = RT{
 		table:      rt.table,
 		seen:       rt.seen,
 		pool:       rt.pool,
 		dests:      rt.dests,
-		entries:    rt.entries[:0],
+		entries:    rt.entries,
 		entryFree:  -1,
-		waiters:    rt.waiters[:0],
+		waiters:    rt.waiters,
 		waiterFree: -1,
 		tmpls:      rt.tmpls,
 		closures:   rt.closures,
-		ready:      readyQueue{buf: rt.ready.buf},
-		oq:         ownerQueue{order: rt.oq.order[:0], nodes: rt.oq.nodes[:0], free: -1},
+		ready:      readyQueue{blocks: rt.ready.blocks},
+		oq:         ownerQueue{order: rt.oq.order[:0], nodes: rt.oq.nodes, free: -1},
 		aggDests:   rt.aggDests[:0],
 		trace:      rt.trace[:0],
 		plan:       planState{perm: rt.plan.perm},
@@ -563,7 +560,7 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 		rt.plan.recAff[rt.plan.curIter] = int32(p.Node)
 	}
 	if ei, ok := rt.table[p]; ok {
-		e := &rt.entries[ei]
+		e := rt.entries.at(ei)
 		rt.st.Reuses++
 		e.lastUse = rt.plan.stripIdx // reuse region stays open
 		if e.arrived {
@@ -575,7 +572,7 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 		return
 	}
 	ei := rt.newEntry()
-	e := &rt.entries[ei]
+	e := rt.entries.at(ei)
 	rt.suspend(e, tmpl, a0, a1)
 	e.lastUse = rt.plan.stripIdx
 	rt.table[p] = ei
@@ -759,7 +756,7 @@ func (rt *RT) abandonUnreachable() bool {
 	}
 	progress := false
 	for p, ei := range rt.table {
-		e := &rt.entries[ei]
+		e := rt.entries.at(ei)
 		if e.arrived || !rt.EP.Unreachable(int(p.Node)) {
 			continue
 		}
@@ -881,7 +878,7 @@ func (rt *RT) dropCopies() {
 		rt.seen[p] = struct{}{}
 	}
 	clear(rt.table)
-	rt.entries = rt.entries[:0]
+	rt.entries.reset()
 	rt.entryFree = -1
 	rt.arrivedBytes = 0
 }
@@ -900,8 +897,8 @@ func (rt *RT) trackPeak() {
 // iter is the top-level iteration the thread's tree originated from (-1 when
 // unattributed), used by the planner's affinity recording; it shares a word
 // with tmpl. It holds no Go pointers, so the collector never scans the ready
-// ring or the run-list slab. The sizeof regression test pins the 32-byte
-// layout.
+// queue's blocks or the run-list slab. The sizeof regression test pins the
+// 32-byte layout.
 type readyEntry struct {
 	p      gptr.Ptr
 	a0, a1 uint64
@@ -909,42 +906,131 @@ type readyEntry struct {
 	iter   int32
 }
 
-// readyQueue is the queue of ready threads, a power-of-two ring: its
-// footprint is the peak ready count, not every thread pushed during a busy
-// period. FIFO order preserves the contiguity of same-object groups released
-// by one reply.
+// readyBlockLen is the length of a ready-queue block.
+const readyBlockLen = 64
+
+type readyBlock [readyBlockLen]readyEntry
+
+// readyQueue is the queue of ready threads: a FIFO of fixed blocks on a ring
+// that holds every block the queue owns, in queue order from the head's; the
+// free ones are those after the tail's. When the tail's block is full and the
+// next is the head's, a chunk of as many new blocks as the ring holds is
+// spliced in after it, so no entry ever moves, the footprint is at most twice
+// the peak ready count (rounded up to blocks), and a block the head leaves is
+// reused when the tail comes round. Dispatch reads a block sequentially, and
+// the head's and the tail's blocks are held directly, so a push or a pop
+// reaches its entry without going through the ring. FIFO order preserves the
+// contiguity of same-object groups released by one reply.
 type readyQueue struct {
-	buf  []readyEntry // len is zero or a power of two
-	head int          // index of the oldest entry
-	n    int          // queued entries
+	blocks     []*readyBlock
+	head, tail *readyBlock // blocks[hb] and blocks[tb]; nil until the first push
+	hb, tb     int32
+	ho, to     int32 // the oldest entry's slot in head; the next free slot in tail
+	n          int32
 }
 
-func (q *readyQueue) len() int { return q.n }
+func (q *readyQueue) len() int { return int(q.n) }
 
 // at returns the i-th oldest queued entry.
-func (q *readyQueue) at(i int) *readyEntry { return &q.buf[(q.head+i)&(len(q.buf)-1)] }
+func (q *readyQueue) at(i int) *readyEntry {
+	pos := int(q.ho) + i
+	b := int(q.hb) + pos/readyBlockLen
+	if b >= len(q.blocks) {
+		b -= len(q.blocks)
+	}
+	return &q.blocks[b][pos%readyBlockLen]
+}
 
 func (q *readyQueue) push(e readyEntry) {
-	if q.n == len(q.buf) {
-		grown := make([]readyEntry, max(2*len(q.buf), 16))
-		for i := 0; i < q.n; i++ {
-			grown[i] = *q.at(i)
-		}
-		q.buf, q.head = grown, 0
+	if q.to == readyBlockLen || q.tail == nil {
+		q.nextBlock()
 	}
+	q.tail[q.to] = e
+	q.to++
 	q.n++
-	*q.at(q.n - 1) = e
+}
+
+// nextBlock moves the tail to the next block of the ring, splicing a chunk
+// of new blocks in after the tail's when the next one is the head's. A full
+// tail block means the queue is not empty: pops that empty it rewind it. A
+// new or recycled queue starts at the ring's first block.
+func (q *readyQueue) nextBlock() {
+	if q.tail == nil {
+		if len(q.blocks) == 0 {
+			q.splice(0)
+		}
+		q.head, q.tail = q.blocks[0], q.blocks[0]
+		return
+	}
+	nb := q.tb + 1
+	if int(nb) == len(q.blocks) {
+		nb = 0
+	}
+	if nb == q.hb {
+		nb = q.tb + 1
+		if k := q.splice(nb); q.hb >= nb {
+			q.hb += k
+		}
+	}
+	q.tb, q.to, q.tail = nb, 0, q.blocks[nb]
+}
+
+// readyFirstChunk is the number of blocks a queue starts with.
+const readyFirstChunk = 2
+
+// splice inserts a chunk of new blocks, as many as the ring holds, at ring
+// position at and returns how many.
+func (q *readyQueue) splice(at int32) int32 {
+	n := len(q.blocks)
+	k := max(n, readyFirstChunk)
+	chunk := make([]readyBlock, k)
+	ring := q.blocks
+	if cap(ring) < n+k {
+		ring = make([]*readyBlock, n, 2*(n+k))
+		copy(ring, q.blocks)
+	}
+	ring = ring[:n+k]
+	copy(ring[int(at)+k:], ring[at:n])
+	for j := range chunk {
+		ring[int(at)+j] = &chunk[j]
+	}
+	q.blocks = ring
+	return int32(k)
 }
 
 func (q *readyQueue) pop() readyEntry {
-	e := *q.at(0)
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
+	e := q.head[q.ho]
+	q.ho++
+	if q.ho == readyBlockLen {
+		q.ho = 0
+		if q.hb++; int(q.hb) == len(q.blocks) {
+			q.hb = 0
+		}
+		q.head = q.blocks[q.hb]
+	}
+	q.dec()
 	return e
 }
 
 // popBack removes the most recently pushed entry (LIFO discipline).
 func (q *readyQueue) popBack() readyEntry {
-	q.n--
-	return *q.at(q.n)
+	if q.to == 0 {
+		if q.tb == 0 {
+			q.tb = int32(len(q.blocks))
+		}
+		q.tb--
+		q.to, q.tail = readyBlockLen, q.blocks[q.tb]
+	}
+	q.to--
+	e := q.tail[q.to]
+	q.dec()
+	return e
+}
+
+// dec counts a removed entry; the queue's last one rewinds the tail to the
+// start of the head's block.
+func (q *readyQueue) dec() {
+	if q.n--; q.n == 0 {
+		q.tb, q.tail, q.ho, q.to = q.hb, q.head, 0, 0
+	}
 }

@@ -19,8 +19,8 @@ type ownerQueue struct {
 	order []int32 // FIFO of destination-table slots with queued entries
 	oHead int
 	count int
-	nodes []runNode // run-list slab
-	free  int32     // free nodes, linked through next; -1 ends
+	nodes seg[runNode] // run-list slab
+	free  int32        // free nodes, linked through next; -1 ends
 }
 
 // runNode is one ready thread of a run list and the index of the next node
@@ -46,17 +46,17 @@ func (q *ownerQueue) push(t *destTable, owner int, e readyEntry) {
 // accounts for it.
 func (q *ownerQueue) link(d *destState, e readyEntry) {
 	ni := q.free
-	if ni >= 0 {
-		q.free = q.nodes[ni].next
-		q.nodes[ni] = runNode{readyEntry: e}
+	if ni < 0 {
+		ni = q.nodes.push(runNode{readyEntry: e})
 	} else {
-		ni = int32(len(q.nodes))
-		q.nodes = push(q.nodes, runNode{readyEntry: e})
+		nd := q.nodes.at(ni)
+		q.free = nd.next
+		*nd = runNode{readyEntry: e}
 	}
 	if d.runN == 0 {
 		d.runHead = ni
 	} else {
-		q.nodes[d.runTail].next = ni
+		q.nodes.at(d.runTail).next = ni
 	}
 	d.runTail = ni
 	d.runN++
@@ -76,9 +76,9 @@ func (q *ownerQueue) woke(d *destState, si int32, n int) {
 func (q *ownerQueue) pop(t *destTable) readyEntry {
 	d := &t.slots[q.order[q.oHead]]
 	ni := d.runHead
-	e := q.nodes[ni].readyEntry
-	d.runHead = q.nodes[ni].next
-	q.nodes[ni].next = q.free
+	nd := q.nodes.at(ni)
+	e := nd.readyEntry
+	d.runHead, nd.next = nd.next, q.free
 	q.free = ni
 	d.runN--
 	q.count--
@@ -100,8 +100,10 @@ func (q *ownerQueue) digest(t *destTable) uint64 {
 	for _, si := range q.order[q.oHead:] {
 		d := &t.slots[si]
 		h = sim.MixFP(h, uint64(d.owner))
-		for ni, k := d.runHead, d.runN; k > 0; ni, k = q.nodes[ni].next, k-1 {
-			h = sim.MixFP(h, q.nodes[ni].p.Key())
+		for ni, k := d.runHead, d.runN; k > 0; k-- {
+			nd := q.nodes.at(ni)
+			h = sim.MixFP(h, nd.p.Key())
+			ni = nd.next
 		}
 	}
 	return h

@@ -113,15 +113,15 @@ func FuzzOwnerQueue(f *testing.F) {
 			if got := q.digest(tb); got != h {
 				t.Fatalf("step %d: digest %#x, reference %#x", i, got, h)
 			}
-			if len(q.nodes) > peak {
-				t.Fatalf("step %d: slab holds %d nodes, peak queued count is %d", i, len(q.nodes), peak)
+			if int(q.nodes.n) > peak {
+				t.Fatalf("step %d: slab holds %d nodes, peak queued count is %d", i, q.nodes.n, peak)
 			}
 			free := 0
-			for ni := q.free; ni >= 0; ni = q.nodes[ni].next {
+			for ni := q.free; ni >= 0; ni = q.nodes.at(ni).next {
 				free++
 			}
-			if free+n != len(q.nodes) {
-				t.Fatalf("step %d: %d free and %d queued nodes in a slab of %d", i, free, n, len(q.nodes))
+			if free+n != int(q.nodes.n) {
+				t.Fatalf("step %d: %d free and %d queued nodes in a slab of %d", i, free, n, q.nodes.n)
 			}
 		}
 	})

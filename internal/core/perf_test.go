@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"dpa/internal/fm"
 	"dpa/internal/gptr"
@@ -192,6 +193,66 @@ func BenchmarkOwnerMajorWake(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				wakePhase(b, w, c.waiters, nil)
+			}
+		})
+	}
+}
+
+// TestColdThreadStorageAllocatesPeakOnce pins what a cold phase pays for its
+// thread peak. On fresh runtimes each node suspends n threads on one object
+// of the other's — one fetch, n waiters — and the reply readies all n at once,
+// so the phase peaks at n waiters and then n ready entries (run-list nodes in
+// planned mode); n local threads peak at n ready entries alone. Storage that
+// grows without copying allocates each element once: n sits just under a
+// slab's capacity after its sixth segment (4,032) and the ready queue's after
+// its sixth chunk of blocks (4,096), so it allocates about the peak's records
+// and no more. Append-style growth allocates several times the peak, a
+// doubling ring about twice. What the phase allocates beyond a one-thread
+// phase must stay within the peak's records per node and a quarter more.
+func TestColdThreadStorageAllocatesPeakOnce(t *testing.T) {
+	const n = 4000
+	static := staticCfg()
+	static.Strip = 0 // one strip: every thread is suspended or ready before any runs
+	planned := static
+	planned.Planned = true
+	waiter, ready, run := unsafe.Sizeof(waiter{}), unsafe.Sizeof(readyEntry{}), unsafe.Sizeof(runNode{})
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		kind   string
+		record uintptr // bytes of storage per thread at the peak
+	}{
+		{"static", static, "reuse", waiter + ready},
+		{"planned", planned, "reuse", waiter + run},
+		{"static/local", static, "local", ready},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// coldBytes is the least a cold phase of threads per node
+			// allocates in a few tries, machine included.
+			coldBytes := func(threads int) uint64 {
+				least := ^uint64(0)
+				for try := 0; try < 3; try++ {
+					w := newThreadWorld(threads) // local threads run on objects of their own
+					var m0, m1 runtime.MemStats
+					runtime.ReadMemStats(&m0)
+					_, ran := w.phase(t, c.cfg, c.kind, threads, false, nil)
+					runtime.ReadMemStats(&m1)
+					if ran != 2*threads {
+						t.Fatalf("%d of %d threads ran", ran, 2*threads)
+					}
+					if st := w.rts[0].Stats(); st.PeakOutstanding != int64(threads) {
+						t.Fatalf("peak of %d outstanding threads, want %d", st.PeakOutstanding, threads)
+					}
+					least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+				}
+				return least
+			}
+			base, peak := coldBytes(1), coldBytes(n)
+			bound := 2 * n * uint64(c.record) * 5 / 4 // two nodes
+			t.Logf("cold phase of %d threads per node: %d bytes beyond a one-thread phase (bound %d)", n, peak-base, bound)
+			if peak > base+bound {
+				t.Errorf("a cold phase of %d threads per node allocates %d bytes beyond a one-thread phase, want at most %d (%.1f bytes per thread, bound %.1f)",
+					n, peak-base, bound, float64(peak-base)/(2*n), float64(bound)/(2*n))
 			}
 		})
 	}

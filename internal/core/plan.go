@@ -274,7 +274,7 @@ func (rt *RT) endStripPlanned() {
 	}
 	cur := rt.plan.stripIdx
 	for p, ei := range rt.table {
-		if rt.entries[ei].lastUse < cur {
+		if rt.entries.at(ei).lastUse < cur {
 			rt.release(p, ei)
 		}
 	}

@@ -23,17 +23,20 @@ func put[T any](list []T, v T) []T {
 }
 
 // Sizes of the slabs new fetch records are carved from. A record starts with
-// room for one pointer — most batches carry one object (EM3D's average 1.01)
-// — and the first time it fills it moves to room for recCap (or its
-// aggregation limit, if smaller), doubling after that. Pointer chunks double
-// from ptrChunkMin to ptrChunk, so a node that fetches little reserves
-// little; a pointer array longer than ptrChunk/4 gets an allocation of its
-// own, so a full-size chunk never ends more than a quarter unused.
+// room for one pointer — most batches carry one object (EM3D's average 1.01).
+// A full record moves to room for recSmall pointers, or for recCap once it
+// holds recSmall (either capped by its aggregation limit), and doubles after
+// that: EM3D's few longer batches fit in recSmall, and most of PageRank's in
+// recCap. Pointer chunks double from ptrChunkMin to ptrChunk, so a node that
+// fetches little reserves little; a pointer array longer than ptrChunk/4 gets
+// an allocation of its own, so a full-size chunk never ends more than a
+// quarter unused.
 const (
 	recChunk    = 8 // records per record chunk
 	ptrChunkMin = 32
 	ptrChunk    = 128
-	recCap      = 16
+	recSmall    = 4
+	recCap      = 32
 )
 
 // pools is the per-node storage behind the fetch protocol: a free list of
@@ -75,7 +78,11 @@ func (pl *pools) getReq(n int) *fetchReq {
 // room carved for it.
 func (pl *pools) push(r *fetchReq, p gptr.Ptr, limit int) {
 	if n := len(r.ptrs); n == cap(r.ptrs) {
-		r.ptrs = append(pl.carve(max(2*n, min(limit, recCap))), r.ptrs...)
+		step := recCap
+		if n < recSmall {
+			step = recSmall
+		}
+		r.ptrs = append(pl.carve(max(2*n, min(limit, step))), r.ptrs...)
 	}
 	r.ptrs = append(r.ptrs, p)
 }

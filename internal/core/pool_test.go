@@ -191,12 +191,14 @@ func TestFetchRecordsReturnHome(t *testing.T) {
 
 // TestColdRecordsComeInSlabs pins where new fetch records come from. A cold
 // node (empty free list, no chunks yet) that opens R records, a quarter of
-// which outgrow their first room, pays O(R/recChunk) allocations for them,
-// not two or more per record: every record chunk is used whole, and no
-// full-size pointer chunk but the last is left more than a quarter unused. A record
-// that outgrows its room moves alone; the neighbour carved after it keeps
-// its pointers and its room. Last, eight cold nodes fetch from one another
-// under the parallel engine, where owners on other workers read requests
+// which outgrow their first room twice, pays O(R/recChunk) allocations for
+// them, not two or more per record: every record chunk is used whole, and no
+// full-size pointer chunk but the last is left more than a quarter unused. A
+// record that outgrows its room moves alone; the neighbour carved after it
+// keeps its pointers and its room. A record carrying one object keeps its
+// one slot, and a longer one grows 1, recSmall, recCap, then doubles, each
+// step within its destination's limit. Last, eight cold nodes fetch from one
+// another under the parallel engine, where owners on other workers read requests
 // from chunks their home nodes are still filling, and every node's counters
 // and the makespan match the sequential engine's.
 func TestColdRecordsComeInSlabs(t *testing.T) {
@@ -208,7 +210,7 @@ func TestColdRecordsComeInSlabs(t *testing.T) {
 		for i := range recs {
 			recs[i] = pl.getReq(1)
 			pl.push(recs[i], p, math.MaxInt)
-			for k := 1; i%4 == 0 && k < recCap; k++ {
+			for k := 1; i%4 == 0 && k < recCap; k++ { // to recSmall, then recCap
 				pl.push(recs[i], p, math.MaxInt)
 			}
 		}
@@ -216,7 +218,7 @@ func TestColdRecordsComeInSlabs(t *testing.T) {
 			pl.putReq(r)
 		}
 	})
-	slots := R + R/4*recCap // first rooms, then the grown quarter's
+	slots := R + R/4*(recSmall+recCap) // first rooms, then the grown quarter's two
 	// Record chunks; full-size pointer chunks at three quarters' use, plus
 	// the two smaller ones before them and the last; the free list.
 	bound := R/recChunk + slots*4/(3*ptrChunk) + 3 + 1
@@ -235,10 +237,37 @@ func TestColdRecordsComeInSlabs(t *testing.T) {
 	switch {
 	case len(a.ptrs) != 2 || a.ptrs[0] != p1 || a.ptrs[1] != p3:
 		t.Errorf("the grown record holds %v, want [%v %v]", a.ptrs, p1, p3)
-	case &a.ptrs[0] == was || cap(a.ptrs) != recCap:
-		t.Errorf("the grown record did not move to room for %d pointers (cap %d)", recCap, cap(a.ptrs))
+	case &a.ptrs[0] == was || cap(a.ptrs) != recSmall:
+		t.Errorf("the grown record did not move to room for %d pointers (cap %d)", recSmall, cap(a.ptrs))
 	case len(b.ptrs) != 1 || b.ptrs[0] != p2 || cap(b.ptrs) != 1:
 		t.Errorf("growing one record changed its neighbour to %v (cap %d)", b.ptrs, cap(b.ptrs))
+	}
+
+	// The room a record holds after each pointer pushed: one slot while it
+	// carries one object, as EM3D's batches do, then recSmall, then recCap
+	// for PageRank's longer batches (each within the destination's limit),
+	// doubling after that.
+	for _, c := range []struct {
+		name  string
+		limit int
+		caps  map[int]int // pointers pushed → room
+	}{
+		{"one object", 128, map[int]int{1: 1}},
+		{"long batch", 128, map[int]int{1: 1, 2: recSmall, recSmall: recSmall, recSmall + 1: recCap, recCap: recCap, recCap + 1: 2 * recCap}},
+		{"long batch, lower limit", 16, map[int]int{1: 1, 2: recSmall, recSmall + 1: 16, 17: 32}},
+		{"limit 2", 2, map[int]int{1: 1, 2: 2, 3: 4}},
+	} {
+		var pl pools
+		r, most := pl.getReq(1), 0
+		for n := range c.caps {
+			most = max(most, n)
+		}
+		for n := 1; n <= most; n++ {
+			pl.push(r, p, c.limit)
+			if want, ok := c.caps[n]; ok && cap(r.ptrs) != want {
+				t.Errorf("%s: a record of %d pointers has room for %d, want %d", c.name, n, cap(r.ptrs), want)
+			}
+		}
 	}
 
 	const nodes, objs = 8, 64

@@ -170,9 +170,9 @@ func TestRecycledRuntimeEncodesLikeFresh(t *testing.T) {
 		var w sim.SnapWriter
 		rt.EncodeSnapshot(&w)
 		recycled = append([]byte(nil), w.Bytes()...)
-		if cap(rt.dests.slots) < 3 || cap(rt.entries) == 0 || cap(rt.waiters) == 0 {
+		if cap(rt.dests.slots) < 3 || rt.entries.c == 0 || rt.waiters.c == 0 {
 			t.Errorf("recycled runtime kept no storage: cap(slots)=%d cap(entries)=%d cap(waiters)=%d",
-				cap(rt.dests.slots), cap(rt.entries), cap(rt.waiters))
+				cap(rt.dests.slots), rt.entries.c, rt.waiters.c)
 		}
 		var wf sim.SnapWriter
 		New(proto, ep, space, dirtyCfg(), nil).EncodeSnapshot(&wf)

@@ -15,7 +15,8 @@ import (
 // mode). destState is the per-touched-owner slot that replaced nine dense
 // per-node arrays. fetchReq is the fetch protocol's one record, the
 // free-list node recycled on every aggregation batch, and pools the node's
-// store of them. A failing test here
+// store of them. seg is the header of every thread slab and readyQueue the
+// static ready queue's, both in every runtime. A failing test here
 // means a field was added without repacking: either restore the layout or
 // raise the budget in the same change with a justification.
 func TestHotStructSizeBudgets(t *testing.T) {
@@ -49,6 +50,19 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		// A node's fetch-record storage: the free list and the current
 		// record and pointer chunks, three slice headers.
 		{"core.pools", unsafe.Sizeof(pools{}), 72},
+		// A no-move slab's header, one per thread slab: the first two
+		// segments' pointers, the block directory's slice header, and the
+		// length and capacity (int32 each).
+		{"core.seg", unsafe.Sizeof(seg[waiter]{}), 48},
+		// A node's runtime, allocated once per node per run. Over 1,144
+		// bytes, the allocator's 8-byte header for a pointerful object
+		// above 512 bytes moves it from the 1,152-byte size class to the
+		// 1,280-byte one: 128 kB more per run on em3d1024.
+		{"core.RT", unsafe.Sizeof(RT{}), 1144},
+		// The static ready queue: the block ring's slice header, the head's
+		// and the tail's block pointers, and five int32 (their ring
+		// positions and slots, the count).
+		{"core.readyQueue", unsafe.Sizeof(readyQueue{}), 64},
 		// Cross-phase prior records: the modelled PriorOwner charged per node
 		// per phase kind (two words), the stored record per touched owner
 		// (owner id in a word of its own, then the PriorOwner), and the fixed
@@ -69,8 +83,9 @@ func TestHotStructSizeBudgets(t *testing.T) {
 
 // TestThreadSlabsHoldNoPointers pins the property that takes every thread
 // slab and the M/D map out of the collector's scanning: no thread record —
-// suspended, ready or on a run list — no M/D entry, and neither the map's key
-// nor its value type contains anything the collector follows. Threads carry
+// suspended, ready or on a run list — no M/D entry, no segment of a slab
+// holding them, no ready-queue block, and neither the map's key nor its value
+// type contains anything the collector follows. Threads carry
 // their object's pointer, never the object, so a freed slot keeps nothing
 // alive and needs no clearing. The slab layout alone does not give that — a
 // func or interface field added to a record later would lose it silently.
@@ -103,6 +118,16 @@ func TestThreadSlabsHoldNoPointers(t *testing.T) {
 		{"readyEntry", reflect.TypeOf(readyEntry{})},
 		{"runNode", reflect.TypeOf(runNode{})},
 		{"dEntry", reflect.TypeOf(dEntry{})},
+		{"ready-queue block", reflect.TypeOf(readyBlock{})},
+		{"waiter segment 0", reflect.TypeOf(RT{}.waiters.s0).Elem()},
+		{"waiter segment 1", reflect.TypeOf(RT{}.waiters.s1).Elem()},
+		{"waiter block", reflect.TypeOf(RT{}.waiters.blocks).Elem().Elem()},
+		{"M/D entry segment 0", reflect.TypeOf(RT{}.entries.s0).Elem()},
+		{"M/D entry segment 1", reflect.TypeOf(RT{}.entries.s1).Elem()},
+		{"M/D entry block", reflect.TypeOf(RT{}.entries.blocks).Elem().Elem()},
+		{"run-list segment 0", reflect.TypeOf(RT{}.oq.nodes.s0).Elem()},
+		{"run-list segment 1", reflect.TypeOf(RT{}.oq.nodes.s1).Elem()},
+		{"run-list block", reflect.TypeOf(RT{}.oq.nodes.blocks).Elem().Elem()},
 		{"M/D map key", table.Key()},
 		{"M/D map value", table.Elem()},
 	} {

@@ -50,7 +50,7 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	sort.Slice(ptrs, func(a, b int) bool { return ptrs[a].Key() < ptrs[b].Key() })
 	w.Int(len(ptrs))
 	for _, p := range ptrs {
-		e := &rt.entries[rt.table[p]]
+		e := rt.entries.at(rt.table[p])
 		w.U64(p.Key())
 		w.Bool(e.arrived)
 		w.U32(uint32(e.lastUse))

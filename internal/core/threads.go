@@ -100,3 +100,16 @@ func (c *Closures) Reset() {
 	clear(c.fns)
 	*c = Closures{fns: c.fns[:0], free: c.free[:0]}
 }
+
+// slabMin is the capacity Closures' slices start with: one allocation where
+// append's doubling from one element would make seven before a strip of 50
+// fits — on every phase's first strip on fresh storage.
+const slabMin = 64
+
+// push is append for Closures' slices.
+func push[T any](slab []T, v T) []T {
+	if cap(slab) == 0 {
+		slab = make([]T, 0, slabMin)
+	}
+	return append(slab, v)
+}

@@ -12,64 +12,106 @@ import (
 	"dpa/internal/sim"
 )
 
-// FuzzReadyQueue drives the ring through a random push/pop/popBack sequence
-// against a plain slice — the queue it replaced — and compares every popped
-// entry and, after every step, the queue's contents in order. Each input byte
-// is one step: mostly pushes while its top bit is set, mostly pops otherwise,
-// so sequences wrap around the ring, grow it while wrapped, and drain it.
+// FuzzReadyQueue drives the block FIFO through a random sequence of pushes,
+// pops, popBacks and runtime recycles against a plain slice, and after every
+// step compares the length, every entry in order and every entry's address:
+// an entry never moves while it is queued. Each input byte is one step; its
+// top two bits pick the operation and the low six its argument:
+//
+//	3  push arg+1 entries
+//	2  push one entry
+//	1  pop arg>>1+1 entries, from the back when arg is odd
+//	0  recycle the runtime when arg is 0, else pop one, from the back when
+//	   arg is odd
+//
+// Bursts cross block boundaries within a few bytes. The ring must hold no
+// more than twice the blocks the peak queued count needs, and a recycle keeps
+// every block for the next phase.
 func FuzzReadyQueue(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0x80, 0x80, 0x00, 0x01, 0x00})
-	// Fill the first ring exactly, pop a few from the front, wrap around,
-	// then grow while wrapped.
-	wrap := bytes.Repeat([]byte{0x80}, 16)
-	wrap = append(wrap, 0, 0, 0, 0, 0)
-	wrap = append(wrap, bytes.Repeat([]byte{0x81}, 40)...)
-	wrap = append(wrap, bytes.Repeat([]byte{0x00, 0x01}, 30)...)
-	f.Add(wrap)
-	// LIFO only, and FIFO and LIFO interleaved across two growths.
-	f.Add(append(bytes.Repeat([]byte{0x82}, 20), bytes.Repeat([]byte{0x01}, 20)...))
-	f.Add(bytes.Repeat([]byte{0x80, 0x81, 0x82, 0x00, 0x83, 0x01, 0x84}, 12))
+	f.Add([]byte{0x80, 0x80, 0x41, 0x43, 0x01})
+	// Fill the first chunk's two blocks, pop the first, wrap the tail round
+	// into it and grow while wrapped: the new chunk goes in between the tail's
+	// block and the head's.
+	f.Add([]byte{0xff, 0xff, 0x7e, 0x7e, 0xff, 0x80, 0xc4, 0x7f, 0x7e, 0x7e, 0x7e})
+	// LIFO across block boundaries, then FIFO and LIFO interleaved.
+	f.Add(append(bytes.Repeat([]byte{0xff}, 4), bytes.Repeat([]byte{0x7f}, 10)...))
+	f.Add(bytes.Repeat([]byte{0xe0, 0x81, 0x5f, 0xd3, 0x01, 0x42, 0x80, 0x03}, 12))
+	// Fill, recycle mid-stream, fill again.
+	f.Add([]byte{0xff, 0xff, 0xff, 0x4a, 0x00, 0xff, 0xff, 0xff, 0xff, 0x7e, 0x7f})
 
 	f.Fuzz(func(t *testing.T, steps []byte) {
-		var q readyQueue
+		var rt RT
+		rt.recycle()
+		q := &rt.ready
 		var model []readyEntry
+		var addrs []*readyEntry
+		peak := 0
 		next := uint64(1)
-		for i, b := range steps {
-			push := b&7 < 6
-			if b&0x80 == 0 {
-				push = b&7 >= 6
+		push := func() {
+			e := readyEntry{p: gptr.Ptr{Addr: int32(next)}, a0: next * 3, a1: ^next, tmpl: int32(next % 5), iter: int32(next % 7)}
+			next++
+			q.push(e)
+			model = append(model, e)
+			addrs = append(addrs, q.at(q.len()-1))
+			peak = max(peak, len(model))
+		}
+		pop := func(i int, back bool) {
+			if len(model) == 0 {
+				return
 			}
-			switch {
-			case push:
-				e := readyEntry{p: gptr.Ptr{Addr: int32(next)}, a0: next * 3, a1: ^next, tmpl: int32(next % 5), iter: int32(i)}
-				next++
-				q.push(e)
-				model = append(model, e)
-			case len(model) == 0:
-				// nothing to pop
-			case b&1 == 0:
-				if got, want := q.pop(), model[0]; got != want {
-					t.Fatalf("step %d: pop = %+v, want %+v", i, got, want)
-				}
-				model = model[1:]
-			default:
+			if back {
 				last := len(model) - 1
 				if got, want := q.popBack(), model[last]; got != want {
 					t.Fatalf("step %d: popBack = %+v, want %+v", i, got, want)
 				}
-				model = model[:last]
+				model, addrs = model[:last], addrs[:last]
+				return
+			}
+			if got, want := q.pop(), model[0]; got != want {
+				t.Fatalf("step %d: pop = %+v, want %+v", i, got, want)
+			}
+			model, addrs = model[1:], addrs[1:]
+		}
+		for i, b := range steps {
+			op, arg := b>>6, int(b&63)
+			switch {
+			case op == 3:
+				for k := 0; k <= arg; k++ {
+					push()
+				}
+			case op == 2:
+				push()
+			case op == 1:
+				for k := 0; k <= arg>>1; k++ {
+					pop(i, arg&1 == 1)
+				}
+			case arg == 0:
+				blocks := len(q.blocks)
+				rt.recycle()
+				model, addrs = nil, nil
+				if len(q.blocks) != blocks {
+					t.Fatalf("step %d: recycle left %d of the queue's %d blocks", i, len(q.blocks), blocks)
+				}
+			default:
+				pop(i, arg&1 == 1)
 			}
 			if q.len() != len(model) {
 				t.Fatalf("step %d: len = %d, want %d", i, q.len(), len(model))
 			}
 			for j := range model {
+				if q.at(j) != addrs[j] {
+					t.Fatalf("step %d: entry %d moved", i, j)
+				}
 				if *q.at(j) != model[j] {
 					t.Fatalf("step %d: entry %d = %+v, want %+v", i, j, *q.at(j), model[j])
 				}
 			}
-			if n := len(q.buf); n&(n-1) != 0 || n < q.len() {
-				t.Fatalf("step %d: ring of %d slots holds %d entries", i, n, q.len())
+			if q.tail != nil && (q.head != q.blocks[q.hb] || q.tail != q.blocks[q.tb]) {
+				t.Fatalf("step %d: the held head and tail blocks are not the ring's blocks %d and %d", i, q.hb, q.tb)
+			}
+			if need := (peak + readyBlockLen - 1) / readyBlockLen; len(q.blocks) > max(2*need, readyFirstChunk) {
+				t.Fatalf("step %d: %d blocks in the ring for a peak of %d entries", i, len(q.blocks), peak)
 			}
 		}
 	})
