@@ -203,14 +203,16 @@ func BenchmarkOwnerMajorWake(b *testing.B) {
 // of the other's — one fetch, n waiters — and the reply readies all n at once,
 // so the phase peaks at n waiters and then n ready entries (run-list nodes in
 // planned mode); n local threads peak at n ready entries alone. Storage that
-// grows without copying allocates each element once: n sits just under a
-// slab's capacity after its sixth segment (4,032) and the ready queue's after
-// its sixth chunk of blocks (4,096), so it allocates about the peak's records
-// and no more. Append-style growth allocates several times the peak, a
-// doubling ring about twice. What the phase allocates beyond a one-thread
-// phase must stay within the peak's records per node and a quarter more.
+// grows without copying allocates each element once: a slab's capacity goes
+// 32, 96, 224, 480, 992, 2,016, 4,064 and the ready queue's 64, 128, 256, ...,
+// 4,096, so n fills a slab's seventh segment exactly and sits just under the
+// ready queue's seventh chunk of blocks, and the phase allocates about the
+// peak's records and no more. Append-style growth allocates several times the
+// peak, a doubling ring about twice. What the phase allocates beyond a
+// one-thread phase must stay within the peak's records per node and a quarter
+// more.
 func TestColdThreadStorageAllocatesPeakOnce(t *testing.T) {
-	const n = 4000
+	const n = 4064
 	static := staticCfg()
 	static.Strip = 0 // one strip: every thread is suspended or ready before any runs
 	planned := static

@@ -30,7 +30,7 @@ import (
 func FuzzReadyQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0x80, 0x41, 0x43, 0x01})
-	// Fill the first chunk's two blocks, pop the first, wrap the tail round
+	// Fill the first two blocks, pop the first, wrap the tail round
 	// into it and grow while wrapped: the new chunk goes in between the tail's
 	// block and the head's.
 	f.Add([]byte{0xff, 0xff, 0x7e, 0x7e, 0xff, 0x80, 0xc4, 0x7f, 0x7e, 0x7e, 0x7e})

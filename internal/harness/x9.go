@@ -26,11 +26,10 @@ func runX9(s *Session) {
 	const nodes = 16
 	s.printf("Repeated phases on %d nodes: the paper's static DPA(50) vs planned\n", nodes)
 	s.printf("mode, whose cross-phase prior lifts the cold destLimit cap with\n")
-	s.printf("measured per-owner volumes, seeds the latency bound with RTTs, retains\n")
-	s.printf("copies across reuse gaps and shapes owner-major iteration runs, so each\n")
-	s.printf("owner's batch fills in one contiguous run per strip. 'prior hits'\n")
-	s.printf("counts boundary decisions taken from measured history. Planned\n")
-	s.printf("refetches must stay exactly 0.\n\n")
+	s.printf("measured per-owner volumes, seeds the latency bound with RTTs and\n")
+	s.printf("shapes owner-major iteration runs, so each owner's batch fills in one\n")
+	s.printf("contiguous run per strip. 'prior hits' counts boundary decisions\n")
+	s.printf("taken from measured history. Planned refetches must stay exactly 0.\n\n")
 
 	bhc := s.bhCell(nodes, driver.Spec{})
 	bhc.Steps = 3

@@ -499,10 +499,16 @@ func (e *ParEngine) Run() (Time, error) {
 	return makespan(e.procs), nil
 }
 
-// bufSeed is the capacity of each per-process message buffer carved from a
-// slab at a process's first Run: room for one aggregation batch's worth of
-// traffic before a buffer falls back to growing on its own.
-const bufSeed = 16
+// The capacities of each process's message buffers carved from a slab at its
+// first Run: the mailbox ring, which holds in-order arrivals and is emptied as
+// they are delivered, and the overflow heap and drain buffer, which hold
+// what one delivery batch brings. EM3D at 1,024 nodes peaks at 15 messages on
+// a ring and at 46 and 35 on the other two, but nine nodes in ten stay within
+// 32 on the heap and all but a handful within 32 on the drain buffer.
+const (
+	bufSeed   = 16
+	batchSeed = 32
+)
 
 // seedBuffers carves the mailbox ring, overflow heap and drain buffer of
 // every process that has none yet out of one message slab — one allocation
@@ -523,10 +529,10 @@ func seedBuffers(procs []*Proc) {
 	if fresh == 0 {
 		return
 	}
-	slab := make([]Message, fresh*3*bufSeed)
-	carve := func() []Message {
-		seg := slab[0:0:bufSeed]
-		slab = slab[bufSeed:]
+	slab := make([]Message, fresh*(bufSeed+2*batchSeed))
+	carve := func(n int) []Message {
+		seg := slab[0:0:n]
+		slab = slab[n:]
 		return seg
 	}
 	for _, p := range procs {
@@ -534,9 +540,9 @@ func seedBuffers(procs []*Proc) {
 			continue
 		}
 		if p.mailbox.size() == 0 {
-			p.mailbox = mailbox{ring: carve(), ovf: msgHeap(carve())}
+			p.mailbox = mailbox{ring: carve(bufSeed), ovf: msgHeap(carve(batchSeed))}
 		}
-		p.drainBuf = carve()
+		p.drainBuf = carve(batchSeed)
 	}
 }
 

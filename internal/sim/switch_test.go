@@ -228,11 +228,12 @@ func TestProcessMigratesAcrossWorkers(t *testing.T) {
 }
 
 // TestSeedBuffersFirstMessagesZeroAllocs pins the slab seed: the first
-// bufSeed messages through a fresh process's mailbox ring, overflow heap and
-// drain buffer allocate nothing. Process 0 drives one fresh target per
-// AllocsPerRun call (the warm-up call gets a target of its own, so the
-// measured call really sees first messages); under the sequential engine the
-// target's side of the exchange runs inside the measured call too.
+// bufSeed messages through a fresh process's mailbox ring and the first
+// batchSeed through its overflow heap and drain buffer allocate nothing.
+// Process 0 drives one fresh target per AllocsPerRun call (the warm-up call
+// gets a target of its own, so the measured call really sees first
+// messages); under the sequential engine the target's side of the exchange
+// runs inside the measured call too.
 func TestSeedBuffersFirstMessagesZeroAllocs(t *testing.T) {
 	e := NewEngine()
 	var allocs float64
@@ -244,15 +245,15 @@ func TestSeedBuffersFirstMessagesZeroAllocs(t *testing.T) {
 			for i := 0; i < bufSeed; i++ { // equal arrivals: ring lane, drained as one batch
 				p.Post(target, Message{Arrival: base})
 			}
-			for i := 1; i <= bufSeed; i++ { // decreasing arrivals: overflow lane
-				p.Post(target, Message{Arrival: base - Time(i)})
+			for i := 0; i < batchSeed; i++ { // earlier arrivals: overflow lane, drained first as one batch
+				p.Post(target, Message{Arrival: base - 1})
 			}
 			p.WaitMessage() // the target's acknowledgement
 		})
 	})
 	for i := 0; i < 2; i++ {
 		e.Spawn(func(p *Proc) {
-			for got := 0; got < 2*bufSeed; {
+			for got := 0; got < bufSeed+batchSeed; {
 				got += len(p.WaitMessage())
 			}
 			p.Post(0, Message{Arrival: p.Now()})
@@ -262,7 +263,7 @@ func TestSeedBuffersFirstMessagesZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs != 0 {
-		t.Errorf("first %d messages per lane allocate %.0f objects, want 0", bufSeed, allocs)
+		t.Errorf("first %d ring and %d overflow messages allocate %.0f objects, want 0", bufSeed, batchSeed, allocs)
 	}
 }
 
