@@ -91,7 +91,7 @@ func main() {
 	steps := flag.Int("steps", 1, "Barnes-Hut and FMM time steps")
 	terms := flag.Int("terms", 29, "FMM expansion terms")
 	strip := flag.Int("strip", 50, "DPA strip size (0 = one strip)")
-	shape := flag.Bool("shape", false, "select DPA's planned mode (cost-model strip sizing, reuse-region pinning, cross-phase priors, affinity-shaped tiles)")
+	shape := flag.Bool("shape", false, "select DPA's planned mode (cost-model strip sizing, copies kept across strips, cross-phase priors, affinity-shaped tiles)")
 	vertices := flag.Int("vertices", 16384, "graph apps: vertex count")
 	degree := flag.Int("degree", 8, "graph apps: average degree")
 	graphKind := flag.String("graph", "rmat", "graph apps: edge distribution, rmat or uniform")

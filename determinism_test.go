@@ -624,7 +624,7 @@ func TestPriorDeterminismBarnesHut(t *testing.T) { checkRows(t, plannedRows(bhCe
 func TestPlannerOffBitIdentical(t *testing.T) {
 	checkRows(t, row{cell: on(em3dCell(160, 2), DPASpec(8), FaultConfig{}), check: func(t *testing.T, o outcome) {
 		rt := o.run.RT
-		if rt.PlanStrips != 0 || rt.PlanMispredicts != 0 || rt.RegionReleases != 0 ||
+		if rt.PlanStrips != 0 || rt.PlanMispredicts != 0 ||
 			rt.PlanPriorHits != 0 || rt.PriorBytes != 0 || rt.ShapedRuns != 0 ||
 			rt.StripGrows != 0 || rt.StripShrinks != 0 || rt.FinalStrip != 0 || len(o.run.Adapt) != 0 {
 			t.Fatalf("planner counters moved in static mode: %+v", rt)

@@ -229,13 +229,12 @@ func WithPipeline(on bool) SpecOption { return driver.WithPipeline(on) }
 // WithShape selects DPA's planned mode, the one alternative to the paper's
 // static strip: a closed-form cost model sizes each strip and the
 // per-destination aggregation limits before the strip runs, renamed copies
-// are pinned for exactly their reuse region (refetches are structurally zero
-// under the memory budget), and repeated phases of a multi-phase run are
-// planned from the previous phase's measured signals, with top-level
-// iterations reordered into owner-major runs (affinity-shaped tiles). The
-// cross-phase half takes effect when the runner supplies a PriorStore via
-// WithPriors. Mutually exclusive with the LIFO queue discipline
-// (DPAConfig.LIFO).
+// are kept across strip boundaries (refetches are structurally zero under
+// the memory budget), and repeated phases of a multi-phase run are planned
+// from the previous phase's measured signals, with top-level iterations
+// reordered into owner-major runs (affinity-shaped tiles). The cross-phase
+// half takes effect when the runner supplies a PriorStore via WithPriors.
+// Either queue discipline applies (DPAConfig.LIFO).
 func WithShape() SpecOption { return driver.WithShape() }
 
 // PriorStore carries the planner's cross-phase reuse priors across the phase

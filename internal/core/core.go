@@ -50,25 +50,25 @@ type Config struct {
 	// strip boundary a closed-form cost model — fed by the strip's reuse
 	// summary (per-owner fetch histogram, stall fraction, renamed-copy
 	// bytes) — chooses the next strip size and per-destination aggregation
-	// limits before the strip runs, and the D-table pins each renamed copy
-	// for exactly its reuse region. When the driver attaches a cross-phase
-	// prior table, a repeated phase is planned from the previous phase's
-	// measured signals and its top-level iterations are reordered into
-	// owner-major runs (affinity-shaped tiles). Ready threads are scheduled
-	// owner-major and replies scatter in one batch. Each strip is the
-	// model's proposal clamped to [StripMin, StripMax]; a misprediction is
-	// counted, not corrected. All decisions are pure functions of
-	// simulated-time state, so planned runs stay bit-identical across
-	// engines, repeats and seeded faults; with Planned false none of these
-	// paths run.
+	// limits before the strip runs, and the D-table keeps every renamed copy
+	// across strip boundaries while the copies fit MemBudget. When the
+	// driver attaches a cross-phase prior table, a repeated phase is planned
+	// from the previous phase's measured signals and its top-level
+	// iterations are reordered into owner-major runs (affinity-shaped
+	// tiles). Ready threads run on the same queue, in the same discipline,
+	// as in static mode. Each strip is the model's proposal clamped to
+	// [StripMin, StripMax]; a misprediction is counted, not corrected. All
+	// decisions are pure functions of simulated-time state, so planned runs
+	// stay bit-identical across engines, repeats and seeded faults; with
+	// Planned false none of these paths run.
 	Planned bool
 	// StripMin/StripMax bound the planned strip size (<= 0: defaults 8 and
 	// 4096). Ignored in static mode.
 	StripMin int
 	StripMax int
 	// MemBudget is the renamed-copy byte budget above which planned mode
-	// releases closed reuse regions (<= 0: default 4 MB). Ignored in static
-	// mode.
+	// drops every copy at a strip boundary (<= 0: default 4 MB). Ignored in
+	// static mode.
 	MemBudget int64
 	// AggLimit is the maximum number of pointers per request message.
 	// 1 disables aggregation; 0 means unlimited; negative is invalid
@@ -132,9 +132,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MemBudget < 0 {
 		return fmt.Errorf("core: MemBudget must be >= 0 (0 = default), got %d", c.MemBudget)
-	}
-	if c.Planned && c.LIFO {
-		return fmt.Errorf("core: Planned and LIFO are mutually exclusive (owner-major scheduling replaces the queue discipline)")
 	}
 	if c.AggLimit < 0 {
 		return fmt.Errorf("core: AggLimit must be >= 0 (0 = unlimited), got %d", c.AggLimit)
@@ -229,27 +226,29 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 		}
 		observeRTT(d, ep.Node.Now())
 	}
-	if rt.planned {
-		rt.scatterReply(m.From, rep.ptrs)
-	} else {
-		for _, p := range rep.ptrs {
-			e := rt.arrive(p, m.From)
-			if e == nil {
-				continue
-			}
-			rt.waiting -= int(e.n)
-			// All threads dependent on p become ready together: they will run
-			// back to back, reusing the renamed copy while it is hot.
-			for wi, k := e.head, e.n; k > 0; k-- {
-				w := rt.waiters.at(wi)
-				rt.ready.push(w.ready(p))
-				wi = w.next
-			}
-			rt.freeWaiters(e)
-		}
-	}
+	rt.wakeReply(m.From, rep.ptrs)
 	rt.trackPeak()
 	rt.pool.putReq(rep)
+}
+
+// wakeReply readies every thread suspended on the pointers owner's reply
+// carries. All threads dependent on one pointer become ready together, so
+// they run back to back, reusing the renamed copy while it is hot, and one
+// batch's pointers follow each other in the queue.
+func (rt *RT) wakeReply(owner int, ptrs []gptr.Ptr) {
+	for _, p := range ptrs {
+		e := rt.arrive(p, owner)
+		if e == nil {
+			continue
+		}
+		rt.waiting -= int(e.n)
+		for wi, k := e.head, e.n; k > 0; k-- {
+			w := rt.waiters.at(wi)
+			rt.ready.push(w.ready(p))
+			wi = w.next
+		}
+		rt.freeWaiters(e)
+	}
 }
 
 // arrive records that owner's reply carried the renamed copy of p and returns
@@ -273,38 +272,10 @@ func (rt *RT) arrive(p gptr.Ptr, owner int) *dEntry {
 	if rt.arrivedBytes > rt.st.PeakArrivedBytes {
 		rt.st.PeakArrivedBytes = rt.arrivedBytes
 	}
-	if rt.planned && rt.arrivedBytes > rt.ctl.stripPeak {
+	if rt.Cfg.Planned && rt.arrivedBytes > rt.ctl.stripPeak {
 		rt.ctl.stripPeak = rt.arrivedBytes
 	}
 	return e
-}
-
-// scatterReply is planned mode's reply path: one wake pass appends every
-// dependent thread of the batch — all waiters of all pointers the reply
-// carries — to the owner's run list, enqueueing the owner once, instead of
-// per-pointer wakeups into a global queue.
-func (rt *RT) scatterReply(owner int, ptrs []gptr.Ptr) {
-	si := rt.dests.slot(owner)
-	d := &rt.dests.slots[si]
-	woken := 0
-	for _, p := range ptrs {
-		e := rt.arrive(p, owner)
-		if e == nil {
-			continue
-		}
-		for wi, k := e.head, e.n; k > 0; k-- {
-			w := rt.waiters.at(wi)
-			rt.oq.link(d, w.ready(p))
-			wi = w.next
-		}
-		woken += int(e.n)
-		rt.freeWaiters(e)
-	}
-	if woken == 0 {
-		return
-	}
-	rt.waiting -= woken
-	rt.oq.woke(d, si, woken)
 }
 
 // dEntry is one fused M/D table entry for a remote pointer: while the fetch
@@ -319,7 +290,6 @@ func (rt *RT) scatterReply(owner int, ptrs []gptr.Ptr) {
 type dEntry struct {
 	head, tail int32 // first and last waiter of the chain
 	n          int32 // suspended threads
-	lastUse    int32 // strip index of the last reference (planner reuse regions)
 	arrived    bool
 }
 
@@ -412,8 +382,8 @@ type RT struct {
 	closures   Closures    // Spawn's parked closures (threads.go)
 
 	// dests holds all per-destination state (open request records,
-	// outstanding-request counts, RTT samples, run-list chains, planner
-	// histograms), one slot per owner this node has touched; see dests.go.
+	// outstanding-request counts, RTT samples, planner histograms), one slot
+	// per owner this node has touched; see dests.go.
 	dests    destTable
 	nodes    int     // machine size: the length of every dense per-owner view
 	aggDests []int32 // slots with an open request record, FIFO
@@ -436,13 +406,10 @@ type RT struct {
 	// cached at construction so hot-path emission sites pay one nil check.
 	trc *obs.NodeTrace
 
-	// Planned mode (Cfg.Planned); see plan.go, planmodel.go, prior.go and
-	// ownerq.go.
-	planned bool
-	plan    planState
-	oq      ownerQueue // owner-major ready queue (replaces ready)
-	ctl     stripCtl
-	trace   []stats.AdaptPoint
+	// Planned mode (Cfg.Planned); see plan.go, planmodel.go and prior.go.
+	plan  planState
+	ctl   stripCtl
+	trace []stats.AdaptPoint
 }
 
 // New creates the runtime for one node and binds it to the endpoint (the
@@ -461,8 +428,7 @@ func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, prev *RT) *RT {
 	rt.EP, rt.Space, rt.Cfg, rt.proto = ep, space, cfg, proto
 	rt.nodes = ep.Node.N()
 	rt.trc = ep.Node.Obs()
-	rt.planned = cfg.Planned
-	if rt.planned {
+	if cfg.Planned {
 		rt.initCtl()
 		rt.plan.init(ep.Node.Cfg())
 	}
@@ -484,7 +450,6 @@ func (rt *RT) recycle() {
 	rt.dests.reset()
 	rt.entries.reset()
 	rt.waiters.reset()
-	rt.oq.nodes.reset()
 	*rt = RT{
 		table:      rt.table,
 		seen:       rt.seen,
@@ -497,7 +462,6 @@ func (rt *RT) recycle() {
 		tmpls:      rt.tmpls,
 		closures:   rt.closures,
 		ready:      readyQueue{blocks: rt.ready.blocks},
-		oq:         ownerQueue{order: rt.oq.order[:0], nodes: rt.oq.nodes, free: -1},
 		aggDests:   rt.aggDests[:0],
 		trace:      rt.trace[:0],
 		plan:       planState{perm: rt.plan.perm},
@@ -548,7 +512,7 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 	t := readyEntry{p: p, a0: a0, a1: a1, tmpl: tmpl, iter: rt.plan.curIter}
 	if rt.Space.LocalOrRepl(p, n.ID()) {
 		rt.st.LocalHits++
-		rt.pushReady(n.ID(), t)
+		rt.ready.push(t)
 		rt.trackPeak()
 		return
 	}
@@ -562,9 +526,8 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 	if ei, ok := rt.table[p]; ok {
 		e := rt.entries.at(ei)
 		rt.st.Reuses++
-		e.lastUse = rt.plan.stripIdx // reuse region stays open
 		if e.arrived {
-			rt.pushReady(int(p.Node), t)
+			rt.ready.push(t)
 		} else {
 			rt.suspend(e, tmpl, a0, a1)
 		}
@@ -574,7 +537,6 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 	ei := rt.newEntry()
 	e := rt.entries.at(ei)
 	rt.suspend(e, tmpl, a0, a1)
-	e.lastUse = rt.plan.stripIdx
 	rt.table[p] = ei
 	rt.st.Fetches++
 	if len(rt.seen) > 0 {
@@ -586,25 +548,6 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 	}
 	rt.enqueueReq(p)
 	rt.trackPeak()
-}
-
-// pushReady makes a thread ready. owner is the node that supplied its
-// object (the local node for local and replicated pointers); planned mode
-// groups the ready queue by it.
-func (rt *RT) pushReady(owner int, e readyEntry) {
-	if rt.planned {
-		rt.oq.push(&rt.dests, owner, e)
-	} else {
-		rt.ready.push(e)
-	}
-}
-
-// readyLen is the ready-thread count under either queue.
-func (rt *RT) readyLen() int {
-	if rt.planned {
-		return rt.oq.len()
-	}
-	return rt.ready.len()
 }
 
 // enqueueReq adds p to its owner's open request record — the aggregation
@@ -621,7 +564,7 @@ func (rt *RT) enqueueReq(p gptr.Ptr) {
 	}
 	rt.pool.push(d.req, p, limit)
 	rt.aggCount++
-	if rt.planned {
+	if rt.Cfg.Planned {
 		if d.curHist == 0 {
 			rt.plan.owners++
 		}
@@ -646,7 +589,7 @@ func (rt *RT) flushDest(d *destState) {
 	}
 	d.req = nil
 	dst := int(d.owner)
-	if rt.planned && !d.rttMark && d.pending == 0 {
+	if rt.Cfg.Planned && !d.rttMark && d.pending == 0 {
 		// Arm a round-trip sample: nothing is in flight to dst, so the
 		// first reply back answers this send.
 		d.rttMark = true
@@ -680,11 +623,10 @@ func (rt *RT) flushDest(d *destState) {
 }
 
 // FlushAll sends every open request record: in destination-arrival order
-// normally, in ascending owner order in planned mode (owner-sorted batches,
-// matching the owner-major service order of the ready queue). Both orders
-// are deterministic.
+// normally, in ascending owner order in planned mode (owner-sorted batches).
+// Both orders are deterministic.
 func (rt *RT) FlushAll() {
-	if rt.planned {
+	if rt.Cfg.Planned {
 		if rt.aggCount > 0 {
 			for _, si := range rt.dests.byOwner {
 				rt.flushDest(&rt.dests.slots[si])
@@ -714,11 +656,11 @@ func (rt *RT) Drain() {
 	for {
 		rt.EP.Poll()
 		ran := 0
-		for rt.readyLen() > 0 && ran < pollEvery {
+		for rt.ready.len() > 0 && ran < pollEvery {
 			rt.runOne()
 			ran++
 		}
-		if rt.readyLen() > 0 {
+		if rt.ready.len() > 0 {
 			continue
 		}
 		if rt.aggCount > 0 {
@@ -789,12 +731,9 @@ func (rt *RT) abandonUnreachable() bool {
 // the machine runs (the driver's validation checks this).
 func (rt *RT) runOne() {
 	var e readyEntry
-	switch {
-	case rt.planned:
-		e = rt.oq.pop(&rt.dests)
-	case rt.Cfg.LIFO:
+	if rt.Cfg.LIFO {
 		e = rt.ready.popBack()
-	default:
+	} else {
 		e = rt.ready.pop()
 	}
 	n := rt.EP.Node
@@ -802,7 +741,7 @@ func (rt *RT) runOne() {
 	if rt.trc != nil {
 		t0 = n.Now()
 	}
-	if rt.planned {
+	if rt.plan.recAff != nil {
 		// Restore the dispatched thread's top-level iteration so nested
 		// spawns attribute their affinity to it (prior.go).
 		rt.plan.curIter = e.iter
@@ -822,7 +761,7 @@ func (rt *RT) runOne() {
 // iterations per strip and draining all (transitively spawned) work between
 // strips. Renamed copies are discarded at strip boundaries, bounding memory.
 func (rt *RT) ForAll(n int, spawnIter func(i int)) {
-	if rt.planned {
+	if rt.Cfg.Planned {
 		rt.forAllPlanned(n, spawnIter)
 		return
 	}
@@ -886,7 +825,7 @@ func (rt *RT) dropCopies() {
 // trackPeak records the peak number of outstanding (suspended + ready)
 // threads, the strip-size/memory metric of the paper's table.
 func (rt *RT) trackPeak() {
-	out := int64(rt.waiting + rt.readyLen())
+	out := int64(rt.waiting + rt.ready.len())
 	if out > rt.st.PeakOutstanding {
 		rt.st.PeakOutstanding = out
 	}
@@ -897,8 +836,7 @@ func (rt *RT) trackPeak() {
 // iter is the top-level iteration the thread's tree originated from (-1 when
 // unattributed), used by the planner's affinity recording; it shares a word
 // with tmpl. It holds no Go pointers, so the collector never scans the ready
-// queue's blocks or the run-list slab. The sizeof regression test pins the
-// 32-byte layout.
+// queue's blocks. The sizeof regression test pins the 32-byte layout.
 type readyEntry struct {
 	p      gptr.Ptr
 	a0, a1 uint64

@@ -8,12 +8,12 @@ import (
 
 // destState is everything the runtime keeps about one owner node: its open
 // request record (the aggregation buffer) and outstanding-request count, the
-// round-trip sample and EWMA, its run list's chain in the owner-major ready
-// queue, and the planner's per-owner fetch histograms. A slot exists only for
-// an owner the node has touched this phase — the paper sizes M and D by the
-// strip, and this table follows suit — so the per-node footprint is
-// independent of the machine size. Field order packs the scalars behind the record pointer; the
-// sizeof regression test pins the layout.
+// round-trip sample and EWMA, and the planner's per-owner fetch histograms. A
+// slot exists only for an owner the node has touched this phase — the paper
+// sizes M and D by the strip, and this table follows suit — so the per-node
+// footprint is independent of the machine size. Field order packs the
+// scalars behind the record pointer; the sizeof regression test pins the
+// layout.
 type destState struct {
 	req *fetchReq // open request record or nil (append order is program order)
 
@@ -26,11 +26,7 @@ type destState struct {
 	curHist  int32 // fetches during the running strip
 	prevHist int32 // fetches during the previous strip (prediction source)
 	shape    int32 // planShape's counting-sort cursor
-	// The run list: first and last node in ownerQueue's slab and the chain's
-	// length. runHead and runTail mean nothing while runN is zero.
-	runHead, runTail, runN int32
-	queued                 bool // present in the owner FIFO
-	rttMark                bool // a round-trip sample is armed
+	rttMark  bool  // a round-trip sample is armed
 }
 
 // destRef is one cell of the owner→slot index; slot is biased by one so the

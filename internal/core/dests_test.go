@@ -105,15 +105,14 @@ func TestDestTableIndexGrowsAndRehashes(t *testing.T) {
 
 // TestDestTableResetLeavesNoStaleSlot: after reset nothing of the previous
 // phase is reachable — not by lookup, not by the ordered walk, not through a
-// recycled slot's fields, open request record and run-list chain included.
+// recycled slot's fields, open request record included.
 func TestDestTableResetLeavesNoStaleSlot(t *testing.T) {
 	var tb destTable
 	for _, o := range []int{5, 2, 9} {
 		d := tb.touch(o)
 		d.req = &fetchReq{ptrs: []gptr.Ptr{{Node: int32(o)}}}
 		d.pending, d.curHist, d.prevHist, d.phaseHist = 1, 2, 3, 4
-		d.rttEwma, d.rttSentAt, d.rttMark, d.queued, d.shape = 5, 6, true, true, 7
-		d.runHead, d.runTail, d.runN = 8, 9, 10
+		d.rttEwma, d.rttSentAt, d.rttMark, d.shape = 5, 6, true, 7
 	}
 	tb.reset()
 	if len(tb.slots) != 0 || len(tb.byOwner) != 0 {

@@ -94,9 +94,10 @@ func TestNodeFootprint(t *testing.T) {
 		// of two block pointers.
 		{"ready queue", 64*unsafe.Sizeof(readyEntry{}) + 2*8},
 		// The destination table at its first size, 8 owners: the slots
-		// (576 bytes and the 8-byte header, the 640-byte class), the
-		// ascending-owner list and an index of 16 cells.
-		{"destination table", 640 + 8*4 + 16*unsafe.Sizeof(destRef{})},
+		// (448 bytes, under the 512-byte line where the allocator adds its
+		// 8-byte header, so the 448-byte class), the ascending-owner list
+		// and an index of 16 cells.
+		{"destination table", 8*unsafe.Sizeof(destState{}) + 8*4 + 16*unsafe.Sizeof(destRef{})},
 		// The mailbox's three lanes carved from one slab: 16 ring
 		// messages, 32 overflow-heap messages and 32 drain-buffer ones.
 		{"mailbox seeds", (16 + 32 + 32) * unsafe.Sizeof(sim.Message{})},

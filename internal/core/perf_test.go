@@ -146,7 +146,7 @@ func TestThreadsAllocateNothing(t *testing.T) {
 	}
 }
 
-// wakePhase runs one owner-major phase on w — a world of ptrs objects per
+// wakePhase runs one planned phase on w — a world of ptrs objects per
 // node — in which each node suspends waiters threads on every object of the
 // other before any reply can land (one strip, so the whole batch is in flight
 // together), and returns how many threads ran.
@@ -157,14 +157,14 @@ func wakePhase(t testing.TB, w *threadWorld, waiters int, after func(rt *RT)) in
 	return ran
 }
 
-// TestScatterReplyWakesAllWaitersOnce: the batched reply path wakes every
-// suspended thread of every pointer a reply carries exactly once, and a
-// second delivery of the same — by then arrived — batch wakes nothing.
-func TestScatterReplyWakesAllWaitersOnce(t *testing.T) {
+// TestWakeReplyWakesAllWaitersOnce: the reply path wakes every suspended
+// thread of every pointer a reply carries exactly once, and a second delivery
+// of the same — by then arrived — batch wakes nothing.
+func TestWakeReplyWakesAllWaitersOnce(t *testing.T) {
 	const ptrs, waiters = 16, 3
 	ran := wakePhase(t, newThreadWorld(ptrs), waiters, func(rt *RT) {
-		if rt.waiting != 0 || rt.oq.len() != 0 {
-			t.Fatalf("after the drain: waiting=%d queued=%d, want 0 and 0", rt.waiting, rt.oq.len())
+		if rt.waiting != 0 || rt.ready.len() != 0 {
+			t.Fatalf("after the drain: waiting=%d queued=%d, want 0 and 0", rt.waiting, rt.ready.len())
 		}
 		if st := rt.Stats(); st.Fetches != ptrs || st.Reuses != ptrs*(waiters-1) {
 			t.Fatalf("%d fetches and %d reuses, want %d and %d: the threads did not share in-flight entries",
@@ -174,9 +174,9 @@ func TestScatterReplyWakesAllWaitersOnce(t *testing.T) {
 		for p := range rt.table {
 			ptrs = append(ptrs, p)
 		}
-		rt.scatterReply(int(ptrs[0].Node), ptrs)
-		if rt.oq.len() != 0 || rt.waiting != 0 {
-			t.Fatalf("duplicate delivery woke threads: queued=%d waiting=%d", rt.oq.len(), rt.waiting)
+		rt.wakeReply(int(ptrs[0].Node), ptrs)
+		if rt.ready.len() != 0 || rt.waiting != 0 {
+			t.Fatalf("duplicate delivery woke threads: queued=%d waiting=%d", rt.ready.len(), rt.waiting)
 		}
 	})
 	if ran != 2*ptrs*waiters {
@@ -184,7 +184,7 @@ func TestScatterReplyWakesAllWaitersOnce(t *testing.T) {
 	}
 }
 
-func BenchmarkOwnerMajorWake(b *testing.B) {
+func BenchmarkWakeReply(b *testing.B) {
 	for _, c := range []struct{ ptrs, waiters int }{{16, 1}, {16, 4}, {128, 4}} {
 		b.Run(fmt.Sprintf("%dptrs x %dwaiters", c.ptrs, c.waiters), func(b *testing.B) {
 			w := newThreadWorld(c.ptrs)
@@ -201,8 +201,7 @@ func BenchmarkOwnerMajorWake(b *testing.B) {
 // TestColdThreadStorageAllocatesPeakOnce pins what a cold phase pays for its
 // thread peak. On fresh runtimes each node suspends n threads on one object
 // of the other's — one fetch, n waiters — and the reply readies all n at once,
-// so the phase peaks at n waiters and then n ready entries (run-list nodes in
-// planned mode); n local threads peak at n ready entries alone. Storage that
+// so the phase peaks at n waiters and then n ready entries; n local threads peak at n ready entries alone. Storage that
 // grows without copying allocates each element once: a slab's capacity goes
 // 32, 96, 224, 480, 992, 2,016, 4,064 and the ready queue's 64, 128, 256, ...,
 // 4,096, so n fills a slab's seventh segment exactly and sits just under the
@@ -217,7 +216,7 @@ func TestColdThreadStorageAllocatesPeakOnce(t *testing.T) {
 	static.Strip = 0 // one strip: every thread is suspended or ready before any runs
 	planned := static
 	planned.Planned = true
-	waiter, ready, run := unsafe.Sizeof(waiter{}), unsafe.Sizeof(readyEntry{}), unsafe.Sizeof(runNode{})
+	waiter, ready := unsafe.Sizeof(waiter{}), unsafe.Sizeof(readyEntry{})
 	for _, c := range []struct {
 		name   string
 		cfg    Config
@@ -225,7 +224,7 @@ func TestColdThreadStorageAllocatesPeakOnce(t *testing.T) {
 		record uintptr // bytes of storage per thread at the peak
 	}{
 		{"static", static, "reuse", waiter + ready},
-		{"planned", planned, "reuse", waiter + run},
+		{"planned", planned, "reuse", waiter + ready},
 		{"static/local", static, "local", ready},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,15 +1,14 @@
 package core
 
 import (
-	"dpa/internal/gptr"
 	"dpa/internal/obs"
 	"dpa/internal/sim"
 	"dpa/internal/stats"
 )
 
 // This file wires the predictive planner (planmodel.go) into the strip-mined
-// loop: the per-node strip state and its bounds, the planned ForAll, and the
-// reuse-region lifecycle of renamed copies in the D-table. Every strip size is
+// loop: the per-node strip state and its bounds, the planned ForAll, and what
+// becomes of renamed copies at a strip boundary. Every strip size is
 // the cost model's proposal clamped to [StripMin, StripMax]; a strip whose
 // outcome breaks a model promise is counted (PlanMispredicts), not corrected.
 // Every decision is a pure function of simulated-time counters (cycle charges,
@@ -20,14 +19,13 @@ import (
 //
 // # Reuse regions
 //
-// Every D-table entry is stamped with the strip index of its last reference
-// (dEntry.lastUse, written at Spawn). A copy's reuse region is the span of
-// strips from its fetch to its last reference; the region is known to be
-// closed once a full strip passes without a reference. At a strip boundary
-// the planner releases only closed regions, and only under memory pressure —
-// an open region is never released, so a pointer referenced in consecutive
-// (or any budget-respecting pattern of) strips is fetched exactly once per
-// region and refetch traffic is structurally zero.
+// A copy's reuse region is the span of strips from its fetch to its last
+// reference. While the renamed copies fit the memory budget, a strip boundary
+// drops none of them, so every region stays open until the phase ends and a
+// pointer is fetched once per phase: refetch traffic is structurally zero.
+// A boundary over the budget drops every copy, as the static strip does, and
+// counts the strip as a memory-model misprediction; a pointer referenced
+// again after that drop is refetched.
 
 // Strip bounds and planner constants.
 const (
@@ -96,7 +94,7 @@ type stripSignals struct {
 }
 
 // stripSignals collects the just-finished strip's signals. Must run before
-// any end-of-strip copy release (the byte delta reads arrivedBytes).
+// the end-of-strip drop (the byte delta reads arrivedBytes).
 func (rt *RT) stripSignals(iters int) stripSignals {
 	c := &rt.ctl
 	return stripSignals{
@@ -164,7 +162,7 @@ func observeRTT(d *destState, now sim.Time) {
 // static mode (and whenever it is unlimited), the planner's prediction from
 // the previous strip's owner histogram otherwise.
 func (rt *RT) destLimit(d *destState) int {
-	if !rt.planned || rt.Cfg.AggLimit <= 0 {
+	if !rt.Cfg.Planned || rt.Cfg.AggLimit <= 0 {
 		return rt.Cfg.aggLimit()
 	}
 	return rt.plannedDestLimit(d, rt.Cfg.AggLimit)
@@ -196,7 +194,7 @@ func (rt *RT) forAllPlanned(n int, spawnIter func(i int)) {
 		// measured signals and stages its owner histogram as the prediction
 		// source). With no usable prior the reuse summary is empty and the
 		// cost model's only evidence-free bound is memory — enforced at each
-		// boundary by region release and the wholesale drop. Every strip
+		// boundary by the over-budget drop. Every strip
 		// boundary is pure overhead under zero evidence of pressure (the
 		// fetches==0 branch of the model), so plan the whole loop as one
 		// strip, bounded by the configured maximum. This is what "zero
@@ -245,7 +243,7 @@ func (rt *RT) forAllPlanned(n int, spawnIter func(i int)) {
 			rt.FlushAll()
 		}
 		rt.Drain()
-		sig := rt.stripSignals(hi - lo) // before releases mutate arrivedBytes
+		sig := rt.stripSignals(hi - lo) // before a drop zeroes arrivedBytes
 		rt.plan.lastIters = hi - lo
 		rt.endStripPlanned()
 		if rt.trc != nil {
@@ -259,43 +257,22 @@ func (rt *RT) forAllPlanned(n int, spawnIter func(i int)) {
 	c.loop++
 }
 
-// endStripPlanned closes a strip under the reuse-region discipline: every
-// renamed copy stays pinned while the table fits the memory budget; under
-// pressure, exactly the copies whose reuse region has closed (no reference
-// in the strip that just finished) are released. If the live regions alone
-// still exceed the budget, the memory model mispredicted — fall back to the
-// wholesale drop and flag the misprediction for planStrip. The map scan has
-// order-independent effects (deletions and commutative sums), so map
-// iteration order cannot perturb determinism.
+// endStripPlanned closes a strip: every renamed copy stays while the table
+// fits the memory budget; over it, the memory model mispredicted, so every
+// copy is dropped and the misprediction flagged for planStrip.
 func (rt *RT) endStripPlanned() {
 	rt.checkStripInvariant()
-	if rt.arrivedBytes <= rt.ctl.memBudget {
-		return
-	}
-	cur := rt.plan.stripIdx
-	for p, ei := range rt.table {
-		if rt.entries.at(ei).lastUse < cur {
-			rt.release(p, ei)
-		}
-	}
 	if rt.arrivedBytes > rt.ctl.memBudget {
 		rt.plan.overBudget = true
 		rt.dropCopies()
 	}
 }
 
-// release drops p's arrived copy, whose reuse region has closed.
-func (rt *RT) release(p gptr.Ptr, ei int32) {
-	rt.arrivedBytes -= int64(rt.Space.Get(p).ByteSize())
-	rt.forget(p, ei)
-	rt.st.RegionReleases++
-}
-
 // planMispredicted checks the model's promise against the strip's outcome:
 // either the strip's own copies overflowed the budget (memory bound wrong),
-// the live reuse regions did (endStripPlanned fell back to a wholesale drop),
-// a refetch occurred (a region was released while still live — the
-// exactly-once contract broke), or the model claimed the latency bound was
+// the copies kept across strips did (endStripPlanned dropped them all), a
+// refetch occurred (a copy dropped by an earlier boundary was needed again —
+// the fetch-once contract broke), or the model claimed the latency bound was
 // covered yet the strip spent half its time stalled.
 func (rt *RT) planMispredicted(sig stripSignals, proposal, cur int) bool {
 	if sig.peakOver || rt.plan.overBudget {

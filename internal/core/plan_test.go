@@ -37,8 +37,8 @@ func TestPlannerForAllRunsEveryIteration(t *testing.T) {
 
 func TestPlannerZeroRefetchesAcrossStrips(t *testing.T) {
 	// The same pointers recur across many strips. Static mode drops copies at
-	// every boundary and refetches; the planner pins each copy for its reuse
-	// region, so under the memory budget every repeat is a table hit and the
+	// every boundary and refetches; the planner keeps every copy across
+	// boundaries, so under the memory budget every repeat is a table hit and the
 	// refetch count is structurally zero — each object is fetched exactly
 	// once.
 	w := newWorld(2)
@@ -84,57 +84,44 @@ func TestPlannerFirstContactIsWholeLoop(t *testing.T) {
 	}
 }
 
-func TestPlannerReleasesClosedRegionsUnderPressure(t *testing.T) {
-	// Two working sets that never overlap, with a budget that holds only one:
-	// at the boundary the planner must release exactly the closed regions
-	// (first set) — not the live ones — and never refetch.
-	w := newWorld(2)
+// TestPlannerDropsWholesaleOverBudget: with a memory budget that holds one
+// working set of n objects but not two, a planned strip boundary keeps no
+// copy once the table is over the budget — it drops every one, as the static
+// strip does, and counts the strip as a misprediction. Two disjoint working
+// sets are each fetched once; a set that returns after the drop is refetched,
+// once per object.
+func TestPlannerDropsWholesaleOverBudget(t *testing.T) {
 	const n = 8
-	var ptrs []gptr.Ptr
-	for i := 0; i < 2*n; i++ {
-		ptrs = append(ptrs, w.space.Alloc(1, obj{id: i, size: 1024}))
-	}
-	cfg := plannedCfg(n)
-	cfg.StripMin = 1
-	cfg.StripMax = n // one working set per strip
-	cfg.MemBudget = n * 1024
-	st, _ := w.run(cfg, func(rt *RT) {
-		rt.ForAll(2*n, func(i int) {
-			rt.Spawn(ptrs[i], func(o gptr.Object) {})
+	for _, c := range []struct {
+		name                   string
+		iters                  int
+		mispredicts, refetches int64
+	}{
+		{"disjoint", 2 * n, 3, 0},
+		{"returning", 3 * n, 5, n},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := newWorld(2)
+			var ptrs []gptr.Ptr
+			for i := 0; i < 2*n; i++ {
+				ptrs = append(ptrs, w.space.Alloc(1, obj{id: i, size: 1024}))
+			}
+			cfg := plannedCfg(n)
+			cfg.StripMin = 1
+			cfg.StripMax = n // one working set per strip
+			cfg.MemBudget = n * 1024
+			st, _ := w.run(cfg, func(rt *RT) {
+				rt.ForAll(c.iters, func(i int) {
+					rt.Spawn(ptrs[i%(2*n)], func(o gptr.Object) {})
+				})
+			})
+			if st.Fetches != int64(c.iters) || st.Refetches != c.refetches {
+				t.Errorf("fetches=%d refetches=%d, want %d and %d", st.Fetches, st.Refetches, c.iters, c.refetches)
+			}
+			if st.PlanMispredicts != c.mispredicts {
+				t.Errorf("%d mispredicted strips, want %d: %+v", st.PlanMispredicts, c.mispredicts, st)
+			}
 		})
-	})
-	if st.RegionReleases == 0 {
-		t.Fatalf("no reuse regions released under memory pressure: %+v", st)
-	}
-	if st.Refetches != 0 {
-		t.Fatalf("releases broke reuse regions: %d refetches", st.Refetches)
-	}
-}
-
-func TestRefetchAfterRegionRelease(t *testing.T) {
-	// The first working set comes back after the second pushed it out: each
-	// of its copies was released with its region closed, so fetching it again
-	// is a refetch, counted once per object.
-	w := newWorld(2)
-	const n = 8
-	var ptrs []gptr.Ptr
-	for i := 0; i < 2*n; i++ {
-		ptrs = append(ptrs, w.space.Alloc(1, obj{id: i, size: 1024}))
-	}
-	cfg := plannedCfg(n)
-	cfg.StripMin = 1
-	cfg.StripMax = n
-	cfg.MemBudget = n * 1024
-	st, _ := w.run(cfg, func(rt *RT) {
-		rt.ForAll(3*n, func(i int) {
-			rt.Spawn(ptrs[i%(2*n)], func(o gptr.Object) {})
-		})
-	})
-	if st.RegionReleases == 0 {
-		t.Fatalf("no reuse regions released under memory pressure: %+v", st)
-	}
-	if st.Fetches != 3*n || st.Refetches != n {
-		t.Fatalf("fetches=%d refetches=%d, want %d and %d", st.Fetches, st.Refetches, 3*n, n)
 	}
 }
 
@@ -168,8 +155,8 @@ func TestPlannerMispredictionCountedNotCorrected(t *testing.T) {
 // takes the model's proposal, clamped to the strip bounds; the misprediction
 // is only counted.
 func TestPlanStripInstallsClampedProposal(t *testing.T) {
-	rt := &RT{planned: true}
-	rt.Cfg = Default()
+	rt := &RT{Cfg: Default()}
+	rt.Cfg.Planned = true
 	rt.initCtl()
 	rt.plan.rttPrior = 100
 	rt.plan.modelled = true // forAllPlanned sized the first strip
@@ -191,9 +178,9 @@ func TestPlanStripInstallsClampedProposal(t *testing.T) {
 	}
 }
 
-func TestOwnerMajorGroupsByOwner(t *testing.T) {
-	// Interleaved spawns on two remote owners: owner-major scheduling must
-	// run each owner's threads as one contiguous group.
+func TestPlannedRepliesGroupByOwner(t *testing.T) {
+	// Interleaved spawns on two remote owners: each owner's reply batch
+	// wakes its threads together, so they run as one contiguous group.
 	w := newWorld(3)
 	const per = 8
 	var ptrs []gptr.Ptr
@@ -278,20 +265,20 @@ func TestValidateRejectsBadAdaptiveConfigs(t *testing.T) {
 	})
 }
 
-// TestValidateRejectsBadPlannerConfigs checks the strip itself and the one
-// exclusion rule between modes.
+// TestValidateRejectsBadPlannerConfigs checks the strip itself; planned mode
+// takes either queue discipline.
 func TestValidateRejectsBadPlannerConfigs(t *testing.T) {
 	checkValidate(t, []badConfig{
 		{func() Config { c := Default(); c.Strip = -1; return c }(), "Strip"},
-		{func() Config { c := plannedCfg(50); c.LIFO = true; return c }(), "LIFO"},
 	}, []Config{
 		plannedCfg(0), // Strip 0 = one strip: explicitly valid
+		func() Config { c := plannedCfg(50); c.LIFO = true; return c }(),
 	})
 }
 
 func TestPlannedDestLimit(t *testing.T) {
-	rt := &RT{planned: true}
-	rt.Cfg = Default()
+	rt := &RT{Cfg: Default()}
+	rt.Cfg.Planned = true
 	rt.Cfg.AggLimit = 16
 	d := rt.dests.touch(1)
 	rt.ctl.strip = 100
@@ -337,8 +324,8 @@ func TestPlannedDestLimit(t *testing.T) {
 // refetch, or an uncovered stall the model would not fix; a stall the model
 // already proposes to outgrow does not.
 func TestPlanMispredictedCases(t *testing.T) {
-	rt := &RT{planned: true}
-	rt.Cfg = Default()
+	rt := &RT{Cfg: Default()}
+	rt.Cfg.Planned = true
 	stalled := stripSignals{iters: 10, fetches: 5, elapsed: 100, stall: 60}
 
 	if !rt.planMispredicted(stripSignals{peakOver: true}, 10, 50) {
@@ -361,8 +348,8 @@ func TestPlanMispredictedCases(t *testing.T) {
 }
 
 func TestPlanProposeBounds(t *testing.T) {
-	rt := &RT{planned: true}
-	rt.Cfg = Default()
+	rt := &RT{Cfg: Default()}
+	rt.Cfg.Planned = true
 	rt.Cfg.AggLimit = 16
 	rt.initCtl()
 	rt.plan.rttPrior = 1000

@@ -17,7 +17,7 @@ import (
 // The model balances three communication bounds per strip of S iterations:
 //
 //	memory    S·bytesPerIter must fit the renamed-copy budget headroom
-//	          (copies are pinned for their reuse region, see plan.go);
+//	          (copies are kept across strips, see plan.go);
 //	latency   S·busyPerIter must cover the fetch pipeline's round trip,
 //	          or the drain tail exposes the RTT (pipeline depth vs
 //	          lookahead);
@@ -32,13 +32,13 @@ import (
 // planState is the per-node planner state: the reuse summary under
 // construction (per-owner fetch histogram), the previous strip's completed
 // summary (the prediction source for this strip), and the monotone strip
-// index that timestamps reuse regions in the D-table.
+// index.
 type planState struct {
 	stripIdx int32 // monotone strip counter across loops within the phase
 	modelled bool  // the phase's first strip has been sized (cold or warm)
-	// overBudget records that the last strip's live reuse regions alone
-	// exceeded the memory budget (endStripPlanned had to drop wholesale) —
-	// a memory-model misprediction even when no single strip overflowed.
+	// overBudget records that the copies kept across strips exceeded the
+	// memory budget at the last boundary (endStripPlanned dropped them all)
+	// — a memory-model misprediction even when no single strip overflowed.
 	overBudget bool
 	// The per-owner fetch histograms live in the destination table:
 	// destState.curHist counts fetches during the running strip, prevHist is
@@ -141,11 +141,11 @@ func (rt *RT) planPropose(sig stripSignals) int {
 	}
 
 	// Memory bound: the next strip's new copies must fit the budget
-	// headroom left after this boundary's region releases and the
-	// cross-phase prior table's own footprint (the table lives in the same
-	// per-node memory the budget models). The floor keeps a nearly-full
-	// table from collapsing the strip to nothing — closed regions are
-	// released before the next strip overflows.
+	// headroom left by the copies this boundary kept and the cross-phase
+	// prior table's own footprint (the table lives in the same per-node
+	// memory the budget models). The floor keeps a nearly-full table from
+	// collapsing the strip to nothing: a table over the budget is dropped
+	// whole at the next boundary.
 	if bpi := (sig.fetchedBytes + iters - 1) / iters; bpi > 0 {
 		head := c.memBudget - rt.arrivedBytes - rt.plan.priorBytes
 		if floor := c.memBudget / 4; head < floor {

@@ -200,7 +200,7 @@ func (pt *PriorTable) EncodeSnapshot(w *sim.SnapWriter) {
 // latency bound); the strip and histogram seeding happens lazily at the
 // first planned loop (planWarmStart), where the loop bounds are known.
 func (rt *RT) AttachPrior(pt *PriorTable) {
-	if !rt.planned || pt == nil {
+	if !rt.Cfg.Planned || pt == nil {
 		return
 	}
 	ps := &rt.plan

@@ -9,7 +9,7 @@ import (
 // priorCycleRT builds a bare planner runtime wired for cross-phase priors,
 // the same construction style as TestPlannedDestLimit / TestPlanProposeBounds.
 func priorCycleRT(nodes int) *RT {
-	rt := &RT{planned: true, nodes: nodes}
+	rt := &RT{nodes: nodes}
 	rt.Cfg = Default()
 	rt.Cfg.AggLimit = 16
 	rt.Cfg.Planned = true

@@ -113,7 +113,7 @@ func dirtyCfg() Config {
 // dirtyPhase runs one dirtyCfg phase on a fresh 4-node machine with every
 // node's runtime built on the storage of rts, where it leaves it: node 0 fetches objects from all three
 // other nodes (so the destination table, the M/D table, the seen set, the
-// free lists, the run lists and the controller trace all fill up, and copies
+// free lists and the controller trace all fill up, and copies
 // are still retained when the phase ends), attaches a prior and folds it.
 // inspect, if set, runs on node 0 right after New, before any of that.
 func dirtyPhase(t *testing.T, net *fm.Net, proto *Proto, space *gptr.Space, ptrs []gptr.Ptr,

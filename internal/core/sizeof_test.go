@@ -11,8 +11,7 @@ import (
 // Layout budgets for the runtime's hot structs (64-bit platforms). dEntry is
 // the fused M/D table entry — one slab element per renamed copy. waiter and
 // readyEntry are the thread record suspended and ready: outstanding-thread
-// memory is PeakOutstanding times one of the two (runNode in owner-major
-// mode). destState is the per-touched-owner slot that replaced nine dense
+// memory is PeakOutstanding times one of the two. destState is the per-touched-owner slot that replaced nine dense
 // per-node arrays. fetchReq is the fetch protocol's one record, the
 // free-list node recycled on every aggregation batch, and pools the node's
 // store of them. seg is the header of every thread slab and readyQueue the
@@ -28,9 +27,9 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		size   uintptr
 		budget uintptr
 	}{
-		// The waiter chain's head, tail and count and the reuse-region
-		// stamp (four int32) + arrived (bool), padded to int32 alignment.
-		{"core.dEntry", unsafe.Sizeof(dEntry{}), 20},
+		// The waiter chain's head, tail and count (three int32) + arrived
+		// (bool), padded to int32 alignment.
+		{"core.dEntry", unsafe.Sizeof(dEntry{}), 16},
 		// A suspended thread: two frame words + template and next-node
 		// index (int32 each) sharing the third.
 		{"core.waiter", unsafe.Sizeof(waiter{}), 24},
@@ -39,12 +38,12 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		{"core.readyEntry", unsafe.Sizeof(readyEntry{}), 32},
 		// One slot of the destination table, per touched owner: the open
 		// request record's pointer, three 8-byte words (RTT EWMA, sample
-		// start, phase fetch total), eight int32 (the run list's head, tail
-		// and length among them) and two bools packed into the last five
-		// words.
-		{"core.destState", unsafe.Sizeof(destState{}), 72},
-		// A run-list node: a ready thread and the next-node index.
-		{"core.runNode", unsafe.Sizeof(runNode{}), 40},
+		// start, phase fetch total), five int32 and a bool packed into the
+		// last three words. The table holds a pointer, so a slot array over
+		// 512 bytes pays the allocator's 8-byte header: at 56 bytes the
+		// first 8 slots (448 bytes) stay under that line, in the 448-byte
+		// size class, and 32 slots take the 2,048-byte class.
+		{"core.destState", unsafe.Sizeof(destState{}), 56},
 		// The fetch record: one pointer batch, a single slice header.
 		{"core.fetchReq", unsafe.Sizeof(fetchReq{}), 24},
 		// A node's fetch-record storage: the free list and the current
@@ -54,11 +53,11 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		// segments' pointers, the block directory's slice header, and the
 		// length and capacity (int32 each).
 		{"core.seg", unsafe.Sizeof(seg[waiter]{}), 48},
-		// A node's runtime, allocated once per node per run. Over 1,144
-		// bytes, the allocator's 8-byte header for a pointerful object
-		// above 512 bytes moves it from the 1,152-byte size class to the
-		// 1,280-byte one: 128 kB more per run on em3d1024.
-		{"core.RT", unsafe.Sizeof(RT{}), 1144},
+		// A node's runtime, allocated once per node per run. With the
+		// allocator's 8-byte header for a pointerful object above 512
+		// bytes it takes the 1,152-byte size class, which holds up to
+		// 1,144 bytes; at 1,016 or less it would take the 1,024-byte one.
+		{"core.RT", unsafe.Sizeof(RT{}), 1032},
 		// The static ready queue: the block ring's slice header, the head's
 		// and the tail's block pointers, and five int32 (their ring
 		// positions and slots, the count).
@@ -83,7 +82,7 @@ func TestHotStructSizeBudgets(t *testing.T) {
 
 // TestThreadSlabsHoldNoPointers pins the property that takes every thread
 // slab and the M/D map out of the collector's scanning: no thread record —
-// suspended, ready or on a run list — no M/D entry, no segment of a slab
+// suspended or ready — no M/D entry, no segment of a slab
 // holding them, no ready-queue block, and neither the map's key nor its value
 // type contains anything the collector follows. Threads carry
 // their object's pointer, never the object, so a freed slot keeps nothing
@@ -116,7 +115,6 @@ func TestThreadSlabsHoldNoPointers(t *testing.T) {
 	}{
 		{"waiter", reflect.TypeOf(waiter{})},
 		{"readyEntry", reflect.TypeOf(readyEntry{})},
-		{"runNode", reflect.TypeOf(runNode{})},
 		{"dEntry", reflect.TypeOf(dEntry{})},
 		{"ready-queue block", reflect.TypeOf(readyBlock{})},
 		{"waiter segment 0", reflect.TypeOf(RT{}.waiters.s0).Elem()},
@@ -125,9 +123,6 @@ func TestThreadSlabsHoldNoPointers(t *testing.T) {
 		{"M/D entry segment 0", reflect.TypeOf(RT{}.entries.s0).Elem()},
 		{"M/D entry segment 1", reflect.TypeOf(RT{}.entries.s1).Elem()},
 		{"M/D entry block", reflect.TypeOf(RT{}.entries.blocks).Elem().Elem()},
-		{"run-list segment 0", reflect.TypeOf(RT{}.oq.nodes.s0).Elem()},
-		{"run-list segment 1", reflect.TypeOf(RT{}.oq.nodes.s1).Elem()},
-		{"run-list block", reflect.TypeOf(RT{}.oq.nodes.blocks).Elem().Elem()},
 		{"M/D map key", table.Key()},
 		{"M/D map value", table.Elem()},
 	} {

@@ -23,7 +23,7 @@ func (rq *fetchReq) SnapshotFingerprint() uint64 {
 
 // EncodeSnapshot writes the runtime's complete deterministic state: the
 // fused M/D table (sorted by pointer key — map iteration order must not leak
-// into the encoding), aggregation buffers in FIFO order, ready queues,
+// into the encoding), aggregation buffers in FIFO order, the ready queue,
 // strip and planner state, and the per-phase statistics counters.
 // A suspended thread is represented by its count on the table entry: template
 // ids, closure slots and slab indices are host-side names that never reach an
@@ -53,7 +53,6 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 		e := rt.entries.at(rt.table[p])
 		w.U64(p.Key())
 		w.Bool(e.arrived)
-		w.U32(uint32(e.lastUse))
 		w.Int(int(e.n))
 		if e.arrived {
 			w.Int(rt.Space.Get(p).ByteSize())
@@ -69,7 +68,7 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	// the planner's records are empty in static mode (dim 0).
 	dests := &rt.dests
 	dim := 0
-	if rt.planned {
+	if rt.Cfg.Planned {
 		dim = rt.nodes
 	}
 	w.Int(rt.nodes)
@@ -110,7 +109,7 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Int(len(seen))
 	w.U64(h)
 
-	// Ready queues: entry identity is the object key (closures re-form on
+	// Ready queue: entry identity is the object key (closures re-form on
 	// replay); order matters, so fold in queue order.
 	w.Int(rt.ready.len())
 	h = uint64(rt.ready.len())
@@ -118,11 +117,9 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 		h = sim.MixFP(h, rt.ready.at(i).p.Key())
 	}
 	w.U64(h)
-	w.Int(rt.oq.len())
-	w.U64(rt.oq.digest(dests))
 
 	// Strip and planner state.
-	w.Bool(rt.planned)
+	w.Bool(rt.Cfg.Planned)
 	c := &rt.ctl
 	w.Int(c.strip)
 	w.Int(c.min)
@@ -199,7 +196,6 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.I64(st.FinalStrip)
 	w.I64(st.PlanStrips)
 	w.I64(st.PlanMispredicts)
-	w.I64(st.RegionReleases)
 	w.I64(st.PlanPriorHits)
 	w.I64(st.PriorBytes)
 	w.I64(st.ShapedRuns)

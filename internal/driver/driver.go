@@ -74,11 +74,11 @@ func WithAggLimit(n int) SpecOption { return func(s *Spec) { s.Core.AggLimit = n
 // WithShape selects DPA's planned mode, the alternative to the paper's static
 // strip: a closed-form cost model sizes every strip and the per-destination
 // aggregation limits from the previous strip's reuse summary, renamed copies
-// are pinned for exactly their reuse region, and — when a multi-phase runner
-// passes a PriorStore via WithPriors — repeated phases are planned from the
-// previous phase's measured signals, with top-level iterations reordered into
-// owner-major runs (affinity-shaped tiles, hence the name). Mutually
-// exclusive with the LIFO queue discipline (Core.LIFO).
+// are kept across strip boundaries while they fit the memory budget, and —
+// when a multi-phase runner passes a PriorStore via WithPriors — repeated
+// phases are planned from the previous phase's measured signals, with
+// top-level iterations reordered into owner-major runs (affinity-shaped
+// tiles, hence the name). Either queue discipline applies (Core.LIFO).
 func WithShape() SpecOption { return func(s *Spec) { s.Core.Planned = true } }
 
 // WithPipeline enables or disables DPA message pipelining (eager request

@@ -94,10 +94,14 @@ func TestSpecOptions(t *testing.T) {
 
 // TestSpecErrorsTyped: every Spec.Validate rejection, from each runtime's
 // validator and from the kind switch, matches ErrBadSpec and keeps the
-// validator's own message.
+// validator's own message. Planned mode with the LIFO queue discipline is a
+// valid spec.
 func TestSpecErrorsTyped(t *testing.T) {
 	lifoPlanned := DPASpec(50, WithShape())
 	lifoPlanned.Core.LIFO = true
+	if err := lifoPlanned.Validate(); err != nil {
+		t.Errorf("%v: Validate = %v, want nil", lifoPlanned, err)
+	}
 	badPoll := CachingSpec()
 	badPoll.Caching.PollEvery = -1
 	badSpawn := BlockingSpec()
@@ -108,7 +112,6 @@ func TestSpecErrorsTyped(t *testing.T) {
 	}{
 		{DPASpec(-1), "core: Strip must be >= 0 (0 = one strip), got -1"},
 		{DPASpec(50, WithAggLimit(-2)), "core: AggLimit must be >= 0 (0 = unlimited), got -2"},
-		{lifoPlanned, "core: Planned and LIFO are mutually exclusive (owner-major scheduling replaces the queue discipline)"},
 		{badPoll, "caching: PollEvery must be >= 0 (0 = every iteration), got -1"},
 		{badSpawn, "blocking: SpawnCost must be non-negative, got -1"},
 		{Spec{Kind: "bogus"}, `driver: unknown runtime kind "bogus"`},

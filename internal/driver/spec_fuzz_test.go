@@ -49,6 +49,7 @@ func FuzzSpecValidate(f *testing.F) {
 	add(knobs{strip: 50, stripMax: 4, agg: 16, pipeline: true, planned: true})
 	add(knobs{strip: 50, stripMin: 1, stripMax: 2, memBudget: 64, agg: 1, poll: 3, planned: true})
 	add(knobs{strip: 0, agg: 0, lifo: true})
+	add(knobs{strip: 50, agg: 16, poll: 1, lifo: true, pipeline: true, planned: true}) // planned, depth-first
 	add(knobs{strip: -1, agg: -1, poll: -1, lifo: true, planned: true})
 
 	f.Fuzz(func(t *testing.T, kind uint8, strip, stripMin, stripMax int16, memBudget int32, agg, poll int16,

@@ -25,8 +25,8 @@ func runX10(s *Session) {
 	s.printf("BFS, PageRank, and connected components on an RMAT graph of %d\n", prm.Vertices)
 	s.printf("vertices (avg degree %d) over %d nodes. Static DPA(50) drops its\n", prm.Degree, nodes)
 	s.printf("renamed copies at every strip boundary and refetches them; the\n")
-	s.printf("planner+prior row pins each copy for its reuse region ('peak copies'\n")
-	s.printf("is what that costs) and must report exactly 0 refetches.\n\n")
+	s.printf("planner+prior row keeps every copy across strip boundaries ('peak\n")
+	s.printf("copies' is what that costs) and must report exactly 0 refetches.\n\n")
 
 	// Each app's cell; the rows vary its Spec. BFS starts at vertex 0.
 	cell := func(app string) Cell {

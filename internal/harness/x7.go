@@ -10,8 +10,8 @@ import (
 // application by hand. Planned mode replaces the hand-picked strip with a
 // closed-form cost model over each strip's reuse summary (DESIGN.md §11):
 // strip size from the latency/batching/memory bounds, per-destination
-// aggregation limits from the owner histogram, and reuse-region pinning in
-// the D-table so every remote object is fetched exactly once per region;
+// aggregation limits from the owner histogram, and renamed copies kept in
+// the D-table across strips so every remote object is fetched once;
 // repeated phases start from the previous phase of their kind (§13). The
 // questions this experiment answers: does first contact cost anything (it
 // must not — the first strip is already model-chosen), are refetches
@@ -62,8 +62,8 @@ func runX7(s *Session) {
 			}
 		}
 		pr := row(driver.DPASpec(50, driver.WithShape()))
-		s.printf("planner: %d plans, %d mispredicts, %d region releases, final strip %d\n",
-			pr.RT.PlanStrips, pr.RT.PlanMispredicts, pr.RT.RegionReleases, pr.RT.FinalStrip)
+		s.printf("planner: %d plans, %d mispredicts, final strip %d\n",
+			pr.RT.PlanStrips, pr.RT.PlanMispredicts, pr.RT.FinalStrip)
 		s.printf("planner vs best static %+.2f%%\n\n", (float64(pr.Makespan)/float64(best)-1)*100)
 	}
 }

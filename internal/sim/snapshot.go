@@ -50,8 +50,11 @@ const snapshotMagic = "DPASNAP1"
 // its reuse gap. Version 7 files from builds that gave the caching and the
 // blocking runtime each a request and a reply payload type, rather than one
 // shared type, fingerprint an in-flight comparator fetch differently: such a
-// file fails -restore as a divergence, not as a version mismatch.
-const SnapshotVersion uint32 = 7
+// file fails -restore as a divergence, not as a version mismatch. Version 8:
+// the "rt" section lost each M/D entry's last-use strip stamp, the
+// owner-major ready queue's length and digest, and the region-release
+// counter.
+const SnapshotVersion uint32 = 8
 
 // ErrBadSnapshot is the sentinel matched by errors.Is for snapshot
 // encodings that fail to decode: truncated, corrupted (checksum mismatch),

@@ -73,8 +73,6 @@ func (r *Run) MetricsInto(reg *obs.Registry, phase string) {
 		Add(r.RT.PlanStrips, lbl()...)
 	reg.Counter("dpa_plan_mispredicts_total", "Planner strips whose outcome broke a model promise.").
 		Add(r.RT.PlanMispredicts, lbl()...)
-	reg.Counter("dpa_region_releases_total", "Renamed copies released at reuse-region close.").
-		Add(r.RT.RegionReleases, lbl()...)
 	reg.Counter("dpa_plan_prior_hits_total", "Planner decisions taken from a cross-phase prior.").
 		Add(r.RT.PlanPriorHits, lbl()...)
 	reg.Counter("dpa_shaped_runs_total", "Owner-major runs emitted by affinity-shaped loops.").

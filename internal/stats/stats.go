@@ -116,10 +116,6 @@ type RTStats struct {
 	// installed either way. Zero outside planner mode.
 	PlanStrips      int64
 	PlanMispredicts int64
-	// RegionReleases counts renamed copies released because their reuse
-	// region closed (planner mode's targeted alternative to the wholesale
-	// end-of-strip drop).
-	RegionReleases int64
 	// PlanPriorHits counts planner decisions taken from a cross-phase prior
 	// instead of cold state: warm-started first strips and affinity-shaped
 	// loops. Zero on a phase's first contact and whenever priors are off.
@@ -147,7 +143,6 @@ func (r *RTStats) merge(o RTStats) {
 	r.StripShrinks += o.StripShrinks
 	r.PlanStrips += o.PlanStrips
 	r.PlanMispredicts += o.PlanMispredicts
-	r.RegionReleases += o.RegionReleases
 	r.PlanPriorHits += o.PlanPriorHits
 	r.ShapedRuns += o.ShapedRuns
 	if o.PriorBytes > r.PriorBytes {
@@ -571,8 +566,8 @@ func (r *Run) Table(clockHz float64) string {
 			adaptTrace(r.Adapt), rt.FinalStrip, rt.StripGrows, rt.StripShrinks, rt.Refetches)
 	}
 	if rt.PlanStrips > 0 {
-		fmt.Fprintf(&b, "planner   %d strips planned, %d mispredicted, %d region releases\n",
-			rt.PlanStrips, rt.PlanMispredicts, rt.RegionReleases)
+		fmt.Fprintf(&b, "planner   %d strips planned, %d mispredicted\n",
+			rt.PlanStrips, rt.PlanMispredicts)
 	}
 	if rt.PlanPriorHits > 0 {
 		fmt.Fprintf(&b, "priors    %d prior hits, %d shaped runs, %.1f KB prior tables\n",
