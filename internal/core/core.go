@@ -29,6 +29,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"dpa/internal/fm"
 	"dpa/internal/gptr"
@@ -256,15 +257,10 @@ func (rt *RT) wakeReply(owner int, ptrs []gptr.Ptr) {
 // degradation: the entry was abandoned (owner declared unreachable) before
 // this late reply landed.
 func (rt *RT) arrive(p gptr.Ptr, owner int) *dEntry {
-	ei, ok := rt.table[p]
-	if !ok {
+	e := rt.lookup(p)
+	if e == nil || e.stamp != rt.stamp || e.n == 0 {
 		return nil
 	}
-	e := rt.entries.at(ei)
-	if e.arrived {
-		return nil
-	}
-	e.arrived = true
 	if rt.trc != nil {
 		rt.trc.Event(obs.KFetchReply, rt.EP.Node.Now(), int64(p.Key()), int64(owner))
 	}
@@ -278,19 +274,24 @@ func (rt *RT) arrive(p gptr.Ptr, owner int) *dEntry {
 	return e
 }
 
-// dEntry is one fused M/D table entry for a remote pointer: while the fetch
-// is in flight it holds the suspended threads (the paper's M table) as a FIFO
-// chain of n nodes through the waiter slab; once the reply lands it marks the
-// renamed copy arrived (the D table), and the copy itself is rt.Space.Get of
-// the entry's pointer. Fusing the two maps means a remote spawn costs one
-// hash probe instead of up to three. Entries live in RT.entries and the table
-// maps a pointer to an index, so neither the map nor the slab holds Go
-// pointers; a free entry links to the next through head. head and tail mean
+// dEntry is one remote pointer's fused M/D table entry. While the fetch is in
+// flight it holds the suspended threads (the paper's M table) as a FIFO chain
+// of n nodes through the waiter slab; once the reply has woken them n is zero
+// and the entry stands for the arrived renamed copy (the D table), which is
+// rt.Space.Get(p). A live entry whose copy has not arrived always has a
+// waiter, since the spawn that arms it suspends on it, so n == 0 is "arrived".
+// An entry is live while its stamp is the runtime's: a strip boundary drops
+// every copy by moving the runtime's stamp on, and an abandon moves the one
+// entry's back, so a stale entry is a pointer fetched earlier in the phase and
+// dropped since, which a spawn re-arms as a refetch. Entries are never freed
+// within a phase: the slab holds every remote pointer the phase has fetched,
+// in first-fetch order, and RT.index finds them. head and tail mean
 // nothing while n is zero. The sizeof regression test pins the layout.
 type dEntry struct {
-	head, tail int32 // first and last waiter of the chain
-	n          int32 // suspended threads
-	arrived    bool
+	p          gptr.Ptr
+	head, tail int32  // first and last waiter of the chain
+	n          int32  // suspended threads
+	stamp      uint32 // the runtime's stamp when last armed
 }
 
 // waiter is one suspended thread, a node of its entry's chain: the thread
@@ -341,22 +342,44 @@ func (rt *RT) freeWaiters(e *dEntry) {
 	e.n = 0
 }
 
-// newEntry takes a zeroed entry from the slab's free list.
-func (rt *RT) newEntry() int32 {
-	ei := rt.entryFree
-	if ei < 0 {
-		return rt.entries.push(dEntry{})
+// The M/D index (RT.index) maps a remote pointer to its entry: a power-of-two
+// cell array over the entry slab, where a cell holds entry index + 1 and 0
+// marks an empty cell, probed linearly from the pointer's Fibonacci hash at
+// load at most one half. Nothing is deleted from it within a phase (a dropped
+// entry stays, stale), so there are no tombstones, and growth rehashes from
+// the slab. Neither the cells nor the slab hold a Go pointer. The index
+// starts with room for seg0 pointers, as many as the slab's first segment.
+const mdMinCells = 2 * seg0
+
+// probe returns the cell holding p's entry, or the empty cell where it would
+// be inserted. The index must be non-empty.
+func (rt *RT) probe(p gptr.Ptr) int {
+	mask := len(rt.index) - 1
+	i := int(p.Key() * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(mask)))
+	for c := rt.index[i]; c != 0 && rt.entries.at(c-1).p != p; c = rt.index[i] {
+		i = (i + 1) & mask
 	}
-	e := rt.entries.at(ei)
-	rt.entryFree, e.head = e.head, 0
-	return ei
+	return i
 }
 
-// freeEntry zeroes entry ei and puts it on the free list. The caller removes
-// it from the table.
-func (rt *RT) freeEntry(ei int32) {
-	*rt.entries.at(ei) = dEntry{head: rt.entryFree}
-	rt.entryFree = ei
+// lookup returns p's entry, live or stale, or nil when the phase has not
+// fetched p.
+func (rt *RT) lookup(p gptr.Ptr) *dEntry {
+	if len(rt.index) == 0 {
+		return nil
+	}
+	if c := rt.index[rt.probe(p)]; c != 0 {
+		return rt.entries.at(c - 1)
+	}
+	return nil
+}
+
+// growIndex doubles the index (or creates it) and rehashes every entry.
+func (rt *RT) growIndex() {
+	rt.index = make([]int32, max(2*len(rt.index), mdMinCells))
+	for ei := int32(0); ei < rt.entries.n; ei++ {
+		rt.index[rt.probe(rt.entries.at(ei).p)] = ei + 1
+	}
 }
 
 // RT is the per-node DPA runtime instance.
@@ -367,16 +390,17 @@ type RT struct {
 	proto *Proto
 
 	ready   readyQueue
-	table   map[gptr.Ptr]int32 // fused M/D: pointer -> index into entries
+	index   []int32 // M/D index over entries: entry index + 1, 0 = empty cell
 	waiting int
 
 	// Thread records (see DESIGN.md §6, "Thread records"). A thread is a
 	// pointer, a template and two frame words; everything that holds threads
-	// is a slab linked by index, whose free lists end at -1. The two list
-	// heads share a word (TestHotStructSizeBudgets' RT row).
-	entries    seg[dEntry] // M/D entry slab
+	// is a slab linked by index, whose free list ends at -1. The strip stamp
+	// and the free list's head share a word (TestHotStructSizeBudgets' RT
+	// row).
+	entries    seg[dEntry] // M/D entries, one per pointer fetched this phase
 	waiters    seg[waiter] // suspended-thread slab
-	entryFree  int32       // free entries, linked through head
+	stamp      uint32      // live entries' stamp; dropCopies moves it on
 	waiterFree int32       // free waiter nodes, linked through next
 	tmpls      Templates   // this phase's templates; a record's tmpl indexes it
 	closures   Closures    // Spawn's parked closures (threads.go)
@@ -394,13 +418,8 @@ type RT struct {
 	err error // first degradation error (unreachable owners), if any
 
 	arrivedBytes int64
-	// seen holds the pointers whose table entry was dropped earlier in the
-	// phase (forget). Only such a pointer can be refetched, so the fetch path
-	// consults the set only once something is in it, and a phase that never
-	// drops never touches it.
-	seen map[gptr.Ptr]struct{}
-	st   stats.RTStats
-	pool pools
+	st           stats.RTStats
+	pool         pools
 
 	// trc is the node's observability handle (nil when tracing is off),
 	// cached at construction so hot-path emission sites pay one nil check.
@@ -441,22 +460,19 @@ func New(proto *Proto, ep *fm.EP, space *gptr.Space, cfg Config, prev *RT) *RT {
 // closure still parked) and carried over; every other field — counters,
 // EWMAs, strip and planner state, configuration, bindings — is zeroed by
 // omission from the literal, so nothing a new field adds can leak across
-// phases. On a zero RT it only creates the two maps.
+// phases.
 func (rt *RT) recycle() {
-	clear(rt.table)
-	clear(rt.seen)
+	clear(rt.index)
 	rt.tmpls.Reset()
 	rt.closures.Reset()
 	rt.dests.reset()
 	rt.entries.reset()
 	rt.waiters.reset()
 	*rt = RT{
-		table:      rt.table,
-		seen:       rt.seen,
+		index:      rt.index,
 		pool:       rt.pool,
 		dests:      rt.dests,
 		entries:    rt.entries,
-		entryFree:  -1,
 		waiters:    rt.waiters,
 		waiterFree: -1,
 		tmpls:      rt.tmpls,
@@ -465,10 +481,6 @@ func (rt *RT) recycle() {
 		aggDests:   rt.aggDests[:0],
 		trace:      rt.trace[:0],
 		plan:       planState{perm: rt.plan.perm},
-	}
-	if rt.table == nil {
-		rt.table = make(map[gptr.Ptr]int32)
-		rt.seen = make(map[gptr.Ptr]struct{})
 	}
 }
 
@@ -523,10 +535,17 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 		// phase's owner-major shaping.
 		rt.plan.recAff[rt.plan.curIter] = int32(p.Node)
 	}
-	if ei, ok := rt.table[p]; ok {
-		e := rt.entries.at(ei)
+	if 2*(int(rt.entries.n)+1) > len(rt.index) {
+		rt.growIndex() // room for one more pointer at load <= 1/2
+	}
+	ci := rt.probe(p)
+	var e *dEntry
+	if c := rt.index[ci]; c != 0 {
+		e = rt.entries.at(c - 1)
+	}
+	if e != nil && e.stamp == rt.stamp {
 		rt.st.Reuses++
-		if e.arrived {
+		if e.n == 0 {
 			rt.ready.push(t)
 		} else {
 			rt.suspend(e, tmpl, a0, a1)
@@ -534,18 +553,19 @@ func (rt *RT) spawn(p gptr.Ptr, tmpl int32, a0, a1 uint64) {
 		rt.trackPeak()
 		return
 	}
-	ei := rt.newEntry()
-	e := rt.entries.at(ei)
-	rt.suspend(e, tmpl, a0, a1)
-	rt.table[p] = ei
-	rt.st.Fetches++
-	if len(rt.seen) > 0 {
-		if _, dup := rt.seen[p]; dup {
-			// Fetched before and dropped since (a strip boundary): the
-			// refetch traffic the strip size trades against memory.
-			rt.st.Refetches++
-		}
+	if e == nil {
+		ei := rt.entries.push(dEntry{p: p, stamp: rt.stamp})
+		rt.index[ci] = ei + 1
+		e = rt.entries.at(ei)
+	} else {
+		// Fetched before and dropped since (a strip boundary, or an
+		// abandon): the refetch traffic the strip size trades against
+		// memory. The stale entry is re-armed in place.
+		rt.st.Refetches++
+		e.stamp = rt.stamp
 	}
+	rt.suspend(e, tmpl, a0, a1)
+	rt.st.Fetches++
 	rt.enqueueReq(p)
 	rt.trackPeak()
 }
@@ -689,25 +709,12 @@ func (rt *RT) Drain() {
 }
 
 // abandonUnreachable drops all fetch state destined for owners declared
-// unreachable, reporting whether it made progress. The table scan's effects
-// are order-independent (counter sums and deletions only), so the map
-// iteration order cannot perturb determinism.
+// unreachable, reporting whether it made progress.
 func (rt *RT) abandonUnreachable() bool {
 	if !rt.EP.Degraded() {
 		return false
 	}
-	progress := false
-	for p, ei := range rt.table {
-		e := rt.entries.at(ei)
-		if e.arrived || !rt.EP.Unreachable(int(p.Node)) {
-			continue
-		}
-		rt.st.Abandoned += int64(e.n)
-		rt.waiting -= int(e.n)
-		rt.freeWaiters(e)
-		rt.forget(p, ei)
-		progress = true
-	}
+	progress := rt.abandonFetches(rt.EP)
 	for i := range rt.dests.slots {
 		if d := &rt.dests.slots[i]; d.pending > 0 && rt.EP.Unreachable(int(d.owner)) {
 			rt.pendingReplies -= int(d.pending)
@@ -718,6 +725,27 @@ func (rt *RT) abandonUnreachable() bool {
 	if progress && rt.err == nil {
 		rt.err = fmt.Errorf("core: abandoned threads waiting on unreachable owners: %w",
 			fm.ErrUnreachable)
+	}
+	return progress
+}
+
+// abandonFetches drops every fetch in flight to an owner net reports
+// unreachable, counting its suspended threads abandoned, and reports whether
+// there was one. The walk's effects are order-independent (counter sums and
+// stale marks only); it goes in first-fetch order all the same, and stops
+// once no thread is left waiting.
+func (rt *RT) abandonFetches(net interface{ Unreachable(owner int) bool }) bool {
+	progress := false
+	for ei := int32(0); ei < rt.entries.n && rt.waiting > 0; ei++ {
+		e := rt.entries.at(ei)
+		if e.n == 0 || e.stamp != rt.stamp || !net.Unreachable(int(e.p.Node)) {
+			continue
+		}
+		rt.st.Abandoned += int64(e.n)
+		rt.waiting -= int(e.n)
+		rt.freeWaiters(e)
+		rt.forget(e)
+		progress = true
 	}
 	return progress
 }
@@ -788,7 +816,7 @@ func (rt *RT) ForAll(n int, spawnIter func(i int)) {
 	}
 }
 
-// endStrip discards the strip's renamed copies, recycling the table entries.
+// endStrip discards the strip's renamed copies.
 func (rt *RT) endStrip() {
 	rt.checkStripInvariant()
 	rt.dropCopies()
@@ -801,24 +829,14 @@ func (rt *RT) checkStripInvariant() {
 	}
 }
 
-// forget removes p's entry from the M/D table, remembering that p was
-// fetched: every removal goes through here or dropCopies, which is what lets
-// seen stand for "fetched and since dropped".
-func (rt *RT) forget(p gptr.Ptr, ei int32) {
-	rt.seen[p] = struct{}{}
-	delete(rt.table, p)
-	rt.freeEntry(ei)
-}
+// forget drops one live entry, which a later spawn of its pointer refetches.
+func (rt *RT) forget(e *dEntry) { e.stamp = rt.stamp - 1 }
 
-// dropCopies empties the M/D table. Every fetch has landed (or was
-// abandoned) by the time a strip ends, so the whole entry slab is free.
+// dropCopies drops every live entry by moving the stamp on. Every fetch has
+// landed (or was abandoned) by the time a strip ends, so no dropped entry
+// holds a waiter.
 func (rt *RT) dropCopies() {
-	for p := range rt.table {
-		rt.seen[p] = struct{}{}
-	}
-	clear(rt.table)
-	rt.entries.reset()
-	rt.entryFree = -1
+	rt.stamp++
 	rt.arrivedBytes = 0
 }
 

@@ -69,7 +69,7 @@ func nodeFootprint(t *testing.T, nodes, threads int) uint64 {
 // first phase sizes, plus one measured row for everything else. A failing
 // test means a node's first storage changed size: restore it, or re-derive
 // the row in the same change and say why the node should pay for it. The
-// pin holds both ways: first segments back at 64 elements (+1,408 bytes)
+// pin holds both ways: first segments back at 64 elements (+1,536 bytes)
 // fail it, and so do 16-message heap and drain seeds again (−1,792 bytes),
 // which busier nodes outgrow by append.
 func TestNodeFootprint(t *testing.T) {
@@ -90,6 +90,9 @@ func TestNodeFootprint(t *testing.T) {
 		// for 8 entries and 8 waiters.
 		{"M/D entry segment 0", 32 * unsafe.Sizeof(dEntry{})},
 		{"waiter segment 0", 32 * unsafe.Sizeof(waiter{})},
+		// The M/D index at its first size, 64 cells: room for 32 pointers,
+		// as many as the entry segment holds.
+		{"M/D index", mdMinCells * unsafe.Sizeof(int32(0))},
 		// The ready queue's first chunk, one 64-entry block, and its ring
 		// of two block pointers.
 		{"ready queue", 64*unsafe.Sizeof(readyEntry{}) + 2*8},
@@ -105,8 +108,8 @@ func TestNodeFootprint(t *testing.T) {
 		// the fetch records' free list, record chunk and pointer chunk
 		// (≈ 1,010 bytes), the simulated process and its coroutine
 		// (≈ 800), the endpoint and the machine's per-node state (≈ 580),
-		// and the M/D and seen maps and the thread template (≈ 370).
-		{"fetch records, process, endpoint, maps", 2770},
+		// and the thread template (≈ 55).
+		{"fetch records, process, endpoint, template", 2445},
 	}
 	var budget uintptr
 	for _, r := range rows {

@@ -171,8 +171,8 @@ func TestWakeReplyWakesAllWaitersOnce(t *testing.T) {
 				st.Fetches, st.Reuses, ptrs, ptrs*(waiters-1))
 		}
 		var ptrs []gptr.Ptr
-		for p := range rt.table {
-			ptrs = append(ptrs, p)
+		for ei := int32(0); ei < rt.entries.n; ei++ {
+			ptrs = append(ptrs, rt.entries.at(ei).p)
 		}
 		rt.wakeReply(int(ptrs[0].Node), ptrs)
 		if rt.ready.len() != 0 || rt.waiting != 0 {

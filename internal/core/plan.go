@@ -250,7 +250,6 @@ func (rt *RT) forAllPlanned(n int, spawnIter func(i int)) {
 			rt.trc.Event(obs.KStrip, rt.EP.Node.Now(), int64(lo), int64(hi-lo))
 		}
 		rt.planStrip(sig)
-		rt.plan.stripIdx++
 		lo = hi
 	}
 	rt.st.FinalStrip = int64(c.strip)

@@ -30,12 +30,11 @@ import (
 // copies overflow the budget.
 
 // planState is the per-node planner state: the reuse summary under
-// construction (per-owner fetch histogram), the previous strip's completed
-// summary (the prediction source for this strip), and the monotone strip
-// index.
+// construction (per-owner fetch histogram) and the previous strip's completed
+// summary (the prediction source for this strip). The phase's strip count is
+// st.PlanStrips.
 type planState struct {
-	stripIdx int32 // monotone strip counter across loops within the phase
-	modelled bool  // the phase's first strip has been sized (cold or warm)
+	modelled bool // the phase's first strip has been sized (cold or warm)
 	// overBudget records that the copies kept across strips exceeded the
 	// memory budget at the last boundary (endStripPlanned dropped them all)
 	// — a memory-model misprediction even when no single strip overflowed.

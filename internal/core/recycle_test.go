@@ -101,8 +101,8 @@ func TestNewFootprintIndependentOfMachineSize(t *testing.T) {
 
 // dirtyCfg is shapedCfg under memory pressure: strips stay at 50 iterations
 // and the budget holds one strip's copies but not two, so strip boundaries
-// release closed reuse regions (which is what fills the seen set) while the
-// last strip's copies stay.
+// drop copies (which is what leaves dropped entries in the M/D index) while
+// the last strip's copies stay.
 func dirtyCfg() Config {
 	c := shapedCfg()
 	c.StripMax = 50
@@ -112,8 +112,8 @@ func dirtyCfg() Config {
 
 // dirtyPhase runs one dirtyCfg phase on a fresh 4-node machine with every
 // node's runtime built on the storage of rts, where it leaves it: node 0 fetches objects from all three
-// other nodes (so the destination table, the M/D table, the seen set, the
-// free lists and the controller trace all fill up, and copies
+// other nodes (so the destination table, the M/D index's live and dropped
+// entries, the free lists and the controller trace all fill up, and copies
 // are still retained when the phase ends), attaches a prior and folds it.
 // inspect, if set, runs on node 0 right after New, before any of that.
 func dirtyPhase(t *testing.T, net *fm.Net, proto *Proto, space *gptr.Space, ptrs []gptr.Ptr,
@@ -159,10 +159,11 @@ func TestRecycledRuntimeEncodesLikeFresh(t *testing.T) {
 	dirtyPhase(t, net, proto, space, ptrs, rts, pt, nil) // warm: shaped, retained copies
 
 	old := rts[0]
-	if len(old.table) == 0 || len(old.seen) == 0 || len(old.dests.slots) < 3 ||
-		len(old.trace) == 0 || old.st.Fetches == 0 || old.plan.stripIdx == 0 {
-		t.Fatalf("the dirtying phases left the runtime too clean to test a reset: table=%d seen=%d dests=%d trace=%d fetches=%d strips=%d",
-			len(old.table), len(old.seen), len(old.dests.slots), len(old.trace), old.st.Fetches, old.plan.stripIdx)
+	live, dropped := mdCounts(old)
+	if live == 0 || dropped == 0 || len(old.dests.slots) < 3 ||
+		len(old.trace) == 0 || old.st.Fetches == 0 || old.st.PlanStrips == 0 {
+		t.Fatalf("the dirtying phases left the runtime too clean to test a reset: live=%d dropped=%d dests=%d trace=%d fetches=%d strips=%d",
+			live, dropped, len(old.dests.slots), len(old.trace), old.st.Fetches, old.st.PlanStrips)
 	}
 
 	var recycled, fresh []byte
@@ -170,9 +171,9 @@ func TestRecycledRuntimeEncodesLikeFresh(t *testing.T) {
 		var w sim.SnapWriter
 		rt.EncodeSnapshot(&w)
 		recycled = append([]byte(nil), w.Bytes()...)
-		if cap(rt.dests.slots) < 3 || rt.entries.c == 0 || rt.waiters.c == 0 {
-			t.Errorf("recycled runtime kept no storage: cap(slots)=%d cap(entries)=%d cap(waiters)=%d",
-				cap(rt.dests.slots), rt.entries.c, rt.waiters.c)
+		if cap(rt.dests.slots) < 3 || rt.entries.c == 0 || rt.waiters.c == 0 || len(rt.index) == 0 {
+			t.Errorf("recycled runtime kept no storage: cap(slots)=%d cap(entries)=%d cap(waiters)=%d cells=%d",
+				cap(rt.dests.slots), rt.entries.c, rt.waiters.c, len(rt.index))
 		}
 		var wf sim.SnapWriter
 		New(proto, ep, space, dirtyCfg(), nil).EncodeSnapshot(&wf)

@@ -9,8 +9,8 @@ import (
 )
 
 // Layout budgets for the runtime's hot structs (64-bit platforms). dEntry is
-// the fused M/D table entry — one slab element per renamed copy. waiter and
-// readyEntry are the thread record suspended and ready: outstanding-thread
+// the fused M/D table entry — one slab element per pointer a phase fetches.
+// waiter and readyEntry are the thread record suspended and ready: outstanding-thread
 // memory is PeakOutstanding times one of the two. destState is the per-touched-owner slot that replaced nine dense
 // per-node arrays. fetchReq is the fetch protocol's one record, the
 // free-list node recycled on every aggregation batch, and pools the node's
@@ -27,9 +27,12 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		size   uintptr
 		budget uintptr
 	}{
-		// The waiter chain's head, tail and count (three int32) + arrived
-		// (bool), padded to int32 alignment.
-		{"core.dEntry", unsafe.Sizeof(dEntry{}), 16},
+		// The pointer (two int32), the waiter chain's head, tail and count
+		// and the strip stamp (four int32); arrived is n == 0. The pointer
+		// lets the index compare keys and rehash from the slab with no map
+		// beside it, and the stamp drops every copy at a strip boundary in
+		// O(1).
+		{"core.dEntry", unsafe.Sizeof(dEntry{}), 24},
 		// A suspended thread: two frame words + template and next-node
 		// index (int32 each) sharing the third.
 		{"core.waiter", unsafe.Sizeof(waiter{}), 24},
@@ -57,7 +60,10 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		// allocator's 8-byte header for a pointerful object above 512
 		// bytes it takes the 1,152-byte size class, which holds up to
 		// 1,144 bytes; at 1,016 or less it would take the 1,024-byte one.
-		{"core.RT", unsafe.Sizeof(RT{}), 1032},
+		// At 1,040 bytes, with the M/D index's slice header and the strip
+		// stamp sharing a word with the waiter free list, it is in the
+		// 1,152-byte class.
+		{"core.RT", unsafe.Sizeof(RT{}), 1040},
 		// The static ready queue: the block ring's slice header, the head's
 		// and the tail's block pointers, and five int32 (their ring
 		// positions and slots, the count).
@@ -81,10 +87,10 @@ func TestHotStructSizeBudgets(t *testing.T) {
 }
 
 // TestThreadSlabsHoldNoPointers pins the property that takes every thread
-// slab and the M/D map out of the collector's scanning: no thread record —
+// slab and the M/D index out of the collector's scanning: no thread record —
 // suspended or ready — no M/D entry, no segment of a slab
-// holding them, no ready-queue block, and neither the map's key nor its value
-// type contains anything the collector follows. Threads carry
+// holding them, no ready-queue block, and no cell of the index contains
+// anything the collector follows. Threads carry
 // their object's pointer, never the object, so a freed slot keeps nothing
 // alive and needs no clearing. The slab layout alone does not give that — a
 // func or interface field added to a record later would lose it silently.
@@ -108,7 +114,6 @@ func TestThreadSlabsHoldNoPointers(t *testing.T) {
 		}
 		return false // pointer, func, interface, slice, map, chan, string, unsafe pointer
 	}
-	table := reflect.TypeOf(RT{}.table)
 	for _, c := range []struct {
 		name string
 		ty   reflect.Type
@@ -123,8 +128,7 @@ func TestThreadSlabsHoldNoPointers(t *testing.T) {
 		{"M/D entry segment 0", reflect.TypeOf(RT{}.entries.s0).Elem()},
 		{"M/D entry segment 1", reflect.TypeOf(RT{}.entries.s1).Elem()},
 		{"M/D entry block", reflect.TypeOf(RT{}.entries.blocks).Elem().Elem()},
-		{"M/D map key", table.Key()},
-		{"M/D map value", table.Elem()},
+		{"M/D index cell", reflect.TypeOf(RT{}.index).Elem()},
 	} {
 		if !pointerFree(c.ty) {
 			t.Errorf("%s (%v) holds a pointer: the collector scans every element again", c.name, c.ty)

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"dpa/internal/gptr"
 	"dpa/internal/sim"
@@ -22,8 +22,8 @@ func (rq *fetchReq) SnapshotFingerprint() uint64 {
 }
 
 // EncodeSnapshot writes the runtime's complete deterministic state: the
-// fused M/D table (sorted by pointer key — map iteration order must not leak
-// into the encoding), aggregation buffers in FIFO order, the ready queue,
+// fused M/D table (sorted by pointer key — the slab's first-fetch order must
+// not leak into the encoding), aggregation buffers in FIFO order, the ready queue,
 // strip and planner state, and the per-phase statistics counters.
 // A suspended thread is represented by its count on the table entry: template
 // ids, closure slots and slab indices are host-side names that never reach an
@@ -42,20 +42,21 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 		w.Bool(false)
 	}
 
-	// Fused M/D table, canonical order.
-	ptrs := make([]gptr.Ptr, 0, len(rt.table))
-	for p := range rt.table {
-		ptrs = append(ptrs, p)
+	// Fused M/D table: the live entries, in canonical order.
+	live := make([]*dEntry, 0, rt.entries.n)
+	for ei := int32(0); ei < rt.entries.n; ei++ {
+		if e := rt.entries.at(ei); e.stamp == rt.stamp {
+			live = append(live, e)
+		}
 	}
-	sort.Slice(ptrs, func(a, b int) bool { return ptrs[a].Key() < ptrs[b].Key() })
-	w.Int(len(ptrs))
-	for _, p := range ptrs {
-		e := rt.entries.at(rt.table[p])
-		w.U64(p.Key())
-		w.Bool(e.arrived)
+	slices.SortFunc(live, func(a, b *dEntry) int { return cmp.Compare(a.p.Key(), b.p.Key()) })
+	w.Int(len(live))
+	for _, e := range live {
+		w.U64(e.p.Key())
+		w.Bool(e.n == 0)
 		w.Int(int(e.n))
-		if e.arrived {
-			w.Int(rt.Space.Get(p).ByteSize())
+		if e.n == 0 {
+			w.Int(rt.Space.Get(e.p).ByteSize())
 		} else {
 			w.Int(-1)
 		}
@@ -90,23 +91,19 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	}
 	dests.dense(rt.nodes, func(d *destState) { w.Int(int(d.pending)) })
 
-	// Every pointer fetched so far this phase — those still in the table and
-	// those dropped since (rt.seen); a refetched one is in both — in canonical
-	// order, folded to a digest (the set can be large).
-	seen := make([]uint64, 0, len(ptrs)+len(rt.seen))
-	for _, p := range ptrs {
-		seen = append(seen, p.Key())
+	// Every pointer fetched so far this phase — the slab holds each once,
+	// live or dropped since — in canonical order, folded to a digest (the set
+	// can be large).
+	fetched := make([]uint64, rt.entries.n)
+	for ei := range fetched {
+		fetched[ei] = rt.entries.at(int32(ei)).p.Key()
 	}
-	for p := range rt.seen {
-		seen = append(seen, p.Key())
-	}
-	slices.Sort(seen)
-	seen = slices.Compact(seen)
-	h := uint64(len(seen))
-	for _, k := range seen {
+	slices.Sort(fetched)
+	h := uint64(len(fetched))
+	for _, k := range fetched {
 		h = sim.MixFP(h, k)
 	}
-	w.Int(len(seen))
+	w.Int(len(fetched))
 	w.U64(h)
 
 	// Ready queue: entry identity is the object key (closures re-form on
@@ -133,7 +130,7 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Time(c.baseNow)
 	w.I64(c.stripPeak)
 	ps := &rt.plan
-	w.U32(uint32(ps.stripIdx))
+	w.U32(uint32(rt.st.PlanStrips))
 	w.Bool(ps.modelled)
 	w.Bool(ps.overBudget)
 	w.Int(dim)
