@@ -242,7 +242,9 @@ func WithShape() SpecOption { return driver.WithShape() }
 type PriorStore = driver.PriorStore
 
 // NewPriorStore returns an empty cross-phase prior store. One store should
-// span exactly one multi-phase run.
+// span exactly one multi-phase run; Close it when the run ends, or the
+// simulated machine it carries between phases keeps one parked goroutine
+// per node.
 func NewPriorStore() *PriorStore { return driver.NewPriorStore() }
 
 // WithPriors hands the phase a cross-phase prior store keyed by the given

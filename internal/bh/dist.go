@@ -217,6 +217,7 @@ func RunSteps(mcfg machine.Config, spec driver.Spec, bodies []nbody.Body, steps 
 	copy(cur, bodies)
 	var cost []float64
 	ps := driver.NewPriorStore() // cross-phase priors for repeated force phases
+	defer ps.Close()
 	for s := 0; s < steps; s++ {
 		t := Build(cur, p.LeafCap)
 		d := Distribute(t, mcfg.Nodes, p.ReplDepth, cost)
@@ -250,6 +251,7 @@ func SeqSteps(bodies []nbody.Body, steps int, p Params) stats.Run {
 				acc[i] = t.ForceOn(int32(i), p.Theta, p.Eps, p.Quad, p.Costs, nd.Charge, nil)
 			}
 		})
+		m.Close()
 		if err != nil {
 			panic(err) // single-node baseline cannot legitimately deadlock
 		}

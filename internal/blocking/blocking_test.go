@@ -23,6 +23,7 @@ func TestBlockingSpawnRunsInOrder(t *testing.T) {
 	}
 	var order []int
 	m := machine.New(machine.DefaultT3D(2))
+	defer m.Close()
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
 		rt := New(proto, ep, space, Default(), nil)
@@ -50,6 +51,7 @@ func TestEveryRemoteAccessRoundTrips(t *testing.T) {
 	space := gptr.NewSpace(2)
 	p := space.Alloc(1, obj{id: 1})
 	m := machine.New(machine.DefaultT3D(2))
+	defer m.Close()
 	var st int64
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
@@ -76,6 +78,7 @@ func TestBlockingAccumulatesIdle(t *testing.T) {
 		ptrs = append(ptrs, space.Alloc(1, obj{id: i}))
 	}
 	m := machine.New(machine.DefaultT3D(2))
+	defer m.Close()
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
 		rt := New(proto, ep, space, Default(), nil)
@@ -104,6 +107,7 @@ func TestNestedBlockingSpawns(t *testing.T) {
 	root := space.Alloc(1, obj{id: 1})
 	var order []int
 	m := machine.New(machine.DefaultT3D(2))
+	defer m.Close()
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
 		rt := New(proto, ep, space, Default(), nil)
@@ -134,6 +138,7 @@ func TestMutualBlockingService(t *testing.T) {
 	}
 	ran := [2]int{}
 	m := machine.New(machine.DefaultT3D(2))
+	defer m.Close()
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
 		rt := New(proto, ep, space, Default(), nil)

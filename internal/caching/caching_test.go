@@ -28,6 +28,7 @@ func newWorld(n int) *world {
 
 func (w *world) run(cfg Config, main func(rt *RT)) (stats.RTStats, *machine.Machine) {
 	m := machine.New(machine.DefaultT3D(w.n))
+	defer m.Close()
 	var st stats.RTStats
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(w.net, nd)

@@ -40,6 +40,7 @@ func newWorld(n int) *world {
 // returns node 0's runtime stats.
 func (w *world) run(cfg Config, main func(rt *RT)) (stats.RTStats, *machine.Machine) {
 	m := machine.New(machine.DefaultT3D(w.n))
+	defer m.Close()
 	var st stats.RTStats
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(w.net, nd)
@@ -366,6 +367,7 @@ func TestPipeliningReducesIdle(t *testing.T) {
 		cfg.Pipeline = pipeline
 		cfg.AggLimit = 4
 		m := machine.New(mcfg)
+		defer m.Close()
 		m.Run(func(nd *machine.Node) {
 			ep := fm.NewEP(net, nd)
 			rt := New(proto, ep, space, cfg, nil)
@@ -403,6 +405,7 @@ func TestCrossRequests(t *testing.T) {
 	}
 	ran := [2]int{}
 	m := machine.New(machine.DefaultT3D(n))
+	defer m.Close()
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
 		rt := New(proto, ep, space, Default(), nil)

@@ -18,7 +18,9 @@ import (
 // measurement; the machine, its processes and endpoints, and the runtimes
 // built with no previous storage are inside it. The Go runtime may allocate
 // behind the measurement's back (a GC worker starting, say); the smallest of
-// a few tries is the program's own figure.
+// a few tries is the program's own figure. Each try closes its machine, so
+// the next one's coroutines run on the goroutines it gave back rather than
+// paying the Go runtime for new ones.
 func nodeFootprint(t *testing.T, nodes, threads int) uint64 {
 	t.Helper()
 	net := fm.NewNet()
@@ -37,7 +39,8 @@ func nodeFootprint(t *testing.T, nodes, threads int) uint64 {
 		ran := make([]int, nodes)
 		var ms0, ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms0)
-		_, err := machine.New(mcfg).Run(func(nd *machine.Node) {
+		m := machine.New(mcfg)
+		_, err := m.Run(func(nd *machine.Node) {
 			me := nd.ID()
 			ep := fm.NewEP(net, nd)
 			rt := New(proto, ep, space, staticCfg(), nil)
@@ -48,6 +51,7 @@ func nodeFootprint(t *testing.T, nodes, threads int) uint64 {
 			ep.Barrier()
 		})
 		runtime.ReadMemStats(&ms1)
+		m.Close() // its goroutines go back to the Go runtime for the next try
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,12 +108,17 @@ func TestNodeFootprint(t *testing.T) {
 		// The mailbox's three lanes carved from one slab: 16 ring
 		// messages, 32 overflow-heap messages and 32 drain-buffer ones.
 		{"mailbox seeds", (16 + 32 + 32) * unsafe.Sizeof(sim.Message{})},
-		// Everything else, measured with -memprofilerate=1 under Go 1.24:
-		// the fetch records' free list, record chunk and pointer chunk
-		// (≈ 1,010 bytes), the simulated process and its coroutine
-		// (≈ 800), the endpoint and the machine's per-node state (≈ 580),
-		// and the thread template (≈ 55).
-		{"fetch records, process, endpoint, template", 2445},
+		// The simulated process and its coroutine, made on the node's
+		// first phase and kept by every later one, measured with
+		// -memprofilerate=1 under Go 1.24: the sim.Proc (384), iter.Pull's
+		// state (272) and its body closure (64), and the coro with the
+		// closure its loop runs in (48).
+		{"process and its coroutine", 768},
+		// Everything else, measured the same way: the fetch records' free
+		// list, record chunk and pointer chunk (≈ 1,010 bytes), the
+		// endpoint and the machine's per-node state (≈ 580), and the
+		// thread template (≈ 55).
+		{"fetch records, endpoint, template", 1683},
 	}
 	var budget uintptr
 	for _, r := range rows {

@@ -173,7 +173,9 @@ func FuzzMDIndex(f *testing.F) {
 			keys = colliding
 		}
 		steps = steps[1:]
-		_, err := machine.New(machine.DefaultT3D(nodes)).Run(func(nd *machine.Node) {
+		m := machine.New(machine.DefaultT3D(nodes))
+		defer m.Close()
+		_, err := m.Run(func(nd *machine.Node) {
 			if nd.ID() != 0 {
 				return
 			}
@@ -283,7 +285,9 @@ func TestColdIndexGrowsLogarithmically(t *testing.T) {
 	for phase, want := range []int{bits.Len(2 * n / mdMinCells), 0} {
 		var grows int
 		var cells int
-		machine.New(machine.DefaultT3D(2)).Run(func(nd *machine.Node) {
+		m := machine.New(machine.DefaultT3D(2))
+		defer m.Close()
+		m.Run(func(nd *machine.Node) {
 			ep := fm.NewEP(w.net, nd)
 			rt := New(w.proto, ep, w.space, staticCfg(), rts[nd.ID()])
 			rts[nd.ID()] = rt

@@ -66,7 +66,9 @@ func (w *threadWorld) phase(t testing.TB, cfg Config, kind string, n int, closur
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	var count [2]int
-	_, err := machine.New(mcfg).Run(func(nd *machine.Node) {
+	m := machine.New(mcfg)
+	defer m.Close()
+	_, err := m.Run(func(nd *machine.Node) {
 		me := nd.ID()
 		ep := fm.NewEP(w.net, nd)
 		rt := New(w.proto, ep, w.space, cfg, w.rts[me])

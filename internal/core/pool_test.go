@@ -116,7 +116,9 @@ func TestFetchRecordsReturnHome(t *testing.T) {
 			priors := make([]PriorTable, nodes)
 			var reqs [nodes]int64
 			phase := func() {
-				_, err := machine.New(machine.DefaultT3D(nodes)).Run(func(nd *machine.Node) {
+				m := machine.New(machine.DefaultT3D(nodes))
+				defer m.Close()
+				_, err := m.Run(func(nd *machine.Node) {
 					me := nd.ID()
 					ep := fm.NewEP(net, nd)
 					rt := New(proto, ep, space, c.cfg, rts[me])
@@ -281,7 +283,9 @@ func TestColdRecordsComeInSlabs(t *testing.T) {
 			}
 		}
 		var st [nodes]stats.RTStats
-		makespan, err := machine.New(mcfg).Run(func(nd *machine.Node) {
+		m := machine.New(mcfg)
+		defer m.Close()
+		makespan, err := m.Run(func(nd *machine.Node) {
 			me := nd.ID()
 			ep := fm.NewEP(net, nd)
 			rt := New(proto, ep, space, staticCfg(), nil)

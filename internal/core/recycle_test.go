@@ -42,7 +42,9 @@ func newFootprint(t *testing.T, p int, cfg Config) uint64 {
 	var done atomic.Int32
 	var allocated uint64
 	mcfg := machine.DefaultT3D(p)
-	_, err := machine.New(mcfg).Run(func(nd *machine.Node) {
+	m := machine.New(mcfg)
+	defer m.Close()
+	_, err := m.Run(func(nd *machine.Node) {
 		if nd.ID() != 0 {
 			done.Add(1)
 			return
@@ -119,7 +121,9 @@ func dirtyCfg() Config {
 func dirtyPhase(t *testing.T, net *fm.Net, proto *Proto, space *gptr.Space, ptrs []gptr.Ptr,
 	rts []*RT, pt *PriorTable, inspect func(rt *RT, ep *fm.EP)) {
 	t.Helper()
-	_, err := machine.New(machine.DefaultT3D(len(rts))).Run(func(nd *machine.Node) {
+	m := machine.New(machine.DefaultT3D(len(rts)))
+	defer m.Close()
+	_, err := m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(net, nd)
 		rt := New(proto, ep, space, dirtyCfg(), rts[nd.ID()])
 		rts[nd.ID()] = rt

@@ -195,7 +195,9 @@ func TestWaitersRunInSpawnOrder(t *testing.T) {
 					}
 				})
 			}
-			_, err := machine.New(mcfg).Run(func(nd *machine.Node) {
+			m := machine.New(mcfg)
+			defer m.Close()
+			_, err := m.Run(func(nd *machine.Node) {
 				ep := fm.NewEP(net, nd)
 				rt := New(proto, ep, space, c.cfg, nil)
 				switch nd.ID() {

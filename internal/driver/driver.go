@@ -292,6 +292,7 @@ func RunPhase(mcfg machine.Config, space *gptr.Space, spec Spec,
 		objects = space.Len()
 		if rc.prior != nil {
 			checkPrior = rc.prior.Clone()
+			defer checkPrior.Close()
 		}
 	}
 	run := runOnce(mcfg, space, spec, body, rc.prior, rc.priorKind)
@@ -329,8 +330,8 @@ func readOnly(space *gptr.Space, objects int) {
 
 // runOnce executes the phase and collects statistics. The machine, its
 // endpoints and the previous phase's runtimes come from the run's store (a
-// fresh machine and fresh runtimes without one), and the store keeps them
-// for the next phase only if this one ends cleanly.
+// fresh machine and fresh runtimes without one, closed when the phase ends),
+// and the store keeps them for the next phase only if this one ends cleanly.
 // Under fault injection the endpoints quiesce the reliability protocol once
 // before the closing barrier — while every peer still polls and acks — and
 // once after, for the barrier traffic itself; both are no-ops when the
@@ -350,6 +351,9 @@ func runOnce(mcfg machine.Config, space *gptr.Space, spec Spec,
 	ck := mcfg.Checkpoint
 	pm := prior.machine(mcfg)
 	m := pm.m
+	if prior == nil {
+		defer m.Close()
+	}
 	rts := make([]Runtime, mcfg.Nodes)
 	eps := make([]*fm.EP, mcfg.Nodes)
 	// Resolve the phase's prior tables on the host before the machine runs:

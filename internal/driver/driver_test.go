@@ -41,6 +41,7 @@ func TestRuntimeKinds(t *testing.T) {
 		protos := NewProtos()
 		space := gptr.NewSpace(1)
 		m := machine.New(machine.DefaultT3D(1))
+		defer m.Close()
 		m.Run(func(nd *machine.Node) {
 			ep := fm.NewEP(protos.Net, nd)
 			rt, err := protos.newRuntime(spec, ep, space, nil)
@@ -58,6 +59,7 @@ func TestUnknownKindRejected(t *testing.T) {
 	protos := NewProtos()
 	space := gptr.NewSpace(1)
 	m := machine.New(machine.DefaultT3D(1))
+	defer m.Close()
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(protos.Net, nd)
 		if _, err := protos.newRuntime(Spec{Kind: "bogus"}, ep, space, nil); err == nil {
@@ -70,6 +72,7 @@ func TestRuntimeRejectsInvalidConfig(t *testing.T) {
 	protos := NewProtos()
 	space := gptr.NewSpace(1)
 	m := machine.New(machine.DefaultT3D(1))
+	defer m.Close()
 	m.Run(func(nd *machine.Node) {
 		ep := fm.NewEP(protos.Net, nd)
 		bad := DPASpec(10)
@@ -261,6 +264,7 @@ func TestPriorStoreRuntimeLifetime(t *testing.T) {
 		ptrs[i] = space.Alloc(i, thing{id: i})
 	}
 	store := NewPriorStore()
+	defer store.Close()
 	phaseOn := func(mcfg machine.Config, spec Spec) stats.Run {
 		return RunPhase(mcfg, space, spec,
 			func(rt Runtime, ep *fm.EP, nd *machine.Node) {
@@ -339,6 +343,7 @@ func TestPriorStoreRuntimeLifetime(t *testing.T) {
 		objs[i] = big.Alloc(i, thing{id: i})
 	}
 	priors := NewPriorStore()
+	defer priors.Close()
 	loop := func(nodes int) stats.Run {
 		return RunPhase(machine.DefaultT3D(nodes), big, DPASpec(10, WithShape()),
 			func(rt Runtime, ep *fm.EP, nd *machine.Node) {

@@ -24,6 +24,9 @@ import (
 // storage the next phase under the same spec builds on (see runtimes). This
 // run-scoped storage is never encoded, cloned or compared, and a phase that
 // does not end cleanly drops all of it (dropRunStorage).
+//
+// The machine's node processes live as long as the machine, so the runner
+// that creates a store must Close it when its run ends.
 type PriorStore struct {
 	kinds map[string][]*core.PriorTable
 	order []string // insertion order, for deterministic encoding
@@ -65,19 +68,28 @@ func (pm *phaseMachine) endpoint(nd *machine.Node) *fm.EP {
 // previous phase ran on exactly the same config, a new one otherwise —
 // another node count, engine, tuning, fault plan, tracer or checkpoint
 // builds its own. A nil store (a phase outside any multi-phase run) always
-// gets a new machine.
+// gets a new machine, which its caller closes after the phase.
 func (ps *PriorStore) machine(cfg machine.Config) *phaseMachine {
 	if ps == nil {
 		return newPhaseMachine(cfg)
 	}
 	if ps.mach == nil || ps.mach.cfg != cfg {
+		ps.closeMachine()
 		ps.mach = newPhaseMachine(cfg)
 	}
 	return ps.mach
 }
 
+// closeMachine closes the store's machine, if it holds one.
+func (ps *PriorStore) closeMachine() {
+	if ps.mach != nil {
+		ps.mach.m.Close()
+	}
+}
+
 // NewPriorStore returns an empty store. One store should span exactly one
-// multi-phase run; a fresh run starts from a fresh (cold) store.
+// multi-phase run, and its creator should Close it when that run ends; a
+// fresh run starts from a fresh (cold) store.
 func NewPriorStore() *PriorStore {
 	return &PriorStore{kinds: make(map[string][]*core.PriorTable)}
 }
@@ -114,12 +126,26 @@ func (ps *PriorStore) runtimes(spec Spec, nodes int) []Runtime {
 	return ps.rts
 }
 
-// dropRunStorage discards the machine and the runtimes; the next phase
-// builds fresh ones. A phase that deadlocked leaves coroutines parked on its
-// machine's processes, and one that degraded or panicked can leave buffers
-// referenced from wherever it stopped, so neither may hand its storage on.
-// The priors stay: they are simulated history, folded only at a seam.
-func (ps *PriorStore) dropRunStorage() { ps.mach, ps.rts = nil, nil }
+// dropRunStorage closes and discards the machine and discards the runtimes;
+// the next phase builds fresh ones. A phase that deadlocked leaves
+// coroutines parked on its machine's processes, and one that degraded or
+// panicked can leave buffers referenced from wherever it stopped, so neither
+// may hand its storage on. The priors stay: they are simulated history,
+// folded only at a seam.
+func (ps *PriorStore) dropRunStorage() {
+	ps.closeMachine()
+	ps.mach, ps.rts = nil, nil
+}
+
+// Close ends the store's run: it closes the machine, whose node processes
+// would otherwise stay parked, and drops the run storage. The priors stay
+// readable, and a later phase on the store builds a fresh machine. A nil
+// store is a no-op.
+func (ps *PriorStore) Close() {
+	if ps != nil {
+		ps.dropRunStorage()
+	}
+}
 
 // Clone deep-copies the store's priors; the copy holds no machine and no
 // runtimes. RunPhase uses it to give the WithValidation check run the same

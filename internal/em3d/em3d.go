@@ -191,6 +191,7 @@ func SeqIterate(prm Params, nodes, iters int) (e, h []float64) {
 func SeqStep(prm Params) stats.Run {
 	g := Build(prm, 1)
 	m := machine.New(machine.DefaultT3D(1))
+	defer m.Close()
 	makespan, err := m.Run(func(nd *machine.Node) {
 		for _, ns := range [][]*GraphNode{g.E, g.H} {
 			for _, n := range ns {
@@ -220,6 +221,7 @@ func RunIters(mcfg machine.Config, spec driver.Spec, prm Params, iters int) (sta
 	g := Build(prm, mcfg.Nodes)
 	var total stats.Run
 	ps := driver.NewPriorStore() // cross-phase priors: E halves seed E, H halves seed H
+	defer ps.Close()
 	for it := 0; it < iters; it++ {
 		for _, half := range []struct {
 			kind string

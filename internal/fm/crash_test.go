@@ -65,6 +65,7 @@ func TestCrashedDestinationShutdown(t *testing.T) {
 		net := NewNet()
 		h := net.Register(func(ep *EP, m sim.Message) {})
 		m := machine.New(cfg)
+		defer m.Close()
 		var res result
 		if _, err := m.Run(func(nd *machine.Node) {
 			ep := NewEP(net, nd)
@@ -155,6 +156,7 @@ func TestCrashBarrierRoutesAroundTheDead(t *testing.T) {
 		}
 		net := NewNet()
 		m := machine.New(cfg)
+		defer m.Close()
 		var res result
 		if _, err := m.Run(func(nd *machine.Node) {
 			ep := NewEP(net, nd)

@@ -20,6 +20,7 @@ func TestActiveMessageDispatch(t *testing.T) {
 		c.got = append(c.got, m.Payload.(int))
 	})
 	m := machine.New(machine.DefaultT3D(2))
+	defer m.Close()
 	var received []int
 	m.Run(func(n *machine.Node) {
 		ep := NewEP(net, n)
@@ -45,6 +46,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	const n = 8
 	net := NewNet()
 	m := machine.New(machine.DefaultT3D(n))
+	defer m.Close()
 	var before, after [n]sim.Time
 	m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
@@ -74,6 +76,7 @@ func TestMultipleBarriers(t *testing.T) {
 	const rounds = 5
 	net := NewNet()
 	m := machine.New(machine.DefaultT3D(n))
+	defer m.Close()
 	counts := make([]int, n)
 	m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
@@ -93,6 +96,7 @@ func TestMultipleBarriers(t *testing.T) {
 func TestBarrierSingleNode(t *testing.T) {
 	net := NewNet()
 	m := machine.New(machine.DefaultT3D(1))
+	defer m.Close()
 	m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
 		ep.Barrier()
@@ -115,6 +119,7 @@ func TestServiceDuringBarrier(t *testing.T) {
 		*c++
 	})
 	m := machine.New(machine.DefaultT3D(2))
+	defer m.Close()
 	m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
 		replies := 0
@@ -138,6 +143,7 @@ func TestServiceDuringBarrier(t *testing.T) {
 func TestRegisterAfterSealPanics(t *testing.T) {
 	net := NewNet()
 	m := machine.New(machine.DefaultT3D(1))
+	defer m.Close()
 	m.Run(func(nd *machine.Node) {
 		NewEP(net, nd)
 	})
@@ -152,6 +158,7 @@ func TestRegisterAfterSealPanics(t *testing.T) {
 func TestUnknownHandlerTypedError(t *testing.T) {
 	net := NewNet()
 	m := machine.New(machine.DefaultT3D(2))
+	defer m.Close()
 	m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
 		if nd.ID() == 0 {
@@ -235,7 +242,9 @@ func runBarriers(t *testing.T, n int, doomed map[int]bool, engine sim.EngineKind
 		errs:  make([]string, n),
 	}
 	net := NewNet()
-	if _, err := machine.New(cfg).Run(func(nd *machine.Node) {
+	m := machine.New(cfg)
+	defer m.Close()
+	if _, err := m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
 		id := nd.ID()
 		if doomed[id] {
@@ -339,6 +348,7 @@ func TestBarrierCostIsLogarithmic(t *testing.T) {
 	}
 	for _, step := range []sim.Time{0, 53} { // all at once, then staggered
 		m := machine.New(machine.DefaultT3D(n))
+		defer m.Close()
 		c := &m.Cfg
 		var maxLatency sim.Time
 		for to := 1; to < n; to++ {
@@ -378,7 +388,9 @@ func TestBarrierUnderLossOnly(t *testing.T) {
 	cfg.Faults = machine.DefaultFaults(11, 0.05)
 	var retransmits [n]int64
 	net := NewNet()
-	if _, err := machine.New(cfg).Run(func(nd *machine.Node) {
+	m := machine.New(cfg)
+	defer m.Close()
+	if _, err := m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
 		for r := 0; r < 3; r++ {
 			ep.Barrier()
@@ -414,7 +426,9 @@ func TestDegradedInteriorNodeReleasesItsSubtree(t *testing.T) {
 	h := net.Register(func(ep *EP, m sim.Message) {})
 	var got error
 	left := make([]bool, n)
-	if _, err := machine.New(cfg).Run(func(nd *machine.Node) {
+	m := machine.New(cfg)
+	defer m.Close()
+	if _, err := m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
 		switch nd.ID() {
 		case interior:

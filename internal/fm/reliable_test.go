@@ -33,6 +33,7 @@ func TestReliableDeliveryUnderLoss(t *testing.T) {
 		c.got = append(c.got, m.Payload.(int))
 	})
 	m := machine.New(relTestConfig(2, 0.2, 0.1, 41))
+	defer m.Close()
 	var receiver *ctx
 	var senderStats FaultStats
 	if _, err := m.Run(func(nd *machine.Node) {
@@ -82,6 +83,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	var fired int
 	h := net.Register(func(ep *EP, m sim.Message) { fired++ })
 	m := machine.New(relTestConfig(2, 0, 0.4, 43))
+	defer m.Close()
 	var recvStats FaultStats
 	if _, err := m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
@@ -122,6 +124,7 @@ func TestSendWindowBacklog(t *testing.T) {
 	var fired int
 	h := net.Register(func(ep *EP, m sim.Message) { fired++ })
 	m := machine.New(cfg)
+	defer m.Close()
 	if _, err := m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
 		if nd.ID() == 0 {
@@ -153,6 +156,7 @@ func TestUnreachableDeclaration(t *testing.T) {
 	net := NewNet()
 	h := net.Register(func(ep *EP, m sim.Message) {})
 	m := machine.New(cfg)
+	defer m.Close()
 	if _, err := m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
 		if nd.ID() == 0 {
@@ -198,6 +202,7 @@ func TestRetransmitBackoff(t *testing.T) {
 	net := NewNet()
 	h := net.Register(func(ep *EP, m sim.Message) {})
 	m := machine.New(cfg)
+	defer m.Close()
 	if _, err := m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
 		if nd.ID() == 0 {
@@ -229,6 +234,7 @@ func TestReliabilityOffIsTransparent(t *testing.T) {
 	var got []sim.Message
 	h := net.Register(func(ep *EP, m sim.Message) { got = append(got, m) })
 	m := machine.New(machine.DefaultT3D(2))
+	defer m.Close()
 	if _, err := m.Run(func(nd *machine.Node) {
 		ep := NewEP(net, nd)
 		if ep.Degraded() || ep.Unreachable(1) {

@@ -334,6 +334,7 @@ func runStep(mcfg machine.Config, spec driver.Spec, bodies []nbody.Body, prm Par
 // store survives a step boundary.
 func RunSteps(mcfg machine.Config, spec driver.Spec, bodies []nbody.Body, steps int, prm Params) (stats.Run, *Result) {
 	ps := driver.NewPriorStore()
+	defer ps.Close()
 	var total stats.Run
 	var res *Result
 	for s := 0; s < steps; s++ {

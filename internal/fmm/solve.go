@@ -226,6 +226,7 @@ func DirectSolve(bodies []nbody.Body) *Result {
 // the result.
 func SeqStep(bodies []nbody.Body, prm Params) (stats.Run, *Result) {
 	m := machine.New(machine.DefaultT3D(1))
+	defer m.Close()
 	var res *Result
 	makespan, err := m.Run(func(nd *machine.Node) {
 		res = Solve(bodies, prm, nd.Charge)

@@ -60,6 +60,7 @@ func RunBFS(mcfg machine.Config, spec driver.Spec, prm Params, source int) (stat
 
 	var total stats.Run
 	ps := driver.NewPriorStore()
+	defer ps.Close()
 	next := make([]bool, prm.Vertices)
 	for level := int32(0); int(level) < g.maxRounds(); level++ {
 		clear(next)
@@ -100,6 +101,7 @@ func RunPageRank(mcfg machine.Config, spec driver.Spec, prm Params, iters int) (
 
 	var total stats.Run
 	ps := driver.NewPriorStore()
+	defer ps.Close()
 	acc := make([]float64, n)
 	for it := 0; it < iters; it++ {
 		clear(acc)
@@ -137,6 +139,7 @@ func RunCC(mcfg machine.Config, spec driver.Spec, prm Params) (stats.Run, []int3
 
 	var total stats.Run
 	ps := driver.NewPriorStore()
+	defer ps.Close()
 	acc := make([]int32, n)
 	for round := 0; round < g.maxRounds(); round++ {
 		copy(acc, labels)

@@ -223,12 +223,23 @@ func (c Config) Seconds(t sim.Time) float64 { return float64(t) / c.ClockHz }
 // Machine is a configured multicomputer that runs one SPMD program per Run.
 // A multi-phase application runs its phases on one Machine: each Run starts
 // the machine afresh in virtual time and reuses the storage the previous Run
-// built (see Run).
+// built (see Run). Close ends the last run.
+//
+// Each node's process, with its coroutine, lives from the first Run to
+// Close, so a machine that is dropped without Close keeps one parked
+// goroutine per node (its stack, not the machine's storage) for the life of
+// the program.
 type Machine struct {
 	Cfg   Config
 	eng   sim.Engine
 	nodes []*Node
 	trace *Timeline
+	// main is the program the current Run executes; every node's process
+	// body (Node.run) calls it.
+	main func(n *Node)
+	// bodies holds each node's bound Node.run, made with the node slab:
+	// the process body every Run spawns.
+	bodies []func(p *sim.Proc)
 	// plan draws the deterministic fault schedule; nil when no faults are
 	// injected (the hot-path test).
 	plan *sim.FaultPlan
@@ -269,9 +280,10 @@ var newEngine = sim.NewEngineWith
 // fault counters zeroed, fault-draw cursors rewound, crash times re-applied
 // from the fault plan, a new activity timeline when tracing is on, and an
 // empty data cache. What it keeps from the previous call is storage only —
-// the Node structs, each data cache's index and entries, each process's
-// mailbox ring, overflow heap and drain buffer, and the engine's heap or
-// shards — so a phase computes exactly what it would on a new Machine.
+// the Node structs, each data cache's index and entries, each node's process
+// and its coroutine, each process's mailbox ring, overflow heap and drain
+// buffer, and the engine's heap or shards — so a phase computes exactly what
+// it would on a new Machine. Call Close after the last Run.
 // Results of an earlier Run (Nodes, Trace, WorkerStats) are overwritten by
 // the next; collect them first.
 //
@@ -286,12 +298,15 @@ func (m *Machine) Run(main func(n *Node)) (sim.Time, error) {
 	if m.nodes == nil {
 		slab := make([]Node, m.Cfg.Nodes)
 		m.nodes = make([]*Node, m.Cfg.Nodes)
+		m.bodies = make([]func(p *sim.Proc), m.Cfg.Nodes)
 		for i := range slab {
 			m.nodes[i] = &slab[i]
+			m.bodies[i] = slab[i].run
 		}
 	} else {
 		m.eng.Reset()
 	}
+	m.main = main
 	if m.Cfg.TraceBins > 0 {
 		m.trace = newTimeline(m.Cfg.TraceBins, m.Cfg.Nodes)
 	}
@@ -305,21 +320,7 @@ func (m *Machine) Run(main func(n *Node)) (sim.Time, error) {
 				n.crashAt = at
 			}
 		}
-		p := m.eng.Spawn(func(p *sim.Proc) {
-			// A doomed node's program unwinds with a crash sentinel at its
-			// first network check past the crash time; recovering it here
-			// lets the goroutine exit so the engine sees a completed
-			// process, never a hung one. Any other panic propagates.
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(crashSentinel); ok {
-						return
-					}
-					panic(r)
-				}
-			}()
-			main(n)
-		})
+		p := m.eng.Spawn(m.bodies[i])
 		n.proc = p
 		if m.trace != nil || n.trc != nil {
 			id, trc, tl := i, n.trc, m.trace
@@ -339,6 +340,12 @@ func (m *Machine) Run(main func(n *Node)) (sim.Time, error) {
 	}
 	return makespan, err
 }
+
+// Close ends the machine's last run: the coroutine of every node not inside
+// its program returns. A node left inside its program by a deadlocked or
+// panicked Run stays parked. The results of the last Run stay readable, and
+// a later Run still works, on new coroutines.
+func (m *Machine) Close() { m.eng.Close() }
 
 // Nodes returns the machine's nodes after Run (for stats collection).
 func (m *Machine) Nodes() []*Node { return m.nodes }
@@ -418,6 +425,23 @@ func (n *Node) reset(m *Machine, id int) {
 	cache := n.cache
 	cache.reset(m.Cfg.CacheLines)
 	*n = Node{mach: m, id: id, cache: cache}
+}
+
+// run is the node's process body: the machine's current program on this
+// node. A doomed node's program unwinds with a crash sentinel at its first
+// network check past the crash time; recovering it here ends the body so the
+// engine sees a completed process, never a hung one. Any other panic
+// propagates.
+func (n *Node) run(*sim.Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(crashSentinel); ok {
+				return
+			}
+			panic(r)
+		}
+	}()
+	n.mach.main(n)
 }
 
 // ID returns the node id (0-based).

@@ -239,6 +239,9 @@ func (e *ParEngine) Reset() {
 	e.window, e.windows = 0, 0
 }
 
+// Close ends the engine's last run (see Engine.Close).
+func (e *ParEngine) Close() { closeProcs(e.procs) }
+
 // park is called on the yielding process's coroutine after it has recorded
 // its state and wake under its mutex: record the park for its shard's fold.
 // The process then pauses and its worker picks what runs next.

@@ -205,11 +205,18 @@ type Engine interface {
 	// the storage: the processes the next Spawns hand out are the previous
 	// run's, in id order, with their message buffers emptied but not freed,
 	// and the engine's own heaps and queues keep their capacity. Each
-	// process gets a new coroutine, since a body that has returned cannot be
-	// resumed. Every process must have completed: a deadlocked or panicked
-	// run leaves coroutines parked on its processes, and Reset panics rather
-	// than hand them out.
+	// process keeps its coroutine, parked since its body returned, and the
+	// next Spawn hands it the new body. Every process must have completed: a
+	// deadlocked or panicked run leaves coroutines parked inside their
+	// bodies, and Reset panics rather than hand them out.
 	Reset()
+	// Close ends the engine's last run: the coroutine of every process not
+	// inside its body — completed, or spawned and never started — returns,
+	// so no goroutine of a clean run outlives it. Call it once the engine
+	// will not run again (a later Spawn and Run still work, on new
+	// coroutines). A process still inside its body — a deadlocked or
+	// panicked run — stays parked.
+	Close()
 }
 
 // ErrDeadlock is the sentinel matched by errors.Is for engine deadlocks.
@@ -322,11 +329,13 @@ type Proc struct {
 	state    procState // guarded by mu while other procs may run
 	wake     Time      // guarded by mu while other procs may run
 	epochGen uint64    // last parallel epoch this proc was admitted to
-	co       *coro     // the body; resumed by the engine, paused by yield
+	// co runs the body: resumed by the engine, paused by yield, and kept
+	// across runs until Close.
+	co *coro
 }
 
-// newProc registers a process on s and creates its coroutine, parked until
-// the engine's first resume.
+// newProc registers a process on s with body fn, parked until the engine's
+// first resume.
 func newProc(s scheduler, id int, fn func(p *Proc), strict bool) *Proc {
 	p := &Proc{id: id, sched: s, strict: strict}
 	p.respawn(fn)
@@ -335,7 +344,8 @@ func newProc(s scheduler, id int, fn func(p *Proc), strict bool) *Proc {
 
 // respawn gives a new or completed process the state a run starts from, on
 // fn: every per-run field at its initial value, the mailbox and drain buffer
-// emptied in time proportional to what they still hold, and a new coroutine.
+// emptied in time proportional to what they still hold, and fn installed on
+// its coroutine (a new one only for a process without one: new, or closed).
 // Engine.Reset hands completed processes back through it.
 func (p *Proc) respawn(fn func(p *Proc)) {
 	p.mailbox.reset()
@@ -349,7 +359,23 @@ func (p *Proc) respawn(fn func(p *Proc)) {
 	p.mailN.Store(0)
 	p.state, p.wake = stateReady, 0
 	p.epochGen = 0
-	p.co = newCoro(p, fn)
+	if p.co == nil {
+		p.co = newCoro(p, fn)
+	} else {
+		p.co.start(p, fn)
+	}
+}
+
+// closeProcs is Engine.Close: it stops the coroutine of every process in
+// procs' backing array (which after Reset still holds the last run's) that is
+// parked outside its body.
+func closeProcs(procs []*Proc) {
+	for _, p := range procs[:cap(procs)] {
+		if p != nil && p.co != nil && p.co.idle() {
+			p.co.stop()
+			p.co = nil
+		}
+	}
 }
 
 // requireDone is the guard of Reset: every process of the last run must have
@@ -723,6 +749,9 @@ func (e *SeqEngine) Reset() {
 	e.procs = e.procs[:0] // the backing array keeps the processes for Spawn
 	e.resumes = 0
 }
+
+// Close ends the engine's last run (see Engine.Close).
+func (e *SeqEngine) Close() { closeProcs(e.procs) }
 
 // Run executes all processes until every one has returned. It returns the
 // makespan: the largest final clock across processes. On deadlock (all

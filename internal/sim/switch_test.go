@@ -6,7 +6,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
+
+	"dpa/internal/leakguard"
 )
 
 var engineKinds = []EngineKind{Sequential, Parallel}
@@ -92,19 +93,16 @@ func TestLookaheadViolationReachesRunCaller(t *testing.T) {
 // moment, is not a failure).
 func waitGoroutines(t *testing.T, want int) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
-	if got := runtime.NumGoroutine(); got > want {
+	if got := leakguard.Settle(want); got > want {
 		t.Fatalf("%d goroutines, want %d", got, want)
 	}
 }
 
 // TestRunLeavesNoGoroutines pins the engines' goroutine lifetime: however Run
 // ends — all done, deadlocked, a body panic, the engine's own lookahead
-// check — no scheduler or worker goroutine survives it, at any worker count;
-// only the coroutines of processes that never finished stay parked.
+// check — no scheduler or worker goroutine survives it and Close, at any
+// worker count; only the coroutines of processes that never finished stay
+// parked.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	ends := []struct {
 		name   string
@@ -170,6 +168,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 							return nil
 						}()
 						end.check(t, err, r)
+						e.Close()
 						waitGoroutines(t, base+end.parked)
 					})
 				}
@@ -298,5 +297,44 @@ func TestSeedBuffersKeepPrePostedMessages(t *testing.T) {
 		if h != k {
 			t.Fatalf("delivery order %v: position %d holds %d", got, k, h)
 		}
+	}
+}
+
+// TestCoroutineServesEveryRun pins a process's coroutine lifetime: it is
+// made on the first Spawn, serves every later run of the process after
+// Reset, and returns at Close. No run adds a goroutine, Close takes every
+// one back, and an engine closed and reset still runs, on new coroutines,
+// to the same result.
+func TestCoroutineServesEveryRun(t *testing.T) {
+	const procs = 8
+	for _, kind := range engineKinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := mustEngine(t, kind, 50, Tuning{Workers: 2})
+			var want []string
+			for round := 0; round < 4; round++ {
+				if round > 0 {
+					e.Reset()
+				}
+				if round == 3 {
+					e.Close() // between Reset and Spawn: the last run's processes
+					waitGoroutines(t, base)
+				}
+				broadcastWorkload(procs, 50)(e)
+				if _, err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+				got := snapshot(e)
+				if round == 0 {
+					want = got
+				} else if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("round %d: %v, want %v", round, got, want)
+				}
+				waitGoroutines(t, base+procs)
+			}
+			e.Close()
+			waitGoroutines(t, base)
+			e.Close() // a second Close has nothing left to stop
+		})
 	}
 }

@@ -173,6 +173,7 @@ func TestRTStatsMerge(t *testing.T) {
 
 func TestCollect(t *testing.T) {
 	m := machine.New(machine.DefaultT3D(2))
+	defer m.Close()
 	makespan, _ := m.Run(func(n *machine.Node) {
 		n.Charge(sim.Compute, sim.Time(100*(n.ID()+1)))
 		if n.ID() == 0 {

@@ -189,8 +189,8 @@ type phasedRun struct {
 // the machine is the previous phase's and every runtime is built on the
 // previous phase's storage. With scratch true each phase gets a Clone of the
 // running store — the same priors and, by Clone's contract, no machine and no
-// runtimes — so every
-// phase's machine and runtimes are built from scratch.
+// runtimes — so every phase's machine and runtimes are built from scratch.
+// Every store is closed once its last phase has run.
 func runPhased(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec Spec,
 	scratch bool, at Time, extra ...RunOption) phasedRun {
 	t.Helper()
@@ -200,9 +200,12 @@ func runPhased(t *testing.T, build func(int) phasedApp, mcfg MachineConfig, spec
 		mcfg.Checkpoint = captureInto(t, at, &out.snap)
 	}
 	store := NewPriorStore()
+	defer func() { store.Close() }()
 	for k, kind := range app.kinds {
 		if scratch {
-			store = store.Clone()
+			next := store.Clone()
+			store.Close()
+			store = next
 		}
 		opts := append([]RunOption{WithPriors(store, kind)}, extra...)
 		run := RunPhase(mcfg, app.space(k), spec, app.body(k), opts...)
@@ -410,12 +413,15 @@ func TestStoreReusedAcrossShapesRebuilds(t *testing.T) {
 		{8, DPASpec(8), Sequential(), lossy},
 	}
 	store := NewPriorStore()
+	defer store.Close()
 	for i, s := range steps {
 		got := phase(s, store)
 		if got.run.Err != nil {
 			t.Fatalf("step %d: %v", i, got.run.Err)
 		}
-		same(t, fmt.Sprintf("step %d (%+v): reused vs new store", i, s), got, phase(s, NewPriorStore()))
+		fresh := NewPriorStore()
+		same(t, fmt.Sprintf("step %d (%+v): reused vs new store", i, s), got, phase(s, fresh))
+		fresh.Close()
 	}
 }
 
