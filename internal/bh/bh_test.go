@@ -2,11 +2,14 @@ package bh
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dpa/internal/driver"
 	"dpa/internal/fm"
+	"dpa/internal/gptr"
 	"dpa/internal/machine"
 	"dpa/internal/nbody"
 )
@@ -82,13 +85,38 @@ func TestBuildBodiesInsideCells(t *testing.T) {
 }
 
 func TestCoincidentBodiesDoNotLoop(t *testing.T) {
-	bodies := make([]nbody.Body, 20)
-	for i := range bodies {
-		bodies[i] = nbody.Body{Pos: [3]float64{0.5, 0.5, 0.5}, Mass: 1}
+	bodies := make([]nbody.Body, 0, 40)
+	for i := 0; i < 20; i++ {
+		bodies = append(bodies, nbody.Body{Pos: [3]float64{0.5, 0.5, 0.5}, Mass: 1})
+	}
+	for i := 0; i < 20; i++ { // leaves carved after the coincident bodies' one
+		f := float64(i) / 20
+		bodies = append(bodies, nbody.Body{Pos: [3]float64{f, 1 - f, f * f}, Mass: 1})
 	}
 	tr := Build(bodies, 2)
-	if tr.Cells[tr.Root].NBelow != 20 {
+	if tr.Cells[tr.Root].NBelow != 40 {
 		t.Fatal("lost bodies")
+	}
+	// The 20 coincident bodies share one leaf at maxDepth, past its 3-entry
+	// carve, so its Body grew by append; the leaves carved after it must
+	// keep theirs, and each body must be in exactly one leaf.
+	seen := make([]int, len(bodies))
+	for ci := range tr.Cells {
+		c := &tr.Cells[ci]
+		if !c.Leaf {
+			continue
+		}
+		if len(c.Body) > tr.LeafCap && c.Depth < maxDepth {
+			t.Fatalf("leaf %d holds %d bodies at depth %d", ci, len(c.Body), c.Depth)
+		}
+		for _, bi := range c.Body {
+			seen[bi]++
+		}
+	}
+	for i, k := range seen {
+		if k != 1 {
+			t.Errorf("body %d is in %d leaves", i, k)
+		}
 	}
 }
 
@@ -175,6 +203,93 @@ func TestDistributeCoversAllCells(t *testing.T) {
 	}
 	if total != 400 {
 		t.Fatalf("local body lists cover %d bodies", total)
+	}
+}
+
+// TestLeafPayloadsAreClipped: every leaf's BIdx, BPos and BMass are windows
+// into Distribute's flat arrays, so growing one leaf's must copy it out and
+// leave the leaf placed next to it as it was.
+func TestLeafPayloadsAreClipped(t *testing.T) {
+	bodies := nbody.Plummer(300, 9)
+	tr := Build(bodies, 4)
+	d := Distribute(tr, 4, 1, nil)
+	var leaves []*CellObj // in placement order: each leaf's arrays follow the previous one's
+	var walk func(p gptr.Ptr)
+	walk = func(p gptr.Ptr) {
+		c := d.Space.Get(p).(*CellObj)
+		if c.Leaf {
+			leaves = append(leaves, c)
+		}
+		for _, ch := range c.Child {
+			if !ch.IsNil() {
+				walk(ch)
+			}
+		}
+	}
+	walk(d.Ptrs[tr.Root])
+	if len(leaves) < 2 {
+		t.Fatalf("only %d leaves", len(leaves))
+	}
+	for i, a := range leaves[:len(leaves)-1] {
+		b := leaves[i+1]
+		idx := append([]int32(nil), b.BIdx...)
+		pos := append([][3]float64(nil), b.BPos...)
+		mass := append([]float64(nil), b.BMass...)
+		_ = append(a.BIdx, -1)
+		_ = append(a.BPos, [3]float64{-1, -1, -1})
+		_ = append(a.BMass, -1)
+		if !slices.Equal(b.BIdx, idx) || !slices.Equal(b.BPos, pos) || !slices.Equal(b.BMass, mass) {
+			t.Fatalf("appending to leaf %d changed leaf %d's bodies", a.Idx, b.Idx)
+		}
+		if len(a.BIdx) != len(a.BPos) || len(a.BIdx) != len(a.BMass) {
+			t.Fatalf("leaf %d carries %d, %d and %d body entries", a.Idx, len(a.BIdx), len(a.BPos), len(a.BMass))
+		}
+		for j, bi := range a.BIdx {
+			if a.BPos[j] != tr.Bodies[bi].Pos || a.BMass[j] != tr.Bodies[bi].Mass {
+				t.Fatalf("leaf %d entry %d does not carry body %d", a.Idx, j, bi)
+			}
+		}
+	}
+}
+
+// TestBuildDistributeAllocations: building and distributing a tree costs a
+// fixed number of allocations, not one per body or per cell — the cells,
+// the leaf bodies and the CellObjs come from slabs, and each heap is
+// reserved once from its owner's cell count. 84 at either size: the 64
+// heaps, and 20 for the tree and its first carve, the pointer and owner
+// tables, Partition's sort, the local body lists, the three leaf arrays,
+// the CellObj slab and the replicated area. Under the race detector it is
+// 148, so the bound is two per node and 32 more; growing the heaps or the
+// body lists by append again costs 5 to 7 per node.
+func TestBuildDistributeAllocations(t *testing.T) {
+	const nodes, bound = 64, 2*64 + 32
+	p := DefaultParams()
+	var counts []float64
+	for _, n := range []int{1024, 4096} {
+		bodies := nbody.Plummer(n, 42)
+		a := testing.AllocsPerRun(3, func() {
+			Distribute(Build(bodies, p.LeafCap), nodes, p.ReplDepth, nil)
+		})
+		t.Logf("%d bodies: %v allocations", n, a)
+		if a > bound {
+			t.Errorf("Build + Distribute of %d bodies on %d nodes allocates %v times, over %d", n, nodes, a, bound)
+		}
+		counts = append(counts, a)
+	}
+	if counts[1] != counts[0] {
+		t.Errorf("Build + Distribute allocates %v times for 1,024 bodies and %v for 4,096, want the same", counts[0], counts[1])
+	}
+}
+
+// TestCellObjSize pins the slab element Distribute carves a cell from: the
+// summary and child pointers (184 bytes with Idx and Leaf in one word) and
+// the three leaf-payload slice headers.
+func TestCellObjSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the budget is calibrated for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(CellObj{}); got > 256 {
+		t.Errorf("bh.CellObj grew to %d bytes, over its 256-byte budget; repack or re-justify", got)
 	}
 }
 

@@ -11,21 +11,25 @@ import (
 )
 
 // CellObj is the octree cell as a global object. Leaf cells carry their
-// bodies inline — the paper's codes benefit from inline allocation of
+// bodies with them — the paper's codes benefit from inline allocation of
 // objects ("to enlarge object granularity that amortizes object access
 // overhead and simplifies communication of object state"), and we follow
-// suit: one leaf fetch delivers all its bodies.
+// suit: one leaf fetch delivers all its bodies. The payload slices are
+// windows, capacity-clipped, into three flat arrays Distribute fills in
+// leaf order, and the CellObjs themselves are one slab, so a distributed
+// tree costs a fixed number of allocations whatever its size. Idx and Leaf
+// share the word after Child: 256 bytes a cell (TestCellObjSize).
 type CellObj struct {
-	Idx    int32
 	Center [3]float64
 	Half   float64
 	Mass   float64
 	COM    [3]float64
 	Quad   [6]float64
 	Child  [8]gptr.Ptr
+	Idx    int32
 	Leaf   bool
 
-	// Leaf payload (inline bodies).
+	// Leaf payload (the bodies the leaf carries).
 	BIdx  []int32
 	BPos  [][3]float64
 	BMass []float64
@@ -47,9 +51,22 @@ type Dist struct {
 	Space      *gptr.Space
 	Ptrs       []gptr.Ptr // per cell index
 	BodyOwner  []int32
-	LocalBody  [][]int32 // per node, in Morton (zone) order
+	LocalBody  [][]int32 // per node, in body index order
 	ReplDepth  int32
 	Replicated int // number of replicated cells
+}
+
+// cellSlabs is what Distribute carves every CellObj and leaf payload from:
+// objs holds a CellObj per cell, taken in pre-order from obj on (parents
+// before children, so a traversal from the root walks memory forward), and
+// the leaf arrays hold every body once, in leaf order from at on.
+type cellSlabs struct {
+	objs  []CellObj
+	bidx  []int32
+	bpos  [][3]float64
+	bmass []float64
+	obj   int
+	at    int
 }
 
 // Distribute partitions bodies into costzones (weighted by cost, nil for
@@ -66,19 +83,59 @@ func Distribute(t *Tree, nodes int, replDepth int, cost []float64) *Dist {
 	d.BodyOwner = nbody.Partition(t.Bodies, cost, nodes, func(b nbody.Body) uint64 {
 		return nbody.Morton3D(b.Pos, t.Min, t.Size)
 	})
+	// Count first, then cut: each node's bodies and each heap's cells.
+	counts := make([]int, nodes)
+	for _, o := range d.BodyOwner {
+		counts[o]++
+	}
+	local := make([]int32, len(d.BodyOwner))
 	d.LocalBody = make([][]int32, nodes)
+	at := 0
+	for o, k := range counts {
+		d.LocalBody[o] = local[at : at : at+k]
+		at += k
+	}
 	for i, o := range d.BodyOwner {
 		d.LocalBody[o] = append(d.LocalBody[o], int32(i))
 	}
-	d.place(t.Root)
+	clear(counts)
+	for ci := range t.Cells {
+		if o, repl := d.home(&t.Cells[ci]); !repl {
+			counts[o]++
+		}
+	}
+	for o, k := range counts {
+		d.Space.Reserve(o, k)
+	}
+	n := len(t.Bodies)
+	d.place(t.Root, &cellSlabs{
+		objs:  make([]CellObj, len(t.Cells)),
+		bidx:  make([]int32, n),
+		bpos:  make([][3]float64, n),
+		bmass: make([]float64, n),
+	})
 	return d
+}
+
+// home returns the node whose heap holds cell c — the owner of its first
+// body — or repl for a cell shallower than the replication depth.
+func (d *Dist) home(c *Cell) (owner int, repl bool) {
+	if c.Depth < d.ReplDepth {
+		return 0, true
+	}
+	if c.FirstBody >= 0 {
+		owner = int(d.BodyOwner[c.FirstBody])
+	}
+	return owner, false
 }
 
 // place allocates cells post-order (children before parents, so parents can
 // embed child pointers).
-func (d *Dist) place(ci int32) gptr.Ptr {
+func (d *Dist) place(ci int32, s *cellSlabs) gptr.Ptr {
 	c := &d.T.Cells[ci]
-	obj := &CellObj{
+	obj := &s.objs[s.obj]
+	s.obj++
+	*obj = CellObj{
 		Idx:    ci,
 		Center: c.Center,
 		Half:   c.Half,
@@ -91,28 +148,27 @@ func (d *Dist) place(ci int32) gptr.Ptr {
 		obj.Child[i] = gptr.Nil
 	}
 	if c.Leaf {
+		lo := s.at
 		for _, bi := range c.Body {
 			b := &d.T.Bodies[bi]
-			obj.BIdx = append(obj.BIdx, bi)
-			obj.BPos = append(obj.BPos, b.Pos)
-			obj.BMass = append(obj.BMass, b.Mass)
+			s.bidx[s.at], s.bpos[s.at], s.bmass[s.at] = bi, b.Pos, b.Mass
+			s.at++
+		}
+		if hi := s.at; hi > lo {
+			obj.BIdx, obj.BPos, obj.BMass = s.bidx[lo:hi:hi], s.bpos[lo:hi:hi], s.bmass[lo:hi:hi]
 		}
 	} else {
 		for i, ch := range c.Child {
 			if ch != -1 {
-				obj.Child[i] = d.place(ch)
+				obj.Child[i] = d.place(ch, s)
 			}
 		}
 	}
 	var p gptr.Ptr
-	if c.Depth < d.ReplDepth {
+	if owner, repl := d.home(c); repl {
 		p = d.Space.AllocReplicated(obj)
 		d.Replicated++
 	} else {
-		owner := 0
-		if c.FirstBody >= 0 {
-			owner = int(d.BodyOwner[c.FirstBody])
-		}
 		p = d.Space.Alloc(owner, obj)
 	}
 	d.Ptrs[ci] = p

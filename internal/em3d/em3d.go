@@ -82,7 +82,8 @@ type Graph struct {
 // Build constructs a deterministic bipartite graph distributed over the
 // given number of machine nodes. The graph nodes and their dependency lists
 // are carved from three slabs (E[i] and H[i] side by side, then their lists),
-// one allocation each rather than three per graph node.
+// one allocation each rather than three per graph node, and each heap is
+// reserved for its owner's block.
 func Build(prm Params, nodes int) *Graph {
 	rng := rand.New(rand.NewSource(prm.Seed))
 	n, deg := prm.NodesPerKind, prm.Degree
@@ -95,6 +96,10 @@ func Build(prm Params, nodes int) *Graph {
 		E:     make([]*GraphNode, n),
 		H:     make([]*GraphNode, n),
 		per:   (n + nodes - 1) / nodes,
+	}
+	for m := 0; m < nodes; m++ {
+		lo, hi := g.ownedRange(m)
+		g.Space.Reserve(m, 2*(hi-lo))
 	}
 	slab := make([]GraphNode, 2*n)
 	for i := 0; i < n; i++ {
@@ -222,35 +227,66 @@ func RunIters(mcfg machine.Config, spec driver.Spec, prm Params, iters int) (sta
 	var total stats.Run
 	ps := driver.NewPriorStore() // cross-phase priors: E halves seed E, H halves seed H
 	defer ps.Close()
+	acc := make([]float64, prm.NodesPerKind)
+	var ns []*GraphNode // the half-step's kind
+	loops := make([]nodeLoop, mcfg.Nodes)
+	for i := range loops {
+		l := &loops[i]
+		l.acc, l.cost, l.g, l.ns = acc, prm.UpdateCost, g, &ns
+		l.tmpl, l.iter = l.accumulate, l.spawn
+	}
+	body := func(rt driver.Runtime, ep *fm.EP, nd *machine.Node) { loops[nd.ID()].phase(rt, nd) }
 	for it := 0; it < iters; it++ {
 		for _, half := range []struct {
 			kind string
 			ns   []*GraphNode
-			ptrs []gptr.Ptr
-		}{{"E", g.E, g.EPtr}, {"H", g.H, g.HPtr}} {
-			acc := make([]float64, prm.NodesPerKind)
-			half := half
-			run := driver.RunPhase(mcfg, g.Space, spec,
-				func(rt driver.Runtime, ep *fm.EP, nd *machine.Node) {
-					// One template per node: the frame is the accumulating
-					// node's index and the edge coefficient's bits.
-					update := rt.Template(func(o gptr.Object, i, coeff uint64) {
-						nd.Charge(sim.Compute, prm.UpdateCost)
-						acc[i] += math.Float64frombits(coeff) * o.(*GraphNode).Value
-					})
-					lo, hi := g.ownedRange(nd.ID())
-					rt.ForAll(hi-lo, func(k int) {
-						n := half.ns[lo+k]
-						for d := range n.Deps {
-							rt.SpawnT(n.Deps[d], update, uint64(n.Idx), math.Float64bits(n.Coeff[d]))
-						}
-					})
-				}, driver.WithPriors(ps, half.kind))
-			total.Merge(run)
+		}{{"E", g.E}, {"H", g.H}} {
+			clear(acc)
+			ns = half.ns
+			total.Merge(driver.RunPhase(mcfg, g.Space, spec, body, driver.WithPriors(ps, half.kind)))
 			for i := range half.ns {
 				half.ns[i].Value -= acc[i]
 			}
 		}
 	}
 	return total, g
+}
+
+// nodeLoop is one machine node's phase body for a whole run. Its template
+// function and loop body are bound to it once, before the first phase, and
+// read the phase's runtime and node from it, so a phase only registers the
+// template again. What every thread reads comes first.
+type nodeLoop struct {
+	nd     *machine.Node
+	acc    []float64 // the run's accumulators, cleared before each half-step
+	cost   sim.Time
+	rt     driver.Runtime
+	g      *Graph
+	ns     *[]*GraphNode // the current half-step's kind
+	lo     int
+	update int // this phase's template id
+	tmpl   func(o gptr.Object, i, coeff uint64)
+	iter   func(k int)
+}
+
+// phase runs the node's half of one half-step: one template per node, whose
+// frame is the accumulating node's index and the edge coefficient's bits.
+func (l *nodeLoop) phase(rt driver.Runtime, nd *machine.Node) {
+	l.rt, l.nd = rt, nd
+	l.update = rt.Template(l.tmpl)
+	lo, hi := l.g.ownedRange(nd.ID())
+	l.lo = lo
+	rt.ForAll(hi-lo, l.iter)
+}
+
+func (l *nodeLoop) accumulate(o gptr.Object, i, coeff uint64) {
+	l.nd.Charge(sim.Compute, l.cost)
+	l.acc[i] += math.Float64frombits(coeff) * o.(*GraphNode).Value
+}
+
+func (l *nodeLoop) spawn(k int) {
+	n := (*l.ns)[l.lo+k]
+	for d := range n.Deps {
+		l.rt.SpawnT(n.Deps[d], l.update, uint64(n.Idx), math.Float64bits(n.Coeff[d]))
+	}
 }

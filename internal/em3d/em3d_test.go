@@ -156,3 +156,22 @@ func BenchmarkRunIters(b *testing.B) {
 		}
 	}
 }
+
+// TestPhaseBodiesBoundOncePerRun: each node binds its template function and
+// loop body on its first phase, so a 4-iteration run allocates fewer than 2
+// objects per node more than a 2-iteration one; bound per phase, the two
+// closures cost 8 per node over the four extra phases (566 objects more at
+// 64 nodes). What is left is the phases' shared objects (about 45 here).
+func TestPhaseBodiesBoundOncePerRun(t *testing.T) {
+	const nodes = 64
+	prm := DefaultParams(8 * nodes)
+	mcfg := machine.DefaultT3D(nodes)
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(3, func() { RunIters(mcfg, driver.DPASpec(50), prm, iters) })
+	}
+	two, four := allocs(2), allocs(4)
+	t.Logf("%d nodes: %v allocations for 2 iterations, %v for 4", nodes, two, four)
+	if extra := four - two; extra >= 2*nodes {
+		t.Errorf("4 phases more allocate %v objects more on %d nodes, want fewer than 2 per node", extra, nodes)
+	}
+}

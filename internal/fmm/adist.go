@@ -83,22 +83,17 @@ func DistributeAdaptive(t *ATree, nodes int) *ADist {
 	for n := 0; n < nodes; n++ {
 		d.OwnedAtLevel[n] = make([][]int32, d.MaxLevel+1)
 	}
+	sl := newSlabs(len(t.Cells), len(leaves), len(t.Bodies), t.Terms)
 	for ci := range t.Cells {
 		c := &t.Cells[ci]
-		c.Mp = NewMultipole(c.Center, t.Terms)
-		c.Loc = NewLocal(c.Center, t.Terms)
+		mo, lo := sl.expansions(c.Center)
+		c.Mp, c.Loc = mo.M, lo.L
 		owner := int(d.Owner[ci])
-		d.MpPtr[ci] = d.Space.Alloc(owner, &MpObj{M: c.Mp})
-		d.LocPtr[ci] = d.Space.Alloc(owner, &LocObj{L: c.Loc})
+		d.MpPtr[ci] = d.Space.Alloc(owner, mo)
+		d.LocPtr[ci] = d.Space.Alloc(owner, lo)
 		d.LeafPtr[ci] = gptr.Nil
 		if c.Leaf {
-			lo := &LeafObj{Cell: int32(ci)}
-			for _, bi := range c.Body {
-				lo.Idx = append(lo.Idx, bi)
-				lo.Z = append(lo.Z, Z(&t.Bodies[bi]))
-				lo.Q = append(lo.Q, t.Bodies[bi].Mass)
-			}
-			d.LeafPtr[ci] = d.Space.Alloc(owner, lo)
+			d.LeafPtr[ci] = d.Space.Alloc(owner, sl.leaf(int32(ci), c.Body, t.Bodies))
 			d.OwnedLeaves[owner] = append(d.OwnedLeaves[owner], int32(ci))
 		}
 		d.OwnedAtLevel[owner][c.Level] = append(d.OwnedAtLevel[owner][c.Level], int32(ci))

@@ -3,6 +3,7 @@ package fmm
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"dpa/internal/driver"
 	"dpa/internal/fm"
@@ -44,6 +45,66 @@ type LeafObj struct {
 // ByteSize models the inline body array.
 func (o *LeafObj) ByteSize() int { return 16 + 28*len(o.Idx) }
 
+// slabs is what a distribution carves its global objects from: every
+// non-empty cell's multipole and local expansion with their wrappers, and
+// every leaf's LeafObj with its bodies' positions and charges, each kind one
+// slice, so a distribution costs a fixed number of allocations whatever its
+// cell and body counts. Coefficient and body arrays are capacity-clipped
+// windows into flat arrays.
+type slabs struct {
+	p      int
+	mp     []Multipole
+	loc    []Local
+	mpObj  []MpObj
+	locObj []LocObj
+	coef   []complex128 // 2p+1 per cell: the multipole's p, the local's p+1
+	leaves []LeafObj
+	z      []complex128
+	q      []float64
+}
+
+// newSlabs sizes the slabs for cells expansion pairs of p terms and leaves
+// leaves holding bodies bodies in all.
+func newSlabs(cells, leaves, bodies, p int) *slabs {
+	return &slabs{
+		p:      p,
+		mp:     make([]Multipole, 0, cells),
+		loc:    make([]Local, 0, cells),
+		mpObj:  make([]MpObj, 0, cells),
+		locObj: make([]LocObj, 0, cells),
+		coef:   make([]complex128, cells*(2*p+1)),
+		leaves: make([]LeafObj, 0, leaves),
+		z:      make([]complex128, 0, bodies),
+		q:      make([]float64, 0, bodies),
+	}
+}
+
+// expansions returns the next cell's zero multipole and local expansions
+// about center, wrapped as global objects.
+func (s *slabs) expansions(center complex128) (*MpObj, *LocObj) {
+	p := s.p
+	a, b := s.coef[:p:p], s.coef[p:2*p+1:2*p+1]
+	s.coef = s.coef[2*p+1:]
+	s.mp = append(s.mp, Multipole{Center: center, A: a})
+	s.loc = append(s.loc, Local{Center: center, B: b})
+	s.mpObj = append(s.mpObj, MpObj{M: &s.mp[len(s.mp)-1]})
+	s.locObj = append(s.locObj, LocObj{L: &s.loc[len(s.loc)-1]})
+	return &s.mpObj[len(s.mpObj)-1], &s.locObj[len(s.locObj)-1]
+}
+
+// leaf returns cell's LeafObj over the bodies idx lists. Idx is idx itself,
+// clipped: both are read-only once the distribution is built.
+func (s *slabs) leaf(cell int32, idx []int32, bodies []nbody.Body) *LeafObj {
+	lo := len(s.z)
+	for _, bi := range idx {
+		s.z = append(s.z, Z(&bodies[bi]))
+		s.q = append(s.q, bodies[bi].Mass)
+	}
+	hi := len(s.z)
+	s.leaves = append(s.leaves, LeafObj{Cell: cell, Idx: idx[:len(idx):len(idx)], Z: s.z[lo:hi:hi], Q: s.q[lo:hi:hi]})
+	return &s.leaves[len(s.leaves)-1]
+}
+
 // cellRef names one cell of the quadtree.
 type cellRef struct {
 	L int32
@@ -83,15 +144,30 @@ func Distribute(bodies []nbody.Body, prm Params, nodes int) *Dist {
 	g := Grid{L: prm.Levels}
 	d := &Dist{G: g, Prm: prm, Bodies: bodies, Space: gptr.NewSpace(nodes)}
 
-	d.LeafBody = make([][]int32, g.CellsAt(g.L))
+	// Each leaf's bodies, in index order: counted, then cut from one array.
+	nLeaves := g.CellsAt(g.L)
+	leafOf := make([]int32, len(bodies))
+	counts := make([]int, nLeaves)
 	for i := range bodies {
 		c := g.LeafOf(bodies[i].Pos[0], bodies[i].Pos[1])
+		leafOf[i] = int32(c)
+		counts[c]++
+	}
+	d.LeafBody = make([][]int32, nLeaves)
+	flat := make([]int32, len(bodies))
+	at := 0
+	for c, k := range counts {
+		if k > 0 {
+			d.LeafBody[c] = flat[at : at : at+k]
+			at += k
+		}
+	}
+	for i, c := range leafOf {
 		d.LeafBody[c] = append(d.LeafBody[c], int32(i))
 	}
 	d.Below = countBelow(g, d.LeafBody)
 
 	// Leaf ownership: contiguous Morton zones with balanced body counts.
-	nLeaves := g.CellsAt(g.L)
 	order := make([]int, nLeaves)
 	weight := make([]float64, nLeaves)
 	for c := range order {
@@ -109,8 +185,35 @@ func Distribute(bodies []nbody.Body, prm Params, nodes int) *Dist {
 		}
 	}
 
+	// Count what each node holds first. Its heap takes two objects per
+	// non-empty cell and one more per non-empty leaf. run[k+1] counts, and
+	// then bounds, the non-empty cells of owner n at level l, k = n·(L+1)+l:
+	// the per-node work lists below are windows of one array in (node,
+	// level) order.
+	perOwner := make([]int, nodes)
+	run := make([]int, nodes*(g.L+1)+1)
+	cells, leaves := 0, 0
+	for l := 2; l <= g.L; l++ {
+		for c, k := range d.Below[l] {
+			if k == 0 {
+				continue
+			}
+			n := int(d.Owner[l][c])
+			cells++
+			run[n*(g.L+1)+l+1]++
+			perOwner[n] += 2
+			if l == g.L {
+				leaves++
+				perOwner[n]++
+			}
+		}
+	}
+	for n, k := range perOwner {
+		d.Space.Reserve(n, k)
+	}
 	// Allocate global objects: every non-empty cell's multipole and local
 	// expansion in its owner's heap, leaf bodies inline.
+	sl := newSlabs(cells, leaves, len(bodies), prm.Terms)
 	d.mp = make([][]*Multipole, g.L+1)
 	d.loc = make([][]*Local, g.L+1)
 	d.MpPtr = make([][]gptr.Ptr, g.L+1)
@@ -127,11 +230,11 @@ func Distribute(bodies []nbody.Body, prm Params, nodes int) *Dist {
 			if d.Below[l][c] == 0 {
 				continue
 			}
-			d.mp[l][c] = NewMultipole(g.Center(l, c), prm.Terms)
-			d.loc[l][c] = NewLocal(g.Center(l, c), prm.Terms)
+			mo, lo := sl.expansions(g.Center(l, c))
+			d.mp[l][c], d.loc[l][c] = mo.M, lo.L
 			owner := int(d.Owner[l][c])
-			d.MpPtr[l][c] = d.Space.Alloc(owner, &MpObj{M: d.mp[l][c]})
-			d.LocPtr[l][c] = d.Space.Alloc(owner, &LocObj{L: d.loc[l][c]})
+			d.MpPtr[l][c] = d.Space.Alloc(owner, mo)
+			d.LocPtr[l][c] = d.Space.Alloc(owner, lo)
 		}
 	}
 	d.LeafPtr = make([]gptr.Ptr, nLeaves)
@@ -141,36 +244,41 @@ func Distribute(bodies []nbody.Body, prm Params, nodes int) *Dist {
 		if len(bs) == 0 {
 			continue
 		}
-		lo := &LeafObj{Cell: int32(c)}
-		for _, bi := range bs {
-			lo.Idx = append(lo.Idx, bi)
-			lo.Z = append(lo.Z, Z(&bodies[bi]))
-			lo.Q = append(lo.Q, bodies[bi].Mass)
-		}
-		d.LeafPtr[c] = d.Space.Alloc(int(leafOwner[c]), lo)
+		d.LeafPtr[c] = d.Space.Alloc(int(leafOwner[c]), sl.leaf(int32(c), bs, bodies))
 	}
 
-	// Per-node work lists.
-	d.OwnedLeaves = make([][]int32, nodes)
-	d.OwnedCells = make([][][]int32, nodes)
-	d.WorkList = make([][]cellRef, nodes)
-	for n := 0; n < nodes; n++ {
-		d.OwnedCells[n] = make([][]int32, g.L+1)
+	// Per-node work lists. A node's WorkList visits its levels in turn, so
+	// it is one window of refs, and its owned cells at each level one window
+	// of ids; its owned leaves are its owned cells at the leaf level.
+	for k := 1; k < len(run); k++ {
+		run[k] += run[k-1]
 	}
+	next := slices.Clone(run)
+	refs := make([]cellRef, cells)
+	ids := make([]int32, cells)
 	for l := 2; l <= g.L; l++ {
 		for c := 0; c < g.CellsAt(l); c++ {
 			if d.Below[l][c] == 0 {
 				continue
 			}
-			n := int(d.Owner[l][c])
-			d.OwnedCells[n][l] = append(d.OwnedCells[n][l], int32(c))
-			d.WorkList[n] = append(d.WorkList[n], cellRef{L: int32(l), C: int32(c)})
+			k := int(d.Owner[l][c])*(g.L+1) + l
+			refs[next[k]], ids[next[k]] = cellRef{L: int32(l), C: int32(c)}, int32(c)
+			next[k]++
 		}
 	}
-	for c := 0; c < nLeaves; c++ {
-		if len(d.LeafBody[c]) > 0 {
-			d.OwnedLeaves[leafOwner[c]] = append(d.OwnedLeaves[leafOwner[c]], int32(c))
+	d.OwnedLeaves = make([][]int32, nodes)
+	d.OwnedCells = make([][][]int32, nodes)
+	d.WorkList = make([][]cellRef, nodes)
+	lists := make([][]int32, nodes*(g.L+1))
+	for n := 0; n < nodes; n++ {
+		lo, hi := n*(g.L+1), (n+1)*(g.L+1)
+		d.WorkList[n] = refs[run[lo]:run[hi]:run[hi]]
+		d.OwnedCells[n] = lists[lo:hi:hi]
+		for l := range d.OwnedCells[n] {
+			a, b := run[lo+l], run[lo+l+1]
+			d.OwnedCells[n][l] = ids[a:b:b]
 		}
+		d.OwnedLeaves[n] = d.OwnedCells[n][g.L]
 	}
 	return d
 }

@@ -89,7 +89,8 @@ func (m *Multipole) Shift(c *Multipole) {
 	m.Q += c.Q
 	// d^l table.
 	p := len(m.A)
-	dp := powers(d, p)
+	var buf [maxTerms + 2]complex128
+	dp := powers(scratch(buf[:], p+1), d)
 	for l := 1; l <= p; l++ {
 		b := complex(-c.Q/float64(l), 0) * dp[l]
 		for k := 1; k <= l; k++ {
@@ -121,7 +122,8 @@ func (l *Local) AddMultipole(m *Multipole) {
 	p := len(m.A)
 	inv := 1 / zm
 	// ak / zm^k with alternating sign folded in: term_k = A[k-1]·(−1)^k/zm^k.
-	terms := make([]complex128, p+1)
+	var buf [maxTerms + 2]complex128
+	terms := scratch(buf[:], p+1)
 	pw := complex(1, 0)
 	sign := 1.0
 	for k := 1; k <= p; k++ {
@@ -153,7 +155,8 @@ func (l *Local) AddMultipole(m *Multipole) {
 func (l *Local) ShiftFrom(pl *Local) {
 	d := l.Center - pl.Center
 	n := len(pl.B)
-	dp := powers(d, n)
+	var buf [maxTerms + 2]complex128
+	dp := powers(scratch(buf[:], n+1), d)
 	for ll := 0; ll < len(l.B) && ll < n; ll++ {
 		var c complex128
 		for k := ll; k < n; k++ {
@@ -183,11 +186,20 @@ func (l *Local) EvalDeriv(z complex128) complex128 {
 	return v
 }
 
-// powers returns [d^0, d^1, ..., d^n].
-func powers(d complex128, n int) []complex128 {
-	dp := make([]complex128, n+1)
+// scratch returns n zeroed coefficients: the first n of buf, a zero array
+// on the caller's stack sized for maxTerms, or a new slice for a longer
+// expansion.
+func scratch(buf []complex128, n int) []complex128 {
+	if n > len(buf) {
+		return make([]complex128, n)
+	}
+	return buf[:n]
+}
+
+// powers fills dp with [d^0, d^1, ..., d^(len(dp)-1)] and returns it.
+func powers(dp []complex128, d complex128) []complex128 {
 	dp[0] = 1
-	for i := 1; i <= n; i++ {
+	for i := 1; i < len(dp); i++ {
 		dp[i] = dp[i-1] * d
 	}
 	return dp

@@ -187,3 +187,28 @@ func TestBinomialTable(t *testing.T) {
 		t.Fatalf("binomial table wrong: %v %v", binom[5][2], binom[10][5])
 	}
 }
+
+// TestTranslationsAllocateNothing: M2L, M2M and L2L keep their coefficient
+// scratch on the stack at the paper's 29 terms, so the interaction phase's
+// threads allocate nothing per translation.
+func TestTranslationsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const p = 29
+	src := NewMultipole(complex(0.1, 0.1), p)
+	zs, q := randomSources(rng, 8, src.Center, 0.05)
+	for i := range zs {
+		src.AddSource(zs[i], q[i])
+	}
+	parent := NewMultipole(complex(0.2, 0.2), p)
+	loc := NewLocal(complex(0.9, 0.9), p)
+	child := NewLocal(complex(0.95, 0.95), p)
+	for name, f := range map[string]func(){
+		"AddMultipole": func() { loc.AddMultipole(src) },
+		"Shift":        func() { parent.Shift(src) },
+		"ShiftFrom":    func() { child.ShiftFrom(loc) },
+	} {
+		if a := testing.AllocsPerRun(10, f); a != 0 {
+			t.Errorf("%s allocates %v times per call", name, a)
+		}
+	}
+}

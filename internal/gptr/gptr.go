@@ -9,7 +9,10 @@
 // byte size, which is what the machine model needs.
 package gptr
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Ptr is a global pointer: an owner node and an address within its heap.
 // Node == ReplNode designates the replicated area; the zero Ptr is not nil —
@@ -112,6 +115,13 @@ func (s *Space) Len() int {
 func (s *Space) Alloc(node int, o Object) Ptr {
 	addr := s.heaps[node].Alloc(o)
 	return Ptr{Node: int32(node), Addr: addr}
+}
+
+// Reserve makes room for n more objects in node's heap, so that a builder
+// that knows each owner's object count pays one allocation per heap rather
+// than one per doubling.
+func (s *Space) Reserve(node, n int) {
+	s.heaps[node].objs = slices.Grow(s.heaps[node].objs, n)
 }
 
 // AllocReplicated places an object in the replicated read-only area.

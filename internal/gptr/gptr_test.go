@@ -127,3 +127,24 @@ func TestString(t *testing.T) {
 		t.Error((Ptr{Node: 1, Addr: 2}).String())
 	}
 }
+
+// TestReserveMakesRoomWithoutObjects: a reserved heap takes its objects with
+// no further allocation, and reserving adds no object to the space.
+func TestReserveMakesRoomWithoutObjects(t *testing.T) {
+	s := NewSpace(2)
+	s.Reserve(1, 200) // AllocsPerRun calls its function twice
+	if s.Len() != 0 {
+		t.Fatalf("Len = %d after Reserve, want 0", s.Len())
+	}
+	o := &blob{id: 3, size: 8}
+	if a := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			s.Alloc(1, o)
+		}
+	}); a != 0 {
+		t.Errorf("100 Allocs into a heap with room for them allocated %v times", a)
+	}
+	if p := s.Alloc(1, o); p.Addr != 200 {
+		t.Errorf("the 201st object got address %d, want 200", p.Addr)
+	}
+}

@@ -16,31 +16,76 @@ const Damping = 0.85
 // converge in at most Vertices rounds on any graph.
 func (g *Graph) maxRounds() int { return g.Prm.Vertices }
 
+// pullRun is what the pull phases of one run share: the callbacks the
+// current phase's threads apply, and each machine node's phase body, bound
+// once per run.
+type pullRun struct {
+	g      *Graph
+	active func(v int) bool
+	pull   func(v int, nb *Vertex)
+	nodes  []pullNode
+	body   func(rt driver.Runtime, ep *fm.EP, nd *machine.Node)
+}
+
+// pullNode is one machine node's phase body for a whole run. Its template
+// function and loop body are bound to it once, before the first phase, and
+// read the phase's runtime and node from it, so a phase only registers the
+// template again.
+type pullNode struct {
+	r     *pullRun
+	rt    driver.Runtime
+	nd    *machine.Node
+	lo    int
+	visit int // this phase's template id
+	tmpl  func(o gptr.Object, v, _ uint64)
+	iter  func(k int)
+}
+
+func (g *Graph) newPullRun(nodes int) *pullRun {
+	r := &pullRun{g: g, nodes: make([]pullNode, nodes)}
+	for i := range r.nodes {
+		n := &r.nodes[i]
+		n.r = r
+		n.tmpl, n.iter = n.apply, n.spawn
+	}
+	r.body = func(rt driver.Runtime, ep *fm.EP, nd *machine.Node) { r.nodes[nd.ID()].phase(rt, nd) }
+	return r
+}
+
 // phase runs one pull-direction SPMD phase over the owned vertex ranges:
 // every owned vertex v that active admits (nil: all) spawns one thread per
 // neighbor, which charges UpdateCost and hands the neighbor to pull. The
 // thread is one template per node, its frame the vertex. Every phase
 // iterates the full owned range (constant trip count), so the prior's
 // affinity arrays stay valid across the repeated phases of one kind.
-func (g *Graph) phase(mcfg machine.Config, spec driver.Spec, ps *driver.PriorStore,
+func (r *pullRun) phase(mcfg machine.Config, spec driver.Spec, ps *driver.PriorStore,
 	kind string, active func(v int) bool, pull func(v int, nb *Vertex)) stats.Run {
-	return driver.RunPhase(mcfg, g.Space, spec,
-		func(rt driver.Runtime, ep *fm.EP, nd *machine.Node) {
-			visit := rt.Template(func(o gptr.Object, v, _ uint64) {
-				nd.Charge(sim.Compute, g.Prm.UpdateCost)
-				pull(int(v), o.(*Vertex))
-			})
-			lo, hi := g.ownedRange(nd.ID())
-			rt.ForAll(hi-lo, func(k int) {
-				v := lo + k
-				if active != nil && !active(v) {
-					return
-				}
-				for _, u := range g.Adj[v] {
-					rt.SpawnT(g.Ptrs[u], visit, uint64(v), 0)
-				}
-			})
-		}, driver.WithPriors(ps, kind))
+	r.active, r.pull = active, pull
+	return driver.RunPhase(mcfg, r.g.Space, spec, r.body, driver.WithPriors(ps, kind))
+}
+
+func (n *pullNode) phase(rt driver.Runtime, nd *machine.Node) {
+	n.rt, n.nd = rt, nd
+	n.visit = rt.Template(n.tmpl)
+	lo, hi := n.r.g.ownedRange(nd.ID())
+	n.lo = lo
+	rt.ForAll(hi-lo, n.iter)
+}
+
+func (n *pullNode) apply(o gptr.Object, v, _ uint64) {
+	n.nd.Charge(sim.Compute, n.r.g.Prm.UpdateCost)
+	n.r.pull(int(v), o.(*Vertex))
+}
+
+func (n *pullNode) spawn(k int) {
+	v := n.lo + k
+	if n.r.active != nil && !n.r.active(v) {
+		return
+	}
+	g := n.r.g
+	for _, u := range g.Adj[v] {
+		n.rt.SpawnT(g.Ptrs[u], n.visit, uint64(v), 0)
+	}
 }
 
 // RunBFS simulates a level-synchronous breadth-first search from source
@@ -62,10 +107,11 @@ func RunBFS(mcfg machine.Config, spec driver.Spec, prm Params, source int) (stat
 	ps := driver.NewPriorStore()
 	defer ps.Close()
 	next := make([]bool, prm.Vertices)
+	r := g.newPullRun(mcfg.Nodes)
 	for level := int32(0); int(level) < g.maxRounds(); level++ {
 		clear(next)
 		level := level
-		run := g.phase(mcfg, spec, ps, "bfs",
+		run := r.phase(mcfg, spec, ps, "bfs",
 			func(v int) bool { return dist[v] < 0 },
 			func(v int, nb *Vertex) {
 				if nb.Label == level {
@@ -103,9 +149,10 @@ func RunPageRank(mcfg machine.Config, spec driver.Spec, prm Params, iters int) (
 	ps := driver.NewPriorStore()
 	defer ps.Close()
 	acc := make([]float64, n)
+	r := g.newPullRun(mcfg.Nodes)
 	for it := 0; it < iters; it++ {
 		clear(acc)
-		run := g.phase(mcfg, spec, ps, "pagerank", nil,
+		run := r.phase(mcfg, spec, ps, "pagerank", nil,
 			func(v int, nb *Vertex) {
 				// A neighbor has at least the edge back to v, so Deg >= 1
 				// and the division is safe.
@@ -141,9 +188,10 @@ func RunCC(mcfg machine.Config, spec driver.Spec, prm Params) (stats.Run, []int3
 	ps := driver.NewPriorStore()
 	defer ps.Close()
 	acc := make([]int32, n)
+	r := g.newPullRun(mcfg.Nodes)
 	for round := 0; round < g.maxRounds(); round++ {
 		copy(acc, labels)
-		run := g.phase(mcfg, spec, ps, "cc", nil,
+		run := r.phase(mcfg, spec, ps, "cc", nil,
 			func(v int, nb *Vertex) {
 				if nb.Label < acc[v] {
 					acc[v] = nb.Label

@@ -126,6 +126,7 @@ func Build(prm Params, nodes int) *Graph {
 	g.cut = partition(g.Adj, nodes)
 	slab := make([]Vertex, prm.Vertices)
 	for m := 0; m < nodes; m++ {
+		g.Space.Reserve(m, g.cut[m+1]-g.cut[m])
 		for i := g.cut[m]; i < g.cut[m+1]; i++ {
 			slab[i] = Vertex{Idx: int32(i), Label: -1, Deg: int32(len(g.Adj[i]))}
 			g.Verts[i] = &slab[i]

@@ -244,3 +244,23 @@ func TestGraphAppsCollectStats(t *testing.T) {
 		t.Fatalf("run recorded no traffic: %+v", run.RT)
 	}
 }
+
+// TestPullBodiesBoundOncePerRun: each node binds its template function and
+// loop body on its first phase, so four PageRank iterations more allocate
+// fewer than 2 objects per node; bound per phase, the two closures cost 8
+// per node over those four phases (600 objects more at 64 nodes). What is
+// left is the phases' shared objects and the fetch-record chunks a few
+// nodes outgrow in later phases (about 80 objects here).
+func TestPullBodiesBoundOncePerRun(t *testing.T) {
+	const nodes = 64
+	prm := testParams(16*nodes, KindRMAT)
+	mcfg := machine.DefaultT3D(nodes)
+	allocs := func(iters int) float64 {
+		return testing.AllocsPerRun(3, func() { RunPageRank(mcfg, driver.DPASpec(16), prm, iters) })
+	}
+	two, six := allocs(2), allocs(6)
+	t.Logf("%d nodes: %v allocations for 2 iterations, %v for 6", nodes, two, six)
+	if extra := six - two; extra >= 2*nodes {
+		t.Errorf("4 phases more allocate %v objects more on %d nodes, want fewer than 2 per node", extra, nodes)
+	}
+}
