@@ -54,8 +54,9 @@ func BenchmarkX4_SequentialCache(b *testing.B) { runExperiment(b, "X4") }
 
 // BenchmarkEngine compares host execution time of the simulation engines
 // on the same workload: one Barnes-Hut step with 32 simulated nodes under
-// DPA(50), sequentially and at a sweep of parallel worker counts. The
-// results are bit-identical; only wall-clock differs. On a multi-core host
+// DPA(50), sequentially and at a sweep of parallel worker counts (one worker
+// is the sequential row). The results are bit-identical; only wall-clock
+// differs. On a multi-core host
 // the sharded parallel engine exploits the conservative lookahead window to
 // run simulated nodes concurrently; on a single core it measures pure
 // coordination overhead.
@@ -67,7 +68,6 @@ func BenchmarkEngine(b *testing.B) {
 	}{
 		{"sequential", Sequential()},
 		{"parallel", Parallel()},
-		{"parallel-w1", Parallel(Workers(1))},
 		{"parallel-w2", Parallel(Workers(2))},
 		{"parallel-w4", Parallel(Workers(4))},
 		{"parallel-w8", Parallel(Workers(8))},

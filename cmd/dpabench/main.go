@@ -30,9 +30,9 @@
 // PageRank iteration count (BFS and CC run to completion).
 //
 // The parallel engine's one knob is -workers (host workers, 0 = one per core
-// capped at the node count); the sequential engine ignores it. Its windows
-// are the machine's minimum message delay wide and idle workers always
-// steal. None of this changes results — simulated clocks, counters, traces,
+// capped at the node count); the sequential engine ignores it. One worker is
+// the sequential engine, counters included. Two or more run windows the
+// machine's minimum message delay wide, and idle workers always steal. None of this changes results — simulated clocks, counters, traces,
 // and metrics stay bit-identical to sequential — so the host scheduler
 // summary (workers/windows/steals/parks) goes to stderr, keeping stdout
 // diffable across engines.
@@ -85,8 +85,8 @@ func main() {
 	app := flag.String("app", "bh", "application: bh, fmm, em3d, bfs, pagerank, or cc")
 	nodes := flag.Int("nodes", 16, "simulated node count")
 	rtName := flag.String("runtime", "dpa", "runtime: dpa, caching, or blocking")
-	engine := flag.String("engine", "sequential", "simulation engine: sequential or parallel")
-	workers := flag.Int("workers", 0, "parallel engine: host worker count (0 = one per core, capped at nodes)")
+	engine := flag.String("engine", "sequential", "simulation engine: sequential (one worker) or parallel (-workers)")
+	workers := flag.Int("workers", 0, "parallel engine: host worker count (0 = one per core, capped at nodes; 1 runs the sequential loop)")
 	bodies := flag.Int("bodies", 16384, "body count (em3d: graph nodes per kind)")
 	steps := flag.Int("steps", 1, "Barnes-Hut and FMM time steps")
 	terms := flag.Int("terms", 29, "FMM expansion terms")

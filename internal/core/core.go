@@ -701,7 +701,11 @@ func (rt *RT) Drain() {
 					rt.EP.ProbeOwner(int(d.owner))
 				}
 			}
-			rt.EP.WaitAndDispatch()
+			if rt.EP.WaitBounded() {
+				// No peer has sent anything for too long (fm recorded
+				// ErrNoProgress): no reply is coming, so abandon every fetch.
+				rt.abandon(everyOwner{})
+			}
 			continue
 		}
 		return
@@ -711,20 +715,31 @@ func (rt *RT) Drain() {
 // abandonUnreachable drops all fetch state destined for owners declared
 // unreachable, reporting whether it made progress.
 func (rt *RT) abandonUnreachable() bool {
-	if !rt.EP.Degraded() {
+	if !rt.EP.Degraded() || !rt.abandon(rt.EP) {
 		return false
 	}
-	progress := rt.abandonFetches(rt.EP)
+	if rt.err == nil {
+		rt.err = fmt.Errorf("core: abandoned threads waiting on unreachable owners: %w",
+			fm.ErrUnreachable)
+	}
+	return true
+}
+
+// everyOwner reports every owner unreachable: abandon drops all fetch state.
+type everyOwner struct{}
+
+func (everyOwner) Unreachable(int) bool { return true }
+
+// abandon drops all fetch state destined for owners net reports
+// unreachable, reporting whether there was any.
+func (rt *RT) abandon(net interface{ Unreachable(owner int) bool }) bool {
+	progress := rt.abandonFetches(net)
 	for i := range rt.dests.slots {
-		if d := &rt.dests.slots[i]; d.pending > 0 && rt.EP.Unreachable(int(d.owner)) {
+		if d := &rt.dests.slots[i]; d.pending > 0 && net.Unreachable(int(d.owner)) {
 			rt.pendingReplies -= int(d.pending)
 			d.pending = 0
 			progress = true
 		}
-	}
-	if progress && rt.err == nil {
-		rt.err = fmt.Errorf("core: abandoned threads waiting on unreachable owners: %w",
-			fm.ErrUnreachable)
 	}
 	return progress
 }

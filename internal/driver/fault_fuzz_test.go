@@ -21,7 +21,7 @@ import (
 // machine.ErrBadCheckpoint), never a panic, and one it accepts carries a
 // 4-phase, 8-node EM3D run to the end under both engines, with
 // identical run tables and an error that is nil or typed — every leaf wraps
-// fm.ErrUnreachable, machine.ErrCrashed or sim.ErrDeadlock. A checkpoint
+// fm.ErrUnreachable, fm.ErrNoProgress, machine.ErrCrashed or sim.ErrDeadlock. A checkpoint
 // time that is not positive is rejected with machine.ErrBadCheckpoint; an
 // accepted one is delivered at most once per run, at RequestedAt == At,
 // and leaves the run table equal to the same run's without the checkpoint.
@@ -137,5 +137,41 @@ func typedFault(err error) bool {
 		}
 		return true
 	}
-	return errors.Is(err, fm.ErrUnreachable) || errors.Is(err, machine.ErrCrashed) || errors.Is(err, sim.ErrDeadlock)
+	return errors.Is(err, fm.ErrUnreachable) || errors.Is(err, fm.ErrNoProgress) ||
+		errors.Is(err, machine.ErrCrashed) || errors.Is(err, sim.ErrDeadlock)
+}
+
+// TestFaultLivelockEnds is the input that once ran forever under both
+// engines: nobody dies on 8 nodes, but crash mode arms probes, and with one
+// retry at a short timeout a live peer is declared unreachable. Node 4 then
+// waits in core.Drain for a reply its owner abandoned while every wait keeps
+// probing live peers, so virtual time grew without bound and no deadlock was
+// ever reported. The progress bound must end it, typed and identically
+// under both engines. The same input is in FuzzFaultConfig's corpus.
+func TestFaultLivelockEnds(t *testing.T) {
+	cell := harness.Cell{App: "em3d", EM3D: em3d.DefaultParams(64), Iters: 2, Spec: driver.DPASpec(50), Machine: machine.DefaultT3D(8)}
+	cell.Machine.Faults = machine.FaultConfig{
+		FaultParams:   sim.FaultParams{Seed: 4, CrashRate: 1.0 / 72, CrashAt: 20000},
+		Reliable:      true,
+		RelWindow:     1,
+		RelRTO:        4096,
+		RelMaxRetries: 1,
+	}
+	var seq stats.Run
+	for _, eng := range []sim.EngineKind{sim.Sequential, sim.Parallel} {
+		c := cell
+		c.Machine.Engine = eng
+		run, _ := c.Exec()
+		if run.Err != nil && !typedFault(run.Err) {
+			t.Fatalf("%v: untyped error %v", eng, run.Err)
+		}
+		if eng == sim.Sequential {
+			seq = run
+		} else if d := seq.Diff(run); d != "" {
+			t.Fatalf("engines disagree: %s", d)
+		}
+	}
+	if !errors.Is(seq.Err, fm.ErrNoProgress) {
+		t.Fatalf("ends with %v, want the progress bound among its errors", seq.Err)
+	}
 }

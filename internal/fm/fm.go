@@ -262,6 +262,35 @@ func (ep *EP) WaitAndDispatch() int {
 	return n
 }
 
+// WaitBounded is WaitAndDispatch for a wait that only a peer's frame can
+// end, such as a fetch reply or a barrier release, and reports whether the
+// wait should give up. In crash mode the waits keep probing live peers, so
+// a wait on a frame that no peer will ever send would never end (nor would
+// the engine see a deadlock): once bounded waits have spent longer than the
+// reliability knobs' patience since the last frame applied from any peer
+// (probes aside), it records ErrNoProgress and returns true. Outside crash
+// mode a silent wait has no timer left and ends in a deadlock instead, so
+// it is plain WaitAndDispatch.
+func (ep *EP) WaitBounded() bool {
+	if !ep.crashes {
+		ep.WaitAndDispatch()
+		return false
+	}
+	r, t := ep.rel, ep.Node.Now()
+	ep.WaitAndDispatch()
+	if r.heard {
+		r.heard, r.silent = false, 0
+		return false
+	}
+	if r.silent += ep.Node.Now() - t; r.silent <= r.patience {
+		return false
+	}
+	ep.fail(fmt.Errorf("fm: node %d: no frame from any peer in %d cycles of waiting: %w",
+		ep.Node.ID(), r.silent, ErrNoProgress))
+	r.silent = 0
+	return true
+}
+
 // Send sends an active message to dst. With the reliability layer on,
 // cross-node messages travel as reliable frames (windowed, acked,
 // retransmitted); sends to a destination already declared unreachable are
@@ -316,8 +345,9 @@ const barrierBytes = 4
 // (see upward); with no target left it is the acting root. A node stops
 // waiting on a peer only when that peer is unreachable, and probes the peers
 // it waits on when crashes are armed, so the wait stays bounded by
-// retransmission deadlines. A barrier that routed around dead nodes records
-// one *CollectiveError counting them.
+// retransmission deadlines, and gives up past the progress bound (see
+// WaitBounded). A barrier that routed around dead nodes records one
+// *CollectiveError counting them.
 func (ep *EP) Barrier() {
 	k, id := ep.barrierAt+1, ep.Node.ID()
 	sent := -1
@@ -340,7 +370,9 @@ func (ep *EP) Barrier() {
 			}
 			ep.probe(up, k)
 		}
-		ep.WaitAndDispatch()
+		if ep.WaitBounded() {
+			break // leave degraded: ErrNoProgress is recorded
+		}
 	}
 	if ep.crashes {
 		ep.withdrawProbes()

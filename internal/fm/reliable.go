@@ -20,6 +20,11 @@ type FaultStats = stats.FaultStats
 // retry budget is exhausted and the runtimes degrade instead of hanging.
 var ErrUnreachable = errors.New("fm: destination unreachable")
 
+// ErrNoProgress is the sentinel a wait on peers records when it gives up
+// (see EP.WaitBounded): it heard no frame from any peer for longer than the
+// reliability knobs allow, though every peer it probed answered.
+var ErrNoProgress = errors.New("fm: no progress")
+
 // ErrUnknownHandler is the sentinel wrapped by every *HandlerError.
 var ErrUnknownHandler = errors.New("fm: unknown handler")
 
@@ -146,10 +151,17 @@ type relState struct {
 	src       []relSrc
 	live      int // unacked frames across all live destinations
 	deadCount int
+
+	// patience bounds a wait on peers in crash mode (see WaitBounded);
+	// silent is the time bounded waits have spent since the last frame
+	// applied from any peer, and heard is set by each such frame.
+	patience sim.Time
+	silent   sim.Time
+	heard    bool
 }
 
 func newRelState(fc *machine.FaultConfig, nodes int) *relState {
-	return &relState{
+	r := &relState{
 		window:     fc.Window(),
 		rto0:       fc.RTO(),
 		backoff:    sim.Time(fc.Backoff()),
@@ -158,6 +170,22 @@ func newRelState(fc *machine.FaultConfig, nodes int) *relState {
 		dest:       make([]relDest, nodes),
 		src:        make([]relSrc, nodes),
 	}
+	// The backoff limit is one frame's whole retry chain, rto0·(1 + b + … +
+	// b^maxRetries): how long a silent peer takes to be declared
+	// unreachable. A wait may outlast maxRetries + 1 chains back to back
+	// (one more than the retries, so that with a single retry a wait on a
+	// peer that has just died still declares it first), saturating at
+	// Forever.
+	chain, step, n := r.rto0, r.rto0, sim.Time(r.maxRetries+1)
+	for i := 0; i < r.maxRetries && chain < sim.Forever; i++ {
+		step = min(step, sim.Forever/r.backoff) * r.backoff
+		chain = min(chain+step, sim.Forever)
+	}
+	r.patience = sim.Forever
+	if chain < sim.Forever/n {
+		r.patience = chain * n
+	}
+	return r
 }
 
 // relSend queues or transmits one reliable frame to dst. Sends to a dead
@@ -214,6 +242,7 @@ func (ep *EP) onRelData(m sim.Message) {
 		ep.fs.DupsSuppressed++
 		return
 	}
+	r.heard = r.heard || fr.Handler != hProbe
 	if d := &r.dest[m.From]; d.dead && ep.crashes {
 		// A new frame proves the sender alive: a crash run withdraws the
 		// declaration, or a barrier that routed around a live peer would

@@ -255,3 +255,23 @@ func TestReliabilityOffIsTransparent(t *testing.T) {
 		t.Error("zero FaultStats reported Any")
 	}
 }
+
+// TestWaitPatience pins the progress bound of a wait on peers: RelMaxRetries
+// + 1 whole retry chains, rto0·(1 + b + … + b^RelMaxRetries) each, saturating
+// at Forever however large the knobs.
+func TestWaitPatience(t *testing.T) {
+	cases := []struct {
+		fc   machine.FaultConfig
+		want sim.Time
+	}{
+		{machine.FaultConfig{}, 9 * 511 * machine.DefaultRelRTO},
+		{machine.FaultConfig{RelRTO: 4096, RelMaxRetries: 1}, 2 * 3 * 4096},
+		{machine.FaultConfig{RelRTO: 100, RelBackoff: 3, RelMaxRetries: 2}, 3 * 13 * 100},
+		{machine.FaultConfig{RelMaxRetries: 1 << 20}, sim.Forever},
+	}
+	for _, c := range cases {
+		if got := newRelState(&c.fc, 2).patience; got != c.want {
+			t.Errorf("%+v: patience %d, want %d", c.fc, got, c.want)
+		}
+	}
+}

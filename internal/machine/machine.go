@@ -231,7 +231,7 @@ func (c Config) Seconds(t sim.Time) float64 { return float64(t) / c.ClockHz }
 // the program.
 type Machine struct {
 	Cfg   Config
-	eng   sim.Engine
+	eng   *sim.Engine
 	nodes []*Node
 	trace *Timeline
 	// main is the program the current Run executes; every node's process
@@ -351,29 +351,16 @@ func (m *Machine) Close() { m.eng.Close() }
 func (m *Machine) Nodes() []*Node { return m.nodes }
 
 // WorkerStats returns the engine's per-worker host scheduling counters after
-// Run: one row per shard under the parallel engine, a single row (all nodes,
-// every resume) under the sequential one. The parallel rows reflect host
-// timing (steal races), not virtual time, so the counters are excluded from
-// all deterministic result comparisons.
-func (m *Machine) WorkerStats() []sim.WorkerStats {
-	switch e := m.eng.(type) {
-	case *sim.ParEngine:
-		return e.WorkerStats()
-	case *sim.SeqEngine:
-		return []sim.WorkerStats{{Procs: len(e.Procs()), Resumes: e.Resumes()}}
-	}
-	return nil
-}
+// Run: one row per worker, a single row (all nodes, every resume) at one
+// worker. Rows of two or more workers reflect host timing (steal races), not
+// virtual time, so the counters are excluded from all deterministic result
+// comparisons.
+func (m *Machine) WorkerStats() []sim.WorkerStats { return m.eng.WorkerStats() }
 
-// EngineWindows returns the parallel engine's window count after Run (0
-// under the sequential engine). Unlike WorkerStats, the window count is a
-// pure function of virtual time and identical across worker counts.
-func (m *Machine) EngineWindows() int64 {
-	if pe, ok := m.eng.(*sim.ParEngine); ok {
-		return pe.Windows()
-	}
-	return 0
-}
+// EngineWindows returns the engine's window count after Run: 0 at one
+// worker, whatever the engine kind. Unlike WorkerStats, the count is a pure
+// function of virtual time, identical at every worker count of two or more.
+func (m *Machine) EngineWindows() int64 { return m.eng.Windows() }
 
 // Node is one simulated processor with its network interface and local
 // memory system model. All methods must be called from the node's own

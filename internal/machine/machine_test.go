@@ -145,8 +145,9 @@ func TestValidateEngineTuning(t *testing.T) {
 }
 
 // TestMachineRunWithTuning runs a machine under explicit tuning and checks
-// results match the default parallel configuration, and that the host
-// scheduling counters are exposed.
+// results match the sequential engine's, and that the host scheduling
+// counters are exposed: one worker is the sequential engine, counters
+// included, and two open windows.
 func TestMachineRunWithTuning(t *testing.T) {
 	body := func(n *Node) {
 		if n.ID()%2 == 0 {
@@ -173,6 +174,15 @@ func TestMachineRunWithTuning(t *testing.T) {
 	if len(seqWS) != 1 || seqWS[0].Procs != 4 || seqWS[0].Resumes < 4 || seqWindows != 0 {
 		t.Fatalf("sequential engine worker stats = %+v, windows %d; want one row of 4 procs with every proc resumed, no windows",
 			seqWS, seqWindows)
+	}
+
+	oneCfg := DefaultT3D(4)
+	oneCfg.Engine = sim.Parallel
+	oneCfg.EngineTuning = sim.Tuning{Workers: 1}
+	oneClocks, oneWS, oneWindows := run(oneCfg)
+	if !slices.Equal(oneClocks, seqClocks) || !slices.Equal(oneWS, seqWS) || oneWindows != 0 {
+		t.Fatalf("one worker: clocks %v, worker stats %+v, windows %d; want the sequential engine's %v, %+v, 0",
+			oneClocks, oneWS, oneWindows, seqClocks, seqWS)
 	}
 
 	parCfg := DefaultT3D(4)

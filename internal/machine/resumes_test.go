@@ -31,7 +31,7 @@ func TestSequentialResumesWithLookahead(t *testing.T) {
 		t.Fatalf("sequential run does not repeat: %d resumes, then %d", withResumes, againResumes)
 	}
 
-	restore := machine.SwapEngineFactory(func(kind sim.EngineKind, _ sim.Time, tn sim.Tuning) (sim.Engine, error) {
+	restore := machine.SwapEngineFactory(func(kind sim.EngineKind, _ sim.Time, tn sim.Tuning) (*sim.Engine, error) {
 		return sim.NewEngineWith(kind, 0, tn)
 	})
 	defer restore()

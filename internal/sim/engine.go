@@ -3,33 +3,47 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// ParEngine is the conservative parallel engine, built as a sharded
-// work-stealing scheduler. It exploits the machine model's minimum message
-// delay (the lookahead): any message posted by a process whose clock is at
-// least the global virtual time (GVT) arrives no earlier than GVT +
-// lookahead. All processes whose next event falls inside the window
-// [GVT, GVT+lookahead) can therefore execute without any of them observing a
-// message from its logical past. The engine runs such windows back to back.
+// Engine drives a set of processes to completion in virtual time: a
+// conservative scheduler that resumes processes in (wake, id) order. Spawn
+// must not be called after Run; Run may be called once per Reset.
 //
-// # Sharded scheduling
+// An engine built with a lookahead (NewEngineWith, NewParallel) holds its
+// caller to it: no cross-process Post may arrive less than the lookahead
+// after the sender's clock. The engine schedules on that promise and checks
+// it (see Proc.Post).
 //
-// The P simulated processes are partitioned into W worker shards (block
-// partition, so neighboring node ids share a shard). Each shard owns a local
-// indexed (wake, id) min-heap of its parked processes and one persistent
-// worker goroutine for the length of Run. A worker resumes its shard's
-// admitted processes one at a time as coroutines, so at most W processes
-// execute at any instant and no host thread is woken per simulated hand-off.
+// # One worker
 //
-// When a worker exhausts its own run queue, it steals the tail of the
-// heaviest remaining run queue and keeps going, so a process may be resumed
-// by different workers in different windows (never by two at once: take
+// The worker count W, resolved at Run, picks the loop. At W = 1 (the
+// Sequential kind, or Parallel resolving to one worker) Run resumes one
+// process at a time on its caller's goroutine: read the wake heap's minimum,
+// resume that process, look again once it yields or returns. Each dispatch
+// is a singleton window (see prep). A scheduling event costs one O(log P)
+// heap fix and one coroutine switch each way, none at all when the yielding
+// process is still the earliest (see park), and no process takes a mailbox
+// lock.
+//
+// # Sharded windows
+//
+// At W ≥ 2 Run exploits the lookahead: any message posted by a process whose
+// clock is at least the global virtual time (GVT) arrives no earlier than
+// GVT + lookahead, so all processes whose next event falls inside the window
+// [GVT, GVT+lookahead) can execute without any of them observing a message
+// from its logical past. Run opens such windows back to back.
+//
+// The processes are partitioned into W shards (block partition, so
+// neighboring node ids share a shard). Each shard owns an indexed (wake, id)
+// min-heap of its parked processes and one persistent worker goroutine for
+// the length of Run. A worker resumes its shard's admitted processes one at
+// a time as coroutines. When it exhausts its own run queue, it steals the
+// tail of the heaviest remaining one, so a process may be resumed by
+// different workers in different windows (never by two at once: take
 // removes it from its one run queue under the shard mutex).
-//
-// # Window turnover
 //
 // Every worker takes part in every turnover. A window ends at a barrier each
 // worker reaches once its own run queue is empty and no other is left to
@@ -42,39 +56,31 @@ import (
 // wait spins, then parks (see arrive); the barrier's atomics order all shard
 // state a worker reads across it.
 //
-// # Determinism
-//
-// Window membership, idle accounting, and message delivery order —
+// Window membership, idle accounting and message delivery order —
 // (arrival, sender, per-sender sequence) — are all functions of virtual
 // time, never of real-time interleaving or of which worker ran a process, so
-// a parallel run is bit-identical to a sequential run of the same program
-// regardless of worker count or steal timing. Stealing moves host work, not
-// virtual-time events.
-//
-// The lookahead contract is enforced: a cross-process post whose arrival
-// precedes the current window frontier panics (see Proc.Post). The machine
-// layer guarantees the contract by charging at least the lookahead's worth
-// of send overhead plus base latency on every message.
-type ParEngine struct {
+// a run is bit-identical at every worker count regardless of steal timing.
+type Engine struct {
 	procs     []*Proc
+	kind      EngineKind
 	lookahead Time
 	tuning    Tuning
 	workers   int  // resolved at Run
 	spin      bool // barrier waits spin first: no more workers than usable CPUs
-	shards    []*parShard
-	window    uint64 // window generation, stamped on admitted procs
-	windows   int64  // total windows opened (host counter)
+	// shards hold the schedule: W heaps, of which shard 0's is the W = 1
+	// loop's one heap.
+	shards  []*parShard
+	windows int64 // total windows opened (host counter)
 	// frontier and horizon bound the next window's admitted processes; done
 	// ends the run instead. The last arriver at the turnover barrier writes
 	// them, every worker reads them after it.
 	frontier, horizon Time
 	done, deadlocked  bool
-	// failure holds the first panic value a process body raised. The run
-	// ends at the next turnover and Run re-panics with the value.
+	// failure holds the first panic value a process body raised in a window.
+	// The run ends at the next turnover and Run re-panics with the value.
 	failure atomic.Pointer[any]
-	// ckAt/ckFn are the armed one-shot checkpoint hook (see
-	// Engine.CheckpointAt); ckFn is nilled once fired. Only the last arriver
-	// at the turnover barrier reads or fires them.
+	// ckAt/ckFn are the armed one-shot checkpoint hook (see CheckpointAt);
+	// ckFn is nilled once fired.
 	ckAt Time
 	ckFn func()
 
@@ -153,6 +159,11 @@ func (sh *parShard) take(steal bool) *Proc {
 	return q
 }
 
+// NewEngine returns an empty sequential engine with lookahead 0: a resumed
+// process's horizon is the bare second-best wake time, and Post accepts any
+// arrival at or after the sender's clock.
+func NewEngine() *Engine { return &Engine{} }
+
 // NewParallel returns an empty parallel engine with the given lookahead (the
 // machine's minimum cross-process message delay, in cycles, and the width of
 // every window) and worker count (0 means auto: min(GOMAXPROCS, process
@@ -165,18 +176,19 @@ func (sh *parShard) take(steal bool) *Proc {
 // lookahead here is a programming bug in the caller, not an input error.
 // Input-level validation with typed errors lives in Tuning.Validate and
 // NewEngineWith.
-func NewParallel(lookahead Time, workers int) *ParEngine {
+func NewParallel(lookahead Time, workers int) *Engine {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: parallel engine requires positive lookahead, got %d", lookahead))
 	}
-	return &ParEngine{lookahead: lookahead, tuning: Tuning{Workers: workers}}
+	return &Engine{kind: Parallel, lookahead: lookahead, tuning: Tuning{Workers: workers}}
 }
 
 // Workers returns the resolved worker count (0 before Run).
-func (e *ParEngine) Workers() int { return e.workers }
+func (e *Engine) Workers() int { return e.workers }
 
-// Windows returns the number of conservative windows opened so far.
-func (e *ParEngine) Windows() int64 { return e.windows }
+// Windows returns the number of conservative windows opened so far (none at
+// W = 1).
+func (e *Engine) Windows() int64 { return e.windows }
 
 // WorkerStats is one worker shard's host-side scheduling counters. Unlike
 // every virtual-time statistic, these depend on host timing (steal races)
@@ -198,69 +210,231 @@ type WorkerStats struct {
 	Parks int64
 }
 
-// WorkerStats returns the per-shard host counters (nil before Run). Safe to
-// call after Run returned; calling it while the engine runs would race.
-func (e *ParEngine) WorkerStats() []WorkerStats {
+// WorkerStats returns the per-shard host counters, one row per worker (nil
+// before Run). Safe to call after Run returned; calling it while the engine
+// runs would race.
+func (e *Engine) WorkerStats() []WorkerStats {
 	if e.shards == nil {
 		return nil
 	}
 	out := make([]WorkerStats, len(e.shards))
 	for i, sh := range e.shards {
-		n := 0
-		for _, p := range e.procs {
-			if int(p.shard) == i {
-				n++
-			}
-		}
-		out[i] = WorkerStats{Worker: i, Procs: n, Resumes: sh.resumes, Stolen: sh.stolen, Steals: sh.steals, Parks: sh.parks}
+		out[i] = WorkerStats{Worker: i, Resumes: sh.resumes, Stolen: sh.stolen, Steals: sh.steals, Parks: sh.parks}
+	}
+	for _, p := range e.procs {
+		out[p.shard].Procs++
 	}
 	return out
 }
 
-func (e *ParEngine) peer(id int) *Proc { return e.procs[id] }
-
 // Spawn registers a new process whose body is fn. Processes start at time 0.
-// Spawn must be called before Run.
-func (e *ParEngine) Spawn(fn func(p *Proc)) *Proc {
-	p := recycled(e.procs, fn)
-	if p == nil {
-		p = newProc(e, len(e.procs), fn, true)
+// Spawn must be called before Run. After Reset it hands out the previous
+// run's process with the next id, respawned on fn.
+func (e *Engine) Spawn(fn func(p *Proc)) *Proc {
+	id := len(e.procs)
+	var p *Proc
+	if id < cap(e.procs) {
+		p = e.procs[:id+1][id]
 	}
+	if p == nil {
+		p = &Proc{id: id, sched: e}
+	}
+	p.respawn(fn)
 	e.procs = append(e.procs, p)
 	return p
 }
 
-// Reset readies the engine for another Spawn/Run round (see Engine.Reset).
-// The shards stay built; Run re-partitions the processes over them and
-// rebuilds them only if the worker count changed.
-func (e *ParEngine) Reset() {
-	requireDone(e.procs)
+// Reset returns the engine to the state a new engine of the same kind and
+// lookahead starts in, for another round of Spawn and Run. It keeps the
+// storage: the processes the next Spawns hand out are the previous run's, in
+// id order, with their message buffers emptied but not freed, and the
+// engine's shards keep their heaps and queues. Each process keeps its
+// coroutine, parked since its body returned, and the next Spawn hands it the
+// new body. Every process must have completed: a deadlocked or panicked run
+// leaves coroutines parked inside their bodies, and Reset panics rather than
+// hand them out.
+func (e *Engine) Reset() {
+	for _, p := range e.procs {
+		if p.state != stateDone {
+			panic(fmt.Sprintf("sim: Reset with process %d not completed (state %d): "+
+				"a deadlocked or failed run leaves its coroutines parked", p.id, p.state))
+		}
+	}
 	e.procs = e.procs[:0] // the backing array keeps the processes for Spawn
-	e.window, e.windows = 0, 0
+	e.windows = 0
 }
 
-// Close ends the engine's last run (see Engine.Close).
-func (e *ParEngine) Close() { closeProcs(e.procs) }
+// Close ends the engine's last run: the coroutine of every process not
+// inside its body — completed, or spawned and never started — returns, so no
+// goroutine of a clean run outlives it. Call it once the engine will not run
+// again (a later Spawn and Run still work, on new coroutines). A process
+// still inside its body — a deadlocked or panicked run — stays parked. After
+// Reset the backing array still holds the last run's processes.
+func (e *Engine) Close() {
+	for _, p := range e.procs[:cap(e.procs)] {
+		if p != nil && p.co != nil && p.co.idle() {
+			p.co.stop()
+			p.co = nil
+		}
+	}
+}
+
+// Procs returns the engine's processes (for stats collection after Run).
+func (e *Engine) Procs() []*Proc { return e.procs }
+
+// CheckpointAt arms a one-shot checkpoint hook for the coming Run: fn runs
+// exactly once, at the first scheduling boundary where every process's next
+// event lies at or beyond at — every virtual-time event before at has
+// executed and none at or beyond it has, with all processes parked. The
+// boundary is a pure function of the simulated programs, so every engine
+// fires with bit-identical process state; horizons are clamped to at while
+// armed, which changes when processes yield but never what they compute. at
+// must be positive; if the run completes or deadlocks before at, fn never
+// runs and the hook is disarmed. Must be called before Run; fn must not call
+// back into the engine.
+func (e *Engine) CheckpointAt(at Time, fn func()) {
+	if at <= 0 {
+		panic("sim: CheckpointAt requires a positive time")
+	}
+	e.ckAt, e.ckFn = at, fn
+}
+
+// maybeCheckpoint fires the armed checkpoint hook once the schedule's next
+// event time has reached the boundary. It is called with every process
+// parked and next the earliest wake, never Forever (a deadlock ends the run
+// first, so fn cannot fire on a deadlocked run).
+func (e *Engine) maybeCheckpoint(next Time) {
+	if e.ckFn == nil || next < e.ckAt {
+		return
+	}
+	fn := e.ckFn
+	e.ckFn = nil
+	fn()
+}
+
+// reach bounds what runs once every other process's next event lies at or
+// after t: nothing they send lands before t + lookahead, and while a
+// checkpoint is armed nothing may run past its boundary (a local advance
+// stays strictly below the horizon, so every pre-capture event stays strictly
+// before it). It is a window's frontier (t the GVT) and a lone runner's
+// horizon (t the second-earliest wake; Forever when it is the only live
+// process).
+func (e *Engine) reach(t Time) Time {
+	h := min(t+e.lookahead, Forever)
+	if e.ckFn != nil {
+		h = min(h, e.ckAt)
+	}
+	return h
+}
+
+// Run executes all processes until every one has returned, and returns the
+// makespan: the largest final clock across processes. On deadlock (all
+// processes blocked with empty mailboxes) it returns the makespan so far and
+// a *DeadlockError; the deadlocked process coroutines stay parked and their
+// final statistics remain readable. A panic in a process body panics out of
+// Run with the original value. Tuning problems (worker count out of [1,
+// procs]) surface as a *TuningError. Run's own goroutine is the W = 1 loop,
+// or shard 0's worker, and the other workers have all exited when Run
+// returns.
+func (e *Engine) Run() (Time, error) {
+	defer func() { e.ckFn = nil }() // a hook still armed: the run ended before its boundary
+	if len(e.procs) == 0 {
+		return 0, nil
+	}
+	e.workers = 1
+	if e.kind == Parallel {
+		if err := e.tuning.Validate(len(e.procs)); err != nil {
+			return 0, err
+		}
+		e.workers = e.tuning.resolveWorkers(len(e.procs))
+	}
+	e.arenaShards()
+	if e.workers == 1 {
+		return e.loop()
+	}
+	// More spinning workers than usable CPUs would spin against the very
+	// workers they wait for.
+	e.spin = e.workers <= min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	e.done = false
+	var workers sync.WaitGroup
+	workers.Add(e.workers - 1)
+	for _, sh := range e.shards[1:] {
+		go func() {
+			defer workers.Done()
+			e.work(sh)
+		}()
+	}
+	e.work(e.shards[0])
+	workers.Wait()
+	if r := e.failure.Load(); r != nil {
+		panic(*r)
+	}
+	if e.deadlocked {
+		return makespan(e.procs), &DeadlockError{Detail: describe(e.procs)}
+	}
+	return makespan(e.procs), nil
+}
+
+// loop is Run at W = 1: resume the heap minimum until every process has
+// returned or every live one is blocked with no pending messages.
+func (e *Engine) loop() (Time, error) {
+	sh := e.shards[0]
+	for len(sh.heap) > 0 {
+		q := sh.heap.min()
+		if q.wake == Forever {
+			return makespan(e.procs), &DeadlockError{Detail: describe(e.procs)}
+		}
+		e.maybeCheckpoint(q.wake)
+		e.prep(q)
+		sh.resumes++
+		if !q.run() {
+			sh.heap.remove(q)
+		}
+	}
+	return makespan(e.procs), nil
+}
+
+// prep prepares the heap minimum q to run at W = 1: idle catch-up, contract
+// frontier, horizon, state. Every dispatch is a singleton window: all other
+// processes resume at or after the second-best heap key, so q may run as far
+// as reach allows from it.
+func (e *Engine) prep(q *Proc) {
+	q.catchUp()
+	q.frontier = q.clock + e.lookahead
+	q.horizon = e.reach(e.shards[0].heap.secondWake())
+	q.state = stateRunning
+}
 
 // park is called on the yielding process's coroutine after it has recorded
-// its state and wake under its mutex: record the park for its shard's fold.
-// The process then pauses and its worker picks what runs next.
-func (e *ParEngine) park(p *Proc) bool {
-	sh := e.shards[p.shard]
-	sh.mu.Lock()
-	sh.parked = append(sh.parked, p)
-	sh.mu.Unlock()
-	return false
+// its state and wake. A true return means the caller keeps running (no
+// switch); false means it pauses its coroutine and its resumer picks what
+// runs next. In a window the park is a note for the shard's fold. At W = 1,
+// where exactly one process runs at a time, the process is re-keyed in the
+// one heap without locks, and one that is still the earliest keeps running
+// with a refreshed horizon instead of bouncing through Run's loop.
+func (e *Engine) park(p *Proc) bool {
+	if p.strict {
+		sh := e.shards[p.shard]
+		sh.mu.Lock()
+		sh.parked = append(sh.parked, p)
+		sh.mu.Unlock()
+		return false
+	}
+	h := e.shards[0].heap
+	h.fix(p.heapIdx)
+	if h.min() != p || p.wake == Forever {
+		return false
+	}
+	e.maybeCheckpoint(p.wake)
+	e.prep(p)
+	return true
 }
 
-// lowered records a decrease-key note: a post lowered blocked process q's
-// wake below its key in q's shard heap. q's worker applies the note at the
-// next fold; posters never touch foreign heaps. Called without q's mutex
-// held (lock order: shard mutexes are leaves).
-func (e *ParEngine) lowered(q *Proc) {
-	if e.shards == nil {
-		return // post before Run (spawn-time setup); heaps not built yet
-	}
+// lowered records a decrease-key note in a window: a post lowered blocked
+// process q's wake below its key in q's shard heap. q's worker applies the
+// note at the next fold; posters never touch foreign heaps. Called without
+// q's mutex held (lock order: shard mutexes are leaves).
+func (e *Engine) lowered(q *Proc) {
 	sh := e.shards[q.shard]
 	sh.mu.Lock()
 	sh.lowered = append(sh.lowered, q)
@@ -271,7 +445,7 @@ func (e *ParEngine) lowered(q *Proc) {
 // barrier, serve (the home run queue's head first, then the heaviest
 // victim's tail), end barrier — once per window, until the turnover ends the
 // run.
-func (e *ParEngine) work(home *parShard) {
+func (e *Engine) work(home *parShard) {
 	for {
 		home.fold()
 		e.arrive(home, true)
@@ -300,7 +474,7 @@ func (e *ParEngine) work(home *parShard) {
 // writes before every worker's return. The others wait by spinning, then
 // parking; an asleep mark set before the last look at the generation word
 // and claimed by the releaser keeps a wake from being lost.
-func (e *ParEngine) arrive(home *parShard, turnover bool) {
+func (e *Engine) arrive(home *parShard, turnover bool) {
 	g := e.gen.Load()
 	asleep := uint64(g) + 1
 	if int(e.arrived.Add(1)) == e.workers {
@@ -335,7 +509,7 @@ func (e *ParEngine) arrive(home *parShard, turnover bool) {
 // resume runs q until it yields or returns. A done process is simply never
 // folded back into a heap; a panicking one counts as done, and its panic
 // value is kept for Run.
-func (e *ParEngine) resume(q *Proc) {
+func (e *Engine) resume(q *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
 			v := r // only a panic pays for the escaping copy
@@ -347,7 +521,7 @@ func (e *ParEngine) resume(q *Proc) {
 
 // steal takes the tail of the heaviest other shard's run queue. Run queues
 // only shrink during a window, so a scan that finds them all empty is final.
-func (e *ParEngine) steal(home *parShard) *Proc {
+func (e *Engine) steal(home *parShard) *Proc {
 	for {
 		var victim *parShard
 		best := int32(0)
@@ -397,7 +571,7 @@ func (sh *parShard) fold() {
 // next-earliest wake, end the run when it is over — all done, deadlocked, or
 // a process body panicked — and otherwise fire a due checkpoint and bound
 // the next window.
-func (e *ParEngine) turnover() {
+func (e *Engine) turnover() {
 	gvt, second := Forever, Forever
 	live := false
 	for _, sh := range e.shards {
@@ -415,91 +589,33 @@ func (e *ParEngine) turnover() {
 	if e.done = !live || e.deadlocked || e.failure.Load() != nil; e.done {
 		return
 	}
-	// An armed checkpoint fires at the first turnover whose GVT has reached
-	// the boundary: every event before it has executed, none at or beyond it
-	// has, and all processes are parked — the same boundary the sequential
-	// engine fires at, so the captured state is bit-identical.
-	if e.ckFn != nil && gvt >= e.ckAt {
-		fn := e.ckFn
-		e.ckFn = nil
-		fn()
-	}
-	// While armed, no window may reach past the boundary: strict-mode local
-	// advances stay strictly below the horizon, so clamping the frontier
-	// keeps every pre-capture event strictly before the boundary. GVT < ckAt
-	// here, so the window is never empty.
-	clamp := Forever
-	if e.ckFn != nil {
-		clamp = e.ckAt
-	}
-	e.frontier = min(gvt+e.lookahead, clamp)
+	e.maybeCheckpoint(gvt)
+	// GVT < ckAt once the hook stays armed, so the window is never empty.
+	e.frontier = e.reach(gvt)
 	e.horizon = e.frontier
 	if second > e.frontier {
-		// Singleton-window extension: exactly one process is admitted, and
-		// nothing can arrive at it before second + lookahead, so it may run
-		// that far (its own posts shrink the bound, see Post). The frontier,
-		// and with it the lookahead check on posts, stays put. (A lone live
-		// process, second == Forever, runs unbounded.)
-		e.horizon = min(second+e.lookahead, Forever, clamp)
+		// Singleton window: exactly one process is admitted, and it may run
+		// as far as a W = 1 dispatch would (its own posts shrink the bound,
+		// see Post). The frontier, and with it the lookahead check on posts,
+		// stays put.
+		e.horizon = e.reach(second)
 	}
-	e.window++
 	e.windows++
 }
 
 // admit moves the shard's processes inside the window from its heap to its
-// run queue, each prepped (idle catch-up, horizon, state, window stamp)
-// before the start barrier lets any worker take it.
-func (sh *parShard) admit(e *ParEngine) {
+// run queue, each prepped (idle catch-up, horizon, state) before the start
+// barrier lets any worker take it.
+func (sh *parShard) admit(e *Engine) {
 	sh.runq, sh.head = sh.runq[:0], 0
 	for len(sh.heap) > 0 && sh.heap.min().wake < e.frontier {
 		p := sh.heap.popMin()
 		p.catchUp()
 		p.horizon, p.frontier = e.horizon, e.frontier
 		p.state = stateRunning
-		p.epochGen = e.window
 		sh.runq = append(sh.runq, p)
 	}
 	sh.pending.Store(int32(len(sh.runq)))
-}
-
-// Run executes all processes until every one has returned. It returns the
-// makespan: the largest final clock across processes. On deadlock (all
-// processes blocked with empty mailboxes) it returns a *DeadlockError; the
-// blocked process coroutines stay parked. Tuning problems (worker count out
-// of [1, procs]) surface as a *TuningError. Run's own goroutine is shard
-// 0's worker, and the other workers have all exited when Run returns; if a
-// process body panicked, Run panics with the body's panic value.
-func (e *ParEngine) Run() (Time, error) {
-	if len(e.procs) == 0 {
-		return 0, nil
-	}
-	if err := e.tuning.Validate(len(e.procs)); err != nil {
-		return 0, err
-	}
-	e.workers = e.tuning.resolveWorkers(len(e.procs))
-	// More spinning workers than usable CPUs would spin against the very
-	// workers they wait for.
-	e.spin = e.workers <= min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	e.done = false
-	e.arenaShards()
-	var workers sync.WaitGroup
-	workers.Add(e.workers - 1)
-	for _, sh := range e.shards[1:] {
-		go func() {
-			defer workers.Done()
-			e.work(sh)
-		}()
-	}
-	e.work(e.shards[0])
-	workers.Wait()
-	e.ckFn = nil // the run ended before the boundary
-	if r := e.failure.Load(); r != nil {
-		panic(*r)
-	}
-	if e.deadlocked {
-		return makespan(e.procs), &DeadlockError{Detail: describe(e.procs)}
-	}
-	return makespan(e.procs), nil
 }
 
 // The capacities of each process's message buffers carved from a slab at its
@@ -549,14 +665,15 @@ func seedBuffers(procs []*Proc) {
 	}
 }
 
-// arenaShards partitions the processes over the worker shards and sizes every
-// per-shard buffer the window turnover touches so the steady state allocates
-// nothing: the parked/lowered/run queues get capacity for every process the
-// shard owns (they are reset to length zero each window, never beyond that
-// bound), and each shard's new processes get their message buffers from one
+// arenaShards partitions the processes over the worker shards, sets their
+// locking mode, and sizes every per-shard buffer the window turnover touches
+// so the steady state allocates nothing: the heap and the parked/lowered/run
+// queues get capacity for every process the shard owns (the queues are reset
+// to length zero each window, never beyond that bound; the W = 1 loop uses
+// none), and each shard's new processes get their message buffers from one
 // per-shard slab (see seedBuffers), adjacent for the worker that polls them.
 // The shards, their queues and their wake channels survive Reset.
-func (e *ParEngine) arenaShards() {
+func (e *Engine) arenaShards() {
 	if len(e.shards) != e.workers {
 		// One slab for all shard structs (the cache-line pad in parShard
 		// keeps neighbors apart within it), pointers into the slab
@@ -569,35 +686,32 @@ func (e *ParEngine) arenaShards() {
 			e.shards[i] = &shardSlab[i]
 		}
 	}
-	// Block partition: shard i owns procs [i*P/W, (i+1)*P/W) — neighboring
-	// node ids (which talk the most under owner-major layouts) share a
-	// shard and therefore a worker's cache.
-	for i, p := range e.procs {
-		p.shard = int32(i * e.workers / len(e.procs))
-		e.shards[p.shard].heap.push(p)
-	}
+	// Only windows have concurrent posters. A strict process's mailbox size
+	// is mirrored from here on, including what was posted before Run.
+	strict := e.workers > 1
+	most := (len(e.procs) + e.workers - 1) / e.workers // no shard owns more
 	for _, sh := range e.shards {
-		n := len(sh.heap)
-		if cap(sh.runq) < n {
-			sh.runq = make([]*Proc, 0, n)
-			sh.parked = make([]*Proc, 0, n)
-			sh.lowered = make([]*Proc, 0, n)
+		sh.heap = slices.Grow(sh.heap, most)
+		if strict && cap(sh.runq) < most {
+			sh.runq = make([]*Proc, 0, most)
+			sh.parked = make([]*Proc, 0, most)
+			sh.lowered = make([]*Proc, 0, most)
 		}
 		sh.runq, sh.head = sh.runq[:0], 0
 		sh.pending.Store(0)
 		sh.parked, sh.lowered = sh.parked[:0], sh.lowered[:0]
 		sh.resumes, sh.stolen, sh.steals, sh.parks = 0, 0, 0, 0
+	}
+	// Block partition: shard i owns procs [i*P/W, (i+1)*P/W) — neighboring
+	// node ids (which talk the most under owner-major layouts) share a
+	// shard and therefore a worker's cache.
+	for i, p := range e.procs {
+		p.shard = int32(i * e.workers / len(e.procs))
+		p.strict = strict
+		p.mailN.Store(int32(p.mailbox.size()))
+		e.shards[p.shard].heap.push(p)
+	}
+	for _, sh := range e.shards {
 		seedBuffers(sh.heap)
 	}
-}
-
-// Procs returns the engine's processes (for stats collection after Run).
-func (e *ParEngine) Procs() []*Proc { return e.procs }
-
-// CheckpointAt arms the one-shot checkpoint hook (see Engine.CheckpointAt).
-func (e *ParEngine) CheckpointAt(at Time, fn func()) {
-	if at <= 0 {
-		panic("sim: CheckpointAt requires a positive time")
-	}
-	e.ckAt, e.ckFn = at, fn
 }

@@ -161,7 +161,7 @@ type eqResult struct {
 	snap     []byte    // EncodeProcs at the checkpoint boundary; nil if it never fired
 }
 
-func (pr *eqProgram) run(e Engine, checkpoint bool) (eqResult, error) {
+func (pr *eqProgram) run(e *Engine, checkpoint bool) (eqResult, error) {
 	res := eqResult{logs: make([][]int64, len(pr.procs))}
 	for id := range pr.procs {
 		e.Spawn(pr.body(&res.logs[id]))
@@ -199,7 +199,7 @@ func eqCheck(t *testing.T, data []byte) (fired bool) {
 	}{
 		{"sequential/la=0", Sequential, 0, 0},
 		{"sequential", Sequential, pr.lookahead, 0},
-		{"parallel-w1", Parallel, pr.lookahead, 1},
+		{"parallel-w2", Parallel, pr.lookahead, 2},
 		{"parallel-w3", Parallel, pr.lookahead, min(3, len(pr.procs))},
 	}
 	var ref, refCk *eqResult

@@ -300,7 +300,7 @@ func TestWaitMessageUntilDelivery(t *testing.T) {
 // must behave identically under both engines (the bounded wait only
 // advances the local clock inside the granted horizon).
 func TestWaitMessageUntilEngineEquivalence(t *testing.T) {
-	build := func(e Engine) *Proc {
+	build := func(e *Engine) *Proc {
 		e.Spawn(func(p *Proc) {
 			for i := 0; i < 20; i++ {
 				p.Charge(Compute, Time(70+i*13))
@@ -319,7 +319,7 @@ func TestWaitMessageUntilEngineEquivalence(t *testing.T) {
 	seqE := NewEngine()
 	pSeq := build(seqE)
 	seqE.Run()
-	parE := NewParallel(50, 0)
+	parE := NewParallel(50, 2)
 	pPar := build(parE)
 	parE.Run()
 	if pSeq.Now() != pPar.Now() {

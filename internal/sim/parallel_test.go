@@ -11,8 +11,8 @@ import (
 // minimum message delay of `delay` cycles: every post arrives at
 // Now() + delay + extra with extra >= 0, so it is valid for any parallel
 // lookahead <= delay.
-func broadcastWorkload(n int, delay Time) func(e Engine) {
-	return func(e Engine) {
+func broadcastWorkload(n int, delay Time) func(e *Engine) {
+	return func(e *Engine) {
 		for i := 0; i < n; i++ {
 			i := i
 			e.Spawn(func(p *Proc) {
@@ -36,7 +36,7 @@ func broadcastWorkload(n int, delay Time) func(e Engine) {
 }
 
 // snapshot captures the observable per-proc outcome of a run.
-func snapshot(e Engine) []string {
+func snapshot(e *Engine) []string {
 	var out []string
 	for _, p := range e.Procs() {
 		out = append(out, fmt.Sprintf("clock=%d charges=%v", p.Now(), p.Charges()))
@@ -53,7 +53,7 @@ func TestParallelMatchesSequentialBroadcast(t *testing.T) {
 	build(seq)
 	seqMake, _ := seq.Run()
 
-	par := NewParallel(delay, 0)
+	par := NewParallel(delay, 2)
 	build(par)
 	parMake, _ := par.Run()
 
@@ -71,7 +71,7 @@ func TestParallelMatchesSequentialBroadcast(t *testing.T) {
 func TestParallelPingPongMakespan(t *testing.T) {
 	const rounds = 100
 	const hop = 10
-	build := func(e Engine) {
+	build := func(e *Engine) {
 		e.Spawn(func(p *Proc) {
 			p.Post(1, Message{Arrival: p.Now() + hop, Payload: 0})
 			for {
@@ -94,7 +94,7 @@ func TestParallelPingPongMakespan(t *testing.T) {
 			}
 		})
 	}
-	e := NewParallel(hop, 0)
+	e := NewParallel(hop, 2)
 	build(e)
 	got, _ := e.Run()
 	if want := Time((rounds + 2) * hop); got != want {
@@ -104,7 +104,7 @@ func TestParallelPingPongMakespan(t *testing.T) {
 
 func TestParallelDeterminism(t *testing.T) {
 	run := func() []string {
-		e := NewParallel(50, 0)
+		e := NewParallel(50, 2)
 		broadcastWorkload(8, 50)(e)
 		e.Run()
 		return snapshot(e)
@@ -118,7 +118,7 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 func TestParallelIdleAccounting(t *testing.T) {
-	e := NewParallel(10, 0)
+	e := NewParallel(10, 2)
 	var idle Time
 	e.Spawn(func(p *Proc) {
 		p.Charge(Compute, 1000)
@@ -139,7 +139,7 @@ func TestParallelIdleAccounting(t *testing.T) {
 }
 
 func TestParallelDeadlockTypedError(t *testing.T) {
-	e := NewParallel(10, 0)
+	e := NewParallel(10, 2)
 	e.Spawn(func(p *Proc) { p.WaitMessage() })
 	e.Spawn(func(p *Proc) { p.WaitMessage() })
 	_, err := e.Run()
@@ -149,7 +149,7 @@ func TestParallelDeadlockTypedError(t *testing.T) {
 }
 
 func TestParallelLookaheadViolationPanics(t *testing.T) {
-	e := NewParallel(100, 0)
+	e := NewParallel(100, 2)
 	caught := make(chan any, 1)
 	e.Spawn(func(p *Proc) {
 		defer func() { caught <- recover() }()
@@ -181,7 +181,7 @@ func TestNewParallelRequiresLookahead(t *testing.T) {
 func TestSimultaneousArrivalsOrderedBySender(t *testing.T) {
 	// Two senders with the same arrival time: delivery must order by sender
 	// id (then per-sender seq) regardless of which sender executed first.
-	build := func(e Engine) {
+	build := func(e *Engine) {
 		for s := 0; s < 2; s++ {
 			s := s
 			e.Spawn(func(p *Proc) {
@@ -209,7 +209,7 @@ func TestSimultaneousArrivalsOrderedBySender(t *testing.T) {
 	seq := NewEngine()
 	build(seq)
 	seq.Run()
-	par := NewParallel(900, 0)
+	par := NewParallel(900, 2)
 	build(par)
 	par.Run()
 }

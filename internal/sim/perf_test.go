@@ -130,12 +130,10 @@ func BenchmarkMailbox(b *testing.B) {
 func BenchmarkSchedulerPick(b *testing.B) {
 	for _, procs := range []int{8, 64} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			ps := make([]*Proc, procs)
-			for i := range ps {
-				ps[i] = &Proc{id: i}
-			}
 			var h schedHeap
-			h.init(ps)
+			for i := 0; i < procs; i++ {
+				h.push(&Proc{id: i})
+			}
 			rng := uint64(1)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -155,17 +153,16 @@ func BenchmarkSchedulerPick(b *testing.B) {
 // BenchmarkHandoff measures one process switch: 1024 processes at equal
 // clocks each charge one cycle and yield in turn, so every Poll hands control
 // to another process (one resume and one yield). The parallel engine runs the
-// same program with a one-cycle lookahead, every process admitted to every
-// window, on one worker and on two.
+// same program on two workers with a one-cycle lookahead, every process
+// admitted to every window (one worker is the sequential row).
 func BenchmarkHandoff(b *testing.B) {
 	const procs = 1024
 	engines := []struct {
 		name string
-		mk   func() Engine
+		mk   func() *Engine
 	}{
-		{"sequential", func() Engine { return NewEngine() }},
-		{"parallel-w1", func() Engine { return NewParallel(1, 1) }},
-		{"parallel-w2", func() Engine { return NewParallel(1, 2) }},
+		{"sequential", func() *Engine { return NewEngine() }},
+		{"parallel-w2", func() *Engine { return NewParallel(1, 2) }},
 	}
 	for _, eng := range engines {
 		b.Run(eng.name, func(b *testing.B) {
@@ -203,11 +200,10 @@ func BenchmarkSeqLookahead(b *testing.B) {
 	for _, la := range []Time{0, lookahead} {
 		b.Run(fmt.Sprintf("la=%d", la), func(b *testing.B) {
 			msgs := b.N/procs + 1
-			eng, err := NewEngineWith(Sequential, la, Tuning{})
+			e, err := NewEngineWith(Sequential, la, Tuning{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			e := eng.(*SeqEngine)
 			for i := 0; i < procs; i++ {
 				e.Spawn(func(p *Proc) {
 					next := (p.ID() + 1) % procs
@@ -227,46 +223,44 @@ func BenchmarkSeqLookahead(b *testing.B) {
 			}
 			total := float64(procs * msgs)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/msg")
-			b.ReportMetric(float64(e.Resumes())/total, "resumes/msg")
+			b.ReportMetric(float64(e.WorkerStats()[0].Resumes)/total, "resumes/msg")
 		})
 	}
 }
 
-// BenchmarkEpochBarrier measures the parallel engine's window turnover:
-// every process charges exactly one window's worth of virtual time and
-// polls, so each b.N iteration is one window and one full turnover (fold,
-// reduction, admission, barriers). The empty windows time the turnover alone.
-// In the busy ones each of 16 processes also does about 1 µs of host work,
-// so a window holds about 16 µs, as bh64_static's do. Each shape runs on one
-// worker and on two.
+// BenchmarkEpochBarrier measures the window turnover: every process charges
+// exactly one window's worth of virtual time and polls, so each b.N
+// iteration is one window and one full turnover (fold, reduction, admission,
+// barriers) on two workers (one worker opens no windows). The empty windows
+// time the turnover alone. In the busy ones each of 16 processes also does
+// about 1 µs of host work, so a window holds about 16 µs, as bh64_static's
+// do.
 func BenchmarkEpochBarrier(b *testing.B) {
 	shapes := []struct {
 		name        string
 		procs, work int // work: multiply-add rounds per process per window
 	}{{"empty/procs=4", 4, 0}, {"empty/procs=16", 16, 0}, {"busy/procs=16", 16, 700}}
 	for _, s := range shapes {
-		for _, w := range []int{1, 2} {
-			b.Run(fmt.Sprintf("%s/w=%d", s.name, w), func(b *testing.B) {
-				const window = 10
-				e := NewParallel(window, w)
-				sink := make([]uint64, s.procs)
-				for i := 0; i < s.procs; i++ {
-					e.Spawn(func(p *Proc) {
-						x := uint64(p.ID())
-						for n := 0; n < b.N; n++ {
-							for k := 0; k < s.work; k++ {
-								x = x*6364136223846793005 + 1442695040888963407
-							}
-							p.Charge(Compute, window)
-							p.Poll()
+		b.Run(s.name+"/w=2", func(b *testing.B) {
+			const window = 10
+			e := NewParallel(window, 2)
+			sink := make([]uint64, s.procs)
+			for i := 0; i < s.procs; i++ {
+				e.Spawn(func(p *Proc) {
+					x := uint64(p.ID())
+					for n := 0; n < b.N; n++ {
+						for k := 0; k < s.work; k++ {
+							x = x*6364136223846793005 + 1442695040888963407
 						}
-						sink[p.ID()] = x
-					})
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				e.Run()
-			})
-		}
+						p.Charge(Compute, window)
+						p.Poll()
+					}
+					sink[p.ID()] = x
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
 	}
 }

@@ -1,16 +1,16 @@
 package sim
 
 // schedHeap is an indexed binary min-heap of live processes keyed by
-// (wake, id). It is the sequential engine's scheduler: picking the next
-// process to run is a root read, updating a process's wake time is O(log P)
+// (wake, id), one per worker shard. At W = 1 it is the whole schedule:
+// picking the next process to run is a root read, updating a process's wake time is O(log P)
 // sift, and the scheduling horizon (the earliest wake among the *other*
 // processes) is the smaller of the root's two children — the "second-best
 // key" — because every non-root element lives in one of those subtrees.
 //
 // Each Proc carries its heap position in heapIdx so that decrease-key (a
-// post waking a blocked process early) needs no search. The heap is only
-// ever touched by the single goroutine that is running under the sequential
-// engine, so it needs no locking.
+// post waking a blocked process early) needs no search. A heap is only ever
+// touched by one goroutine at a time (the one running process at W = 1, its
+// shard's worker between barriers otherwise), so it needs no locking.
 type schedHeap []*Proc
 
 func (h schedHeap) less(i, j int) bool {
@@ -25,19 +25,6 @@ func (h schedHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].heapIdx = i
 	h[j].heapIdx = j
-}
-
-// init (re)builds the heap over procs. With the equal keys of a fresh
-// engine (every proc wakes at 0) the array order is already a valid heap,
-// so process 0 stays at the root — the same first pick as the linear scan.
-func (h *schedHeap) init(procs []*Proc) {
-	*h = append((*h)[:0], procs...)
-	for i, p := range *h {
-		p.heapIdx = i
-	}
-	for i := len(*h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
 }
 
 func (h schedHeap) up(i int) {
@@ -80,20 +67,19 @@ func (h schedHeap) fix(i int) {
 }
 
 // heapify restores the heap property over the whole array by sifting every
-// internal node down. The parallel engine's shard fold uses it when more
-// than one key went stale in a window: batched decrease-keys cannot be fixed
-// by per-element up() sifts, because an up() can displace a still-stale
-// ancestor below an element whose own sift already ran, leaving a violated
-// edge with no fix pending.
+// internal node down. A shard's fold uses it when keys went stale in a
+// window: batched decrease-keys cannot be fixed by per-element up() sifts,
+// because an up() can displace a still-stale ancestor below an element whose
+// own sift already ran, leaving a violated edge with no fix pending.
 func (h schedHeap) heapify() {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
 }
 
-// push inserts p at its (wake, id) key. The parallel engine's shard fold
-// uses it to fold procs that parked during the window back into their
-// shard's heap.
+// push inserts p at its (wake, id) key: Run's partition fills the heaps
+// with it, and a shard's fold returns the processes that parked during a
+// window.
 func (h *schedHeap) push(p *Proc) {
 	*h = append(*h, p)
 	p.heapIdx = len(*h) - 1
@@ -127,8 +113,7 @@ func (h *schedHeap) remove(p *Proc) {
 func (h schedHeap) min() *Proc { return h[0] }
 
 // secondWake returns the earliest wake time among all processes except the
-// root — the sequential engine's scheduling horizon for the process it is
-// about to run. Forever when the root is the only live process.
+// root — what bounds a lone runner's horizon (see Engine.reach). Forever when the root is the only live process.
 func (h schedHeap) secondWake() Time {
 	w := Forever
 	if len(h) > 1 {

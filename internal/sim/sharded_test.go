@@ -9,10 +9,11 @@ import (
 	"testing"
 )
 
-// TestWorkerCountsMatchSequential sweeps the sharded engine's worker count
+// TestWorkerCountsMatchSequential sweeps the parallel engine's worker count
 // over the broadcast workload: every configuration must reproduce the
 // sequential run bit for bit — worker count and steal timing move host work,
-// never virtual-time results.
+// never virtual-time results. One worker is the sequential loop and opens no
+// window; two or more open windows.
 func TestWorkerCountsMatchSequential(t *testing.T) {
 	const n = 8
 	const delay = 50
@@ -37,11 +38,12 @@ func TestWorkerCountsMatchSequential(t *testing.T) {
 					workers, i, want[i], got[i])
 			}
 		}
-		if w := par.Workers(); workers > 0 && w != workers {
+		w := par.Workers()
+		if workers > 0 && w != workers {
 			t.Fatalf("resolved workers = %d, want %d", w, workers)
 		}
-		if par.Windows() == 0 {
-			t.Fatal("no windows opened")
+		if windows := par.Windows(); (w == 1) != (windows == 0) {
+			t.Fatalf("workers=%d: %d windows opened", w, windows)
 		}
 	}
 }
@@ -51,8 +53,8 @@ func TestWorkerCountsMatchSequential(t *testing.T) {
 // only proc 4 alive on a light self-tick (5–7 exit immediately), so shard
 // 1's chain exhausts its run queue first in nearly every window and steals
 // from shard 0.
-func stealWorkload(rounds int, delay Time) func(e Engine) {
-	return func(e Engine) {
+func stealWorkload(rounds int, delay Time) func(e *Engine) {
+	return func(e *Engine) {
 		for i := 0; i < 4; i++ {
 			i := i
 			e.Spawn(func(p *Proc) {
@@ -332,22 +334,18 @@ func TestTuningValidate(t *testing.T) {
 // parallel engine's windows are the machine lookahead, which must be
 // positive.
 func TestNewEngineWith(t *testing.T) {
-	if e, err := NewEngineWith(Sequential, 0, Tuning{}); err != nil {
+	if e, err := NewEngineWith(Sequential, -5, Tuning{Workers: 3}); err != nil {
 		t.Fatal(err)
-	} else if _, ok := e.(*SeqEngine); !ok {
-		t.Fatal("sequential kind did not produce a SeqEngine")
+	} else if e.kind != Sequential || e.lookahead != 0 {
+		t.Fatalf("sequential kind: kind %v, lookahead %d; want sequential and 0", e.kind, e.lookahead)
 	}
 
-	e, err := NewEngineWith(Parallel, 550, Tuning{Workers: 2})
+	pe, err := NewEngineWith(Parallel, 550, Tuning{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe, ok := e.(*ParEngine)
-	if !ok {
-		t.Fatal("parallel kind did not produce a ParEngine")
-	}
-	if pe.lookahead != 550 || pe.tuning.Workers != 2 {
-		t.Fatalf("lookahead %d, workers %d: want 550 and 2", pe.lookahead, pe.tuning.Workers)
+	if pe.kind != Parallel || pe.lookahead != 550 || pe.tuning.Workers != 2 {
+		t.Fatalf("kind %v, lookahead %d, workers %d: want parallel, 550 and 2", pe.kind, pe.lookahead, pe.tuning.Workers)
 	}
 	if Sequential.String() != "sequential" || Parallel.String() != "parallel" {
 		t.Fatal("EngineKind.String")
@@ -388,11 +386,11 @@ func TestRunRejectsWorkersBeyondProcs(t *testing.T) {
 // stale key away dropped a Forever parent onto such a fresh key, burying a
 // runnable process — which surfaced as idle-accounting divergence or a
 // spurious deadlock.
-func staleKeyWorkload(rounds int, delay Time) func(e Engine) {
+func staleKeyWorkload(rounds int, delay Time) func(e *Engine) {
 	const servers = 6
 	const posters = 3
 	perServer := rounds * posters / servers
-	return func(e Engine) {
+	return func(e *Engine) {
 		for i := 0; i < servers; i++ {
 			e.Spawn(func(p *Proc) { // blocked at Forever between bursts
 				for got := 0; got < perServer; {
@@ -467,14 +465,14 @@ func TestLoweredKeyRepair(t *testing.T) {
 // without a token are blocked, so each window holds one event per token and
 // each hop is a turnover. Each process logs what it receives into logs[id]
 // and returns once every token has passed it as often as it will.
-func tokenRing(n, tokens, hops int, look Time, logs [][]int64) func(e Engine) {
+func tokenRing(n, tokens, hops int, look Time, logs [][]int64) func(e *Engine) {
 	visits := make([]int, n)
 	for t := 0; t < tokens; t++ {
 		for h := 1; h <= hops; h++ {
 			visits[(t*n/tokens+h)%n]++
 		}
 	}
-	return func(e Engine) {
+	return func(e *Engine) {
 		for i := 0; i < n; i++ {
 			e.Spawn(func(p *Proc) {
 				next := (p.ID() + 1) % n
@@ -512,7 +510,7 @@ func TestWindowBarrierStress(t *testing.T) {
 		snap  []byte
 		final []string
 	}
-	run := func(e Engine, tokens int) result {
+	run := func(e *Engine, tokens int) result {
 		r := result{logs: make([][]int64, n)}
 		tokenRing(n, tokens, hops, look, r.logs)(e)
 		e.CheckpointAt(hops/2*look, func() {

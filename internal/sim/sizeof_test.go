@@ -28,15 +28,14 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		{"sim.Message", unsafe.Sizeof(Message{}), 56},
 		// Ring slice + head + overflow heap slice; one mailbox per process.
 		{"sim.mailbox", unsafe.Sizeof(mailbox{}), 56},
-		// The per-process record, pads included. Budgeted at six cache lines
-		// less the tail the compiler currently leaves free; the sequential
-		// engine's lookahead (one word in the owner-written group, read by
-		// every cross-process Post) took the place of the checkpoint bound
-		// that fenced the old at-horizon relaxation. The process body costs
-		// one word: a pointer to its coroutine (the resume and yield funcs
-		// live behind it, not beside it).
-		{"sim.Proc", unsafe.Sizeof(Proc{}), 376},
-		// One parallel-engine shard, trailing pad included: four cache lines.
+		// The per-process record, pads included: five and a half cache
+		// lines. The engine is one pointer (a concrete *Engine, not an
+		// interface), and the lookahead every cross-process Post reads lives
+		// behind it, not in each process. The process body costs one word: a
+		// pointer to its coroutine (the resume and yield funcs live behind
+		// it, not beside it).
+		{"sim.Proc", unsafe.Sizeof(Proc{}), 352},
+		// One worker shard, trailing pad included: four cache lines.
 		// The barrier's wake channel and asleep word and the fold's two
 		// earliest wakes live here, so the per-shard turnover touches only
 		// its own shard's lines.

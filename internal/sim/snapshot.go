@@ -402,9 +402,9 @@ func (mb *mailbox) snapshotPending() []Message {
 // EncodeProcs writes the deterministic per-process state record: identity,
 // scheduling state, clock, per-category charges, and the pending mailbox
 // contents in delivery order (envelope fields plus a payload fingerprint).
-// Engine-private scheduling fields (horizon, shard, heap position, epoch
-// generation) are deliberately excluded — they differ between engines while
-// the simulated state does not. Must only be called at a checkpoint
+// Engine-private scheduling fields (horizon, shard, heap position) are
+// deliberately excluded — they differ between worker counts while the
+// simulated state does not. Must only be called at a checkpoint
 // boundary (every process parked) or after Run returned.
 func EncodeProcs(w *SnapWriter, procs []*Proc) {
 	w.Int(len(procs))

@@ -13,7 +13,7 @@ import (
 var engineKinds = []EngineKind{Sequential, Parallel}
 
 // mustEngine is NewEngineWith for tunings known to be valid.
-func mustEngine(t *testing.T, kind EngineKind, lookahead Time, tn Tuning) Engine {
+func mustEngine(t *testing.T, kind EngineKind, lookahead Time, tn Tuning) *Engine {
 	t.Helper()
 	e, err := NewEngineWith(kind, lookahead, tn)
 	if err != nil {
@@ -24,7 +24,7 @@ func mustEngine(t *testing.T, kind EngineKind, lookahead Time, tn Tuning) Engine
 
 // runPanics runs e and returns the value Run panicked with (nil if it
 // returned).
-func runPanics(e Engine) (r any) {
+func runPanics(e *Engine) (r any) {
 	defer func() { r = recover() }()
 	e.Run()
 	return nil
@@ -66,7 +66,7 @@ func TestBodyPanicReachesRunCaller(t *testing.T) {
 // under either kind of engine; only an engine built without one (NewEngine)
 // takes any arrival at or after the sender's clock.
 func TestLookaheadViolationReachesRunCaller(t *testing.T) {
-	short := func(e Engine) {
+	short := func(e *Engine) {
 		e.Spawn(func(p *Proc) { p.Post(1, Message{Arrival: p.Now() + 1}) })
 		e.Spawn(func(p *Proc) { p.Charge(Compute, 5) })
 	}
@@ -106,7 +106,7 @@ func waitGoroutines(t *testing.T, want int) {
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	ends := []struct {
 		name   string
-		build  func(e Engine)
+		build  func(e *Engine)
 		parked int                                  // processes left unfinished
 		check  func(t *testing.T, err error, r any) // what Run returned, or panicked with
 	}{
@@ -115,7 +115,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				t.Fatalf("Run: err %v, panic %v", err, r)
 			}
 		}},
-		{"deadlock", func(e Engine) {
+		{"deadlock", func(e *Engine) {
 			for i := 0; i < 3; i++ {
 				e.Spawn(func(p *Proc) { p.WaitMessage() })
 			}
@@ -125,7 +125,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				t.Fatalf("Run: err %v, panic %v; want ErrDeadlock", err, r)
 			}
 		}},
-		{"panic", func(e Engine) {
+		{"panic", func(e *Engine) {
 			for i := 0; i < 4; i++ {
 				e.Spawn(func(p *Proc) {
 					for r := 0; ; r++ {
@@ -142,7 +142,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				t.Fatalf("Run panicked with %v, want boom", r)
 			}
 		}},
-		{"lookahead", func(e Engine) { // the violator runs last under either engine
+		{"lookahead", func(e *Engine) { // the violator runs last under either engine
 			for i := 0; i < 3; i++ {
 				e.Spawn(func(p *Proc) { p.Charge(Compute, 5) })
 			}
@@ -187,7 +187,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 func TestProcessMigratesAcrossWorkers(t *testing.T) {
 	const n = 4
 	const delay = 10
-	build := func(e Engine) {
+	build := func(e *Engine) {
 		for i := 0; i < n; i++ {
 			e.Spawn(func(p *Proc) {
 				for r := 0; r < 400/(1+p.ID()); r++ {

@@ -8,7 +8,7 @@ import (
 
 // Tuning carries the parallel engine's one host-performance knob, its worker
 // count. The zero value means the default: worker count from GOMAXPROCS. The
-// sequential engine ignores it.
+// Sequential kind ignores it.
 type Tuning struct {
 	// Workers is the number of host worker shards the simulated processes
 	// are partitioned across. 0 means auto: min(GOMAXPROCS, process count).
@@ -73,13 +73,13 @@ func (t Tuning) resolveWorkers(procs int) int {
 // The lookahead is the context-provided conservative window (the machine's
 // minimum cross-process message delay) and, under either kind, a promise
 // about the caller's Posts: every cross-process arrival lies at least that
-// far past the sender's clock. The sequential engine widens its horizons by
-// it (a non-positive value means 0, i.e. NewEngine); the parallel engine
-// opens windows of exactly that width and needs it positive. Tuning problems
-// are reported as a *TuningError rather than a panic.
-func NewEngineWith(kind EngineKind, lookahead Time, t Tuning) (Engine, error) {
+// far past the sender's clock. It widens every lone runner's horizon (for
+// the Sequential kind a non-positive value means 0, i.e. NewEngine) and is
+// the width of every window, so the Parallel kind needs it positive. Tuning
+// problems are reported as a *TuningError rather than a panic.
+func NewEngineWith(kind EngineKind, lookahead Time, t Tuning) (*Engine, error) {
 	if kind == Sequential {
-		return &SeqEngine{lookahead: max(lookahead, 0)}, nil
+		return &Engine{lookahead: max(lookahead, 0)}, nil
 	}
 	if err := t.Validate(0); err != nil {
 		return nil, err

@@ -244,21 +244,20 @@ type Run struct {
 // between workers. Purely diagnostic; never part of result identity.
 type HostSched struct {
 	// Workers is the resolved worker-shard count (1 under the sequential
-	// engine).
+	// engine, and for the parallel engine at one worker).
 	Workers int
 	// Windows counts conservative lookahead windows opened. This one IS a
-	// pure function of virtual time (identical across worker counts), but it
-	// lives here because it only exists under the parallel engine (0 under
-	// the sequential one).
+	// pure function of virtual time (identical at every worker count of two
+	// or more), but it lives here because only windows open them (0 at one
+	// worker).
 	Windows int64
 	// PerWorker is the per-shard counter block.
 	PerWorker []sim.WorkerStats
 }
 
 // Resumes returns the total coroutine switches into a process (a stolen
-// process is resumed by its thief). Under the sequential engine it is a pure
-// function of program and lookahead; under the parallel engine it can differ
-// by a few from run to run (a process racing a post into a wait parks
+// process is resumed by its thief). At one worker it is a pure function of
+// program and lookahead; with windows it can differ by a few from run to run (a process racing a post into a wait parks
 // blocked or ready, see sim.EncodeProcs, and a blocked one is admitted once
 // more).
 func (h *HostSched) Resumes() int64 {
