@@ -119,7 +119,8 @@ func (rt *RT) SpawnT(p gptr.Ptr, id int, a0, a1 uint64) {
 }
 
 // fetch performs one blocking single-object read. It reports failure when
-// the owner is declared unreachable mid-wait.
+// the owner is declared unreachable mid-wait, or when a crash-mode wait hears
+// nothing from any peer for too long (fm.EP.WaitBounded).
 func (rt *RT) fetch(p gptr.Ptr) bool {
 	// The blocking runtime holds nothing between accesses, so every
 	// repeated access is a refetch.
@@ -144,7 +145,11 @@ func (rt *RT) fetch(p gptr.Ptr) bool {
 		// The owner may have crashed after acking the request; keep
 		// detection traffic flowing (no-op outside crash fault mode).
 		rt.EP.ProbeOwner(dst)
-		rt.EP.WaitAndDispatch()
+		if rt.EP.WaitBounded() {
+			// No peer has sent anything for too long (fm recorded
+			// ErrNoProgress): the reply is not coming.
+			return false
+		}
 	}
 	rt.replyOK = false
 	return true

@@ -350,7 +350,11 @@ func (rt *RT) Drain() {
 					rt.EP.ProbeOwner(dst)
 				}
 			}
-			rt.EP.WaitAndDispatch()
+			if rt.EP.WaitBounded() {
+				// No peer has sent anything for too long (fm recorded
+				// ErrNoProgress): no reply is coming, so abandon every fetch.
+				rt.abandon(func(int) bool { return true })
+			}
 			continue
 		}
 		return
@@ -358,15 +362,25 @@ func (rt *RT) Drain() {
 }
 
 // abandonUnreachable drops the waiters of every pointer owned by an
-// unreachable node, reporting whether it made progress. Effects are
-// order-independent, so map iteration order cannot perturb determinism.
+// unreachable node, reporting whether it made progress.
 func (rt *RT) abandonUnreachable() bool {
-	if !rt.EP.Degraded() {
+	if !rt.EP.Degraded() || !rt.abandon(rt.EP.Unreachable) {
 		return false
 	}
+	if rt.err == nil {
+		rt.err = fmt.Errorf("caching: abandoned threads waiting on unreachable owners: %w",
+			fm.ErrUnreachable)
+	}
+	return true
+}
+
+// abandon drops the waiters of every pointer whose owner dead reports, and
+// the replies owed by those owners, reporting whether there were any. Effects
+// are order-independent, so map iteration order cannot perturb determinism.
+func (rt *RT) abandon(dead func(owner int) bool) bool {
 	progress := false
 	for p, ws := range rt.waitersFor {
-		if !rt.EP.Unreachable(int(p.Node)) {
+		if !dead(int(p.Node)) {
 			continue
 		}
 		rt.st.Abandoned += int64(len(ws))
@@ -376,15 +390,11 @@ func (rt *RT) abandonUnreachable() bool {
 		progress = true
 	}
 	for dst := range rt.pendingByDest {
-		if rt.pendingByDest[dst] > 0 && rt.EP.Unreachable(dst) {
+		if rt.pendingByDest[dst] > 0 && dead(dst) {
 			rt.pendingReplies -= rt.pendingByDest[dst]
 			rt.pendingByDest[dst] = 0
 			progress = true
 		}
-	}
-	if progress && rt.err == nil {
-		rt.err = fmt.Errorf("caching: abandoned threads waiting on unreachable owners: %w",
-			fm.ErrUnreachable)
 	}
 	return progress
 }

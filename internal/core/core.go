@@ -235,7 +235,10 @@ func onFetchReply(ep *fm.EP, m sim.Message) {
 // wakeReply readies every thread suspended on the pointers owner's reply
 // carries. All threads dependent on one pointer become ready together, so
 // they run back to back, reusing the renamed copy while it is hot, and one
-// batch's pointers follow each other in the queue.
+// batch's pointers follow each other in the queue. A chain of chainInPlace
+// threads or more is queued in place: one entry stands for it, and its threads
+// stay in their waiter slots until they are next to run (unchain). A
+// shorter chain is copied into the queue, and its slots are freed at once.
 func (rt *RT) wakeReply(owner int, ptrs []gptr.Ptr) {
 	for _, p := range ptrs {
 		e := rt.arrive(p, owner)
@@ -243,6 +246,11 @@ func (rt *RT) wakeReply(owner int, ptrs []gptr.Ptr) {
 			continue
 		}
 		rt.waiting -= int(e.n)
+		if e.n >= chainInPlace {
+			rt.ready.pushN(rt.chain(p, e), e.n)
+			e.n = 0
+			continue
+		}
 		for wi, k := e.head, e.n; k > 0; k-- {
 			w := rt.waiters.at(wi)
 			rt.ready.push(w.ready(p))
@@ -250,6 +258,51 @@ func (rt *RT) wakeReply(owner int, ptrs []gptr.Ptr) {
 		}
 		rt.freeWaiters(e)
 	}
+}
+
+// chainInPlace is the shortest woken chain that wakeReply queues in place
+// rather than copies. In place, a chain's threads need no ready entries, but
+// dispatch reads each one from its waiter slot, which by then has gone cold
+// behind everything queued before it; a copy reads the slot at wake, during
+// the reply's walk. The bytes are in the long chains. Chains of 8 or more
+// hold 91 % of the 863,722 threads woken on the bh64_static benchmark
+// workload (Barnes-Hut, 64 nodes, 4,096 bodies), and 9 % of the 711,516 on
+// pagerank64_planned, where 321,840 of 443,478 chains hold one thread.
+// Queueing every chain in place made PageRank's host time 17 % worse for 6 %
+// of its bytes. From 8 up, BH allocates 31.3 % less; thresholds of 12 and 16
+// cost PageRank no less host time than 8 in ten rounds each, and save BH
+// less (30.6 % and 28.4 %).
+const chainInPlace = 8
+
+// chain returns the ready entry that stands for e's chain of waiters on p:
+// the chain's first thread to run, taken from its slot (takeWaiter). Under
+// LIFO the chain's links are reversed first, so the last waiter runs first
+// and the rest follow backwards, as copies popped from the back would.
+func (rt *RT) chain(p gptr.Ptr, e *dEntry) readyEntry {
+	first := e.head
+	if rt.Cfg.LIFO {
+		prev := int32(-1)
+		for wi, k := e.head, e.n; k > 0; k-- {
+			w := rt.waiters.at(wi)
+			next := w.next
+			w.next, prev, wi = prev, wi, next
+		}
+		first = e.tail
+	}
+	return rt.takeWaiter(p, first)
+}
+
+// takeWaiter returns the woken thread in waiter slot wi as the head of its
+// chain queued in place, and frees the slot: the thread's record with its
+// template complemented, which marks the entry as a chain's (template
+// indices are never negative), and in iter — always -1 for a woken thread —
+// the slot of the chain's next thread, -1 after the last.
+func (rt *RT) takeWaiter(p gptr.Ptr, wi int32) readyEntry {
+	w := rt.waiters.at(wi)
+	e := readyEntry{p: p, a0: w.a0, a1: w.a1, tmpl: ^w.tmpl, iter: w.next}
+	w.next = rt.waiterFree
+	rt.waiterFree = wi
+	return e
 }
 
 // arrive records that owner's reply carried the renamed copy of p and returns
@@ -312,7 +365,7 @@ func (w *waiter) ready(p gptr.Ptr) readyEntry {
 // suspend appends a thread to e's waiter chain, taking the node from the
 // slab's free list.
 func (rt *RT) suspend(e *dEntry, tmpl int32, a0, a1 uint64) {
-	w := waiter{a0: a0, a1: a1, tmpl: tmpl}
+	w := waiter{a0: a0, a1: a1, tmpl: tmpl, next: -1}
 	wi := rt.waiterFree
 	if wi < 0 {
 		wi = rt.waiters.push(w)
@@ -779,6 +832,9 @@ func (rt *RT) runOne() {
 	} else {
 		e = rt.ready.pop()
 	}
+	if e.tmpl < 0 {
+		e = rt.unchain(e)
+	}
 	n := rt.EP.Node
 	var t0 sim.Time
 	if rt.trc != nil {
@@ -797,6 +853,24 @@ func (rt *RT) runOne() {
 	if rt.trc != nil {
 		rt.trc.EventDur(obs.KThread, t0, n.Now()-t0, int64(key), 0)
 	}
+}
+
+// unchain returns the thread that c, the entry of a woken chain queued in
+// place, holds, and when the chain has more threads puts c back where it was
+// popped from, refilled from the next one's slot: before the thread runs, so
+// the slot's cold read overlaps the thread's work instead of stalling its
+// dispatch. The entry leaves the queue with the chain's last thread.
+func (rt *RT) unchain(c readyEntry) readyEntry {
+	if c.iter >= 0 {
+		next := rt.takeWaiter(c.p, c.iter)
+		if rt.Cfg.LIFO {
+			rt.ready.pushN(next, 0)
+		} else {
+			rt.ready.unpop(next)
+		}
+	}
+	c.tmpl, c.iter = ^c.tmpl, -1
+	return c
 }
 
 // ForAll is the strip-mined top-level concurrent loop: it runs
@@ -868,8 +942,10 @@ func (rt *RT) trackPeak() {
 // (template and two frame words) plus the pointer whose object it runs on.
 // iter is the top-level iteration the thread's tree originated from (-1 when
 // unattributed), used by the planner's affinity recording; it shares a word
-// with tmpl. It holds no Go pointers, so the collector never scans the ready
-// queue's blocks. The sizeof regression test pins the 32-byte layout.
+// with tmpl. An entry whose tmpl is negative heads a woken chain queued in
+// place (takeWaiter). It holds no Go pointers, so the collector never scans
+// the ready queue's blocks. The sizeof regression test pins the 32-byte
+// layout.
 type readyEntry struct {
 	p      gptr.Ptr
 	a0, a1 uint64
@@ -891,34 +967,50 @@ type readyBlock [readyBlockLen]readyEntry
 // reused when the tail comes round. Dispatch reads a block sequentially, and
 // the head's and the tail's blocks are held directly, so a push or a pop
 // reaches its entry without going through the ring. FIFO order preserves the
-// contiguity of same-object groups released by one reply.
+// contiguity of same-object groups released by one reply. The queue counts
+// threads, not entries: a chain's entry counts as many as are left of it.
 type readyQueue struct {
 	blocks     []*readyBlock
 	head, tail *readyBlock // blocks[hb] and blocks[tb]; nil until the first push
 	hb, tb     int32
 	ho, to     int32 // the oldest entry's slot in head; the next free slot in tail
-	n          int32
+	n          int32 // queued threads
 }
 
 func (q *readyQueue) len() int { return int(q.n) }
 
-// at returns the i-th oldest queued entry.
-func (q *readyQueue) at(i int) *readyEntry {
-	pos := int(q.ho) + i
-	b := int(q.hb) + pos/readyBlockLen
-	if b >= len(q.blocks) {
-		b -= len(q.blocks)
+// each calls f on every queued entry, oldest first.
+func (q *readyQueue) each(f func(*readyEntry)) {
+	if q.n == 0 {
+		return
 	}
-	return &q.blocks[b][pos%readyBlockLen]
+	for b, o := q.hb, q.ho; ; b, o = b+1, 0 {
+		if int(b) == len(q.blocks) {
+			b = 0
+		}
+		end := int32(readyBlockLen)
+		if b == q.tb {
+			end = q.to
+		}
+		for ; o < end; o++ {
+			f(&q.blocks[b][o])
+		}
+		if b == q.tb {
+			return
+		}
+	}
 }
 
-func (q *readyQueue) push(e readyEntry) {
+func (q *readyQueue) push(e readyEntry) { q.pushN(e, 1) }
+
+// pushN queues e, counting n threads.
+func (q *readyQueue) pushN(e readyEntry, n int32) {
 	if q.to == readyBlockLen || q.tail == nil {
 		q.nextBlock()
 	}
 	q.tail[q.to] = e
 	q.to++
-	q.n++
+	q.n += n
 }
 
 // nextBlock moves the tail to the next block of the ring, splicing a chunk
@@ -972,6 +1064,7 @@ func (q *readyQueue) splice(at int32) int32 {
 	return int32(k)
 }
 
+// pop removes the oldest entry (FIFO discipline), counting one thread.
 func (q *readyQueue) pop() readyEntry {
 	e := q.head[q.ho]
 	q.ho++
@@ -986,7 +1079,21 @@ func (q *readyQueue) pop() readyEntry {
 	return e
 }
 
-// popBack removes the most recently pushed entry (LIFO discipline).
+// unpop puts e back at the head, in the slot pop just took an entry from,
+// and counts no thread: the entry's threads were counted when it was pushed.
+func (q *readyQueue) unpop(e readyEntry) {
+	if q.ho == 0 {
+		if q.hb == 0 {
+			q.hb = int32(len(q.blocks))
+		}
+		q.hb--
+		q.ho, q.head = readyBlockLen, q.blocks[q.hb]
+	}
+	q.ho--
+	q.head[q.ho] = e
+}
+
+// popBack removes the newest entry (LIFO discipline), counting one thread.
 func (q *readyQueue) popBack() readyEntry {
 	if q.to == 0 {
 		if q.tb == 0 {

@@ -106,14 +106,9 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Int(len(fetched))
 	w.U64(h)
 
-	// Ready queue: entry identity is the object key (closures re-form on
-	// replay); order matters, so fold in queue order.
+	// Ready queue, folded in queue order.
 	w.Int(rt.ready.len())
-	h = uint64(rt.ready.len())
-	for i := 0; i < rt.ready.len(); i++ {
-		h = sim.MixFP(h, rt.ready.at(i).p.Key())
-	}
-	w.U64(h)
+	w.U64(rt.readyFold())
 
 	// Strip and planner state.
 	w.Bool(rt.Cfg.Planned)
@@ -196,4 +191,19 @@ func (rt *RT) EncodeSnapshot(w *sim.SnapWriter) {
 	w.I64(st.PlanPriorHits)
 	w.I64(st.PriorBytes)
 	w.I64(st.ShapedRuns)
+}
+
+// readyFold folds the ready queue: a thread's identity is its object's key
+// (closures re-form on replay), and order matters, so one key per queued
+// thread in queue order. A chain queued in place folds its pointer's key once
+// per thread left of it, as the copies of its threads would.
+func (rt *RT) readyFold() uint64 {
+	h := uint64(rt.ready.len())
+	rt.ready.each(func(e *readyEntry) {
+		h = sim.MixFP(h, e.p.Key())
+		for wi := e.iter; e.tmpl < 0 && wi >= 0; wi = rt.waiters.at(wi).next {
+			h = sim.MixFP(h, e.p.Key())
+		}
+	})
+	return h
 }

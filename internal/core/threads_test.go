@@ -13,9 +13,10 @@ import (
 )
 
 // FuzzReadyQueue drives the block FIFO through a random sequence of pushes,
-// pops, popBacks and runtime recycles against a plain slice, and after every
-// step compares the length, every entry in order and every entry's address:
-// an entry never moves while it is queued. Each input byte is one step; its
+// pops, popBacks and runtime recycles against a plain slice: every pop and
+// popBack must return the model's oldest or newest entry, and after every
+// step each must visit the model's entries in order, each at the address it
+// was pushed to (an entry never moves while it is queued). Each input byte is one step; its
 // top two bits pick the operation and the low six its argument:
 //
 //	3  push arg+1 entries
@@ -53,7 +54,7 @@ func FuzzReadyQueue(f *testing.F) {
 			next++
 			q.push(e)
 			model = append(model, e)
-			addrs = append(addrs, q.at(q.len()-1))
+			addrs = append(addrs, &q.tail[q.to-1])
 			peak = max(peak, len(model))
 		}
 		pop := func(i int, back bool) {
@@ -99,13 +100,20 @@ func FuzzReadyQueue(f *testing.F) {
 			if q.len() != len(model) {
 				t.Fatalf("step %d: len = %d, want %d", i, q.len(), len(model))
 			}
-			for j := range model {
-				if q.at(j) != addrs[j] {
+			j := 0
+			q.each(func(e *readyEntry) {
+				switch {
+				case j >= len(model):
+					t.Fatalf("step %d: each visits more than the %d entries queued", i, len(model))
+				case e != addrs[j]:
 					t.Fatalf("step %d: entry %d moved", i, j)
+				case *e != model[j]:
+					t.Fatalf("step %d: entry %d = %+v, want %+v", i, j, *e, model[j])
 				}
-				if *q.at(j) != model[j] {
-					t.Fatalf("step %d: entry %d = %+v, want %+v", i, j, *q.at(j), model[j])
-				}
+				j++
+			})
+			if j != len(model) {
+				t.Fatalf("step %d: each visits %d of the %d entries queued", i, j, len(model))
 			}
 			if q.tail != nil && (q.head != q.blocks[q.hb] || q.tail != q.blocks[q.tb]) {
 				t.Fatalf("step %d: the held head and tail blocks are not the ring's blocks %d and %d", i, q.hb, q.tb)

@@ -147,31 +147,45 @@ func typedFault(err error) bool {
 // waits in core.Drain for a reply its owner abandoned while every wait keeps
 // probing live peers, so virtual time grew without bound and no deadlock was
 // ever reported. The progress bound must end it, typed and identically
-// under both engines. The same input is in FuzzFaultConfig's corpus.
+// under both engines. The same input is in FuzzFaultConfig's corpus. The
+// comparator runtimes wait on peers in caching's Drain and blocking's fetch,
+// and on the same faults caching's Drain ran forever too: each runtime's row
+// must end the same way.
 func TestFaultLivelockEnds(t *testing.T) {
-	cell := harness.Cell{App: "em3d", EM3D: em3d.DefaultParams(64), Iters: 2, Spec: driver.DPASpec(50), Machine: machine.DefaultT3D(8)}
-	cell.Machine.Faults = machine.FaultConfig{
-		FaultParams:   sim.FaultParams{Seed: 4, CrashRate: 1.0 / 72, CrashAt: 20000},
-		Reliable:      true,
-		RelWindow:     1,
-		RelRTO:        4096,
-		RelMaxRetries: 1,
-	}
-	var seq stats.Run
-	for _, eng := range []sim.EngineKind{sim.Sequential, sim.Parallel} {
-		c := cell
-		c.Machine.Engine = eng
-		run, _ := c.Exec()
-		if run.Err != nil && !typedFault(run.Err) {
-			t.Fatalf("%v: untyped error %v", eng, run.Err)
-		}
-		if eng == sim.Sequential {
-			seq = run
-		} else if d := seq.Diff(run); d != "" {
-			t.Fatalf("engines disagree: %s", d)
-		}
-	}
-	if !errors.Is(seq.Err, fm.ErrNoProgress) {
-		t.Fatalf("ends with %v, want the progress bound among its errors", seq.Err)
+	for _, c := range []struct {
+		name string
+		spec driver.Spec
+	}{
+		{"dpa", driver.DPASpec(50)},
+		{"caching", driver.CachingSpec()},
+		{"blocking", driver.BlockingSpec()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cell := harness.Cell{App: "em3d", EM3D: em3d.DefaultParams(64), Iters: 2, Spec: c.spec, Machine: machine.DefaultT3D(8)}
+			cell.Machine.Faults = machine.FaultConfig{
+				FaultParams:   sim.FaultParams{Seed: 4, CrashRate: 1.0 / 72, CrashAt: 20000},
+				Reliable:      true,
+				RelWindow:     1,
+				RelRTO:        4096,
+				RelMaxRetries: 1,
+			}
+			var seq stats.Run
+			for _, eng := range []sim.EngineKind{sim.Sequential, sim.Parallel} {
+				cell := cell
+				cell.Machine.Engine = eng
+				run, _ := cell.Exec()
+				if run.Err != nil && !typedFault(run.Err) {
+					t.Fatalf("%v: untyped error %v", eng, run.Err)
+				}
+				if eng == sim.Sequential {
+					seq = run
+				} else if d := seq.Diff(run); d != "" {
+					t.Fatalf("engines disagree: %s", d)
+				}
+			}
+			if !errors.Is(seq.Err, fm.ErrNoProgress) {
+				t.Fatalf("ends with %v, want the progress bound among its errors", seq.Err)
+			}
+		})
 	}
 }
