@@ -33,7 +33,6 @@ func nodeFootprint(t *testing.T, nodes, threads int) uint64 {
 		}
 	}
 	mcfg := machine.DefaultT3D(nodes)
-	mcfg.CacheLines = 1 // the data-cache model's index is full from the first touch
 	least := ^uint64(0)
 	for try := 0; try < 3; try++ {
 		ran := make([]int, nodes)
@@ -114,11 +113,14 @@ func TestNodeFootprint(t *testing.T) {
 		// state (272) and its body closure (64), and the coro with the
 		// closure its loop runs in (48).
 		{"process and its coroutine", 768},
+		// The node's data-cache tags, its window on the slab the machine
+		// cuts every node's tags from: one word per line.
+		{"data-cache tags", uintptr(machine.DefaultT3D(nodes).CacheLines) * 8},
 		// Everything else, measured the same way: the fetch records' free
 		// list, record chunk and pointer chunk (≈ 1,010 bytes), the
-		// endpoint and the machine's per-node state (≈ 580), and the
-		// thread template (≈ 55).
-		{"fetch records, endpoint, template", 1683},
+		// endpoint and the machine's per-node state besides the tags
+		// (≈ 465), and the thread template (≈ 55).
+		{"fetch records, endpoint, template", 1536},
 	}
 	var budget uintptr
 	for _, r := range rows {

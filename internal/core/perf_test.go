@@ -60,9 +60,6 @@ func (w *threadWorld) target(me int, kind string, i int) gptr.Ptr {
 func (w *threadWorld) phase(t testing.TB, cfg Config, kind string, n int, closure bool, after func(rt *RT)) (mallocs uint64, ran int) {
 	t.Helper()
 	mcfg := machine.DefaultT3D(2)
-	// The data-cache model (a map) grows with the distinct objects a node
-	// touches until it is full; one line is full from the first touch.
-	mcfg.CacheLines = 1
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	var count [2]int

@@ -109,10 +109,9 @@ func (m *Machine) CheckpointAt(at sim.Time, fn func()) { m.eng.CheckpointAt(at, 
 func (m *Machine) SnapshotProcs(w *sim.SnapWriter) { sim.EncodeProcs(w, m.eng.Procs()) }
 
 // EncodeSnapshot writes the node's machine-level state: traffic and cache
-// accounting, fault-draw cursors, crash state, and an order-sensitive digest
-// of the data-cache LRU (recency order decides future hit/miss charges, so
-// it is part of the deterministic state even though the object set alone
-// would compare equal).
+// accounting, fault-draw cursors, crash state, and a digest of the data
+// cache's tags in line order, 0 before the phase's first touch (which
+// objects the lines hold decides future hit/miss charges).
 func (n *Node) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Int(n.id)
 	w.I64(n.MsgsSent)
@@ -130,10 +129,11 @@ func (n *Node) EncodeSnapshot(w *sim.SnapWriter) {
 	w.Time(n.crashAt)
 	w.Bool(n.Crashed)
 	w.Time(n.CrashedAt)
-	w.Int(len(n.cache.entries))
-	h := uint64(len(n.cache.entries))
-	for i := n.cache.head; i >= 0; i = n.cache.entries[i].next {
-		h = sim.MixFP(h, n.cache.entries[i].key)
+	var h uint64
+	if !n.cache.stale {
+		for _, tag := range n.cache.tags {
+			h = sim.MixFP(h, tag)
+		}
 	}
 	w.U64(h)
 }

@@ -43,11 +43,13 @@ type Config struct {
 	// BytesPerCycle is network bandwidth (payload bytes per cycle).
 	BytesPerCycle float64
 
-	// CacheLines is the capacity (in objects) of the node data-cache model.
+	// CacheLines is the number of lines of each node's direct-mapped data
+	// cache, one object per line, rounded up to a power of two (0 means one
+	// line; at most 65,536).
 	CacheLines int
-	// CacheHit is the access cost for a recently-touched object.
+	// CacheHit is the access cost for an object its line still holds.
 	CacheHit sim.Time
-	// CacheMiss is the access cost for a cold object.
+	// CacheMiss is the access cost for any other object.
 	CacheMiss sim.Time
 	// HashCost is one hash-table probe (paid per access by the software
 	// caching runtime).
@@ -142,8 +144,11 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: ClockHz must be positive")
 	}
 	if c.SendOverhead < 0 || c.RecvOverhead < 0 || c.PollCost < 0 || c.HandlerCost < 0 ||
-		c.LatencyBase < 0 || c.LatencyPerHop < 0 {
+		c.LatencyBase < 0 || c.LatencyPerHop < 0 || c.CacheHit < 0 || c.CacheMiss < 0 || c.HashCost < 0 {
 		return fmt.Errorf("machine: per-operation costs must be non-negative")
+	}
+	if c.CacheLines < 0 || c.CacheLines > maxCacheLines {
+		return fmt.Errorf("machine: CacheLines = %d, must be in [0, %d]", c.CacheLines, maxCacheLines)
 	}
 	if c.Obs != nil && c.Obs.Nodes() != c.Nodes {
 		return fmt.Errorf("machine: Obs tracer built for %d nodes, machine has %d", c.Obs.Nodes(), c.Nodes)
@@ -169,6 +174,11 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// maxCacheLines bounds Config.CacheLines: every node's tags come from one
+// slab of Nodes × lines words, so the cap keeps a config from asking for
+// gigabytes (512 KB of tags per node at the cap).
+const maxCacheLines = 1 << 16
 
 // deriveTorus picks a roughly-cubic torus shape for n nodes.
 func deriveTorus(n int) [3]int {
@@ -280,10 +290,12 @@ var newEngine = sim.NewEngineWith
 // fault counters zeroed, fault-draw cursors rewound, crash times re-applied
 // from the fault plan, a new activity timeline when tracing is on, and an
 // empty data cache. What it keeps from the previous call is storage only —
-// the Node structs, each data cache's index and entries, each node's process
-// and its coroutine, each process's mailbox ring, overflow heap and drain
-// buffer, and the engine's heap or shards — so a phase computes exactly what
-// it would on a new Machine. Call Close after the last Run.
+// the Node structs and the slab every node's cache tags are cut from (both
+// made by the first Run), each node's process and its coroutine, each
+// process's mailbox ring, overflow heap and drain buffer, and the engine's
+// heap or shards — so a phase computes exactly what it would on a new
+// Machine. A node's tags are emptied at its first Touch of the phase, so an
+// idle node pays nothing for its cache. Call Close after the last Run.
 // Results of an earlier Run (Nodes, Trace, WorkerStats) are overwritten by
 // the next; collect them first.
 //
@@ -299,9 +311,12 @@ func (m *Machine) Run(main func(n *Node)) (sim.Time, error) {
 		slab := make([]Node, m.Cfg.Nodes)
 		m.nodes = make([]*Node, m.Cfg.Nodes)
 		m.bodies = make([]func(p *sim.Proc), m.Cfg.Nodes)
+		lines := 1 << bits.Len(uint(max(m.Cfg.CacheLines, 1)-1))
+		tags, shift := make([]uint64, m.Cfg.Nodes*lines), uint8(bits.LeadingZeros64(uint64(lines-1)))
 		for i := range slab {
 			m.nodes[i] = &slab[i]
 			m.bodies[i] = slab[i].run
+			slab[i].cache = dataCache{tags: tags[i*lines : (i+1)*lines : (i+1)*lines], shift: shift}
 		}
 	} else {
 		m.eng.Reset()
@@ -369,7 +384,7 @@ type Node struct {
 	mach  *Machine
 	id    int
 	proc  *sim.Proc
-	cache touchSet
+	cache dataCache
 	// trc is the node's observability handle; nil unless Config.Obs is set,
 	// so the disabled path costs one nil check per emission site.
 	trc *obs.NodeTrace
@@ -406,12 +421,10 @@ type Node struct {
 	CrashedAt sim.Time
 }
 
-// reset gives the node the state Run starts every phase from, keeping the
-// data cache's storage.
+// reset gives the node the state Run starts every phase from, keeping its
+// cache tags, which the phase's first Touch empties.
 func (n *Node) reset(m *Machine, id int) {
-	cache := n.cache
-	cache.reset(m.Cfg.CacheLines)
-	*n = Node{mach: m, id: id, cache: cache}
+	*n = Node{mach: m, id: id, cache: dataCache{tags: n.cache.tags, shift: n.cache.shift, stale: true}}
 }
 
 // run is the node's process body: the machine's current program on this
@@ -596,9 +609,9 @@ func (n *Node) account(ms []sim.Message) {
 }
 
 // Touch models a data-cache access to the object identified by key,
-// charging CacheHit or CacheMiss depending on recency. Dynamic pointer
-// alignment's tiling benefit (threads on the same object run back to back)
-// manifests through this model.
+// charging CacheHit if the object's line still holds it and CacheMiss
+// otherwise. Dynamic pointer alignment's tiling benefit (threads on the same
+// object run back to back) manifests through this model.
 func (n *Node) Touch(key uint64) {
 	c := &n.mach.Cfg
 	if n.cache.touch(key) {
@@ -610,147 +623,29 @@ func (n *Node) Touch(key uint64) {
 	}
 }
 
-// touchSet is a fixed-capacity LRU set of object keys approximating the node
-// data cache. It is sized by use, not by capacity: the index and the entry
-// array grow with the distinct keys a node actually touches (often far fewer
-// than the capacity), and once the set is full a miss takes over the evicted
-// entry. Entries link by index, and the key→entry index is open-addressed
-// over the entry array (linear probing, load ≤ 1/2, backward-shift deletion,
-// so there are no tombstones to outlive an eviction): nothing here holds a
-// pointer or hashes through the Go map runtime.
-type touchSet struct {
-	cap        int
-	index      []int32 // entry index + 1 at the key's probe position; 0 = empty cell
-	entries    []tsEntry
-	head, tail int32 // most and least recent; -1 when empty
+// dataCache models the node's L1 as the T3D's Alpha 21064 has it: direct
+// mapped, one object per line. An object's line is a Fibonacci hash of its
+// key, not of an address, because a global pointer carries no object size
+// to lay objects out by. A line holds its object's key+1, so 0 is an empty
+// line (the all-ones key, which no global pointer is, would always miss).
+type dataCache struct {
+	tags  []uint64 // this node's lines, cut from the machine's slab
+	shift uint8    // 64 - log2(len(tags)): the hash's top bits pick the line
+	// stale marks tags holding an earlier Run's keys: the phase's first
+	// touch empties them.
+	stale bool
 }
 
-type tsEntry struct {
-	key        uint64
-	prev, next int32 // -1 at the ends
-}
-
-// tsMinCells is the size the index starts at: room for 8 keys.
-const tsMinCells = 16
-
-func newTouchSet(capacity int) *touchSet {
-	s := &touchSet{}
-	s.reset(capacity)
-	return s
-}
-
-// reset empties the set and sets its capacity, keeping the index and entry
-// storage. The index only ever grows to twice the most keys the set has held
-// (at most the power of two holding 2×cap), so clearing it costs what the
-// set was used for, not what it could hold.
-func (s *touchSet) reset(capacity int) {
-	clear(s.index)
-	*s = touchSet{cap: max(capacity, 1), index: s.index, entries: s.entries[:0], head: -1, tail: -1}
-}
-
-// home is key's first probe position (Fibonacci hashing on the top bits).
-// The index must be non-empty.
-func (s *touchSet) home(key uint64) int {
-	return int(key * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(len(s.index)-1)))
-}
-
-// probe returns the cell holding key's entry, or the empty cell where it
-// would be inserted. The index must be non-empty.
-func (s *touchSet) probe(key uint64) int {
-	mask := len(s.index) - 1
-	i := s.home(key)
-	for c := s.index[i]; c != 0 && s.entries[c-1].key != key; c = s.index[i] {
-		i = (i + 1) & mask
+// touch records an access and reports whether key's line held it.
+func (c *dataCache) touch(key uint64) bool {
+	if c.stale {
+		clear(c.tags)
+		c.stale = false
 	}
-	return i
-}
-
-// grow doubles the index (or creates it, with an entry array for as many keys
-// as it has room for) and rehashes every entry. Entries never outnumber cap,
-// so the index stops at the power of two holding 2×cap.
-func (s *touchSet) grow() {
-	if s.index == nil {
-		s.entries = make([]tsEntry, 0, min(s.cap, tsMinCells/2))
+	line := &c.tags[key*0x9E3779B97F4A7C15>>c.shift]
+	if *line == key+1 {
+		return true
 	}
-	s.index = make([]int32, max(2*len(s.index), tsMinCells))
-	for i := range s.entries {
-		s.index[s.probe(s.entries[i].key)] = int32(i) + 1
-	}
-}
-
-// unindex empties cell i and shifts the rest of its probe run back over the
-// hole, so every remaining key stays reachable from its home position.
-func (s *touchSet) unindex(i int) {
-	mask := len(s.index) - 1
-	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
-		// The entry in cell j may move into the hole unless its home lies
-		// cyclically in (i, j]: then the hole is before its probe run starts.
-		h := s.home(s.entries[s.index[j]-1].key)
-		if (j-h)&mask < (j-i)&mask {
-			continue
-		}
-		s.index[i] = s.index[j]
-		i = j
-	}
-	s.index[i] = 0
-}
-
-// touch records an access and reports whether the key was resident.
-func (s *touchSet) touch(key uint64) bool {
-	if len(s.index) > 0 {
-		if c := s.index[s.probe(key)]; c != 0 {
-			s.moveToFront(c - 1)
-			return true
-		}
-	}
-	var i int32
-	if len(s.entries) >= s.cap {
-		i = s.tail // evict the least recent, reusing its entry
-		s.remove(i)
-		s.unindex(s.probe(s.entries[i].key))
-		s.entries[i].key = key
-	} else {
-		if 2*(len(s.entries)+1) > len(s.index) {
-			s.grow()
-		}
-		i = int32(len(s.entries))
-		s.entries = append(s.entries, tsEntry{key: key})
-	}
-	s.index[s.probe(key)] = i + 1
-	s.pushFront(i)
+	*line = key + 1
 	return false
-}
-
-func (s *touchSet) pushFront(i int32) {
-	e := &s.entries[i]
-	e.prev, e.next = -1, s.head
-	if s.head >= 0 {
-		s.entries[s.head].prev = i
-	}
-	s.head = i
-	if s.tail < 0 {
-		s.tail = i
-	}
-}
-
-func (s *touchSet) remove(i int32) {
-	e := &s.entries[i]
-	if e.prev >= 0 {
-		s.entries[e.prev].next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next >= 0 {
-		s.entries[e.next].prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-}
-
-func (s *touchSet) moveToFront(i int32) {
-	if s.head == i {
-		return
-	}
-	s.remove(i)
-	s.pushFront(i)
 }

@@ -19,13 +19,13 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		size   uintptr
 		budget uintptr
 	}{
-		// Capacity, index and entry slices, head and tail: 8 words.
-		{"machine.touchSet", unsafe.Sizeof(touchSet{}), 64},
+		// The node's tags, a window on the machine's slab (3 words), and
+		// the shift and stale flag (1).
+		{"machine.dataCache", unsafe.Sizeof(dataCache{}), 32},
 		// Machine, id, proc and tracer pointers (4 words), the data cache
-		// held by value so Run resets it in place instead of allocating it
-		// per phase (8 words), message, cache and fault counters (10), fault
-		// cursors (2), crash time, flag and time (3).
-		{"machine.Node", unsafe.Sizeof(Node{}), 216},
+		// (4), message, cache and fault counters (10), fault cursors (2),
+		// crash time, flag and time (3).
+		{"machine.Node", unsafe.Sizeof(Node{}), 184},
 	}
 	for _, c := range cases {
 		t.Logf("%s = %d bytes (budget %d)", c.name, c.size, c.budget)

@@ -53,8 +53,9 @@ const snapshotMagic = "DPASNAP1"
 // file fails -restore as a divergence, not as a version mismatch. Version 8:
 // the "rt" section lost each M/D entry's last-use strip stamp, the
 // owner-major ready queue's length and digest, and the region-release
-// counter.
-const SnapshotVersion uint32 = 8
+// counter. Version 9: the "machine" section digests each node's
+// direct-mapped cache tags where it digested an LRU's recency order.
+const SnapshotVersion uint32 = 9
 
 // ErrBadSnapshot is the sentinel matched by errors.Is for snapshot
 // encodings that fail to decode: truncated, corrupted (checksum mismatch),
