@@ -34,8 +34,8 @@
 // the sequential engine, counters included. Two or more run windows the
 // machine's minimum message delay wide, and idle workers always steal. None of this changes results — simulated clocks, counters, traces,
 // and metrics stay bit-identical to sequential — so the host scheduler
-// summary (workers/windows/steals/parks) goes to stderr, keeping stdout
-// diffable across engines.
+// summary (workers/windows/steals/parks and each worker's barrier wait)
+// goes to stderr, keeping stdout diffable across engines.
 //
 // Deterministic fault injection is enabled with -faults (or any nonzero
 // fault rate): -drop-rate and -dup-rate lose and duplicate messages (the

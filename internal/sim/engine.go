@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Engine drives a set of processes to completion in virtual time: a
@@ -37,24 +38,20 @@ import (
 // from its logical past. Run opens such windows back to back.
 //
 // The processes are partitioned into W shards (block partition, so
-// neighboring node ids share a shard). Each shard owns an indexed (wake, id)
-// min-heap of its parked processes and one persistent worker goroutine for
-// the length of Run. A worker resumes its shard's admitted processes one at
-// a time as coroutines. When it exhausts its own run queue, it steals the
-// tail of the heaviest remaining one, so a process may be resumed by
-// different workers in different windows (never by two at once: take
-// removes it from its one run queue under the shard mutex).
+// neighboring node ids share a shard), each with one persistent worker
+// goroutine for the length of Run and one run queue per window. A worker
+// resumes its shard's admitted processes one at a time as coroutines. When
+// it exhausts its own run queue, it claims entries of the heaviest remaining
+// one, so a process may be resumed by different workers in different windows
+// (never by two at once: each entry is claimed by one atomic add).
 //
-// Every worker takes part in every turnover. A window ends at a barrier each
-// worker reaches once its own run queue is empty and no other is left to
-// steal from. Each worker then folds its own shard (see fold). The last
-// worker to reach a second barrier does the only serial work, O(W): it
-// min-reduces the shards' wakes into the GVT and the frontier, fires an
-// armed checkpoint, and ends the run. Each worker then admits its own shard's
-// processes inside the window, and a third barrier lets them run: a post
-// must not lower a key in a heap that its owner is still popping. A barrier
-// wait spins, then parks (see arrive); the barrier's atomics order all shard
-// state a worker reads across it.
+// A window is one barrier, which each worker reaches once its own run queue
+// is empty and no other is left to steal from. The last worker to arrive
+// runs the turnover with every process parked: one scan of the processes'
+// wakes gives the GVT and the next-earliest wake, it fires an armed
+// checkpoint or ends the run, and otherwise deals every process inside the
+// next window to its shard's run queue. A barrier wait spins, then parks (see
+// arrive); the barrier's atomics order all state a worker reads across it.
 //
 // Window membership, idle accounting and message delivery order —
 // (arrival, sender, per-sender sequence) — are all functions of virtual
@@ -63,17 +60,17 @@ import (
 type Engine struct {
 	procs     []*Proc
 	kind      EngineKind
+	spin      bool // barrier waits spin first: no more workers than usable CPUs
 	lookahead Time
 	tuning    Tuning
-	workers   int  // resolved at Run
-	spin      bool // barrier waits spin first: no more workers than usable CPUs
-	// shards hold the schedule: W heaps, of which shard 0's is the W = 1
-	// loop's one heap.
+	workers   int // resolved at Run
+	// heap is the W = 1 loop's schedule, keyed (wake, id).
+	heap    schedHeap
 	shards  []*parShard
 	windows int64 // total windows opened (host counter)
-	// frontier and horizon bound the next window's admitted processes; done
-	// ends the run instead. The last arriver at the turnover barrier writes
-	// them, every worker reads them after it.
+	// frontier and horizon bound the window's processes, and done ends the
+	// run instead: the turnover writes them, every worker reads them after
+	// the barrier.
 	frontier, horizon Time
 	done, deadlocked  bool
 	// failure holds the first panic value a process body raised in a window.
@@ -95,68 +92,50 @@ type Engine struct {
 // Xeon VM, W = 2, median host_s_par of 3 runs; the engine before the spin
 // gave 0.80 s): 0 (park at once) / 16 / 64 / 256 / 1024 / 4096 yields gave
 // 0.85 / 0.68 / 0.56 / 0.56 / 0.56 / 0.52 s — flat once a window's barrier
-// ends inside the spin, so it is a constant.
-const spinYields = 256
+// ends inside the spin, so it is a constant. A worker whose last wait ended
+// asleep spins only spinAfterPark looks in its next: when its waits outlast
+// the spin (another process on the box holds the CPUs), spinning only takes
+// CPU from the workers it waits for. One wait that ends in the spin restores
+// the full budget.
+const (
+	spinYields    = 256
+	spinAfterPark = 16
+)
 
-// parShard is one worker's shard: a heap of parked processes plus the
-// window-scoped run queue and the two note lists the fold consumes. The
-// mutex guards runq/parked/lowered against owner-vs-thief access during a
-// window; the heap is touched only by the shard's worker between barriers.
+// parShard is one worker's shard: its wake channel, the window's run queue
+// and the worker's host counters.
 type parShard struct {
-	id      int
-	heap    schedHeap
-	lo, lo2 Time // the heap's two earliest wakes after the fold
 	// wake parks the shard's worker in a barrier (buffer of one: the send
 	// never blocks); asleep is 1 + the barrier generation it sleeps through,
-	// 0 when awake.
+	// 0 when awake. slept says the worker's last wait ended asleep.
 	wake   chan struct{}
 	asleep atomic.Uint64
+	slept  bool
 
-	mu   sync.Mutex
-	runq []*Proc // admitted, not yet resumed (sorted by (wake,id); head serves the owner, tail serves thieves)
-	head int
-	// pending mirrors len(runq)-head so steal scans read one atomic instead
-	// of taking the lock.
-	pending atomic.Int32
-	parked  []*Proc // procs that yielded during this window, folded into heap at turnover
-	lowered []*Proc // blocked procs whose wake a poster lowered (stale heap keys)
+	// runq is the window's admitted processes, dealt by the turnover and
+	// fixed until the next one; claim is the index of the next entry to
+	// serve, taken by the owner and by thieves alike.
+	runq  []*Proc
+	claim atomic.Int32
 
-	// Host counters: resumes and stolen are guarded by mu, steals and parks
-	// are written by the shard's own worker only.
-	resumes int64 // procs served from this shard's run queue to its own worker
-	stolen  int64 // procs thieves took from this shard's run queue
-	steals  int64 // procs this shard's worker took from other shards
+	// Host counters, each written by one goroutine: resumes, steals, parks
+	// and waitNs by the shard's worker, dealt by the turnover.
+	resumes int64 // entries the shard's own worker served
+	dealt   int64 // entries dealt to the run queue
+	steals  int64 // entries this shard's worker claimed from other shards
 	parks   int64 // barrier waits that ended on the wake channel
+	waitNs  int64 // host ns in the window barrier, turnovers included
 
 	_ [64]byte // keep shards off each other's cache lines
 }
 
-// take removes one admitted process from the shard's run queue: the head for
-// the shard's own worker, the tail for thieves (classic deque discipline —
-// thieves take the latest-waking work, preserving the owner's locality).
-// Returns nil when the queue is empty.
-func (sh *parShard) take(steal bool) *Proc {
-	if sh.pending.Load() == 0 {
-		return nil
+// take claims the next entry of the shard's run queue, nil once every entry
+// is claimed. Owner and thieves claim from the head alike.
+func (sh *parShard) take() *Proc {
+	if i := int(sh.claim.Add(1)) - 1; i < len(sh.runq) {
+		return sh.runq[i]
 	}
-	sh.mu.Lock()
-	var q *Proc
-	if sh.head < len(sh.runq) {
-		if steal {
-			q = sh.runq[len(sh.runq)-1]
-			sh.runq[len(sh.runq)-1] = nil
-			sh.runq = sh.runq[:len(sh.runq)-1]
-			sh.stolen++
-		} else {
-			q = sh.runq[sh.head]
-			sh.runq[sh.head] = nil
-			sh.head++
-			sh.resumes++
-		}
-		sh.pending.Add(-1)
-	}
-	sh.mu.Unlock()
-	return q
+	return nil
 }
 
 // NewEngine returns an empty sequential engine with lookahead 0: a resumed
@@ -208,6 +187,9 @@ type WorkerStats struct {
 	// Parks counts the worker's barrier waits that ended asleep on its
 	// shard's channel rather than in the spin.
 	Parks int64
+	// WaitNs is the host time, in ns, the worker spent in the window
+	// barrier, the turnovers it ran included.
+	WaitNs int64
 }
 
 // WorkerStats returns the per-shard host counters, one row per worker (nil
@@ -219,7 +201,11 @@ func (e *Engine) WorkerStats() []WorkerStats {
 	}
 	out := make([]WorkerStats, len(e.shards))
 	for i, sh := range e.shards {
-		out[i] = WorkerStats{Worker: i, Resumes: sh.resumes, Stolen: sh.stolen, Steals: sh.steals, Parks: sh.parks}
+		out[i] = WorkerStats{Worker: i, Resumes: sh.resumes, Steals: sh.steals, Parks: sh.parks, WaitNs: sh.waitNs}
+		if e.workers > 1 {
+			// Every entry dealt to the run queue ran on its owner or a thief.
+			out[i].Stolen = sh.dealt - sh.resumes
+		}
 	}
 	for _, p := range e.procs {
 		out[p.shard].Procs++
@@ -248,7 +234,7 @@ func (e *Engine) Spawn(fn func(p *Proc)) *Proc {
 // lookahead starts in, for another round of Spawn and Run. It keeps the
 // storage: the processes the next Spawns hand out are the previous run's, in
 // id order, with their message buffers emptied but not freed, and the
-// engine's shards keep their heaps and queues. Each process keeps its
+// engine keeps its heap and its shards' run queues. Each process keeps its
 // coroutine, parked since its body returned, and the next Spawn hands it the
 // new body. Every process must have completed: a deadlocked or panicked run
 // leaves coroutines parked inside their bodies, and Reset panics rather than
@@ -379,8 +365,8 @@ func (e *Engine) Run() (Time, error) {
 // returned or every live one is blocked with no pending messages.
 func (e *Engine) loop() (Time, error) {
 	sh := e.shards[0]
-	for len(sh.heap) > 0 {
-		q := sh.heap.min()
+	for len(e.heap) > 0 {
+		q := e.heap.min()
 		if q.wake == Forever {
 			return makespan(e.procs), &DeadlockError{Detail: describe(e.procs)}
 		}
@@ -388,7 +374,7 @@ func (e *Engine) loop() (Time, error) {
 		e.prep(q)
 		sh.resumes++
 		if !q.run() {
-			sh.heap.remove(q)
+			e.heap.remove(q)
 		}
 	}
 	return makespan(e.procs), nil
@@ -401,28 +387,24 @@ func (e *Engine) loop() (Time, error) {
 func (e *Engine) prep(q *Proc) {
 	q.catchUp()
 	q.frontier = q.clock + e.lookahead
-	q.horizon = e.reach(e.shards[0].heap.secondWake())
+	q.horizon = e.reach(e.heap.secondWake())
 	q.state = stateRunning
 }
 
 // park is called on the yielding process's coroutine after it has recorded
 // its state and wake. A true return means the caller keeps running (no
 // switch); false means it pauses its coroutine and its resumer picks what
-// runs next. In a window the park is a note for the shard's fold. At W = 1,
-// where exactly one process runs at a time, the process is re-keyed in the
-// one heap without locks, and one that is still the earliest keeps running
-// with a refreshed horizon instead of bouncing through Run's loop.
+// runs next. In a window there is nothing to record: the next turnover reads
+// the wake. At W = 1, where exactly one process runs at a time, the process
+// is re-keyed in the heap without locks, and one that is still the earliest
+// keeps running with a refreshed horizon instead of bouncing through Run's
+// loop.
 func (e *Engine) park(p *Proc) bool {
 	if p.strict {
-		sh := e.shards[p.shard]
-		sh.mu.Lock()
-		sh.parked = append(sh.parked, p)
-		sh.mu.Unlock()
 		return false
 	}
-	h := e.shards[0].heap
-	h.fix(p.heapIdx)
-	if h.min() != p || p.wake == Forever {
+	e.heap.fix(p.heapIdx)
+	if e.heap.min() != p || p.wake == Forever {
 		return false
 	}
 	e.maybeCheckpoint(p.wake)
@@ -430,58 +412,42 @@ func (e *Engine) park(p *Proc) bool {
 	return true
 }
 
-// lowered records a decrease-key note in a window: a post lowered blocked
-// process q's wake below its key in q's shard heap. q's worker applies the
-// note at the next fold; posters never touch foreign heaps. Called without
-// q's mutex held (lock order: shard mutexes are leaves).
-func (e *Engine) lowered(q *Proc) {
-	sh := e.shards[q.shard]
-	sh.mu.Lock()
-	sh.lowered = append(sh.lowered, q)
-	sh.mu.Unlock()
-}
-
-// work is the body of home's worker: fold, turnover barrier, admit, start
-// barrier, serve (the home run queue's head first, then the heaviest
-// victim's tail), end barrier — once per window, until the turnover ends the
-// run.
+// work is the body of home's worker, once per window until the turnover ends
+// the run: the barrier, then serve (claim the home run queue's entries, then
+// the heaviest victim's).
 func (e *Engine) work(home *parShard) {
+	base := time.Now() // time.Since(base) reads only the monotonic clock
 	for {
-		home.fold()
-		e.arrive(home, true)
+		t := time.Since(base)
+		e.arrive(home)
+		home.waitNs += int64(time.Since(base) - t)
 		if e.done {
 			return
 		}
-		home.admit(e)
-		e.arrive(home, false)
 		for {
-			q := home.take(false)
-			if q == nil {
-				q = e.steal(home)
-			}
-			if q == nil {
+			q := home.take()
+			if q != nil {
+				home.resumes++
+			} else if q = e.steal(home); q == nil {
 				break
 			}
 			e.resume(q)
 		}
-		e.arrive(home, false)
 	}
 }
 
 // arrive is the window barrier. The last of the workers to arrive runs the
-// turnover first if asked to, then releases the others: every worker's
-// writes before its arrival happen before the turnover, and the turnover's
-// writes before every worker's return. The others wait by spinning, then
-// parking; an asleep mark set before the last look at the generation word
-// and claimed by the releaser keeps a wake from being lost.
-func (e *Engine) arrive(home *parShard, turnover bool) {
+// turnover, then releases the others: every worker's writes before its
+// arrival happen before the turnover, and the turnover's writes before every
+// worker's return. The others wait by spinning, then parking; an asleep mark
+// set before the last look at the generation word and claimed by the
+// releaser keeps a wake from being lost.
+func (e *Engine) arrive(home *parShard) {
 	g := e.gen.Load()
 	asleep := uint64(g) + 1
 	if int(e.arrived.Add(1)) == e.workers {
 		e.arrived.Store(0)
-		if turnover {
-			e.turnover()
-		}
+		e.turnover()
 		e.gen.Add(1)
 		for _, sh := range e.shards {
 			// A released worker may already sleep in the next barrier: claim
@@ -492,7 +458,12 @@ func (e *Engine) arrive(home *parShard, turnover bool) {
 		}
 		return
 	}
-	for i := 0; e.spin && i < spinYields; i++ {
+	budget := spinYields
+	if home.slept {
+		budget = spinAfterPark
+	}
+	home.slept = false
+	for i := 0; e.spin && i < budget; i++ {
 		if e.gen.Load() != g {
 			return
 		}
@@ -504,11 +475,13 @@ func (e *Engine) arrive(home *parShard, turnover bool) {
 	}
 	<-home.wake
 	home.parks++
+	home.slept = true
 }
 
-// resume runs q until it yields or returns. A done process is simply never
-// folded back into a heap; a panicking one counts as done, and its panic
-// value is kept for Run.
+// resume runs the claimed process q until it yields or returns, after its
+// idle catch-up and the window's bounds: the worker that runs q writes it,
+// not the turnover. A done process is simply never dealt again; a panicking
+// one keeps the state it was dealt in, and its panic value is kept for Run.
 func (e *Engine) resume(q *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -516,72 +489,57 @@ func (e *Engine) resume(q *Proc) {
 			e.failure.CompareAndSwap(nil, &v)
 		}
 	}()
+	q.catchUp()
+	q.horizon, q.frontier = e.horizon, e.frontier
 	q.run()
 }
 
-// steal takes the tail of the heaviest other shard's run queue. Run queues
-// only shrink during a window, so a scan that finds them all empty is final.
+// steal claims an entry of the run queue with the most entries left. Run
+// queues only shrink during a window, so a scan that finds them all empty is
+// final.
 func (e *Engine) steal(home *parShard) *Proc {
 	for {
 		var victim *parShard
-		best := int32(0)
+		best := 0
 		for _, sh := range e.shards {
-			if sh == home {
-				continue
-			}
-			if n := sh.pending.Load(); n > best {
+			// Entries not yet claimed: a racy count that steers the thief,
+			// never decides what runs.
+			if n := len(sh.runq) - int(sh.claim.Load()); n > best && sh != home {
 				best, victim = n, sh
 			}
 		}
 		if victim == nil {
 			return nil
 		}
-		if q := victim.take(true); q != nil {
+		if q := victim.take(); q != nil {
 			home.steals++
 			return q
 		}
 	}
 }
 
-// fold returns the processes that parked during the window to the shard's
-// heap and records the shard's two earliest wakes for the turnover. Notes of
-// lowered keys rebuild the heap: per-note up() sifts are NOT sound, even for
-// one note, since a push can legitimately stop beneath a stale key whose
-// later sift drops its old parent onto the fresh element
-// (TestLoweredKeyRepair). Heapify is O(shard), no worse than admission.
-func (sh *parShard) fold() {
-	for _, p := range sh.parked {
-		if p.state != stateDone {
-			sh.heap.push(p)
-		}
-	}
-	sh.parked = sh.parked[:0]
-	if len(sh.lowered) > 0 {
-		sh.heap.heapify()
-		sh.lowered = sh.lowered[:0]
-	}
-	sh.lo, sh.lo2 = Forever, Forever
-	if len(sh.heap) > 0 {
-		sh.lo, sh.lo2 = sh.heap.min().wake, sh.heap.secondWake()
-	}
-}
-
-// turnover is the serial O(W) step between two windows, run by the last
-// worker to fold: min-reduce the shards' wakes into the GVT and the
-// next-earliest wake, end the run when it is over — all done, deadlocked, or
-// a process body panicked — and otherwise fire a due checkpoint and bound
-// the next window.
+// turnover is the serial step between two windows, run by the last worker to
+// reach the barrier with every process parked. One scan of the live
+// processes' wakes gives the GVT and the next-earliest wake; the run ends
+// when it is over — all done, deadlocked, or a process body panicked — and
+// otherwise a due checkpoint fires, the next window is bounded, and every
+// process inside it is dealt to its shard's run queue in id order. A dealt
+// process keeps its parked state and wake until it runs: a post in the
+// window arrives at or after the frontier, above that wake, so none lowers
+// it, and the turnover writes nothing of the process.
 func (e *Engine) turnover() {
 	gvt, second := Forever, Forever
 	live := false
-	for _, sh := range e.shards {
-		live = live || len(sh.heap) > 0
-		if sh.lo < gvt {
-			gvt, second = sh.lo, gvt
-		} else if sh.lo < second {
-			second = sh.lo
+	for _, p := range e.procs {
+		if p.state == stateDone {
+			continue
 		}
-		second = min(second, sh.lo2)
+		live = true
+		if p.wake < gvt {
+			gvt, second = p.wake, gvt
+		} else if p.wake < second {
+			second = p.wake
+		}
 	}
 	// gvt == Forever with live processes: every one of them is blocked with
 	// no pending messages (the coroutines stay parked).
@@ -600,22 +558,20 @@ func (e *Engine) turnover() {
 		// stays put.
 		e.horizon = e.reach(second)
 	}
-	e.windows++
-}
-
-// admit moves the shard's processes inside the window from its heap to its
-// run queue, each prepped (idle catch-up, horizon, state) before the start
-// barrier lets any worker take it.
-func (sh *parShard) admit(e *Engine) {
-	sh.runq, sh.head = sh.runq[:0], 0
-	for len(sh.heap) > 0 && sh.heap.min().wake < e.frontier {
-		p := sh.heap.popMin()
-		p.catchUp()
-		p.horizon, p.frontier = e.horizon, e.frontier
-		p.state = stateRunning
-		sh.runq = append(sh.runq, p)
+	for _, sh := range e.shards {
+		sh.runq = sh.runq[:0]
 	}
-	sh.pending.Store(int32(len(sh.runq)))
+	for _, p := range e.procs {
+		if p.state != stateDone && p.wake < e.frontier {
+			sh := e.shards[p.shard]
+			sh.runq = append(sh.runq, p)
+		}
+	}
+	for _, sh := range e.shards {
+		sh.claim.Store(0)
+		sh.dealt += int64(len(sh.runq))
+	}
+	e.windows++
 }
 
 // The capacities of each process's message buffers carved from a slab at its
@@ -666,13 +622,13 @@ func seedBuffers(procs []*Proc) {
 }
 
 // arenaShards partitions the processes over the worker shards, sets their
-// locking mode, and sizes every per-shard buffer the window turnover touches
-// so the steady state allocates nothing: the heap and the parked/lowered/run
-// queues get capacity for every process the shard owns (the queues are reset
-// to length zero each window, never beyond that bound; the W = 1 loop uses
-// none), and each shard's new processes get their message buffers from one
-// per-shard slab (see seedBuffers), adjacent for the worker that polls them.
-// The shards, their queues and their wake channels survive Reset.
+// locking mode, and sizes what the run touches so the steady state allocates
+// nothing: at W = 1 the heap holds every process, at W ≥ 2 each shard's run
+// queue gets capacity for every process the shard owns (dealt anew each
+// window, never beyond that bound), and the new processes get their message
+// buffers from one slab (see seedBuffers), each shard's adjacent for the
+// worker that polls them. The shards, their queues and their wake channels
+// survive Reset.
 func (e *Engine) arenaShards() {
 	if len(e.shards) != e.workers {
 		// One slab for all shard structs (the cache-line pad in parShard
@@ -681,7 +637,6 @@ func (e *Engine) arenaShards() {
 		shardSlab := make([]parShard, e.workers)
 		e.shards = make([]*parShard, e.workers)
 		for i := range shardSlab {
-			shardSlab[i].id = i
 			shardSlab[i].wake = make(chan struct{}, 1)
 			e.shards[i] = &shardSlab[i]
 		}
@@ -691,16 +646,16 @@ func (e *Engine) arenaShards() {
 	strict := e.workers > 1
 	most := (len(e.procs) + e.workers - 1) / e.workers // no shard owns more
 	for _, sh := range e.shards {
-		sh.heap = slices.Grow(sh.heap, most)
 		if strict && cap(sh.runq) < most {
 			sh.runq = make([]*Proc, 0, most)
-			sh.parked = make([]*Proc, 0, most)
-			sh.lowered = make([]*Proc, 0, most)
 		}
-		sh.runq, sh.head = sh.runq[:0], 0
-		sh.pending.Store(0)
-		sh.parked, sh.lowered = sh.parked[:0], sh.lowered[:0]
-		sh.resumes, sh.stolen, sh.steals, sh.parks = 0, 0, 0, 0
+		sh.runq = sh.runq[:0]
+		sh.claim.Store(0)
+		sh.slept = false
+		sh.resumes, sh.dealt, sh.steals, sh.parks, sh.waitNs = 0, 0, 0, 0, 0
+	}
+	if !strict {
+		e.heap = slices.Grow(e.heap[:0], len(e.procs))
 	}
 	// Block partition: shard i owns procs [i*P/W, (i+1)*P/W) — neighboring
 	// node ids (which talk the most under owner-major layouts) share a
@@ -709,9 +664,9 @@ func (e *Engine) arenaShards() {
 		p.shard = int32(i * e.workers / len(e.procs))
 		p.strict = strict
 		p.mailN.Store(int32(p.mailbox.size()))
-		e.shards[p.shard].heap.push(p)
+		if !strict {
+			e.heap.push(p)
+		}
 	}
-	for _, sh := range e.shards {
-		seedBuffers(sh.heap)
-	}
+	seedBuffers(e.procs)
 }

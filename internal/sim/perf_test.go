@@ -230,16 +230,18 @@ func BenchmarkSeqLookahead(b *testing.B) {
 
 // BenchmarkEpochBarrier measures the window turnover: every process charges
 // exactly one window's worth of virtual time and polls, so each b.N
-// iteration is one window and one full turnover (fold, reduction, admission,
-// barriers) on two workers (one worker opens no windows). The empty windows
-// time the turnover alone. In the busy ones each of 16 processes also does
-// about 1 µs of host work, so a window holds about 16 µs, as bh64_static's
-// do.
+// iteration is one window and one full turnover on two workers (one worker
+// opens no windows). The empty windows time the turnover alone. In the busy
+// ones each of 16 processes also does about 1 µs of host work, so a window
+// holds about 16 µs, as bh64_static's do. In the sparse ones 4 of 1,024
+// processes tick and the rest stay blocked until the last window, so they
+// time what a turnover pays for the processes it does not admit.
 func BenchmarkEpochBarrier(b *testing.B) {
 	shapes := []struct {
-		name        string
-		procs, work int // work: multiply-add rounds per process per window
-	}{{"empty/procs=4", 4, 0}, {"empty/procs=16", 16, 0}, {"busy/procs=16", 16, 700}}
+		name                string
+		procs, active, work int // work: multiply-add rounds per active process per window
+	}{{"empty/procs=4", 4, 4, 0}, {"empty/procs=16", 16, 16, 0}, {"busy/procs=16", 16, 16, 700},
+		{"sparse/procs=1024", 1024, 4, 0}}
 	for _, s := range shapes {
 		b.Run(s.name+"/w=2", func(b *testing.B) {
 			const window = 10
@@ -247,6 +249,10 @@ func BenchmarkEpochBarrier(b *testing.B) {
 			sink := make([]uint64, s.procs)
 			for i := 0; i < s.procs; i++ {
 				e.Spawn(func(p *Proc) {
+					if p.ID() >= s.active {
+						p.WaitMessage()
+						return
+					}
 					x := uint64(p.ID())
 					for n := 0; n < b.N; n++ {
 						for k := 0; k < s.work; k++ {
@@ -256,11 +262,18 @@ func BenchmarkEpochBarrier(b *testing.B) {
 						p.Poll()
 					}
 					sink[p.ID()] = x
+					if p.ID() == 0 {
+						for id := s.active; id < s.procs; id++ {
+							p.Post(id, Message{Arrival: p.Now() + window})
+						}
+					}
 				})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			e.Run()
+			if _, err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
 		})
 	}
 }

@@ -1,16 +1,15 @@
 package sim
 
 // schedHeap is an indexed binary min-heap of live processes keyed by
-// (wake, id), one per worker shard. At W = 1 it is the whole schedule:
-// picking the next process to run is a root read, updating a process's wake time is O(log P)
-// sift, and the scheduling horizon (the earliest wake among the *other*
-// processes) is the smaller of the root's two children — the "second-best
-// key" — because every non-root element lives in one of those subtrees.
+// (wake, id): the W = 1 loop's whole schedule. Picking the next process to
+// run is a root read, updating a process's wake time is O(log P) sift, and
+// the scheduling horizon (the earliest wake among the *other* processes) is
+// the smaller of the root's two children — the "second-best key" — because
+// every non-root element lives in one of those subtrees.
 //
 // Each Proc carries its heap position in heapIdx so that decrease-key (a
-// post waking a blocked process early) needs no search. A heap is only ever
-// touched by one goroutine at a time (the one running process at W = 1, its
-// shard's worker between barriers otherwise), so it needs no locking.
+// post waking a blocked process early) needs no search. Only the one running
+// process touches the heap, so it needs no locking.
 type schedHeap []*Proc
 
 func (h schedHeap) less(i, j int) bool {
@@ -66,31 +65,12 @@ func (h schedHeap) fix(i int) {
 	}
 }
 
-// heapify restores the heap property over the whole array by sifting every
-// internal node down. A shard's fold uses it when keys went stale in a
-// window: batched decrease-keys cannot be fixed by per-element up() sifts,
-// because an up() can displace a still-stale ancestor below an element whose
-// own sift already ran, leaving a violated edge with no fix pending.
-func (h schedHeap) heapify() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-}
-
-// push inserts p at its (wake, id) key: Run's partition fills the heaps
-// with it, and a shard's fold returns the processes that parked during a
-// window.
+// push inserts p at its (wake, id) key: Run's partition fills the heap with
+// it.
 func (h *schedHeap) push(p *Proc) {
 	*h = append(*h, p)
 	p.heapIdx = len(*h) - 1
 	h.up(p.heapIdx)
-}
-
-// popMin removes and returns the heap minimum. The heap must be non-empty.
-func (h *schedHeap) popMin() *Proc {
-	p := (*h)[0]
-	h.remove(p)
-	return p
 }
 
 // remove deletes p from the heap (used when a process completes).

@@ -86,8 +86,9 @@ func stealWorkload(rounds int, delay Time) func(e *Engine) {
 // TestShardedStealing drives the imbalanced workload at two workers and
 // checks (a) results are always bit-identical to sequential, and (b) the
 // steal path actually runs: across a few attempts the host counters must
-// record cross-shard steals, and every stolen proc is accounted by both the
-// victim (Stolen) and the thief (Steals).
+// record cross-shard steals, and every run-queue entry ran exactly once: what
+// the victims' owners did not serve of their dealt entries (Stolen) is what
+// the thieves claimed (Steals).
 func TestShardedStealing(t *testing.T) {
 	const rounds = 100
 	const delay = 20
@@ -136,11 +137,11 @@ func TestShardedStealing(t *testing.T) {
 }
 
 // TestCrossWorkerMessagePathZeroAllocs pins the cross-worker host contract:
-// once mailbox rings, drain buffers, and the per-shard parked/lowered/run
-// queues are warm, a full cross-shard round trip — post, decrease-key note,
-// window turnover, chain hand-off, reply — allocates nothing. The two procs
-// land on different shards (two procs, two workers), so every message
-// crosses workers and every round trip is a window turnover.
+// once mailbox rings, drain buffers, and the per-shard run queues are warm, a
+// full cross-shard round trip — post, lowered wake, window turnover, claim,
+// reply — allocates nothing. The two procs land on different shards (two
+// procs, two workers), so every message crosses workers and every round trip
+// is a window turnover.
 func TestCrossWorkerMessagePathZeroAllocs(t *testing.T) {
 	const look = 10
 	const stop = -1
@@ -177,13 +178,13 @@ func TestCrossWorkerMessagePathZeroAllocs(t *testing.T) {
 }
 
 // TestShardArenaWindowTurnoverZeroAllocs pins the shard-arena contract: with
-// multiple processes per shard, the full window machinery — parked fold, heap
-// push/pop, run-queue refill, seed selection, chain hand-off — runs out of
-// the slabs arenaShards carved at Run and allocates nothing in steady state.
-// Unlike the two-proc cross-worker test above, every shard here owns two
-// processes, so the per-shard queues actually cycle through non-trivial
-// lengths each window, and the mailbox rings live in the per-shard message
-// slab rather than per-process append-grown arrays.
+// multiple processes per shard, the full window machinery — the turnover's
+// scan and deal, claims and steals — runs out of the storage arenaShards
+// sized at Run and allocates nothing in steady state. Unlike the two-proc
+// cross-worker test above, every shard here owns two processes, so the
+// per-shard queues actually cycle through non-trivial lengths each window,
+// and the mailbox rings live in the message slab rather than per-process
+// append-grown arrays.
 func TestShardArenaWindowTurnoverZeroAllocs(t *testing.T) {
 	const look = 10
 	const stop = -1
@@ -376,16 +377,13 @@ func TestRunRejectsWorkersBeyondProcs(t *testing.T) {
 	}
 }
 
-// staleKeyWorkload reproduces the decrease-key/push interleaving that broke
-// the per-note up() sift repair (see parShard.fold). Servers sit blocked at
-// Forever deep in the shard heaps; posters lower their keys with arrivals
-// that often land beyond the next frontier, so the lowered keys linger in
-// the heap as stale entries; tickers park ready at staggered clocks in the
-// same windows, so the fold pushes fresh keys that can legitimately stop
-// beneath a stale one. With the broken repair, the sift that lifted the
-// stale key away dropped a Forever parent onto such a fresh key, burying a
-// runnable process — which surfaced as idle-accounting divergence or a
-// spurious deadlock.
+// staleKeyWorkload mixes lowered wakes with fresh ones: servers sit blocked
+// at Forever; posters lower their wakes with arrivals that often land beyond
+// the next frontier, so a lowered wake outlives the window it was lowered
+// in; tickers park ready at staggered clocks in the same windows. A
+// scheduler that loses sight of a lowered or fresh wake buries a runnable
+// process, which surfaces as idle-accounting divergence, a spurious
+// deadlock or a lookahead-violation panic.
 func staleKeyWorkload(rounds int, delay Time) func(e *Engine) {
 	const servers = 6
 	const posters = 3
@@ -403,16 +401,14 @@ func staleKeyWorkload(rounds int, delay Time) func(e *Engine) {
 			e.Spawn(func(p *Proc) {
 				for r := 0; r < rounds; r++ {
 					// Heavy, uneven compute: the poster parks ready at wakes
-					// far beyond the frontier, so its fold push can stop
-					// beneath a lingering stale key. If the broken repair then
-					// buries it under a Forever parent, its late admission
-					// posts from a catch-up clock behind the frontier — a loud
-					// lookahead-violation panic.
+					// far beyond the frontier. A process the scheduler loses
+					// sight of is admitted late and posts from a catch-up
+					// clock behind the frontier — a loud lookahead-violation
+					// panic.
 					p.Charge(Compute, Time(11+(i*31+r*17)%83))
 					p.Poll()
 					// Arrivals overshoot the lookahead by a varying margin, so
-					// the lowered key often stays in the heap past the next
-					// turnover — a lingering stale entry.
+					// a lowered wake often outlives the next turnover.
 					at := p.Now() + delay + Time((i*7+r*11)%29)
 					p.Post((r+i)%servers, Message{Arrival: at, Handler: r})
 				}
@@ -430,7 +426,7 @@ func staleKeyWorkload(rounds int, delay Time) func(e *Engine) {
 	}
 }
 
-// TestLoweredKeyRepair pins the stale-heap-key repair across worker counts:
+// TestLoweredKeyRepair pins posters' lowered wakes across worker counts:
 // every configuration must match the sequential run bit for bit.
 func TestLoweredKeyRepair(t *testing.T) {
 	const rounds = 300
@@ -556,6 +552,44 @@ func TestWindowBarrierStress(t *testing.T) {
 				if threads == 1 && parks == 0 {
 					t.Fatalf("%s: no barrier wait parked", what)
 				}
+			}
+		}
+	}
+}
+
+// TestWindowBarrierSparse drives one token around 1,024 processes, so every
+// window admits one process and the turnover's scan passes over the 1,023
+// it does not admit. At W = 2 and 4 each run must log what the sequential
+// engine logs and end in the same state, open one window to start and one
+// per hop, and time every worker's barrier waits.
+func TestWindowBarrierSparse(t *testing.T) {
+	const n, hops, look = 1024, 1500, 10
+	run := func(e *Engine) ([][]int64, []string) {
+		logs := make([][]int64, n)
+		tokenRing(n, 1, hops, look, logs)(e)
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return logs, snapshot(e)
+	}
+	wantLogs, want := run(NewEngine())
+	for _, w := range []int{2, 4} {
+		par := NewParallel(look, w)
+		logs, got := run(par)
+		for id := range wantLogs {
+			if !slices.Equal(logs[id], wantLogs[id]) {
+				t.Fatalf("workers=%d: process %d logged\n%v\nsequential\n%v", w, id, logs[id], wantLogs[id])
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: final state differs from the sequential engine's", w)
+		}
+		if par.Windows() != hops+1 {
+			t.Errorf("workers=%d: %d windows, want %d (one to start, one per hop)", w, par.Windows(), hops+1)
+		}
+		for _, ws := range par.WorkerStats() {
+			if ws.WaitNs <= 0 {
+				t.Errorf("workers=%d: worker %d timed %d ns in the barrier", w, ws.Worker, ws.WaitNs)
 			}
 		}
 	}

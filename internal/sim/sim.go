@@ -21,9 +21,9 @@
 // (none when the yielding process is still the earliest). At W ≥ 2
 // (NewParallel) it shards the processes over W workers, runs every process
 // whose next event falls inside the lookahead window truly in parallel with
-// the rest of its window, lets idle workers steal from the heaviest shard,
-// and min-reduces the W shard minima into the next window, never scanning
-// all P processes.
+// the rest of its window, and lets idle workers steal from the heaviest
+// shard; between two windows one scan of the processes' wakes bounds the next
+// and deals it out.
 //
 // Determinism across worker counts rests on one rule: mailbox delivery is
 // ordered by (arrival time, sender id, per-sender sequence number), which is
@@ -226,7 +226,7 @@ type Proc struct {
 	// concurrent posters, so only they take the mailbox mutex.
 	strict   bool
 	sendSeq  uint64
-	heapIdx  int       // position in a wake heap (-1 when popped)
+	heapIdx  int       // position in the W = 1 wake heap (-1 when removed)
 	shard    int32     // owning worker shard (fixed at Run)
 	drainBuf []Message // reusable Poll/WaitMessage result buffer
 	charges  [NumCategories]Time
@@ -363,26 +363,19 @@ func (p *Proc) Post(dst int, m Message) {
 	p.sendSeq++
 	q := p.sched.procs[dst]
 	if q.strict {
-		low := false
+		// In a window the next turnover reads the lowered wake.
 		q.mu.Lock()
 		q.mailbox.push(m)
 		q.mailN.Store(int32(q.mailbox.size()))
 		if q.state == stateBlocked && m.Arrival < q.wake {
 			q.wake = m.Arrival
-			low = true
 		}
 		q.mu.Unlock()
-		if low {
-			// Decrease-key note, recorded outside q's mutex (shard mutexes
-			// are leaves in the lock order). The fold cannot run
-			// concurrently — this poster has not parked yet.
-			p.sched.lowered(q)
-		}
 	} else {
 		q.mailbox.push(m)
 		if q.state == stateBlocked && m.Arrival < q.wake {
 			q.wake = m.Arrival
-			p.sched.shards[0].heap.up(q.heapIdx) // W = 1: decrease-key at once
+			p.sched.heap.up(q.heapIdx) // W = 1: decrease-key at once
 		}
 	}
 	// The receiver wakes at the arrival, and nothing it or anyone it wakes

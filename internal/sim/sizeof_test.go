@@ -35,11 +35,15 @@ func TestHotStructSizeBudgets(t *testing.T) {
 		// pointer to its coroutine (the resume and yield funcs live behind
 		// it, not beside it).
 		{"sim.Proc", unsafe.Sizeof(Proc{}), 352},
-		// One worker shard, trailing pad included: four cache lines.
-		// The barrier's wake channel and asleep word and the fold's two
-		// earliest wakes live here, so the per-shard turnover touches only
-		// its own shard's lines.
-		{"sim.parShard", unsafe.Sizeof(parShard{}), 256},
+		// One worker shard, trailing pad included: two and a half cache
+		// lines. The barrier's wake channel and asleep word, the window's
+		// run queue and its claim index, and the worker's own counters; no
+		// heap and no mutex, since the turnover deals every run queue.
+		{"sim.parShard", unsafe.Sizeof(parShard{}), 160},
+		// The engine record, the cache-line pad before the barrier's two
+		// words included. The W = 1 heap lives here, beside the window's
+		// bounds that workers read as they claim its processes.
+		{"sim.Engine", unsafe.Sizeof(Engine{}), 232},
 	}
 	for _, c := range cases {
 		t.Logf("%s = %d bytes (budget %d)", c.name, c.size, c.budget)

@@ -232,10 +232,10 @@ type Run struct {
 	// phases before it, so the merged timeline covers the whole run.
 	Timeline *machine.Timeline
 	// Host carries the engine's host-side scheduling counters (worker
-	// shards, resumes, steals, parks). Unlike every field above it describes the
-	// engine, not the simulation — it differs between engines, and steal
-	// counts depend on real-time races — so it is excluded from Diff/Equal
-	// and from the deterministic Table output.
+	// shards, resumes, steals, parks, barrier wait). Unlike every field
+	// above it describes the engine, not the simulation — it differs between
+	// engines, and steal counts and waits depend on real-time races — so it
+	// is excluded from Diff/Equal and from the deterministic Table output.
 	Host *HostSched
 }
 
@@ -287,10 +287,20 @@ func (h *HostSched) Parks() int64 {
 	return n
 }
 
-// String renders a compact one-line summary, e.g. for stderr diagnostics.
+// String renders a compact one-line summary, e.g. for stderr diagnostics:
+// wait is each worker's host time in the window barrier, in ms.
 func (h *HostSched) String() string {
-	return fmt.Sprintf("workers=%d windows=%d resumes=%d steals=%d parks=%d",
+	var b strings.Builder
+	fmt.Fprintf(&b, "workers=%d windows=%d resumes=%d steals=%d parks=%d wait=",
 		h.Workers, h.Windows, h.Resumes(), h.Steals(), h.Parks())
+	for i, w := range h.PerWorker {
+		if i > 0 {
+			b.WriteByte('/')
+		}
+		fmt.Fprintf(&b, "%.1f", float64(w.WaitNs)/1e6)
+	}
+	b.WriteString("ms")
+	return b.String()
 }
 
 // Collect gathers per-node breakdowns from a machine after Run.
@@ -362,6 +372,7 @@ func (r *Run) Merge(o Run) {
 					r.Host.PerWorker[i].Stolen += w.Stolen
 					r.Host.PerWorker[i].Steals += w.Steals
 					r.Host.PerWorker[i].Parks += w.Parks
+					r.Host.PerWorker[i].WaitNs += w.WaitNs
 				}
 			}
 		}

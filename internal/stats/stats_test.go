@@ -61,6 +61,24 @@ func TestMergeIntoEmpty(t *testing.T) {
 	}
 }
 
+// TestHostSchedMergeAndString: merged phases add each worker's counters,
+// barrier wait included, and the stderr line prints the wait per worker.
+func TestHostSchedMergeAndString(t *testing.T) {
+	phase := func(wait0, wait1 int64) Run {
+		return Run{Nodes: make([]Breakdown, 2), Host: &HostSched{Workers: 2, Windows: 10, PerWorker: []sim.WorkerStats{
+			{Worker: 0, Resumes: 4, Parks: 1, WaitNs: wait0},
+			{Worker: 1, Resumes: 3, Steals: 2, WaitNs: wait1},
+		}}}
+	}
+	var r Run
+	r.Merge(phase(1_000_000, 2_500_000))
+	r.Merge(phase(2_000_000, 2_500_000))
+	const want = "workers=2 windows=20 resumes=14 steals=4 parks=2 wait=3.0/5.0ms"
+	if got := r.Host.String(); got != want {
+		t.Errorf("host sched line = %q, want %q", got, want)
+	}
+}
+
 func TestMetricsSnapshot(t *testing.T) {
 	r := Run{Makespan: 1234, Nodes: make([]Breakdown, 2)}
 	r.Nodes[0].Cycles[sim.Compute] = 100
